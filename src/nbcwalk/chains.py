@@ -212,14 +212,20 @@ def _stationary_from_detailed_balance(p: StochasticMatrix):
     return [m / total for m in mu]
 
 
+def check_eig_states(n: int, force: bool = False):
+    """Refuse an eigensolve on more than MAX_EIG_STATES states unless forced;
+    callers that know the state count early check it before building P."""
+    if n > MAX_EIG_STATES and not force:
+        raise SizeGuardError(f"{n} states exceeds MAX_EIG_STATES={MAX_EIG_STATES}")
+
+
 def spectral_gap(p: StochasticMatrix, force: bool = False) -> float:
     """1 - second-largest eigenvalue of the reversible chain; a single-state
     chain reports 1.0 (it mixes in zero steps)."""
     n = p.size
     if n == 1:
         return 1.0
-    if n > MAX_EIG_STATES and not force:
-        raise SizeGuardError(f"{n} states exceeds MAX_EIG_STATES={MAX_EIG_STATES}")
+    check_eig_states(n, force)
     mu = _stationary_from_detailed_balance(p)
     root = [math.sqrt(float(m)) for m in mu]
     sym = np.zeros((n, n), dtype=np.float64)

@@ -15,7 +15,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chains import conductance, down_up_matrix, neighbor_ratio, spectral_gap
+from .chains import check_eig_states, conductance, down_up_matrix, neighbor_ratio, spectral_gap
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import (
     MultiGraph,
@@ -350,6 +350,7 @@ def gap_certificate(inst: GadgetInstance, force: bool = False) -> dict:
     m = inst.params["m"]
     x = inst.complex()
     facets = link_facets(x, inst.tau, force=force)
+    check_eig_states(len(facets), force)
     part = partition_link_facets(inst, facets)
     walk = down_up_matrix(facets)
     gap = spectral_gap(walk, force=force)

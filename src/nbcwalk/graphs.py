@@ -12,8 +12,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import PreconditionError, SizeGuardError
 
 CHROMATIC_MAX_EDGES = 20
@@ -31,7 +29,7 @@ class MultiGraph:
     as given (it defines element ids downstream).
     """
 
-    __slots__ = ("vertex_count", "edges", "_eu", "_ev")
+    __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges):
         vertex_count = int(vertex_count)
@@ -48,8 +46,6 @@ class MultiGraph:
             normalized.append((u, v) if u < v else (v, u))
         self.vertex_count = vertex_count
         self.edges = tuple(normalized)
-        self._eu = None
-        self._ev = None
 
     @property
     def edge_count(self) -> int:
@@ -60,13 +56,6 @@ class MultiGraph:
         if not 0 <= v < self.vertex_count:
             raise PreconditionError(f"vertex {v} out of range")
         return sum((u == v) + (w == v) for u, w in self.edges)
-
-    def endpoint_arrays(self):
-        """Per-edge endpoint arrays (cached), used by the enumeration engines."""
-        if self._eu is None:
-            self._eu = np.fromiter((e[0] for e in self.edges), dtype=np.int64, count=len(self.edges))
-            self._ev = np.fromiter((e[1] for e in self.edges), dtype=np.int64, count=len(self.edges))
-        return self._eu, self._ev
 
     def validate_edge_ids(self, ids) -> frozenset:
         out = frozenset(int(e) for e in ids)

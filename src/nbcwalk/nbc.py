@@ -5,16 +5,20 @@ complex holds every independent set containing none of them.  The production
 membership test inspects one fundamental circuit per single-element extension
 (equivalent to the containment definition because fundamental circuits are
 unique); the brute-force containment test stays available as the cross-check
-oracle.  Enumeration runs on a component-label engine that only re-examines
-cycles created by the newest element, which keeps gadget-scale link
-enumerations fast.
+oracle.
+
+Face numbers, facets, links and extension all come from one explicit-stack
+walker, so face depth is bounded by memory, not by the recursion limit.  The
+walker drives an engine with a can_add/push/pop protocol, where can_add(e)
+decides exactly whether an NBC face stays NBC with e added.  Graphic and
+truncated graphic matroids get a pure-Python engine with undoable component
+labels that re-examines only the cycles the new edge closes; any other matroid
+gets an engine that asks is_nbc.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .matroids import GraphicMatroid, Matroid, TruncatedMatroid
@@ -26,7 +30,7 @@ MAX_NBC_FACES = 2_000_000
 class ElementOrder:
     """Total order on ground elements: ranking[0] is the smallest element."""
 
-    __slots__ = ("ranking", "_pos", "_pos_arr")
+    __slots__ = ("ranking", "_pos")
 
     def __init__(self, ranking):
         ranking = tuple(int(x) for x in ranking)
@@ -37,7 +41,6 @@ class ElementOrder:
         for i, e in enumerate(ranking):
             pos[e] = i
         self._pos = tuple(pos)
-        self._pos_arr = None
 
     @classmethod
     def identity(cls, m: int) -> "ElementOrder":
@@ -46,11 +49,6 @@ class ElementOrder:
     def positions(self) -> tuple:
         """positions()[e] = rank of element e (0 = smallest)."""
         return self._pos
-
-    def position_array(self) -> np.ndarray:
-        if self._pos_arr is None:
-            self._pos_arr = np.array(self._pos, dtype=np.int64)
-        return self._pos_arr
 
     def smallest(self, subset) -> int:
         items = list(subset)
@@ -165,293 +163,252 @@ def is_log_concave(f) -> bool:
     return all(seq[i] * seq[i] >= seq[i - 1] * seq[i + 1] for i in range(1, len(seq) - 1))
 
 
-def _resolve_graphic(matroid):
-    """(graph, truncation rank) when the matroid is graphic under the hood."""
-    if isinstance(matroid, GraphicMatroid):
-        return matroid.graph, matroid.rank
-    if isinstance(matroid, TruncatedMatroid) and isinstance(matroid.inner, GraphicMatroid):
-        return matroid.inner.graph, matroid.target_rank
-    return None
-
-
 class _GraphicEngine:
     """Incremental NBC-face state for (possibly truncated) graphic matroids.
 
-    Keeps union-find-style component labels for the current face; can_add(e)
-    decides whether face + e stays NBC by checking, beyond independence, only
-    the cycles the new edge creates: absent edges bridging the two merged
-    components, plus (at full truncation size) absent elements ranked below the
-    face minimum (those would close a size circuit whose smallest element they
-    are).  Cycles internal to old components were vetted when the face grew.
+    The face is a forest.  Every vertex carries a component label and every
+    label a member list; push(e) relabels the smaller of the two components e
+    joins and records (big, small, old_len), so pop() undoes exactly that.
+    can_add(e) assumes the current face is NBC, so the only circuits that can
+    newly have an absent smallest element are the cycles through e and, at
+    full truncation size, the size circuits.  It applies, in order:
+
+    1. Reject a full face, an e already in it, and an e inside one component.
+    2. At full truncation size every absent element closes a circuit, so accept
+       only if the order-smallest element is in face + e.
+    3. An absent edge f that closes a cycle through e joins e's two components,
+       and e lies on that cycle, so f can be its minimum only if
+       pos[f] < pos[e].  Scan the smaller component's incidences for such
+       candidates; with none, accept.
+    4. Otherwise sweep each side's tree from an endpoint of e for path minima,
+       and reject if a candidate lies below both of its path minima.
     """
 
     def __init__(self, graph, order: ElementOrder, trunc_rank: int):
+        nv = graph.vertex_count
         self.m = graph.edge_count
-        self.nv = graph.vertex_count
-        self.rprime = trunc_rank
-        self.rank_arr = order.position_array()
-        self.rank_list = list(order.positions())
-        self.eu, self.ev = graph.endpoint_arrays()
-        self.eu_list = [e[0] for e in graph.edges]
-        self.ev_list = [e[1] for e in graph.edges]
-        self.in_set = np.zeros(self.m, dtype=bool)
+        self.full = trunc_rank
+        self.pos = order.positions()
+        self.ends = graph.edges
+        self.incidences = [[] for _ in range(nv)]
+        for f, (u, v) in enumerate(graph.edges):
+            self.incidences[u].append((f, v))
+            self.incidences[v].append((f, u))
+        self.label = list(range(nv))
+        self.comp = [[x] for x in range(nv)]
+        self.adj = [[] for _ in range(nv)]
+        self.in_set = [False] * self.m
         self.members = []
-        self.adj = [[] for _ in range(self.nv)]
-        self.labels = np.arange(self.nv, dtype=np.int64)
-        self.lu = self.labels[self.eu] if self.m else np.zeros(0, dtype=np.int64)
-        self.lv = self.labels[self.ev] if self.m else np.zeros(0, dtype=np.int64)
-        self._saved = []
-        self._minstack = [self.m]  # order positions are < m, so m acts as +infinity
-        self._visit = [0] * self.nv
-        self._gen = 0
+        self._mins = [self.m]  # order positions are < m, so m acts as +infinity
+        self._merges = []
+        self._path_mins = [0] * nv
 
     def can_add(self, e: int) -> bool:
         """True iff the current face (assumed NBC) stays NBC after adding e."""
-        if len(self.members) >= self.rprime or self.in_set[e]:
+        size = len(self.members)
+        if size >= self.full or self.in_set[e]:
             return False
-        la = int(self.lu[e])
-        lb = int(self.lv[e])
-        if la == lb:
+        u, v = self.ends[e]
+        label = self.label
+        small, big = label[u], label[v]
+        if small == big:
             return False
-        rank_e = self.rank_list[e]
-        new_min = rank_e if rank_e < self._minstack[-1] else self._minstack[-1]
-        self.in_set[e] = True
-        try:
-            if len(self.members) + 1 == self.rprime:
-                if bool(np.any((self.rank_arr < new_min) & ~self.in_set)):
-                    return False
-            lu2 = np.where(self.lu == lb, la, self.lu)
-            lv2 = np.where(self.lv == lb, la, self.lv)
-            cand = np.nonzero((lu2 == lv2) & (self.lu != self.lv) & ~self.in_set)[0]
-            if cand.size:
-                u, v = self.eu_list[e], self.ev_list[e]
-                self.adj[u].append((v, e))
-                self.adj[v].append((u, e))
-                try:
-                    for f in cand.tolist():
-                        if self.rank_list[f] < self._path_min(self.eu_list[f], self.ev_list[f]):
-                            return False
-                finally:
-                    self.adj[u].pop()
-                    self.adj[v].pop()
+        pos = self.pos
+        pos_e = pos[e]
+        if size + 1 == self.full and pos_e and self._mins[-1]:
+            return False
+        if len(self.comp[small]) > len(self.comp[big]):
+            small, big = big, small
+        incidences = self.incidences
+        cand = [
+            (pos[f], x, y)
+            for x in self.comp[small]
+            for f, y in incidences[x]
+            if pos[f] < pos_e and label[y] == big
+        ]
+        if not cand:
             return True
-        finally:
-            self.in_set[e] = False
+        self._sweep(u)
+        self._sweep(v)
+        path_mins = self._path_mins
+        return all(pf >= path_mins[x] or pf >= path_mins[y] for pf, x, y in cand)
+
+    def _sweep(self, root: int):
+        """Fill path_mins[x] with the smallest order position on the forest
+        path from root to x, for every x in root's component."""
+        pos, adj, path_mins = self.pos, self.adj, self._path_mins
+        path_mins[root] = self.m
+        stack = [(root, -1)]
+        while stack:
+            x, parent = stack.pop()
+            low = path_mins[x]
+            for y, f in adj[x]:
+                if y != parent:
+                    pf = pos[f]
+                    path_mins[y] = pf if pf < low else low
+                    stack.append((y, x))
 
     def push(self, e: int):
-        la = int(self.lu[e])
-        lb = int(self.lv[e])
-        self._saved.append((self.labels, self.lu, self.lv))
-        labels = self.labels.copy()
-        labels[labels == lb] = la
-        self.labels = labels
-        self.lu = labels[self.eu]
-        self.lv = labels[self.ev]
-        u, v = self.eu_list[e], self.ev_list[e]
+        u, v = self.ends[e]
+        label, comp = self.label, self.comp
+        big, small = label[u], label[v]
+        if len(comp[big]) < len(comp[small]):
+            big, small = small, big
+        grown = comp[big]
+        self._merges.append((big, small, len(grown)))
+        for x in comp[small]:
+            label[x] = big
+        grown.extend(comp[small])
         self.adj[u].append((v, e))
         self.adj[v].append((u, e))
         self.in_set[e] = True
         self.members.append(e)
-        rank_e = self.rank_list[e]
-        self._minstack.append(rank_e if rank_e < self._minstack[-1] else self._minstack[-1])
+        pos_e, low = self.pos[e], self._mins[-1]
+        self._mins.append(pos_e if pos_e < low else low)
 
     def pop(self):
         e = self.members.pop()
-        self._minstack.pop()
+        self._mins.pop()
         self.in_set[e] = False
-        u, v = self.eu_list[e], self.ev_list[e]
+        u, v = self.ends[e]
         self.adj[u].pop()
         self.adj[v].pop()
-        self.labels, self.lu, self.lv = self._saved.pop()
-
-    def _path_min(self, s: int, t: int) -> int:
-        """Min order position along the unique s..t path in the current forest."""
-        self._gen += 1
-        gen = self._gen
-        visit = self._visit
-        visit[s] = gen
-        stack = [(s, self.m)]
-        while stack:
-            x, mn = stack.pop()
-            for y, eid in self.adj[x]:
-                if visit[y] == gen:
-                    continue
-                r = self.rank_list[eid]
-                m2 = r if r < mn else mn
-                if y == t:
-                    return m2
-                visit[y] = gen
-                stack.append((y, m2))
-        raise AssertionError("path endpoints are not connected")
+        big, small, old_len = self._merges.pop()
+        grown = self.comp[big]
+        label = self.label
+        for x in grown[old_len:]:
+            label[x] = small
+        del grown[old_len:]
 
     def current_face_is_nbc(self) -> bool:
-        """Full check with no incremental assumption; used on the root face."""
-        cur_min = self._minstack[-1]
-        if len(self.members) == self.rprime:
-            if bool(np.any((self.rank_arr < cur_min) & ~self.in_set)):
-                return False
-        closers = np.nonzero((self.lu == self.lv) & ~self.in_set)[0]
-        for f in closers.tolist():
-            if self.rank_list[f] < self._path_min(self.eu_list[f], self.ev_list[f]):
-                return False
-        return True
+        """Rule 2 on the face as it stands.  For a face built through can_add
+        this is the whole NBC test; it is what rejects the empty face of a
+        rank-0 truncation, where every element is a loop."""
+        return len(self.members) < self.full or self._mins[-1] == 0
 
 
-def _explore_graphic(x: NbcComplex, root, on_face, force: bool):
-    """Visit every NBC face containing root (root included), additions in
-    ascending element id.  Returns False when root itself is not a face."""
-    graph, rprime = _resolve_graphic(x.matroid)
-    eng = _GraphicEngine(graph, x.order, rprime)
+class _OracleEngine:
+    """The engine protocol for any matroid: one is_nbc call per can_add."""
+
+    def __init__(self, x: NbcComplex):
+        self.x = x
+        self.m = x.matroid.ground_size
+        self.full = x.matroid.rank
+        self.members = []
+        self._face = set()
+
+    def can_add(self, e: int) -> bool:
+        return (
+            len(self.members) < self.full
+            and e not in self._face
+            and is_nbc(self.x, self._face | {e})
+        )
+
+    def push(self, e: int):
+        self.members.append(e)
+        self._face.add(e)
+
+    def pop(self):
+        self._face.discard(self.members.pop())
+
+    def current_face_is_nbc(self) -> bool:
+        return is_nbc(self.x, self._face)
+
+
+def _engine(x: NbcComplex):
+    matroid = x.matroid
+    if isinstance(matroid, GraphicMatroid):
+        return _GraphicEngine(matroid.graph, x.order, matroid.rank)
+    if isinstance(matroid, TruncatedMatroid) and isinstance(matroid.inner, GraphicMatroid):
+        return _GraphicEngine(matroid.inner.graph, x.order, matroid.target_rank)
+    return _OracleEngine(x)
+
+
+def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
+    """Every NBC face containing root, root first, in preorder: a face tries
+    its additions in ascending element id, above the element that made it.
+    Yields the engine's live member list (root elements first); yields
+    nothing when root is not an NBC face."""
+    eng = _engine(x)
     for e in sorted(root):
         if not eng.can_add(e):
-            return False
+            return
         eng.push(e)
     if not eng.current_face_is_nbc():
-        return False
-    budget = [MAX_NBC_FACES]
-
-    def rec(start):
-        if budget[0] <= 0 and not force:
+        return
+    members, m, full = eng.members, eng.m, eng.full
+    can_add, push, pop = eng.can_add, eng.push, eng.pop
+    budget = MAX_NBC_FACES
+    frames = []  # per non-full face on the path: the next element it tries
+    start = 0
+    while True:
+        if budget <= 0 and not force:
             raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
-        budget[0] -= 1
-        on_face(eng.members)
-        if len(eng.members) >= eng.rprime:
+        budget -= 1
+        yield members
+        if len(members) < full:
+            frames.append(start)
+        elif frames:
+            pop()
+        while frames:
+            e = frames[-1]
+            while e < m and not can_add(e):
+                e += 1
+            if e < m:
+                frames[-1] = start = e + 1
+                push(e)
+                break
+            frames.pop()
+            if frames:
+                pop()
+        else:
             return
-        for e in range(start, eng.m):
-            if not eng.in_set[e] and eng.can_add(e):
-                eng.push(e)
-                rec(e + 1)
-                eng.pop()
-
-    rec(0)
-    return True
 
 
-def _explore_generic(x: NbcComplex, root, on_face, force: bool):
-    """Oracle-driven fallback walk for matroids that are not graphic."""
-    sub = x.matroid.check_subset(root)
-    if not is_nbc(x, sub):
-        return False
-    rprime = x.matroid.rank
-    budget = [MAX_NBC_FACES]
-    members = sorted(sub)
-    current = set(sub)
-
-    def rec(start):
-        if budget[0] <= 0 and not force:
-            raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
-        budget[0] -= 1
-        on_face(members)
-        if len(members) >= rprime:
-            return
-        for e in range(start, x.matroid.ground_size):
-            if e not in current and is_nbc(x, current | {e}):
-                current.add(e)
-                members.append(e)
-                rec(e + 1)
-                members.pop()
-                current.discard(e)
-
-    rec(0)
-    return True
-
-
-def _explore(x: NbcComplex, root, on_face, force: bool):
-    if _resolve_graphic(x.matroid) is not None:
-        return _explore_graphic(x, root, on_face, force)
-    return _explore_generic(x, root, on_face, force)
+def _facets_through(x: NbcComplex, root: frozenset, force: bool, what: str):
+    """sigma minus root for every NBC base sigma containing root, lexicographic."""
+    rank = x.matroid.rank
+    out = []
+    for face in _walk(x, root, force):
+        if len(face) == rank:
+            if len(out) >= MAX_NBC_BASES and not force:
+                raise SizeGuardError(f"more than MAX_NBC_BASES={MAX_NBC_BASES} {what}")
+            out.append(frozenset(face) - root)
+    out.sort(key=lambda s: tuple(sorted(s)))
+    return tuple(out)
 
 
 def enumerate_nbc_bases(x: NbcComplex, force: bool = False):
     """All NBC bases (facets), in lexicographic order of sorted element tuples."""
-    rank = x.matroid.rank
-    out = []
-
-    def on_face(members):
-        if len(members) == rank:
-            if len(out) >= MAX_NBC_BASES and not force:
-                raise SizeGuardError(f"more than MAX_NBC_BASES={MAX_NBC_BASES} NBC bases")
-            out.append(frozenset(members))
-
-    _explore(x, (), on_face, force)
-    out.sort(key=lambda s: tuple(sorted(s)))
-    return tuple(out)
+    return _facets_through(x, frozenset(), force, "NBC bases")
 
 
 def face_numbers(x: NbcComplex, force: bool = False) -> FaceNumbers:
     """Exact Whitney numbers n_0..n_rank by pruned enumeration."""
     counts = [0] * (x.matroid.rank + 1)
-
-    def on_face(members):
-        counts[len(members)] += 1
-
-    _explore(x, (), on_face, force)
+    for face in _walk(x, force=force):
+        counts[len(face)] += 1
     return FaceNumbers(tuple(counts))
 
 
 def link_facets(x: NbcComplex, tau, force: bool = False):
     """sigma minus tau for every NBC base sigma containing tau, lexicographic."""
-    sub = x.matroid.check_subset(tau)
-    rank = x.matroid.rank
-    out = []
-
-    def on_face(members):
-        if len(members) == rank:
-            if len(out) >= MAX_NBC_BASES and not force:
-                raise SizeGuardError(f"more than MAX_NBC_BASES={MAX_NBC_BASES} link facets")
-            out.append(frozenset(members) - sub)
-
-    ok = _explore(x, sub, on_face, force)
-    if not ok:
+    facets = _facets_through(x, x.matroid.check_subset(tau), force, "link facets")
+    if not facets:
+        # NBC complexes are pure, so every face lies in some facet.
         raise PreconditionError("tau is not an NBC face")
-    out.sort(key=lambda s: tuple(sorted(s)))
-    return tuple(out)
+    return facets
 
 
 def extend_to_nbc_base(x: NbcComplex, i, force: bool = False) -> frozenset:
-    """Backtracking depth-first extension, smallest element id first; returns
-    the lexicographically smallest NBC base containing i."""
-    sub = x.matroid.check_subset(i)
+    """The first NBC base the face walk reaches from i, which is the
+    lexicographically smallest NBC base containing i."""
     rank = x.matroid.rank
-    resolved = _resolve_graphic(x.matroid)
-    if resolved is not None:
-        graph, rprime = resolved
-        eng = _GraphicEngine(graph, x.order, rprime)
-        for e in sorted(sub):
-            if not eng.can_add(e):
-                raise PreconditionError("the given set is not an NBC face")
-            eng.push(e)
-        if not eng.current_face_is_nbc():
-            raise PreconditionError("the given set is not an NBC face")
-
-        def rec():
-            if len(eng.members) == rank:
-                return frozenset(eng.members)
-            for e in range(eng.m):
-                if not eng.in_set[e] and eng.can_add(e):
-                    eng.push(e)
-                    got = rec()
-                    if got is not None:
-                        return got
-                    eng.pop()
-            return None
-
-        found = rec()
-    else:
-        if not is_nbc(x, sub):
-            raise PreconditionError("the given set is not an NBC face")
-
-        def rec(cur):
-            if len(cur) == rank:
-                return frozenset(cur)
-            for e in range(x.matroid.ground_size):
-                if e not in cur and is_nbc(x, cur | {e}):
-                    got = rec(cur | {e})
-                    if got is not None:
-                        return got
-            return None
-
-        found = rec(sub)
-    if found is None:
-        raise VerificationError("purity violated: the NBC face does not extend to a base")
-    return found
+    is_face = False
+    for face in _walk(x, x.matroid.check_subset(i), force):
+        if len(face) == rank:
+            return frozenset(face)
+        is_face = True
+    if not is_face:
+        raise PreconditionError("the given set is not an NBC face")
+    raise VerificationError("purity violated: the NBC face does not extend to a base")

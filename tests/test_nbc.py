@@ -2,6 +2,7 @@
 extension, and the equivalence of the incremental engine with brute force."""
 
 import itertools
+import random
 
 import pytest
 
@@ -25,6 +26,7 @@ from nbcwalk import (
     link_facets,
 )
 from helpers import (
+    SEED,
     brute_nbc_faces,
     graphic_indep,
     random_graph_corpus,
@@ -291,3 +293,63 @@ class TestComplexConstruction:
     def test_facets_cached(self):
         x = NbcComplex(GraphicMatroid(build_named_graph("cycle", 5)))
         assert x.facets() is x.facets()
+
+
+class TestDeepFaces:
+    def test_extend_along_long_path(self):
+        x = NbcComplex(GraphicMatroid(build_named_graph("path", 1200)))
+        assert extend_to_nbc_base(x, ()) == frozenset(range(1199))
+
+
+def _parallel_theta():
+    """Theta graph with doubled edges, so 2-cycles sit beside longer ones."""
+    g = theta_graph(7)
+    return MultiGraph(g.vertex_count, g.edges + ((0, 1), (0, 2), (0, 2)))
+
+
+def _pruning_cases():
+    """(graph, truncation rank, order) over every rank, random orders only."""
+    for g in random_graph_corpus(count=3) + [_parallel_theta()]:
+        for rank in range(GraphicMatroid(g).rank + 1):
+            for ranking in random_orders(g.edge_count, 2, seed=SEED + rank):
+                yield g, rank, ranking
+
+
+def _three_ways(g, rank, ranking):
+    """Brute-force faces, the graphic engine's complex and the oracle one's."""
+    faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
+    fast = NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
+    slow = NbcComplex(TruncatedMatroid(_OpaqueMatroid(g), rank), ElementOrder(ranking))
+    return faces, fast, slow
+
+
+class TestPruningRules:
+    """The full-truncation rule and the candidate filter, against brute force
+    and the oracle engine, on every truncation under random orders."""
+
+    def test_face_numbers_and_bases_at_every_rank(self):
+        for g, rank, ranking in _pruning_cases():
+            faces, fast, slow = _three_ways(g, rank, ranking)
+            counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
+            assert face_numbers(fast).counts == counts == face_numbers(slow).counts
+            bases = tuple(sorted((f for f in faces if len(f) == rank), key=sorted))
+            assert enumerate_nbc_bases(fast) == bases == enumerate_nbc_bases(slow)
+
+    def test_rooted_links_and_extension_at_random_sets(self):
+        rng = random.Random(SEED)
+        for g, rank, ranking in _pruning_cases():
+            faces, fast, slow = _three_ways(g, rank, ranking)
+            taus = rng.sample(sorted(faces, key=sorted), min(4, len(faces)))
+            taus += [frozenset(rng.sample(range(g.edge_count), rng.randint(0, rank))) for _ in range(4)]
+            for tau in taus:
+                if tau not in faces:
+                    for x in (fast, slow):
+                        with pytest.raises(PreconditionError):
+                            link_facets(x, tau)
+                        with pytest.raises(PreconditionError):
+                            extend_to_nbc_base(x, tau)
+                    continue
+                above = sorted((f for f in faces if len(f) == rank and tau <= f), key=sorted)
+                link = tuple(sorted((f - tau for f in above), key=sorted))
+                assert link_facets(fast, tau) == link == link_facets(slow, tau)
+                assert extend_to_nbc_base(fast, tau) == above[0] == extend_to_nbc_base(slow, tau)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nbcwalk import PreconditionError, run_suite
+from nbcwalk import PreconditionError, chains, cli, nbc, run_suite
 from nbcwalk.cli import main
 from nbcwalk.verify import run_core_suite, run_gadget_suite, run_spectral_suite
 
@@ -235,3 +235,24 @@ class TestCliContract:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_deep_face_walk_is_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", 5000)
+        code, out, err = _run(capsys, "face-numbers", "--graph", "path:1200")
+        assert code == 3 and out == ""
+        assert "MAX_NBC_FACES=5000" in err and "Traceback" not in err
+
+    def test_walk_gap_refuses_before_building_the_walk(self, capsys, monkeypatch):
+        monkeypatch.setattr(chains, "MAX_EIG_STATES", 5)
+        built = []
+
+        def counting_down_up_matrix(x):
+            built.append(x)
+            return chains.down_up_matrix(x)
+
+        monkeypatch.setattr(cli, "down_up_matrix", counting_down_up_matrix)
+        code, _, err = _run(capsys, "walk-gap", "--graph", "complete:4")
+        assert code == 3 and "6 states exceeds MAX_EIG_STATES=5" in err
+        assert built == []
+        report = _report(capsys, "walk-gap", "--graph", "complete:4", "--force-size")
+        assert report["params"]["force_size"] is True and len(built) == 1
