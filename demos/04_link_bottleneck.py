@@ -7,24 +7,16 @@ the rare neutral configurations, so conductance — and with it the gap —
 decays as l grows.
 """
 
-from nbcwalk import (
-    build_link_gadget,
-    build_named_graph,
-    gap_certificate,
-    link_facets,
-    partition_link_facets,
-)
+from nbcwalk import build_link_gadget, build_named_graph, gap_certificate
 
 base = build_named_graph("complete_bipartite", 2, 2)
 print(f"base graph K_{{2,2}}: edges {list(base.edges)}")
 
 for l in (2, 4, 8):
-    inst = build_link_gadget(base, l, 2)
-    facets = link_facets(inst.complex(), inst.tau)
-    part = partition_link_facets(inst, facets)
-    cert = gap_certificate(inst)
+    cert = gap_certificate(build_link_gadget(base, l, 2))
+    part = cert["partition"]
     print(
-        f"l={l}: {len(facets)} link facets, |S_A| = {cert['s_a_size']}, "
+        f"l={l}: {cert['facet_count']} link facets, |S_A| = {cert['s_a_size']}, "
         f"all-A level {part.count_a(2)} = l^2, neutral {len(part.neutral)}"
     )
     print(

@@ -179,8 +179,6 @@ def _stationary_from_detailed_balance(p: StochasticMatrix):
     """Reversing measure found by ratio propagation; rejects non-reversible
     matrices naming a violating state pair."""
     n = p.size
-    if p.is_symmetric():
-        return [Fraction(1, n)] * n
     for i, row in enumerate(p.rows):
         for j, pij in row.items():
             if i != j and p.entry(j, i) == 0:
@@ -226,12 +224,12 @@ def spectral_gap(p: StochasticMatrix, force: bool = False) -> float:
     if n == 1:
         return 1.0
     check_eig_states(n, force)
-    mu = _stationary_from_detailed_balance(p)
-    root = [math.sqrt(float(m)) for m in mu]
-    sym = np.zeros((n, n), dtype=np.float64)
-    for i, row in enumerate(p.rows):
-        for j, pij in row.items():
-            sym[i, j] = float(pij) * root[i] / root[j] if root[j] else 0.0
+    sym = p.float_matrix()
+    if not p.is_symmetric():
+        # Similar to P by diag(sqrt(mu)), and symmetric by detailed balance.
+        root = np.sqrt([float(m) for m in _stationary_from_detailed_balance(p)])
+        sym *= root[:, None]
+        sym /= root[None, :]
     vals = np.linalg.eigvalsh(sym)
     return float(1.0 - vals[-2])
 
@@ -274,8 +272,7 @@ def neighbor_ratio(p: StochasticMatrix, s) -> Fraction:
 
 @dataclass(frozen=True)
 class LocalProfile:
-    """gammas[k] = worst local-walk second eigenvalue over faces of size k;
-    -1.0 doubles as the sentinel for levels with no two-state walk."""
+    """gammas[k] = worst local-walk second eigenvalue over faces of size k."""
 
     gammas: tuple
 
@@ -332,8 +329,7 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
         best = None
         denom = d - k - 1
         for tau, states in states_of.items():
-            if len(states) < 2:
-                continue
+            # tau lies in a facet with d - k >= 2 elements outside it.
             states = sorted(states)
             n = len(states)
             sym = np.zeros((n, n), dtype=np.float64)
@@ -347,7 +343,7 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
             lam2 = float(np.linalg.eigvalsh(sym)[-2])
             if best is None or lam2 > best:
                 best = lam2
-        gammas.append(-1.0 if best is None else best)
+        gammas.append(best)
     return LocalProfile(tuple(gammas))
 
 

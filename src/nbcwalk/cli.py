@@ -32,7 +32,6 @@ from .gadgets import (
     max_weight_independent_set,
     max_weight_nbc_base,
     nbc_partition_function,
-    partition_link_facets,
     verify_counting_sandwich,
     verify_hardcore_identities,
 )
@@ -73,10 +72,11 @@ def _parse_fraction(text, where):
     try:
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"{where}: cannot parse rational {text!r}: {exc}")
+        raise PreconditionError(f"{where}: cannot parse rational {text!r}: {exc}")
 
 
 def _load_instance_file(path: str) -> dict:
+    """The instance object, its 'weights' (if any) parsed to Fractions."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -119,8 +119,10 @@ def _load_instance_file(path: str) -> dict:
         weights = data["weights"]
         if not isinstance(weights, list) or len(weights) != m:
             raise MalformedInputError(f"{path}: 'weights' must list one rational per edge")
-        for w in weights:
-            _parse_fraction(w, path)
+        try:
+            data["weights"] = [_parse_fraction(w, path) for w in weights]
+        except PreconditionError as exc:
+            raise MalformedInputError(str(exc))
     return data
 
 
@@ -154,8 +156,7 @@ def _resolve_instance(args):
         graph = _instance_graph(args.input, data)
         order_list = data.get("order")
         truncate = data.get("truncate")
-        if "weights" in data:
-            weights = [_parse_fraction(w, args.input) for w in data["weights"]]
+        weights = data.get("weights")
     elif getattr(args, "graph", None):
         graph = _parse_graph_spec(args.graph)
     else:
@@ -361,13 +362,11 @@ def _cmd_gadget(args):
         "params": _params_of(args, ["n", "l", "m"]),
     }
     if args.report:
-        x = inst.complex()
-        facets = link_facets(x, inst.tau, force=args.force_size)
-        part = partition_link_facets(inst, facets)
         cert = gap_certificate(inst, force=args.force_size)
+        part = cert["partition"]
         report.update(
             {
-                "facet_count": len(facets),
+                "facet_count": cert["facet_count"],
                 "S_A_n": part.count_a(m),
                 "S_B_1": part.count_b(1),
                 "S_0": len(part.neutral),

@@ -345,7 +345,8 @@ def partition_link_facets(inst: GadgetInstance, facets) -> LinkPartition:
 def gap_certificate(inst: GadgetInstance, force: bool = False) -> dict:
     """Measure the link walk's gap and certify the bottleneck inequalities on
     the A-side facet family; the paper_bound key carries the closed-form
-    bottleneck bound m^{2m}(1+l)/l^m."""
+    bottleneck bound m^{2m}(1+l)/l^m, and the partition key the certified
+    LinkPartition of the link facets."""
     l = inst.params["l"]
     m = inst.params["m"]
     x = inst.complex()
@@ -377,6 +378,7 @@ def gap_certificate(inst: GadgetInstance, force: bool = False) -> dict:
         "facet_count": len(facets),
         "s_a_size": len(s_a),
         "s_a_at_most_half": at_most_half,
+        "partition": part,
     }
 
 
@@ -533,9 +535,7 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
         inst = build_link_gadget(g, l, m, force=force)
         target = Fraction(len(link_facets(inst.complex(), inst.tau, force=force)))
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            inst, lam = build_field_reduction(g, m, l)
+        inst, lam = build_field_reduction(g, m, l)
         target = nbc_partition_function(inst.complex(), lam, force=force)
     lower = Fraction(l**m * n_source)
     upper = 2 * lower

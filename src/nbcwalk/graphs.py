@@ -332,7 +332,7 @@ def count_acyclic_orientations(g: MultiGraph, force: bool = False) -> int:
 
 @dataclass(frozen=True)
 class SizeCounts:
-    """counts[k] = number of objects of size k; the last entry is nonzero."""
+    """counts[k] = number of objects of size k: independent sets, NBC faces."""
 
     counts: tuple
 

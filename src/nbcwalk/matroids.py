@@ -87,8 +87,8 @@ class Matroid:
 
     def fundamental_circuit(self, indep, e: int):
         """The unique circuit inside indep + e, or None if adding e keeps the
-        set independent: e together with the f whose removal restores
-        independence."""
+        set independent.  Checks that indep is an independent subset and e an
+        element outside it, then asks _fundamental_circuit."""
         s = self.check_subset(indep)
         e = int(e)
         if not 0 <= e < self.ground_size:
@@ -97,6 +97,11 @@ class Matroid:
             raise PreconditionError("e already belongs to the set")
         if not self.is_independent(s):
             raise PreconditionError("the given set is not independent")
+        return self._fundamental_circuit(s, e)
+
+    def _fundamental_circuit(self, s: frozenset, e: int):
+        """Hook on checked arguments: e together with the f whose removal
+        restores independence."""
         grown = s | {e}
         if self.is_independent(grown):
             return None
@@ -176,15 +181,7 @@ class GraphicMatroid(Matroid):
                 merges += 1
         return merges
 
-    def fundamental_circuit(self, indep, e: int):
-        s = self.check_subset(indep)
-        e = int(e)
-        if not 0 <= e < self.ground_size:
-            raise PreconditionError(f"element {e} out of range")
-        if e in s:
-            raise PreconditionError("e already belongs to the set")
-        if not self.is_independent(s):
-            raise PreconditionError("the given set is not independent")
+    def _fundamental_circuit(self, s: frozenset, e: int):
         if self.is_independent(s | {e}):
             return None
         return fundamental_cycle(self.graph, s, e)
@@ -233,17 +230,9 @@ class TruncatedMatroid(Matroid):
         self._circuit_cache = tuple(found)
         return self._circuit_cache
 
-    def fundamental_circuit(self, indep, e: int):
+    def _fundamental_circuit(self, s: frozenset, e: int):
         """Inner circuit when one exists; otherwise the whole grown set, which
         is dependent purely by size (or None if still independent)."""
-        s = self.check_subset(indep)
-        e = int(e)
-        if not 0 <= e < self.ground_size:
-            raise PreconditionError(f"element {e} out of range")
-        if e in s:
-            raise PreconditionError("e already belongs to the set")
-        if not self.is_independent(s):
-            raise PreconditionError("the given set is not independent")
         grown = s | {e}
         if self.inner.is_dependent(grown):
             return self.inner.fundamental_circuit(s, e)

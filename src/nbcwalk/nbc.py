@@ -8,19 +8,19 @@ unique); the brute-force containment test stays available as the cross-check
 oracle.
 
 Face numbers, facets, links and extension all come from one explicit-stack
-walker, so face depth is bounded by memory, not by the recursion limit.  The
-walker drives an engine with a can_add/push/pop protocol, where can_add(e)
-decides exactly whether an NBC face stays NBC with e added.  Graphic and
-truncated graphic matroids get a pure-Python engine with undoable component
-labels that re-examines only the cycles the new edge closes; any other matroid
-gets an engine that asks is_nbc.
+walker, so face depth is bounded by memory, not by the recursion limit.  Face
+numbers are by-size counts, so FaceNumbers is graphs.SizeCounts under a second
+name.  The walker drives an engine with a can_add/push/pop protocol, where
+can_add(e) decides exactly whether an NBC face stays NBC with e added.
+Graphic and truncated graphic matroids get a pure-Python engine with undoable
+component labels that re-examines only the cycles the new edge closes; any
+other matroid gets an engine that asks is_nbc.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import PreconditionError, SizeGuardError, VerificationError
+from .graphs import SizeCounts
 from .matroids import GraphicMatroid, Matroid, TruncatedMatroid
 
 MAX_NBC_BASES = 1_000_000
@@ -132,34 +132,12 @@ def contains_broken_circuit_bruteforce(x: NbcComplex, s, force: bool = False) ->
     return any(b <= sub for b in x.broken_circuits(force=force))
 
 
-@dataclass(frozen=True)
-class FaceNumbers:
-    """counts[k] = number of NBC faces of cardinality k, k = 0..rank."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if not counts or any(c < 0 for c in counts):
-            raise PreconditionError("counts must be non-empty and non-negative")
-        object.__setattr__(self, "counts", counts)
-
-    def __getitem__(self, k):
-        return self.counts[k] if 0 <= k < len(self.counts) else 0
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    def total(self) -> int:
-        return sum(self.counts)
+FaceNumbers = SizeCounts
 
 
 def is_log_concave(f) -> bool:
     """n_i^2 >= n_{i-1} * n_{i+1} at every interior index."""
-    seq = list(f.counts if isinstance(f, FaceNumbers) else f)
+    seq = list(f)
     return all(seq[i] * seq[i] >= seq[i - 1] * seq[i + 1] for i in range(1, len(seq) - 1))
 
 
@@ -383,12 +361,12 @@ def enumerate_nbc_bases(x: NbcComplex, force: bool = False):
     return _facets_through(x, frozenset(), force, "NBC bases")
 
 
-def face_numbers(x: NbcComplex, force: bool = False) -> FaceNumbers:
+def face_numbers(x: NbcComplex, force: bool = False) -> SizeCounts:
     """Exact Whitney numbers n_0..n_rank by pruned enumeration."""
     counts = [0] * (x.matroid.rank + 1)
     for face in _walk(x, force=force):
         counts[len(face)] += 1
-    return FaceNumbers(tuple(counts))
+    return SizeCounts(tuple(counts))
 
 
 def link_facets(x: NbcComplex, tau, force: bool = False):

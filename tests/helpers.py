@@ -1,15 +1,29 @@
 """Shared test oracles, all deliberately independent of the package's own
 algorithms: acyclicity by component counting (not union-find), spanning trees
 by matrix-tree with exact rationals, colorings and broken circuits by direct
-brute force."""
+brute force.  OpaqueMatroid is the one exception: it drives the package's
+generic Matroid code with graphic independence."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from nbcwalk import MultiGraph
+from nbcwalk import GraphicMatroid, Matroid, MultiGraph
 
 SEED = 20260816
+
+
+class OpaqueMatroid(Matroid):
+    """Wraps a graphic matroid behind the generic interface only, forcing the
+    non-graphic enumeration path."""
+
+    def __init__(self, graph):
+        super().__init__()
+        self.ground_size = graph.edge_count
+        self._inner = GraphicMatroid(graph)
+
+    def is_independent(self, s) -> bool:
+        return self._inner.is_independent(s)
 
 
 def random_graph_corpus(count=20, vertices=6, min_edges=6, max_edges=10, seed=SEED):

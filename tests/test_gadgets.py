@@ -183,6 +183,15 @@ class TestLinkGadget:
         assert report["s_a_at_most_half"]
         assert report["measured_gap"] / 2 <= float(report["conductance"]) + 1e-7
 
+    def test_gap_certificate_carries_its_partition(self):
+        g = build_named_graph("complete_bipartite", 2, 2)
+        for l in (2, 4):
+            inst = build_link_gadget(g, l, 2)
+            part = gap_certificate(inst)["partition"]
+            direct = partition_link_facets(inst, link_facets(inst.complex(), inst.tau))
+            assert part.by_a == direct.by_a and part.by_b == direct.by_b
+            assert part.neutral == direct.neutral and part.count_a(2) == l**2
+
     def test_gap_shrinks_with_l(self):
         g = build_named_graph("complete_bipartite", 2, 2)
         gaps = {}

@@ -12,7 +12,20 @@ from nbcwalk import (
     TruncatedMatroid,
     build_named_graph,
 )
-from helpers import brute_circuits, graphic_indep, random_graph_corpus, truncated_indep
+from helpers import (
+    OpaqueMatroid,
+    brute_circuits,
+    graphic_indep,
+    random_graph_corpus,
+    truncated_indep,
+)
+
+
+def _checked_views(g):
+    """The graphic matroid of g, its full-rank truncation and the generic
+    oracle path; all three share one fundamental_circuit argument check."""
+    graphic = GraphicMatroid(g)
+    return graphic, TruncatedMatroid(graphic, graphic.rank), OpaqueMatroid(g)
 
 
 class TestGraphicMatroid:
@@ -62,14 +75,20 @@ class TestGraphicMatroid:
 
     def test_fundamental_circuit_rejects_dependent_start(self):
         g = MultiGraph(3, [(0, 1), (0, 1), (1, 2)])
-        mat = GraphicMatroid(g)
-        with pytest.raises(PreconditionError):
-            mat.fundamental_circuit({0, 1}, 2)
+        for mat in _checked_views(g):
+            with pytest.raises(PreconditionError):
+                mat.fundamental_circuit({0, 1}, 2)
 
     def test_fundamental_circuit_rejects_member(self):
-        mat = GraphicMatroid(build_named_graph("complete", 3))
-        with pytest.raises(PreconditionError):
-            mat.fundamental_circuit({0, 1}, 1)
+        for mat in _checked_views(build_named_graph("complete", 3)):
+            with pytest.raises(PreconditionError):
+                mat.fundamental_circuit({0, 1}, 1)
+
+    def test_fundamental_circuit_rejects_out_of_range(self):
+        for mat in _checked_views(build_named_graph("complete", 3)):
+            for e in (3, -1):
+                with pytest.raises(PreconditionError, match="out of range"):
+                    mat.fundamental_circuit({0}, e)
 
     def test_circuits_match_brute_force(self):
         for g in random_graph_corpus(count=3, max_edges=8):

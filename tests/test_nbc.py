@@ -10,7 +10,6 @@ from nbcwalk import (
     ElementOrder,
     FaceNumbers,
     GraphicMatroid,
-    Matroid,
     MultiGraph,
     NbcComplex,
     PreconditionError,
@@ -27,6 +26,7 @@ from nbcwalk import (
 )
 from helpers import (
     SEED,
+    OpaqueMatroid,
     brute_nbc_faces,
     graphic_indep,
     random_graph_corpus,
@@ -34,19 +34,6 @@ from helpers import (
     theta_graph,
     truncated_indep,
 )
-
-
-class _OpaqueMatroid(Matroid):
-    """Wraps a graphic matroid behind the generic interface only, forcing the
-    non-graphic enumeration path."""
-
-    def __init__(self, graph):
-        super().__init__()
-        self.ground_size = graph.edge_count
-        self._inner = GraphicMatroid(graph)
-
-    def is_independent(self, s) -> bool:
-        return self._inner.is_independent(s)
 
 
 class TestElementOrder:
@@ -126,7 +113,7 @@ class TestEnumeration:
         for g in random_graph_corpus(count=4):
             for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 2):
                 fast = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
-                slow = NbcComplex(_OpaqueMatroid(g), ElementOrder(ranking))
+                slow = NbcComplex(OpaqueMatroid(g), ElementOrder(ranking))
                 assert enumerate_nbc_bases(fast) == enumerate_nbc_bases(slow)
                 assert face_numbers(fast) == face_numbers(slow)
 
@@ -257,7 +244,7 @@ class TestExtendToBase:
     def test_generic_path(self):
         g = build_named_graph("cycle", 4)
         fast = NbcComplex(GraphicMatroid(g))
-        slow = NbcComplex(_OpaqueMatroid(g))
+        slow = NbcComplex(OpaqueMatroid(g))
         for e in range(4):
             assert extend_to_nbc_base(fast, {e}) == extend_to_nbc_base(slow, {e})
 
@@ -319,7 +306,7 @@ def _three_ways(g, rank, ranking):
     """Brute-force faces, the graphic engine's complex and the oracle one's."""
     faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
     fast = NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
-    slow = NbcComplex(TruncatedMatroid(_OpaqueMatroid(g), rank), ElementOrder(ranking))
+    slow = NbcComplex(TruncatedMatroid(OpaqueMatroid(g), rank), ElementOrder(ranking))
     return faces, fast, slow
 
 

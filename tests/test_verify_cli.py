@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nbcwalk import PreconditionError, chains, cli, nbc, run_suite
+from nbcwalk import PreconditionError, chains, cli, gadgets, nbc, run_suite
 from nbcwalk.cli import main
 from nbcwalk.verify import run_core_suite, run_gadget_suite, run_spectral_suite
 
@@ -60,8 +60,17 @@ class TestCliReports:
         assert report["gap"] == 0.5
         assert report["ltg_bound"] == 0.5
 
-    def test_link_gadget_report(self, capsys):
+    def test_link_gadget_report(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_link_facets(*args, **kwargs):
+            calls.append(args)
+            return nbc.link_facets(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "link_facets", counting_link_facets)
+        monkeypatch.setattr(gadgets, "link_facets", counting_link_facets)
         report = _report(capsys, "gadget", "link", "--n", "2", "--l", "2", "--report")
+        assert len(calls) == 1
         assert report["S_A_n"] == 4
         assert report["claim_disjoint"] is True
         assert report["facet_count"] == 46
@@ -232,6 +241,16 @@ class TestCliContract:
     def test_bad_flags_are_exit_two(self, capsys):
         assert main(["face-numbers", "--no-such-flag"]) == 2
         assert main(["no-such-command"]) == 2
+        capsys.readouterr()
+        bad_rationals = [
+            ("reduce", "opt", "--graph", "cycle:4", "--vertex-weights", "1,x,3,4"),
+            ("oracle", "hardcore", "--graph", "cycle:5", "--fugacity", "1/0"),
+            ("nbc-bases", "--graph", "cycle:4", "--weights", "1,2,x,4"),
+        ]
+        for argv in bad_rationals:
+            code, out, err = _run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
