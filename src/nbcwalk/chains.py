@@ -1,29 +1,59 @@
 """Down-up and local walks: exact transition matrices, gaps, conductance.
 
-Matrices keep exact rational entries; floating point enters only at the
-eigensolve, which works on the detailed-balance symmetrization.  The down-up
-walk on same-size facets is symmetric and doubly stochastic by construction,
-so conductance and neighbor ratios read straight off the rational entries.
+The down-up walk on same-size facets is kept as its integer facet-ridge
+incidence: each ridge lists the facets containing it, each facet its ridges.
+Its exact entries are 1/(d |r|) summed over shared ridges r, so it is
+symmetric and doubly stochastic by construction, and conductance and neighbor
+ratios are exact sums over ridge counts.  Local walks and hand-built chains are
+`StochasticMatrix`es with exact rational rows.  Floating point enters only at
+the eigensolve: dense `eigvalsh` up to DENSE_EIG_STATES states (on the
+detailed-balance symmetrization for non-symmetric chains), and above that, for
+a down-up walk, ARPACK Lanczos on the sparse P = (1/d) A diag(1/|r|) A^T.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import PreconditionError, SizeGuardError
+from .errors import PreconditionError, SizeGuardError, VerificationError
 from .matroids import Matroid
 from .nbc import NbcComplex
 
 MAX_EIG_STATES = 5000
 MAX_FACE_SUBSETS = 2_000_000
+# Largest down-up walk solved densely.  Dense eigvalsh costs 0.03 s at 774
+# states, 0.27 s at 1665 and 1.37 s at 3016; importing scipy.sparse.linalg
+# costs 0.3-0.4 s and 26 MB, so a one-shot solve below this size is cheaper dense.
+DENSE_EIG_STATES = 1500
 
 
-class StochasticMatrix:
+class _LabeledStates:
+    """Row/column labels shared by the exact chain types."""
+
+    __slots__ = ()
+
+    @property
+    def size(self) -> int:
+        return len(self.index)
+
+    def positions_of(self, states) -> list:
+        """Map state labels to row/column positions, rejecting strangers."""
+        where = {s: i for i, s in enumerate(self.index)}
+        out = []
+        for s in states:
+            if s not in where:
+                raise PreconditionError(f"state {s!r} is not in the matrix index")
+            out.append(where[s])
+        return out
+
+
+class StochasticMatrix(_LabeledStates):
     """Row-stochastic matrix with exact rational entries over labeled states."""
 
     __slots__ = ("index", "rows", "_symmetric", "_doubly")
@@ -57,10 +87,6 @@ class StochasticMatrix:
         self._symmetric = None
         self._doubly = None
 
-    @property
-    def size(self) -> int:
-        return len(self.index)
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i].get(j, Fraction(0))
 
@@ -92,15 +118,14 @@ class StochasticMatrix:
                 out[i, j] = float(p)
         return out
 
-    def positions_of(self, states) -> list:
-        """Map state labels to row/column positions, rejecting strangers."""
-        where = {s: i for i, s in enumerate(self.index)}
-        out = []
-        for s in states:
-            if s not in where:
-                raise PreconditionError(f"state {s!r} is not in the matrix index")
-            out.append(where[s])
-        return out
+    def _crossing_mass(self, chosen) -> Fraction:
+        return sum(
+            (p for i in chosen for j, p in self.rows[i].items() if j not in chosen),
+            Fraction(0),
+        )
+
+    def _outside_neighbors(self, chosen) -> set:
+        return {j for i in chosen for j in self.rows[i] if j not in chosen}
 
     def __repr__(self):
         return f"StochasticMatrix({self.size} states)"
@@ -126,22 +151,131 @@ def _as_facets(x):
     return facets, d
 
 
-def down_up_matrix(facets) -> StochasticMatrix:
-    """P(S,T) = (1/d) / #facets containing S∩T when |S∩T| = d-1; symmetric and
-    doubly stochastic, diagonal absorbing the remainder."""
+class DownUpWalk(_LabeledStates):
+    """Down-up walk on same-size facets, stored as its facet-ridge incidence.
+
+    A step drops a uniform element of the current facet, leaving a ridge r,
+    then moves to a uniform one of the |r| facets containing r, so
+    P(S, T) = sum of 1/(d |r|) over the ridges r in both S and T.  Distinct
+    facets share at most one ridge.  ridge_members[r] lists the facet positions
+    containing ridge r; facet_ridges[i] the d ridges of facet i.  Build it with
+    down_up_matrix.
+    """
+
+    __slots__ = ("index", "d", "ridge_members", "facet_ridges")
+
+    def __init__(self, index, d, ridge_members, facet_ridges):
+        self.index = index
+        self.d = d
+        self.ridge_members = ridge_members
+        self.facet_ridges = facet_ridges
+
+    def entry(self, i: int, j: int) -> Fraction:
+        shared = set(self.facet_ridges[i]).intersection(self.facet_ridges[j])
+        return sum((Fraction(1, self.d * len(self.ridge_members[r])) for r in shared), Fraction(0))
+
+    @property
+    def rows(self) -> tuple:
+        """Rows as read-only mappings column -> exact entry over each row's
+        support, as for StochasticMatrix; entries are computed on access."""
+        return tuple(_WalkRow(self, i) for i in range(self.size))
+
+    def is_symmetric(self) -> bool:
+        return True
+
+    def is_doubly_stochastic(self) -> bool:
+        return True
+
+    def _diagonal(self) -> list:
+        """Exact P(S, S) for every facet, summed once per multiset of ridge sizes."""
+        sizes = [len(m) for m in self.ridge_members]
+        sums = {}
+        out = []
+        for ridges in self.facet_ridges:
+            key = tuple(sorted(sizes[r] for r in ridges))
+            if key not in sums:
+                sums[key] = sum((Fraction(1, self.d * m) for m in key), Fraction(0))
+            out.append(sums[key])
+        return out
+
+    def float_matrix(self) -> np.ndarray:
+        """Dense P whose entries equal float(entry(i, j)) bit for bit: an
+        off-diagonal entry is one correctly rounded 1/(d |r|), and the diagonal
+        is rounded from its exact sum."""
+        n = self.size
+        out = np.zeros((n, n), dtype=np.float64)
+        for members in self.ridge_members:
+            if len(members) > 1:
+                ix = np.array(members)
+                out[np.ix_(ix, ix)] = 1.0 / (self.d * len(members))
+        out[np.diag_indices(n)] = [float(x) for x in self._diagonal()]
+        return out
+
+    def _touched_ridges(self, chosen) -> set:
+        return {r for i in chosen for r in self.facet_ridges[i]}
+
+    def _crossing_mass(self, chosen) -> Fraction:
+        # Ridge r carries |r & S| * |r - S| / (d |r|) across the cut.
+        by_size = {}
+        for r in self._touched_ridges(chosen):
+            members = self.ridge_members[r]
+            inside = sum(1 for j in members if j in chosen)
+            m = len(members)
+            by_size[m] = by_size.get(m, 0) + inside * (m - inside)
+        return sum((Fraction(c, self.d * m) for m, c in by_size.items()), Fraction(0))
+
+    def _outside_neighbors(self, chosen) -> set:
+        return {
+            j
+            for r in self._touched_ridges(chosen)
+            for j in self.ridge_members[r]
+            if j not in chosen
+        }
+
+    def __repr__(self):
+        return f"DownUpWalk({self.size} states, d={self.d})"
+
+
+class _WalkRow(Mapping):
+    """Row i of a DownUpWalk: the facets sharing a ridge with facet i."""
+
+    __slots__ = ("_walk", "_i", "_cols")
+
+    def __init__(self, walk, i):
+        self._walk = walk
+        self._i = i
+        self._cols = frozenset(j for r in walk.facet_ridges[i] for j in walk.ridge_members[r])
+
+    def __getitem__(self, j) -> Fraction:
+        if j not in self._cols:
+            raise KeyError(j)
+        return self._walk.entry(self._i, j)
+
+    def __iter__(self):
+        return iter(sorted(self._cols))
+
+    def __len__(self):
+        return len(self._cols)
+
+
+def down_up_matrix(facets) -> DownUpWalk:
+    """The down-up walk P(S,T) = (1/d) / #facets containing S∩T when
+    |S∩T| = d-1, diagonal absorbing the remainder, as its facet-ridge
+    incidence; symmetric and doubly stochastic by construction."""
     facets, d = _as_facets(facets)
-    groups = {}
+    ridge_ids = {}
+    members = []
+    facet_ridges = []
     for i, f in enumerate(facets):
+        mine = []
         for e in f:
-            groups.setdefault(f - {e}, []).append(i)
-    rows = [dict() for _ in facets]
-    for members in groups.values():
-        w = Fraction(1, d * len(members))
-        for i in members:
-            row = rows[i]
-            for j in members:
-                row[j] = row.get(j, Fraction(0)) + w
-    return StochasticMatrix(facets, rows)
+            r = ridge_ids.setdefault(f - {e}, len(members))
+            if r == len(members):
+                members.append([])
+            members[r].append(i)
+            mine.append(r)
+        facet_ridges.append(tuple(mine))
+    return DownUpWalk(facets, d, tuple(map(tuple, members)), tuple(facet_ridges))
 
 
 def local_walk_matrix(x, tau) -> StochasticMatrix:
@@ -217,13 +351,16 @@ def check_eig_states(n: int, force: bool = False):
         raise SizeGuardError(f"{n} states exceeds MAX_EIG_STATES={MAX_EIG_STATES}")
 
 
-def spectral_gap(p: StochasticMatrix, force: bool = False) -> float:
+def spectral_gap(p: StochasticMatrix | DownUpWalk, force: bool = False) -> float:
     """1 - second-largest eigenvalue of the reversible chain; a single-state
-    chain reports 1.0 (it mixes in zero steps)."""
+    chain reports 1.0 (it mixes in zero steps).  A down-up walk above
+    DENSE_EIG_STATES states is solved sparsely."""
     n = p.size
     if n == 1:
         return 1.0
     check_eig_states(n, force)
+    if isinstance(p, DownUpWalk) and n > DENSE_EIG_STATES:
+        return _sparse_gap(p)
     sym = p.float_matrix()
     if not p.is_symmetric():
         # Similar to P by diag(sqrt(mu)), and symmetric by detailed balance.
@@ -234,7 +371,38 @@ def spectral_gap(p: StochasticMatrix, force: bool = False) -> float:
     return float(1.0 - vals[-2])
 
 
-def _subset_positions(p: StochasticMatrix, s) -> set:
+def _sparse_gap(walk: DownUpWalk) -> float:
+    """Gap of P = (1/d) A diag(1/|r|) A^T from its two largest eigenvalues by
+    ARPACK Lanczos.  P is positive semidefinite, so those are the top of the
+    spectrum; a walk whose facet-ridge graph is disconnected has eigenvalue 1
+    twice, which Lanczos from one start vector can miss, so it reports 0.0."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import connected_components
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
+    n, d = walk.size, walk.d
+    cols = np.fromiter(itertools.chain.from_iterable(walk.facet_ridges), dtype=np.intp, count=n * d)
+    rows = np.arange(0, n * d + 1, d)
+    shape = (n, len(walk.ridge_members))
+    inverse = 1.0 / (d * np.array([len(m) for m in walk.ridge_members], dtype=np.float64))
+    incidence = csr_array((np.ones(n * d), cols, rows), shape=shape)
+    weighted = csr_array((inverse[cols], cols, rows), shape=shape)
+    p = weighted @ incidence.T
+    if connected_components(p, directed=False, return_labels=False) > 1:
+        return 0.0
+    # A seeded start vector makes the result repeat exactly; it must not be
+    # constant, since the constant vector is the top eigenvector.
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        vals = eigsh(p, k=2, which="LA", tol=0, v0=v0, return_eigenvectors=False)
+    except ArpackNoConvergence as exc:
+        raise VerificationError(
+            f"the sparse eigensolve of the {n}-state down-up walk did not converge"
+        ) from exc
+    return float(1.0 - vals.min())
+
+
+def _subset_positions(p: StochasticMatrix | DownUpWalk, s) -> set:
     chosen = set(p.positions_of(s))
     if not chosen:
         raise PreconditionError("the state subset must be nonempty")
@@ -243,31 +411,21 @@ def _subset_positions(p: StochasticMatrix, s) -> set:
     return chosen
 
 
-def conductance(p: StochasticMatrix, s) -> Fraction:
+def conductance(p: StochasticMatrix | DownUpWalk, s) -> Fraction:
     """Crossing probability mass out of s divided by |s|, for doubly
     stochastic chains (uniform stationary distribution)."""
     if not p.is_doubly_stochastic():
         raise PreconditionError("conductance needs a doubly stochastic matrix")
     chosen = _subset_positions(p, s)
-    crossing = Fraction(0)
-    for i in chosen:
-        for j, pij in p.rows[i].items():
-            if j not in chosen:
-                crossing += pij
-    return crossing / len(chosen)
+    return p._crossing_mass(chosen) / len(chosen)
 
 
-def neighbor_ratio(p: StochasticMatrix, s) -> Fraction:
+def neighbor_ratio(p: StochasticMatrix | DownUpWalk, s) -> Fraction:
     """Number of outside states reachable in one step from s, divided by |s|."""
     if not p.is_doubly_stochastic():
         raise PreconditionError("neighbor_ratio needs a doubly stochastic matrix")
     chosen = _subset_positions(p, s)
-    outside = set()
-    for i in chosen:
-        for j, pij in p.rows[i].items():
-            if j not in chosen and pij > 0:
-                outside.add(j)
-    return Fraction(len(outside), len(chosen))
+    return Fraction(len(p._outside_neighbors(chosen)), len(chosen))
 
 
 @dataclass(frozen=True)

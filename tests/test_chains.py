@@ -1,6 +1,7 @@
 """Walk matrices, exact spectral gaps, local profiles, and conductance."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from nbcwalk import (
     NbcComplex,
     PreconditionError,
     StochasticMatrix,
+    TruncatedMatroid,
     build_named_graph,
+    chains,
     conductance,
     down_up_matrix,
     enumerate_nbc_bases,
@@ -29,6 +32,40 @@ F = Fraction
 
 def _matrix(p):
     return [[p.entry(i, j) for j in range(p.size)] for i in range(p.size)]
+
+
+def _oracle_down_up(facets):
+    """{(S, T): P(S, T)} for the down-up walk, straight from its definition:
+    facets sharing d - 1 elements step to each other with probability
+    1 / (d * number of facets containing the shared part), and the diagonal
+    holds what each row leaves over."""
+    facets = [frozenset(f) for f in facets]
+    d = len(facets[0])
+    holders = {}
+    out = {}
+    for s in facets:
+        left = F(1)
+        for t in facets:
+            shared = s & t
+            if s != t and len(shared) == d - 1:
+                if shared not in holders:
+                    holders[shared] = sum(1 for f in facets if shared <= f)
+                out[s, t] = F(1, d * holders[shared])
+                left -= out[s, t]
+        out[s, s] = left
+    return out
+
+
+def _oracle_corpus():
+    """Facet lists of NBC complexes, their truncations and spanning trees."""
+    out = []
+    for g in random_graph_corpus(count=3):
+        matroid = GraphicMatroid(g)
+        out.append(NbcComplex(matroid).facets())
+        out.append(matroid.enumerate_bases())
+        for r in range(2, matroid.rank):
+            out.append(NbcComplex(TruncatedMatroid(matroid, r)).facets())
+    return out
 
 
 class TestStochasticMatrix:
@@ -99,6 +136,53 @@ class TestDownUpMatrix:
     def test_rejects_empty(self):
         with pytest.raises(PreconditionError):
             down_up_matrix([])
+
+
+class TestDownUpAgainstOracle:
+    def test_entries_match(self):
+        for facets in _oracle_corpus():
+            p = down_up_matrix(facets)
+            oracle = _oracle_down_up(facets)
+            assert set(p.index) == {frozenset(f) for f in facets}
+            for i, s in enumerate(p.index):
+                for j, t in enumerate(p.index):
+                    assert p.entry(i, j) == oracle.get((s, t), 0)
+
+    def test_float_matrix_is_rounded_entries(self):
+        for facets in _oracle_corpus():
+            p = down_up_matrix(facets)
+            oracle = _oracle_down_up(facets)
+            expected = np.array(
+                [[float(oracle.get((s, t), 0)) for t in p.index] for s in p.index]
+            )
+            assert np.array_equal(p.float_matrix(), expected)
+
+    def test_rows_match(self):
+        for facets in _oracle_corpus()[:3]:
+            p = down_up_matrix(facets)
+            oracle = _oracle_down_up(facets)
+            for i, row in enumerate(p.rows):
+                s = p.index[i]
+                assert dict(row) == {
+                    j: oracle[s, t] for j, t in enumerate(p.index) if (s, t) in oracle
+                }
+
+    def test_conductance_and_neighbors_match(self):
+        rng = random.Random(11)
+        for facets in _oracle_corpus():
+            p = down_up_matrix(facets)
+            if p.size < 2:
+                continue
+            oracle = _oracle_down_up(facets)
+            states = list(p.index)
+            for _ in range(10):
+                s = set(rng.sample(states, rng.randint(1, len(states) - 1)))
+                crossing = sum(
+                    (v for (a, b), v in oracle.items() if a in s and b not in s), F(0)
+                )
+                outside = {b for (a, b), v in oracle.items() if a in s and b not in s and v}
+                assert conductance(p, s) == crossing / len(s)
+                assert neighbor_ratio(p, s) == F(len(outside), len(s))
 
 
 class TestLocalWalk:
@@ -179,6 +263,27 @@ class TestSpectralGap:
         p = StochasticMatrix(("a", "b", "c"), rows)
         with pytest.raises(PreconditionError):
             spectral_gap(p)
+
+    def test_sparse_matches_dense_above_desk_size(self, monkeypatch):
+        k8 = GraphicMatroid(build_named_graph("complete", 8))
+        p = down_up_matrix(NbcComplex(TruncatedMatroid(k8, 4)))
+        assert p.size == 1665 > chains.DENSE_EIG_STATES
+        sparse = spectral_gap(p)
+        assert spectral_gap(p) == sparse
+        monkeypatch.setattr(chains, "DENSE_EIG_STATES", p.size)
+        assert abs(spectral_gap(p) - sparse) <= 1e-12
+
+    def test_sparse_disconnected_has_zero_gap(self, monkeypatch):
+        blocks = [
+            {base + a, base + b}
+            for base in (0, 100)
+            for a, b in itertools.combinations(range(40), 2)
+        ]
+        p = down_up_matrix(blocks)
+        assert p.size == 1560 > chains.DENSE_EIG_STATES
+        assert spectral_gap(p) == 0.0
+        monkeypatch.setattr(chains, "DENSE_EIG_STATES", p.size)
+        assert abs(spectral_gap(p)) <= 1e-12
 
     def test_matches_numpy_on_symmetric(self):
         for g in random_graph_corpus(count=3):

@@ -1,5 +1,6 @@
 """The demos and the benchmark's self-test run as scripts, as a user would run
-them, so an API change that breaks either fails here."""
+them, so an API change that breaks either fails here; a fresh interpreter
+checks what importing the CLI loads."""
 
 import os
 import subprocess
@@ -33,3 +34,19 @@ def test_benchmark_selftest_passes():
     done = _run_script(ROOT / "nbcbench" / "selftest.py")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.rstrip().endswith("0 failed")
+
+
+def test_cli_import_and_desk_walks_leave_scipy_unloaded():
+    # scipy is only for sparse eigensolves above DENSE_EIG_STATES; loading it
+    # at import would add its import time to every command.
+    code = (
+        "import sys, nbcwalk.cli\n"
+        "assert 'scipy' not in sys.modules, 'import'\n"
+        "assert nbcwalk.cli.main(['walk-gap', '--graph', 'complete:5']) == 0\n"
+        "assert 'scipy' not in sys.modules, 'walk-gap'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nbcwalk import PreconditionError, chains, cli, gadgets, nbc, run_suite
+from nbcwalk import PreconditionError, chains, cli, gadgets, nbc, run_suite, verify
 from nbcwalk.cli import main
 from nbcwalk.verify import run_core_suite, run_gadget_suite, run_spectral_suite
 
@@ -34,6 +34,22 @@ class TestSuites:
     def test_check_names_unique(self):
         names = [c.name for c in run_suite("all")]
         assert len(names) == len(set(names))
+
+    def test_all_enumerates_each_link_once(self, monkeypatch):
+        calls = {}
+
+        def counting_link_facets(*args, **kwargs):
+            facets = nbc.link_facets(*args, **kwargs)
+            key = frozenset(map(frozenset, facets))
+            calls[key] = calls.get(key, 0) + 1
+            return facets
+
+        for module in (cli, gadgets, verify):
+            monkeypatch.setattr(module, "link_facets", counting_link_facets, raising=False)
+        checks = run_suite("all")
+        assert all(c.passed for c in checks)
+        assert sorted(len(key) for key in calls) == [46, 2510]
+        assert set(calls.values()) == {1}
 
 
 def _run(capsys, *argv):
@@ -260,6 +276,18 @@ class TestCliContract:
         code, out, err = _run(capsys, "face-numbers", "--graph", "path:1200")
         assert code == 3 and out == ""
         assert "MAX_NBC_FACES=5000" in err and "Traceback" not in err
+
+    def test_sparse_no_convergence_is_exit_two(self, capsys, monkeypatch):
+        from scipy.sparse import linalg
+
+        def failing_eigsh(*args, **kwargs):
+            raise linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(linalg, "eigsh", failing_eigsh)
+        code, out, err = _run(capsys, "walk-gap", "--graph", "complete:8", "--truncate", "4")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "1665-state" in err
 
     def test_walk_gap_refuses_before_building_the_walk(self, capsys, monkeypatch):
         monkeypatch.setattr(chains, "MAX_EIG_STATES", 5)
