@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .chains import (
     check_eig_states,
+    check_face_subsets,
     down_up_matrix,
     local_spectral_profile,
     local_to_global_bound,
@@ -289,7 +290,9 @@ def _cmd_nbc_bases(args):
 def _cmd_walk_gap(args):
     graph, order, truncate, _, canonical = _resolve_instance(args)
     x = _complex_from(graph, order, truncate)
-    check_eig_states(len(x.facets(force=args.force_size)), args.force_size)
+    n_facets = len(x.facets(force=args.force_size))
+    check_eig_states(n_facets, args.force_size)
+    check_face_subsets(n_facets, x.rank, args.force_size)
     gap = spectral_gap(down_up_matrix(x), force=args.force_size)
     profile = local_spectral_profile(x, force=args.force_size)
     bound = local_to_global_bound(profile, x.rank)

@@ -352,23 +352,96 @@ class TestLocalProfile:
         assert abs(local_to_global_bound(prof, 3) - 1.0) <= 1e-9
 
     def test_profile_matches_direct_walks(self):
+        cases = []
         for g in random_graph_corpus(count=2, max_edges=8):
-            x = NbcComplex(GraphicMatroid(g))
-            d = x.rank
+            m = GraphicMatroid(g)
+            for x in [NbcComplex(m)] + [NbcComplex(TruncatedMatroid(m, r)) for r in range(2, m.rank)]:
+                cases.append((x, enumerate_nbc_bases(x)))
+            cases.append((m, m.enumerate_bases()))
+        # Sparse labels, some far past 64, exercise the element-to-bit map.
+        labels = [0, 3, 64, 70, 128, 200, 999, 2**70]
+        rng = random.Random(11)
+        sparse = [set(c) for c in rng.sample(list(itertools.combinations(labels, 3)), 14)]
+        cases.append((sparse, sparse))
+        for x, facets in cases:
+            facets = [frozenset(f) for f in facets]
+            d = len(facets[0])
             prof = local_spectral_profile(x)
+            assert len(prof.gammas) == d - 1
             faces = set()
-            for facet in enumerate_nbc_bases(x):
+            for facet in facets:
                 for size in range(d - 1):
                     faces.update(map(frozenset, itertools.combinations(sorted(facet), size)))
             for k in range(d - 1):
                 second = []
                 for tau in (f for f in faces if len(f) == k):
-                    p = local_walk_matrix(x, tau)
+                    p = local_walk_matrix(facets, tau)
                     if p.size < 2:
                         continue
                     second.append(1.0 - spectral_gap(p))
                 if second:
                     assert abs(prof.gammas[k] - max(second)) <= 1e-9
+
+    def test_profile_bits_depend_only_on_label_order(self):
+        # Elements enter each local matrix in label order, so any
+        # order-preserving relabelling gives the same gammas bit for bit.
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete_bipartite", 3, 4)))
+        facets = enumerate_nbc_bases(x)
+        rng = random.Random(5)
+        labels = sorted(rng.sample(range(10**6), 11)) + [2**80]
+        sparse = [{labels[e] for e in f} for f in facets]
+        assert local_spectral_profile(sparse).gammas == local_spectral_profile(x).gammas
+
+    def test_profile_bits_pinned(self):
+        """Every gamma bit for bit as the one-eigvalsh-per-face implementation
+        over a frozenset face table computed it."""
+        pins = {
+            ("complete", (8,), 4): [
+                "0x1.13ab933bca71cp-54", "0x1.c3fa0f8c22e7ap-53", "0x1.87d913ff0b642p-53",
+            ],
+            ("complete_bipartite", (4, 5), 5): [
+                "-0x1.497011fa5d8c3p-6", "0x1.928e240eeb446p-4", "0x1.2dea9b0b3073bp-3",
+                "0x1.a017072eb63fdp-3",
+            ],
+            ("complete_bipartite", (4, 4), None): [
+                "-0x1.3ea4b2433f3ddp-7", "0x1.53166c3ea2b68p-4", "0x1.20fd41866e188p-3",
+                "0x1.8151acb33d767p-3", "0x1.e3e86629d9399p-3", "0x1.8440a65c91479p-2",
+            ],
+        }
+        for (kind, params, truncate), hexes in pins.items():
+            m = GraphicMatroid(build_named_graph(kind, *params))
+            if truncate is not None:
+                m = TruncatedMatroid(m, truncate)
+            prof = local_spectral_profile(NbcComplex(m))
+            assert [g.hex() for g in prof.gammas] == hexes, (kind, params, truncate)
+
+    def test_one_eigvalsh_per_level_state_count_and_chunk(self, monkeypatch):
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete_bipartite", 4, 4)))
+        d = x.rank
+        # The state set of every face's local walk, straight from the facets.
+        links = {}
+        for f in enumerate_nbc_bases(x):
+            for k in range(d - 1):
+                for tau in itertools.combinations(sorted(f), k):
+                    links.setdefault(frozenset(tau), set()).update(f.difference(tau))
+        assert len(links) == 4297
+        groups = {}
+        for tau, states in links.items():
+            key = (len(tau), len(states))
+            groups[key] = groups.get(key, 0) + 1
+        chunks = sum(-(-m // chains._EIG_BATCH) for m in groups.values())
+        shapes = []
+        original = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(chains.np.linalg, "eigvalsh", counting_eigvalsh)
+        local_spectral_profile(x)
+        assert len(shapes) <= chunks < len(links)
+        assert all(len(s) == 3 and s[0] <= chains._EIG_BATCH for s in shapes)
+        assert sum(s[0] for s in shapes) == len(links)
 
     def test_independence_complex_profiles_nonpositive(self):
         for g in random_graph_corpus(count=3):

@@ -303,3 +303,29 @@ class TestCliContract:
         assert built == []
         report = _report(capsys, "walk-gap", "--graph", "complete:4", "--force-size")
         assert report["params"]["force_size"] is True and len(built) == 1
+
+    def test_walk_gap_checks_face_subsets_before_the_walk(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "down_up_matrix", counting(chains.down_up_matrix))
+        monkeypatch.setattr(cli, "spectral_gap", counting(chains.spectral_gap))
+        code, out, err = _run(capsys, "walk-gap", "--graph", "disjoint_union_of_copies:complete:4:4")
+        assert code == 3 and out == ""
+        assert err == "error: 1296 facets of size 12 exceed MAX_FACE_SUBSETS=2000000\n"
+        assert calls == []
+
+    def test_local_profile_face_subset_guard(self, capsys, monkeypatch):
+        monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 40)
+        code, out, err = _run(capsys, "local-profile", "--graph", "complete:4")
+        assert code == 3 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert "6 facets of size 3 exceed MAX_FACE_SUBSETS=40" in err
+        report = _report(capsys, "local-profile", "--graph", "complete:4", "--force-size")
+        assert report["params"]["force_size"] is True and len(report["gammas"]) == 2
