@@ -9,6 +9,7 @@ digest of the resolved input and the parameter set used.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -146,22 +147,19 @@ def _csv_ints(text: str, what: str):
 
 
 def _resolve_instance(args):
-    """Build (graph, order, truncate, weights, canonical-dict) from the flags."""
-    if getattr(args, "input", None) and getattr(args, "graph", None):
-        raise PreconditionError("give exactly one of --input and --graph")
+    """Build (graph, order, truncate, weights, canonical-dict) from the flags; a
+    flag the command does not take leaves the instance file's value, or None."""
     order_list = None
     truncate = None
     weights = None
-    if getattr(args, "input", None):
+    if args.input is not None:
         data = _load_instance_file(args.input)
         graph = _instance_graph(args.input, data)
         order_list = data.get("order")
         truncate = data.get("truncate")
         weights = data.get("weights")
-    elif getattr(args, "graph", None):
-        graph = _parse_graph_spec(args.graph)
     else:
-        raise PreconditionError("this command needs --input FILE or --graph SPEC")
+        graph = _parse_graph_spec(args.graph)
     if getattr(args, "order", None) is not None:
         order_list = _csv_ints(args.order, "order")
     if getattr(args, "truncate", None) is not None:
@@ -200,50 +198,69 @@ def _complex_from(graph, order, truncate) -> NbcComplex:
     return NbcComplex(matroid, order)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="instance file (UTF-8 JSON)")
-    common.add_argument("--graph", help="named graph spec, e.g. complete:3 or cycle:5")
-    common.add_argument("--order", help="element order as a comma-separated permutation")
-    common.add_argument("--truncate", type=int, help="truncate the matroid to this rank")
-    common.add_argument("--weights", help="per-edge rationals, comma separated")
-    common.add_argument("--seed", type=int, default=None, help="reserved; no randomized core paths")
-    common.add_argument("--force-size", action="store_true", help="override size guards")
-    common.add_argument("--out", help="duplicate the report to this file")
+    # Each (command, kind) parser takes exactly the flags its handler reads:
+    # every one takes `run`, and each set below extends the one before it.
+    # Built once per process: its 21 parsers cost more than parsing a command.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--seed", type=int, default=None, help="reserved; no randomized core paths")
+    run.add_argument("--out", help="duplicate the report to this file")
+    sized = argparse.ArgumentParser(add_help=False, parents=[run])
+    sized.add_argument("--force-size", action="store_true", help="override size guards")
+    instance = argparse.ArgumentParser(add_help=False, parents=[sized])
+    source = instance.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="instance file (UTF-8 JSON)")
+    source.add_argument("--graph", help="named graph spec, e.g. complete:3 or cycle:5")
+    ordered = argparse.ArgumentParser(add_help=False, parents=[instance])
+    ordered.add_argument("--order", help="element order as a comma-separated permutation")
+    ordered.add_argument("--truncate", type=int, help="truncate the matroid to this rank")
 
     parser = argparse.ArgumentParser(
         prog="nbcwalk",
         description="Broken-circuit complexes of graphic matroids: walks, gaps, gadgets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("face-numbers", parents=[common], help="face-number vector and log-concavity")
-    sub.add_parser("nbc-bases", parents=[common], help="enumerate the NBC bases")
-    sub.add_parser("walk-gap", parents=[common], help="down-up walk spectral gap and local-to-global bound")
-    sub.add_parser("local-profile", parents=[common], help="local-walk second eigenvalues by level")
-    p_link = sub.add_parser("link", parents=[common], help="facets of the link at a face")
-    p_link.add_argument("--tau", default="", help="face as comma-separated element ids")
+    sub.add_parser("face-numbers", parents=[ordered], help="face-number vector and log-concavity")
+    p = sub.add_parser("nbc-bases", parents=[ordered], help="enumerate the NBC bases")
+    p.add_argument("--weights", help="per-edge rationals, comma separated")
+    sub.add_parser("walk-gap", parents=[ordered], help="down-up walk spectral gap and local-to-global bound")
+    sub.add_parser("local-profile", parents=[ordered], help="local-walk second eigenvalues by level")
+    p = sub.add_parser("link", parents=[ordered], help="facets of the link at a face")
+    p.add_argument("--tau", default="", help="face as comma-separated element ids")
 
-    p_gadget = sub.add_parser("gadget", parents=[common], help="build a certified gadget")
-    p_gadget.add_argument("kind", choices=["long-edge", "link"])
-    p_gadget.add_argument("--n", type=int, required=True, help="long-edge: ground size; link: bipartite part size")
-    p_gadget.add_argument("--l", type=int, help="link gadget chains per vertex")
-    p_gadget.add_argument("--m", type=int, help="link gadget target size (default n)")
-    p_gadget.add_argument("--report", action="store_true", help="link gadget: add partition and gap certificate")
+    p = sub.add_parser("gadget", help="build a certified gadget")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("long-edge", parents=[sized], help="long-edge weight witness")
+    p.add_argument("--n", type=int, required=True, help="ground size (odd, >= 3)")
+    p = kinds.add_parser("link", parents=[sized], help="link-bottleneck gadget on K_{n,n}")
+    p.add_argument("--n", type=int, required=True, help="bipartite part size")
+    p.add_argument("--l", type=int, required=True, help="chains per vertex")
+    p.add_argument("--m", type=int, help="target size (default n)")
+    p.add_argument("--report", action="store_true", help="add partition and gap certificate")
 
-    p_reduce = sub.add_parser("reduce", parents=[common], help="run a reduction on the input graph")
-    p_reduce.add_argument("kind", choices=["opt", "count", "field", "hardcore"])
-    p_reduce.add_argument("--vertex-weights", help="opt: per-vertex rationals, comma separated")
-    p_reduce.add_argument("--m", type=int, help="count/field: independent-set size")
-    p_reduce.add_argument("--l", type=int, help="count/field: chain multiplicity / field value")
-    p_reduce.add_argument("--r", type=int, help="hardcore: number of complete-graph copies")
+    p = sub.add_parser("reduce", help="run a reduction on the input graph")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    p = kinds.add_parser("opt", parents=[instance], help="max-weight independent set")
+    p.add_argument("--vertex-weights", required=True, help="per-vertex rationals, comma separated")
+    for kind, l_help in (("count", "chain multiplicity"), ("field", "field value")):
+        p = kinds.add_parser(kind, parents=[instance], help="certify l^m i_m <= target <= 2 l^m i_m")
+        p.add_argument("--m", type=int, required=True, help="independent-set size")
+        p.add_argument("--l", type=int, required=True, help=l_help)
+    p = kinds.add_parser("hardcore", parents=[instance], help="hardcore identities with K8 copies")
+    p.add_argument("--r", type=int, required=True, help="number of complete-graph copies")
 
-    p_oracle = sub.add_parser("oracle", parents=[common], help="exact counting oracles on the input graph")
-    p_oracle.add_argument("kind", choices=["chromatic", "acyclic", "indep", "parking", "hardcore"])
-    p_oracle.add_argument("--root", type=int, default=0, help="parking: root vertex")
-    p_oracle.add_argument("--fugacity", default="1", help="hardcore: rational fugacity")
+    p = sub.add_parser("oracle", help="exact counting oracles on the input graph")
+    kinds = p.add_subparsers(dest="kind", required=True)
+    for kind in ("chromatic", "acyclic", "indep"):
+        kinds.add_parser(kind, parents=[instance])
+    p = kinds.add_parser("parking", parents=[instance])
+    p.add_argument("--root", type=int, default=0, help="root vertex")
+    p = kinds.add_parser("hardcore", parents=[instance])
+    p.add_argument("--fugacity", default="1", help="rational fugacity")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="run a named self-check suite")
-    p_verify.add_argument("suite", choices=["core", "spectral", "gadgets", "all"])
+    p = sub.add_parser("verify", parents=[run], help="run a named self-check suite")
+    p.add_argument("suite", choices=["core", "spectral", "gadgets", "all"])
     return parser
 
 
@@ -254,7 +271,7 @@ def _params_of(args, keys) -> dict:
     for key in keys:
         out[key] = getattr(args, key, None)
     out["seed"] = args.seed
-    out["force_size"] = bool(args.force_size)
+    out["force_size"] = getattr(args, "force_size", False)
     return out
 
 
@@ -336,7 +353,7 @@ def _cmd_link(args):
 
 def _cmd_gadget(args):
     if args.kind == "long-edge":
-        inst = build_long_edge_instance(args.n)
+        inst = build_long_edge_instance(args.n, force=args.force_size)
         canonical = {"gadget": "long-edge", "n": args.n}
         return {
             "n": args.n,
@@ -349,8 +366,6 @@ def _cmd_gadget(args):
             "input_digest": _digest(canonical),
             "params": _params_of(args, ["n"]),
         }
-    if args.l is None:
-        raise PreconditionError("gadget link needs --l")
     if args.n < 1:
         raise PreconditionError("gadget link needs --n >= 1")
     m = args.m if args.m is not None else args.n
@@ -387,8 +402,6 @@ def _cmd_gadget(args):
 def _cmd_reduce(args):
     graph, order, truncate, _, canonical = _resolve_instance(args)
     if args.kind == "opt":
-        if not args.vertex_weights:
-            raise PreconditionError("reduce opt needs --vertex-weights")
         w = WeightVector([_parse_fraction(p, "--vertex-weights") for p in args.vertex_weights.split(",")])
         inst, edge_w = build_opt_reduction(graph, w)
         base, base_val = max_weight_nbc_base(inst.complex(), edge_w, force=args.force_size)
@@ -405,8 +418,6 @@ def _cmd_reduce(args):
             "params": _params_of(args, ["vertex_weights"]),
         }
     if args.kind in ("count", "field"):
-        if args.m is None or args.l is None:
-            raise PreconditionError(f"reduce {args.kind} needs --m and --l")
         mode = "facet-count" if args.kind == "count" else "partition-function"
         report = verify_counting_sandwich(graph, args.m, args.l, mode, force=args.force_size)
         return {
@@ -419,8 +430,6 @@ def _cmd_reduce(args):
             "input_digest": _digest(canonical),
             "params": _params_of(args, ["m", "l"]),
         }
-    if args.r is None:
-        raise PreconditionError("reduce hardcore needs --r")
     result = verify_hardcore_identities(graph, args.r, force=args.force_size)
     return {
         "r": result["r"],

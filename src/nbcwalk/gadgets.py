@@ -108,7 +108,7 @@ class ReductionReport:
             raise PreconditionError("verdict does not match the recomputed bounds")
 
 
-def build_long_edge_instance(n: int) -> GadgetInstance:
+def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     """Theta graph whose NBC base polytope has the certified long edge {B, B'}.
 
     (n-1)/2 two-edge paths join the rim vertices, edge n-1 joins them directly;
@@ -137,7 +137,7 @@ def build_long_edge_instance(n: int) -> GadgetInstance:
     weights.append(long_weight)
     w = WeightVector(weights)
     x = NbcComplex(matroid, order)
-    bases = enumerate_nbc_bases(x)
+    bases = enumerate_nbc_bases(x, force=force)
     if b1 not in bases or b2 not in bases:
         raise VerificationError("distinguished bases are not NBC bases")
     if not verify_edge_witness(bases, w, b1, b2):
@@ -454,7 +454,7 @@ def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     return best_base, best
 
 
-def build_field_reduction(g: MultiGraph, m: int, l):
+def build_field_reduction(g: MultiGraph, m: int, l, force: bool = False):
     """Apex-plus-pendant gadget truncated to rank m+1 with field weight l on
     the apex edges; its weighted NBC base count sandwiches i_m(g)."""
     if not isinstance(g, MultiGraph):
@@ -463,7 +463,7 @@ def build_field_reduction(g: MultiGraph, m: int, l):
     l = Fraction(l)
     if l < 1:
         raise PreconditionError("the field value l must be at least 1")
-    counts = count_independent_sets_by_size(g)
+    counts = count_independent_sets_by_size(g, force=force)
     if not 0 <= m < len(counts.counts):
         raise PreconditionError(
             f"m={m} exceeds the independence number {len(counts.counts) - 1}"
@@ -535,7 +535,7 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
         inst = build_link_gadget(g, l, m, force=force)
         target = Fraction(len(link_facets(inst.complex(), inst.tau, force=force)))
     else:
-        inst, lam = build_field_reduction(g, m, l)
+        inst, lam = build_field_reduction(g, m, l, force=force)
         target = nbc_partition_function(inst.complex(), lam, force=force)
     lower = Fraction(l**m * n_source)
     upper = 2 * lower

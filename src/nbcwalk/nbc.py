@@ -344,7 +344,8 @@ def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
 
 
 def _facets_through(x: NbcComplex, root: frozenset, force: bool, what: str):
-    """sigma minus root for every NBC base sigma containing root, lexicographic."""
+    """sigma minus root for every NBC base sigma containing root, lexicographic:
+    the order in which the walk's preorder reaches them."""
     rank = x.matroid.rank
     out = []
     for face in _walk(x, root, force):
@@ -352,7 +353,6 @@ def _facets_through(x: NbcComplex, root: frozenset, force: bool, what: str):
             if len(out) >= MAX_NBC_BASES and not force:
                 raise SizeGuardError(f"more than MAX_NBC_BASES={MAX_NBC_BASES} {what}")
             out.append(frozenset(face) - root)
-    out.sort(key=lambda s: tuple(sorted(s)))
     return tuple(out)
 
 

@@ -21,6 +21,7 @@ from nbcwalk import (
     down_up_matrix,
     enumerate_nbc_bases,
     gap_certificate,
+    graphs,
     link_facets,
     max_weight_independent_set,
     max_weight_nbc_base,
@@ -301,6 +302,14 @@ class TestCountingSandwich:
         assert report.target_quantity == 760
         assert report.lower_bound == 500 and report.upper_bound == 1000
         assert report.verdict
+
+    def test_force_reaches_the_field_gadget(self, monkeypatch):
+        monkeypatch.setattr(graphs, "INDEP_COUNT_MAX_VERTICES", 4)
+        g = build_named_graph("cycle", 5)
+        with pytest.raises(SizeGuardError):
+            verify_counting_sandwich(g, 2, 10, "partition-function")
+        report = verify_counting_sandwich(g, 2, 10, "partition-function", force=True)
+        assert report.target_quantity == 760
 
     def test_rejects_small_l(self):
         with pytest.raises(PreconditionError):

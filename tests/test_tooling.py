@@ -1,16 +1,27 @@
 """The demos and the benchmark's self-test run as scripts, as a user would run
 them, so an API change that breaks either fails here; a fresh interpreter
-checks what importing the CLI loads."""
+checks what importing the CLI loads, and every example command in README's
+CLI section must run, so the docs cannot drift from the parser."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from nbcwalk import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def _readme_cli_lines():
+    """The `nbcwalk ...` lines of the first code block in README's CLI section."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("nbcwalk ")]
 
 
 def _run_script(path):
@@ -50,3 +61,13 @@ def test_cli_import_and_desk_walks_leave_scipy_unloaded():
         [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_cli_block_covers_every_command():
+    commands = {line.split()[1] for line in _readme_cli_lines()}
+    assert commands == set(cli._DISPATCH)
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_line_exits_zero(line, capsys):
+    assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Self-check suites and the command-line front end."""
 
+import argparse
 import json
 
 import pytest
@@ -329,3 +330,129 @@ class TestCliContract:
         assert "6 facets of size 3 exceed MAX_FACE_SUBSETS=40" in err
         report = _report(capsys, "local-profile", "--graph", "complete:4", "--force-size")
         assert report["params"]["force_size"] is True and len(report["gammas"]) == 2
+
+    def test_long_edge_force_size_lifts_the_base_guard(self, capsys, monkeypatch):
+        expected = _report(capsys, "gadget", "long-edge", "--n", "7", "--force-size")
+        monkeypatch.setattr(nbc, "MAX_NBC_BASES", 3)
+        code, out, err = _run(capsys, "gadget", "long-edge", "--n", "7")
+        assert code == 3 and out == ""
+        assert "MAX_NBC_BASES=3" in err and "Traceback" not in err
+        assert _report(capsys, "gadget", "long-edge", "--n", "7", "--force-size") == expected
+
+
+_RUN = {"--seed", "--out"}
+_SIZED = _RUN | {"--force-size"}
+_INSTANCE = _SIZED | {"--input", "--graph"}
+_ORDERED = _INSTANCE | {"--order", "--truncate"}
+
+# (command, kind) -> the flags its handler reads.
+FLAGS = {
+    ("face-numbers", None): _ORDERED,
+    ("nbc-bases", None): _ORDERED | {"--weights"},
+    ("walk-gap", None): _ORDERED,
+    ("local-profile", None): _ORDERED,
+    ("link", None): _ORDERED | {"--tau"},
+    ("gadget", "long-edge"): _SIZED | {"--n"},
+    ("gadget", "link"): _SIZED | {"--n", "--l", "--m", "--report"},
+    ("reduce", "opt"): _INSTANCE | {"--vertex-weights"},
+    ("reduce", "count"): _INSTANCE | {"--m", "--l"},
+    ("reduce", "field"): _INSTANCE | {"--m", "--l"},
+    ("reduce", "hardcore"): _INSTANCE | {"--r"},
+    ("oracle", "chromatic"): _INSTANCE,
+    ("oracle", "acyclic"): _INSTANCE,
+    ("oracle", "indep"): _INSTANCE,
+    ("oracle", "parking"): _INSTANCE | {"--root"},
+    ("oracle", "hardcore"): _INSTANCE | {"--fugacity"},
+    ("verify", None): _RUN,
+}
+
+# One valid command line per (command, kind), and one flag that pair does not take.
+REMOVED_FLAG = {
+    ("face-numbers", None): (("face-numbers", "--graph", "complete:3"), ("--weights", "1,2,3")),
+    ("nbc-bases", None): (("nbc-bases", "--graph", "complete:3"), ("--tau", "0")),
+    ("walk-gap", None): (("walk-gap", "--graph", "complete:3"), ("--weights", "1,2,3")),
+    ("local-profile", None): (("local-profile", "--graph", "complete:3"), ("--tau", "0")),
+    ("link", None): (("link", "--graph", "complete:4", "--tau", "0"), ("--weights", "1,2,3,4,5,6")),
+    ("gadget", "long-edge"): (("gadget", "long-edge", "--n", "5"), ("--l", "2")),
+    ("gadget", "link"): (("gadget", "link", "--n", "2", "--l", "2"), ("--graph", "complete:3")),
+    ("reduce", "opt"): (
+        ("reduce", "opt", "--graph", "cycle:4", "--vertex-weights", "1,2,3,4"),
+        ("--truncate", "2"),
+    ),
+    ("reduce", "count"): (
+        ("reduce", "count", "--graph", "cycle:5", "--m", "2", "--l", "20"),
+        ("--order", "0,1,2,3,4"),
+    ),
+    ("reduce", "field"): (
+        ("reduce", "field", "--graph", "cycle:5", "--m", "2", "--l", "10"),
+        ("--weights", "1,1,1,1,1"),
+    ),
+    ("reduce", "hardcore"): (
+        ("reduce", "hardcore", "--graph", "complete:3", "--r", "2"),
+        ("--m", "1"),
+    ),
+    ("oracle", "chromatic"): (("oracle", "chromatic", "--graph", "complete:3"), ("--root", "1")),
+    ("oracle", "acyclic"): (("oracle", "acyclic", "--graph", "complete:3"), ("--order", "0,1,2")),
+    ("oracle", "indep"): (("oracle", "indep", "--graph", "cycle:5"), ("--fugacity", "2")),
+    ("oracle", "parking"): (("oracle", "parking", "--graph", "complete:3"), ("--truncate", "1")),
+    ("oracle", "hardcore"): (("oracle", "hardcore", "--graph", "cycle:5"), ("--root", "0")),
+    ("verify", None): (("verify", "all"), ("--graph", "complete:3")),
+}
+
+
+def _flag_sets(parser):
+    """(command, kind) -> the option strings of that pair's parser, help excluded."""
+
+    def kinds(p):
+        subparsers = [a for a in p._actions if isinstance(a, argparse._SubParsersAction)]
+        return subparsers[0].choices if subparsers else None
+
+    out = {}
+    for command, p in kinds(parser).items():
+        for kind, q in (kinds(p) or {None: p}).items():
+            actions = [a for a in q._actions if not isinstance(a, argparse._HelpAction)]
+            out[(command, kind)] = {s for a in actions for s in a.option_strings}
+    return out
+
+
+class TestCliFlags:
+    def test_each_pair_takes_exactly_the_flags_it_reads(self):
+        flags = _flag_sets(cli._build_parser())
+        assert flags == FLAGS
+        assert sum(len(f) for f in flags.values()) == 103
+        assert set(REMOVED_FLAG) == set(FLAGS)
+
+    @pytest.mark.parametrize("pair", list(REMOVED_FLAG), ids=lambda p: " ".join(filter(None, p)))
+    def test_flag_the_pair_does_not_take_is_exit_two(self, capsys, pair):
+        argv, extra = REMOVED_FLAG[pair]
+        assert extra[0] not in FLAGS[pair]
+        cli._build_parser().parse_args(argv)  # the line parses without the extra flag
+        code, out, err = _run(capsys, *argv, *extra)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(extra)}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (("gadget", "long-edge"), "--n"),
+            (("gadget", "link", "--n", "2"), "--l"),
+            (("reduce", "count", "--graph", "cycle:5", "--m", "2"), "--l"),
+            (("reduce", "field", "--graph", "cycle:5", "--l", "10"), "--m"),
+            (("reduce", "opt", "--graph", "cycle:4"), "--vertex-weights"),
+            (("reduce", "hardcore", "--graph", "complete:3"), "--r"),
+            (("oracle", "indep"), "--input --graph"),
+            (("gadget",), "kind"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else v,
+    )
+    def test_missing_required_flag_is_exit_two(self, capsys, argv, missing):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "required" in err and missing in err and "Traceback" not in err
+
+    def test_report_params_keep_every_key(self, capsys):
+        unset = {"seed": None, "force_size": False}
+        report = _report(capsys, "verify", "core")
+        assert report["params"] == {"command": "verify", "suite": "core", **unset}
+        report = _report(capsys, "oracle", "indep", "--graph", "cycle:5")
+        assert report["params"] == {"command": "oracle", "kind": "indep", **unset}
