@@ -198,6 +198,14 @@ def _complex_from(graph, order, truncate) -> NbcComplex:
     return NbcComplex(matroid, order)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser without prefix matching, so a command accepts only
+    the flags it declares, spelled out; its subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Each (command, kind) parser takes exactly the flags its handler reads:
@@ -216,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ordered.add_argument("--order", help="element order as a comma-separated permutation")
     ordered.add_argument("--truncate", type=int, help="truncate the matroid to this rank")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nbcwalk",
         description="Broken-circuit complexes of graphic matroids: walks, gaps, gadgets.",
     )

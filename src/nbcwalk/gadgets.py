@@ -459,11 +459,16 @@ def build_field_reduction(g: MultiGraph, m: int, l, force: bool = False):
     the apex edges; its weighted NBC base count sandwiches i_m(g)."""
     if not isinstance(g, MultiGraph):
         raise PreconditionError("g must be a MultiGraph")
+    return _field_reduction(g, m, l, count_independent_sets_by_size(g, force=force))
+
+
+def _field_reduction(g: MultiGraph, m: int, l, counts):
+    """build_field_reduction on g's independent-set counts from the caller,
+    so verify_counting_sandwich does not count them a second time."""
     m = int(m)
     l = Fraction(l)
     if l < 1:
         raise PreconditionError("the field value l must be at least 1")
-    counts = count_independent_sets_by_size(g, force=force)
     if not 0 <= m < len(counts.counts):
         raise PreconditionError(
             f"m={m} exceeds the independence number {len(counts.counts) - 1}"
@@ -471,7 +476,7 @@ def build_field_reduction(g: MultiGraph, m: int, l, force: bool = False):
     if l < 2 * g.edge_count:
         warnings.warn(
             f"l = {l} is below 2|E| = {2 * g.edge_count}; the sandwich bounds are not guaranteed",
-            stacklevel=2,
+            stacklevel=3,
         )
     z = g.vertex_count
     y = g.vertex_count + 1
@@ -535,7 +540,7 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
         inst = build_link_gadget(g, l, m, force=force)
         target = Fraction(len(link_facets(inst.complex(), inst.tau, force=force)))
     else:
-        inst, lam = build_field_reduction(g, m, l, force=force)
+        inst, lam = _field_reduction(g, m, l, counts)
         target = nbc_partition_function(inst.complex(), lam, force=force)
     lower = Fraction(l**m * n_source)
     upper = 2 * lower

@@ -235,7 +235,7 @@ class TruncatedMatroid(Matroid):
         is dependent purely by size (or None if still independent)."""
         grown = s | {e}
         if self.inner.is_dependent(grown):
-            return self.inner.fundamental_circuit(s, e)
+            return self.inner._fundamental_circuit(s, e)
         if len(grown) <= self.target_rank:
             return None
         return grown

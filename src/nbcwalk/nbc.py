@@ -12,9 +12,12 @@ walker, so face depth is bounded by memory, not by the recursion limit.  Face
 numbers are by-size counts, so FaceNumbers is graphs.SizeCounts under a second
 name.  The walker drives an engine with a can_add/push/pop protocol, where
 can_add(e) decides exactly whether an NBC face stays NBC with e added.
-Graphic and truncated graphic matroids get a pure-Python engine with undoable
-component labels that re-examines only the cycles the new edge closes; any
-other matroid gets an engine that asks is_nbc.
+Graphic and truncated graphic matroids get a pure-Python engine that keeps the
+face as an undoable forest, with component labels and rooted parent pointers.
+It re-examines only the cycles the new edge closes, and finds each cycle's
+minimum by walking parent pointers up to the new edge's endpoint chains, so
+it never sweeps a whole component.  Any other matroid gets an engine that asks
+is_nbc.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ class NbcComplex:
 def is_nbc(x: NbcComplex, s) -> bool:
     """Independent, and no single-element extension closes a circuit whose
     order-smallest element is the new one (which would put a broken circuit
-    inside s)."""
+    inside s).  s is checked once, so each extension goes straight to the
+    matroid's _fundamental_circuit hook."""
     m_ = x.matroid
     sub = m_.check_subset(s)
     if not m_.is_independent(sub):
@@ -119,7 +123,7 @@ def is_nbc(x: NbcComplex, s) -> bool:
     for e in range(m_.ground_size):
         if e in sub:
             continue
-        circuit = m_.fundamental_circuit(sub, e)
+        circuit = m_._fundamental_circuit(sub, e)
         if circuit is not None and min(circuit, key=pos.__getitem__) == e:
             return False
     return True
@@ -145,8 +149,14 @@ class _GraphicEngine:
     """Incremental NBC-face state for (possibly truncated) graphic matroids.
 
     The face is a forest.  Every vertex carries a component label and every
-    label a member list; push(e) relabels the smaller of the two components e
-    joins and records (big, small, old_len), so pop() undoes exactly that.
+    label a member list, and every vertex points at its parent in a rooted
+    tree of the forest: parent[x] is -1 at a root, and ppos[x] is the order
+    position of the edge from x to its parent.  push(e) relabels the smaller
+    of the two components e joins, re-roots that component at e's endpoint s
+    by reversing the parent chain from s to its old root, and hangs it under
+    e's other endpoint.  It records (big, small, old_len, undo_len), and the
+    (x, old parent, old ppos) entries of the reversed chain go on one undo
+    stack (just s when s was a root already), so pop() restores exactly that.
     can_add(e) assumes the current face is NBC, so the only circuits that can
     newly have an absent smallest element are the cycles through e and, at
     full truncation size, the size circuits.  It applies, in order:
@@ -158,8 +168,12 @@ class _GraphicEngine:
        and e lies on that cycle, so f can be its minimum only if
        pos[f] < pos[e].  Scan the smaller component's incidences for such
        candidates; with none, accept.
-    4. Otherwise sweep each side's tree from an endpoint of e for path minima,
-       and reject if a candidate lies below both of its path minima.
+    4. Otherwise mark the ancestor chain of each endpoint of e with a stamp
+       and the smallest position on the path from that endpoint.  A
+       candidate f = xy closes the cycle x ... e ... y, whose forest paths run
+       from x and from y up to the first marked vertex and on down its chain.
+       Walk each side up, stopping as soon as an edge at or below pos[f]
+       shows up; reject if neither side has one.
     """
 
     def __init__(self, graph, order: ElementOrder, trunc_rank: int):
@@ -174,12 +188,16 @@ class _GraphicEngine:
             self.incidences[v].append((f, u))
         self.label = list(range(nv))
         self.comp = [[x] for x in range(nv)]
-        self.adj = [[] for _ in range(nv)]
+        self.parent = [-1] * nv
+        self.ppos = [self.m] * nv  # order positions are < m, so m acts as +infinity
         self.in_set = [False] * self.m
         self.members = []
-        self._mins = [self.m]  # order positions are < m, so m acts as +infinity
+        self._mins = [self.m]
         self._merges = []
-        self._path_mins = [0] * nv
+        self._undo = []
+        self._mark = [0] * nv
+        self._low = [0] * nv
+        self._stamp = 0
 
     def can_add(self, e: int) -> bool:
         """True iff the current face (assumed NBC) stays NBC after adding e."""
@@ -206,57 +224,65 @@ class _GraphicEngine:
         ]
         if not cand:
             return True
-        self._sweep(u)
-        self._sweep(v)
-        path_mins = self._path_mins
-        return all(pf >= path_mins[x] or pf >= path_mins[y] for pf, x, y in cand)
-
-    def _sweep(self, root: int):
-        """Fill path_mins[x] with the smallest order position on the forest
-        path from root to x, for every x in root's component."""
-        pos, adj, path_mins = self.pos, self.adj, self._path_mins
-        path_mins[root] = self.m
-        stack = [(root, -1)]
-        while stack:
-            x, parent = stack.pop()
-            low = path_mins[x]
-            for y, f in adj[x]:
-                if y != parent:
-                    pf = pos[f]
-                    path_mins[y] = pf if pf < low else low
-                    stack.append((y, x))
+        parent, ppos, mark, low = self.parent, self.ppos, self._mark, self._low
+        self._stamp = stamp = self._stamp + 1
+        for x in (u, v):  # two disjoint trees, so one stamp serves both chains
+            lo = self.m
+            while x >= 0:
+                mark[x] = stamp
+                low[x] = lo
+                if ppos[x] < lo:
+                    lo = ppos[x]
+                x = parent[x]
+        for pf, x, y in cand:
+            for z in (x, y):
+                while mark[z] != stamp and ppos[z] > pf:
+                    z = parent[z]
+                if mark[z] != stamp or low[z] <= pf:
+                    break  # this side's path has an edge at or below f
+            else:
+                return False
+        return True
 
     def push(self, e: int):
         u, v = self.ends[e]
         label, comp = self.label, self.comp
-        big, small = label[u], label[v]
+        big, small, s, t = label[u], label[v], v, u
         if len(comp[big]) < len(comp[small]):
-            big, small = small, big
+            big, small, s, t = small, big, u, v
         grown = comp[big]
-        self._merges.append((big, small, len(grown)))
+        undo = self._undo
+        self._merges.append((big, small, len(grown), len(undo)))
         for x in comp[small]:
             label[x] = big
         grown.extend(comp[small])
-        self.adj[u].append((v, e))
-        self.adj[v].append((u, e))
+        parent, ppos = self.parent, self.ppos
+        pos_e = self.pos[e]
+        p, pp = t, pos_e
+        while s >= 0:
+            old_p, old_pp = parent[s], ppos[s]
+            undo.append((s, old_p, old_pp))
+            parent[s], ppos[s] = p, pp
+            s, p, pp = old_p, s, old_pp
         self.in_set[e] = True
         self.members.append(e)
-        pos_e, low = self.pos[e], self._mins[-1]
+        low = self._mins[-1]
         self._mins.append(pos_e if pos_e < low else low)
 
     def pop(self):
         e = self.members.pop()
         self._mins.pop()
         self.in_set[e] = False
-        u, v = self.ends[e]
-        self.adj[u].pop()
-        self.adj[v].pop()
-        big, small, old_len = self._merges.pop()
+        big, small, old_len, undo_len = self._merges.pop()
         grown = self.comp[big]
         label = self.label
         for x in grown[old_len:]:
             label[x] = small
         del grown[old_len:]
+        parent, ppos, undo = self.parent, self.ppos, self._undo
+        while len(undo) > undo_len:
+            x, old_p, old_pp = undo.pop()
+            parent[x], ppos[x] = old_p, old_pp
 
     def current_face_is_nbc(self) -> bool:
         """Rule 2 on the face as it stands.  For a face built through can_add

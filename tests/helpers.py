@@ -97,6 +97,38 @@ def brute_nbc_faces(m, indep, ranking):
     return faces
 
 
+def brute_nbc_facets_through(m, indep, ranking, tau, rank):
+    """Every NBC base containing tau, straight from the definition without
+    enumerating all circuits: a base F contains a broken circuit iff some
+    e outside F and some T inside F make T + e a circuit whose smallest
+    element is e."""
+    pos = {e: i for i, e in enumerate(ranking)}
+    tau = frozenset(tau)
+    rest = [e for e in range(m) if e not in tau]
+
+    def is_circuit(c):
+        return not indep(c) and all(indep(c - {x}) for x in c)
+
+    def has_broken_circuit(face):
+        inner = sorted(face)
+        for e in range(m):
+            if e in face:
+                continue
+            for size in range(1, len(inner) + 1):
+                for t in itertools.combinations(inner, size):
+                    c = frozenset(t) | {e}
+                    if min(c, key=pos.__getitem__) == e and is_circuit(c):
+                        return True
+        return False
+
+    out = set()
+    for extra in itertools.combinations(rest, rank - len(tau)):
+        face = tau | frozenset(extra)
+        if indep(face) and not has_broken_circuit(face):
+            out.add(face)
+    return out
+
+
 def graphic_indep(g):
     return lambda s: subset_acyclic(g, s)
 

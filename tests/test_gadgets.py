@@ -20,6 +20,7 @@ from nbcwalk import (
     critical_threshold,
     down_up_matrix,
     enumerate_nbc_bases,
+    gadgets,
     gap_certificate,
     graphs,
     link_facets,
@@ -310,6 +311,23 @@ class TestCountingSandwich:
             verify_counting_sandwich(g, 2, 10, "partition-function")
         report = verify_counting_sandwich(g, 2, 10, "partition-function", force=True)
         assert report.target_quantity == 760
+
+    def test_field_mode_counts_independent_sets_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return count_independent_sets_by_size(*args, **kwargs)
+
+        monkeypatch.setattr(gadgets, "count_independent_sets_by_size", counting)
+        report = verify_counting_sandwich(build_named_graph("cycle", 5), 2, 10, "partition-function")
+        assert report.target_quantity == 760 and report.verdict
+        assert len(calls) == 1
+
+    def test_field_gadget_keeps_its_own_checks(self):
+        g = MultiGraph(3, [])
+        with pytest.raises(PreconditionError, match="at least 1"):
+            verify_counting_sandwich(g, 1, 0, "partition-function")
 
     def test_rejects_small_l(self):
         with pytest.raises(PreconditionError):

@@ -15,6 +15,7 @@ from nbcwalk import (
     PreconditionError,
     TruncatedMatroid,
     VerificationError,
+    build_link_gadget,
     build_named_graph,
     contains_broken_circuit_bruteforce,
     enumerate_nbc_bases,
@@ -23,11 +24,13 @@ from nbcwalk import (
     is_log_concave,
     is_nbc,
     link_facets,
+    nbc,
 )
 from helpers import (
     SEED,
     OpaqueMatroid,
     brute_nbc_faces,
+    brute_nbc_facets_through,
     graphic_indep,
     random_graph_corpus,
     random_orders,
@@ -339,3 +342,135 @@ class TestPruningRules:
                 link = tuple(sorted((f - tau for f in above), key=sorted))
                 assert link_facets(fast, tau) == link == link_facets(slow, tau)
                 assert extend_to_nbc_base(fast, tau) == above[0] == extend_to_nbc_base(slow, tau)
+
+
+def _long_theta(arms, length):
+    """Vertices 0 and 1 joined by `arms` disjoint paths of `length` edges."""
+    edges, nv = [], 2
+    for _ in range(arms):
+        path = [0] + list(range(nv, nv + length - 1)) + [1]
+        nv += length - 1
+        edges.extend(zip(path, path[1:]))
+    return MultiGraph(nv, edges)
+
+
+def _chorded_cycle():
+    """A 10-cycle with three crossing chords."""
+    g = build_named_graph("cycle", 10)
+    return MultiGraph(10, g.edges + ((0, 5), (2, 7), (3, 8)))
+
+
+LONG_PATH_GRAPHS = (_long_theta(3, 4), _chorded_cycle())
+
+
+def _sorted_sets(sets):
+    return tuple(sorted(sets, key=sorted))
+
+
+class TestLongForestPaths:
+    """Faces whose forest components have long paths, so a candidate's cycle
+    runs far up the rooted trees, against brute force and the oracle engine."""
+
+    def test_faces_bases_and_links(self):
+        rng = random.Random(SEED)
+        for g in LONG_PATH_GRAPHS:
+            top = GraphicMatroid(g).rank
+            for rank in (top, top - 1, top // 2):
+                (ranking,) = random_orders(g.edge_count, 1, seed=SEED + rank)
+                faces, fast, slow = _three_ways(g, rank, ranking)
+                counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
+                assert face_numbers(fast).counts == counts
+                bases = _sorted_sets(f for f in faces if len(f) == rank)
+                assert enumerate_nbc_bases(fast) == bases
+                # the oracle engine walks the whole complex slowly, so it checks links only
+                for tau in rng.sample(sorted(faces, key=sorted), 4):
+                    link = _sorted_sets(f - tau for f in bases if tau <= f)
+                    assert link_facets(fast, tau) == link == link_facets(slow, tau)
+
+    @pytest.mark.parametrize("base", ["complete_bipartite:2:2", "cycle:5"])
+    def test_rooted_gadget_links(self, base):
+        """Links of the link gadget at tau and at faces above it, in the
+        gadget's own order and in random ones."""
+        kind, *params = base.split(":")
+        rng = random.Random(SEED)
+        for l in (1, 2):
+            inst = build_link_gadget(build_named_graph(kind, *map(int, params)), l, 2)
+            g, rank, tau = inst.graph, inst.params["trunc_rank"], inst.tau
+            for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 1):
+                fast = NbcComplex(inst.matroid, ElementOrder(ranking))
+                slow = NbcComplex(TruncatedMatroid(OpaqueMatroid(g), rank), ElementOrder(ranking))
+                link = link_facets(fast, tau)
+                assert link == link_facets(slow, tau)
+                if l == 1:
+                    indep = truncated_indep(g, rank)
+                    facets = brute_nbc_facets_through(g.edge_count, indep, ranking, tau, rank)
+                    assert link == _sorted_sets(f - tau for f in facets)
+                else:
+                    facets = {tau | f for f in link}
+                facets = sorted(facets, key=sorted)
+                for _ in range(3):
+                    extra = sorted(rng.choice(facets) - tau)
+                    face = tau | frozenset(rng.sample(extra, rng.randint(1, len(extra))))
+                    expected = _sorted_sets(f - face for f in facets if face <= f)
+                    assert link_facets(fast, face) == expected == link_facets(slow, face)
+
+
+def _forest_state(eng):
+    return eng.label, eng.comp, eng.parent, eng.ppos
+
+
+def _check_rooted_forest(eng, g, order):
+    """The parent edges are exactly the face, each with its order position,
+    and every vertex climbs to a root carrying its own component label."""
+    parent_edges = []
+    for x, p in enumerate(eng.parent):
+        if p >= 0:
+            e = order.ranking[eng.ppos[x]]
+            assert set(g.edges[e]) == {x, p}
+            parent_edges.append(e)
+    assert sorted(parent_edges) == sorted(eng.members)
+    for x in range(g.vertex_count):
+        root = x
+        for _ in range(g.vertex_count):
+            if eng.parent[root] < 0:
+                break
+            root = eng.parent[root]
+        assert eng.parent[root] < 0 and eng.label[root] == eng.label[x]
+
+
+class TestEngineUndo:
+    @pytest.mark.parametrize(
+        "g", LONG_PATH_GRAPHS + (build_named_graph("complete", 6),), ids=["theta", "chorded", "k6"]
+    )
+    def test_push_pop_matches_a_fresh_engine(self, g):
+        """After any run of pushes and pops, the forest state is the one a
+        fresh engine reaches by pushing the same members, and can_add still
+        agrees with is_nbc on every NBC face along the way."""
+        rng = random.Random(SEED)
+        rank = GraphicMatroid(g).rank
+        longest_reroot = 0
+        for ranking in random_orders(g.edge_count, 3):
+            order = ElementOrder(ranking)
+            x = NbcComplex(GraphicMatroid(g), order)
+            eng = nbc._GraphicEngine(g, order, rank)
+            for _ in range(150):
+                label = eng.label
+                joins = [e for e, (u, v) in enumerate(g.edges) if label[u] != label[v]]
+                if rng.random() < 0.5:
+                    joins = [e for e in joins if eng.can_add(e)]
+                if eng.members and (not joins or rng.random() < 0.35):
+                    eng.pop()
+                else:
+                    undo = len(eng._undo)
+                    eng.push(rng.choice(joins))
+                    longest_reroot = max(longest_reroot, len(eng._undo) - undo)
+                fresh = nbc._GraphicEngine(g, order, rank)
+                for e in eng.members:
+                    fresh.push(e)
+                assert _forest_state(eng) == _forest_state(fresh)
+                _check_rooted_forest(eng, g, order)
+                face = frozenset(eng.members)
+                if is_nbc(x, face):
+                    for e in range(g.edge_count):
+                        assert eng.can_add(e) == (e not in face and is_nbc(x, face | {e})), (face, e)
+        assert longest_reroot >= 2  # some push re-rooted a component at a non-root vertex

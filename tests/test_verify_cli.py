@@ -450,6 +450,33 @@ class TestCliFlags:
         assert code == 2 and out == ""
         assert "required" in err and missing in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "core", "--o", "x.json"),
+            ("face-numbers", "--graph", "complete:3", "--trunc", "1", "--forc"),
+        ],
+        ids=" ".join,
+    )
+    def test_abbreviated_flag_is_exit_two(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = _run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in err and "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_no_parser_matches_prefixes(self):
+        parser = cli._build_parser()
+        stack, seen = [parser], 0
+        while stack:
+            p = stack.pop()
+            assert p.allow_abbrev is False, p.prog
+            seen += 1
+            for a in p._actions:
+                if isinstance(a, argparse._SubParsersAction):
+                    stack.extend(a.choices.values())
+        assert seen == 21
+
     def test_report_params_keep_every_key(self, capsys):
         unset = {"seed": None, "force_size": False}
         report = _report(capsys, "verify", "core")
