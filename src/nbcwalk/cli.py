@@ -2,8 +2,9 @@
 computations, and emit deterministic JSON reports.
 
 Exit codes: 0 success, 1 malformed input file, 2 precondition or verification
-failure (including bad flags), 3 size-guard rejection.  Every report embeds a
-digest of the resolved input and the parameter set used.
+failure (including bad flags), 3 size-guard rejection.  Each handler returns the
+canonical input it read and its results; `main` writes the report envelope
+around them: the digest of that input and the parameter set used.
 """
 
 from __future__ import annotations
@@ -147,19 +148,17 @@ def _csv_ints(text: str, what: str):
 
 
 def _resolve_instance(args):
-    """Build (graph, order, truncate, weights, canonical-dict) from the flags; a
-    flag the command does not take leaves the instance file's value, or None."""
-    order_list = None
-    truncate = None
-    weights = None
+    """Build (graph, order, truncate, weights, canonical-dict) from the flags.
+    Order, truncation and weights are read only by a command that takes the
+    flag of that name, from the flag or else the instance file; otherwise None."""
     if args.input is not None:
         data = _load_instance_file(args.input)
         graph = _instance_graph(args.input, data)
-        order_list = data.get("order")
-        truncate = data.get("truncate")
-        weights = data.get("weights")
     else:
-        graph = _parse_graph_spec(args.graph)
+        data, graph = {}, _parse_graph_spec(args.graph)
+    order_list, truncate, weights = (
+        data.get(key) if hasattr(args, key) else None for key in ("order", "truncate", "weights")
+    )
     if getattr(args, "order", None) is not None:
         order_list = _csv_ints(args.order, "order")
     if getattr(args, "truncate", None) is not None:
@@ -191,11 +190,13 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _complex_from(graph, order, truncate) -> NbcComplex:
+def _complex(args):
+    """(NBC complex, weights, canonical-dict) of the instance the flags name."""
+    graph, order, truncate, weights, canonical = _resolve_instance(args)
     matroid = GraphicMatroid(graph)
     if truncate is not None:
         matroid = TruncatedMatroid(matroid, truncate)
-    return NbcComplex(matroid, order)
+    return NbcComplex(matroid, order), weights, canonical
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,98 +273,73 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _params_of(args, keys) -> dict:
-    out = {"command": args.command}
-    if getattr(args, "kind", None):
-        out["kind"] = args.kind
-    for key in keys:
-        out[key] = getattr(args, key, None)
-    out["seed"] = args.seed
-    out["force_size"] = getattr(args, "force_size", False)
-    return out
+# Flags kept out of a report's params: those naming the instance file or spec,
+# its order or its weights, which the digest covers, and those steering output.
+_NOT_PARAMS = frozenset({"input", "graph", "order", "weights", "out", "report"})
+
+
+def _params_of(args) -> dict:
+    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
+    params.setdefault("force_size", False)
+    return params
 
 
 def _cmd_face_numbers(args):
-    graph, order, truncate, _, canonical = _resolve_instance(args)
-    x = _complex_from(graph, order, truncate)
+    x, _, canonical = _complex(args)
     fn = face_numbers(x, force=args.force_size)
-    return {
-        "n": list(fn.counts),
-        "log_concave": is_log_concave(fn),
-        "input_digest": _digest(canonical),
-        "params": _params_of(args, ["truncate"]),
-    }
+    return canonical, {"n": list(fn.counts), "log_concave": is_log_concave(fn)}
 
 
 def _cmd_nbc_bases(args):
-    graph, order, truncate, weights, canonical = _resolve_instance(args)
-    x = _complex_from(graph, order, truncate)
+    x, weights, canonical = _complex(args)
     bases = enumerate_nbc_bases(x, force=args.force_size)
-    report = {
-        "count": len(bases),
-        "bases": [sorted(b) for b in bases],
-        "input_digest": _digest(canonical),
-        "params": _params_of(args, ["truncate"]),
-    }
+    report = {"count": len(bases), "bases": [sorted(b) for b in bases]}
     if weights is not None:
         report["weighted_count"] = _rational(
             nbc_partition_function(x, WeightVector(weights), force=args.force_size)
         )
-    return report
+    return canonical, report
 
 
 def _cmd_walk_gap(args):
-    graph, order, truncate, _, canonical = _resolve_instance(args)
-    x = _complex_from(graph, order, truncate)
+    x, _, canonical = _complex(args)
     n_facets = len(x.facets(force=args.force_size))
     check_eig_states(n_facets, args.force_size)
     check_face_subsets(n_facets, x.rank, args.force_size)
     gap = spectral_gap(down_up_matrix(x), force=args.force_size)
     profile = local_spectral_profile(x, force=args.force_size)
     bound = local_to_global_bound(profile, x.rank)
-    return {
-        "gap": _float12(gap),
-        "ltg_bound": _float12(bound),
-        "input_digest": _digest(canonical),
-        "params": _params_of(args, ["truncate"]),
-    }
+    return canonical, {"gap": _float12(gap), "ltg_bound": _float12(bound)}
 
 
 def _cmd_local_profile(args):
-    graph, order, truncate, _, canonical = _resolve_instance(args)
-    x = _complex_from(graph, order, truncate)
+    x, _, canonical = _complex(args)
     profile = local_spectral_profile(x, force=args.force_size)
     d = x.rank
     scaled = [g * (d - k) for k, g in enumerate(profile.gammas)]
-    return {
+    return canonical, {
         "gammas": [_float12(g) for g in profile.gammas],
         "ltg_bound": _float12(local_to_global_bound(profile, d)),
         "gamma_scaled_max": _float12(max(scaled)) if scaled else None,
         "rank": d,
-        "input_digest": _digest(canonical),
-        "params": _params_of(args, ["truncate"]),
     }
 
 
 def _cmd_link(args):
-    graph, order, truncate, _, canonical = _resolve_instance(args)
-    x = _complex_from(graph, order, truncate)
+    x, _, canonical = _complex(args)
     tau = frozenset(_csv_ints(args.tau, "tau"))
     facets = link_facets(x, tau, force=args.force_size)
-    return {
+    return canonical, {
         "tau": sorted(tau),
         "facet_count": len(facets),
         "facets": sorted(sorted(f) for f in facets),
-        "input_digest": _digest(canonical),
-        "params": _params_of(args, ["truncate", "tau"]),
     }
 
 
 def _cmd_gadget(args):
     if args.kind == "long-edge":
         inst = build_long_edge_instance(args.n, force=args.force_size)
-        canonical = {"gadget": "long-edge", "n": args.n}
-        return {
+        return {"gadget": "long-edge", "n": args.n}, {
             "n": args.n,
             "B": sorted(inst.marked_sets["B"]),
             "B_prime": sorted(inst.marked_sets["B_prime"]),
@@ -371,21 +347,16 @@ def _cmd_gadget(args):
             "common_value": _rational(inst.params["common_value"]),
             "distance_squared": len(inst.marked_sets["B"] ^ inst.marked_sets["B_prime"]),
             "verified": True,
-            "input_digest": _digest(canonical),
-            "params": _params_of(args, ["n"]),
         }
     if args.n < 1:
         raise PreconditionError("gadget link needs --n >= 1")
     m = args.m if args.m is not None else args.n
     base = build_named_graph("complete_bipartite", args.n, args.n)
     inst = build_link_gadget(base, args.l, m, force=args.force_size)
-    canonical = {"gadget": "link", "n": args.n, "l": args.l, "m": m}
     report = {
         "ground_size": inst.graph.edge_count,
         "trunc_rank": inst.params["trunc_rank"],
         "tau_size": len(inst.tau),
-        "input_digest": _digest(canonical),
-        "params": _params_of(args, ["n", "l", "m"]),
     }
     if args.report:
         cert = gap_certificate(inst, force=args.force_size)
@@ -404,56 +375,49 @@ def _cmd_gadget(args):
                 "s_a_at_most_half": cert["s_a_at_most_half"],
             }
         )
-    return report
+    return {"gadget": "link", "n": args.n, "l": args.l, "m": m}, report
 
 
 def _cmd_reduce(args):
-    graph, order, truncate, _, canonical = _resolve_instance(args)
+    graph, *_, canonical = _resolve_instance(args)
     if args.kind == "opt":
         w = WeightVector([_parse_fraction(p, "--vertex-weights") for p in args.vertex_weights.split(",")])
         inst, edge_w = build_opt_reduction(graph, w)
         base, base_val = max_weight_nbc_base(inst.complex(), edge_w, force=args.force_size)
         ind, ind_val = max_weight_independent_set(graph, w, force=args.force_size)
         recovered = sorted(e - graph.edge_count for e in base if e >= graph.edge_count)
-        return {
+        return canonical, {
             "max_independent_weight": _rational(ind_val),
             "max_nbc_weight": _rational(base_val),
             "equal": ind_val == base_val,
             "independent_set": sorted(ind),
             "nbc_base": sorted(base),
             "recovered_set": recovered,
-            "input_digest": _digest(canonical),
-            "params": _params_of(args, ["vertex_weights"]),
         }
     if args.kind in ("count", "field"):
         mode = "facet-count" if args.kind == "count" else "partition-function"
         report = verify_counting_sandwich(graph, args.m, args.l, mode, force=args.force_size)
-        return {
+        return canonical, {
             "mode": mode,
             "source_i_m": _rational(report.source_quantity),
             "target": _rational(report.target_quantity),
             "lower": _rational(report.lower_bound),
             "upper": _rational(report.upper_bound),
             "verdict": report.verdict,
-            "input_digest": _digest(canonical),
-            "params": _params_of(args, ["m", "l"]),
         }
     result = verify_hardcore_identities(graph, args.r, force=args.force_size)
-    return {
+    return canonical, {
         "r": result["r"],
         "counts_g": list(result["counts_g"]),
         "counts_copies": list(result["counts_copies"]),
         "counts_union": list(result["counts_union"]),
         "checked_levels": result["checked_levels"],
         "all_identities_hold": True,
-        "input_digest": _digest(canonical),
-        "params": _params_of(args, ["r"]),
     }
 
 
 def _cmd_oracle(args):
-    graph, order, truncate, _, canonical = _resolve_instance(args)
-    params_key = []
+    graph, *_, canonical = _resolve_instance(args)
     if args.kind == "chromatic":
         chi = chromatic_polynomial(graph, force=args.force_size)
         body = {"coefficients": list(chi.coefficients), "degree": chi.degree, "at_minus_one": chi(-1)}
@@ -467,27 +431,21 @@ def _cmd_oracle(args):
             "count": count_g_parking_functions(graph, args.root, force=args.force_size),
             "root": args.root,
         }
-        params_key = ["root"]
     else:
         lam = _parse_fraction(args.fugacity, "--fugacity")
         body = {
             "partition_function": _rational(hardcore_partition(graph, lam, force=args.force_size)),
             "fugacity": _rational(lam),
         }
-        params_key = ["fugacity"]
-    body["input_digest"] = _digest(canonical)
-    body["params"] = _params_of(args, params_key)
-    return body
+    return canonical, body
 
 
 def _cmd_verify(args):
     checks = run_suite(args.suite)
-    return {
+    return {"suite": args.suite}, {
         "suite": args.suite,
         "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in checks],
         "all_passed": all(c.passed for c in checks),
-        "input_digest": _digest({"suite": args.suite}),
-        "params": _params_of(args, ["suite"]),
     }
 
 
@@ -504,6 +462,10 @@ _DISPATCH = {
 }
 
 
+# Exit code of each error a handler may raise.
+_EXIT_CODES = {MalformedInputError: 1, PreconditionError: 2, VerificationError: 2, SizeGuardError: 3}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -511,16 +473,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        report = _DISPATCH[args.command](args)
-    except MalformedInputError as exc:
+        canonical, report = _DISPATCH[args.command](args)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (PreconditionError, VerificationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
+    report["input_digest"] = _digest(canonical)
+    report["params"] = _params_of(args)
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:

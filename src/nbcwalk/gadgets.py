@@ -270,10 +270,6 @@ class LinkPartition:
     def s_a(self) -> tuple:
         return tuple(f for i in sorted(self.by_a) for f in self.by_a[i])
 
-    @property
-    def s_b(self) -> tuple:
-        return tuple(f for i in sorted(self.by_b) for f in self.by_b[i])
-
     def count_a(self, i: int) -> int:
         return len(self.by_a.get(i, ()))
 

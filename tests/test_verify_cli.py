@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from nbcwalk import PreconditionError, chains, cli, gadgets, nbc, run_suite, verify
+from nbcwalk import PreconditionError, build_named_graph, chains, cli, gadgets, nbc, run_suite, verify
 from nbcwalk.cli import main
 from nbcwalk.verify import run_core_suite, run_gadget_suite, run_spectral_suite
 
@@ -202,6 +202,33 @@ class TestCliContract:
         a = _report(capsys, "face-numbers", "--graph", "complete:3")
         b = _report(capsys, "face-numbers", "--graph", "cycle:4")
         assert a["input_digest"] != b["input_digest"]
+
+    @staticmethod
+    def _file_digest(capsys, tmp_path, argv, **keys):
+        c5 = {"vertices": 5, "edges": [list(e) for e in build_named_graph("cycle", 5).edges]}
+        path = tmp_path / "c5.json"
+        path.write_text(json.dumps({**c5, **keys}), encoding="utf-8")
+        return _report(capsys, *argv, "--input", str(path))["input_digest"]
+
+    @pytest.mark.parametrize(
+        "argv, key, value",
+        [
+            (("reduce", "count", "--m", "2", "--l", "10"), "order", [4, 3, 2, 1, 0]),
+            (("face-numbers",), "weights", ["1", "2", "3", "4", "5"]),
+            (("oracle", "indep"), "weights", ["1", "2", "3", "4", "5"]),
+        ],
+        ids=["reduce count order", "face-numbers weights", "oracle indep weights"],
+    )
+    def test_digest_ignores_a_file_key_the_command_does_not_take(self, capsys, tmp_path, argv, key, value):
+        from_file = self._file_digest(capsys, tmp_path, argv, **{key: value})
+        assert from_file == _report(capsys, *argv, "--graph", "cycle:5")["input_digest"]
+
+    def test_digest_keeps_a_file_key_the_command_takes(self, capsys, tmp_path):
+        weights = ["1", "2", "3", "4", "5"]
+        from_file = self._file_digest(capsys, tmp_path, ("nbc-bases",), weights=weights)
+        assert from_file != self._file_digest(capsys, tmp_path, ("nbc-bases",))
+        flagged = _report(capsys, "nbc-bases", "--graph", "cycle:5", "--weights", ",".join(weights))
+        assert from_file == flagged["input_digest"]
 
     def test_seed_flag_accepted(self, capsys):
         report = _report(capsys, "face-numbers", "--graph", "complete:3", "--seed", "7")
@@ -483,3 +510,31 @@ class TestCliFlags:
         assert report["params"] == {"command": "verify", "suite": "core", **unset}
         report = _report(capsys, "oracle", "indep", "--graph", "cycle:5")
         assert report["params"] == {"command": "oracle", "kind": "indep", **unset}
+        for pair, (argv, _) in REMOVED_FLAG.items():
+            command, kind = pair
+            expected = {"command": command, **({"kind": kind} if kind else {}), **unset, **PARAMS[pair]}
+            assert _report(capsys, *argv)["params"] == expected, pair
+
+
+# The params each valid line of REMOVED_FLAG prints, besides command, kind,
+# seed and force_size: every flag except those naming the instance (--input,
+# --graph, --order, --weights) and those steering output (--out, --report).
+PARAMS = {
+    ("face-numbers", None): {"truncate": None},
+    ("nbc-bases", None): {"truncate": None},
+    ("walk-gap", None): {"truncate": None},
+    ("local-profile", None): {"truncate": None},
+    ("link", None): {"truncate": None, "tau": "0"},
+    ("gadget", "long-edge"): {"n": 5},
+    ("gadget", "link"): {"n": 2, "l": 2, "m": None},
+    ("reduce", "opt"): {"vertex_weights": "1,2,3,4"},
+    ("reduce", "count"): {"m": 2, "l": 20},
+    ("reduce", "field"): {"m": 2, "l": 10},
+    ("reduce", "hardcore"): {"r": 2},
+    ("oracle", "chromatic"): {},
+    ("oracle", "acyclic"): {},
+    ("oracle", "indep"): {},
+    ("oracle", "parking"): {"root": 0},
+    ("oracle", "hardcore"): {"fugacity": "1"},
+    ("verify", None): {"suite": "all"},
+}
