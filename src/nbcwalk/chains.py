@@ -63,7 +63,7 @@ class _LabeledStates:
 class StochasticMatrix(_LabeledStates):
     """Row-stochastic matrix with exact rational entries over labeled states."""
 
-    __slots__ = ("index", "rows", "_symmetric", "_doubly")
+    __slots__ = ("index", "rows")
 
     def __init__(self, index, rows):
         index = tuple(index)
@@ -91,32 +91,23 @@ class StochasticMatrix(_LabeledStates):
             clean.append(out)
         self.index = index
         self.rows = tuple(clean)
-        self._symmetric = None
-        self._doubly = None
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.rows[i].get(j, Fraction(0))
 
     def is_symmetric(self) -> bool:
-        if self._symmetric is None:
-            self._symmetric = all(
-                self.rows[j].get(i, Fraction(0)) == p
-                for i, row in enumerate(self.rows)
-                for j, p in row.items()
-            )
-        return self._symmetric
+        return all(
+            self.rows[j].get(i, Fraction(0)) == p
+            for i, row in enumerate(self.rows)
+            for j, p in row.items()
+        )
 
     def is_doubly_stochastic(self) -> bool:
-        if self._doubly is None:
-            if self.is_symmetric():
-                self._doubly = True
-            else:
-                col = [Fraction(0)] * self.size
-                for row in self.rows:
-                    for j, p in row.items():
-                        col[j] += p
-                self._doubly = all(c == 1 for c in col)
-        return self._doubly
+        col = [Fraction(0)] * self.size
+        for row in self.rows:
+            for j, p in row.items():
+                col[j] += p
+        return all(c == 1 for c in col)
 
     def float_matrix(self) -> np.ndarray:
         out = np.zeros((self.size, self.size), dtype=np.float64)
@@ -139,16 +130,16 @@ class StochasticMatrix(_LabeledStates):
 
 
 def _as_facets(x):
-    """Canonical facet tuple from a complex, a matroid, or a raw facet list."""
+    """Canonical facet tuple from a complex, a matroid (both already distinct
+    and lexicographic), or a raw facet list, which is deduplicated and sorted."""
     if isinstance(x, NbcComplex):
         facets = x.facets()
     elif isinstance(x, Matroid):
         facets = x.enumerate_bases()
     else:
-        facets = tuple(frozenset(f) for f in x)
+        facets = tuple(sorted({frozenset(f) for f in x}, key=lambda f: tuple(sorted(f))))
     if not facets:
         raise PreconditionError("the complex has no facets")
-    facets = tuple(sorted(set(facets), key=lambda f: tuple(sorted(f))))
     sizes = {len(f) for f in facets}
     if len(sizes) != 1:
         raise PreconditionError(f"facets have mixed sizes {sorted(sizes)}")

@@ -78,11 +78,16 @@ def _parse_fraction(text, where):
         raise PreconditionError(f"{where}: cannot parse rational {text!r}: {exc}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _load_instance_file(path: str) -> dict:
     """The instance object, its 'weights' (if any) parsed to Fractions."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedInputError(f"cannot read {path}: {exc}")
     try:
         data = json.loads(raw)
@@ -94,7 +99,7 @@ def _load_instance_file(path: str) -> dict:
     extra = set(data) - known
     if extra:
         raise MalformedInputError(f"{path}: unknown keys {sorted(extra)}")
-    if not isinstance(data.get("vertices"), int) or isinstance(data.get("vertices"), bool):
+    if not _is_int(data.get("vertices")):
         raise MalformedInputError(f"{path}: 'vertices' must be an integer")
     edges = data.get("edges")
     if not isinstance(edges, list):
@@ -103,7 +108,7 @@ def _load_instance_file(path: str) -> dict:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in pair)
+            or not all(_is_int(c) for c in pair)
         ):
             raise MalformedInputError(f"{path}: edge {k} is not a pair of integers")
     m = len(edges)
@@ -111,12 +116,11 @@ def _load_instance_file(path: str) -> dict:
         order = data["order"]
         if (
             not isinstance(order, list)
+            or not all(_is_int(e) for e in order)
             or sorted(order) != list(range(m))
         ):
             raise MalformedInputError(f"{path}: 'order' must be a permutation of 0..{m - 1}")
-    if "truncate" in data and (
-        not isinstance(data["truncate"], int) or isinstance(data["truncate"], bool)
-    ):
+    if "truncate" in data and not _is_int(data["truncate"]):
         raise MalformedInputError(f"{path}: 'truncate' must be an integer")
     if "weights" in data:
         weights = data["weights"]
@@ -332,7 +336,7 @@ def _cmd_link(args):
     return canonical, {
         "tau": sorted(tau),
         "facet_count": len(facets),
-        "facets": sorted(sorted(f) for f in facets),
+        "facets": [sorted(f) for f in facets],
     }
 
 
@@ -480,9 +484,13 @@ def main(argv=None) -> int:
     report["input_digest"] = _digest(canonical)
     report["params"] = _params_of(args)
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
+    print(text)
     return 0
 
 

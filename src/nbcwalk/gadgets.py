@@ -70,6 +70,25 @@ class WeightVector:
         return f"WeightVector({[str(w) for w in self.weights]})"
 
 
+def _weight_vector(w, length: int, per: str) -> WeightVector:
+    """w as a WeightVector, checked to hold one weight per vertex or element."""
+    if not isinstance(w, WeightVector):
+        w = WeightVector(w)
+    if len(w) != length:
+        raise PreconditionError(f"need exactly one weight per {per}")
+    return w
+
+
+def _heaviest(sets, w: WeightVector):
+    """(set, weight) of greatest weight under w; a tie goes to the later set."""
+    best = best_set = None
+    for s in sets:
+        val = w.weight_of(s)
+        if best is None or val >= best:
+            best, best_set = val, s
+    return best_set, best
+
+
 @dataclass(eq=False)
 class GadgetInstance:
     """A constructed graph with its order, matroid, distinguished face and
@@ -96,16 +115,16 @@ class ReductionReport:
     target_quantity: Fraction
     lower_bound: Fraction
     upper_bound: Fraction
-    verdict: bool
     mode: str = ""
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.lower_bound > self.upper_bound:
             raise PreconditionError("lower_bound exceeds upper_bound")
-        expected = self.lower_bound <= self.target_quantity <= self.upper_bound
-        if self.verdict != expected:
-            raise PreconditionError("verdict does not match the recomputed bounds")
+
+    @property
+    def verdict(self) -> bool:
+        return self.lower_bound <= self.target_quantity <= self.upper_bound
 
 
 def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
@@ -383,10 +402,7 @@ def build_opt_reduction(g: MultiGraph, vertex_weights: WeightVector):
     NBC base weight then solves max-weight independent set on g."""
     if not isinstance(g, MultiGraph):
         raise PreconditionError("g must be a MultiGraph")
-    if not isinstance(vertex_weights, WeightVector):
-        vertex_weights = WeightVector(vertex_weights)
-    if len(vertex_weights) != g.vertex_count:
-        raise PreconditionError("need exactly one weight per vertex")
+    vertex_weights = _weight_vector(vertex_weights, g.vertex_count, "vertex")
     if any(w < 0 for w in vertex_weights):
         raise PreconditionError("vertex weights must be non-negative")
     z = g.vertex_count
@@ -416,38 +432,18 @@ def build_opt_reduction(g: MultiGraph, vertex_weights: WeightVector):
 def max_weight_independent_set(g: MultiGraph, vertex_weights: WeightVector, force: bool = False):
     """Exhaustive maximizer over vertex independent sets; ties keep the
     lexicographically greatest set."""
-    if not isinstance(vertex_weights, WeightVector):
-        vertex_weights = WeightVector(vertex_weights)
-    if len(vertex_weights) != g.vertex_count:
-        raise PreconditionError("need exactly one weight per vertex")
-    best = None
-    best_set = None
-    for s in iter_independent_sets(g, force=force):
-        val = vertex_weights.weight_of(s)
-        if best is None or val >= best:
-            best = val
-            best_set = s
-    return best_set, best
+    vertex_weights = _weight_vector(vertex_weights, g.vertex_count, "vertex")
+    return _heaviest(iter_independent_sets(g, force=force), vertex_weights)
 
 
 def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     """Exhaustive maximizer over NBC bases; ties keep the lexicographically
     greatest base."""
-    if not isinstance(w, WeightVector):
-        w = WeightVector(w)
-    if len(w) != x.matroid.ground_size:
-        raise PreconditionError("need exactly one weight per element")
+    w = _weight_vector(w, x.matroid.ground_size, "element")
     bases = x.facets(force=force)
     if not bases:
         raise PreconditionError("the complex has no bases")
-    best = None
-    best_base = None
-    for b in bases:
-        val = w.weight_of(b)
-        if best is None or val >= best:
-            best = val
-            best_base = b
-    return best_base, best
+    return _heaviest(bases, w)
 
 
 def build_field_reduction(g: MultiGraph, m: int, l, force: bool = False):
@@ -503,10 +499,7 @@ def _field_reduction(g: MultiGraph, m: int, l, counts):
 
 def nbc_partition_function(x: NbcComplex, lam: WeightVector, force: bool = False) -> Fraction:
     """Sum over NBC bases of the product of element weights."""
-    if not isinstance(lam, WeightVector):
-        lam = WeightVector(lam)
-    if len(lam) != x.matroid.ground_size:
-        raise PreconditionError("need exactly one weight per element")
+    lam = _weight_vector(lam, x.matroid.ground_size, "element")
     return sum(
         (lam.product_over(b) for b in enumerate_nbc_bases(x, force=force)), Fraction(0)
     )
@@ -545,7 +538,6 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
         target_quantity=target,
         lower_bound=lower,
         upper_bound=upper,
-        verdict=lower <= target <= upper,
         mode=mode,
         params={"m": m, "l": l},
     )

@@ -296,7 +296,11 @@ def chromatic_polynomial(g: MultiGraph, force: bool = False) -> IntPolynomial:
         memo[key] = res
         return res
 
-    return rec(g.vertex_count, frozenset(g.edges))
+    try:
+        return rec(g.vertex_count, frozenset(g.edges))
+    except RecursionError:
+        m = g.edge_count
+        raise SizeGuardError(f"{m} edges exceeds the recursion limit of deletion-contraction") from None
 
 
 def count_acyclic_orientations(g: MultiGraph, force: bool = False) -> int:
@@ -351,6 +355,17 @@ class SizeCounts:
     def __iter__(self):
         return iter(self.counts)
 
+    @classmethod
+    def tally(cls, sets) -> "SizeCounts":
+        """counts[k] = how many of the given sets have size k."""
+        counts = []
+        for s in sets:
+            k = len(s)
+            while len(counts) <= k:
+                counts.append(0)
+            counts[k] += 1
+        return cls(tuple(counts))
+
     def total(self) -> int:
         return sum(self.counts)
 
@@ -382,8 +397,11 @@ def iter_independent_sets(g: MultiGraph, force: bool = False):
             a &= a - 1
             yield from rec(chosen + (v,), a & ~nbr[v])
 
-    for vs in rec((), (1 << n) - 1):
-        yield frozenset(vs)
+    try:
+        for vs in rec((), (1 << n) - 1):
+            yield frozenset(vs)
+    except RecursionError:
+        raise SizeGuardError(f"{n} vertices exceeds the independent-set recursion limit") from None
 
 
 def count_independent_sets_by_size(g: MultiGraph, force: bool = False) -> SizeCounts:
@@ -392,13 +410,7 @@ def count_independent_sets_by_size(g: MultiGraph, force: bool = False) -> SizeCo
     Deliberately no component splitting or convolution here: disjoint-union
     identities are checked against this count, so it must stay independent.
     """
-    counts = []
-    for s in iter_independent_sets(g, force=force):
-        k = len(s)
-        while len(counts) <= k:
-            counts.append(0)
-        counts[k] += 1
-    return SizeCounts(tuple(counts))
+    return SizeCounts.tally(iter_independent_sets(g, force=force))
 
 
 def hardcore_partition(g: MultiGraph, fugacity, force: bool = False) -> Fraction:

@@ -2,9 +2,10 @@
 
 A matroid here is anything exposing ``ground_size`` and an exact
 ``is_independent``; ranks, circuits, and fundamental circuits all reduce to
-independence calls.  Graphic matroids use union-find instead, and truncations
-delegate to the matroid they wrap.  Brute-force circuit enumeration is kept for
-desk-scale cross-checks and guarded accordingly.
+independence calls.  Graphic matroids use union-find instead, and their hooks
+find circuits by one forest-path search on checked arguments; truncations
+delegate to the matroid they wrap.  Brute-force circuit enumeration is kept
+for desk-scale cross-checks and guarded accordingly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionError, SizeGuardError
-from .graphs import MultiGraph, SizeCounts, fundamental_cycle, is_forest
+from .graphs import MultiGraph, SizeCounts, _forest_path, is_forest
 
 BRUTE_MAX_GROUND = 14
 ENUM_MAX_SETS = 1_000_000
@@ -132,13 +133,7 @@ class Matroid:
         yield from rec([], 0)
 
     def independent_sets_by_size(self, max_size=None, force: bool = False) -> SizeCounts:
-        counts = []
-        for s in self.iter_independent_sets(max_size=max_size, force=force):
-            k = len(s)
-            while len(counts) <= k:
-                counts.append(0)
-            counts[k] += 1
-        return SizeCounts(tuple(counts))
+        return SizeCounts.tally(self.iter_independent_sets(max_size=max_size, force=force))
 
     def enumerate_bases(self, force: bool = False):
         """All bases, in lexicographic order of their sorted element tuples."""
@@ -182,9 +177,9 @@ class GraphicMatroid(Matroid):
         return merges
 
     def _fundamental_circuit(self, s: frozenset, e: int):
-        if self.is_independent(s | {e}):
-            return None
-        return fundamental_cycle(self.graph, s, e)
+        """e plus the path in forest s between e's endpoints, or None if none."""
+        path = _forest_path(self.graph, s, *self.graph.edges[e])
+        return None if path is None else frozenset(path) | {e}
 
 
 class TruncatedMatroid(Matroid):
@@ -233,9 +228,7 @@ class TruncatedMatroid(Matroid):
     def _fundamental_circuit(self, s: frozenset, e: int):
         """Inner circuit when one exists; otherwise the whole grown set, which
         is dependent purely by size (or None if still independent)."""
-        grown = s | {e}
-        if self.inner.is_dependent(grown):
-            return self.inner._fundamental_circuit(s, e)
-        if len(grown) <= self.target_rank:
-            return None
-        return grown
+        circuit = self.inner._fundamental_circuit(s, e)
+        if circuit is None and len(s) == self.target_rank:
+            return s | {e}
+        return circuit

@@ -10,13 +10,17 @@ from nbcwalk import (
     PreconditionError,
     SizeGuardError,
     TruncatedMatroid,
+    build_link_gadget,
     build_named_graph,
+    is_nbc,
+    matroids,
 )
 from helpers import (
     OpaqueMatroid,
     brute_circuits,
     graphic_indep,
     random_graph_corpus,
+    theta_graph,
     truncated_indep,
 )
 
@@ -203,3 +207,56 @@ class TestGuards:
         g = build_named_graph("complete", 6)
         mat = GraphicMatroid(g)
         assert mat.independent_sets_by_size().total() > 100
+
+
+def _brute_fundamental_circuit(indep, s, e):
+    """The minimal dependent subsets of s + e under indep: none when s + e is
+    independent, otherwise exactly one, which is returned."""
+    grown = sorted(s | {e})
+    minimal = [
+        c
+        for size in range(1, len(grown) + 1)
+        for c in map(frozenset, itertools.combinations(grown, size))
+        if not indep(c) and all(indep(c - {x}) for x in c)
+    ]
+    assert len(minimal) <= 1, minimal
+    return minimal[0] if minimal else None
+
+
+HOOK_GRAPHS = {
+    "K4": build_named_graph("complete", 4),
+    "C5": build_named_graph("cycle", 5),
+    "theta7": theta_graph(7),
+    "parallel": MultiGraph(3, [(0, 1), (0, 1), (1, 2), (0, 2), (1, 2)]),
+}
+
+
+class TestFundamentalCircuitOracle:
+    @pytest.mark.parametrize("name", sorted(HOOK_GRAPHS))
+    def test_matches_brute_force_on_every_independent_set(self, name):
+        g = HOOK_GRAPHS[name]
+        m = g.edge_count
+        graphic = GraphicMatroid(g)
+        views = [(graphic, graphic_indep(g)), (OpaqueMatroid(g), graphic_indep(g))]
+        for rank in range(graphic.rank + 1):
+            indep = truncated_indep(g, rank)
+            views.append((TruncatedMatroid(graphic, rank), indep))
+            views.append((TruncatedMatroid(OpaqueMatroid(g), rank), indep))
+        for mat, indep in views:
+            for size in range(m + 1):
+                for combo in itertools.combinations(range(m), size):
+                    s = frozenset(combo)
+                    if not indep(s):
+                        continue
+                    for e in range(m):
+                        if e not in s:
+                            assert mat.fundamental_circuit(s, e) == _brute_fundamental_circuit(
+                                indep, s, e
+                            ), (name, mat, sorted(s), e)
+
+    def test_is_nbc_runs_union_find_once(self, monkeypatch):
+        inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 16, 2)
+        real, calls = matroids.is_forest, []
+        monkeypatch.setattr(matroids, "is_forest", lambda *args: calls.append(args) or real(*args))
+        assert is_nbc(inst.complex(), inst.tau)
+        assert len(calls) == 1

@@ -186,6 +186,21 @@ class TestCliReports:
         assert report["bases"] == [[0, 2], [1, 2]]
 
 
+_K3 = b'{"vertices": 3, "edges": [[0, 1], [0, 2], [1, 2]], "order": %s}'
+# name -> (exit code, instance file bytes or None, argv); "{file}" is that
+# file and "{tmp}" a writable directory.
+ERROR_CASES = {
+    "non-utf8-input": (1, b'\xff\xfe{"vertices": 1, "edges": []}', ["face-numbers", "--input", "{file}"]),
+    "out-in-missing-dir": (2, None, ["face-numbers", "--graph", "complete:3", "--out", "{tmp}/no/x.json"]),
+    "out-is-a-dir": (2, None, ["face-numbers", "--graph", "complete:3", "--out", "{tmp}"]),
+    "order-float-and-bools": (1, _K3 % b"[2.0, true, false]", ["face-numbers", "--input", "{file}"]),
+    "order-string": (1, _K3 % b'[0, 1, "2"]', ["face-numbers", "--input", "{file}"]),
+    "deep-chromatic": (3, None, ["oracle", "chromatic", "--graph", "path:1200", "--force-size"]),
+    "deep-indep": (3, None, ["oracle", "indep", "--graph", "path:2500", "--force-size"]),
+    "deep-hardcore": (3, None, ["oracle", "hardcore", "--graph", "path:2500", "--force-size"]),
+}
+
+
 class TestCliContract:
     def test_determinism(self, capsys):
         a = _run(capsys, "walk-gap", "--graph", "cycle:4")
@@ -295,6 +310,17 @@ class TestCliContract:
             code, out, err = _run(capsys, *argv)
             assert code == 2 and out == "", argv
             assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("code, body, argv", ERROR_CASES.values(), ids=list(ERROR_CASES))
+    def test_error_is_one_line_and_its_exit_code(self, capsys, tmp_path, code, body, argv):
+        path = tmp_path / "instance.json"
+        if body is not None:
+            path.write_bytes(body)
+        argv = [a.format(file=path, tmp=tmp_path) for a in argv]
+        got, out, err = _run(capsys, *argv)
+        assert (got, out) == (code, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
