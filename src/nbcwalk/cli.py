@@ -51,7 +51,6 @@ from .matroids import GraphicMatroid, TruncatedMatroid
 from .nbc import (
     ElementOrder,
     NbcComplex,
-    enumerate_nbc_bases,
     face_numbers,
     is_log_concave,
     link_facets,
@@ -296,7 +295,7 @@ def _cmd_face_numbers(args):
 
 def _cmd_nbc_bases(args):
     x, weights, canonical = _complex(args)
-    bases = enumerate_nbc_bases(x, force=args.force_size)
+    bases = x.facets(force=args.force_size)
     report = {"count": len(bases), "bases": [sorted(b) for b in bases]}
     if weights is not None:
         report["weighted_count"] = _rational(

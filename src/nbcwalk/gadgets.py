@@ -9,7 +9,6 @@ certificate raises VerificationError rather than returning a degraded report.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from .graphs import (
     iter_independent_sets,
 )
 from .matroids import GraphicMatroid, Matroid, TruncatedMatroid
-from .nbc import ElementOrder, NbcComplex, enumerate_nbc_bases, is_nbc, link_facets
+from .nbc import NbcComplex, enumerate_nbc_bases, is_nbc, link_facets
 
 MAX_GADGET_GROUND = 5000
 HARDCORE_MAX_COPIES = 3
@@ -91,11 +90,12 @@ def _heaviest(sets, w: WeightVector):
 
 @dataclass(eq=False)
 class GadgetInstance:
-    """A constructed graph with its order, matroid, distinguished face and
-    named element sets, plus construction parameters and optional weights."""
+    """A constructed graph with its matroid, distinguished face and named
+    element sets, plus construction parameters and optional weights.  Its
+    complex uses the identity order, so each builder lays out its edge ids in
+    the block order its construction needs."""
 
     graph: MultiGraph
-    order: ElementOrder
     matroid: Matroid
     tau: frozenset
     marked_sets: dict
@@ -104,7 +104,7 @@ class GadgetInstance:
     base_graph: MultiGraph | None = None
 
     def complex(self) -> NbcComplex:
-        return NbcComplex(self.matroid, self.order)
+        return NbcComplex(self.matroid)
 
 
 @dataclass(eq=False)
@@ -147,7 +147,6 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
         edges.append((mid, 1))
     edges.append((0, 1))
     graph = MultiGraph(2 + half, edges)
-    order = ElementOrder.identity(n)
     matroid = GraphicMatroid(graph)
     b1 = frozenset({n - 1} | {2 * i - 2 for i in range(1, half + 1)})
     b2 = frozenset({0} | {2 * i - 1 for i in range(1, half + 1)})
@@ -155,7 +154,7 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     long_weight = sum(weights[e] for e in b2) - sum(weights[e] for e in b1 if e != n - 1)
     weights.append(long_weight)
     w = WeightVector(weights)
-    x = NbcComplex(matroid, order)
+    x = NbcComplex(matroid)
     bases = enumerate_nbc_bases(x, force=force)
     if b1 not in bases or b2 not in bases:
         raise VerificationError("distinguished bases are not NBC bases")
@@ -163,7 +162,6 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
         raise VerificationError("computed weight vector fails the edge-witness conditions")
     return GadgetInstance(
         graph=graph,
-        order=order,
         matroid=matroid,
         tau=frozenset(),
         marked_sets={"B": b1, "B_prime": b2, "long_edge": frozenset({n - 1})},
@@ -223,7 +221,6 @@ def build_link_gadget(
         for i in range(l):
             edges.append((chain_vertex(v, i), v))
     graph = MultiGraph(nv + 2 + nv * l, edges)
-    order = ElementOrder.identity(graph.edge_count)
     trunc_rank = l * nv + m + 1
     matroid = TruncatedMatroid(GraphicMatroid(graph), trunc_rank)
     e_start = 1 + me
@@ -237,7 +234,6 @@ def build_link_gadget(
     }
     inst = GadgetInstance(
         graph=graph,
-        order=order,
         matroid=matroid,
         tau=tau,
         marked_sets=marked,
@@ -408,14 +404,12 @@ def build_opt_reduction(g: MultiGraph, vertex_weights: WeightVector):
     z = g.vertex_count
     edges = list(g.edges) + [(v, z) for v in range(g.vertex_count)]
     graph = MultiGraph(g.vertex_count + 1, edges)
-    order = ElementOrder.identity(graph.edge_count)
     matroid = GraphicMatroid(graph)
     edge_weights = WeightVector(
         [Fraction(0)] * g.edge_count + list(vertex_weights)
     )
     inst = GadgetInstance(
         graph=graph,
-        order=order,
         matroid=matroid,
         tau=frozenset(),
         marked_sets={
@@ -474,7 +468,6 @@ def _field_reduction(g: MultiGraph, m: int, l, counts):
     y = g.vertex_count + 1
     edges = [(y, z)] + list(g.edges) + [(v, z) for v in range(g.vertex_count)]
     graph = MultiGraph(g.vertex_count + 2, edges)
-    order = ElementOrder.identity(graph.edge_count)
     matroid = TruncatedMatroid(GraphicMatroid(graph), m + 1)
     apex_start = 1 + g.edge_count
     lam = WeightVector(
@@ -482,7 +475,6 @@ def _field_reduction(g: MultiGraph, m: int, l, counts):
     )
     inst = GadgetInstance(
         graph=graph,
-        order=order,
         matroid=matroid,
         tau=frozenset(),
         marked_sets={
@@ -500,9 +492,7 @@ def _field_reduction(g: MultiGraph, m: int, l, counts):
 def nbc_partition_function(x: NbcComplex, lam: WeightVector, force: bool = False) -> Fraction:
     """Sum over NBC bases of the product of element weights."""
     lam = _weight_vector(lam, x.matroid.ground_size, "element")
-    return sum(
-        (lam.product_over(b) for b in enumerate_nbc_bases(x, force=force)), Fraction(0)
-    )
+    return sum((lam.product_over(b) for b in x.facets(force=force)), Fraction(0))
 
 
 def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bool = False) -> ReductionReport:
@@ -581,11 +571,11 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
     if len(counts_copies.counts) != r + 1:
         raise VerificationError("r K8 independence counts do not stop at size r")
     counts_union = count_independent_sets_by_size(union, force=True)
+    conv = counts_g.convolve(counts_copies)
     for k in range(len(counts_union.counts)):
-        conv = sum(counts_g[j] * counts_copies[k - j] for j in range(k + 1))
-        if counts_union[k] != conv:
+        if counts_union[k] != conv[k]:
             raise VerificationError(
-                f"convolution fails at size {k}: union has {counts_union[k]}, formula {conv}"
+                f"convolution fails at size {k}: union has {counts_union[k]}, formula {conv[k]}"
             )
     for mm in range(r + 1):
         for j in range(mm + 1):

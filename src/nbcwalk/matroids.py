@@ -5,7 +5,8 @@ A matroid here is anything exposing ``ground_size`` and an exact
 independence calls.  Graphic matroids use union-find instead, and their hooks
 find circuits by one forest-path search on checked arguments; truncations
 delegate to the matroid they wrap.  Brute-force circuit enumeration is kept
-for desk-scale cross-checks and guarded accordingly.
+for desk-scale cross-checks and guarded accordingly; truncations inherit it,
+since it runs on their own is_independent.
 """
 
 from __future__ import annotations
@@ -130,17 +131,20 @@ class Matroid:
                     yield from rec(cur, x + 1)
                 cur.pop()
 
-        yield from rec([], 0)
+        try:
+            yield from rec([], 0)
+        except RecursionError:
+            m = self.ground_size
+            raise SizeGuardError(f"ground size {m} exceeds the independent-set recursion limit") from None
 
     def independent_sets_by_size(self, max_size=None, force: bool = False) -> SizeCounts:
         return SizeCounts.tally(self.iter_independent_sets(max_size=max_size, force=force))
 
     def enumerate_bases(self, force: bool = False):
-        """All bases, in lexicographic order of their sorted element tuples."""
+        """All bases, in lexicographic order of their sorted element tuples:
+        the order in which the preorder of iter_independent_sets reaches them."""
         r = self.rank
-        out = [s for s in self.iter_independent_sets(max_size=r, force=force) if len(s) == r]
-        out.sort(key=lambda s: tuple(sorted(s)))
-        return tuple(out)
+        return tuple(s for s in self.iter_independent_sets(max_size=r, force=force) if len(s) == r)
 
 
 class GraphicMatroid(Matroid):
@@ -207,23 +211,6 @@ class TruncatedMatroid(Matroid):
     @property
     def rank(self) -> int:
         return self.target_rank
-
-    def circuits(self, force: bool = False):
-        """Inner circuits that still fit, plus inner-independent sets one past
-        the cap (dependent purely by size)."""
-        if self._circuit_cache is not None:
-            return self._circuit_cache
-        m = self.ground_size
-        if m > BRUTE_MAX_GROUND and not force:
-            raise SizeGuardError(f"ground size {m} exceeds BRUTE_MAX_GROUND={BRUTE_MAX_GROUND}")
-        r = self.target_rank
-        found = [c for c in self.inner.circuits(force=force) if len(c) <= r + 1]
-        for combo in itertools.combinations(range(m), r + 1):
-            s = frozenset(combo)
-            if self.inner.is_independent(s):
-                found.append(s)
-        self._circuit_cache = tuple(found)
-        return self._circuit_cache
 
     def _fundamental_circuit(self, s: frozenset, e: int):
         """Inner circuit when one exists; otherwise the whole grown set, which

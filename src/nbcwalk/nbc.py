@@ -161,7 +161,8 @@ class _GraphicEngine:
     newly have an absent smallest element are the cycles through e and, at
     full truncation size, the size circuits.  It applies, in order:
 
-    1. Reject a full face, an e already in it, and an e inside one component.
+    1. Reject a full face and an e inside one component; an e already in the
+       face has both endpoints in one component, so this rejects it too.
     2. At full truncation size every absent element closes a circuit, so accept
        only if the order-smallest element is in face + e.
     3. An absent edge f that closes a cycle through e joins e's two components,
@@ -190,7 +191,6 @@ class _GraphicEngine:
         self.comp = [[x] for x in range(nv)]
         self.parent = [-1] * nv
         self.ppos = [self.m] * nv  # order positions are < m, so m acts as +infinity
-        self.in_set = [False] * self.m
         self.members = []
         self._mins = [self.m]
         self._merges = []
@@ -202,7 +202,7 @@ class _GraphicEngine:
     def can_add(self, e: int) -> bool:
         """True iff the current face (assumed NBC) stays NBC after adding e."""
         size = len(self.members)
-        if size >= self.full or self.in_set[e]:
+        if size >= self.full:
             return False
         u, v = self.ends[e]
         label = self.label
@@ -264,15 +264,13 @@ class _GraphicEngine:
             undo.append((s, old_p, old_pp))
             parent[s], ppos[s] = p, pp
             s, p, pp = old_p, s, old_pp
-        self.in_set[e] = True
         self.members.append(e)
         low = self._mins[-1]
         self._mins.append(pos_e if pos_e < low else low)
 
     def pop(self):
-        e = self.members.pop()
+        self.members.pop()
         self._mins.pop()
-        self.in_set[e] = False
         big, small, old_len, undo_len = self._merges.pop()
         grown = self.comp[big]
         label = self.label
@@ -299,24 +297,19 @@ class _OracleEngine:
         self.m = x.matroid.ground_size
         self.full = x.matroid.rank
         self.members = []
-        self._face = set()
 
     def can_add(self, e: int) -> bool:
-        return (
-            len(self.members) < self.full
-            and e not in self._face
-            and is_nbc(self.x, self._face | {e})
-        )
+        members = self.members
+        return len(members) < self.full and e not in members and is_nbc(self.x, members + [e])
 
     def push(self, e: int):
         self.members.append(e)
-        self._face.add(e)
 
     def pop(self):
-        self._face.discard(self.members.pop())
+        self.members.pop()
 
     def current_face_is_nbc(self) -> bool:
-        return is_nbc(self.x, self._face)
+        return is_nbc(self.x, self.members)
 
 
 def _engine(x: NbcComplex):

@@ -12,6 +12,7 @@ from nbcwalk import (
     TruncatedMatroid,
     build_link_gadget,
     build_named_graph,
+    down_up_matrix,
     is_nbc,
     matroids,
 )
@@ -63,6 +64,16 @@ class TestGraphicMatroid:
     def test_enumerate_bases_square(self):
         mat = GraphicMatroid(build_named_graph("cycle", 4))
         assert len(mat.enumerate_bases()) == 4
+
+    def test_enumerate_bases_lexicographic(self):
+        # enumerate_bases relies on the enumeration preorder for this order.
+        for g in random_graph_corpus(count=3):
+            graphic = GraphicMatroid(g)
+            views = [graphic, OpaqueMatroid(g)]
+            views += [TruncatedMatroid(graphic, r) for r in range(graphic.rank + 1)]
+            for mat in views:
+                bases = mat.enumerate_bases()
+                assert list(bases) == sorted(bases, key=sorted), mat
 
     def test_is_basis(self):
         mat = GraphicMatroid(build_named_graph("cycle", 4))
@@ -159,12 +170,16 @@ class TestTruncatedMatroid:
         assert all(len(c) <= 3 for c in circuits)
 
     def test_circuits_match_brute_force(self):
-        g = build_named_graph("cycle", 5)
-        for rank in (1, 2, 3):
-            mat = TruncatedMatroid(GraphicMatroid(g), rank)
-            assert sorted(mat.circuits(), key=sorted) == sorted(
-                brute_circuits(g.edge_count, truncated_indep(g, rank)), key=sorted
-            )
+        cases = [(build_named_graph("cycle", 5), (1, 2, 3))]
+        for name in ("K4", "parallel"):
+            g = HOOK_GRAPHS[name]
+            cases.append((g, range(GraphicMatroid(g).rank + 1)))
+        for g, ranks in cases:
+            for rank in ranks:
+                mat = TruncatedMatroid(GraphicMatroid(g), rank)
+                assert sorted(mat.circuits(), key=sorted) == sorted(
+                    brute_circuits(g.edge_count, truncated_indep(g, rank)), key=sorted
+                )
 
     def test_fundamental_circuit_cases(self):
         square = TruncatedMatroid(GraphicMatroid(build_named_graph("cycle", 4)), 2)
@@ -207,6 +222,15 @@ class TestGuards:
         g = build_named_graph("complete", 6)
         mat = GraphicMatroid(g)
         assert mat.independent_sets_by_size().total() > 100
+
+    def test_deep_enumeration_is_size_guard(self):
+        # One recursion level per element added, so a 1199-edge path outruns
+        # the interpreter's recursion limit.
+        mat = GraphicMatroid(build_named_graph("path", 1200))
+        with pytest.raises(SizeGuardError, match="ground size 1199"):
+            mat.enumerate_bases()
+        with pytest.raises(SizeGuardError, match="ground size 1199"):
+            down_up_matrix(mat)
 
 
 def _brute_fundamental_circuit(indep, s, e):

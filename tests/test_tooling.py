@@ -1,8 +1,10 @@
 """The demos and the benchmark's self-test run as scripts, as a user would run
 them, so an API change that breaks either fails here; a fresh interpreter
-checks what importing the CLI loads, and every example command in README's
-CLI section must run, so the docs cannot drift from the parser."""
+checks what importing the CLI loads, every example command in README's
+CLI section must run, so the docs cannot drift from the parser, and no
+package module keeps an import it never uses."""
 
+import ast
 import os
 import shlex
 import subprocess
@@ -71,3 +73,22 @@ def test_readme_cli_block_covers_every_command():
 @pytest.mark.parametrize("line", _readme_cli_lines())
 def test_readme_cli_line_exits_zero(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_package_modules_use_every_import():
+    # __init__.py is left out: its imports are the package's re-exports.
+    unused = []
+    for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert not unused, unused

@@ -7,33 +7,52 @@ import pytest
 
 from nbcwalk import PreconditionError, build_named_graph, chains, cli, gadgets, nbc, run_suite, verify
 from nbcwalk.cli import main
-from nbcwalk.verify import run_core_suite, run_gadget_suite, run_spectral_suite
+from nbcwalk.verify import run_spectral_suite
+
+
+def _count_enumerations(monkeypatch):
+    """The complexes enumerate_nbc_bases is called on, one entry per call,
+    under every name the package looks it up by."""
+    real, calls = nbc.enumerate_nbc_bases, []
+
+    def counting(x, *args, **kwargs):
+        calls.append(x)
+        return real(x, *args, **kwargs)
+
+    for module in (nbc, cli, gadgets, verify):
+        monkeypatch.setattr(module, "enumerate_nbc_bases", counting, raising=False)
+    return calls
+
+
+@pytest.fixture(scope="class")
+def suites():
+    """Each suite's checks, run once for the whole class."""
+    return {name: run_suite(name) for name in ("core", "spectral", "gadgets", "all")}
 
 
 class TestSuites:
-    def test_core_suite_passes(self):
-        checks = run_core_suite()
+    def test_core_suite_passes(self, suites):
+        checks = suites["core"]
         assert checks and all(c.passed for c in checks)
 
-    def test_spectral_suite_passes(self):
-        checks = run_spectral_suite()
+    def test_spectral_suite_passes(self, suites):
+        checks = suites["spectral"]
         assert checks and all(c.passed for c in checks)
 
-    def test_gadget_suite_passes(self):
-        checks = run_gadget_suite()
+    def test_gadget_suite_passes(self, suites):
+        checks = suites["gadgets"]
         assert checks and all(c.passed for c in checks)
 
-    def test_all_concatenates(self):
-        assert len(run_suite("all")) == len(run_suite("core")) + len(run_suite("spectral")) + len(
-            run_suite("gadgets")
-        )
+    def test_all_concatenates(self, suites):
+        parts = [c.name for key in ("core", "spectral", "gadgets") for c in suites[key]]
+        assert [c.name for c in suites["all"]] == parts
 
     def test_unknown_suite(self):
         with pytest.raises(PreconditionError):
             run_suite("everything")
 
-    def test_check_names_unique(self):
-        names = [c.name for c in run_suite("all")]
+    def test_check_names_unique(self, suites):
+        names = [c.name for c in suites["all"]]
         assert len(names) == len(set(names))
 
     def test_all_enumerates_each_link_once(self, monkeypatch):
@@ -51,6 +70,13 @@ class TestSuites:
         assert all(c.passed for c in checks)
         assert sorted(len(key) for key in calls) == [46, 2510]
         assert set(calls.values()) == {1}
+
+    def test_spectral_suite_enumerates_each_complex_once(self, monkeypatch):
+        calls = _count_enumerations(monkeypatch)
+        checks = run_spectral_suite()
+        assert all(c.passed for c in checks)
+        # calls holds every complex, so no two of them share an id.
+        assert calls and len({id(x) for x in calls}) == len(calls)
 
 
 def _run(capsys, *argv):
@@ -92,6 +118,13 @@ class TestCliReports:
         assert report["claim_disjoint"] is True
         assert report["facet_count"] == 46
         assert report["paper_bound"] == "12"
+
+    def test_weighted_bases_enumerate_once(self, capsys, monkeypatch):
+        calls = _count_enumerations(monkeypatch)
+        report = _report(capsys, "nbc-bases", "--graph", "cycle:5", "--weights", "1,2,3,4,5")
+        assert len(calls) == 1
+        assert report["count"] == 4
+        assert report["weighted_count"] == "154"
 
     def test_long_edge_gadget(self, capsys):
         report = _report(capsys, "gadget", "long-edge", "--n", "5")
