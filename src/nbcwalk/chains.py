@@ -13,7 +13,8 @@ a down-up walk, ARPACK Lanczos on the sparse P = (1/d) A diag(1/|r|) A^T.
 The local spectral profile works level by level on faces as integer bit masks
 (one bit per element, in element order) with one table of facet counts; the
 local matrices of one level and state count are solved in stacked eigvalsh
-calls.
+calls.  numpy and scipy are imported inside the functions that solve, so a
+command that does no spectral work never loads them.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .matroids import Matroid
 from .nbc import NbcComplex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MAX_EIG_STATES = 5000
 MAX_FACE_SUBSETS = 2_000_000
@@ -110,6 +113,8 @@ class StochasticMatrix(_LabeledStates):
         return all(c == 1 for c in col)
 
     def float_matrix(self) -> np.ndarray:
+        import numpy as np
+
         out = np.zeros((self.size, self.size), dtype=np.float64)
         for i, row in enumerate(self.rows):
             for j, p in row.items():
@@ -200,6 +205,8 @@ class DownUpWalk(_LabeledStates):
         """Dense P whose entries equal float(entry(i, j)) bit for bit: an
         off-diagonal entry is one correctly rounded 1/(d |r|), and the diagonal
         is rounded from its exact sum."""
+        import numpy as np
+
         n = self.size
         out = np.zeros((n, n), dtype=np.float64)
         for members in self.ridge_members:
@@ -353,6 +360,8 @@ def spectral_gap(p: StochasticMatrix | DownUpWalk, force: bool = False) -> float
     """1 - second-largest eigenvalue of the reversible chain; a single-state
     chain reports 1.0 (it mixes in zero steps).  A down-up walk above
     DENSE_EIG_STATES states is solved sparsely."""
+    import numpy as np
+
     n = p.size
     if n == 1:
         return 1.0
@@ -374,6 +383,7 @@ def _sparse_gap(walk: DownUpWalk) -> float:
     ARPACK Lanczos.  P is positive semidefinite, so those are the top of the
     spectrum; a walk whose facet-ridge graph is disconnected has eigenvalue 1
     twice, which Lanczos from one start vector can miss, so it reports 0.0."""
+    import numpy as np
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
     from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -511,6 +521,8 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
     size k, computed for k = 0..d-2 level by level from one face-count table
     keyed by integer face masks.  Each level's local matrices are solved in
     stacks of one state count, at most _EIG_BATCH per eigvalsh call."""
+    import numpy as np
+
     facets, d = _as_facets(x)
     check_face_subsets(len(facets), d, force)
     counts = _face_mask_counts(facets)

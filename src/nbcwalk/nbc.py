@@ -10,14 +10,24 @@ oracle.
 Face numbers, facets, links and extension all come from one explicit-stack
 walker, so face depth is bounded by memory, not by the recursion limit.  Face
 numbers are by-size counts, so FaceNumbers is graphs.SizeCounts under a second
-name.  The walker drives an engine with a can_add/push/pop protocol, where
-can_add(e) decides exactly whether an NBC face stays NBC with e added.
+name.  The walker drives an engine with a can_add/extensions/push/pop
+protocol: can_add(e) decides exactly whether an NBC face stays NBC with e
+added, and extensions(cand, inherited) filters a candidate list the same way
+in one call.  The walk rests on the NBC complex being a simplicial complex
+(Björner, "Homology and shellability of matroids and geometric lattices",
+1992): if F + e is not a face, no F + f + e is one either.  So a face F works
+out its accepted list A(F) once, and its child F + A[i] tries only A[i+1:],
+which holds every e > A[i] with F + A[i] + e a face; the preorder is the
+one a walk trying every element id in turn would take.  Facets are appended
+to the member list and yielded without an engine push.
+
 Graphic and truncated graphic matroids get a pure-Python engine that keeps the
 face as an undoable forest, with component labels and rooted parent pointers.
-It re-examines only the cycles the new edge closes, and finds each cycle's
-minimum by walking parent pointers up to the new edge's endpoint chains, so
-it never sweeps a whole component.  Any other matroid gets an engine that asks
-is_nbc.
+It re-examines only the cycles the new edge closes, finds each cycle's minimum
+by walking parent pointers up to the new edge's endpoint chains, so it never
+sweeps a whole component, and skips the cycles altogether for an inherited
+candidate whose components the last push left alone.  Any other matroid gets
+an engine that asks is_nbc.
 """
 
 from __future__ import annotations
@@ -175,6 +185,20 @@ class _GraphicEngine:
        from x and from y up to the first marked vertex and on down its chain.
        Walk each side up, stopping as soon as an edge at or below pos[f]
        shows up; reject if neither side has one.
+
+    extensions(cand, inherited) is can_add over a list.  Inherited means the
+    face P before the last push accepted every e in cand, and F = P + a is
+    the face now.  Take e = uv with neither endpoint in a's merged component
+    (both differ from its label, one O(1) test each).  Then u's and v's
+    components are the same trees in F as in P, so e still joins two
+    components (rule 1), and the absent edges joining them, and the forest
+    paths that close their cycles through e, are unchanged: a cannot be one
+    of those edges, since it joined two other components.  So rules 3 and 4
+    see the same cycles at F as at P, where P + e is NBC and so none of them
+    has an absent minimum.  Rule 2, which depends on the face size and on
+    the face's smallest element, is the one test left; it is applied to the
+    whole list first.  Every other candidate goes through can_add, unless
+    its endpoints now share a component (rule 1).
     """
 
     def __init__(self, graph, order: ElementOrder, trunc_rank: int):
@@ -244,6 +268,29 @@ class _GraphicEngine:
                 return False
         return True
 
+    def extensions(self, cand, inherited: bool) -> list:
+        """The elements of cand that can_add accepts, in cand's order.
+        inherited: the face before the last push accepted all of cand, so an
+        e whose components that push left alone needs rule 2 only."""
+        if not inherited:
+            can_add = self.can_add
+            return [e for e in cand if can_add(e)]
+        size = len(self.members)
+        if size >= self.full:
+            return []
+        if size + 1 == self.full and self._mins[-1]:
+            pos = self.pos
+            cand = [e for e in cand if not pos[e]]  # rule 2
+        big = self._merges[-1][0]
+        label, ends, can_add = self.label, self.ends, self.can_add
+        out = []
+        for e in cand:
+            u, v = ends[e]
+            lu, lv = label[u], label[v]
+            if lu != lv and (lu != big and lv != big or can_add(e)):
+                out.append(e)
+        return out
+
     def push(self, e: int):
         u, v = self.ends[e]
         label, comp = self.label, self.comp
@@ -302,6 +349,10 @@ class _OracleEngine:
         members = self.members
         return len(members) < self.full and e not in members and is_nbc(self.x, members + [e])
 
+    def extensions(self, cand, inherited: bool) -> list:
+        can_add = self.can_add
+        return [e for e in cand if can_add(e)]
+
     def push(self, e: int):
         self.members.append(e)
 
@@ -322,10 +373,11 @@ def _engine(x: NbcComplex):
 
 
 def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
-    """Every NBC face containing root, root first, in preorder: a face tries
-    its additions in ascending element id, above the element that made it.
-    Yields the engine's live member list (root elements first); yields
-    nothing when root is not an NBC face."""
+    """Every NBC face containing root, root first, in preorder: a face's
+    children add its accepted extensions in ascending element id, each child
+    trying only the extensions after its own.  Yields the engine's live member
+    list (root elements first); yields nothing when root is not an NBC face.
+    A facet is appended to that list and removed again, never pushed."""
     eng = _engine(x)
     for e in sorted(root):
         if not eng.can_add(e):
@@ -333,27 +385,31 @@ def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
         eng.push(e)
     if not eng.current_face_is_nbc():
         return
-    members, m, full = eng.members, eng.m, eng.full
-    can_add, push, pop = eng.can_add, eng.push, eng.pop
+    members, full = eng.members, eng.full
+    extensions, push, pop = eng.extensions, eng.push, eng.pop
     budget = MAX_NBC_FACES
-    frames = []  # per non-full face on the path: the next element it tries
-    start = 0
+    frames = []  # per non-full face on the path: [its accepted extensions, next child]
+    cand, inherited = range(eng.m), False
     while True:
         if budget <= 0 and not force:
             raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
         budget -= 1
         yield members
         if len(members) < full:
-            frames.append(start)
+            frames.append([extensions(cand, inherited), 0])
         elif frames:
-            pop()
+            members.pop()  # a facet below the root was appended, not pushed
         while frames:
-            e = frames[-1]
-            while e < m and not can_add(e):
-                e += 1
-            if e < m:
-                frames[-1] = start = e + 1
-                push(e)
+            frame = frames[-1]
+            accepted, i = frame
+            if i < len(accepted):
+                e = accepted[i]
+                frame[1] = i + 1
+                if len(members) + 1 < full:
+                    push(e)
+                    cand, inherited = accepted[i + 1 :], True
+                else:
+                    members.append(e)
                 break
             frames.pop()
             if frames:

@@ -437,7 +437,7 @@ class TestLocalProfile:
             shapes.append(np.shape(a))
             return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(chains.np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         local_spectral_profile(x)
         assert len(shapes) <= chunks < len(links)
         assert all(len(s) == 3 and s[0] <= chains._EIG_BATCH for s in shapes)

@@ -13,6 +13,7 @@ from nbcwalk import (
     MultiGraph,
     NbcComplex,
     PreconditionError,
+    SizeGuardError,
     TruncatedMatroid,
     VerificationError,
     build_link_gadget,
@@ -474,3 +475,95 @@ class TestEngineUndo:
                     for e in range(g.edge_count):
                         assert eng.can_add(e) == (e not in face and is_nbc(x, face | {e})), (face, e)
         assert longest_reroot >= 2  # some push re-rooted a component at a non-root vertex
+
+
+def _candidate_list_cases():
+    """(graph, truncation rank, order): the long-path graphs and K6 at three
+    ranks, then every truncation of the pruning corpus."""
+    for g in LONG_PATH_GRAPHS + (build_named_graph("complete", 6),):
+        top = GraphicMatroid(g).rank
+        for rank in (top, top - 1, top // 2):
+            for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 1, seed=SEED + rank):
+                yield g, rank, ranking
+    yield from _pruning_cases()
+
+
+class TestCandidateLists:
+    """A face's extensions come from its parent's accepted list; at every
+    face the walk reaches, that list filtered by the engine must be exactly
+    what can_add accepts there."""
+
+    def test_inherited_extensions_match_can_add(self, monkeypatch):
+        original = nbc._GraphicEngine.extensions
+        checked = [0]
+
+        def checking(self, cand, inherited):
+            got = original(self, cand, inherited)
+            if inherited:
+                assert got == [e for e in cand if self.can_add(e)], (self.members, cand)
+                checked[0] += 1
+            return got
+
+        monkeypatch.setattr(nbc._GraphicEngine, "extensions", checking)
+        rng = random.Random(SEED)
+        for g, rank, ranking in _candidate_list_cases():
+            x = NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
+            face_numbers(x)
+            bases = enumerate_nbc_bases(x)
+            for base in rng.sample(bases, min(3, len(bases))):
+                tau = frozenset(rng.sample(sorted(base), rng.randint(0, len(base))))
+                assert base - tau in link_facets(x, tau)
+        assert checked[0] > 10_000
+
+    def test_k8_face_numbers_halve_the_cycle_scans(self, monkeypatch):
+        original = nbc._GraphicEngine.can_add
+        calls = [0]
+
+        def counted(self, e):
+            calls[0] += 1
+            return original(self, e)
+
+        monkeypatch.setattr(nbc._GraphicEngine, "can_add", counted)
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
+        assert face_numbers(x).counts == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
+        # Trying every element above the last one pushed costs 177476 calls here.
+        assert calls[0] <= 177476 // 2
+
+
+class TestFaceBudget:
+    """MAX_NBC_FACES counts every face the walk yields, facets included, and
+    trips on the first face past it."""
+
+    def _k5(self):
+        g = build_named_graph("complete", 5)
+        faces = brute_nbc_faces(g.edge_count, graphic_indep(g), tuple(range(g.edge_count)))
+        return NbcComplex(GraphicMatroid(g)), faces
+
+    def test_face_numbers(self, monkeypatch):
+        x, faces = self._k5()
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", len(faces))
+        assert face_numbers(x).total() == len(faces)
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", len(faces) - 1)
+        with pytest.raises(SizeGuardError):
+            face_numbers(x)
+        assert face_numbers(x, force=True).total() == len(faces)
+
+    def test_link_facets(self, monkeypatch):
+        x, faces = self._k5()
+        tau = frozenset({1, 8})  # edges 02 and 24: three bases, eight faces above
+        through = sum(1 for f in faces if tau <= f)
+        assert through == 8
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", through)
+        assert len(link_facets(x, tau)) == 3
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", through - 1)
+        with pytest.raises(SizeGuardError):
+            link_facets(x, tau)
+
+    def test_extension_stops_at_its_first_base(self, monkeypatch):
+        x, _ = self._k5()
+        # The walk yields the empty face and one face per level down to the base.
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", x.rank + 1)
+        assert extend_to_nbc_base(x, ()) == frozenset({0, 1, 2, 3})
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", x.rank)
+        with pytest.raises(SizeGuardError):
+            extend_to_nbc_base(x, ())

@@ -26,10 +26,10 @@ def _readme_cli_lines():
     return [line for line in block.splitlines() if line.startswith("nbcwalk ")]
 
 
-def _run_script(path):
+def _run_python(*args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     return subprocess.run(
-        [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
 
 
@@ -39,12 +39,12 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_exits_zero(demo):
-    done = _run_script(demo)
+    done = _run_python(demo)
     assert done.returncode == 0, done.stderr
 
 
 def test_benchmark_selftest_passes():
-    done = _run_script(ROOT / "nbcbench" / "selftest.py")
+    done = _run_python(ROOT / "nbcbench" / "selftest.py")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.rstrip().endswith("0 failed")
 
@@ -58,10 +58,19 @@ def test_cli_import_and_desk_walks_leave_scipy_unloaded():
         "assert nbcwalk.cli.main(['walk-gap', '--graph', 'complete:5']) == 0\n"
         "assert 'scipy' not in sys.modules, 'walk-gap'\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run(
-        [sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    done = _run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+
+
+def test_cli_import_and_enumeration_leave_numpy_unloaded():
+    # numpy serves only the eigensolves; a command that does no spectral work
+    # should not pay its import.
+    code = (
+        "import sys, nbcwalk.cli\n"
+        "assert nbcwalk.cli.main(['face-numbers', '--graph', 'complete:5']) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
     )
+    done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
 
 
