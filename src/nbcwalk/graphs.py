@@ -182,30 +182,36 @@ def is_forest(g: MultiGraph, edge_ids) -> bool:
     return True
 
 
-def _forest_path(g: MultiGraph, edge_ids, s: int, t: int):
-    """Edge ids along the unique s-t path in a forest, or None if disconnected."""
+def _forest_paths(g: MultiGraph, edge_ids):
+    """The function taking (s, t) to the edge ids along the unique s-t path
+    in the forest edge_ids, or to None if s and t are disconnected.  The
+    forest's adjacency is built once, here."""
     adj = {}
     for e in edge_ids:
         u, v = g.edges[e]
         adj.setdefault(u, []).append((v, e))
         adj.setdefault(v, []).append((u, e))
-    prev = {s: None}
-    stack = [s]
-    while stack:
-        x = stack.pop()
-        if x == t:
-            break
-        for y, e in adj.get(x, ()):
-            if y not in prev:
-                prev[y] = (x, e)
-                stack.append(y)
-    if t not in prev:
-        return None
-    path = []
-    x = t
-    while prev[x] is not None:
-        x, e = prev[x]
-        path.append(e)
+
+    def path(s: int, t: int):
+        prev = {s: None}
+        stack = [s]
+        while stack:
+            x = stack.pop()
+            if x == t:
+                break
+            for y, e in adj.get(x, ()):
+                if y not in prev:
+                    prev[y] = (x, e)
+                    stack.append(y)
+        if t not in prev:
+            return None
+        found = []
+        x = t
+        while prev[x] is not None:
+            x, e = prev[x]
+            found.append(e)
+        return found
+
     return path
 
 
@@ -220,7 +226,7 @@ def fundamental_cycle(g: MultiGraph, forest, e: int) -> frozenset:
     if not is_forest(g, f):
         raise PreconditionError("the given edge set is not a forest")
     u, v = g.edges[e]
-    path = _forest_path(g, f, u, v)
+    path = _forest_paths(g, f)(u, v)
     if path is None:
         raise PreconditionError("adding e keeps the set a forest; no cycle to return")
     return frozenset(path) | {e}

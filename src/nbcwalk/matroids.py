@@ -2,11 +2,12 @@
 
 A matroid here is anything exposing ``ground_size`` and an exact
 ``is_independent``; ranks, circuits, and fundamental circuits all reduce to
-independence calls.  Graphic matroids use union-find instead, and their hooks
-find circuits by one forest-path search on checked arguments; truncations
-delegate to the matroid they wrap.  Brute-force circuit enumeration is kept
-for desk-scale cross-checks and guarded accordingly; truncations inherit it,
-since it runs on their own is_independent.
+independence calls.  Graphic matroids use union-find instead, and their hook
+finds circuits by forest-path searches over one adjacency per checked
+independent set; truncations delegate to the matroid they wrap.  Brute-force
+circuit enumeration is kept for desk-scale cross-checks and guarded
+accordingly; truncations inherit it, since it runs on their own
+is_independent.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionError, SizeGuardError
-from .graphs import MultiGraph, SizeCounts, _forest_path, is_forest
+from .graphs import MultiGraph, SizeCounts, _forest_paths, is_forest
 
 BRUTE_MAX_GROUND = 14
 ENUM_MAX_SETS = 1_000_000
@@ -90,7 +91,7 @@ class Matroid:
     def fundamental_circuit(self, indep, e: int):
         """The unique circuit inside indep + e, or None if adding e keeps the
         set independent.  Checks that indep is an independent subset and e an
-        element outside it, then asks _fundamental_circuit."""
+        element outside it, then asks _fundamental_circuits."""
         s = self.check_subset(indep)
         e = int(e)
         if not 0 <= e < self.ground_size:
@@ -99,17 +100,22 @@ class Matroid:
             raise PreconditionError("e already belongs to the set")
         if not self.is_independent(s):
             raise PreconditionError("the given set is not independent")
-        return self._fundamental_circuit(s, e)
+        return self._fundamental_circuits(s)(e)
 
-    def _fundamental_circuit(self, s: frozenset, e: int):
-        """Hook on checked arguments: e together with the f whose removal
-        restores independence."""
-        grown = s | {e}
-        if self.is_independent(grown):
-            return None
-        circuit = frozenset({e} | {f for f in s if self.is_independent(grown - {f})})
-        assert self.is_dependent(circuit)
-        return circuit
+    def _fundamental_circuits(self, s: frozenset):
+        """Hook on a checked independent s: the function taking an element e
+        outside s to the circuit inside s + e, or None.  Here that circuit is
+        e together with the f whose removal restores independence."""
+
+        def circuit_of(e: int):
+            grown = s | {e}
+            if self.is_independent(grown):
+                return None
+            circuit = frozenset({e} | {f for f in s if self.is_independent(grown - {f})})
+            assert self.is_dependent(circuit)
+            return circuit
+
+        return circuit_of
 
     def iter_independent_sets(self, max_size=None, force: bool = False):
         """Yield every independent set (size-capped if asked) exactly once."""
@@ -180,10 +186,16 @@ class GraphicMatroid(Matroid):
                 merges += 1
         return merges
 
-    def _fundamental_circuit(self, s: frozenset, e: int):
-        """e plus the path in forest s between e's endpoints, or None if none."""
-        path = _forest_path(self.graph, s, *self.graph.edges[e])
-        return None if path is None else frozenset(path) | {e}
+    def _fundamental_circuits(self, s: frozenset):
+        """e maps to e plus the path in forest s between e's endpoints, or to
+        None if there is none; s's adjacency is built once."""
+        path, edges = _forest_paths(self.graph, s), self.graph.edges
+
+        def circuit_of(e: int):
+            found = path(*edges[e])
+            return None if found is None else frozenset(found) | {e}
+
+        return circuit_of
 
 
 class TruncatedMatroid(Matroid):
@@ -212,10 +224,10 @@ class TruncatedMatroid(Matroid):
     def rank(self) -> int:
         return self.target_rank
 
-    def _fundamental_circuit(self, s: frozenset, e: int):
-        """Inner circuit when one exists; otherwise the whole grown set, which
-        is dependent purely by size (or None if still independent)."""
-        circuit = self.inner._fundamental_circuit(s, e)
-        if circuit is None and len(s) == self.target_rank:
-            return s | {e}
-        return circuit
+    def _fundamental_circuits(self, s: frozenset):
+        """Inner circuit when one exists; otherwise, once s is at the cap, the
+        whole grown set, which is dependent purely by size."""
+        inner = self.inner._fundamental_circuits(s)
+        if len(s) < self.target_rank:
+            return inner
+        return lambda e: inner(e) or s | {e}

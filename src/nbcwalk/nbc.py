@@ -7,26 +7,30 @@ membership test inspects one fundamental circuit per single-element extension
 unique); the brute-force containment test stays available as the cross-check
 oracle.
 
-Face numbers, facets, links and extension all come from one explicit-stack
-walker, so face depth is bounded by memory, not by the recursion limit.  Face
-numbers are by-size counts, so FaceNumbers is graphs.SizeCounts under a second
-name.  The walker drives an engine with a can_add/extensions/push/pop
-protocol: can_add(e) decides exactly whether an NBC face stays NBC with e
-added, and extensions(cand, inherited) filters a candidate list the same way
-in one call.  The walk rests on the NBC complex being a simplicial complex
-(Björner, "Homology and shellability of matroids and geometric lattices",
-1992): if F + e is not a face, no F + f + e is one either.  So a face F works
-out its accepted list A(F) once, and its child F + A[i] tries only A[i+1:],
-which holds every e > A[i] with F + A[i] + e a face; the preorder is the
-one a walk trying every element id in turn would take.  Facets are appended
-to the member list and yielded without an engine push.
+Face numbers, facets and links come from one explicit-stack walker, so face
+depth is bounded by memory, not by the recursion limit.  Face numbers are
+by-size counts, so FaceNumbers is graphs.SizeCounts under a second name.  The
+walker drives an engine with a can_add/extensions/push/pop protocol: can_add(e)
+decides exactly whether an NBC face stays NBC with e added, and
+extensions(cand) filters, right after a push, a list that the face before it
+accepted in full.  The walk rests on the NBC complex being a simplicial
+complex (Björner, "Homology and shellability of matroids and geometric
+lattices", 1992): if F + e is not a face, no F + f + e is one either.  So a
+face F works out its accepted list A(F) once, and its child F + A[i] tries
+only A[i+1:], which holds every e > A[i] with F + A[i] + e a face; the
+preorder is the one a walk trying every element id in turn would take.
+Facets are appended to the member list and yielded without an engine push.
+Extension to a base scans the ids once, along the walk's first path.
 
 Graphic and truncated graphic matroids get a pure-Python engine that keeps the
-face as an undoable forest, with component labels and rooted parent pointers.
-It re-examines only the cycles the new edge closes, finds each cycle's minimum
-by walking parent pointers up to the new edge's endpoint chains, so it never
-sweeps a whole component, and skips the cycles altogether for an inherited
-candidate whose components the last push left alone.  Any other matroid gets
+face as a forest with component labels and parent pointers whose rooting is
+free: push hangs the smaller tree under the larger, and pop cuts the edge
+again.  can_add re-examines only the cycles the new edge closes.  It finds
+their closing edges by scanning the smaller component's incidences, kept in
+order position, up to the new edge's position, and re-roots the two trees at
+the new edge's endpoints, so each cycle's minimum takes two climbs to the
+roots, never a sweep of a component.  An inherited candidate whose components
+the last push left alone skips the cycles altogether.  Any other matroid gets
 an engine that asks is_nbc.
 """
 
@@ -123,17 +127,18 @@ class NbcComplex:
 def is_nbc(x: NbcComplex, s) -> bool:
     """Independent, and no single-element extension closes a circuit whose
     order-smallest element is the new one (which would put a broken circuit
-    inside s).  s is checked once, so each extension goes straight to the
-    matroid's _fundamental_circuit hook."""
+    inside s).  s is checked once, and the matroid's _fundamental_circuits
+    hook prepares it once for every extension."""
     m_ = x.matroid
     sub = m_.check_subset(s)
     if not m_.is_independent(sub):
         return False
     pos = x.order.positions()
+    circuit_of = m_._fundamental_circuits(sub)
     for e in range(m_.ground_size):
         if e in sub:
             continue
-        circuit = m_._fundamental_circuit(sub, e)
+        circuit = circuit_of(e)
         if circuit is not None and min(circuit, key=pos.__getitem__) == e:
             return False
     return True
@@ -159,14 +164,20 @@ class _GraphicEngine:
     """Incremental NBC-face state for (possibly truncated) graphic matroids.
 
     The face is a forest.  Every vertex carries a component label and every
-    label a member list, and every vertex points at its parent in a rooted
-    tree of the forest: parent[x] is -1 at a root, and ppos[x] is the order
-    position of the edge from x to its parent.  push(e) relabels the smaller
-    of the two components e joins, re-roots that component at e's endpoint s
-    by reversing the parent chain from s to its old root, and hangs it under
-    e's other endpoint.  It records (big, small, old_len, undo_len), and the
-    (x, old parent, old ppos) entries of the reversed chain go on one undo
-    stack (just s when s was a root already), so pop() restores exactly that.
+    label a member list, and every vertex points at its parent in some rooting
+    of its tree: parent[x] is -1 at a root, and ppos[x] is the order position
+    of the edge from x to its parent, -1 at a root, so every climb stops
+    there.  The rooting carries no information, and any method may change it:
+    _hang(s, p, pp) reverses the parent chain from s to its root, making s the
+    root of its tree, then hangs s under p through an edge at position pp (or
+    leaves it a root when p is -1).  push(e) relabels the smaller of the two
+    components e joins and hangs it from e's endpoint s under the other
+    endpoint, recording (big, small, old_len) only.  pop() relabels the small
+    side back and cuts e: of e's endpoints, it clears the parent of the one
+    that hangs from the other, which is unique because a forest holds at most
+    one edge between two vertices.  Each vertex's incidences are
+    (order position, neighbour) pairs in ascending position.
+
     can_add(e) assumes the current face is NBC, so the only circuits that can
     newly have an absent smallest element are the cycles through e and, at
     full truncation size, the size circuits.  It applies, in order:
@@ -177,51 +188,51 @@ class _GraphicEngine:
        only if the order-smallest element is in face + e.
     3. An absent edge f that closes a cycle through e joins e's two components,
        and e lies on that cycle, so f can be its minimum only if
-       pos[f] < pos[e].  Scan the smaller component's incidences for such
-       candidates; with none, accept.
-    4. Otherwise mark the ancestor chain of each endpoint of e with a stamp
-       and the smallest position on the path from that endpoint.  A
-       candidate f = xy closes the cycle x ... e ... y, whose forest paths run
-       from x and from y up to the first marked vertex and on down its chain.
-       Walk each side up, stopping as soon as an edge at or below pos[f]
-       shows up; reject if neither side has one.
+       pos[f] < pos[e].  Scan the smaller component's incidences, each up to
+       pos[e], for such candidates; with none, accept.
+    4. Otherwise make e's endpoints u and v the roots of their trees.  A
+       candidate f = xy closes the cycle x ... u, e, v ... y, whose two forest
+       sides are the climbs from x and from y to their roots.  Climb each
+       side, stopping at the first edge at or below pos[f]; reject e if both
+       climbs reach their roots.
 
-    extensions(cand, inherited) is can_add over a list.  Inherited means the
-    face P before the last push accepted every e in cand, and F = P + a is
-    the face now.  Take e = uv with neither endpoint in a's merged component
-    (both differ from its label, one O(1) test each).  Then u's and v's
-    components are the same trees in F as in P, so e still joins two
-    components (rule 1), and the absent edges joining them, and the forest
-    paths that close their cycles through e, are unchanged: a cannot be one
-    of those edges, since it joined two other components.  So rules 3 and 4
-    see the same cycles at F as at P, where P + e is NBC and so none of them
-    has an absent minimum.  Rule 2, which depends on the face size and on
-    the face's smallest element, is the one test left; it is applied to the
-    whole list first.  Every other candidate goes through can_add, unless
-    its endpoints now share a component (rule 1).
+    extensions(cand) is can_add over a list that the face P before the last
+    push accepted in full, where F = P + a is the face now.  Take e = uv with
+    neither endpoint in a's merged component (both differ from its label, one
+    O(1) test each).  Then u's and v's components are the same trees in F as
+    in P, so e still joins two components (rule 1), and the absent edges
+    joining them, and the forest paths that close their cycles through e, are
+    unchanged: a cannot be one of those edges, since it joined two other
+    components.  So rules 3 and 4 see the same cycles at F as at P, where
+    P + e is NBC and so none of them has an absent minimum.  Rule 2, which
+    depends on the face size and on the face's smallest element, is the one
+    test left; it is applied to the whole list first.  Every other candidate
+    goes through can_add, unless its endpoints now share a component (rule 1).
     """
 
     def __init__(self, graph, order: ElementOrder, trunc_rank: int):
         nv = graph.vertex_count
         self.m = graph.edge_count
         self.full = trunc_rank
-        self.pos = order.positions()
+        self.pos = pos = order.positions()
         self.ends = graph.edges
         self.incidences = [[] for _ in range(nv)]
-        for f, (u, v) in enumerate(graph.edges):
-            self.incidences[u].append((f, v))
-            self.incidences[v].append((f, u))
+        for f in order.ranking:
+            u, v = graph.edges[f]
+            self.incidences[u].append((pos[f], v))
+            self.incidences[v].append((pos[f], u))
         self.label = list(range(nv))
         self.comp = [[x] for x in range(nv)]
         self.parent = [-1] * nv
-        self.ppos = [self.m] * nv  # order positions are < m, so m acts as +infinity
+        self.ppos = [-1] * nv
         self.members = []
-        self._mins = [self.m]
+        self._mins = [self.m]  # order positions are < m, so m acts as +infinity
         self._merges = []
-        self._undo = []
-        self._mark = [0] * nv
-        self._low = [0] * nv
-        self._stamp = 0
+
+    def _hang(self, s: int, p: int, pp: int):
+        parent, ppos = self.parent, self.ppos
+        while s >= 0:
+            parent[s], ppos[s], s, p, pp = p, pp, parent[s], s, ppos[s]
 
     def can_add(self, e: int) -> bool:
         """True iff the current face (assumed NBC) stays NBC after adding e."""
@@ -233,48 +244,38 @@ class _GraphicEngine:
         small, big = label[u], label[v]
         if small == big:
             return False
-        pos = self.pos
-        pos_e = pos[e]
+        pos_e = self.pos[e]
         if size + 1 == self.full and pos_e and self._mins[-1]:
             return False
         if len(self.comp[small]) > len(self.comp[big]):
             small, big = big, small
         incidences = self.incidences
-        cand = [
-            (pos[f], x, y)
-            for x in self.comp[small]
-            for f, y in incidences[x]
-            if pos[f] < pos_e and label[y] == big
-        ]
+        cand = []
+        for x in self.comp[small]:
+            for pf, y in incidences[x]:
+                if pf >= pos_e:
+                    break
+                if label[y] == big:
+                    cand.append((pf, x, y))
         if not cand:
             return True
-        parent, ppos, mark, low = self.parent, self.ppos, self._mark, self._low
-        self._stamp = stamp = self._stamp + 1
-        for x in (u, v):  # two disjoint trees, so one stamp serves both chains
-            lo = self.m
-            while x >= 0:
-                mark[x] = stamp
-                low[x] = lo
-                if ppos[x] < lo:
-                    lo = ppos[x]
-                x = parent[x]
+        self._hang(u, -1, -1)
+        self._hang(v, -1, -1)
+        parent, ppos = self.parent, self.ppos
         for pf, x, y in cand:
             for z in (x, y):
-                while mark[z] != stamp and ppos[z] > pf:
+                while ppos[z] > pf:
                     z = parent[z]
-                if mark[z] != stamp or low[z] <= pf:
+                if ppos[z] >= 0:
                     break  # this side's path has an edge at or below f
             else:
                 return False
         return True
 
-    def extensions(self, cand, inherited: bool) -> list:
-        """The elements of cand that can_add accepts, in cand's order.
-        inherited: the face before the last push accepted all of cand, so an
-        e whose components that push left alone needs rule 2 only."""
-        if not inherited:
-            can_add = self.can_add
-            return [e for e in cand if can_add(e)]
+    def extensions(self, cand) -> list:
+        """The elements of cand that can_add accepts, in cand's order.  The
+        face before the last push accepted all of cand, so an e whose
+        components that push left alone needs rule 2 only."""
         size = len(self.members)
         if size >= self.full:
             return []
@@ -298,36 +299,28 @@ class _GraphicEngine:
         if len(comp[big]) < len(comp[small]):
             big, small, s, t = small, big, u, v
         grown = comp[big]
-        undo = self._undo
-        self._merges.append((big, small, len(grown), len(undo)))
+        self._merges.append((big, small, len(grown)))
         for x in comp[small]:
             label[x] = big
         grown.extend(comp[small])
-        parent, ppos = self.parent, self.ppos
         pos_e = self.pos[e]
-        p, pp = t, pos_e
-        while s >= 0:
-            old_p, old_pp = parent[s], ppos[s]
-            undo.append((s, old_p, old_pp))
-            parent[s], ppos[s] = p, pp
-            s, p, pp = old_p, s, old_pp
+        self._hang(s, t, pos_e)
         self.members.append(e)
         low = self._mins[-1]
         self._mins.append(pos_e if pos_e < low else low)
 
     def pop(self):
-        self.members.pop()
+        e = self.members.pop()
         self._mins.pop()
-        big, small, old_len, undo_len = self._merges.pop()
+        big, small, old_len = self._merges.pop()
         grown = self.comp[big]
         label = self.label
         for x in grown[old_len:]:
             label[x] = small
         del grown[old_len:]
-        parent, ppos, undo = self.parent, self.ppos, self._undo
-        while len(undo) > undo_len:
-            x, old_p, old_pp = undo.pop()
-            parent[x], ppos[x] = old_p, old_pp
+        u, v = self.ends[e]
+        x = u if self.parent[u] == v else v
+        self.parent[x] = self.ppos[x] = -1
 
     def current_face_is_nbc(self) -> bool:
         """Rule 2 on the face as it stands.  For a face built through can_add
@@ -349,7 +342,7 @@ class _OracleEngine:
         members = self.members
         return len(members) < self.full and e not in members and is_nbc(self.x, members + [e])
 
-    def extensions(self, cand, inherited: bool) -> list:
+    def extensions(self, cand) -> list:
         can_add = self.can_add
         return [e for e in cand if can_add(e)]
 
@@ -372,31 +365,37 @@ def _engine(x: NbcComplex):
     return _OracleEngine(x)
 
 
+def _root_engine(x: NbcComplex, root):
+    """An engine holding the face root, or None when root is not an NBC face."""
+    eng = _engine(x)
+    for e in sorted(root):
+        if not eng.can_add(e):
+            return None
+        eng.push(e)
+    return eng if eng.current_face_is_nbc() else None
+
+
 def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
     """Every NBC face containing root, root first, in preorder: a face's
     children add its accepted extensions in ascending element id, each child
     trying only the extensions after its own.  Yields the engine's live member
     list (root elements first); yields nothing when root is not an NBC face.
     A facet is appended to that list and removed again, never pushed."""
-    eng = _engine(x)
-    for e in sorted(root):
-        if not eng.can_add(e):
-            return
-        eng.push(e)
-    if not eng.current_face_is_nbc():
+    eng = _root_engine(x, root)
+    if eng is None:
         return
     members, full = eng.members, eng.full
     extensions, push, pop = eng.extensions, eng.push, eng.pop
     budget = MAX_NBC_FACES
     frames = []  # per non-full face on the path: [its accepted extensions, next child]
-    cand, inherited = range(eng.m), False
+    accepted = [e for e in range(eng.m) if eng.can_add(e)]
     while True:
         if budget <= 0 and not force:
             raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
         budget -= 1
         yield members
         if len(members) < full:
-            frames.append([extensions(cand, inherited), 0])
+            frames.append([accepted, 0])
         elif frames:
             members.pop()  # a facet below the root was appended, not pushed
         while frames:
@@ -407,7 +406,7 @@ def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
                 frame[1] = i + 1
                 if len(members) + 1 < full:
                     push(e)
-                    cand, inherited = accepted[i + 1 :], True
+                    accepted = extensions(accepted[i + 1 :])
                 else:
                     members.append(e)
                 break
@@ -454,14 +453,20 @@ def link_facets(x: NbcComplex, tau, force: bool = False):
 
 
 def extend_to_nbc_base(x: NbcComplex, i, force: bool = False) -> frozenset:
-    """The first NBC base the face walk reaches from i, which is the
-    lexicographically smallest NBC base containing i."""
-    rank = x.matroid.rank
-    is_face = False
-    for face in _walk(x, x.matroid.check_subset(i), force):
-        if len(face) == rank:
-            return frozenset(face)
-        is_face = True
-    if not is_face:
+    """The lexicographically smallest NBC base containing i, the first base
+    the face walk reaches from i.  The walk's first path adds, in ascending
+    id, each element the face at hand accepts: an id rejected once stays
+    rejected (the complex is closed under subsets), and the complex is pure,
+    so one ascending scan finds the base."""
+    eng = _root_engine(x, x.matroid.check_subset(i))
+    if eng is None:
         raise PreconditionError("the given set is not an NBC face")
-    raise VerificationError("purity violated: the NBC face does not extend to a base")
+    members = eng.members
+    if eng.full - len(members) >= MAX_NBC_FACES and not force:
+        raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
+    for e in range(eng.m):
+        if eng.can_add(e):
+            eng.push(e)
+    if len(members) < eng.full:
+        raise VerificationError("purity violated: the NBC face does not extend to a base")
+    return frozenset(members)

@@ -7,6 +7,7 @@ import pytest
 from nbcwalk import (
     GraphicMatroid,
     MultiGraph,
+    NbcComplex,
     PreconditionError,
     SizeGuardError,
     TruncatedMatroid,
@@ -284,3 +285,15 @@ class TestFundamentalCircuitOracle:
         monkeypatch.setattr(matroids, "is_forest", lambda *args: calls.append(args) or real(*args))
         assert is_nbc(inst.complex(), inst.tau)
         assert len(calls) == 1
+
+    def test_is_nbc_builds_one_adjacency_per_call(self, monkeypatch):
+        """One forest-path adjacency per is_nbc call serves every element it
+        tries, on a truncated and on a plain graphic complex."""
+        inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 16, 2)
+        k5 = GraphicMatroid(build_named_graph("complete", 5))
+        real, calls = matroids._forest_paths, []
+        monkeypatch.setattr(matroids, "_forest_paths", lambda *args: calls.append(args) or real(*args))
+        assert is_nbc(inst.complex(), inst.tau)
+        assert len(calls) == 1
+        assert is_nbc(NbcComplex(k5), {0, 1}) and not is_nbc(NbcComplex(k5), {1, 4})
+        assert len(calls) == 3

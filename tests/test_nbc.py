@@ -290,6 +290,27 @@ class TestDeepFaces:
         x = NbcComplex(GraphicMatroid(build_named_graph("path", 1200)))
         assert extend_to_nbc_base(x, ()) == frozenset(range(1199))
 
+    def test_extension_examines_each_candidate_once(self, monkeypatch):
+        """The first base is one ascending pass over the ids: candidates
+        examined, as list entries filtered plus can_add calls, stay linear in
+        the depth (filtering each level's whole list costs about 7e5 here)."""
+        examined = [0]
+        can_add, extensions = nbc._GraphicEngine.can_add, nbc._GraphicEngine.extensions
+
+        def counted_can_add(self, e):
+            examined[0] += 1
+            return can_add(self, e)
+
+        def counted_extensions(self, cand):
+            examined[0] += len(cand)
+            return extensions(self, cand)
+
+        monkeypatch.setattr(nbc._GraphicEngine, "can_add", counted_can_add)
+        monkeypatch.setattr(nbc._GraphicEngine, "extensions", counted_extensions)
+        x = NbcComplex(GraphicMatroid(build_named_graph("path", 1200)))
+        assert extend_to_nbc_base(x, ()) == frozenset(range(1199))
+        assert examined[0] <= 2 * 1199
+
 
 def _parallel_theta():
     """Theta graph with doubled edges, so 2-cycles sit beside longer ones."""
@@ -417,7 +438,7 @@ class TestLongForestPaths:
 
 
 def _forest_state(eng):
-    return eng.label, eng.comp, eng.parent, eng.ppos
+    return eng.label, eng.comp
 
 
 def _check_rooted_forest(eng, g, order):
@@ -444,9 +465,11 @@ class TestEngineUndo:
         "g", LONG_PATH_GRAPHS + (build_named_graph("complete", 6),), ids=["theta", "chorded", "k6"]
     )
     def test_push_pop_matches_a_fresh_engine(self, g):
-        """After any run of pushes and pops, the forest state is the one a
-        fresh engine reaches by pushing the same members, and can_add still
-        agrees with is_nbc on every NBC face along the way."""
+        """After any run of pushes and pops, the component labels and member
+        lists are the ones a fresh engine reaches by pushing the same members,
+        the parent pointers root the face (their rooting depends on the
+        history), and can_add still agrees with is_nbc on every NBC face
+        along the way."""
         rng = random.Random(SEED)
         rank = GraphicMatroid(g).rank
         longest_reroot = 0
@@ -462,9 +485,10 @@ class TestEngineUndo:
                 if eng.members and (not joins or rng.random() < 0.35):
                     eng.pop()
                 else:
-                    undo = len(eng._undo)
+                    before = list(eng.parent)
                     eng.push(rng.choice(joins))
-                    longest_reroot = max(longest_reroot, len(eng._undo) - undo)
+                    changed = sum(a != b for a, b in zip(before, eng.parent))
+                    longest_reroot = max(longest_reroot, changed)
                 fresh = nbc._GraphicEngine(g, order, rank)
                 for e in eng.members:
                     fresh.push(e)
@@ -475,6 +499,33 @@ class TestEngineUndo:
                     for e in range(g.edge_count):
                         assert eng.can_add(e) == (e not in face and is_nbc(x, face | {e})), (face, e)
         assert longest_reroot >= 2  # some push re-rooted a component at a non-root vertex
+
+
+class TestCanAddKeepsTheFace:
+    @pytest.mark.parametrize(
+        "g", LONG_PATH_GRAPHS + (build_named_graph("complete", 6),), ids=["theta", "chorded", "k6"]
+    )
+    def test_can_add_changes_only_the_rooting(self, g):
+        """can_add may re-root trees, but leaves the labels, member lists,
+        face and running minima as they were, and the parent pointers still
+        root the face."""
+        rng = random.Random(SEED)
+        rank = GraphicMatroid(g).rank
+        for ranking in random_orders(g.edge_count, 3):
+            order = ElementOrder(ranking)
+            eng = nbc._GraphicEngine(g, order, rank)
+            for _ in range(40):
+                accepted = [e for e in range(g.edge_count) if eng.can_add(e)]
+                if eng.members and (not accepted or rng.random() < 0.3):
+                    eng.pop()
+                    continue
+                eng.push(rng.choice(accepted))
+                before = ([list(c) for c in eng.comp], list(eng.label), list(eng.members), list(eng._mins))
+                for e in rng.sample(range(g.edge_count), g.edge_count):
+                    eng.can_add(e)
+                    after = ([list(c) for c in eng.comp], eng.label, eng.members, eng._mins)
+                    assert after == before, e
+                    _check_rooted_forest(eng, g, order)
 
 
 def _candidate_list_cases():
@@ -497,11 +548,10 @@ class TestCandidateLists:
         original = nbc._GraphicEngine.extensions
         checked = [0]
 
-        def checking(self, cand, inherited):
-            got = original(self, cand, inherited)
-            if inherited:
-                assert got == [e for e in cand if self.can_add(e)], (self.members, cand)
-                checked[0] += 1
+        def checking(self, cand):
+            got = original(self, cand)
+            assert got == [e for e in cand if self.can_add(e)], (self.members, cand)
+            checked[0] += 1
             return got
 
         monkeypatch.setattr(nbc._GraphicEngine, "extensions", checking)
