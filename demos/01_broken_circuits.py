@@ -2,15 +2,18 @@
 
 A circuit minus its smallest edge is a broken circuit; independent sets
 avoiding all broken circuits form a complex whose face counts are the
-absolute coefficients of the chromatic polynomial.
+absolute coefficients of the chromatic polynomial.  That complex is a cone
+over the order-smallest edge, so every NBC base contains it.
 """
 
 from nbcwalk import (
+    ElementOrder,
     GraphicMatroid,
     NbcComplex,
     build_named_graph,
     chromatic_polynomial,
     count_acyclic_orientations,
+    enumerate_nbc_bases,
     face_numbers,
 )
 
@@ -44,4 +47,15 @@ assert all(
     n == abs(chi23.coefficients[k23.vertex_count - k]) for k, n in enumerate(f23)
 )
 assert sum(f23) == count_acyclic_orientations(k23)
+
+# No broken circuit contains the order-smallest edge, and a cycle through it
+# would leave a broken circuit behind, so adding that edge to an NBC face
+# keeps it NBC: the complex is a cone over it, whichever order picks it.
+k4 = build_named_graph("complete", 4)
+for ranking in (range(6), range(5, -1, -1)):
+    order = ElementOrder(ranking)
+    bases = enumerate_nbc_bases(NbcComplex(GraphicMatroid(k4), order))
+    smallest = order.ranking[0]
+    print(f"K4 under order {list(order.ranking)}: {len(bases)} NBC bases, all holding edge {smallest}")
+    assert len(bases) == 6 and all(smallest in b for b in bases)
 print("all identities check out")

@@ -11,16 +11,24 @@ Face numbers, facets and links come from one explicit-stack walker, so face
 depth is bounded by memory, not by the recursion limit.  Face numbers are
 by-size counts, so FaceNumbers is graphs.SizeCounts under a second name.  The
 walker drives an engine with a can_add/extensions/push/pop protocol: can_add(e)
-decides exactly whether an NBC face stays NBC with e added, and
+decides exactly whether an NBC face holding e0 stays NBC with e added, and
 extensions(cand) filters, right after a push, a list that the face before it
-accepted in full.  The walk rests on the NBC complex being a simplicial
-complex (Björner, "Homology and shellability of matroids and geometric
-lattices", 1992): if F + e is not a face, no F + f + e is one either.  So a
-face F works out its accepted list A(F) once, and its child F + A[i] tries
-only A[i+1:], which holds every e > A[i] with F + A[i] + e a face; the
-preorder is the one a walk trying every element id in turn would take.
-Facets are appended to the member list and yielded without an engine push.
-Extension to a base scans the ids once, along the walk's first path.
+accepted in full.
+
+Every walk holds e0, the order-smallest element, from its root on.  The NBC
+complex is a cone with apex e0 (Brylawski, "The broken-circuit complex",
+1977): no broken circuit holds e0, and a circuit through e0 has e0 as its
+minimum, so F + e0 is a face whenever F is.  Hence every NBC base holds e0,
+the faces without e0 pair off with the faces F + e0, and the walk visits only
+the faces that hold e0; face_numbers counts the rest through the pairing.  The
+walk rests on the NBC complex being a simplicial complex (Björner, "Homology
+and shellability of matroids and geometric lattices", 1992): if F + e is not a
+face, no F + f + e is one either.  So a face F works out its accepted list
+A(F) once, and its child F + A[i] tries only A[i+1:], which holds every
+e > A[i] with F + A[i] + e a face; the preorder is the one a walk trying every
+element id in turn would take.  Facets are appended to the member list and
+yielded without an engine push.  Extension to a base scans the ids once, along
+the walk's first path.
 
 Graphic and truncated graphic matroids get a pure-Python engine that keeps the
 face as a forest with component labels and parent pointers whose rooting is
@@ -178,19 +186,19 @@ class _GraphicEngine:
     one edge between two vertices.  Each vertex's incidences are
     (order position, neighbour) pairs in ascending position.
 
-    can_add(e) assumes the current face is NBC, so the only circuits that can
-    newly have an absent smallest element are the cycles through e and, at
-    full truncation size, the size circuits.  It applies, in order:
+    can_add(e) requires the current face to be NBC and to hold e0, the
+    order-smallest element, unless e is e0; every face the walk reaches holds
+    e0.  Then the only circuits that can newly have an absent smallest
+    element are the cycles through e: a truncation's size circuits all hold
+    e0, which face + e holds.  It applies, in order:
 
     1. Reject a full face and an e inside one component; an e already in the
        face has both endpoints in one component, so this rejects it too.
-    2. At full truncation size every absent element closes a circuit, so accept
-       only if the order-smallest element is in face + e.
-    3. An absent edge f that closes a cycle through e joins e's two components,
+    2. An absent edge f that closes a cycle through e joins e's two components,
        and e lies on that cycle, so f can be its minimum only if
        pos[f] < pos[e].  Scan the smaller component's incidences, each up to
        pos[e], for such candidates; with none, accept.
-    4. Otherwise make e's endpoints u and v the roots of their trees.  A
+    3. Otherwise make e's endpoints u and v the roots of their trees.  A
        candidate f = xy closes the cycle x ... u, e, v ... y, whose two forest
        sides are the climbs from x and from y to their roots.  Climb each
        side, stopping at the first edge at or below pos[f]; reject e if both
@@ -203,11 +211,10 @@ class _GraphicEngine:
     in P, so e still joins two components (rule 1), and the absent edges
     joining them, and the forest paths that close their cycles through e, are
     unchanged: a cannot be one of those edges, since it joined two other
-    components.  So rules 3 and 4 see the same cycles at F as at P, where
-    P + e is NBC and so none of them has an absent minimum.  Rule 2, which
-    depends on the face size and on the face's smallest element, is the one
-    test left; it is applied to the whole list first.  Every other candidate
-    goes through can_add, unless its endpoints now share a component (rule 1).
+    components.  So rules 2 and 3 see the same cycles at F as at P, where
+    P + e is NBC and so none of them has an absent minimum, and e is accepted
+    outright.  Every other candidate goes through can_add, unless its
+    endpoints now share a component (rule 1).
     """
 
     def __init__(self, graph, order: ElementOrder, trunc_rank: int):
@@ -226,7 +233,6 @@ class _GraphicEngine:
         self.parent = [-1] * nv
         self.ppos = [-1] * nv
         self.members = []
-        self._mins = [self.m]  # order positions are < m, so m acts as +infinity
         self._merges = []
 
     def _hang(self, s: int, p: int, pp: int):
@@ -235,9 +241,9 @@ class _GraphicEngine:
             parent[s], ppos[s], s, p, pp = p, pp, parent[s], s, ppos[s]
 
     def can_add(self, e: int) -> bool:
-        """True iff the current face (assumed NBC) stays NBC after adding e."""
-        size = len(self.members)
-        if size >= self.full:
+        """True iff the current face (assumed NBC, and holding e0 unless e is
+        e0) stays NBC after adding e."""
+        if len(self.members) >= self.full:
             return False
         u, v = self.ends[e]
         label = self.label
@@ -245,8 +251,6 @@ class _GraphicEngine:
         if small == big:
             return False
         pos_e = self.pos[e]
-        if size + 1 == self.full and pos_e and self._mins[-1]:
-            return False
         if len(self.comp[small]) > len(self.comp[big]):
             small, big = big, small
         incidences = self.incidences
@@ -275,13 +279,9 @@ class _GraphicEngine:
     def extensions(self, cand) -> list:
         """The elements of cand that can_add accepts, in cand's order.  The
         face before the last push accepted all of cand, so an e whose
-        components that push left alone needs rule 2 only."""
-        size = len(self.members)
-        if size >= self.full:
+        components that push left alone is accepted without a cycle scan."""
+        if len(self.members) >= self.full:
             return []
-        if size + 1 == self.full and self._mins[-1]:
-            pos = self.pos
-            cand = [e for e in cand if not pos[e]]  # rule 2
         big = self._merges[-1][0]
         label, ends, can_add = self.label, self.ends, self.can_add
         out = []
@@ -303,15 +303,11 @@ class _GraphicEngine:
         for x in comp[small]:
             label[x] = big
         grown.extend(comp[small])
-        pos_e = self.pos[e]
-        self._hang(s, t, pos_e)
+        self._hang(s, t, self.pos[e])
         self.members.append(e)
-        low = self._mins[-1]
-        self._mins.append(pos_e if pos_e < low else low)
 
     def pop(self):
         e = self.members.pop()
-        self._mins.pop()
         big, small, old_len = self._merges.pop()
         grown = self.comp[big]
         label = self.label
@@ -321,12 +317,6 @@ class _GraphicEngine:
         u, v = self.ends[e]
         x = u if self.parent[u] == v else v
         self.parent[x] = self.ppos[x] = -1
-
-    def current_face_is_nbc(self) -> bool:
-        """Rule 2 on the face as it stands.  For a face built through can_add
-        this is the whole NBC test; it is what rejects the empty face of a
-        rank-0 truncation, where every element is a loop."""
-        return len(self.members) < self.full or self._mins[-1] == 0
 
 
 class _OracleEngine:
@@ -352,9 +342,6 @@ class _OracleEngine:
     def pop(self):
         self.members.pop()
 
-    def current_face_is_nbc(self) -> bool:
-        return is_nbc(self.x, self.members)
-
 
 def _engine(x: NbcComplex):
     matroid = x.matroid
@@ -366,33 +353,38 @@ def _engine(x: NbcComplex):
 
 
 def _root_engine(x: NbcComplex, root):
-    """An engine holding the face root, or None when root is not an NBC face."""
+    """An engine holding the face root plus e0, the order-smallest element, or
+    None when root is not an NBC face (root + e0 is one exactly when root is)."""
     eng = _engine(x)
-    for e in sorted(root):
+    apex = x.order.ranking[:1]
+    for e in (*apex, *sorted(root.difference(apex))):
         if not eng.can_add(e):
             return None
         eng.push(e)
-    return eng if eng.current_face_is_nbc() else None
+    return eng
 
 
 def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
-    """Every NBC face containing root, root first, in preorder: a face's
-    children add its accepted extensions in ascending element id, each child
-    trying only the extensions after its own.  Yields the engine's live member
-    list (root elements first); yields nothing when root is not an NBC face.
-    A facet is appended to that list and removed again, never pushed."""
+    """Every NBC face containing root and e0, in preorder from root + e0: a
+    face's children add its accepted extensions in ascending element id, each
+    child trying only the extensions after its own.  Yields the engine's live
+    member list (e0 and the root elements first); yields nothing when root is
+    not an NBC face.  A facet is appended to that list and removed again, never
+    pushed.  MAX_NBC_FACES caps the faces containing root: when root lacks e0,
+    each face yielded stands for two, itself and itself minus e0."""
     eng = _root_engine(x, root)
     if eng is None:
         return
     members, full = eng.members, eng.full
     extensions, push, pop = eng.extensions, eng.push, eng.pop
+    cost = 2 if len(members) > len(root) else 1  # e0 was added to root
     budget = MAX_NBC_FACES
     frames = []  # per non-full face on the path: [its accepted extensions, next child]
     accepted = [e for e in range(eng.m) if eng.can_add(e)]
     while True:
-        if budget <= 0 and not force:
+        if budget < cost and not force:
             raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
-        budget -= 1
+        budget -= cost
         yield members
         if len(members) < full:
             frames.append([accepted, 0])
@@ -436,11 +428,15 @@ def enumerate_nbc_bases(x: NbcComplex, force: bool = False):
 
 
 def face_numbers(x: NbcComplex, force: bool = False) -> SizeCounts:
-    """Exact Whitney numbers n_0..n_rank by pruned enumeration."""
-    counts = [0] * (x.matroid.rank + 1)
+    """Exact Whitney numbers n_0..n_rank by pruned enumeration.  The walk
+    yields c_j faces of size j, all holding e0, and each face F without e0
+    pairs with F + e0, so n_j = c_j + c_{j+1}.  On an empty ground set the
+    walk yields the empty face alone, and n_0 = c_0 = 1."""
+    rank = x.matroid.rank
+    counts = [0] * (rank + 2)
     for face in _walk(x, force=force):
         counts[len(face)] += 1
-    return SizeCounts(tuple(counts))
+    return SizeCounts(tuple(counts[j] + counts[j + 1] for j in range(rank + 1)))
 
 
 def link_facets(x: NbcComplex, tau, force: bool = False):
@@ -458,11 +454,12 @@ def extend_to_nbc_base(x: NbcComplex, i, force: bool = False) -> frozenset:
     id, each element the face at hand accepts: an id rejected once stays
     rejected (the complex is closed under subsets), and the complex is pure,
     so one ascending scan finds the base."""
-    eng = _root_engine(x, x.matroid.check_subset(i))
+    root = x.matroid.check_subset(i)
+    eng = _root_engine(x, root)
     if eng is None:
         raise PreconditionError("the given set is not an NBC face")
     members = eng.members
-    if eng.full - len(members) >= MAX_NBC_FACES and not force:
+    if eng.full - len(root) >= MAX_NBC_FACES and not force:
         raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
     for e in range(eng.m):
         if eng.can_add(e):

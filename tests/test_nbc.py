@@ -10,6 +10,7 @@ from nbcwalk import (
     ElementOrder,
     FaceNumbers,
     GraphicMatroid,
+    Matroid,
     MultiGraph,
     NbcComplex,
     PreconditionError,
@@ -335,8 +336,8 @@ def _three_ways(g, rank, ranking):
 
 
 class TestPruningRules:
-    """The full-truncation rule and the candidate filter, against brute force
-    and the oracle engine, on every truncation under random orders."""
+    """The cone-apex walk and the candidate filter, against brute force and
+    the oracle engine, on every truncation under random orders."""
 
     def test_face_numbers_and_bases_at_every_rank(self):
         for g, rank, ranking in _pruning_cases():
@@ -506,9 +507,8 @@ class TestCanAddKeepsTheFace:
         "g", LONG_PATH_GRAPHS + (build_named_graph("complete", 6),), ids=["theta", "chorded", "k6"]
     )
     def test_can_add_changes_only_the_rooting(self, g):
-        """can_add may re-root trees, but leaves the labels, member lists,
-        face and running minima as they were, and the parent pointers still
-        root the face."""
+        """can_add may re-root trees, but leaves the labels, member lists and
+        face as they were, and the parent pointers still root the face."""
         rng = random.Random(SEED)
         rank = GraphicMatroid(g).rank
         for ranking in random_orders(g.edge_count, 3):
@@ -520,10 +520,10 @@ class TestCanAddKeepsTheFace:
                     eng.pop()
                     continue
                 eng.push(rng.choice(accepted))
-                before = ([list(c) for c in eng.comp], list(eng.label), list(eng.members), list(eng._mins))
+                before = ([list(c) for c in eng.comp], list(eng.label), list(eng.members))
                 for e in rng.sample(range(g.edge_count), g.edge_count):
                     eng.can_add(e)
-                    after = ([list(c) for c in eng.comp], eng.label, eng.members, eng._mins)
+                    after = ([list(c) for c in eng.comp], eng.label, eng.members)
                     assert after == before, e
                     _check_rooted_forest(eng, g, order)
 
@@ -581,8 +581,8 @@ class TestCandidateLists:
 
 
 class TestFaceBudget:
-    """MAX_NBC_FACES counts every face the walk yields, facets included, and
-    trips on the first face past it."""
+    """MAX_NBC_FACES counts every face containing the walk's root, facets
+    included, and trips as soon as that count passes it."""
 
     def _k5(self):
         g = build_named_graph("complete", 5)
@@ -611,9 +611,88 @@ class TestFaceBudget:
 
     def test_extension_stops_at_its_first_base(self, monkeypatch):
         x, _ = self._k5()
-        # The walk yields the empty face and one face per level down to the base.
+        # The path holds the empty face and one face per level down to the base.
         monkeypatch.setattr(nbc, "MAX_NBC_FACES", x.rank + 1)
         assert extend_to_nbc_base(x, ()) == frozenset({0, 1, 2, 3})
         monkeypatch.setattr(nbc, "MAX_NBC_FACES", x.rank)
         with pytest.raises(SizeGuardError):
             extend_to_nbc_base(x, ())
+
+
+class _LoopedMatroid(Matroid):
+    """Rank 2 on four elements, any two independent unless one is the loop."""
+
+    ground_size = 4
+
+    def __init__(self, loop):
+        super().__init__()
+        self.loop = loop
+
+    def is_independent(self, s) -> bool:
+        return self.loop not in s and len(s) <= 2
+
+
+class TestConeApex:
+    """The NBC complex is a cone with apex e0, the order-smallest element, so
+    every walk holds e0 from its root on."""
+
+    def test_brute_force_faces_form_a_cone(self):
+        for g, rank, ranking in _pruning_cases():
+            faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
+            e0 = ranking[0]
+            for f in faces:
+                if len(f) < rank:
+                    assert f | {e0} in faces, (f, e0)
+                else:
+                    assert e0 in f, (f, e0)
+
+    def test_every_pushed_face_holds_e0(self, monkeypatch):
+        apex, pushes = [None], [0]
+        for engine in (nbc._GraphicEngine, nbc._OracleEngine):
+
+            def checking(self, e, push=engine.push):
+                push(self, e)
+                assert apex[0] in self.members, (self.members, e)
+                pushes[0] += 1
+
+            monkeypatch.setattr(engine, "push", checking)
+        rng = random.Random(SEED)
+        for g, rank, ranking in _pruning_cases():
+            faces, fast, slow = _three_ways(g, rank, ranking)
+            apex[0] = ranking[0]
+            taus = rng.sample(sorted(faces, key=sorted), min(4, len(faces)))
+            for x in (fast, slow):
+                face_numbers(x)
+                enumerate_nbc_bases(x)
+                for tau in taus:
+                    link_facets(x, tau)
+                    extend_to_nbc_base(x, tau)
+        assert pushes[0] > 1000
+
+    def test_k7_bases_push_only_faces_holding_e0(self, monkeypatch):
+        original = nbc._GraphicEngine.push
+        pushes = [0]
+
+        def counted(self, e):
+            pushes[0] += 1
+            original(self, e)
+
+        monkeypatch.setattr(nbc._GraphicEngine, "push", counted)
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 7)))
+        assert len(enumerate_nbc_bases(x)) == 720
+        # 2520 of K7's 5040 faces hold e0; the 720 facets are appended, not
+        # pushed.  A walk from the bare root pushes 4319.
+        assert pushes[0] == 2520 - 720
+
+    def test_edgeless_graph(self):
+        g = MultiGraph(3, [])
+        for x in (NbcComplex(GraphicMatroid(g)), NbcComplex(OpaqueMatroid(g))):
+            assert face_numbers(x).counts == (1,)
+            assert enumerate_nbc_bases(x) == (frozenset(),)
+
+    def test_a_loop_empties_the_complex(self):
+        for loop in (0, 2):
+            for ranking in ((0, 1, 2, 3), (3, 2, 1, 0)):
+                x = NbcComplex(_LoopedMatroid(loop), ElementOrder(ranking))
+                assert face_numbers(x).counts == (0, 0, 0)
+                assert enumerate_nbc_bases(x) == ()

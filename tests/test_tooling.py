@@ -1,11 +1,14 @@
 """The demos and the benchmark's self-test run as scripts, as a user would run
-them, so an API change that breaks either fails here; a fresh interpreter
-checks what importing the CLI loads, every example command in README's
-CLI section must run, so the docs cannot drift from the parser, and no
-package module keeps an import it never uses."""
+them, so an API change that breaks either fails here; every benchmark command
+runs in process against its expected report; a fresh interpreter checks what
+importing the CLI loads, every example command in README's CLI section must
+run, so the docs cannot drift from the parser, and no package module keeps an
+import it never uses."""
 
 import ast
+import importlib.util
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -47,6 +50,35 @@ def test_benchmark_selftest_passes():
     done = _run_python(ROOT / "nbcbench" / "selftest.py")
     assert done.returncode == 0, done.stdout + done.stderr
     assert done.stdout.rstrip().endswith("0 failed")
+
+
+def _load_workloads():
+    """nbcbench/workloads.py as a module, without writing its bytecode cache."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "nbcbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses looks its module up
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+workloads = _load_workloads()
+BENCH_COMMANDS = [
+    (name, i) for name, w in sorted(workloads.WORKLOADS.items()) for i in range(len(w.commands))
+]
+
+
+@pytest.mark.parametrize("name,index", BENCH_COMMANDS, ids=[f"{n}-{i}" for n, i in BENCH_COMMANDS])
+def test_benchmark_command_matches_its_expected_report(name, index, capsys):
+    workload = workloads.WORKLOADS[name]
+    argv = workloads.pass_argvs(workload, random.Random(7))[index]
+    code = cli.main(argv)
+    stdout = capsys.readouterr().out
+    expected = workloads.load_expected(workload)[index]
+    assert workloads.check(workload.commands[index], expected, code, stdout) == [], argv
 
 
 def test_cli_import_and_desk_walks_leave_scipy_unloaded():
