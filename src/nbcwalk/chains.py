@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -162,7 +161,8 @@ class DownUpWalk(_LabeledStates):
     P(S, T) = sum of 1/(d |r|) over the ridges r in both S and T.  Distinct
     facets share at most one ridge.  ridge_members[r] lists the facet positions
     containing ridge r; facet_ridges[i] the d ridges of facet i.  Build it with
-    down_up_matrix.
+    down_up_matrix.  entry and rows read P off the incidence; rows are plain
+    dicts built on each access, which no solve or certificate needs.
     """
 
     __slots__ = ("index", "d", "ridge_members", "facet_ridges")
@@ -179,9 +179,16 @@ class DownUpWalk(_LabeledStates):
 
     @property
     def rows(self) -> tuple:
-        """Rows as read-only mappings column -> exact entry over each row's
-        support, as for StochasticMatrix; entries are computed on access."""
-        return tuple(_WalkRow(self, i) for i in range(self.size))
+        """Rows as dicts column -> exact entry over each row's support, as for
+        StochasticMatrix: the diagonal, and 1/(d |r|) at each facet that
+        shares a ridge r with the row's own.  Built on every access."""
+        share = [Fraction(1, self.d * len(m)) for m in self.ridge_members]
+        out = []
+        for i, p in enumerate(self._diagonal()):
+            row = {j: share[r] for r in self.facet_ridges[i] for j in self.ridge_members[r]}
+            row[i] = p
+            out.append(row)
+        return tuple(out)
 
     def is_symmetric(self) -> bool:
         return True
@@ -239,28 +246,6 @@ class DownUpWalk(_LabeledStates):
 
     def __repr__(self):
         return f"DownUpWalk({self.size} states, d={self.d})"
-
-
-class _WalkRow(Mapping):
-    """Row i of a DownUpWalk: the facets sharing a ridge with facet i."""
-
-    __slots__ = ("_walk", "_i", "_cols")
-
-    def __init__(self, walk, i):
-        self._walk = walk
-        self._i = i
-        self._cols = frozenset(j for r in walk.facet_ridges[i] for j in walk.ridge_members[r])
-
-    def __getitem__(self, j) -> Fraction:
-        if j not in self._cols:
-            raise KeyError(j)
-        return self._walk.entry(self._i, j)
-
-    def __iter__(self):
-        return iter(sorted(self._cols))
-
-    def __len__(self):
-        return len(self._cols)
 
 
 def down_up_matrix(facets) -> DownUpWalk:

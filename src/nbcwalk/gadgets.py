@@ -18,6 +18,7 @@ from .chains import check_eig_states, conductance, down_up_matrix, neighbor_rati
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import (
     MultiGraph,
+    SizeCounts,
     build_named_graph,
     count_independent_sets_by_size,
     disjoint_union,
@@ -538,18 +539,16 @@ def build_hardcore_reduction(g: MultiGraph, r: int) -> MultiGraph:
     r = int(r)
     if r < 0:
         raise PreconditionError("r must be non-negative")
-    k8 = build_named_graph("complete", 8)
-    out = g
-    for _ in range(r):
-        out = disjoint_union(out, k8)
-    return out
+    return disjoint_union(g, build_named_graph("disjoint_union_of_copies", "complete", 8, r))
 
 
 def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> dict:
     """Exhaustively certify the disjoint-union counting identities: the
     closed-form i_m(r K8) = C(r,m) 8^m, the convolution for the union, the
     count-ratio closed form, and the T_{S,k} levels with their successor
-    ratio.  Any exact mismatch raises with the failing identity."""
+    ratio.  g's independent sets are listed once, and the union is g beside
+    the copies whose closed form was checked first, as build_hardcore_reduction
+    builds it.  Any exact mismatch raises with the failing identity."""
     r = int(r)
     if r < 0:
         raise PreconditionError("r must be non-negative")
@@ -558,8 +557,8 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
             f"r={r}, |V|={g.vertex_count} exceeds desk scale "
             f"(r <= {HARDCORE_MAX_COPIES}, |V| <= {HARDCORE_MAX_BASE_VERTICES})"
         )
-    union = build_hardcore_reduction(g, r)
-    counts_g = count_independent_sets_by_size(g, force=True)
+    sets_g = tuple(iter_independent_sets(g, force=True))
+    counts_g = SizeCounts.tally(sets_g)
     copies = build_named_graph("disjoint_union_of_copies", "complete", 8, r)
     counts_copies = count_independent_sets_by_size(copies, force=True)
     for mm in range(len(counts_copies.counts)):
@@ -570,6 +569,7 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
             )
     if len(counts_copies.counts) != r + 1:
         raise VerificationError("r K8 independence counts do not stop at size r")
+    union = disjoint_union(g, copies)
     counts_union = count_independent_sets_by_size(union, force=True)
     conv = counts_g.convolve(counts_copies)
     for k in range(len(counts_union.counts)):
@@ -592,7 +592,7 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
     for ind in iter_independent_sets(union, force=True):
         key = (ind & base_vertices, len(ind))
         levels[key] = levels.get(key, 0) + 1
-    for s in iter_independent_sets(g, force=True):
+    for s in sets_g:
         for k in range(len(s), len(s) + r + 1):
             expected = math.comb(r, k - len(s)) * 8 ** (k - len(s))
             got = levels.get((s, k), 0)

@@ -1,9 +1,10 @@
 """Labeled multigraphs and the exact counting oracles built on them.
 
 Everything here is deterministic and exact: chromatic polynomials come from
-deletion-contraction over integers, orientation / independent-set / parking
-counts from bounded brute force.  Edge indices double as the element ids of the
-graphic matroid layered on top, so edge order matters and is part of the data.
+deletion-contraction over integers, orientation and independent-set counts
+from bounded brute force, and parking counts from Dhar's burning test on every
+candidate function.  Edge indices double as the element ids of the graphic
+matroid layered on top, so edge order matters and is part of the data.
 """
 
 from __future__ import annotations
@@ -65,26 +66,10 @@ class MultiGraph:
         return out
 
     def is_connected(self) -> bool:
-        """True for the one-vertex and empty graph; otherwise BFS over all edges."""
+        """True for the one-vertex and empty graph; otherwise true iff the
+        union-find over all edges joins n - 1 times."""
         n = self.vertex_count
-        if n <= 1:
-            return True
-        adj = [[] for _ in range(n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    count += 1
-                    stack.append(y)
-        return count == n
+        return n <= 1 or sum(_joins(n, self.edges)) == n - 1
 
     def __eq__(self, other):
         return (
@@ -162,10 +147,10 @@ def disjoint_union(g: MultiGraph, h: MultiGraph) -> MultiGraph:
     return MultiGraph(g.vertex_count + h.vertex_count, edges)
 
 
-def is_forest(g: MultiGraph, edge_ids) -> bool:
-    """True iff the edge set induces no cycle; a parallel pair already fails."""
-    s = g.validate_edge_ids(edge_ids)
-    parent = list(range(g.vertex_count))
+def _joins(n: int, pairs):
+    """Union-find on vertices 0..n-1: for each endpoint pair in turn, yield
+    whether it joined two trees of the forest grown from the pairs before it."""
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -173,13 +158,15 @@ def is_forest(g: MultiGraph, edge_ids) -> bool:
             x = parent[x]
         return x
 
-    for e in s:
-        u, v = g.edges[e]
+    for u, v in pairs:
         ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
         parent[ru] = rv
-    return True
+        yield ru != rv
+
+
+def is_forest(g: MultiGraph, edge_ids) -> bool:
+    """True iff the edge set induces no cycle; a parallel pair already fails."""
+    return all(_joins(g.vertex_count, (g.edges[e] for e in g.validate_edge_ids(edge_ids))))
 
 
 def _forest_paths(g: MultiGraph, edge_ids):
@@ -433,46 +420,46 @@ def hardcore_partition(g: MultiGraph, fugacity, force: bool = False) -> Fraction
 
 def count_g_parking_functions(g: MultiGraph, root: int, force: bool = False) -> int:
     """Count maps f on the non-root vertices where every nonempty subset S of them
-    has some v in S with f(v) strictly below the number of edges from v leaving S."""
+    has some v in S with f(v) strictly below the number of edges from v leaving S.
+
+    Each candidate f, with 0 <= f(v) < deg(v), goes through Dhar's burning
+    test (Dhar, PRL 64, 1990): fire starts at the root, and a vertex catches
+    once more than f(v) of its edges lead to burnt vertices.  f counts iff
+    every vertex burns; otherwise the unburnt set is a subset S in which
+    every v has f(v) at least its edges leaving S."""
     if not 0 <= root < g.vertex_count:
         raise PreconditionError(f"root {root} out of range")
     if not g.is_connected():
         raise PreconditionError("parking functions need a connected graph")
-    nonroot = [v for v in range(g.vertex_count) if v != root]
-    if len(nonroot) > PARKING_MAX_NONROOT and not force:
+    n = g.vertex_count
+    if n - 1 > PARKING_MAX_NONROOT and not force:
         raise SizeGuardError(
-            f"{len(nonroot)} non-root vertices exceeds PARKING_MAX_NONROOT={PARKING_MAX_NONROOT}"
+            f"{n - 1} non-root vertices exceeds PARKING_MAX_NONROOT={PARKING_MAX_NONROOT}"
         )
-    degs = [g.degree(v) for v in nonroot]
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    limits = [len(a) for a in adj]
+    limits[root] = 1
     space = 1
-    for d in degs:
-        space *= max(d, 1)
+    for d in limits:
+        space *= d
     if space > PARKING_MAX_FUNCTIONS and not force:
         raise SizeGuardError(
             f"{space} candidate functions exceeds PARKING_MAX_FUNCTIONS={PARKING_MAX_FUNCTIONS}"
         )
-    pos = {v: i for i, v in enumerate(nonroot)}
-    k = len(nonroot)
-    # For every subset S (as a bitmask over nonroot) precompute out-degrees into
-    # the complement, root included.
-    subset_outdeg = []
-    for mask in range(1, 1 << k):
-        out = []
-        for i in range(k):
-            if not mask >> i & 1:
-                continue
-            v = nonroot[i]
-            d = 0
-            for u, w in g.edges:
-                if u != v and w != v:
-                    continue
-                other = w if u == v else u
-                if other == root or not mask >> pos[other] & 1:
-                    d += 1
-            out.append((i, d))
-        subset_outdeg.append(out)
     count = 0
-    for f in itertools.product(*(range(d) for d in degs)):
-        if all(any(f[i] < d for i, d in out) for out in subset_outdeg):
-            count += 1
+    for f in itertools.product(*map(range, limits)):
+        # Each edge to a burnt vertex takes one from fuel[v], and v catches
+        # as its fuel drops below zero; the root is alight from the start.
+        fuel = list(f)
+        fuel[root] = -1
+        fire = [root]
+        for x in fire:
+            for y in adj[x]:
+                if fuel[y] == 0:
+                    fire.append(y)
+                fuel[y] -= 1
+        count += len(fire) == n
     return count

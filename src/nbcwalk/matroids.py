@@ -2,12 +2,12 @@
 
 A matroid here is anything exposing ``ground_size`` and an exact
 ``is_independent``; ranks, circuits, and fundamental circuits all reduce to
-independence calls.  Graphic matroids use union-find instead, and their hook
-finds circuits by forest-path searches over one adjacency per checked
-independent set; truncations delegate to the matroid they wrap.  Brute-force
-circuit enumeration is kept for desk-scale cross-checks and guarded
-accordingly; truncations inherit it, since it runs on their own
-is_independent.
+independence calls.  Graphic matroids instead read independence and rank off
+the one union-find in graphs, and their hook finds circuits by forest-path
+searches over one adjacency per checked independent set; truncations delegate
+to the matroid they wrap.  Brute-force circuit enumeration is kept for
+desk-scale cross-checks and guarded accordingly; truncations inherit it, since
+it runs on their own is_independent.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionError, SizeGuardError
-from .graphs import MultiGraph, SizeCounts, _forest_paths, is_forest
+from .graphs import MultiGraph, SizeCounts, _forest_paths, _joins, is_forest
 
 BRUTE_MAX_GROUND = 14
 ENUM_MAX_SETS = 1_000_000
@@ -167,24 +167,9 @@ class GraphicMatroid(Matroid):
         return is_forest(self.graph, subset)
 
     def rank_of(self, subset) -> int:
-        """Successful union-find merges = touched vertices minus components."""
-        s = self.check_subset(subset)
-        parent = {}
-
-        def find(x):
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merges = 0
-        for e in s:
-            u, v = self.graph.edges[e]
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                merges += 1
-        return merges
+        """Union-find joins: touched vertices minus components."""
+        g = self.graph
+        return sum(_joins(g.vertex_count, (g.edges[e] for e in self.check_subset(subset))))
 
     def _fundamental_circuits(self, s: frozenset):
         """e maps to e plus the path in forest s between e's endpoints, or to

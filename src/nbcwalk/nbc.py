@@ -279,9 +279,8 @@ class _GraphicEngine:
     def extensions(self, cand) -> list:
         """The elements of cand that can_add accepts, in cand's order.  The
         face before the last push accepted all of cand, so an e whose
-        components that push left alone is accepted without a cycle scan."""
-        if len(self.members) >= self.full:
-            return []
+        components that push left alone is accepted without a cycle scan.
+        The walk calls it only on a face below full size."""
         big = self._merges[-1][0]
         label, ends, can_add = self.label, self.ends, self.can_add
         out = []
@@ -371,14 +370,19 @@ def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
     member list (e0 and the root elements first); yields nothing when root is
     not an NBC face.  A facet is appended to that list and removed again, never
     pushed.  MAX_NBC_FACES caps the faces containing root: when root lacks e0,
-    each face yielded stands for two, itself and itself minus e0."""
+    each face yielded stands for two, itself and itself minus e0.  The cap
+    refuses before the first yield when 2^(full - |root|) exceeds it, since
+    the complex is pure and the subsets of one facet through root already
+    number that many."""
     eng = _root_engine(x, root)
     if eng is None:
         return
     members, full = eng.members, eng.full
+    budget = MAX_NBC_FACES
+    if 1 << (full - len(root)) > budget and not force:
+        raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
     extensions, push, pop = eng.extensions, eng.push, eng.pop
     cost = 2 if len(members) > len(root) else 1  # e0 was added to root
-    budget = MAX_NBC_FACES
     frames = []  # per non-full face on the path: [its accepted extensions, next child]
     accepted = [e for e in range(eng.m) if eng.can_add(e)]
     while True:

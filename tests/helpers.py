@@ -1,8 +1,8 @@
 """Shared test oracles, all deliberately independent of the package's own
-algorithms: acyclicity by component counting (not union-find), spanning trees
-by matrix-tree with exact rationals, colorings and broken circuits by direct
-brute force.  OpaqueMatroid is the one exception: it drives the package's
-generic Matroid code with graphic independence."""
+algorithms: acyclicity and components by depth-first search (not union-find),
+spanning trees by matrix-tree with exact rationals, colorings and broken
+circuits by direct brute force.  OpaqueMatroid is the one exception: it drives
+the package's generic Matroid code with graphic independence."""
 
 import itertools
 import random
@@ -69,6 +69,41 @@ def subset_acyclic(g, ids):
                     seen.add(y)
                     stack.append(y)
     return len(ids) == len(verts) - comps
+
+
+def component_count(vertex_count, pairs):
+    """Connected components of the graph on vertices 0..vertex_count-1 with
+    the given endpoint pairs, by depth-first search."""
+    adj = [[] for _ in range(vertex_count)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * vertex_count
+    comps = 0
+    for r in range(vertex_count):
+        if seen[r]:
+            continue
+        comps += 1
+        seen[r] = True
+        stack = [r]
+        while stack:
+            for y in adj[stack.pop()]:
+                if not seen[y]:
+                    seen[y] = True
+                    stack.append(y)
+    return comps
+
+
+def random_multigraphs(count=30, max_vertices=7, max_edges=10, seed=SEED):
+    """Seeded random multigraphs, drawn with replacement from the vertex
+    pairs: parallel edges, isolated vertices and disconnected graphs occur."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n = rng.randint(2, max_vertices)
+        pairs = list(itertools.combinations(range(n), 2))
+        out.append(MultiGraph(n, [rng.choice(pairs) for _ in range(rng.randint(0, max_edges))]))
+    return out
 
 
 def brute_circuits(m, indep):

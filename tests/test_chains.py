@@ -167,6 +167,15 @@ class TestDownUpAgainstOracle:
                     j: oracle[s, t] for j, t in enumerate(p.index) if (s, t) in oracle
                 }
 
+    def test_rows_match_on_every_case(self):
+        for facets in _oracle_corpus():
+            p = down_up_matrix(facets)
+            oracle = _oracle_down_up(facets)
+            assert [dict(row) for row in p.rows] == [
+                {j: oracle[s, t] for j, t in enumerate(p.index) if (s, t) in oracle}
+                for s in p.index
+            ]
+
     def test_conductance_and_neighbors_match(self):
         rng = random.Random(11)
         for facets in _oracle_corpus():
@@ -183,6 +192,21 @@ class TestDownUpAgainstOracle:
                 outside = {b for (a, b), v in oracle.items() if a in s and b not in s and v}
                 assert conductance(p, s) == crossing / len(s)
                 assert neighbor_ratio(p, s) == F(len(outside), len(s))
+
+
+class TestRowSupport:
+    """A down-up row holds the diagonal and |r| - 1 other facets per ridge r,
+    since two facets share at most one ridge; the tracer reports the total as
+    chains.nnz."""
+
+    @pytest.mark.parametrize(
+        "spec,rank,nnz", [("complete:8", 4, 82457), ("complete_bipartite:4:5", 5, 152816)]
+    )
+    def test_nonzeros(self, spec, rank, nnz):
+        g = build_named_graph(*spec.split(":"))
+        walk = down_up_matrix(NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank)))
+        assert walk.size + sum(len(m) * (len(m) - 1) for m in walk.ridge_members) == nnz
+        assert sum(len(row) for row in walk.rows) == nnz
 
 
 class TestLocalWalk:

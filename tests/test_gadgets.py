@@ -18,6 +18,7 @@ from nbcwalk import (
     build_opt_reduction,
     count_independent_sets_by_size,
     critical_threshold,
+    disjoint_union,
     down_up_matrix,
     enumerate_nbc_bases,
     gadgets,
@@ -373,6 +374,34 @@ class TestHardcore:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             verify_hardcore_identities(build_named_graph("complete", 3), 4)
+
+    def test_union_is_g_then_the_copies(self):
+        g = build_named_graph("cycle", 5)
+        k8 = build_named_graph("complete", 8)
+        assert build_hardcore_reduction(g, 2) == disjoint_union(disjoint_union(g, k8), k8)
+        assert build_hardcore_reduction(g, 0) == g
+
+    def test_builds_the_copies_once_and_enumerates_g_once(self, monkeypatch):
+        g = build_named_graph("complete", 3)
+        built, enumerated = [], []
+        real_build, real_iter = gadgets.build_named_graph, graphs.iter_independent_sets
+
+        def building(*args):
+            built.append(args)
+            return real_build(*args)
+
+        def iterating(h, *args, **kwargs):
+            if h is g:
+                enumerated.append(h)
+            return real_iter(h, *args, **kwargs)
+
+        monkeypatch.setattr(gadgets, "build_named_graph", building)
+        for module in (gadgets, graphs):
+            monkeypatch.setattr(module, "iter_independent_sets", iterating)
+        report = verify_hardcore_identities(g, 2)
+        assert report["counts_union"] == (1, 19, 112, 192)
+        assert built == [("disjoint_union_of_copies", "complete", 8, 2)]
+        assert len(enumerated) == 1
 
     def test_successor_ratio_spot_value(self):
         assert F(8 * (10 - 3 + 1 + 1), 3 - 1) == F(36)

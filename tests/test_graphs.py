@@ -1,10 +1,12 @@
 """Graph containers, named builders, and the exact counting oracles."""
 
-import pytest
-
+import random
 from fractions import Fraction
 
+import pytest
+
 from nbcwalk import (
+    GraphicMatroid,
     IntPolynomial,
     MultiGraph,
     PreconditionError,
@@ -21,7 +23,13 @@ from nbcwalk import (
     is_forest,
     iter_independent_sets,
 )
-from helpers import proper_colorings, random_graph_corpus, spanning_tree_count
+from helpers import (
+    component_count,
+    proper_colorings,
+    random_graph_corpus,
+    random_multigraphs,
+    spanning_tree_count,
+)
 
 
 class TestMultiGraph:
@@ -142,6 +150,35 @@ class TestForestsAndCycles:
         g = build_named_graph("complete", 3)
         with pytest.raises(PreconditionError):
             fundamental_cycle(g, {0, 1, 2}, 0)
+
+
+class TestUnionFindReaders:
+    """is_forest, GraphicMatroid.rank_of and MultiGraph.is_connected share
+    one union-find; each is checked against a depth-first component count."""
+
+    def _graphs(self):
+        return random_multigraphs() + [MultiGraph(0, []), MultiGraph(1, []), MultiGraph(4, [])]
+
+    def test_connectivity(self):
+        for g in self._graphs():
+            assert g.is_connected() == (component_count(g.vertex_count, g.edges) <= 1)
+
+    def test_rank_and_forests(self):
+        rng = random.Random(5)
+        for g in self._graphs():
+            matroid = GraphicMatroid(g)
+            for _ in range(20):
+                s = [e for e in range(g.edge_count) if rng.random() < 0.5]
+                rank = g.vertex_count - component_count(g.vertex_count, [g.edges[e] for e in s])
+                assert matroid.rank_of(s) == rank
+                assert is_forest(g, s) == (len(s) == rank)
+            assert matroid.rank == g.vertex_count - component_count(g.vertex_count, g.edges)
+
+    def test_corpus_has_parallel_edges_and_isolated_vertices(self):
+        graphs = random_multigraphs()
+        assert any(len(set(g.edges)) < g.edge_count for g in graphs)
+        assert any(0 in map(g.degree, range(g.vertex_count)) for g in graphs)
+        assert any(component_count(g.vertex_count, g.edges) > 1 for g in graphs)
 
 
 class TestIntPolynomial:
@@ -288,6 +325,20 @@ class TestParkingFunctions:
         for g in random_graph_corpus(count=4):
             for root in (0, g.vertex_count - 1):
                 assert count_g_parking_functions(g, root) == spanning_tree_count(g)
+
+    def test_matches_spanning_trees_of_multigraphs_at_every_root(self):
+        graphs = random_multigraphs(count=60, max_vertices=6, max_edges=9)
+        connected = [g for g in graphs if component_count(g.vertex_count, g.edges) == 1]
+        assert len(connected) >= 10
+        assert any(len(set(g.edges)) < g.edge_count for g in connected)
+        for g in connected:
+            trees = spanning_tree_count(g)
+            for root in range(g.vertex_count):
+                assert count_g_parking_functions(g, root) == trees
+
+    def test_cayley_on_complete_graphs(self):
+        for n in range(2, 7):
+            assert count_g_parking_functions(build_named_graph("complete", n), 0) == n ** (n - 2)
 
     def test_requires_connected(self):
         with pytest.raises(PreconditionError):

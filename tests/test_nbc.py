@@ -19,6 +19,7 @@ from nbcwalk import (
     VerificationError,
     build_link_gadget,
     build_named_graph,
+    cli,
     contains_broken_circuit_bruteforce,
     enumerate_nbc_bases,
     extend_to_nbc_base,
@@ -617,6 +618,62 @@ class TestFaceBudget:
         monkeypatch.setattr(nbc, "MAX_NBC_FACES", x.rank)
         with pytest.raises(SizeGuardError):
             extend_to_nbc_base(x, ())
+
+
+def _walk_pushes(monkeypatch):
+    """The elements each engine pushes after _root_engine has set up the
+    walk's root face, one entry per push."""
+    real, pushes = nbc._root_engine, []
+
+    def rooted(x, root):
+        eng = real(x, root)
+        if eng is not None:
+            push = eng.push
+
+            def counting(e):
+                pushes.append(e)
+                push(e)
+
+            eng.push = counting
+        return eng
+
+    monkeypatch.setattr(nbc, "_root_engine", rooted)
+    return pushes
+
+
+class TestFaceBudgetUpFront:
+    """The complex is pure, so a root face with k levels below it lies under
+    2^k faces; the walk refuses before its first step when that already
+    passes MAX_NBC_FACES."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "face-numbers --graph path:1200",
+            "face-numbers --graph path:22",
+            "link --graph path:300 --tau 0",
+        ],
+    )
+    def test_refuses_without_a_push(self, argv, monkeypatch, capsys):
+        pushes = _walk_pushes(monkeypatch)
+        assert cli.main(argv.split()) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: more than MAX_NBC_FACES={nbc.MAX_NBC_FACES} NBC faces visited\n"
+        assert pushes == []
+
+    def test_boundary(self, monkeypatch):
+        pushes = _walk_pushes(monkeypatch)
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", 2**6)
+        path7 = NbcComplex(GraphicMatroid(build_named_graph("path", 7)))
+        assert face_numbers(path7).total() == 2**6
+        assert link_facets(path7, {0}) == (frozenset(range(1, 6)),)
+        walked = len(pushes)
+        assert walked > 0
+        path8 = NbcComplex(GraphicMatroid(build_named_graph("path", 8)))
+        with pytest.raises(SizeGuardError):
+            face_numbers(path8)
+        assert len(pushes) == walked
+        assert face_numbers(path8, force=True).total() == 2**7
 
 
 class _LoopedMatroid(Matroid):
