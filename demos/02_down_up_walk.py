@@ -25,7 +25,8 @@ p = down_up_matrix(facets)
 for i in range(p.size):
     print(f"  row {sorted(p.index[i])}: {[str(p.entry(i, j)) for j in range(p.size)]}")
 assert p.entry(0, 0) == Fraction(3, 4) and p.entry(0, 1) == Fraction(1, 4)
-assert p.is_symmetric() and p.is_doubly_stochastic()
+cells = [[p.entry(i, j) for j in range(p.size)] for i in range(p.size)]
+assert cells == [list(col) for col in zip(*cells)] and all(sum(row) == 1 for row in cells)
 
 gap = spectral_gap(p)
 print(f"spectral gap on NBC bases: {gap}")

@@ -1,8 +1,10 @@
 """Local walks, the spectral profile, and the local-to-global bound.
 
-For each face tau, the local walk steps between elements of the link with
-probability proportional to shared facet counts.  Independence complexes of
-matroids have every local second eigenvalue at most 0, and the product
+For each face tau, the local walk steps from element a of the link to b with
+probability proportional to the number of facets containing tau + {a, b}; the
+number containing tau + {a} is its stationary weight, so every local walk, and
+its spectrum, is read from one table of facet counts.  Independence complexes
+of matroids have every local second eigenvalue at most 0, and the product
 formula (1/d) * prod(1 - gamma_j) lower-bounds the down-up gap.
 """
 

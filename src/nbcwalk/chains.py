@@ -4,17 +4,23 @@ The down-up walk on same-size facets is kept as its integer facet-ridge
 incidence: each ridge lists the facets containing it, each facet its ridges.
 Its exact entries are 1/(d |r|) summed over shared ridges r, so it is
 symmetric and doubly stochastic by construction, and conductance and neighbor
-ratios are exact sums over ridge counts.  Local walks and hand-built chains are
-`StochasticMatrix`es with exact rational rows.  Floating point enters only at
-the eigensolve: dense `eigvalsh` up to DENSE_EIG_STATES states (on the
-detailed-balance symmetrization for non-symmetric chains), and above that, for
-a down-up walk, ARPACK Lanczos on the sparse P = (1/d) A diag(1/|r|) A^T.
+ratios are exact sums over ridge counts.
 
-The local spectral profile works level by level on faces as integer bit masks
-(one bit per element, in element order) with one table of facet counts; the
-local matrices of one level and state count are solved in stacked eigvalsh
-calls.  numpy and scipy are imported inside the functions that solve, so a
-command that does no spectral work never loads them.
+Local walks are read from one table of facet counts over faces as integer bit
+masks (one bit per element, in element order): the walk of the link of tau
+steps from a to b in proportion to count(tau + a + b), so count(tau + a) is its
+reversing measure and its symmetrization D^(1/2) P D^(-1/2) has entries
+count(tau + a + b) / (denom sqrt(count(tau + a) count(tau + b))).  One function,
+_local_matrix, builds that symmetric matrix for every local walk, whether
+LocalWalk's spectral gap or the local spectral profile asks; the profile solves
+the matrices of one level and state count in stacked eigvalsh calls.  LocalWalk
+keeps the table, so its exact rational entries are read off it.
+
+Floating point enters only at the eigensolve: dense `eigvalsh` up to
+DENSE_EIG_STATES states, and above that, for a down-up walk, ARPACK Lanczos on
+the sparse P = (1/d) A diag(1/|r|) A^T.  numpy and scipy are imported inside
+the functions that solve, so a command that does no spectral work never loads
+them.
 """
 
 from __future__ import annotations
@@ -42,97 +48,6 @@ DENSE_EIG_STATES = 1500
 _EIG_BATCH = 512
 
 
-class _LabeledStates:
-    """Row/column labels shared by the exact chain types."""
-
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        return len(self.index)
-
-    def positions_of(self, states) -> list:
-        """Map state labels to row/column positions, rejecting strangers."""
-        where = {s: i for i, s in enumerate(self.index)}
-        out = []
-        for s in states:
-            if s not in where:
-                raise PreconditionError(f"state {s!r} is not in the matrix index")
-            out.append(where[s])
-        return out
-
-
-class StochasticMatrix(_LabeledStates):
-    """Row-stochastic matrix with exact rational entries over labeled states."""
-
-    __slots__ = ("index", "rows")
-
-    def __init__(self, index, rows):
-        index = tuple(index)
-        if not index:
-            raise PreconditionError("a stochastic matrix needs at least one state")
-        if len(set(index)) != len(index):
-            raise PreconditionError("state labels must be distinct")
-        if len(rows) != len(index):
-            raise PreconditionError("row count must match the state count")
-        clean = []
-        for i, row in enumerate(rows):
-            out = {}
-            total = Fraction(0)
-            for j, p in row.items():
-                p = Fraction(p)
-                if p < 0:
-                    raise PreconditionError(f"negative entry at ({i}, {j})")
-                if not 0 <= j < len(index):
-                    raise PreconditionError(f"column {j} out of range in row {i}")
-                if p:
-                    out[j] = p
-                    total += p
-            if total != 1:
-                raise PreconditionError(f"row {i} sums to {total}, not 1")
-            clean.append(out)
-        self.index = index
-        self.rows = tuple(clean)
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i].get(j, Fraction(0))
-
-    def is_symmetric(self) -> bool:
-        return all(
-            self.rows[j].get(i, Fraction(0)) == p
-            for i, row in enumerate(self.rows)
-            for j, p in row.items()
-        )
-
-    def is_doubly_stochastic(self) -> bool:
-        col = [Fraction(0)] * self.size
-        for row in self.rows:
-            for j, p in row.items():
-                col[j] += p
-        return all(c == 1 for c in col)
-
-    def float_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        out = np.zeros((self.size, self.size), dtype=np.float64)
-        for i, row in enumerate(self.rows):
-            for j, p in row.items():
-                out[i, j] = float(p)
-        return out
-
-    def _crossing_mass(self, chosen) -> Fraction:
-        return sum(
-            (p for i in chosen for j, p in self.rows[i].items() if j not in chosen),
-            Fraction(0),
-        )
-
-    def _outside_neighbors(self, chosen) -> set:
-        return {j for i in chosen for j in self.rows[i] if j not in chosen}
-
-    def __repr__(self):
-        return f"StochasticMatrix({self.size} states)"
-
-
 def _as_facets(x):
     """Canonical facet tuple from a complex, a matroid (both already distinct
     and lexicographic), or a raw facet list, which is deduplicated and sorted."""
@@ -153,7 +68,7 @@ def _as_facets(x):
     return facets, d
 
 
-class DownUpWalk(_LabeledStates):
+class DownUpWalk:
     """Down-up walk on same-size facets, stored as its facet-ridge incidence.
 
     A step drops a uniform element of the current facet, leaving a ridge r,
@@ -173,15 +88,29 @@ class DownUpWalk(_LabeledStates):
         self.ridge_members = ridge_members
         self.facet_ridges = facet_ridges
 
+    @property
+    def size(self) -> int:
+        return len(self.index)
+
+    def positions_of(self, states) -> list:
+        """Map facets to row/column positions, rejecting strangers."""
+        where = {s: i for i, s in enumerate(self.index)}
+        out = []
+        for s in states:
+            if s not in where:
+                raise PreconditionError(f"state {s!r} is not in the matrix index")
+            out.append(where[s])
+        return out
+
     def entry(self, i: int, j: int) -> Fraction:
         shared = set(self.facet_ridges[i]).intersection(self.facet_ridges[j])
         return sum((Fraction(1, self.d * len(self.ridge_members[r])) for r in shared), Fraction(0))
 
     @property
     def rows(self) -> tuple:
-        """Rows as dicts column -> exact entry over each row's support, as for
-        StochasticMatrix: the diagonal, and 1/(d |r|) at each facet that
-        shares a ridge r with the row's own.  Built on every access."""
+        """Rows as dicts column -> exact entry over each row's support: the
+        diagonal, and 1/(d |r|) at each facet that shares a ridge r with the
+        row's own.  Built on every access."""
         share = [Fraction(1, self.d * len(m)) for m in self.ridge_members]
         out = []
         for i, p in enumerate(self._diagonal()):
@@ -189,12 +118,6 @@ class DownUpWalk(_LabeledStates):
             row[i] = p
             out.append(row)
         return tuple(out)
-
-    def is_symmetric(self) -> bool:
-        return True
-
-    def is_doubly_stochastic(self) -> bool:
-        return True
 
     def _diagonal(self) -> list:
         """Exact P(S, S) for every facet, summed once per multiset of ridge sizes."""
@@ -226,24 +149,6 @@ class DownUpWalk(_LabeledStates):
     def _touched_ridges(self, chosen) -> set:
         return {r for i in chosen for r in self.facet_ridges[i]}
 
-    def _crossing_mass(self, chosen) -> Fraction:
-        # Ridge r carries |r & S| * |r - S| / (d |r|) across the cut.
-        by_size = {}
-        for r in self._touched_ridges(chosen):
-            members = self.ridge_members[r]
-            inside = sum(1 for j in members if j in chosen)
-            m = len(members)
-            by_size[m] = by_size.get(m, 0) + inside * (m - inside)
-        return sum((Fraction(c, self.d * m) for m, c in by_size.items()), Fraction(0))
-
-    def _outside_neighbors(self, chosen) -> set:
-        return {
-            j
-            for r in self._touched_ridges(chosen)
-            for j in self.ridge_members[r]
-            if j not in chosen
-        }
-
     def __repr__(self):
         return f"DownUpWalk({self.size} states, d={self.d})"
 
@@ -268,70 +173,58 @@ def down_up_matrix(facets) -> DownUpWalk:
     return DownUpWalk(facets, d, tuple(map(tuple, members)), tuple(facet_ridges))
 
 
-def local_walk_matrix(x, tau) -> StochasticMatrix:
+class LocalWalk:
+    """Element walk of the link of a face tau, read from a face-count table.
+
+    index lists the link's elements in ascending order, state i being bit
+    1 << i; counts maps each nonempty face of the link, as such a mask, to the
+    link facets containing it (see _face_mask_counts); denom is d - |tau| - 1,
+    the other elements of a link facet beside any one.  A step from a to b != a
+    has probability count(a + b) / (denom count(a)), so count(a) is a
+    reversing measure.  Build it with local_walk_matrix.  entry and rows are
+    exact; rows are dicts of the nonzero entries, built on each access.
+    """
+
+    __slots__ = ("index", "counts", "denom")
+
+    def __init__(self, index, counts, denom):
+        self.index = index
+        self.counts = counts
+        self.denom = denom
+
+    @property
+    def size(self) -> int:
+        return len(self.index)
+
+    def entry(self, i: int, j: int) -> Fraction:
+        if i == j:
+            return Fraction(0)
+        return Fraction(self.counts.get(1 << i | 1 << j, 0), self.denom * self.counts[1 << i])
+
+    @property
+    def rows(self) -> tuple:
+        n = self.size
+        return tuple({j: p for j in range(n) if (p := self.entry(i, j))} for i in range(n))
+
+    def __repr__(self):
+        return f"LocalWalk({self.size} states)"
+
+
+def local_walk_matrix(x, tau) -> LocalWalk:
     """Element walk of the link of tau: step from x to y with probability
-    proportional to the number of facets containing tau + {x, y}."""
+    proportional to the number of facets containing tau + {x, y}.  The link's
+    face-count table has up to 2^(d - |tau|) faces per link facet, so it is
+    refused past MAX_FACE_SUBSETS, as the local spectral profile's is."""
     facets, d = _as_facets(x)
     tau = frozenset(int(e) for e in tau)
     k = len(tau)
     if k > d - 2:
         raise PreconditionError(f"tau has size {k}; the local walk needs size <= {d - 2}")
-    cnt = {}
-    paircnt = {}
-    for f in facets:
-        if not tau <= f:
-            continue
-        rest = sorted(f - tau)
-        for a, xel in enumerate(rest):
-            cnt[xel] = cnt.get(xel, 0) + 1
-            for yel in rest[a + 1 :]:
-                key = (xel, yel)
-                paircnt[key] = paircnt.get(key, 0) + 1
-    if not cnt:
+    link = [f - tau for f in facets if tau <= f]
+    if not link:
         raise PreconditionError("tau is not a face of the complex")
-    states = sorted(cnt)
-    pos = {s: i for i, s in enumerate(states)}
-    denom = d - k - 1
-    rows = [dict() for _ in states]
-    for (a, b), c in paircnt.items():
-        rows[pos[a]][pos[b]] = Fraction(c, denom * cnt[a])
-        rows[pos[b]][pos[a]] = Fraction(c, denom * cnt[b])
-    return StochasticMatrix(tuple(states), rows)
-
-
-def _stationary_from_detailed_balance(p: StochasticMatrix):
-    """Reversing measure found by ratio propagation; rejects non-reversible
-    matrices naming a violating state pair."""
-    n = p.size
-    for i, row in enumerate(p.rows):
-        for j, pij in row.items():
-            if i != j and p.entry(j, i) == 0:
-                raise PreconditionError(
-                    f"not reversible: P({p.index[i]!r} -> {p.index[j]!r}) > 0 "
-                    "with zero reverse probability"
-                )
-    mu = [None] * n
-    for start in range(n):
-        if mu[start] is not None:
-            continue
-        mu[start] = Fraction(1)
-        queue = [start]
-        while queue:
-            i = queue.pop()
-            for j, pij in p.rows[i].items():
-                if i == j or mu[j] is not None:
-                    continue
-                mu[j] = mu[i] * pij / p.entry(j, i)
-                queue.append(j)
-    for i, row in enumerate(p.rows):
-        for j, pij in row.items():
-            if i != j and mu[i] * pij != mu[j] * p.entry(j, i):
-                raise PreconditionError(
-                    f"not reversible: detailed balance fails for states "
-                    f"{p.index[i]!r} and {p.index[j]!r}"
-                )
-    total = sum(mu)
-    return [m / total for m in mu]
+    check_face_subsets(len(link), d - k)
+    return LocalWalk(tuple(sorted(set().union(*link))), _face_mask_counts(link), d - k - 1)
 
 
 def check_eig_states(n: int, force: bool = False):
@@ -341,24 +234,26 @@ def check_eig_states(n: int, force: bool = False):
         raise SizeGuardError(f"{n} states exceeds MAX_EIG_STATES={MAX_EIG_STATES}")
 
 
-def spectral_gap(p: StochasticMatrix | DownUpWalk, force: bool = False) -> float:
-    """1 - second-largest eigenvalue of the reversible chain; a single-state
-    chain reports 1.0 (it mixes in zero steps).  A down-up walk above
-    DENSE_EIG_STATES states is solved sparsely."""
+def spectral_gap(p: DownUpWalk | LocalWalk, force: bool = False) -> float:
+    """1 - second-largest eigenvalue of a down-up or local walk; a single-state
+    walk reports 1.0 (it mixes in zero steps).  Both walks are reversible, so
+    each is solved as a symmetric matrix: a down-up walk is symmetric itself,
+    and is solved sparsely above DENSE_EIG_STATES states; a local walk is
+    solved as D^(1/2) P D^(-1/2) with D = diag(count(a)), which
+    local_spectral_profile's _local_matrix builds."""
     import numpy as np
 
     n = p.size
     if n == 1:
         return 1.0
     check_eig_states(n, force)
-    if isinstance(p, DownUpWalk) and n > DENSE_EIG_STATES:
+    if isinstance(p, LocalWalk):
+        states = [1 << i for i in range(n)]
+        sym = np.array(_local_matrix(0, states, p.counts, p.denom)).reshape(n, n)
+    elif n > DENSE_EIG_STATES:
         return _sparse_gap(p)
-    sym = p.float_matrix()
-    if not p.is_symmetric():
-        # Similar to P by diag(sqrt(mu)), and symmetric by detailed balance.
-        root = np.sqrt([float(m) for m in _stationary_from_detailed_balance(p)])
-        sym *= root[:, None]
-        sym /= root[None, :]
+    else:
+        sym = p.float_matrix()
     vals = np.linalg.eigvalsh(sym)
     return float(1.0 - vals[-2])
 
@@ -395,7 +290,7 @@ def _sparse_gap(walk: DownUpWalk) -> float:
     return float(1.0 - vals.min())
 
 
-def _subset_positions(p: StochasticMatrix | DownUpWalk, s) -> set:
+def _subset_positions(p: DownUpWalk, s) -> set:
     chosen = set(p.positions_of(s))
     if not chosen:
         raise PreconditionError("the state subset must be nonempty")
@@ -404,21 +299,30 @@ def _subset_positions(p: StochasticMatrix | DownUpWalk, s) -> set:
     return chosen
 
 
-def conductance(p: StochasticMatrix | DownUpWalk, s) -> Fraction:
-    """Crossing probability mass out of s divided by |s|, for doubly
-    stochastic chains (uniform stationary distribution)."""
-    if not p.is_doubly_stochastic():
+def conductance(p: DownUpWalk, s) -> Fraction:
+    """Crossing probability mass out of s divided by |s|, for a down-up walk,
+    whose stationary distribution is uniform."""
+    if not isinstance(p, DownUpWalk):
         raise PreconditionError("conductance needs a doubly stochastic matrix")
     chosen = _subset_positions(p, s)
-    return p._crossing_mass(chosen) / len(chosen)
+    # Ridge r carries |r & S| * |r - S| / (d |r|) across the cut.
+    by_size = {}
+    for r in p._touched_ridges(chosen):
+        members = p.ridge_members[r]
+        inside = sum(1 for j in members if j in chosen)
+        m = len(members)
+        by_size[m] = by_size.get(m, 0) + inside * (m - inside)
+    crossing = sum((Fraction(c, p.d * m) for m, c in by_size.items()), Fraction(0))
+    return crossing / len(chosen)
 
 
-def neighbor_ratio(p: StochasticMatrix | DownUpWalk, s) -> Fraction:
+def neighbor_ratio(p: DownUpWalk, s) -> Fraction:
     """Number of outside states reachable in one step from s, divided by |s|."""
-    if not p.is_doubly_stochastic():
+    if not isinstance(p, DownUpWalk):
         raise PreconditionError("neighbor_ratio needs a doubly stochastic matrix")
     chosen = _subset_positions(p, s)
-    return Fraction(len(p._outside_neighbors(chosen)), len(chosen))
+    outside = {j for r in p._touched_ridges(chosen) for j in p.ridge_members[r] if j not in chosen}
+    return Fraction(len(outside), len(chosen))
 
 
 @dataclass(frozen=True)

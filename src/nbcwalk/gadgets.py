@@ -548,7 +548,9 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
     count-ratio closed form, and the T_{S,k} levels with their successor
     ratio.  g's independent sets are listed once, and the union is g beside
     the copies whose closed form was checked first, as build_hardcore_reduction
-    builds it.  Any exact mismatch raises with the failing identity."""
+    builds it.  The union's sets are listed once too: one pass tallies them by
+    size, for the convolution, and by their part in g, for the levels.  Any
+    exact mismatch raises with the failing identity."""
     r = int(r)
     if r < 0:
         raise PreconditionError("r must be non-negative")
@@ -570,7 +572,16 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
     if len(counts_copies.counts) != r + 1:
         raise VerificationError("r K8 independence counts do not stop at size r")
     union = disjoint_union(g, copies)
-    counts_union = count_independent_sets_by_size(union, force=True)
+    base_vertices = frozenset(range(g.vertex_count))
+    levels = {}
+
+    def union_sets():
+        for ind in iter_independent_sets(union, force=True):
+            key = (ind & base_vertices, len(ind))
+            levels[key] = levels.get(key, 0) + 1
+            yield ind
+
+    counts_union = SizeCounts.tally(union_sets())
     conv = counts_g.convolve(counts_copies)
     for k in range(len(counts_union.counts)):
         if counts_union[k] != conv[k]:
@@ -587,11 +598,6 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
                 raise VerificationError(
                     f"count-ratio closed form fails at m={mm}, j={j}: {direct} != {formula}"
                 )
-    base_vertices = frozenset(range(g.vertex_count))
-    levels = {}
-    for ind in iter_independent_sets(union, force=True):
-        key = (ind & base_vertices, len(ind))
-        levels[key] = levels.get(key, 0) + 1
     for s in sets_g:
         for k in range(len(s), len(s) + r + 1):
             expected = math.comb(r, k - len(s)) * 8 ** (k - len(s))

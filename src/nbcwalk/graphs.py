@@ -202,23 +202,6 @@ def _forest_paths(g: MultiGraph, edge_ids):
     return path
 
 
-def fundamental_cycle(g: MultiGraph, forest, e: int) -> frozenset:
-    """The unique cycle created by adding edge e to a forest that does not contain it."""
-    f = g.validate_edge_ids(forest)
-    e = int(e)
-    if not 0 <= e < g.edge_count:
-        raise PreconditionError(f"edge id {e} out of range")
-    if e in f:
-        raise PreconditionError("e already belongs to the forest")
-    if not is_forest(g, f):
-        raise PreconditionError("the given edge set is not a forest")
-    u, v = g.edges[e]
-    path = _forest_paths(g, f)(u, v)
-    if path is None:
-        raise PreconditionError("adding e keeps the set a forest; no cycle to return")
-    return frozenset(path) | {e}
-
-
 @dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial; coefficients[i] multiplies x**i, highest entry nonzero."""

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionError, SizeGuardError
-from .graphs import MultiGraph, SizeCounts, _forest_paths, _joins, is_forest
+from .graphs import MultiGraph, _forest_paths, _joins, is_forest
 
 BRUTE_MAX_GROUND = 14
 ENUM_MAX_SETS = 1_000_000
@@ -58,17 +58,6 @@ class Matroid:
         if self._rank_cache is None:
             self._rank_cache = self.rank_of(range(self.ground_size))
         return self._rank_cache
-
-    def is_basis(self, subset) -> bool:
-        s = self.check_subset(subset)
-        return len(s) == self.rank and self.is_independent(s)
-
-    def is_circuit(self, subset) -> bool:
-        """Dependent, and dropping any one element restores independence."""
-        s = self.check_subset(subset)
-        if self.is_independent(s):
-            return False
-        return all(self.is_independent(s - {x}) for x in s)
 
     def circuits(self, force: bool = False):
         """All circuits by brute force over subsets in increasing size; cached."""
@@ -142,9 +131,6 @@ class Matroid:
         except RecursionError:
             m = self.ground_size
             raise SizeGuardError(f"ground size {m} exceeds the independent-set recursion limit") from None
-
-    def independent_sets_by_size(self, max_size=None, force: bool = False) -> SizeCounts:
-        return SizeCounts.tally(self.iter_independent_sets(max_size=max_size, force=force))
 
     def enumerate_bases(self, force: bool = False):
         """All bases, in lexicographic order of their sorted element tuples:

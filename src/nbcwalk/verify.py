@@ -167,7 +167,8 @@ def run_spectral_suite() -> list:
         g = build_named_graph("complete", 3)
         x = NbcComplex(GraphicMatroid(g))
         p = down_up_matrix(x)
-        if not p.is_doubly_stochastic():
+        cells = [[p.entry(i, j) for j in range(p.size)] for i in range(p.size)]
+        if any(sum(line) != 1 for line in cells + list(zip(*cells))):
             return False, "down-up matrix is not doubly stochastic"
         gap = spectral_gap(p)
         if abs(gap - 0.5) > 1e-9:

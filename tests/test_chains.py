@@ -12,7 +12,7 @@ from nbcwalk import (
     LocalProfile,
     NbcComplex,
     PreconditionError,
-    StochasticMatrix,
+    SizeGuardError,
     TruncatedMatroid,
     build_named_graph,
     chains,
@@ -56,6 +56,41 @@ def _oracle_down_up(facets):
     return out
 
 
+def _oracle_local_walk(facets, tau):
+    """(states, {(a, b): P(a, b)}) for the element walk of the link of tau,
+    from pair counts over the facets containing tau: a steps to b with
+    probability #facets containing tau + {a, b} over (d - |tau| - 1) times
+    #facets containing tau + {a}."""
+    tau = frozenset(tau)
+    denom = len(next(iter(facets))) - len(tau) - 1
+    cnt = {}
+    paircnt = {}
+    for f in facets:
+        if not tau <= f:
+            continue
+        rest = sorted(f - tau)
+        for a, xel in enumerate(rest):
+            cnt[xel] = cnt.get(xel, 0) + 1
+            for yel in rest[a + 1 :]:
+                paircnt[xel, yel] = paircnt.get((xel, yel), 0) + 1
+    out = {}
+    for (a, b), c in paircnt.items():
+        out[a, b] = F(c, denom * cnt[a])
+        out[b, a] = F(c, denom * cnt[b])
+    return sorted(cnt), out
+
+
+def _small_faces(facets):
+    """Every face of size at most d - 2, the faces that have a local walk."""
+    d = len(next(iter(facets)))
+    return {
+        frozenset(tau)
+        for f in facets
+        for k in range(d - 1)
+        for tau in itertools.combinations(sorted(f), k)
+    }
+
+
 def _oracle_corpus():
     """Facet lists of NBC complexes, their truncations and spanning trees."""
     out = []
@@ -66,41 +101,6 @@ def _oracle_corpus():
         for r in range(2, matroid.rank):
             out.append(NbcComplex(TruncatedMatroid(matroid, r)).facets())
     return out
-
-
-class TestStochasticMatrix:
-    def test_validates_row_sums(self):
-        with pytest.raises(PreconditionError):
-            StochasticMatrix(("a", "b"), [{0: F(1, 2)}, {1: F(1)}])
-
-    def test_rejects_negative(self):
-        with pytest.raises(PreconditionError):
-            StochasticMatrix(("a", "b"), [{0: F(3, 2), 1: F(-1, 2)}, {1: F(1)}])
-
-    def test_rejects_duplicate_states(self):
-        with pytest.raises(PreconditionError):
-            StochasticMatrix(("a", "a"), [{0: F(1)}, {0: F(1)}])
-
-    def test_entry_and_symmetry(self):
-        p = StochasticMatrix(("a", "b"), [{0: F(1, 2), 1: F(1, 2)}, {0: F(1, 2), 1: F(1, 2)}])
-        assert p.entry(0, 1) == F(1, 2)
-        assert p.is_symmetric()
-        assert p.is_doubly_stochastic()
-
-    def test_asymmetric_doubly_stochastic(self):
-        rows = [
-            {0: F(1, 2), 1: F(1, 2)},
-            {1: F(1, 2), 2: F(1, 2)},
-            {0: F(1, 2), 2: F(1, 2)},
-        ]
-        p = StochasticMatrix(("a", "b", "c"), rows)
-        assert not p.is_symmetric()
-        assert p.is_doubly_stochastic()
-
-    def test_positions_of_rejects_strangers(self):
-        p = StochasticMatrix(("a",), [{0: F(1)}])
-        with pytest.raises(PreconditionError):
-            p.positions_of(["z"])
 
 
 class TestDownUpMatrix:
@@ -126,8 +126,15 @@ class TestDownUpMatrix:
     def test_always_symmetric(self):
         for g in random_graph_corpus(count=3):
             p = down_up_matrix(NbcComplex(GraphicMatroid(g)))
-            assert p.is_symmetric()
-            assert p.is_doubly_stochastic()
+            cells = _matrix(p)
+            assert cells == [list(col) for col in zip(*cells)]
+            assert all(sum(row) == 1 for row in cells)
+
+    def test_positions_of_rejects_strangers(self):
+        p = down_up_matrix([{0, 1}])
+        assert p.positions_of([frozenset({0, 1})]) == [0]
+        with pytest.raises(PreconditionError):
+            p.positions_of([frozenset({0, 2})])
 
     def test_rejects_mixed_sizes(self):
         with pytest.raises(PreconditionError):
@@ -237,6 +244,16 @@ class TestLocalWalk:
         with pytest.raises(PreconditionError):
             local_walk_matrix(x, {0, 1, 2})
 
+    def test_size_guard(self, monkeypatch):
+        # The link's face-count table has up to 2^(d - |tau|) entries per link
+        # facet, so it is refused before it is built, as the profile's is.
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 4)))
+        monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 47)
+        with pytest.raises(SizeGuardError, match="MAX_FACE_SUBSETS"):
+            local_walk_matrix(x, ())
+        monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 48)
+        assert local_walk_matrix(x, ()).size == 6
+
     def test_link_walk_on_bigger_complex(self):
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 4)))
         p = local_walk_matrix(x, {0})
@@ -245,23 +262,58 @@ class TestLocalWalk:
         assert 0.0 <= gap <= 2.0
 
 
+class TestLocalWalkAgainstOracle:
+    """Every local walk of the corpus, at every face of size at most d - 2,
+    against pair counts taken straight from the facets."""
+
+    def test_entries_match(self):
+        for facets in _oracle_corpus():
+            for tau in _small_faces(facets):
+                p = local_walk_matrix(facets, tau)
+                states, oracle = _oracle_local_walk(facets, tau)
+                assert list(p.index) == states
+                for i, a in enumerate(states):
+                    for j, b in enumerate(states):
+                        assert p.entry(i, j) == oracle.get((a, b), 0)
+                # The tracer counts the rows' entries as nonzeros.
+                assert list(p.rows) == [
+                    {j: oracle[a, b] for j, b in enumerate(states) if (a, b) in oracle}
+                    for a in states
+                ]
+
+    def test_detailed_balance(self):
+        for facets in _oracle_corpus():
+            for tau in _small_faces(facets):
+                p = local_walk_matrix(facets, tau)
+                count = [sum(1 for f in facets if tau | {a} <= f) for a in p.index]
+                for i in range(p.size):
+                    for j in range(p.size):
+                        assert count[i] * p.entry(i, j) == count[j] * p.entry(j, i)
+
+    def test_gap_matches_eigvals_of_the_oracle(self):
+        for facets in _oracle_corpus():
+            for tau in _small_faces(facets):
+                states, oracle = _oracle_local_walk(facets, tau)
+                dense = np.array([[float(oracle.get((a, b), 0)) for b in states] for a in states])
+                second = sorted(np.linalg.eigvals(dense).real)[-2]
+                gap = spectral_gap(local_walk_matrix(facets, tau))
+                assert abs(gap - (1.0 - second)) <= 1e-9
+
+
 class TestSpectralGap:
     def test_single_state_convention(self):
-        p = StochasticMatrix(("only",), [{0: F(1)}])
+        p = down_up_matrix([{0, 1}])
         assert spectral_gap(p) == 1.0
 
     def test_identity_has_zero_gap(self):
-        p = StochasticMatrix(("a", "b"), [{0: F(1)}, {1: F(1)}])
+        p = down_up_matrix([{0, 1}, {2, 3}])
+        assert _matrix(p) == [[F(1), F(0)], [F(0), F(1)]]
         assert abs(spectral_gap(p)) <= 1e-12
 
     def test_disconnected_has_zero_gap(self):
-        rows = [
-            {0: F(1, 2), 1: F(1, 2)},
-            {0: F(1, 2), 1: F(1, 2)},
-            {2: F(1, 2), 3: F(1, 2)},
-            {2: F(1, 2), 3: F(1, 2)},
-        ]
-        p = StochasticMatrix(("a", "b", "c", "d"), rows)
+        triangles = [{base + a, base + b} for base in (0, 10) for a, b in ((0, 1), (0, 2), (1, 2))]
+        p = down_up_matrix(triangles)
+        assert p.size == 6
         assert abs(spectral_gap(p)) <= 1e-12
 
     def test_triangle_values(self):
@@ -271,22 +323,12 @@ class TestSpectralGap:
         assert abs(spectral_gap(full) - 0.75) <= 1e-9
 
     def test_reversible_weighted_chain(self):
-        rows = [
-            {0: F(1, 2), 1: F(1, 2)},
-            {0: F(1, 4), 1: F(3, 4)},
-        ]
-        p = StochasticMatrix(("a", "b"), rows)
-        assert abs(spectral_gap(p) - 0.75) <= 1e-9
-
-    def test_rejects_non_reversible(self):
-        rows = [
-            {1: F(1)},
-            {2: F(1)},
-            {0: F(1)},
-        ]
-        p = StochasticMatrix(("a", "b", "c"), rows)
-        with pytest.raises(PreconditionError):
-            spectral_gap(p)
+        # The C4 local walk at the empty face is reversible but not symmetric:
+        # its stationary weights are the facet counts (3, 2, 2, 2).
+        x = NbcComplex(GraphicMatroid(build_named_graph("cycle", 4)))
+        p = local_walk_matrix(x, ())
+        assert p.entry(0, 1) == F(1, 3) and p.entry(1, 0) == F(1, 2)
+        assert abs(spectral_gap(p) - 1.25) <= 1e-9
 
     def test_sparse_matches_dense_above_desk_size(self, monkeypatch):
         k8 = GraphicMatroid(build_named_graph("complete", 8))
@@ -325,13 +367,11 @@ class TestConductance:
         assert neighbor_ratio(p, s) == F(2)
 
     def test_requires_doubly_stochastic(self):
-        rows = [
-            {0: F(1, 2), 1: F(1, 2)},
-            {0: F(1, 4), 1: F(3, 4)},
-        ]
-        p = StochasticMatrix(("a", "b"), rows)
-        with pytest.raises(PreconditionError):
-            conductance(p, ["a"])
+        p = local_walk_matrix(NbcComplex(GraphicMatroid(build_named_graph("complete", 3))), ())
+        with pytest.raises(PreconditionError, match="conductance needs a doubly stochastic"):
+            conductance(p, [0])
+        with pytest.raises(PreconditionError, match="neighbor_ratio needs a doubly stochastic"):
+            neighbor_ratio(p, [0])
 
     def test_rejects_improper_subsets(self):
         p = down_up_matrix(GraphicMatroid(build_named_graph("complete", 3)))

@@ -403,6 +403,24 @@ class TestHardcore:
         assert built == [("disjoint_union_of_copies", "complete", 8, 2)]
         assert len(enumerated) == 1
 
+    def test_enumerates_the_union_once(self, monkeypatch):
+        # One pass over the union's independent sets gives both its counts by
+        # size and the T_{S,k} levels.
+        g = build_named_graph("cycle", 5)
+        enumerated = []
+        real_iter = graphs.iter_independent_sets
+
+        def iterating(h, *args, **kwargs):
+            if h.vertex_count == g.vertex_count + 16:
+                enumerated.append(h)
+            return real_iter(h, *args, **kwargs)
+
+        for module in (gadgets, graphs):
+            monkeypatch.setattr(module, "iter_independent_sets", iterating)
+        report = verify_hardcore_identities(g, 2)
+        assert report["counts_union"] == (1, 21, 149, 400, 320)
+        assert len(enumerated) == 1
+
     def test_successor_ratio_spot_value(self):
         assert F(8 * (10 - 3 + 1 + 1), 3 - 1) == F(36)
 

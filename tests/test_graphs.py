@@ -18,7 +18,6 @@ from nbcwalk import (
     count_g_parking_functions,
     count_independent_sets_by_size,
     disjoint_union,
-    fundamental_cycle,
     hardcore_partition,
     is_forest,
     iter_independent_sets,
@@ -136,20 +135,6 @@ class TestForestsAndCycles:
             for size in range(g.edge_count + 1):
                 for combo in itertools.combinations(range(g.edge_count), size):
                     assert is_forest(g, combo) == subset_acyclic(g, combo)
-
-    def test_fundamental_cycle_on_square(self):
-        g = build_named_graph("cycle", 4)
-        assert fundamental_cycle(g, {0, 2, 3}, 1) == frozenset({0, 1, 2, 3})
-
-    def test_fundamental_cycle_requires_cycle(self):
-        g = build_named_graph("cycle", 4)
-        with pytest.raises(PreconditionError):
-            fundamental_cycle(g, {0, 2}, 1)
-
-    def test_fundamental_cycle_rejects_cyclic_forest(self):
-        g = build_named_graph("complete", 3)
-        with pytest.raises(PreconditionError):
-            fundamental_cycle(g, {0, 1, 2}, 0)
 
 
 class TestUnionFindReaders:

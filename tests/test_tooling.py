@@ -2,8 +2,8 @@
 them, so an API change that breaks either fails here; every benchmark command
 runs in process against its expected report; a fresh interpreter checks what
 importing the CLI loads, every example command in README's CLI section must
-run, so the docs cannot drift from the parser, and no package module keeps an
-import it never uses."""
+run, so the docs cannot drift from the parser, no package module keeps an
+import it never uses, and the package exports exactly what it imports."""
 
 import ast
 import importlib.util
@@ -133,3 +133,19 @@ def test_package_modules_use_every_import():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert not unused, unused
+
+
+def test_package_exports_exactly_its_imports():
+    # A name deleted from a module must leave __init__'s imports and __all__
+    # together, so neither can keep re-exporting it.
+    import nbcwalk
+
+    tree = ast.parse((ROOT / "src" / "nbcwalk" / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+    assert len(nbcwalk.__all__) == len(set(nbcwalk.__all__))
+    assert set(nbcwalk.__all__) == imported
