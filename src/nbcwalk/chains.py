@@ -6,27 +6,28 @@ Its exact entries are 1/(d |r|) summed over shared ridges r, so it is
 symmetric and doubly stochastic by construction, and conductance and neighbor
 ratios are exact sums over ridge counts.
 
-Local walks are read from one table of facet counts over faces as integer bit
-masks (one bit per element, in element order): the walk of the link of tau
-steps from a to b in proportion to count(tau + a + b), so count(tau + a) is its
-reversing measure and its symmetrization D^(1/2) P D^(-1/2) has entries
-count(tau + a + b) / (denom sqrt(count(tau + a) count(tau + b))).  One function,
-_local_matrix, builds that symmetric matrix for every local walk, whether
-LocalWalk's spectral gap or the local spectral profile asks; the profile solves
-the matrices of one level and state count in stacked eigvalsh calls.  LocalWalk
-keeps the table, so its exact rational entries are read off it.
+Local walks are read from integer pair counts: the walk of the link of tau
+steps from a to b in proportion to count(tau + a + b), the facets containing
+tau, a and b, so count(tau + a) is its reversing measure and its
+symmetrization D^(1/2) P D^(-1/2) has entries
+count(tau + a + b) / (denom sqrt(count(tau + a) count(tau + b))).  One numpy
+builder, _pair_count_stacks, cuts every facet into its size-k faces and their
+links and counts the pairs of each link in stacks, one per state count; one
+function, _symmetrized, turns such a stack into the symmetric matrices.  The
+local spectral profile solves each level's stacks in batched eigvalsh calls;
+LocalWalk keeps the pair counts of one link, built at its empty face, and
+reads its exact rational entries off them.
 
 Floating point enters only at the eigensolve: dense `eigvalsh` up to
 DENSE_EIG_STATES states, and above that, for a down-up walk, ARPACK Lanczos on
 the sparse P = (1/d) A diag(1/|r|) A^T.  numpy and scipy are imported inside
-the functions that solve, so a command that does no spectral work never loads
-them.
+the functions that count local pairs or solve, so a command that does no
+spectral work never loads them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -174,22 +175,23 @@ def down_up_matrix(facets) -> DownUpWalk:
 
 
 class LocalWalk:
-    """Element walk of the link of a face tau, read from a face-count table.
+    """Element walk of the link of a face tau, kept as its integer pair counts.
 
-    index lists the link's elements in ascending order, state i being bit
-    1 << i; counts maps each nonempty face of the link, as such a mask, to the
-    link facets containing it (see _face_mask_counts); denom is d - |tau| - 1,
-    the other elements of a link facet beside any one.  A step from a to b != a
-    has probability count(a + b) / (denom count(a)), so count(a) is a
-    reversing measure.  Build it with local_walk_matrix.  entry and rows are
-    exact; rows are dicts of the nonzero entries, built on each access.
+    index lists the link's elements in ascending order; pairs[i, j] counts the
+    link facets containing index[i] and index[j] (zero on the diagonal), and
+    denom is d - |tau| - 1, the other elements of a link facet beside any one,
+    so row i of pairs sums to denom count(i), with count(i) the link facets
+    containing index[i].  A step from i to j != i has probability
+    pairs[i, j] / (denom count(i)), so count is a reversing measure.  Build it
+    with local_walk_matrix.  entry and rows are exact; rows are dicts of the
+    nonzero entries, built on each access.
     """
 
-    __slots__ = ("index", "counts", "denom")
+    __slots__ = ("index", "pairs", "denom")
 
-    def __init__(self, index, counts, denom):
+    def __init__(self, index, pairs, denom):
         self.index = index
-        self.counts = counts
+        self.pairs = pairs
         self.denom = denom
 
     @property
@@ -197,14 +199,14 @@ class LocalWalk:
         return len(self.index)
 
     def entry(self, i: int, j: int) -> Fraction:
-        if i == j:
-            return Fraction(0)
-        return Fraction(self.counts.get(1 << i | 1 << j, 0), self.denom * self.counts[1 << i])
+        return Fraction(int(self.pairs[i, j]), int(self.pairs[i].sum()))
 
     @property
     def rows(self) -> tuple:
-        n = self.size
-        return tuple({j: p for j in range(n) if (p := self.entry(i, j))} for i in range(n))
+        return tuple(
+            {j: Fraction(c, sum(row)) for j, c in enumerate(row) if c}
+            for row in self.pairs.tolist()
+        )
 
     def __repr__(self):
         return f"LocalWalk({self.size} states)"
@@ -212,9 +214,10 @@ class LocalWalk:
 
 def local_walk_matrix(x, tau) -> LocalWalk:
     """Element walk of the link of tau: step from x to y with probability
-    proportional to the number of facets containing tau + {x, y}.  The link's
-    face-count table has up to 2^(d - |tau|) faces per link facet, so it is
-    refused past MAX_FACE_SUBSETS, as the local spectral profile's is."""
+    proportional to the number of facets containing tau + {x, y}.  Its pair
+    counts come from the builder the local spectral profile uses, at the empty
+    face of the link, and it is refused past MAX_FACE_SUBSETS as the profile
+    is."""
     facets, d = _as_facets(x)
     tau = frozenset(int(e) for e in tau)
     k = len(tau)
@@ -224,7 +227,9 @@ def local_walk_matrix(x, tau) -> LocalWalk:
     if not link:
         raise PreconditionError("tau is not a face of the complex")
     check_face_subsets(len(link), d - k)
-    return LocalWalk(tuple(sorted(set().union(*link))), _face_mask_counts(link), d - k - 1)
+    elements, rows = _element_positions(link)
+    _, _, pairs = next(_pair_count_stacks(rows, 0))
+    return LocalWalk(tuple(elements), pairs[0], d - k - 1)
 
 
 def check_eig_states(n: int, force: bool = False):
@@ -239,8 +244,8 @@ def spectral_gap(p: DownUpWalk | LocalWalk, force: bool = False) -> float:
     walk reports 1.0 (it mixes in zero steps).  Both walks are reversible, so
     each is solved as a symmetric matrix: a down-up walk is symmetric itself,
     and is solved sparsely above DENSE_EIG_STATES states; a local walk is
-    solved as D^(1/2) P D^(-1/2) with D = diag(count(a)), which
-    local_spectral_profile's _local_matrix builds."""
+    solved as D^(1/2) P D^(-1/2) with D = diag(count(a)), built from its pair
+    counts by _symmetrized, as in the local spectral profile."""
     import numpy as np
 
     n = p.size
@@ -248,8 +253,7 @@ def spectral_gap(p: DownUpWalk | LocalWalk, force: bool = False) -> float:
         return 1.0
     check_eig_states(n, force)
     if isinstance(p, LocalWalk):
-        states = [1 << i for i in range(n)]
-        sym = np.array(_local_matrix(0, states, p.counts, p.denom)).reshape(n, n)
+        sym = _symmetrized(p.pairs, p.denom)
     elif n > DENSE_EIG_STATES:
         return _sparse_gap(p)
     else:
@@ -360,78 +364,101 @@ def check_face_subsets(n_facets: int, d: int, force: bool = False):
         )
 
 
-def _face_mask_counts(facets) -> dict:
-    """Count, for every nonempty face (every nonzero submask of a facet mask),
-    the facets containing it.  Element i in sorted order is bit 1 << i, so
-    ascending bits are ascending elements."""
-    bit = {e: 1 << i for i, e in enumerate(sorted(set().union(*facets)))}
-    counts = {}
-    for f in facets:
-        m = sum(bit[e] for e in f)
-        s = m
-        while s:
-            counts[s] = counts.get(s, 0) + 1
-            s = (s - 1) & m
-    return counts
+def _element_positions(facets):
+    """The sorted elements, and the facets as an N x d integer array of
+    positions among them, each row ascending."""
+    import numpy as np
+
+    elements = sorted(set().union(*facets))
+    where = {e: i for i, e in enumerate(elements)}
+    return elements, np.array([sorted(map(where.__getitem__, f)) for f in facets], dtype=np.int32)
 
 
-def _link_states(faces) -> dict:
-    """Map each face tau one element smaller than some face in faces to the
-    bits b with tau | b among faces: the states of tau's local walk."""
-    states_of = {}
-    for bigger in faces:
-        rest = bigger
-        while rest:
-            low = rest & -rest
-            states_of.setdefault(bigger ^ low, []).append(low)
-            rest ^= low
-    return states_of
+def _pair_count_stacks(rows, k):
+    """Integer pair counts of the local walks at the size-k faces of the
+    facets in rows, an N x d array of element positions with ascending rows.
+
+    Yields (faces, states, c) for each state count n, ascending: faces (m x k)
+    and states (m x n) hold element positions, each row ascending, and the
+    m x n x n stack c holds c[t, a, b] = count(faces[t] + a + b), the facets
+    containing faces[t] and the states a != b, with a zero diagonal.  A facet
+    containing faces[t] + a has d - k - 1 elements besides, so a row of c[t]
+    sums to d - k - 1 times count(faces[t] + a)."""
+    import numpy as np
+
+    d = rows.shape[1]
+    width = int(rows.max()) + 1
+    tops = list(itertools.combinations(range(d), k))
+    count = len(rows) * len(tops)
+    # Face ids and the keys built from them stay below count * width; int32
+    # keys halve what the sorts inside np.unique move.
+    ids = np.int32 if count * width < 2**31 else np.int64
+    sub = rows[:, np.array(tops, dtype=np.intp).reshape(len(tops), k)].reshape(count, k)
+    # Dense face ids in lexicographic face order, one column at a time.
+    face = np.zeros(count, dtype=ids)
+    for j in range(k):
+        face = np.unique(face * width + sub[:, j], return_inverse=True)[1].astype(ids)
+    # Each face's states in ascending order, and the slot of each link
+    # element among the states of its face.
+    outside = [[j for j in range(d) if j not in top] for top in tops]
+    link = face[:, None] * width + rows[:, outside].reshape(count, d - k)
+    keys, slot = np.unique(link, return_inverse=True)
+    owner = keys // width
+    sizes = np.bincount(owner)
+    first = np.cumsum(sizes) - sizes
+    # int32 halves the one array that lives through every state count.
+    slot = (np.arange(len(keys)) - first[owner]).astype(np.int32)[slot.reshape(link.shape)]
+    del link
+    sample = np.empty(len(sizes), dtype=np.intp)
+    sample[face] = np.arange(count)
+    faces = sub[sample]
+    del sub, sample
+    lo, hi = np.array(list(itertools.combinations(range(d - k), 2)), dtype=np.intp).T
+    row_size = sizes[face]
+    for n in np.unique(sizes).tolist():
+        mine = sizes == n
+        rank = np.cumsum(mine) - 1
+        size = int(np.count_nonzero(mine)) * n * n
+        picked = np.flatnonzero(row_size == n)
+        pairs = slot[picked]
+        base = rank[face[picked], None] * (n * n) + pairs * n
+        c = np.bincount((base[:, lo] + pairs[:, hi]).ravel(), minlength=size)
+        c += np.bincount((base[:, hi] + pairs[:, lo]).ravel(), minlength=size)
+        # Let the index arrays go before the caller solves this stack.
+        del picked, pairs, base
+        mine = np.flatnonzero(mine)
+        states = keys[first[mine][:, None] + np.arange(n)] % width
+        yield faces[mine], states, c.reshape(-1, n, n)
 
 
-def _local_matrix(tau, states, counts, denom) -> list:
-    """Row-major entries of the symmetrized local walk of tau over its states
-    in ascending order: count(tau+a+b) / (denom sqrt(count(tau+a) count(tau+b)))."""
-    n = len(states)
-    faces = [tau | s for s in states]
-    sizes = [counts[f] for f in faces]
-    get = counts.get
-    out = [0.0] * (n * n)
-    for a in range(n - 1):
-        face, ca = faces[a], sizes[a]
-        for b in range(a + 1, n):
-            pair = get(face | states[b])
-            if pair:
-                out[a * n + b] = out[b * n + a] = pair / (denom * math.sqrt(ca * sizes[b]))
-    return out
+def _symmetrized(c, denom: int):
+    """D^(1/2) P D^(-1/2) for each local walk in the pair-count stack c:
+    count(tau+a+b) / (denom sqrt(count(tau+a) count(tau+b))), the product
+    taken in integers and count(tau+a) read as a row sum over denom."""
+    import numpy as np
+
+    ca = c.sum(axis=-1) // denom
+    return c / (denom * np.sqrt(ca[..., :, None] * ca[..., None, :]))
 
 
 def local_spectral_profile(x, force: bool = False) -> LocalProfile:
     """gamma_k = max second eigenvalue of the local walk over all faces of
-    size k, computed for k = 0..d-2 level by level from one face-count table
-    keyed by integer face masks.  Each level's local matrices are solved in
-    stacks of one state count, at most _EIG_BATCH per eigvalsh call."""
+    size k, computed for k = 0..d-2 level by level from integer pair-count
+    stacks.  Each level's local matrices are solved in stacks of one state
+    count, at most _EIG_BATCH per eigvalsh call."""
     import numpy as np
 
     facets, d = _as_facets(x)
     check_face_subsets(len(facets), d, force)
-    counts = _face_mask_counts(facets)
-    by_size = [[] for _ in range(d + 1)]
-    for face in counts:
-        by_size[face.bit_count()].append(face)
+    _, rows = _element_positions(facets)
     gammas = []
     for k in range(d - 1):
         # Every size-k face lies in a facet with d - k >= 2 elements outside it.
         denom = d - k - 1
-        by_count = {}
-        for tau, states in _link_states(by_size[k + 1]).items():
-            states.sort()
-            by_count.setdefault(len(states), []).append((tau, states))
         seconds = []
-        for n, group in by_count.items():
-            for lo in range(0, len(group), _EIG_BATCH):
-                chunk = group[lo : lo + _EIG_BATCH]
-                stack = np.array([_local_matrix(t, st, counts, denom) for t, st in chunk])
-                vals = np.linalg.eigvalsh(stack.reshape(-1, n, n))
+        for _, _, c in _pair_count_stacks(rows, k):
+            for lo in range(0, len(c), _EIG_BATCH):
+                vals = np.linalg.eigvalsh(_symmetrized(c[lo : lo + _EIG_BATCH], denom))
                 seconds.append(float(vals[:, -2].max()))
         gammas.append(max(seconds))
     return LocalProfile(tuple(gammas))

@@ -300,6 +300,58 @@ class TestLocalWalkAgainstOracle:
                 assert abs(gap - (1.0 - second)) <= 1e-9
 
 
+class TestPairCountStacks:
+    def test_stacks_match_the_oracle_at_every_face(self):
+        """The profile's builder, at every level of the corpus, in integers:
+        each face of size k comes out once, with its states ascending,
+        c[t, a, b] = count(tau + a + b), and row sums denom * count(tau + a)."""
+        for facets in _oracle_corpus():
+            d = len(facets[0])
+            elements, rows = chains._element_positions(facets)
+            for k in range(d - 1):
+                denom = d - k - 1
+                seen = []
+                for faces, states, c in chains._pair_count_stacks(rows, k):
+                    assert c.dtype.kind == "i"
+                    for t in range(len(c)):
+                        tau = frozenset(elements[i] for i in faces[t])
+                        seen.append(tau)
+                        mine = [elements[i] for i in states[t]]
+                        assert mine == sorted(mine)
+                        oracle_states, oracle = _oracle_local_walk(facets, tau)
+                        assert mine == oracle_states
+                        count = [sum(1 for f in facets if tau | {a} <= f) for a in mine]
+                        for i, a in enumerate(mine):
+                            for j, b in enumerate(mine):
+                                pair = oracle.get((a, b), 0) * denom * count[i]
+                                assert pair.denominator == 1
+                                assert c[t, i, j] == pair
+                        sums = c[t].sum(axis=1)
+                        assert list(sums % denom) == [0] * len(mine)
+                        assert list(sums // denom) == count
+                assert len(seen) == len(set(seen))
+                assert set(seen) == {tau for tau in _small_faces(facets) if len(tau) == k}
+
+    def test_wide_keys_give_the_same_stacks(self):
+        # Spread positions push count * width past 2^31 at every level, so
+        # the builder keys faces in 64 bits instead of 32.
+        for facets in _oracle_corpus()[:3]:
+            d = len(facets[0])
+            _, rows = chains._element_positions(facets)
+            wide = rows.astype(np.int64) << 26
+            assert len(rows) * (int(wide.max()) + 1) >= 2**31
+            for k in range(d - 1):
+                narrow_stacks = list(chains._pair_count_stacks(rows, k))
+                wide_stacks = list(chains._pair_count_stacks(wide, k))
+                assert len(narrow_stacks) == len(wide_stacks)
+                for (faces, states, c), (wide_faces, wide_states, wide_c) in zip(
+                    narrow_stacks, wide_stacks
+                ):
+                    assert np.array_equal(wide_faces, faces.astype(np.int64) << 26)
+                    assert np.array_equal(wide_states, states.astype(np.int64) << 26)
+                    assert np.array_equal(wide_c, c)
+
+
 class TestSpectralGap:
     def test_single_state_convention(self):
         p = down_up_matrix([{0, 1}])
@@ -329,6 +381,17 @@ class TestSpectralGap:
         p = local_walk_matrix(x, ())
         assert p.entry(0, 1) == F(1, 3) and p.entry(1, 0) == F(1, 2)
         assert abs(spectral_gap(p) - 1.25) <= 1e-9
+
+    def test_local_gap_bits_pinned(self):
+        """Single-link gaps bit for bit as the face-mask table computed them."""
+        pins = [
+            ("complete_bipartite", (4, 4), (), "0x1.027d4964867e8p+0"),
+            ("complete", (5,), {0}, "0x1.ffffffffffffep-1"),
+            ("cycle", (4,), (), "0x1.4000000000000p+0"),
+        ]
+        for kind, params, tau, hexed in pins:
+            x = NbcComplex(GraphicMatroid(build_named_graph(kind, *params)))
+            assert spectral_gap(local_walk_matrix(x, tau)).hex() == hexed, (kind, params, tau)
 
     def test_sparse_matches_dense_above_desk_size(self, monkeypatch):
         k8 = GraphicMatroid(build_named_graph("complete", 8))
@@ -478,6 +541,15 @@ class TestLocalProfile:
                 m = TruncatedMatroid(m, truncate)
             prof = local_spectral_profile(NbcComplex(m))
             assert [g.hex() for g in prof.gammas] == hexes, (kind, params, truncate)
+
+    def test_profile_bits_pinned_past_64_elements(self):
+        """K12 truncated to 3 has 66 elements, more than a 64-bit face mask
+        holds; its gammas bit for bit as the face-mask table computed them."""
+        m = TruncatedMatroid(GraphicMatroid(build_named_graph("complete", 12)), 3)
+        x = NbcComplex(m)
+        assert m.ground_size == 66 and len(x.facets()) == 1860
+        prof = local_spectral_profile(x)
+        assert [g.hex() for g in prof.gammas] == ["0x1.4ed8474686678p-54", "0x1.994d7de0e49d4p-53"]
 
     def test_one_eigvalsh_per_level_state_count_and_chunk(self, monkeypatch):
         x = NbcComplex(GraphicMatroid(build_named_graph("complete_bipartite", 4, 4)))
