@@ -27,7 +27,7 @@ profile = local_spectral_profile(matroid)
 print(f"K4 independence complex profile: {tuple(round(v, 12) for v in profile)}")
 assert all(v <= 1e-9 for v in profile)
 
-bound = local_to_global_bound(profile, matroid.rank)
+bound = local_to_global_bound(profile)
 gap = spectral_gap(down_up_matrix(matroid))
 print(f"local-to-global bound {bound:.6f} <= measured gap {gap:.6f}")
 assert gap >= bound - 1e-7
@@ -39,7 +39,7 @@ print(f"local walk at tau={{0}}: states {walk.index}")
 assert all(walk.entry(i, i) == 0 for i in range(walk.size))
 
 nbc_profile = local_spectral_profile(x)
-nbc_bound = local_to_global_bound(nbc_profile, x.rank)
+nbc_bound = local_to_global_bound(nbc_profile)
 nbc_gap = spectral_gap(down_up_matrix(x.facets()))
 print(f"NBC complex: profile {tuple(round(v, 6) for v in nbc_profile)}")
 print(f"  bound {nbc_bound:.6f} <= gap {nbc_gap:.6f}")
@@ -50,7 +50,7 @@ assert nbc_gap >= nbc_bound - 1e-7
 # formula telescopes to exactly 1.
 single = [frozenset({0, 1, 2})]
 sp = local_spectral_profile(single)
-print(f"single facet: profile {tuple(round(v, 9) for v in sp)}, bound {local_to_global_bound(sp, 3):.9f}")
+print(f"single facet: profile {tuple(round(v, 9) for v in sp)}, bound {local_to_global_bound(sp):.9f}")
 assert abs(sp[0] + 0.5) <= 1e-9 and sp[1] == -1.0
-assert abs(local_to_global_bound(sp, 3) - 1.0) <= 1e-9
+assert abs(local_to_global_bound(sp) - 1.0) <= 1e-9
 print("local expansion verified")

@@ -16,7 +16,7 @@ for l in (2, 4, 8):
     cert = gap_certificate(build_link_gadget(base, l, 2))
     part = cert["partition"]
     print(
-        f"l={l}: {cert['facet_count']} link facets, |S_A| = {cert['s_a_size']}, "
+        f"l={l}: {cert['facet_count']} link facets, |S_A| = {len(part.s_a)}, "
         f"all-A level {part.count_a(2)} = l^2, neutral {len(part.neutral)}"
     )
     print(

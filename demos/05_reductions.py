@@ -22,9 +22,9 @@ from nbcwalk import (
 # Optimization on the square with weights 1,2,3,4.
 g = build_named_graph("cycle", 4)
 weights = [1, 2, 3, 4]
-inst, edge_weights = build_opt_reduction(g, weights)
+inst = build_opt_reduction(g, weights)
 ind_set, ind_val = max_weight_independent_set(g, weights)
-base, base_val = max_weight_nbc_base(inst.complex(), edge_weights)
+base, base_val = max_weight_nbc_base(inst.complex(), inst.weights)
 recovered = sorted(e - g.edge_count for e in base if e >= g.edge_count)
 print(f"square, weights {weights}: best independent set {sorted(ind_set)} (value {ind_val})")
 print(f"  best NBC base recovers {recovered} (value {base_val})")

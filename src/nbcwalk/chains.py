@@ -216,8 +216,9 @@ def local_walk_matrix(x, tau) -> LocalWalk:
     """Element walk of the link of tau: step from x to y with probability
     proportional to the number of facets containing tau + {x, y}.  Its pair
     counts come from the builder the local spectral profile uses, at the empty
-    face of the link, and it is refused past MAX_FACE_SUBSETS as the profile
-    is."""
+    face of the link, which holds C(d - k, 2) pair indices per link facet for
+    |tau| = k.  It is refused when the link's facet count times 2^(d - k),
+    the bound check_face_subsets applies, exceeds MAX_FACE_SUBSETS."""
     facets, d = _as_facets(x)
     tau = frozenset(int(e) for e in tau)
     k = len(tau)
@@ -464,14 +465,10 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
     return LocalProfile(tuple(gammas))
 
 
-def local_to_global_bound(profile: LocalProfile, d: int) -> float:
-    """(1/d) * product of (1 - gamma_j) over the profile."""
-    d = int(d)
-    if d < 1:
-        raise PreconditionError("d must be at least 1")
-    if len(profile) != d - 1:
-        raise PreconditionError(f"profile length {len(profile)} does not match d-1={d - 1}")
-    out = 1.0 / d
+def local_to_global_bound(profile: LocalProfile) -> float:
+    """(1/d) * product of (1 - gamma_j) over the profile of a rank-d complex,
+    which holds gamma_0..gamma_{d-2}, so d = len(profile) + 1."""
+    out = 1.0 / (len(profile) + 1)
     for g in profile:
         out *= 1.0 - g
     return out

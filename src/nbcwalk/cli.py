@@ -311,7 +311,7 @@ def _cmd_walk_gap(args):
     check_face_subsets(n_facets, x.rank, args.force_size)
     gap = spectral_gap(down_up_matrix(x), force=args.force_size)
     profile = local_spectral_profile(x, force=args.force_size)
-    bound = local_to_global_bound(profile, x.rank)
+    bound = local_to_global_bound(profile)
     return canonical, {"gap": _float12(gap), "ltg_bound": _float12(bound)}
 
 
@@ -322,7 +322,7 @@ def _cmd_local_profile(args):
     scaled = [g * (d - k) for k, g in enumerate(profile.gammas)]
     return canonical, {
         "gammas": [_float12(g) for g in profile.gammas],
-        "ltg_bound": _float12(local_to_global_bound(profile, d)),
+        "ltg_bound": _float12(local_to_global_bound(profile)),
         "gamma_scaled_max": _float12(max(scaled)) if scaled else None,
         "rank": d,
     }
@@ -358,7 +358,7 @@ def _cmd_gadget(args):
     inst = build_link_gadget(base, args.l, m, force=args.force_size)
     report = {
         "ground_size": inst.graph.edge_count,
-        "trunc_rank": inst.params["trunc_rank"],
+        "trunc_rank": inst.matroid.rank,
         "tau_size": len(inst.tau),
     }
     if args.report:
@@ -385,8 +385,8 @@ def _cmd_reduce(args):
     graph, *_, canonical = _resolve_instance(args)
     if args.kind == "opt":
         w = WeightVector([_parse_fraction(p, "--vertex-weights") for p in args.vertex_weights.split(",")])
-        inst, edge_w = build_opt_reduction(graph, w)
-        base, base_val = max_weight_nbc_base(inst.complex(), edge_w, force=args.force_size)
+        inst = build_opt_reduction(graph, w)
+        base, base_val = max_weight_nbc_base(inst.complex(), inst.weights, force=args.force_size)
         ind, ind_val = max_weight_independent_set(graph, w, force=args.force_size)
         recovered = sorted(e - graph.edge_count for e in base if e >= graph.edge_count)
         return canonical, {
@@ -410,7 +410,7 @@ def _cmd_reduce(args):
         }
     result = verify_hardcore_identities(graph, args.r, force=args.force_size)
     return canonical, {
-        "r": result["r"],
+        "r": args.r,
         "counts_g": list(result["counts_g"]),
         "counts_copies": list(result["counts_copies"]),
         "counts_union": list(result["counts_union"]),

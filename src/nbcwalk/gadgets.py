@@ -1,8 +1,7 @@
 """Gadget builders and verifiers: long polytope edges, link bottlenecks, and
 the optimization / counting / external-field / hardcore reductions.
 
-Every builder returns the constructed instance together with the exact
-certificate its construction promises, and every verifier re-derives the
+Every builder returns one GadgetInstance, and every verifier re-derives the
 certified quantity by exhaustive enumeration in exact arithmetic.  A failed
 certificate raises VerificationError rather than returning a degraded report.
 """
@@ -70,6 +69,16 @@ class WeightVector:
         return f"WeightVector({[str(w) for w in self.weights]})"
 
 
+def _integer(value, name: str) -> int:
+    """value as an int, refused unless it equals one: int() alone truncates."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
 def _weight_vector(w, length: int, per: str) -> WeightVector:
     """w as a WeightVector, checked to hold one weight per vertex or element."""
     if not isinstance(w, WeightVector):
@@ -91,16 +100,16 @@ def _heaviest(sets, w: WeightVector):
 
 @dataclass(eq=False)
 class GadgetInstance:
-    """A constructed graph with its matroid, distinguished face and named
-    element sets, plus construction parameters and optional weights.  Its
-    complex uses the identity order, so each builder lays out its edge ids in
-    the block order its construction needs."""
+    """A constructed graph with its matroid, and what its readers need of the
+    construction: a distinguished face, named element sets, parameters,
+    weights and the base graph.  Its complex uses the identity order, so each
+    builder lays out its edge ids in the block order its construction needs."""
 
     graph: MultiGraph
     matroid: Matroid
-    tau: frozenset
-    marked_sets: dict
-    params: dict
+    tau: frozenset = frozenset()
+    marked_sets: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)
     weights: WeightVector | None = None
     base_graph: MultiGraph | None = None
 
@@ -116,8 +125,6 @@ class ReductionReport:
     target_quantity: Fraction
     lower_bound: Fraction
     upper_bound: Fraction
-    mode: str = ""
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.lower_bound > self.upper_bound:
@@ -137,7 +144,7 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     the two bases, then the full edge-witness condition is certified
     exhaustively.
     """
-    n = int(n)
+    n = _integer(n, "n")
     if n < 3 or n % 2 == 0:
         raise PreconditionError("n must be an odd integer >= 3")
     half = (n - 1) // 2
@@ -164,9 +171,8 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     return GadgetInstance(
         graph=graph,
         matroid=matroid,
-        tau=frozenset(),
-        marked_sets={"B": b1, "B_prime": b2, "long_edge": frozenset({n - 1})},
-        params={"n": n, "common_value": w.weight_of(b1)},
+        marked_sets={"B": b1, "B_prime": b2},
+        params={"common_value": w.weight_of(b1)},
         weights=w,
     )
 
@@ -194,8 +200,8 @@ def build_link_gadget(
     e-chain edges."""
     if not isinstance(base_graph, MultiGraph):
         raise PreconditionError("base_graph must be a MultiGraph")
-    l = int(l)
-    m = int(target_size)
+    l = _integer(l, "l")
+    m = _integer(target_size, "target_size")
     nv = base_graph.vertex_count
     me = base_graph.edge_count
     if l < 1:
@@ -222,26 +228,16 @@ def build_link_gadget(
         for i in range(l):
             edges.append((chain_vertex(v, i), v))
     graph = MultiGraph(nv + 2 + nv * l, edges)
-    trunc_rank = l * nv + m + 1
-    matroid = TruncatedMatroid(GraphicMatroid(graph), trunc_rank)
-    e_start = 1 + me
-    f_start = e_start + nv * l
-    tau = frozenset(range(e_start, f_start))
-    marked = {
-        "e0": frozenset({0}),
-        "E": frozenset(range(1, e_start)),
-        "e_edges": tau,
-        "f_edges": frozenset(range(f_start, graph.edge_count)),
-    }
+    f_start = 1 + me + nv * l
     inst = GadgetInstance(
         graph=graph,
-        matroid=matroid,
-        tau=tau,
-        marked_sets=marked,
-        params={"l": l, "m": m, "trunc_rank": trunc_rank, "base_vertices": nv, "base_edges": me},
+        matroid=TruncatedMatroid(GraphicMatroid(graph), l * nv + m + 1),
+        tau=frozenset(range(1 + me, f_start)),
+        marked_sets={"f_edges": frozenset(range(f_start, graph.edge_count))},
+        params={"l": l, "m": m},
         base_graph=base_graph,
     )
-    if not is_nbc(inst.complex(), tau):
+    if not is_nbc(inst.complex(), inst.tau):
         raise VerificationError("tau is not an NBC face of the constructed complex")
     return inst
 
@@ -305,7 +301,7 @@ def partition_link_facets(inst: GadgetInstance, facets) -> LinkPartition:
         raise PreconditionError("the base graph is not bipartite")
     l = inst.params["l"]
     m = inst.params["m"]
-    me = inst.params["base_edges"]
+    me = inst.base_graph.edge_count
     side_a, side_b = parts
     if len(side_a) != m:
         if len(side_b) == m:
@@ -388,13 +384,12 @@ def gap_certificate(inst: GadgetInstance, force: bool = False) -> dict:
         "neighbor_ratio": ratio,
         "paper_bound": Fraction(m ** (2 * m) * (1 + l), l**m),
         "facet_count": len(facets),
-        "s_a_size": len(s_a),
         "s_a_at_most_half": at_most_half,
         "partition": part,
     }
 
 
-def build_opt_reduction(g: MultiGraph, vertex_weights: WeightVector):
+def build_opt_reduction(g: MultiGraph, vertex_weights: WeightVector) -> GadgetInstance:
     """Apex construction carrying vertex weights onto apex edges: maximizing
     NBC base weight then solves max-weight independent set on g."""
     if not isinstance(g, MultiGraph):
@@ -405,23 +400,11 @@ def build_opt_reduction(g: MultiGraph, vertex_weights: WeightVector):
     z = g.vertex_count
     edges = list(g.edges) + [(v, z) for v in range(g.vertex_count)]
     graph = MultiGraph(g.vertex_count + 1, edges)
-    matroid = GraphicMatroid(graph)
-    edge_weights = WeightVector(
-        [Fraction(0)] * g.edge_count + list(vertex_weights)
-    )
-    inst = GadgetInstance(
+    return GadgetInstance(
         graph=graph,
-        matroid=matroid,
-        tau=frozenset(),
-        marked_sets={
-            "E": frozenset(range(g.edge_count)),
-            "apex_edges": frozenset(range(g.edge_count, graph.edge_count)),
-        },
-        params={"apex": z},
-        weights=edge_weights,
-        base_graph=g,
+        matroid=GraphicMatroid(graph),
+        weights=WeightVector([Fraction(0)] * g.edge_count + list(vertex_weights)),
     )
-    return inst, edge_weights
 
 
 def max_weight_independent_set(g: MultiGraph, vertex_weights: WeightVector, force: bool = False):
@@ -441,7 +424,7 @@ def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     return _heaviest(bases, w)
 
 
-def build_field_reduction(g: MultiGraph, m: int, l, force: bool = False):
+def build_field_reduction(g: MultiGraph, m: int, l, force: bool = False) -> GadgetInstance:
     """Apex-plus-pendant gadget truncated to rank m+1 with field weight l on
     the apex edges; its weighted NBC base count sandwiches i_m(g)."""
     if not isinstance(g, MultiGraph):
@@ -449,10 +432,10 @@ def build_field_reduction(g: MultiGraph, m: int, l, force: bool = False):
     return _field_reduction(g, m, l, count_independent_sets_by_size(g, force=force))
 
 
-def _field_reduction(g: MultiGraph, m: int, l, counts):
+def _field_reduction(g: MultiGraph, m: int, l, counts) -> GadgetInstance:
     """build_field_reduction on g's independent-set counts from the caller,
     so verify_counting_sandwich does not count them a second time."""
-    m = int(m)
+    m = _integer(m, "m")
     l = Fraction(l)
     if l < 1:
         raise PreconditionError("the field value l must be at least 1")
@@ -469,25 +452,11 @@ def _field_reduction(g: MultiGraph, m: int, l, counts):
     y = g.vertex_count + 1
     edges = [(y, z)] + list(g.edges) + [(v, z) for v in range(g.vertex_count)]
     graph = MultiGraph(g.vertex_count + 2, edges)
-    matroid = TruncatedMatroid(GraphicMatroid(graph), m + 1)
-    apex_start = 1 + g.edge_count
-    lam = WeightVector(
-        [Fraction(1)] * apex_start + [l] * g.vertex_count
-    )
-    inst = GadgetInstance(
+    return GadgetInstance(
         graph=graph,
-        matroid=matroid,
-        tau=frozenset(),
-        marked_sets={
-            "e0": frozenset({0}),
-            "E": frozenset(range(1, apex_start)),
-            "apex_edges": frozenset(range(apex_start, graph.edge_count)),
-        },
-        params={"l": l, "m": m, "trunc_rank": m + 1},
-        weights=lam,
-        base_graph=g,
+        matroid=TruncatedMatroid(GraphicMatroid(graph), m + 1),
+        weights=WeightVector([Fraction(1)] * (1 + g.edge_count) + [l] * g.vertex_count),
     )
-    return inst, lam
 
 
 def nbc_partition_function(x: NbcComplex, lam: WeightVector, force: bool = False) -> Fraction:
@@ -501,8 +470,8 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
     link-gadget facet count or the field-gadget partition function."""
     if mode not in ("facet-count", "partition-function"):
         raise PreconditionError("mode must be 'facet-count' or 'partition-function'")
-    m = int(m)
-    l = int(l)
+    m = _integer(m, "m")
+    l = _integer(l, "l")
     if m < 1:
         raise PreconditionError("m must be at least 1")
     counts = count_independent_sets_by_size(g, force=force)
@@ -520,23 +489,20 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
         inst = build_link_gadget(g, l, m, force=force)
         target = Fraction(len(link_facets(inst.complex(), inst.tau, force=force)))
     else:
-        inst, lam = _field_reduction(g, m, l, counts)
-        target = nbc_partition_function(inst.complex(), lam, force=force)
+        inst = _field_reduction(g, m, l, counts)
+        target = nbc_partition_function(inst.complex(), inst.weights, force=force)
     lower = Fraction(l**m * n_source)
-    upper = 2 * lower
     return ReductionReport(
         source_quantity=Fraction(n_source),
         target_quantity=target,
         lower_bound=lower,
-        upper_bound=upper,
-        mode=mode,
-        params={"m": m, "l": l},
+        upper_bound=2 * lower,
     )
 
 
 def build_hardcore_reduction(g: MultiGraph, r: int) -> MultiGraph:
     """Disjoint union of g with r copies of the complete graph on 8 vertices."""
-    r = int(r)
+    r = _integer(r, "r")
     if r < 0:
         raise PreconditionError("r must be non-negative")
     return disjoint_union(g, build_named_graph("disjoint_union_of_copies", "complete", 8, r))
@@ -544,14 +510,15 @@ def build_hardcore_reduction(g: MultiGraph, r: int) -> MultiGraph:
 
 def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> dict:
     """Exhaustively certify the disjoint-union counting identities: the
-    closed-form i_m(r K8) = C(r,m) 8^m, the convolution for the union, the
-    count-ratio closed form, and the T_{S,k} levels with their successor
-    ratio.  g's independent sets are listed once, and the union is g beside
-    the copies whose closed form was checked first, as build_hardcore_reduction
-    builds it.  The union's sets are listed once too: one pass tallies them by
-    size, for the convolution, and by their part in g, for the levels.  Any
-    exact mismatch raises with the failing identity."""
-    r = int(r)
+    convolution for the union, the count-ratio closed form, and the T_{S,k}
+    levels with their successor ratio.  g's independent sets are listed once,
+    and so are those of the union build_hardcore_reduction builds: one pass
+    tallies them by size, for the convolution, and by their part in g, for
+    the levels.  The union's sets that miss g are the independent sets of the
+    copies, so i_k(r K8) is the level T_{empty,k}, whose check is the closed
+    form i_k(r K8) = C(r,k) 8^k.  Any exact mismatch raises with the failing
+    identity."""
+    r = _integer(r, "r")
     if r < 0:
         raise PreconditionError("r must be non-negative")
     if (r > HARDCORE_MAX_COPIES or g.vertex_count > HARDCORE_MAX_BASE_VERTICES) and not force:
@@ -561,17 +528,7 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
         )
     sets_g = tuple(iter_independent_sets(g, force=True))
     counts_g = SizeCounts.tally(sets_g)
-    copies = build_named_graph("disjoint_union_of_copies", "complete", 8, r)
-    counts_copies = count_independent_sets_by_size(copies, force=True)
-    for mm in range(len(counts_copies.counts)):
-        expected = math.comb(r, mm) * 8**mm
-        if counts_copies[mm] != expected:
-            raise VerificationError(
-                f"i_{mm}(rK8) = {counts_copies[mm]} differs from C(r,{mm})*8^{mm} = {expected}"
-            )
-    if len(counts_copies.counts) != r + 1:
-        raise VerificationError("r K8 independence counts do not stop at size r")
-    union = disjoint_union(g, copies)
+    union = build_hardcore_reduction(g, r)
     base_vertices = frozenset(range(g.vertex_count))
     levels = {}
 
@@ -582,6 +539,10 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
             yield ind
 
     counts_union = SizeCounts.tally(union_sets())
+    top = max(k for part, k in levels if not part)
+    counts_copies = SizeCounts(tuple(levels.get((frozenset(), k), 0) for k in range(top + 1)))
+    if len(counts_copies.counts) != r + 1:
+        raise VerificationError("r K8 independence counts do not stop at size r")
     conv = counts_g.convolve(counts_copies)
     for k in range(len(counts_union.counts)):
         if counts_union[k] != conv[k]:
@@ -615,9 +576,6 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
                         f"successor ratio fails for S={sorted(s)}, k={k}: {ratio} != {formula}"
                     )
     return {
-        "r": r,
-        "union_vertices": union.vertex_count,
-        "union_edges": union.edge_count,
         "counts_g": tuple(counts_g),
         "counts_copies": tuple(counts_copies),
         "counts_union": tuple(counts_union),
@@ -627,7 +585,7 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
 
 def critical_threshold(delta: int) -> Fraction:
     """Hardcore critical fugacity (Delta-1)^(Delta-1) / (Delta-2)^Delta."""
-    delta = int(delta)
+    delta = _integer(delta, "delta")
     if delta < 3:
         raise PreconditionError("delta must be at least 3")
     return Fraction((delta - 1) ** (delta - 1), (delta - 2) ** delta)

@@ -191,7 +191,7 @@ def run_spectral_suite() -> list:
         prof = local_spectral_profile(x)
         if len(prof.gammas) != 1 or abs(prof.gammas[0]) > 1e-9:
             return False, f"profile {prof.gammas} differs from (0.0,)"
-        bound = local_to_global_bound(prof, 2)
+        bound = local_to_global_bound(prof)
         if abs(bound - 0.5) > 1e-9:
             return False, f"local-to-global bound {bound} != 0.5"
         return True, f"profile {prof.gammas}, bound {bound} (tight against gap 0.5)"
@@ -202,9 +202,8 @@ def run_spectral_suite() -> list:
         for label in ("complete", "cycle"):
             g = build_named_graph(label, 4 if label == "complete" else 5)
             x = NbcComplex(GraphicMatroid(g))
-            d = x.rank
             prof = local_spectral_profile(x)
-            bound = local_to_global_bound(prof, d)
+            bound = local_to_global_bound(prof)
             gap = spectral_gap(down_up_matrix(x))
             if gap < bound - 1e-7:
                 return False, f"{label}: gap {gap} below bound {bound}"
@@ -288,8 +287,8 @@ def run_gadget_suite() -> list:
     def opt():
         g = build_named_graph("cycle", 4)
         w = WeightVector([1, 2, 3, 4])
-        inst, edge_w = build_opt_reduction(g, w)
-        base, base_val = max_weight_nbc_base(inst.complex(), edge_w)
+        inst = build_opt_reduction(g, w)
+        base, base_val = max_weight_nbc_base(inst.complex(), inst.weights)
         ind, ind_val = max_weight_independent_set(g, w)
         if base_val != ind_val:
             return False, f"NBC optimum {base_val} != independent-set optimum {ind_val}"

@@ -186,11 +186,11 @@ def test_criterion_06_spectral_certificates():
             profile = local_spectral_profile(matroid)
             assert all(gamma <= 1e-9 for gamma in profile), (name, tuple(profile))
             gap = spectral_gap(down_up_matrix(matroid))
-            assert gap >= local_to_global_bound(profile, matroid.rank) - 1e-7, name
+            assert gap >= local_to_global_bound(profile) - 1e-7, name
             x = NbcComplex(matroid)
             nbc_profile = local_spectral_profile(x)
             nbc_gap = spectral_gap(down_up_matrix(x.facets()))
-            assert nbc_gap >= local_to_global_bound(nbc_profile, x.rank) - 1e-7, name
+            assert nbc_gap >= local_to_global_bound(nbc_profile) - 1e-7, name
 
 
 def test_criterion_07_cheeger_chain():
@@ -237,7 +237,7 @@ def test_criterion_09_opt_reduction():
             possible = list(itertools.combinations(range(nv), 2))
             k = rng.randint(1, min(len(possible), 10))
             g = MultiGraph(nv, sorted(rng.sample(possible, k)))
-            inst, _ = build_opt_reduction(g, [0] * nv)
+            inst = build_opt_reduction(g, [0] * nv)
             x = inst.complex()
             x.facets()
             for _ in range(20):

@@ -245,8 +245,9 @@ class TestLocalWalk:
             local_walk_matrix(x, {0, 1, 2})
 
     def test_size_guard(self, monkeypatch):
-        # The link's face-count table has up to 2^(d - |tau|) entries per link
-        # facet, so it is refused before it is built, as the profile's is.
+        # The bound counts 2^(d - |tau|) per link facet; the builder holds
+        # C(d - |tau|, 2) pair indices per link facet.  K4 at the empty face
+        # has 6 link facets of size 3, so the bound reads 48.
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 4)))
         monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 47)
         with pytest.raises(SizeGuardError, match="MAX_FACE_SUBSETS"):
@@ -476,7 +477,7 @@ class TestLocalProfile:
         assert len(prof.gammas) == 2
         assert abs(prof.gammas[0] + 0.5) <= 1e-9
         assert abs(prof.gammas[1] + 1.0) <= 1e-9
-        assert abs(local_to_global_bound(prof, 3) - 1.0) <= 1e-9
+        assert abs(local_to_global_bound(prof) - 1.0) <= 1e-9
 
     def test_profile_matches_direct_walks(self):
         cases = []
@@ -584,17 +585,13 @@ class TestLocalProfile:
             prof = local_spectral_profile(GraphicMatroid(g))
             assert all(gamma <= 1e-9 for gamma in prof.gammas)
 
-    def test_bound_requires_matching_length(self):
-        with pytest.raises(PreconditionError):
-            local_to_global_bound(LocalProfile((0.0,)), 3)
-
     def test_rank_one_bound(self):
-        assert local_to_global_bound(LocalProfile(()), 1) == 1.0
+        assert local_to_global_bound(LocalProfile(())) == 1.0
 
     def test_bound_below_gap(self):
         for g in random_graph_corpus(count=4):
             x = NbcComplex(GraphicMatroid(g))
             prof = local_spectral_profile(x)
-            bound = local_to_global_bound(prof, x.rank)
+            bound = local_to_global_bound(prof)
             gap = spectral_gap(down_up_matrix(x))
             assert gap >= bound - 1e-7

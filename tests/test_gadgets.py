@@ -117,9 +117,9 @@ class TestLinkGadget:
         inst = build_link_gadget(g, 2, 2)
         assert inst.graph.vertex_count == 4 + 2 + 8
         assert inst.graph.edge_count == 1 + 4 + 16
-        assert inst.params["trunc_rank"] == 11
+        assert inst.matroid.rank == 11
         assert inst.tau == frozenset(range(5, 13))
-        assert inst.marked_sets["e0"] == frozenset({0})
+        assert inst.graph.edges[0] == (4, 5)
 
     def test_partition_counts(self):
         g = build_named_graph("complete_bipartite", 2, 2)
@@ -182,7 +182,7 @@ class TestLinkGadget:
         report = gap_certificate(inst)
         assert report["paper_bound"] == 12
         assert report["facet_count"] == 46
-        assert report["s_a_size"] == 20
+        assert len(report["partition"].s_a) == 20
         assert report["s_a_at_most_half"]
         assert report["measured_gap"] / 2 <= float(report["conductance"]) + 1e-7
 
@@ -232,8 +232,8 @@ class TestLinkGadget:
 class TestOptReduction:
     def test_square_with_distinct_weights(self):
         g = build_named_graph("cycle", 4)
-        inst, edge_w = build_opt_reduction(g, WeightVector([1, 2, 3, 4]))
-        base, base_val = max_weight_nbc_base(inst.complex(), edge_w)
+        inst = build_opt_reduction(g, WeightVector([1, 2, 3, 4]))
+        base, base_val = max_weight_nbc_base(inst.complex(), inst.weights)
         ind, ind_val = max_weight_independent_set(g, WeightVector([1, 2, 3, 4]))
         assert base_val == ind_val == 6
         assert ind == frozenset({1, 3})
@@ -241,16 +241,16 @@ class TestOptReduction:
 
     def test_single_vertex(self):
         g = MultiGraph(1, [])
-        inst, edge_w = build_opt_reduction(g, WeightVector([5]))
-        base, val = max_weight_nbc_base(inst.complex(), edge_w)
+        inst = build_opt_reduction(g, WeightVector([5]))
+        base, val = max_weight_nbc_base(inst.complex(), inst.weights)
         assert val == 5 and base == frozenset({0})
 
     def test_ties_break_lexicographically_greatest(self):
         g = build_named_graph("cycle", 4)
         ind, val = max_weight_independent_set(g, WeightVector([1, 1, 1, 1]))
         assert val == 2 and ind == frozenset({1, 3})
-        inst, edge_w = build_opt_reduction(g, WeightVector([1, 1, 1, 1]))
-        base, base_val = max_weight_nbc_base(inst.complex(), edge_w)
+        inst = build_opt_reduction(g, WeightVector([1, 1, 1, 1]))
+        base, base_val = max_weight_nbc_base(inst.complex(), inst.weights)
         assert base_val == 2
 
     def test_rejects_negative_weights(self):
@@ -267,10 +267,10 @@ class TestOptReduction:
 class TestFieldReduction:
     def test_pentagon_partition_function(self):
         g = build_named_graph("cycle", 5)
-        inst, lam = build_field_reduction(g, 2, 10)
+        inst = build_field_reduction(g, 2, 10)
         x = inst.complex()
-        assert nbc_partition_function(x, lam) == 760
-        assert nbc_partition_function(x, WeightVector.constant(len(lam))) == 40
+        assert nbc_partition_function(x, inst.weights) == 760
+        assert nbc_partition_function(x, WeightVector.constant(len(inst.weights))) == 40
 
     def test_warns_below_threshold(self):
         g = build_named_graph("cycle", 5)
@@ -284,8 +284,8 @@ class TestFieldReduction:
 
     def test_field_weights_at_least_one(self):
         g = build_named_graph("cycle", 5)
-        inst, lam = build_field_reduction(g, 2, 10)
-        assert all(w >= 1 for w in lam)
+        inst = build_field_reduction(g, 2, 10)
+        assert all(w >= 1 for w in inst.weights)
         with pytest.raises(PreconditionError):
             build_field_reduction(g, 2, F(1, 2))
 
@@ -436,6 +436,52 @@ class TestCriticalThreshold:
     def test_rejects_small_degree(self):
         with pytest.raises(PreconditionError):
             critical_threshold(2)
+
+
+class TestIntegerParameters:
+    """A parameter that is not equal to an integer is refused by name rather
+    than truncated by int(); one equal to an integer is taken as it."""
+
+    def test_long_edge_n(self):
+        with pytest.raises(PreconditionError, match="n must be an integer"):
+            build_long_edge_instance(5.9)
+        assert build_long_edge_instance(5.0).graph == build_long_edge_instance(5).graph
+
+    def test_link_gadget_l_and_target_size(self):
+        g = build_named_graph("complete_bipartite", 2, 2)
+        with pytest.raises(PreconditionError, match="l must be an integer"):
+            build_link_gadget(g, 2.7, 2)
+        with pytest.raises(PreconditionError, match="target_size must be an integer"):
+            build_link_gadget(g, 2, F(3, 2))
+        assert build_link_gadget(g, F(2), 2.0).matroid.rank == 11
+
+    def test_field_reduction_m(self):
+        g = build_named_graph("cycle", 5)
+        with pytest.raises(PreconditionError, match="m must be an integer"):
+            build_field_reduction(g, 1.5, 10)
+        # The field value stays rational.
+        assert build_field_reduction(g, 2.0, F(21, 2)).weights[-1] == F(21, 2)
+
+    def test_counting_sandwich_m_and_l(self):
+        c5 = build_named_graph("cycle", 5)
+        with pytest.raises(PreconditionError, match="l must be an integer"):
+            verify_counting_sandwich(c5, 2, F(41, 2), "facet-count")
+        with pytest.raises(PreconditionError, match="m must be an integer"):
+            verify_counting_sandwich(c5, 2.5, 20, "partition-function")
+        assert verify_counting_sandwich(c5, 2.0, F(20), "facet-count").lower_bound == 2000
+
+    def test_hardcore_reduction_r(self):
+        with pytest.raises(PreconditionError, match="r must be an integer"):
+            build_hardcore_reduction(build_named_graph("complete", 3), 1.5)
+
+    def test_hardcore_identities_r(self):
+        with pytest.raises(PreconditionError, match="r must be an integer"):
+            verify_hardcore_identities(build_named_graph("complete", 3), F(3, 2))
+
+    def test_critical_threshold_delta(self):
+        with pytest.raises(PreconditionError, match="delta must be an integer"):
+            critical_threshold(7.5)
+        assert critical_threshold(7.0) == F(46656, 78125)
 
 
 class TestGadgetInstance:

@@ -419,7 +419,7 @@ class TestLongForestPaths:
         rng = random.Random(SEED)
         for l in (1, 2):
             inst = build_link_gadget(build_named_graph(kind, *map(int, params)), l, 2)
-            g, rank, tau = inst.graph, inst.params["trunc_rank"], inst.tau
+            g, rank, tau = inst.graph, inst.matroid.rank, inst.tau
             for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 1):
                 fast = NbcComplex(inst.matroid, ElementOrder(ranking))
                 slow = NbcComplex(TruncatedMatroid(OpaqueMatroid(g), rank), ElementOrder(ranking))

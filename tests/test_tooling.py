@@ -1,9 +1,10 @@
 """The demos and the benchmark's self-test run as scripts, as a user would run
 them, so an API change that breaks either fails here; every benchmark command
 runs in process against its expected report; a fresh interpreter checks what
-importing the CLI loads, every example command in README's CLI section must
-run, so the docs cannot drift from the parser, no package module keeps an
-import it never uses, and the package exports exactly what it imports."""
+importing the CLI loads, every example command in README's CLI section and
+its Python example must run, so the docs cannot drift from the code, no
+package module keeps an import it never uses or a private name nothing in the
+package references, and the package exports exactly what it imports."""
 
 import ast
 import importlib.util
@@ -116,6 +117,12 @@ def test_readme_cli_line_exits_zero(line, capsys):
     assert cli.main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
 
 
+def test_readme_python_block_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_package_modules_use_every_import():
     # __init__.py is left out: its imports are the package's re-exports.
     unused = []
@@ -133,6 +140,46 @@ def test_package_modules_use_every_import():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert not unused, unused
+
+
+def test_package_modules_use_every_private_name():
+    # A module-level private function, class or constant that no package
+    # module names, outside its own definition, is dead code.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py"))
+    }
+
+    def mentions(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id, node.lineno
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, node.lineno
+            elif isinstance(node, ast.alias):
+                yield node.asname or node.name, node.lineno
+
+    mentioned = {}
+    for module, tree in trees.items():
+        for name, line in mentions(tree):
+            mentioned.setdefault(name, []).append((module, line))
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                own = range(node.lineno, node.end_lineno + 1)
+                if all(m == module and line in own for m, line in mentioned.get(name, ())):
+                    dead.append(f"{module}:{node.lineno} {name}")
+    assert not dead, dead
 
 
 def test_package_exports_exactly_its_imports():

@@ -1,6 +1,7 @@
 """Self-check suites and the command-line front end."""
 
 import argparse
+import hashlib
 import json
 
 import pytest
@@ -118,6 +119,23 @@ class TestCliReports:
         assert report["claim_disjoint"] is True
         assert report["facet_count"] == 46
         assert report["paper_bound"] == "12"
+
+    # `gadget link` without --report prints no floats, so its whole output is
+    # pinned: exit, stderr and the stdout sha256 recorded at 4928095, with the
+    # ground size, truncation rank and tau size spelled out.
+    @pytest.mark.parametrize(
+        "argv,sizes,sha256",
+        [
+            ("gadget link --n 2 --l 3", (29, 15, 12), "16dee3d52c5226e78068ddd279c5f6f060f7426fcbf68651cb82d1a43a8ed2cc"),
+            ("gadget link --n 3 --l 2 --m 2", (34, 15, 12), "bf2648fdbadba93f0a27ac6b69b9ccdc39bc474085a15e92f93a825db0f8b6a5"),
+            ("gadget link --n 1 --l 4 --m 0", (18, 9, 8), "5f80d7d45021543e2c359ba0678c273bed9818c9bb70c6648a8b0febce731f63"),
+        ],
+    )
+    def test_link_gadget_lines_pinned(self, capsys, argv, sizes, sha256):
+        code, out, err = _run(capsys, *argv.split())
+        assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", sha256)
+        report = json.loads(out)
+        assert (report["ground_size"], report["trunc_rank"], report["tau_size"]) == sizes
 
     def test_weighted_bases_enumerate_once(self, capsys, monkeypatch):
         calls = _count_enumerations(monkeypatch)
