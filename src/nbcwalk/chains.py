@@ -1,10 +1,11 @@
 """Down-up and local walks: exact transition matrices, gaps, conductance.
 
 The down-up walk on same-size facets is kept as its integer facet-ridge
-incidence: each ridge lists the facets containing it, each facet its ridges.
-Its exact entries are 1/(d |r|) summed over shared ridges r, so it is
-symmetric and doubly stochastic by construction, and conductance and neighbor
-ratios are exact sums over ridge counts.
+incidence in two numpy arrays: each facet's d ridge ids, and each ridge's
+facet count |r|.  Ridge ids come from the face-id scheme the local profile
+uses, _face_ids.  Its exact entries are 1/(d |r|) summed over shared ridges
+r, so it is symmetric and doubly stochastic by construction, and conductance
+and neighbor ratios are exact sums over ridge counts.
 
 Local walks are read from integer pair counts: the walk of the link of tau
 steps from a to b in proportion to count(tau + a + b), the facets containing
@@ -20,9 +21,10 @@ reads its exact rational entries off them.
 
 Floating point enters only at the eigensolve: dense `eigvalsh` up to
 DENSE_EIG_STATES states, and above that, for a down-up walk, ARPACK Lanczos on
-the sparse P = (1/d) A diag(1/|r|) A^T.  numpy and scipy are imported inside
-the functions that count local pairs or solve, so a command that does no
-spectral work never loads them.
+the factored operator P = (1/d) A diag(1/|r|) A^T of the sparse incidence A,
+applied as two sparse products without forming P.  numpy and scipy are
+imported inside the functions that build walks or solve, so a command that
+does no walk or spectral work never loads them.
 """
 
 from __future__ import annotations
@@ -41,9 +43,11 @@ if TYPE_CHECKING:
 
 MAX_EIG_STATES = 5000
 MAX_FACE_SUBSETS = 2_000_000
-# Largest down-up walk solved densely.  Dense eigvalsh costs 0.03 s at 774
-# states, 0.27 s at 1665 and 1.37 s at 3016; importing scipy.sparse.linalg
-# costs 0.3-0.4 s and 26 MB, so a one-shot solve below this size is cheaper dense.
+# Largest down-up walk solved densely.  Dense eigvalsh costs 0.04 s at 774
+# states, 0.34 s at 1665 and 2.0 s at 3016; the factored sparse solve takes
+# 0.002, 0.007 and 0.03 s there, but importing scipy.sparse.linalg first costs
+# 0.3-0.4 s and 33 MB, so a one-shot solve below this size is cheaper dense
+# (host seconds, 2 vCPUs, OpenBLAS on 2 threads).
 DENSE_EIG_STATES = 1500
 # Most local walk matrices of one state count solved per eigvalsh call.
 _EIG_BATCH = 512
@@ -75,19 +79,20 @@ class DownUpWalk:
     A step drops a uniform element of the current facet, leaving a ridge r,
     then moves to a uniform one of the |r| facets containing r, so
     P(S, T) = sum of 1/(d |r|) over the ridges r in both S and T.  Distinct
-    facets share at most one ridge.  ridge_members[r] lists the facet positions
-    containing ridge r; facet_ridges[i] the d ridges of facet i.  Build it with
-    down_up_matrix.  entry and rows read P off the incidence; rows are plain
-    dicts built on each access, which no solve or certificate needs.
+    facets share at most one ridge.  facet_ridges is the n x d integer array
+    of each facet's ridge ids, and ridge_sizes[r] = |r|, the facets containing
+    ridge r.  Build it with down_up_matrix.  entry and rows read P off the
+    incidence; rows are plain dicts built on each access, which no solve or
+    certificate needs.
     """
 
-    __slots__ = ("index", "d", "ridge_members", "facet_ridges")
+    __slots__ = ("index", "d", "facet_ridges", "ridge_sizes")
 
-    def __init__(self, index, d, ridge_members, facet_ridges):
+    def __init__(self, index, d, facet_ridges, ridge_sizes):
         self.index = index
         self.d = d
-        self.ridge_members = ridge_members
         self.facet_ridges = facet_ridges
+        self.ridge_sizes = ridge_sizes
 
     @property
     def size(self) -> int:
@@ -104,33 +109,50 @@ class DownUpWalk:
         return out
 
     def entry(self, i: int, j: int) -> Fraction:
-        shared = set(self.facet_ridges[i]).intersection(self.facet_ridges[j])
-        return sum((Fraction(1, self.d * len(self.ridge_members[r])) for r in shared), Fraction(0))
+        shared = set(self.facet_ridges[i].tolist()).intersection(self.facet_ridges[j].tolist())
+        return sum((Fraction(1, self.d * int(self.ridge_sizes[r])) for r in shared), Fraction(0))
 
     @property
     def rows(self) -> tuple:
         """Rows as dicts column -> exact entry over each row's support: the
         diagonal, and 1/(d |r|) at each facet that shares a ridge r with the
         row's own.  Built on every access."""
-        share = [Fraction(1, self.d * len(m)) for m in self.ridge_members]
-        out = []
+        out = [{} for _ in range(self.size)]
+        for m, members in self._members():
+            share = Fraction(1, self.d * m)
+            for ridge in members.tolist():
+                row = dict.fromkeys(ridge, share)
+                for i in ridge:
+                    out[i].update(row)
         for i, p in enumerate(self._diagonal()):
-            row = {j: share[r] for r in self.facet_ridges[i] for j in self.ridge_members[r]}
-            row[i] = p
-            out.append(row)
+            out[i][i] = p
         return tuple(out)
+
+    def _members(self):
+        """(m, members) for each ridge size m, ascending: row t of members
+        lists the m facets containing the t-th ridge of size m, ascending."""
+        import numpy as np
+
+        ridges = self.facet_ridges.ravel()
+        sizes = self.ridge_sizes[ridges]
+        # Incidences by ridge size, then ridge id; lexsort is stable, so each
+        # ridge's facets stay ascending.
+        facets = np.lexsort((ridges, sizes)) // self.d
+        start = 0
+        for m, total in enumerate(np.bincount(sizes).tolist()):
+            if total:
+                yield m, facets[start : start + total].reshape(-1, m)
+                start += total
 
     def _diagonal(self) -> list:
         """Exact P(S, S) for every facet, summed once per multiset of ridge sizes."""
-        sizes = [len(m) for m in self.ridge_members]
-        sums = {}
-        out = []
-        for ridges in self.facet_ridges:
-            key = tuple(sorted(sizes[r] for r in ridges))
-            if key not in sums:
-                sums[key] = sum((Fraction(1, self.d * m) for m in key), Fraction(0))
-            out.append(sums[key])
-        return out
+        import numpy as np
+
+        keys, which = np.unique(
+            np.sort(self.ridge_sizes[self.facet_ridges], axis=1), axis=0, return_inverse=True
+        )
+        sums = [sum((Fraction(1, self.d * m) for m in key), Fraction(0)) for key in keys.tolist()]
+        return [sums[k] for k in which.ravel().tolist()]
 
     def float_matrix(self) -> np.ndarray:
         """Dense P whose entries equal float(entry(i, j)) bit for bit: an
@@ -140,15 +162,10 @@ class DownUpWalk:
 
         n = self.size
         out = np.zeros((n, n), dtype=np.float64)
-        for members in self.ridge_members:
-            if len(members) > 1:
-                ix = np.array(members)
-                out[np.ix_(ix, ix)] = 1.0 / (self.d * len(members))
+        for m, members in self._members():
+            out[members[:, :, None], members[:, None, :]] = 1.0 / (self.d * m)
         out[np.diag_indices(n)] = [float(x) for x in self._diagonal()]
         return out
-
-    def _touched_ridges(self, chosen) -> set:
-        return {r for i in chosen for r in self.facet_ridges[i]}
 
     def __repr__(self):
         return f"DownUpWalk({self.size} states, d={self.d})"
@@ -157,21 +174,15 @@ class DownUpWalk:
 def down_up_matrix(facets) -> DownUpWalk:
     """The down-up walk P(S,T) = (1/d) / #facets containing S∩T when
     |S∩T| = d-1, diagonal absorbing the remainder, as its facet-ridge
-    incidence; symmetric and doubly stochastic by construction."""
+    incidence; symmetric and doubly stochastic by construction.  Ridge ids
+    are the dense lexicographic ids of the facets' size-(d-1) position
+    rows, from the face-id scheme the local profile uses."""
+    import numpy as np
+
     facets, d = _as_facets(facets)
-    ridge_ids = {}
-    members = []
-    facet_ridges = []
-    for i, f in enumerate(facets):
-        mine = []
-        for e in f:
-            r = ridge_ids.setdefault(f - {e}, len(members))
-            if r == len(members):
-                members.append([])
-            members[r].append(i)
-            mine.append(r)
-        facet_ridges.append(tuple(mine))
-    return DownUpWalk(facets, d, tuple(map(tuple, members)), tuple(facet_ridges))
+    _, rows = _element_positions(facets)
+    _, ridges = _face_ids(rows, list(itertools.combinations(range(d), d - 1)))
+    return DownUpWalk(facets, d, ridges.reshape(len(facets), d), np.bincount(ridges))
 
 
 class LocalWalk:
@@ -265,24 +276,34 @@ def spectral_gap(p: DownUpWalk | LocalWalk, force: bool = False) -> float:
 
 def _sparse_gap(walk: DownUpWalk) -> float:
     """Gap of P = (1/d) A diag(1/|r|) A^T from its two largest eigenvalues by
-    ARPACK Lanczos.  P is positive semidefinite, so those are the top of the
-    spectrum; a walk whose facet-ridge graph is disconnected has eigenvalue 1
-    twice, which Lanczos from one start vector can miss, so it reports 0.0."""
+    ARPACK Lanczos on the factored operator v -> W (A^T v), where A is the
+    n x R facet-ridge incidence and W = A diag(1/(d |r|)); P itself is never
+    formed.  P is positive semidefinite, so those eigenvalues are the top of
+    the spectrum.  A walk whose facet-ridge bipartite graph is disconnected
+    has eigenvalue 1 twice, which Lanczos from one start vector can miss, so
+    it reports 0.0."""
     import numpy as np
     from scipy.sparse import csr_array
     from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
     n, d = walk.size, walk.d
-    cols = np.fromiter(itertools.chain.from_iterable(walk.facet_ridges), dtype=np.intp, count=n * d)
-    rows = np.arange(0, n * d + 1, d)
-    shape = (n, len(walk.ridge_members))
-    inverse = 1.0 / (d * np.array([len(m) for m in walk.ridge_members], dtype=np.float64))
-    incidence = csr_array((np.ones(n * d), cols, rows), shape=shape)
-    weighted = csr_array((inverse[cols], cols, rows), shape=shape)
-    p = weighted @ incidence.T
-    if connected_components(p, directed=False, return_labels=False) > 1:
+    ridges = len(walk.ridge_sizes)
+    cols = walk.facet_ridges.ravel()
+    starts = np.arange(0, n * d + 1, d)
+    incidence = csr_array((np.ones(n * d), cols, starts), shape=(n, ridges))
+    weighted = csr_array((1.0 / (d * walk.ridge_sizes[cols]), cols, starts), shape=(n, ridges))
+    # Facets are nodes 0..n-1 and ridges n..n+R-1; each facet links its d ridges.
+    bipartite = csr_array(
+        (np.ones(n * d), cols + n, np.concatenate([starts, np.full(ridges, n * d)])),
+        shape=(n + ridges, n + ridges),
+    )
+    if connected_components(bipartite, directed=False, return_labels=False) > 1:
         return 0.0
+    # The transpose is taken once: building it on every product doubles a
+    # product's cost.
+    transposed = incidence.T
+    p = LinearOperator((n, n), matvec=lambda v: weighted @ (transposed @ v), dtype=np.float64)
     # A seeded start vector makes the result repeat exactly; it must not be
     # constant, since the constant vector is the top eigenvector.
     v0 = np.random.default_rng(0).standard_normal(n)
@@ -295,9 +316,12 @@ def _sparse_gap(walk: DownUpWalk) -> float:
     return float(1.0 - vals.min())
 
 
-def _subset_positions(p: DownUpWalk, s) -> set:
-    chosen = set(p.positions_of(s))
-    if not chosen:
+def _subset_positions(p: DownUpWalk, s):
+    """The distinct positions of the states s, ascending, as an array."""
+    import numpy as np
+
+    chosen = np.unique(np.array(p.positions_of(s), dtype=np.intp))
+    if not len(chosen):
         raise PreconditionError("the state subset must be nonempty")
     if len(chosen) == p.size:
         raise PreconditionError("the state subset must be proper")
@@ -307,27 +331,36 @@ def _subset_positions(p: DownUpWalk, s) -> set:
 def conductance(p: DownUpWalk, s) -> Fraction:
     """Crossing probability mass out of s divided by |s|, for a down-up walk,
     whose stationary distribution is uniform."""
+    import numpy as np
+
     if not isinstance(p, DownUpWalk):
         raise PreconditionError("conductance needs a doubly stochastic matrix")
     chosen = _subset_positions(p, s)
-    # Ridge r carries |r & S| * |r - S| / (d |r|) across the cut.
-    by_size = {}
-    for r in p._touched_ridges(chosen):
-        members = p.ridge_members[r]
-        inside = sum(1 for j in members if j in chosen)
-        m = len(members)
-        by_size[m] = by_size.get(m, 0) + inside * (m - inside)
-    crossing = sum((Fraction(c, p.d * m) for m, c in by_size.items()), Fraction(0))
+    # Ridge r carries |r & S| * |r - S| / (d |r|) across the cut; the integer
+    # numerators are summed per ridge size.
+    inside = np.bincount(p.facet_ridges[chosen].ravel(), minlength=len(p.ridge_sizes))
+    cross = inside * (p.ridge_sizes - inside)
+    crossing = sum(
+        (
+            Fraction(int(cross[p.ridge_sizes == m].sum()), p.d * m)
+            for m in np.unique(p.ridge_sizes[cross > 0]).tolist()
+        ),
+        Fraction(0),
+    )
     return crossing / len(chosen)
 
 
 def neighbor_ratio(p: DownUpWalk, s) -> Fraction:
     """Number of outside states reachable in one step from s, divided by |s|."""
+    import numpy as np
+
     if not isinstance(p, DownUpWalk):
         raise PreconditionError("neighbor_ratio needs a doubly stochastic matrix")
     chosen = _subset_positions(p, s)
-    outside = {j for r in p._touched_ridges(chosen) for j in p.ridge_members[r] if j not in chosen}
-    return Fraction(len(outside), len(chosen))
+    inside = np.bincount(p.facet_ridges[chosen].ravel(), minlength=len(p.ridge_sizes))
+    reached = (inside > 0)[p.facet_ridges].any(axis=1)
+    reached[chosen] = False
+    return Fraction(int(np.count_nonzero(reached)), len(chosen))
 
 
 @dataclass(frozen=True)
@@ -366,13 +399,34 @@ def check_face_subsets(n_facets: int, d: int, force: bool = False):
 
 
 def _element_positions(facets):
-    """The sorted elements, and the facets as an N x d integer array of
-    positions among them, each row ascending."""
+    """The sorted elements, and the N same-size facets as an N x d integer
+    array of positions among them, each row ascending."""
     import numpy as np
 
     elements = sorted(set().union(*facets))
     where = {e: i for i, e in enumerate(elements)}
-    return elements, np.array([sorted(map(where.__getitem__, f)) for f in facets], dtype=np.int32)
+    flat = np.array([where[e] for f in facets for e in f], dtype=np.int32)
+    return elements, np.sort(flat.reshape(len(facets), -1), axis=1)
+
+
+def _face_ids(rows, tops):
+    """Cut each row of rows, an N x d array of element positions with
+    ascending rows, into its faces rows[:, top] for top in tops, all of one
+    size k, facet by facet.  Returns the N len(tops) x k array of faces and
+    their dense ids in lexicographic face order, found one column at a time;
+    the ids are int32 when every key, below N len(tops) times the position
+    range, fits, since int32 keys halve what the sorts inside np.unique move."""
+    import numpy as np
+
+    width = int(rows.max()) + 1
+    count = len(rows) * len(tops)
+    ids = np.int32 if count * width < 2**31 else np.int64
+    k = len(tops[0])
+    sub = rows[:, np.array(tops, dtype=np.intp).reshape(len(tops), k)].reshape(count, k)
+    face = np.zeros(count, dtype=ids)
+    for j in range(k):
+        face = np.unique(face * width + sub[:, j], return_inverse=True)[1].astype(ids)
+    return sub, face
 
 
 def _pair_count_stacks(rows, k):
@@ -390,17 +444,11 @@ def _pair_count_stacks(rows, k):
     d = rows.shape[1]
     width = int(rows.max()) + 1
     tops = list(itertools.combinations(range(d), k))
-    count = len(rows) * len(tops)
-    # Face ids and the keys built from them stay below count * width; int32
-    # keys halve what the sorts inside np.unique move.
-    ids = np.int32 if count * width < 2**31 else np.int64
-    sub = rows[:, np.array(tops, dtype=np.intp).reshape(len(tops), k)].reshape(count, k)
-    # Dense face ids in lexicographic face order, one column at a time.
-    face = np.zeros(count, dtype=ids)
-    for j in range(k):
-        face = np.unique(face * width + sub[:, j], return_inverse=True)[1].astype(ids)
+    sub, face = _face_ids(rows, tops)
+    count = len(face)
     # Each face's states in ascending order, and the slot of each link
-    # element among the states of its face.
+    # element among the states of its face.  Link keys stay below the face
+    # keys' bound, so they keep the face ids' type.
     outside = [[j for j in range(d) if j not in top] for top in tops]
     link = face[:, None] * width + rows[:, outside].reshape(count, d - k)
     keys, slot = np.unique(link, return_inverse=True)

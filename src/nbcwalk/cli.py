@@ -347,7 +347,7 @@ def _cmd_gadget(args):
             "B": sorted(inst.marked_sets["B"]),
             "B_prime": sorted(inst.marked_sets["B_prime"]),
             "weights": [_rational(w) for w in inst.weights],
-            "common_value": _rational(inst.params["common_value"]),
+            "common_value": _rational(inst.weights.weight_of(inst.marked_sets["B"])),
             "distance_squared": len(inst.marked_sets["B"] ^ inst.marked_sets["B_prime"]),
             "verified": True,
         }

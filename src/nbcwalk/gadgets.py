@@ -172,7 +172,6 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
         graph=graph,
         matroid=matroid,
         marked_sets={"B": b1, "B_prime": b2},
-        params={"common_value": w.weight_of(b1)},
         weights=w,
     )
 

@@ -247,8 +247,9 @@ def run_gadget_suite() -> list:
         b1 = inst.marked_sets["B"]
         b2 = inst.marked_sets["B_prime"]
         dist_sq = len(b1 ^ b2)
-        if inst.params["common_value"] != 2:
-            return False, f"common value {inst.params['common_value']} != 2"
+        common = inst.weights.weight_of(b1)
+        if common != 2:
+            return False, f"common value {common} != 2"
         if dist_sq != 4:
             return False, f"indicator distance squared {dist_sq} != 4"
         return True, f"n=5: common value 2, |B xor B'| = {dist_sq}"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -14,15 +15,18 @@ from nbcwalk import (
     PreconditionError,
     SizeGuardError,
     TruncatedMatroid,
+    build_link_gadget,
     build_named_graph,
     chains,
     conductance,
     down_up_matrix,
     enumerate_nbc_bases,
+    link_facets,
     local_spectral_profile,
     local_to_global_bound,
     local_walk_matrix,
     neighbor_ratio,
+    partition_link_facets,
     spectral_gap,
 )
 from helpers import random_graph_corpus
@@ -200,6 +204,30 @@ class TestDownUpAgainstOracle:
                 assert conductance(p, s) == crossing / len(s)
                 assert neighbor_ratio(p, s) == F(len(outside), len(s))
 
+    def test_ridge_incidence_matches_the_facets(self):
+        """Ridge ids against the sets f - {e} themselves: the ridge sizes are
+        the multiplicities of those sets, and two facets share a ridge id
+        exactly when they share d - 1 elements."""
+        rng = random.Random(19)
+        labels = [2, 7, 10, 64, 999, 2**31, 2**40]
+        raw = [
+            [{10, 7, 2**40}, {10, 7, 3}, {7, 3, 2**40}, {10, 3, 2**40}, {10, 7, 99}],
+            [set(c) for c in rng.sample(list(itertools.combinations(labels, 4)), 20)],
+        ]
+        for facets in _oracle_corpus() + raw:
+            p = down_up_matrix(facets)
+            d = p.d
+            held = Counter(f - {e} for f in p.index for e in f)
+            assert sorted(p.ridge_sizes.tolist()) == sorted(held.values())
+            assert p.facet_ridges.shape == (p.size, d)
+            for i, f in enumerate(p.index):
+                mine = p.facet_ridges[i].tolist()
+                assert len(set(mine)) == d
+                assert sorted(p.ridge_sizes[mine].tolist()) == sorted(held[f - {e}] for e in f)
+            for i, j in itertools.combinations(range(p.size), 2):
+                shares = bool(set(p.facet_ridges[i].tolist()) & set(p.facet_ridges[j].tolist()))
+                assert shares == (len(p.index[i] & p.index[j]) == d - 1)
+
 
 class TestRowSupport:
     """A down-up row holds the diagonal and |r| - 1 other facets per ridge r,
@@ -212,7 +240,7 @@ class TestRowSupport:
     def test_nonzeros(self, spec, rank, nnz):
         g = build_named_graph(*spec.split(":"))
         walk = down_up_matrix(NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank)))
-        assert walk.size + sum(len(m) * (len(m) - 1) for m in walk.ridge_members) == nnz
+        assert walk.size + sum(m * (m - 1) for m in walk.ridge_sizes.tolist()) == nnz
         assert sum(len(row) for row in walk.rows) == nnz
 
 
@@ -414,6 +442,36 @@ class TestSpectralGap:
         assert spectral_gap(p) == 0.0
         monkeypatch.setattr(chains, "DENSE_EIG_STATES", p.size)
         assert abs(spectral_gap(p)) <= 1e-12
+
+    def test_sparse_matches_dense_on_small_walks(self, monkeypatch):
+        """The factored sparse solve, forced by DENSE_EIG_STATES = 0, against
+        the dense one on the corpus walks of at least 20 states and the link
+        gadget walks on K2,2; conductance and neighbor ratios stay those of
+        the oracle."""
+        walks = [(f, None) for f in _oracle_corpus() if len(f) >= 20]
+        for l in range(4, 9):
+            inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), l, 2)
+            facets = link_facets(inst.complex(), inst.tau)
+            walks.append((facets, partition_link_facets(inst, facets).s_a))
+        assert len(walks) == 11
+        rng = random.Random(23)
+        for facets, s_a in walks:
+            p = down_up_matrix(facets)
+            with monkeypatch.context() as patched:
+                patched.setattr(chains, "DENSE_EIG_STATES", 0)
+                sparse = spectral_gap(p)
+            assert p.size <= chains.DENSE_EIG_STATES
+            assert abs(sparse - spectral_gap(p)) <= 1e-12
+            oracle = _oracle_down_up(facets)
+            states = list(p.index)
+            subsets = [set(rng.sample(states, rng.randint(1, len(states) - 1))) for _ in range(3)]
+            for s in subsets + ([set(s_a)] if s_a else []):
+                crossing = sum(
+                    (v for (a, b), v in oracle.items() if a in s and b not in s), F(0)
+                )
+                outside = {b for (a, b), v in oracle.items() if a in s and b not in s and v}
+                assert conductance(p, s) == crossing / len(s)
+                assert neighbor_ratio(p, s) == F(len(outside), len(s))
 
     def test_matches_numpy_on_symmetric(self):
         for g in random_graph_corpus(count=3):

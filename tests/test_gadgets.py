@@ -55,7 +55,7 @@ class TestLongEdge:
         inst = build_long_edge_instance(3)
         assert inst.marked_sets["B"] == frozenset({0, 2})
         assert inst.marked_sets["B_prime"] == frozenset({0, 1})
-        assert inst.params["common_value"] == 1
+        assert inst.weights.weight_of(inst.marked_sets["B"]) == 1
         assert len(inst.marked_sets["B"] ^ inst.marked_sets["B_prime"]) == 2
 
     def test_five_elements(self):
@@ -63,7 +63,7 @@ class TestLongEdge:
         assert inst.marked_sets["B"] == frozenset({0, 2, 4})
         assert inst.marked_sets["B_prime"] == frozenset({0, 1, 3})
         assert tuple(inst.weights) == (F(0), F(1), F(0), F(1), F(2))
-        assert inst.params["common_value"] == 2
+        assert inst.weights.weight_of(inst.marked_sets["B"]) == 2
         assert len(inst.marked_sets["B"] ^ inst.marked_sets["B_prime"]) == 4
 
     def test_all_other_bases_strictly_below(self):
@@ -422,7 +422,13 @@ class TestHardcore:
         assert len(enumerated) == 1
 
     def test_successor_ratio_spot_value(self):
-        assert F(8 * (10 - 3 + 1 + 1), 3 - 1) == F(36)
+        # i_k(r K8) = C(r, k) 8^k, so i_k / i_(k-1) = 8 (r - k + 1) / k.
+        r = 3
+        report = verify_hardcore_identities(build_named_graph("complete", 3), r)
+        cc = report["counts_copies"]
+        assert cc == (1, 24, 192, 512)
+        for k in range(1, r + 1):
+            assert F(cc[k], cc[k - 1]) == F(8 * (r - k + 1), k)
 
 
 class TestCriticalThreshold:
