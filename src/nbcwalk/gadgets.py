@@ -39,10 +39,6 @@ class WeightVector:
     def __init__(self, weights):
         self.weights = tuple(Fraction(w) for w in weights)
 
-    @classmethod
-    def constant(cls, length: int, value=1) -> "WeightVector":
-        return cls([Fraction(value)] * int(length))
-
     def __len__(self):
         return len(self.weights)
 
@@ -274,8 +270,6 @@ class LinkPartition:
     by_a: dict
     by_b: dict
     neutral: tuple
-    f_a: frozenset
-    f_b: frozenset
 
     @property
     def s_a(self) -> tuple:
@@ -335,8 +329,6 @@ def partition_link_facets(inst: GadgetInstance, facets) -> LinkPartition:
         by_a={i: tuple(v) for i, v in by_a.items()},
         by_b={i: tuple(v) for i, v in by_b.items()},
         neutral=tuple(neutral),
-        f_a=f_a,
-        f_b=f_b,
     )
     if part.count_a(m) != l**m:
         raise VerificationError(

@@ -52,12 +52,6 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        """Number of edge endpoints at v, counting parallel edges."""
-        if not 0 <= v < self.vertex_count:
-            raise PreconditionError(f"vertex {v} out of range")
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
     def validate_edge_ids(self, ids) -> frozenset:
         out = frozenset(int(e) for e in ids)
         for e in out:
@@ -167,39 +161,6 @@ def _joins(n: int, pairs):
 def is_forest(g: MultiGraph, edge_ids) -> bool:
     """True iff the edge set induces no cycle; a parallel pair already fails."""
     return all(_joins(g.vertex_count, (g.edges[e] for e in g.validate_edge_ids(edge_ids))))
-
-
-def _forest_paths(g: MultiGraph, edge_ids):
-    """The function taking (s, t) to the edge ids along the unique s-t path
-    in the forest edge_ids, or to None if s and t are disconnected.  The
-    forest's adjacency is built once, here."""
-    adj = {}
-    for e in edge_ids:
-        u, v = g.edges[e]
-        adj.setdefault(u, []).append((v, e))
-        adj.setdefault(v, []).append((u, e))
-
-    def path(s: int, t: int):
-        prev = {s: None}
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            if x == t:
-                break
-            for y, e in adj.get(x, ()):
-                if y not in prev:
-                    prev[y] = (x, e)
-                    stack.append(y)
-        if t not in prev:
-            return None
-        found = []
-        x = t
-        while prev[x] is not None:
-            x, e = prev[x]
-            found.append(e)
-        return found
-
-    return path
 
 
 @dataclass(frozen=True)

@@ -2,12 +2,11 @@
 
 A matroid here is anything exposing ``ground_size`` and an exact
 ``is_independent``; ranks, circuits, and fundamental circuits all reduce to
-independence calls.  Graphic matroids instead read independence and rank off
-the one union-find in graphs, and their hook finds circuits by forest-path
-searches over one adjacency per checked independent set; truncations delegate
-to the matroid they wrap.  Brute-force circuit enumeration is kept for
-desk-scale cross-checks and guarded accordingly; truncations inherit it, since
-it runs on their own is_independent.
+independence calls.  Graphic matroids read independence and rank off the one
+union-find in graphs; truncations cap the rank of the matroid they wrap.
+Brute-force circuit enumeration is kept for desk-scale cross-checks and
+guarded accordingly; truncations inherit it, since it runs on their own
+is_independent.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionError, SizeGuardError
-from .graphs import MultiGraph, _forest_paths, _joins, is_forest
+from .graphs import MultiGraph, _joins, is_forest
 
 BRUTE_MAX_GROUND = 14
 ENUM_MAX_SETS = 1_000_000
@@ -39,9 +38,6 @@ class Matroid:
             if not 0 <= x < self.ground_size:
                 raise PreconditionError(f"element {x} out of range")
         return out
-
-    def is_dependent(self, subset) -> bool:
-        return not self.is_independent(subset)
 
     def rank_of(self, subset) -> int:
         """Greedy rank: scan in id order, keep what stays independent."""
@@ -80,7 +76,8 @@ class Matroid:
     def fundamental_circuit(self, indep, e: int):
         """The unique circuit inside indep + e, or None if adding e keeps the
         set independent.  Checks that indep is an independent subset and e an
-        element outside it, then asks _fundamental_circuits."""
+        element outside it; the circuit is e together with the f whose
+        removal restores independence."""
         s = self.check_subset(indep)
         e = int(e)
         if not 0 <= e < self.ground_size:
@@ -89,22 +86,10 @@ class Matroid:
             raise PreconditionError("e already belongs to the set")
         if not self.is_independent(s):
             raise PreconditionError("the given set is not independent")
-        return self._fundamental_circuits(s)(e)
-
-    def _fundamental_circuits(self, s: frozenset):
-        """Hook on a checked independent s: the function taking an element e
-        outside s to the circuit inside s + e, or None.  Here that circuit is
-        e together with the f whose removal restores independence."""
-
-        def circuit_of(e: int):
-            grown = s | {e}
-            if self.is_independent(grown):
-                return None
-            circuit = frozenset({e} | {f for f in s if self.is_independent(grown - {f})})
-            assert self.is_dependent(circuit)
-            return circuit
-
-        return circuit_of
+        grown = s | {e}
+        if self.is_independent(grown):
+            return None
+        return frozenset({e} | {f for f in s if self.is_independent(grown - {f})})
 
     def iter_independent_sets(self, max_size=None, force: bool = False):
         """Yield every independent set (size-capped if asked) exactly once."""
@@ -157,17 +142,6 @@ class GraphicMatroid(Matroid):
         g = self.graph
         return sum(_joins(g.vertex_count, (g.edges[e] for e in self.check_subset(subset))))
 
-    def _fundamental_circuits(self, s: frozenset):
-        """e maps to e plus the path in forest s between e's endpoints, or to
-        None if there is none; s's adjacency is built once."""
-        path, edges = _forest_paths(self.graph, s), self.graph.edges
-
-        def circuit_of(e: int):
-            found = path(*edges[e])
-            return None if found is None else frozenset(found) | {e}
-
-        return circuit_of
-
 
 class TruncatedMatroid(Matroid):
     """The wrapped matroid with rank capped at target_rank."""
@@ -194,11 +168,3 @@ class TruncatedMatroid(Matroid):
     @property
     def rank(self) -> int:
         return self.target_rank
-
-    def _fundamental_circuits(self, s: frozenset):
-        """Inner circuit when one exists; otherwise, once s is at the cap, the
-        whole grown set, which is dependent purely by size."""
-        inner = self.inner._fundamental_circuits(s)
-        if len(s) < self.target_rank:
-            return inner
-        return lambda e: inner(e) or s | {e}

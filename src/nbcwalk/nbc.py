@@ -1,11 +1,10 @@
 """Broken-circuit complexes: membership, enumeration, face numbers, links.
 
 A circuit with its order-smallest element removed is a broken circuit; the NBC
-complex holds every independent set containing none of them.  The production
-membership test inspects one fundamental circuit per single-element extension
-(equivalent to the containment definition because fundamental circuits are
-unique); the brute-force containment test stays available as the cross-check
-oracle.
+complex holds every independent set containing none of them.  Membership has
+one test: is_nbc asks the walker's engine to build the face from e0 up (see
+below for why e0 may be added).  The brute-force containment test stays
+available as the cross-check oracle.
 
 Face numbers, facets and links come from one explicit-stack walker, so face
 depth is bounded by memory, not by the recursion limit.  Face numbers are
@@ -39,7 +38,9 @@ order position, up to the new edge's position, and re-roots the two trees at
 the new edge's endpoints, so each cycle's minimum takes two climbs to the
 roots, never a sweep of a component.  An inherited candidate whose components
 the last push left alone skips the cycles altogether.  Any other matroid gets
-an engine that asks is_nbc.
+an engine that asks only is_independent, through the closure form of the NBC
+condition (Björner 1992): an independent F is NBC iff, for every f outside F,
+f plus the elements of F above f stay independent.
 """
 
 from __future__ import annotations
@@ -133,23 +134,8 @@ class NbcComplex:
 
 
 def is_nbc(x: NbcComplex, s) -> bool:
-    """Independent, and no single-element extension closes a circuit whose
-    order-smallest element is the new one (which would put a broken circuit
-    inside s).  s is checked once, and the matroid's _fundamental_circuits
-    hook prepares it once for every extension."""
-    m_ = x.matroid
-    sub = m_.check_subset(s)
-    if not m_.is_independent(sub):
-        return False
-    pos = x.order.positions()
-    circuit_of = m_._fundamental_circuits(sub)
-    for e in range(m_.ground_size):
-        if e in sub:
-            continue
-        circuit = circuit_of(e)
-        if circuit is not None and min(circuit, key=pos.__getitem__) == e:
-            return False
-    return True
+    """True iff s is an NBC face: the engine builds it from e0 up."""
+    return _root_engine(x, x.matroid.check_subset(s)) is not None
 
 
 def contains_broken_circuit_bruteforce(x: NbcComplex, s, force: bool = False) -> bool:
@@ -319,17 +305,33 @@ class _GraphicEngine:
 
 
 class _OracleEngine:
-    """The engine protocol for any matroid: one is_nbc call per can_add."""
+    """The engine protocol for any matroid, asking only is_independent."""
 
     def __init__(self, x: NbcComplex):
-        self.x = x
+        self.matroid = x.matroid
+        self.ranking = x.order.ranking
         self.m = x.matroid.ground_size
         self.full = x.matroid.rank
         self.members = []
 
     def can_add(self, e: int) -> bool:
+        """True iff face + e is NBC, by the closure form: it is independent,
+        and every f outside it, with the elements of it above f, is too.  The
+        scan runs down the order, so those elements are the ones passed."""
         members = self.members
-        return len(members) < self.full and e not in members and is_nbc(self.x, members + [e])
+        if len(members) >= self.full or e in members:
+            return False
+        is_independent = self.matroid.is_independent
+        grown = {*members, e}
+        if not is_independent(grown):
+            return False
+        above = []
+        for f in reversed(self.ranking):
+            if f in grown:
+                above.append(f)
+            elif not is_independent(above + [f]):
+                return False
+        return True
 
     def extensions(self, cand) -> list:
         can_add = self.can_add

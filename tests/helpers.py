@@ -1,8 +1,9 @@
 """Shared test oracles, all deliberately independent of the package's own
 algorithms: acyclicity and components by depth-first search (not union-find),
 spanning trees by matrix-tree with exact rationals, colorings and broken
-circuits by direct brute force.  OpaqueMatroid is the one exception: it drives
-the package's generic Matroid code with graphic independence."""
+circuits by direct brute force, NBC membership also by the closure form.
+OpaqueMatroid is the one exception: it drives the package's generic Matroid
+code with graphic independence."""
 
 import itertools
 import random
@@ -130,6 +131,22 @@ def brute_nbc_faces(m, indep, ranking):
             if indep(s) and not any(b <= s for b in broken):
                 faces.add(s)
     return faces
+
+
+def closure_is_nbc(indep, ranking, s):
+    """NBC membership by the closure form of the definition (Björner 1992):
+    s is independent and, for every f outside s, f plus the elements of s
+    above f in the order is independent."""
+    s = frozenset(s)
+    if not indep(s):
+        return False
+    above = set()
+    for f in reversed(ranking):
+        if f in s:
+            above.add(f)
+        elif not indep(above | {f}):
+            return False
+    return True
 
 
 def brute_nbc_facets_through(m, indep, ranking, tau, rank):

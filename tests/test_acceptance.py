@@ -147,14 +147,15 @@ def test_criterion_04_purity():
             indep_of = lambda s: subset_acyclic(g, s)
             circuits = brute_circuits(m, indep_of)
             broken = [c - {min(c)} for c in circuits]
+            is_face = lambda s: indep_of(s) and not any(b <= s for b in broken)
             rank = x.rank
             for size in range(m + 1):
                 for combo in itertools.combinations(range(m), size):
                     s = frozenset(combo)
-                    if not indep_of(s) or any(b <= s for b in broken):
+                    if not is_face(s):
                         continue
                     base = extend_to_nbc_base(x, s)
-                    assert s <= base and len(base) == rank and is_nbc(x, base), (name, sorted(s))
+                    assert s <= base and len(base) == rank and is_face(base), (name, sorted(s))
 
 
 def test_criterion_05_log_concavity():
@@ -218,9 +219,13 @@ def test_criterion_08_link_gadget_bottleneck():
             inst = build_link_gadget(base, l, 2)
             facets = link_facets(inst.complex(), inst.tau)
             part = partition_link_facets(inst, facets)
+            # f-edge e ends at base vertex (e - f_start) // l; K2,2's sides are {0, 1} and {2, 3}.
+            f_start = min(inst.marked_sets["f_edges"])
+            f_a = {e for e in inst.marked_sets["f_edges"] if (e - f_start) // l < 2}
+            f_b = inst.marked_sets["f_edges"] - f_a
             for f in facets:
                 assert 0 in f, l
-                assert not (f & part.f_a and f & part.f_b), l
+                assert not (f & f_a and f & f_b), l
             assert part.count_a(2) == l * l, l
             cert = gap_certificate(inst)
             assert cert["s_a_at_most_half"], l

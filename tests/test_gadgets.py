@@ -46,7 +46,7 @@ class TestWeightVector:
         assert w.product_over({0, 2}) == F(1)
 
     def test_constant(self):
-        w = WeightVector.constant(4, 2)
+        w = WeightVector([2] * 4)
         assert len(w) == 4 and all(e == 2 for e in w)
 
 
@@ -270,7 +270,7 @@ class TestFieldReduction:
         inst = build_field_reduction(g, 2, 10)
         x = inst.complex()
         assert nbc_partition_function(x, inst.weights) == 760
-        assert nbc_partition_function(x, WeightVector.constant(len(inst.weights))) == 40
+        assert nbc_partition_function(x, WeightVector([1] * len(inst.weights))) == 40
 
     def test_warns_below_threshold(self):
         g = build_named_graph("cycle", 5)

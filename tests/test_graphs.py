@@ -40,7 +40,6 @@ class TestMultiGraph:
     def test_parallel_edges_keep_indices(self):
         g = MultiGraph(2, [(0, 1), (1, 0)])
         assert g.edges == ((0, 1), (0, 1))
-        assert g.degree(0) == 2
 
     def test_rejects_self_loop(self):
         with pytest.raises(PreconditionError):
@@ -49,10 +48,6 @@ class TestMultiGraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(PreconditionError):
             MultiGraph(2, [(0, 2)])
-
-    def test_degree(self):
-        g = build_named_graph("complete", 4)
-        assert [g.degree(v) for v in range(4)] == [3, 3, 3, 3]
 
     def test_connectivity(self):
         assert build_named_graph("cycle", 5).is_connected()
@@ -162,7 +157,7 @@ class TestUnionFindReaders:
     def test_corpus_has_parallel_edges_and_isolated_vertices(self):
         graphs = random_multigraphs()
         assert any(len(set(g.edges)) < g.edge_count for g in graphs)
-        assert any(0 in map(g.degree, range(g.vertex_count)) for g in graphs)
+        assert any(len({v for edge in g.edges for v in edge}) < g.vertex_count for g in graphs)
         assert any(component_count(g.vertex_count, g.edges) > 1 for g in graphs)
 
 

@@ -11,17 +11,17 @@ from nbcwalk import (
     PreconditionError,
     SizeGuardError,
     TruncatedMatroid,
-    build_link_gadget,
     build_named_graph,
     down_up_matrix,
     is_nbc,
-    matroids,
 )
 from helpers import (
     OpaqueMatroid,
     brute_circuits,
+    brute_nbc_faces,
     graphic_indep,
     random_graph_corpus,
+    random_orders,
     theta_graph,
     truncated_indep,
 )
@@ -46,7 +46,6 @@ class TestGraphicMatroid:
         mat = GraphicMatroid(build_named_graph("complete", 3))
         assert mat.is_independent({0, 1})
         assert not mat.is_independent({0, 1, 2})
-        assert mat.is_dependent({0, 1, 2})
 
     def test_parallel_pair_is_circuit(self):
         mat = GraphicMatroid(MultiGraph(2, [(0, 1), (0, 1)]))
@@ -162,7 +161,7 @@ class TestTruncatedMatroid:
     def test_circuits_match_brute_force(self):
         cases = [(build_named_graph("cycle", 5), (1, 2, 3))]
         for name in ("K4", "parallel"):
-            g = HOOK_GRAPHS[name]
+            g = SMALL_GRAPHS[name]
             cases.append((g, range(GraphicMatroid(g).rank + 1)))
         for g, ranks in cases:
             for rank in ranks:
@@ -237,7 +236,7 @@ def _brute_fundamental_circuit(indep, s, e):
     return minimal[0] if minimal else None
 
 
-HOOK_GRAPHS = {
+SMALL_GRAPHS = {
     "K4": build_named_graph("complete", 4),
     "C5": build_named_graph("cycle", 5),
     "theta7": theta_graph(7),
@@ -246,9 +245,9 @@ HOOK_GRAPHS = {
 
 
 class TestFundamentalCircuitOracle:
-    @pytest.mark.parametrize("name", sorted(HOOK_GRAPHS))
+    @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
     def test_matches_brute_force_on_every_independent_set(self, name):
-        g = HOOK_GRAPHS[name]
+        g = SMALL_GRAPHS[name]
         m = g.edge_count
         graphic = GraphicMatroid(g)
         views = [(graphic, graphic_indep(g)), (OpaqueMatroid(g), graphic_indep(g))]
@@ -268,21 +267,25 @@ class TestFundamentalCircuitOracle:
                                 indep, s, e
                             ), (name, mat, sorted(s), e)
 
-    def test_is_nbc_runs_union_find_once(self, monkeypatch):
-        inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 16, 2)
-        real, calls = matroids.is_forest, []
-        monkeypatch.setattr(matroids, "is_forest", lambda *args: calls.append(args) or real(*args))
-        assert is_nbc(inst.complex(), inst.tau)
-        assert len(calls) == 1
 
-    def test_is_nbc_builds_one_adjacency_per_call(self, monkeypatch):
-        """One forest-path adjacency per is_nbc call serves every element it
-        tries, on a truncated and on a plain graphic complex."""
-        inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 16, 2)
-        k5 = GraphicMatroid(build_named_graph("complete", 5))
-        real, calls = matroids._forest_paths, []
-        monkeypatch.setattr(matroids, "_forest_paths", lambda *args: calls.append(args) or real(*args))
-        assert is_nbc(inst.complex(), inst.tau)
-        assert len(calls) == 1
-        assert is_nbc(NbcComplex(k5), {0, 1}) and not is_nbc(NbcComplex(k5), {1, 4})
-        assert len(calls) == 3
+
+class TestIsNbcOracle:
+    @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
+    def test_matches_brute_force_on_every_subset(self, name):
+        """is_nbc on the graphic and generic engines, plain and at every
+        truncation rank, against the brute broken-circuit faces."""
+        g = SMALL_GRAPHS[name]
+        m = g.edge_count
+        graphic, opaque = GraphicMatroid(g), OpaqueMatroid(g)
+        cases = [((graphic, opaque), graphic_indep(g))]
+        for rank in range(graphic.rank + 1):
+            views = (TruncatedMatroid(graphic, rank), TruncatedMatroid(opaque, rank))
+            cases.append((views, truncated_indep(g, rank)))
+        subsets = [frozenset(c) for size in range(m + 1) for c in itertools.combinations(range(m), size)]
+        for ranking in random_orders(m, 3):
+            for views, indep in cases:
+                faces = brute_nbc_faces(m, indep, ranking)
+                for mat in views:
+                    x = NbcComplex(mat, ranking)
+                    for s in subsets:
+                        assert is_nbc(x, s) == (s in faces), (name, mat, ranking, sorted(s))

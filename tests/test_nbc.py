@@ -34,6 +34,7 @@ from helpers import (
     OpaqueMatroid,
     brute_nbc_faces,
     brute_nbc_facets_through,
+    closure_is_nbc,
     graphic_indep,
     random_graph_corpus,
     random_orders,
@@ -240,7 +241,7 @@ class TestExtendToBase:
                 base = extend_to_nbc_base(x, face)
                 assert face <= base
                 assert len(base) == rank
-                assert is_nbc(x, base)
+                assert base in faces
 
     def test_rejects_non_face(self):
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)))
@@ -470,14 +471,14 @@ class TestEngineUndo:
         """After any run of pushes and pops, the component labels and member
         lists are the ones a fresh engine reaches by pushing the same members,
         the parent pointers root the face (their rooting depends on the
-        history), and can_add still agrees with is_nbc on every NBC face
-        along the way."""
+        history), and can_add still agrees with the closure-form oracle on
+        every NBC face along the way."""
         rng = random.Random(SEED)
         rank = GraphicMatroid(g).rank
+        indep = graphic_indep(g)
         longest_reroot = 0
         for ranking in random_orders(g.edge_count, 3):
             order = ElementOrder(ranking)
-            x = NbcComplex(GraphicMatroid(g), order)
             eng = nbc._GraphicEngine(g, order, rank)
             for _ in range(150):
                 label = eng.label
@@ -497,9 +498,10 @@ class TestEngineUndo:
                 assert _forest_state(eng) == _forest_state(fresh)
                 _check_rooted_forest(eng, g, order)
                 face = frozenset(eng.members)
-                if is_nbc(x, face):
+                if closure_is_nbc(indep, ranking, face):
                     for e in range(g.edge_count):
-                        assert eng.can_add(e) == (e not in face and is_nbc(x, face | {e})), (face, e)
+                        expected = e not in face and closure_is_nbc(indep, ranking, face | {e})
+                        assert eng.can_add(e) == expected, (face, e)
         assert longest_reroot >= 2  # some push re-rooted a component at a non-root vertex
 
 

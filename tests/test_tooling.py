@@ -143,8 +143,9 @@ def test_package_modules_use_every_import():
 
 
 def test_package_modules_use_every_private_name():
-    # A module-level private function, class or constant that no package
-    # module names, outside its own definition, is dead code.
+    # A module-level private function, class or constant, or a private method
+    # in a module-level class, that no package module names outside its own
+    # definition is dead code.
     trees = {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py"))
@@ -159,13 +160,19 @@ def test_package_modules_use_every_private_name():
             elif isinstance(node, ast.alias):
                 yield node.asname or node.name, node.lineno
 
+    def definitions(tree):
+        for node in tree.body:
+            yield node
+            if isinstance(node, ast.ClassDef):
+                yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
+
     mentioned = {}
     for module, tree in trees.items():
         for name, line in mentions(tree):
             mentioned.setdefault(name, []).append((module, line))
     dead = []
     for module, tree in trees.items():
-        for node in tree.body:
+        for node in definitions(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
