@@ -29,7 +29,7 @@ cells = [[p.entry(i, j) for j in range(p.size)] for i in range(p.size)]
 assert cells == [list(col) for col in zip(*cells)] and all(sum(row) == 1 for row in cells)
 
 gap = spectral_gap(p)
-print(f"spectral gap on NBC bases: {gap}")
+print(f"spectral gap on NBC bases: {gap:.12g}")
 assert abs(gap - 0.5) <= 1e-9
 
 # The walk on all three spanning trees (no broken-circuit restriction)
@@ -37,7 +37,7 @@ assert abs(gap - 0.5) <= 1e-9
 # to uniform resampling.
 q = down_up_matrix(GraphicMatroid(g))
 gap_all = spectral_gap(q)
-print(f"spectral gap on all spanning trees: {gap_all}")
+print(f"spectral gap on all spanning trees: {gap_all:.12g}")
 assert abs(gap_all - 0.75) <= 1e-9
 
 # On the pentagon the same machinery gives a 4-state chain.

@@ -19,12 +19,13 @@ local spectral profile solves each level's stacks in batched eigvalsh calls;
 LocalWalk keeps the pair counts of one link, built at its empty face, and
 reads its exact rational entries off them.
 
-Floating point enters only at the eigensolve: dense `eigvalsh` up to
-DENSE_EIG_STATES states, and above that, for a down-up walk, ARPACK Lanczos on
-the factored operator P = (1/d) A diag(1/|r|) A^T of the sparse incidence A,
-applied as two sparse products without forming P.  numpy and scipy are
-imported inside the functions that build walks or solve, so a command that
-does no walk or spectral work never loads them.
+Floating point enters only at the eigensolve.  A local walk is solved
+densely by eigvalsh.  A down-up walk is solved by Lanczos on the factored
+operator P = (1/d) A diag(1/|r|) A^T of the incidence A, restricted to the
+complement of the constant vector, with each product one bincount over the
+incidence; P is never formed.  numpy is imported inside the functions that
+build walks or solve, so a command that does no walk or spectral work never
+loads it.
 """
 
 from __future__ import annotations
@@ -32,23 +33,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .matroids import Matroid
 from .nbc import NbcComplex
 
-if TYPE_CHECKING:
-    import numpy as np
-
 MAX_EIG_STATES = 5000
 MAX_FACE_SUBSETS = 2_000_000
-# Largest down-up walk solved densely.  Dense eigvalsh costs 0.04 s at 774
-# states, 0.34 s at 1665 and 2.0 s at 3016; the factored sparse solve takes
-# 0.002, 0.007 and 0.03 s there, but importing scipy.sparse.linalg first costs
-# 0.3-0.4 s and 33 MB, so a one-shot solve below this size is cheaper dense
-# (host seconds, 2 vCPUs, OpenBLAS on 2 threads).
-DENSE_EIG_STATES = 1500
+# Most Lanczos steps a down-up solve takes before it gives up, how many
+# steps pass between solves of the tridiagonal matrix, and the Ritz residual
+# at which the solve stops: it bounds the distance from the reported
+# eigenvalue to some eigenvalue of P.
+_LANCZOS_STEPS = 400
+_RITZ_EVERY = 8
+_RITZ_RESIDUAL = 1e-15
 # Most local walk matrices of one state count solved per eigvalsh call.
 _EIG_BATCH = 512
 
@@ -154,19 +152,6 @@ class DownUpWalk:
         sums = [sum((Fraction(1, self.d * m) for m in key), Fraction(0)) for key in keys.tolist()]
         return [sums[k] for k in which.ravel().tolist()]
 
-    def float_matrix(self) -> np.ndarray:
-        """Dense P whose entries equal float(entry(i, j)) bit for bit: an
-        off-diagonal entry is one correctly rounded 1/(d |r|), and the diagonal
-        is rounded from its exact sum."""
-        import numpy as np
-
-        n = self.size
-        out = np.zeros((n, n), dtype=np.float64)
-        for m, members in self._members():
-            out[members[:, :, None], members[:, None, :]] = 1.0 / (self.d * m)
-        out[np.diag_indices(n)] = [float(x) for x in self._diagonal()]
-        return out
-
     def __repr__(self):
         return f"DownUpWalk({self.size} states, d={self.d})"
 
@@ -253,67 +238,98 @@ def check_eig_states(n: int, force: bool = False):
 
 def spectral_gap(p: DownUpWalk | LocalWalk, force: bool = False) -> float:
     """1 - second-largest eigenvalue of a down-up or local walk; a single-state
-    walk reports 1.0 (it mixes in zero steps).  Both walks are reversible, so
-    each is solved as a symmetric matrix: a down-up walk is symmetric itself,
-    and is solved sparsely above DENSE_EIG_STATES states; a local walk is
-    solved as D^(1/2) P D^(-1/2) with D = diag(count(a)), built from its pair
-    counts by _symmetrized, as in the local spectral profile."""
+    walk reports 1.0 (it mixes in zero steps).  A down-up walk is solved by
+    _down_up_gap; a local walk is reversible and is solved densely as
+    D^(1/2) P D^(-1/2) with D = diag(count(a)), built from its pair counts by
+    _symmetrized, as in the local spectral profile."""
     import numpy as np
 
     n = p.size
     if n == 1:
         return 1.0
     check_eig_states(n, force)
-    if isinstance(p, LocalWalk):
-        sym = _symmetrized(p.pairs, p.denom)
-    elif n > DENSE_EIG_STATES:
-        return _sparse_gap(p)
-    else:
-        sym = p.float_matrix()
-    vals = np.linalg.eigvalsh(sym)
+    if isinstance(p, DownUpWalk):
+        return _down_up_gap(p)
+    vals = np.linalg.eigvalsh(_symmetrized(p.pairs, p.denom))
     return float(1.0 - vals[-2])
 
 
-def _sparse_gap(walk: DownUpWalk) -> float:
-    """Gap of P = (1/d) A diag(1/|r|) A^T from its two largest eigenvalues by
-    ARPACK Lanczos on the factored operator v -> W (A^T v), where A is the
-    n x R facet-ridge incidence and W = A diag(1/(d |r|)); P itself is never
-    formed.  P is positive semidefinite, so those eigenvalues are the top of
-    the spectrum.  A walk whose facet-ridge bipartite graph is disconnected
-    has eigenvalue 1 twice, which Lanczos from one start vector can miss, so
-    it reports 0.0."""
-    import numpy as np
-    from scipy.sparse import csr_array
-    from scipy.sparse.csgraph import connected_components
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+def _down_up_gap(walk: DownUpWalk) -> float:
+    """Gap of P = (1/d) A diag(1/|r|) A^T, A the n x R facet-ridge incidence,
+    by Lanczos with full reorthogonalization (Paige 1972; Parlett, The
+    Symmetric Eigenvalue Problem).  P is a sum of the positive semidefinite
+    terms 1_r 1_r^T / (d |r|) and its top eigenvector is the constant
+    vector 1, so lambda_2 is the top of its spectrum on the complement of 1.
 
-    n, d = walk.size, walk.d
-    ridges = len(walk.ridge_sizes)
-    cols = walk.facet_ridges.ravel()
-    starts = np.arange(0, n * d + 1, d)
-    incidence = csr_array((np.ones(n * d), cols, starts), shape=(n, ridges))
-    weighted = csr_array((1.0 / (d * walk.ridge_sizes[cols]), cols, starts), shape=(n, ridges))
-    # Facets are nodes 0..n-1 and ridges n..n+R-1; each facet links its d ridges.
-    bipartite = csr_array(
-        (np.ones(n * d), cols + n, np.concatenate([starts, np.full(ridges, n * d)])),
-        shape=(n + ridges, n + ridges),
-    )
-    if connected_components(bipartite, directed=False, return_labels=False) > 1:
+    Lanczos runs there from a seeded random start, so the result repeats
+    exactly.  Each product P v is one bincount of v over the incidence,
+    scaled by 1/(d |r|), and one gather back to the facets.  The three-term
+    recurrence removes a new vector's two large components, and one
+    classical Gram-Schmidt pass removes what rounding left along 1 and the
+    rest of the basis; a full pass on P v alone, without the recurrence,
+    loses orthogonality within a few steps.
+
+    Every _RITZ_EVERY steps the tridiagonal T_k is solved.  Its top
+    eigenvalue theta, with unit eigenvector y, is the Ritz value of a unit
+    vector x with ||P x - theta x|| = beta_k |y_k|, so some eigenvalue of P
+    lies within beta_k |y_k| of theta; in exact arithmetic theta never
+    exceeds lambda_2.  The solve stops once that residual is at most
+    _RITZ_RESIDUAL, or once the basis spans the whole complement of 1, where
+    T_k holds every eigenvalue; past _LANCZOS_STEPS steps it raises
+    VerificationError.
+
+    A disconnected walk has eigenvalue 1 twice; _connected finds that in
+    integers, and the walk reports exactly 0.0."""
+    import numpy as np
+
+    if not _connected(walk):
         return 0.0
-    # The transpose is taken once: building it on every product doubles a
-    # product's cost.
-    transposed = incidence.T
-    p = LinearOperator((n, n), matvec=lambda v: weighted @ (transposed @ v), dtype=np.float64)
-    # A seeded start vector makes the result repeat exactly; it must not be
-    # constant, since the constant vector is the top eigenvector.
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        vals = eigsh(p, k=2, which="LA", tol=0, v0=v0, return_eigenvectors=False)
-    except ArpackNoConvergence as exc:
-        raise VerificationError(
-            f"the sparse eigensolve of the {n}-state down-up walk did not converge"
-        ) from exc
-    return float(1.0 - vals.min())
+    n, d = walk.size, walk.d
+    # Each facet's ridge ids as d rows of n, so a product gathers whole rows.
+    ridges = np.ascontiguousarray(walk.facet_ridges.T)
+    flat = ridges.ravel()
+    scale = 1.0 / (d * walk.ridge_sizes)
+    steps = min(n - 1, _LANCZOS_STEPS)
+    basis = np.empty((steps + 2, n))
+    basis[0] = 1.0 / np.sqrt(n)
+    tri = np.zeros((steps + 1, steps + 1))
+    w = np.random.default_rng(0).standard_normal(n)
+    w -= w.mean()
+    basis[1] = w / np.linalg.norm(w)
+    beta = 0.0
+    for k in range(1, steps + 1):
+        w = (np.bincount(flat, weights=np.tile(basis[k], d)) * scale)[ridges].sum(axis=0)
+        alpha = tri[k - 1, k - 1] = basis[k] @ w
+        w -= alpha * basis[k] + beta * basis[k - 1]
+        w -= (basis[: k + 1] @ w) @ basis[: k + 1]
+        beta = np.sqrt(w @ w)
+        if k % _RITZ_EVERY == 0 or k == steps or beta <= _RITZ_RESIDUAL:
+            vals, vecs = np.linalg.eigh(tri[:k, :k])
+            if beta * abs(vecs[-1, -1]) <= _RITZ_RESIDUAL or k == n - 1:
+                return float(1.0 - vals[-1])
+        tri[k, k - 1] = tri[k - 1, k] = beta
+        basis[k + 1] = w / beta
+    raise VerificationError(f"the sparse eigensolve of the {n}-state down-up walk did not converge")
+
+
+def _connected(walk: DownUpWalk) -> bool:
+    """Whether every facet reaches every other through shared ridges, in
+    integers: each facet takes the least label among the facets sharing a
+    ridge with it, then that label's own label, until no label moves.  Each
+    label is then its component's least facet, so the walk is connected iff
+    every label is 0."""
+    import numpy as np
+
+    # The facets of each ridge, ridge by ridge; ridge ids are dense.
+    owners = np.argsort(walk.facet_ridges, axis=None) // walk.d
+    starts = np.cumsum(walk.ridge_sizes) - walk.ridge_sizes
+    label = np.arange(walk.size)
+    while True:
+        least = np.minimum.reduceat(label[owners], starts)[walk.facet_ridges].min(axis=1)
+        least = least[least]
+        if np.array_equal(least, label):
+            return not label.any()
+        label = least
 
 
 def _subset_positions(p: DownUpWalk, s):

@@ -415,17 +415,17 @@ def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     return _heaviest(bases, w)
 
 
-def build_field_reduction(g: MultiGraph, m: int, l, force: bool = False) -> GadgetInstance:
+def build_field_reduction(
+    g: MultiGraph, m: int, l, force: bool = False, counts=None
+) -> GadgetInstance:
     """Apex-plus-pendant gadget truncated to rank m+1 with field weight l on
-    the apex edges; its weighted NBC base count sandwiches i_m(g)."""
+    the apex edges; its weighted NBC base count sandwiches i_m(g).  counts
+    are g's independent-set counts when the caller has them already, as
+    verify_counting_sandwich does."""
     if not isinstance(g, MultiGraph):
         raise PreconditionError("g must be a MultiGraph")
-    return _field_reduction(g, m, l, count_independent_sets_by_size(g, force=force))
-
-
-def _field_reduction(g: MultiGraph, m: int, l, counts) -> GadgetInstance:
-    """build_field_reduction on g's independent-set counts from the caller,
-    so verify_counting_sandwich does not count them a second time."""
+    if counts is None:
+        counts = count_independent_sets_by_size(g, force=force)
     m = _integer(m, "m")
     l = Fraction(l)
     if l < 1:
@@ -437,7 +437,7 @@ def _field_reduction(g: MultiGraph, m: int, l, counts) -> GadgetInstance:
     if l < 2 * g.edge_count:
         warnings.warn(
             f"l = {l} is below 2|E| = {2 * g.edge_count}; the sandwich bounds are not guaranteed",
-            stacklevel=3,
+            stacklevel=2,
         )
     z = g.vertex_count
     y = g.vertex_count + 1
@@ -480,7 +480,7 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
         inst = build_link_gadget(g, l, m, force=force)
         target = Fraction(len(link_facets(inst.complex(), inst.tau, force=force)))
     else:
-        inst = _field_reduction(g, m, l, counts)
+        inst = build_field_reduction(g, m, l, counts=counts)
         target = nbc_partition_function(inst.complex(), inst.weights, force=force)
     lower = Fraction(l**m * n_source)
     return ReductionReport(

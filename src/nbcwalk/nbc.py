@@ -3,16 +3,14 @@
 A circuit with its order-smallest element removed is a broken circuit; the NBC
 complex holds every independent set containing none of them.  Membership has
 one test: is_nbc asks the walker's engine to build the face from e0 up (see
-below for why e0 may be added).  The brute-force containment test stays
-available as the cross-check oracle.
+below for why e0 may be added).
 
 Face numbers, facets and links come from one explicit-stack walker, so face
 depth is bounded by memory, not by the recursion limit.  Face numbers are
-by-size counts, so FaceNumbers is graphs.SizeCounts under a second name.  The
-walker drives an engine with a can_add/extensions/push/pop protocol: can_add(e)
-decides exactly whether an NBC face holding e0 stays NBC with e added, and
-extensions(cand) filters, right after a push, a list that the face before it
-accepted in full.
+by-size counts, a graphs.SizeCounts.  The walker drives an engine with a
+can_add/extensions/push/pop protocol: can_add(e) decides exactly whether an NBC
+face holding e0 stays NBC with e added, and extensions(cand) filters, right
+after a push, a list that the face before it accepted in full.
 
 Every walk holds e0, the order-smallest element, from its root on.  The NBC
 complex is a cone with apex e0 (Brylawski, "The broken-circuit complex",
@@ -136,16 +134,6 @@ class NbcComplex:
 def is_nbc(x: NbcComplex, s) -> bool:
     """True iff s is an NBC face: the engine builds it from e0 up."""
     return _root_engine(x, x.matroid.check_subset(s)) is not None
-
-
-def contains_broken_circuit_bruteforce(x: NbcComplex, s, force: bool = False) -> bool:
-    """Containment test straight from the definition, via full circuit
-    enumeration; desk scale only."""
-    sub = x.matroid.check_subset(s)
-    return any(b <= sub for b in x.broken_circuits(force=force))
-
-
-FaceNumbers = SizeCounts
 
 
 def is_log_concave(f) -> bool:

@@ -177,7 +177,7 @@ def run_spectral_suite() -> list:
         gap_full = spectral_gap(full)
         if abs(gap_full - 0.75) > 1e-9:
             return False, f"spanning-tree down-up gap {gap_full} != 0.75"
-        return True, f"NBC gap {gap}, all-bases gap {gap_full}"
+        return True, f"NBC gap {gap:.12g}, all-bases gap {gap_full:.12g}"
 
     _run(checks, "k3-down-up-gaps", k3_gaps)
 

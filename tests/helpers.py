@@ -2,8 +2,9 @@
 algorithms: acyclicity and components by depth-first search (not union-find),
 spanning trees by matrix-tree with exact rationals, colorings and broken
 circuits by direct brute force, NBC membership also by the closure form.
-OpaqueMatroid is the one exception: it drives the package's generic Matroid
-code with graphic independence."""
+Two exceptions: OpaqueMatroid drives the package's generic Matroid code with
+graphic independence, and contains_broken_circuit_bruteforce reads a
+complex's broken circuits from the matroid's brute-force circuit list."""
 
 import itertools
 import random
@@ -147,6 +148,13 @@ def closure_is_nbc(indep, ranking, s):
         elif not indep(above | {f}):
             return False
     return True
+
+
+def contains_broken_circuit_bruteforce(x, s):
+    """Whether s contains a broken circuit of the complex x, straight from the
+    definition over x's full circuit enumeration; desk scale only."""
+    sub = x.matroid.check_subset(s)
+    return any(b <= sub for b in x.broken_circuits())
 
 
 def brute_nbc_facets_through(m, indep, ranking, tau, rank):

@@ -60,6 +60,17 @@ def _oracle_down_up(facets):
     return out
 
 
+def _oracle_gap(facets):
+    """1 - second-largest eigenvalue of the dense down-up matrix of
+    _oracle_down_up, by numpy's eigvalsh."""
+    oracle = _oracle_down_up(facets)
+    where = {frozenset(f): i for i, f in enumerate(facets)}
+    dense = np.zeros((len(where), len(where)))
+    for (s, t), v in oracle.items():
+        dense[where[s], where[t]] = float(v)
+    return float(1.0 - np.linalg.eigvalsh(dense)[-2])
+
+
 def _oracle_local_walk(facets, tau):
     """(states, {(a, b): P(a, b)}) for the element walk of the link of tau,
     from pair counts over the facets containing tau: a steps to b with
@@ -158,15 +169,6 @@ class TestDownUpAgainstOracle:
             for i, s in enumerate(p.index):
                 for j, t in enumerate(p.index):
                     assert p.entry(i, j) == oracle.get((s, t), 0)
-
-    def test_float_matrix_is_rounded_entries(self):
-        for facets in _oracle_corpus():
-            p = down_up_matrix(facets)
-            oracle = _oracle_down_up(facets)
-            expected = np.array(
-                [[float(oracle.get((s, t), 0)) for t in p.index] for s in p.index]
-            )
-            assert np.array_equal(p.float_matrix(), expected)
 
     def test_rows_match(self):
         for facets in _oracle_corpus()[:3]:
@@ -422,32 +424,40 @@ class TestSpectralGap:
             x = NbcComplex(GraphicMatroid(build_named_graph(kind, *params)))
             assert spectral_gap(local_walk_matrix(x, tau)).hex() == hexed, (kind, params, tau)
 
-    def test_sparse_matches_dense_above_desk_size(self, monkeypatch):
+    def test_sparse_matches_dense_above_desk_size(self):
         k8 = GraphicMatroid(build_named_graph("complete", 8))
-        p = down_up_matrix(NbcComplex(TruncatedMatroid(k8, 4)))
-        assert p.size == 1665 > chains.DENSE_EIG_STATES
+        facets = NbcComplex(TruncatedMatroid(k8, 4)).facets()
+        p = down_up_matrix(facets)
+        assert p.size == 1665
         sparse = spectral_gap(p)
         assert spectral_gap(p) == sparse
-        monkeypatch.setattr(chains, "DENSE_EIG_STATES", p.size)
-        assert abs(spectral_gap(p) - sparse) <= 1e-12
+        assert abs(_oracle_gap(facets) - sparse) <= 1e-12
 
-    def test_sparse_disconnected_has_zero_gap(self, monkeypatch):
+    def test_sparse_disconnected_has_zero_gap(self):
         blocks = [
             {base + a, base + b}
             for base in (0, 100)
             for a, b in itertools.combinations(range(40), 2)
         ]
         p = down_up_matrix(blocks)
-        assert p.size == 1560 > chains.DENSE_EIG_STATES
+        assert p.size == 1560
         assert spectral_gap(p) == 0.0
-        monkeypatch.setattr(chains, "DENSE_EIG_STATES", p.size)
-        assert abs(spectral_gap(p)) <= 1e-12
 
-    def test_sparse_matches_dense_on_small_walks(self, monkeypatch):
-        """The factored sparse solve, forced by DENSE_EIG_STATES = 0, against
-        the dense one on the corpus walks of at least 20 states and the link
-        gadget walks on K2,2; conductance and neighbor ratios stay those of
-        the oracle."""
+    def test_disconnected_gap_is_exactly_zero_at_every_size(self):
+        # Two disjoint blocks of the 2-subsets of b elements: eigenvalue 1
+        # twice, which floating point alone reports as rounding noise.
+        for b in range(3, 41):
+            blocks = [
+                {base + a, base + c}
+                for base in (0, 100)
+                for a, c in itertools.combinations(range(b), 2)
+            ]
+            assert spectral_gap(down_up_matrix(blocks)) == 0.0, b
+
+    def test_sparse_matches_dense_on_small_walks(self):
+        """The solve against a dense eigvalsh of the oracle matrix on the
+        corpus walks of at least 20 states and the link gadget walks on K2,2;
+        conductance and neighbor ratios stay those of the oracle."""
         walks = [(f, None) for f in _oracle_corpus() if len(f) >= 20]
         for l in range(4, 9):
             inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), l, 2)
@@ -457,11 +467,7 @@ class TestSpectralGap:
         rng = random.Random(23)
         for facets, s_a in walks:
             p = down_up_matrix(facets)
-            with monkeypatch.context() as patched:
-                patched.setattr(chains, "DENSE_EIG_STATES", 0)
-                sparse = spectral_gap(p)
-            assert p.size <= chains.DENSE_EIG_STATES
-            assert abs(sparse - spectral_gap(p)) <= 1e-12
+            assert abs(spectral_gap(p) - _oracle_gap(facets)) <= 1e-12
             oracle = _oracle_down_up(facets)
             states = list(p.index)
             subsets = [set(rng.sample(states, rng.randint(1, len(states) - 1))) for _ in range(3)]
@@ -476,9 +482,32 @@ class TestSpectralGap:
     def test_matches_numpy_on_symmetric(self):
         for g in random_graph_corpus(count=3):
             p = down_up_matrix(NbcComplex(GraphicMatroid(g)))
-            dense = np.array(p.float_matrix())
+            dense = np.array(_matrix(p), dtype=float)
             vals = np.linalg.eigvalsh(dense)
             assert abs(spectral_gap(p) - (1.0 - vals[-2])) <= 1e-9
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_complete_graph_gap_anchor(self, n):
+        """Under the default edge order the NBC bases of K_n pick one edge
+        into each vertex v >= 1 from a smaller vertex, so the walk resamples
+        a uniform one of n - 1 blocks of sizes 1..n-1 and its gap is
+        1/(n - 1).  The facets are built from that product, not by the
+        engine; K8 has 5040 states."""
+        blocks = [[(u, v) for u in range(v)] for v in range(1, n)]
+        facets = [frozenset(pick) for pick in itertools.product(*blocks)]
+        assert abs(spectral_gap(down_up_matrix(facets), force=True) - 1 / (n - 1)) <= 1e-12
+        if n <= 6:
+            g = build_named_graph("complete", n)
+            bases = enumerate_nbc_bases(NbcComplex(GraphicMatroid(g)))
+            assert {frozenset(g.edges[e] for e in f) for f in bases} == set(facets)
+
+    @pytest.mark.parametrize("l", [2, 8, 16, 32, 64])
+    def test_link_gadget_gap_anchor(self, l):
+        """The K2,2 link gadget's walk has gap 4/(3(l + 4)), a pin measured
+        at l = 1..64; l = 64 has 9222 states, past MAX_EIG_STATES."""
+        inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), l, 2)
+        p = down_up_matrix(link_facets(inst.complex(), inst.tau, force=True))
+        assert abs(spectral_gap(p, force=True) - 4 / (3 * (l + 4))) <= 1e-12
 
 
 class TestConductance:

@@ -8,19 +8,18 @@ import pytest
 
 from nbcwalk import (
     ElementOrder,
-    FaceNumbers,
     GraphicMatroid,
     Matroid,
     MultiGraph,
     NbcComplex,
     PreconditionError,
+    SizeCounts,
     SizeGuardError,
     TruncatedMatroid,
     VerificationError,
     build_link_gadget,
     build_named_graph,
     cli,
-    contains_broken_circuit_bruteforce,
     enumerate_nbc_bases,
     extend_to_nbc_base,
     face_numbers,
@@ -35,6 +34,7 @@ from helpers import (
     brute_nbc_faces,
     brute_nbc_facets_through,
     closure_is_nbc,
+    contains_broken_circuit_bruteforce,
     graphic_indep,
     random_graph_corpus,
     random_orders,
@@ -175,16 +175,16 @@ class TestFaceNumbers:
         assert len(seen) == 1
 
     def test_face_numbers_type(self):
-        fn = FaceNumbers((1, 3, 2))
+        fn = SizeCounts((1, 3, 2))
         assert fn[1] == 3 and fn[9] == 0
         assert fn.total() == 6
         with pytest.raises(PreconditionError):
-            FaceNumbers(())
+            SizeCounts(())
 
 
 class TestLogConcavity:
     def test_accepts_face_numbers(self):
-        assert is_log_concave(FaceNumbers((1, 3, 2)))
+        assert is_log_concave(SizeCounts((1, 3, 2)))
         assert is_log_concave((1, 5, 10, 10, 4))
 
     def test_detects_violation(self):

@@ -4,12 +4,14 @@ runs in process against its expected report; a fresh interpreter checks what
 importing the CLI loads, every example command in README's CLI section and
 its Python example must run, so the docs cannot drift from the code, no
 package module keeps an import it never uses or a private name nothing in the
-package references, and the package exports exactly what it imports."""
+package references, the package exports exactly what it imports, and every
+export has a reader outside the tests."""
 
 import ast
 import importlib.util
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -82,17 +84,31 @@ def test_benchmark_command_matches_its_expected_report(name, index, capsys):
     assert workloads.check(workload.commands[index], expected, code, stdout) == [], argv
 
 
-def test_cli_import_and_desk_walks_leave_scipy_unloaded():
-    # scipy is only for sparse eigensolves above DENSE_EIG_STATES; loading it
-    # at import would add its import time to every command.
+def test_walks_leave_scipy_unloaded_and_undeclared():
+    # Every eigensolve is numpy's: the largest benchmark walks and the link
+    # gadget's certificate leave scipy out of the interpreter, no package
+    # module imports it, and numpy is the one declared dependency.
     code = (
         "import sys, nbcwalk.cli\n"
-        "assert 'scipy' not in sys.modules, 'import'\n"
-        "assert nbcwalk.cli.main(['walk-gap', '--graph', 'complete:5']) == 0\n"
-        "assert 'scipy' not in sys.modules, 'walk-gap'\n"
+        "for argv in (['walk-gap', '--graph', 'complete:8', '--truncate', '4'],\n"
+        "             ['walk-gap', '--graph', 'complete_bipartite:4:5', '--truncate', '5'],\n"
+        "             ['gadget', 'link', '--n', '2', '--l', '16', '--report']):\n"
+        "    assert nbcwalk.cli.main(argv) == 0, argv\n"
+        "    assert 'scipy' not in sys.modules, argv\n"
     )
     done = _run_python("-c", code)
     assert done.returncode == 0, done.stderr
+    imported = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.append((path.name, node.module))
+    assert [(f, m) for f, m in imported if m.split(".")[0] == "scipy"] == []
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    declared = ast.literal_eval(re.search(r"^dependencies = (\[.*\])$", pyproject, re.M)[1])
+    assert [re.split(r"[<>=!~ ]", d)[0] for d in declared] == ["numpy"]
 
 
 def test_cli_import_and_enumeration_leave_numpy_unloaded():
@@ -142,6 +158,36 @@ def test_package_modules_use_every_import():
     assert not unused, unused
 
 
+def _mentions(tree):
+    """(name, line) for every name, attribute and import alias in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name, node.lineno
+
+
+def _definitions(tree):
+    """(name, lines) for every module-level function, class and assigned
+    name in tree, and every method of a module-level class."""
+    for node in tree.body:
+        nodes = [node]
+        if isinstance(node, ast.ClassDef):
+            nodes += [n for n in node.body if isinstance(n, ast.FunctionDef)]
+        for n in nodes:
+            if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+                names = [n.name]
+            elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+                targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                yield name, range(n.lineno, n.end_lineno + 1)
+
+
 def test_package_modules_use_every_private_name():
     # A module-level private function, class or constant, or a private method
     # in a module-level class, that no package module names outside its own
@@ -150,42 +196,17 @@ def test_package_modules_use_every_private_name():
         path.name: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py"))
     }
-
-    def mentions(tree):
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                yield node.id, node.lineno
-            elif isinstance(node, ast.Attribute):
-                yield node.attr, node.lineno
-            elif isinstance(node, ast.alias):
-                yield node.asname or node.name, node.lineno
-
-    def definitions(tree):
-        for node in tree.body:
-            yield node
-            if isinstance(node, ast.ClassDef):
-                yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
-
     mentioned = {}
     for module, tree in trees.items():
-        for name, line in mentions(tree):
+        for name, line in _mentions(tree):
             mentioned.setdefault(name, []).append((module, line))
     dead = []
     for module, tree in trees.items():
-        for node in definitions(tree):
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
+        for name, own in _definitions(tree):
+            if not name.startswith("_") or name.startswith("__"):
                 continue
-            for name in names:
-                if not name.startswith("_") or name.startswith("__"):
-                    continue
-                own = range(node.lineno, node.end_lineno + 1)
-                if all(m == module and line in own for m, line in mentioned.get(name, ())):
-                    dead.append(f"{module}:{node.lineno} {name}")
+            if all(m == module and line in own for m, line in mentioned.get(name, ())):
+                dead.append(f"{module}:{own.start} {name}")
     assert not dead, dead
 
 
@@ -203,3 +224,24 @@ def test_package_exports_exactly_its_imports():
     }
     assert len(nbcwalk.__all__) == len(set(nbcwalk.__all__))
     assert set(nbcwalk.__all__) == imported
+
+
+def test_every_export_has_a_reader():
+    # A name in __all__ that no package module, demo, benchmark script or
+    # README's Python example reads, outside its own definition, is code
+    # that only the tests keep.
+    import nbcwalk
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = [readme.split("```python\n", 1)[1].split("```", 1)[0]]
+    for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py")) + DEMOS + sorted(
+        (ROOT / "nbcbench").glob("*.py")
+    ):
+        if path.name != "__init__.py":
+            sources.append(path.read_text(encoding="utf-8"))
+    read = set()
+    for text in sources:
+        tree = ast.parse(text)
+        own = {(name, line) for name, lines in _definitions(tree) for line in lines}
+        read.update(name for name, line in _mentions(tree) if (name, line) not in own)
+    assert sorted(set(nbcwalk.__all__) - read) == []

@@ -383,12 +383,7 @@ class TestCliContract:
         assert "MAX_NBC_FACES=5000" in err and "Traceback" not in err
 
     def test_sparse_no_convergence_is_exit_two(self, capsys, monkeypatch):
-        from scipy.sparse import linalg
-
-        def failing_eigsh(*args, **kwargs):
-            raise linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(linalg, "eigsh", failing_eigsh)
+        monkeypatch.setattr(chains, "_LANCZOS_STEPS", 2)
         code, out, err = _run(capsys, "walk-gap", "--graph", "complete:8", "--truncate", "4")
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
