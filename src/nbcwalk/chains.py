@@ -4,8 +4,11 @@ The down-up walk on same-size facets is kept as its integer facet-ridge
 incidence in two numpy arrays: each facet's d ridge ids, and each ridge's
 facet count |r|.  Ridge ids come from the face-id scheme the local profile
 uses, _face_ids.  Its exact entries are 1/(d |r|) summed over shared ridges
-r, so it is symmetric and doubly stochastic by construction, and conductance
-and neighbor ratios are exact sums over ridge counts.
+r, so it is symmetric and doubly stochastic by construction.  One map from
+each ridge to its facets, DownUpWalk._owners, serves both the exact rows and
+the connectivity test.  One cut, _cut, counts a state set's facets per ridge
+and reads off both its conductance and its neighbor ratio as exact sums, and
+cheeger_chain is the one check of gap/2 <= conductance <= neighbor ratio.
 
 Local walks are read from integer pair counts: the walk of the link of tau
 steps from a to b in proportion to count(tau + a + b), the facets containing
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
+from .graphs import _integer
 from .matroids import Matroid
 from .nbc import NbcComplex
 
@@ -51,13 +55,14 @@ _RITZ_RESIDUAL = 1e-15
 _EIG_BATCH = 512
 
 
-def _as_facets(x):
+def _as_facets(x, force: bool = False):
     """Canonical facet tuple from a complex, a matroid (both already distinct
-    and lexicographic), or a raw facet list, which is deduplicated and sorted."""
+    and lexicographic, enumerated under force), or a raw facet list, which is
+    deduplicated and sorted."""
     if isinstance(x, NbcComplex):
-        facets = x.facets()
+        facets = x.facets(force=force)
     elif isinstance(x, Matroid):
-        facets = x.enumerate_bases()
+        facets = x.enumerate_bases(force=force)
     else:
         facets = tuple(sorted({frozenset(f) for f in x}, key=lambda f: tuple(sorted(f))))
     if not facets:
@@ -116,31 +121,26 @@ class DownUpWalk:
         diagonal, and 1/(d |r|) at each facet that shares a ridge r with the
         row's own.  Built on every access."""
         out = [{} for _ in range(self.size)]
-        for m, members in self._members():
-            share = Fraction(1, self.d * m)
-            for ridge in members.tolist():
-                row = dict.fromkeys(ridge, share)
-                for i in ridge:
-                    out[i].update(row)
+        owners, starts = self._owners()
+        owners, sizes = owners.tolist(), self.ridge_sizes.tolist()
+        shares = {m: Fraction(1, self.d * m) for m in set(sizes)}
+        for start, m in zip(starts.tolist(), sizes):
+            ridge = owners[start : start + m]
+            row = dict.fromkeys(ridge, shares[m])
+            for i in ridge:
+                out[i].update(row)
         for i, p in enumerate(self._diagonal()):
             out[i][i] = p
         return tuple(out)
 
-    def _members(self):
-        """(m, members) for each ridge size m, ascending: row t of members
-        lists the m facets containing the t-th ridge of size m, ascending."""
+    def _owners(self):
+        """The facets of each ridge, ridge by ridge, as one array, and where
+        each ridge's run starts in it; ridge ids are dense, so every run is
+        nonempty."""
         import numpy as np
 
-        ridges = self.facet_ridges.ravel()
-        sizes = self.ridge_sizes[ridges]
-        # Incidences by ridge size, then ridge id; lexsort is stable, so each
-        # ridge's facets stay ascending.
-        facets = np.lexsort((ridges, sizes)) // self.d
-        start = 0
-        for m, total in enumerate(np.bincount(sizes).tolist()):
-            if total:
-                yield m, facets[start : start + total].reshape(-1, m)
-                start += total
+        owners = np.argsort(self.facet_ridges, axis=None) // self.d
+        return owners, np.cumsum(self.ridge_sizes) - self.ridge_sizes
 
     def _diagonal(self) -> list:
         """Exact P(S, S) for every facet, summed once per multiset of ridge sizes."""
@@ -216,7 +216,7 @@ def local_walk_matrix(x, tau) -> LocalWalk:
     |tau| = k.  It is refused when the link's facet count times 2^(d - k),
     the bound check_face_subsets applies, exceeds MAX_FACE_SUBSETS."""
     facets, d = _as_facets(x)
-    tau = frozenset(int(e) for e in tau)
+    tau = frozenset(_integer(e, "a tau element") for e in tau)
     k = len(tau)
     if k > d - 2:
         raise PreconditionError(f"tau has size {k}; the local walk needs size <= {d - 2}")
@@ -320,9 +320,7 @@ def _connected(walk: DownUpWalk) -> bool:
     every label is 0."""
     import numpy as np
 
-    # The facets of each ridge, ridge by ridge; ridge ids are dense.
-    owners = np.argsort(walk.facet_ridges, axis=None) // walk.d
-    starts = np.cumsum(walk.ridge_sizes) - walk.ridge_sizes
+    owners, starts = walk._owners()
     label = np.arange(walk.size)
     while True:
         least = np.minimum.reduceat(label[owners], starts)[walk.facet_ridges].min(axis=1)
@@ -332,29 +330,22 @@ def _connected(walk: DownUpWalk) -> bool:
         label = least
 
 
-def _subset_positions(p: DownUpWalk, s):
-    """The distinct positions of the states s, ascending, as an array."""
+def _cut(p: DownUpWalk, s, caller: str):
+    """(conductance, neighbor ratio, |s|) of the states s of a down-up walk,
+    both read off one count of s's facets per ridge; caller names the
+    function that refuses a walk of another kind."""
     import numpy as np
 
+    if not isinstance(p, DownUpWalk):
+        raise PreconditionError(f"{caller} needs a doubly stochastic matrix")
     chosen = np.unique(np.array(p.positions_of(s), dtype=np.intp))
     if not len(chosen):
         raise PreconditionError("the state subset must be nonempty")
     if len(chosen) == p.size:
         raise PreconditionError("the state subset must be proper")
-    return chosen
-
-
-def conductance(p: DownUpWalk, s) -> Fraction:
-    """Crossing probability mass out of s divided by |s|, for a down-up walk,
-    whose stationary distribution is uniform."""
-    import numpy as np
-
-    if not isinstance(p, DownUpWalk):
-        raise PreconditionError("conductance needs a doubly stochastic matrix")
-    chosen = _subset_positions(p, s)
+    inside = np.bincount(p.facet_ridges[chosen].ravel(), minlength=len(p.ridge_sizes))
     # Ridge r carries |r & S| * |r - S| / (d |r|) across the cut; the integer
     # numerators are summed per ridge size.
-    inside = np.bincount(p.facet_ridges[chosen].ravel(), minlength=len(p.ridge_sizes))
     cross = inside * (p.ridge_sizes - inside)
     crossing = sum(
         (
@@ -363,20 +354,41 @@ def conductance(p: DownUpWalk, s) -> Fraction:
         ),
         Fraction(0),
     )
-    return crossing / len(chosen)
+    # The outside facets that share a ridge with s.
+    reached = (inside > 0)[p.facet_ridges].any(axis=1)
+    reached[chosen] = False
+    k = len(chosen)
+    return crossing / k, Fraction(int(np.count_nonzero(reached)), k), k
+
+
+def conductance(p: DownUpWalk, s) -> Fraction:
+    """Crossing probability mass out of s divided by |s|, for a down-up walk,
+    whose stationary distribution is uniform."""
+    return _cut(p, s, "conductance")[0]
 
 
 def neighbor_ratio(p: DownUpWalk, s) -> Fraction:
     """Number of outside states reachable in one step from s, divided by |s|."""
-    import numpy as np
+    return _cut(p, s, "neighbor_ratio")[1]
 
-    if not isinstance(p, DownUpWalk):
-        raise PreconditionError("neighbor_ratio needs a doubly stochastic matrix")
-    chosen = _subset_positions(p, s)
-    inside = np.bincount(p.facet_ridges[chosen].ravel(), minlength=len(p.ridge_sizes))
-    reached = (inside > 0)[p.facet_ridges].any(axis=1)
-    reached[chosen] = False
-    return Fraction(int(np.count_nonzero(reached)), len(chosen))
+
+def cheeger_chain(p: DownUpWalk, s, gap: float):
+    """(phi, ratio, at_most_half): the conductance and neighbor ratio of the
+    states s of a down-up walk, from one cut, and whether s holds at most
+    half the states.  When it does, Cheeger's inequality and the count of
+    boundary states give gap/2 <= phi <= ratio for the walk's spectral gap,
+    and a break in that chain raises VerificationError; the comparison with
+    the float gap allows 1e-7."""
+    phi, ratio, k = _cut(p, s, "cheeger_chain")
+    at_most_half = 2 * k <= p.size
+    if at_most_half:
+        if gap / 2 > float(phi) + 1e-7:
+            raise VerificationError(
+                f"Cheeger lower bound fails: gap/2 = {gap / 2} > conductance = {float(phi)}"
+            )
+        if phi > ratio:
+            raise VerificationError(f"conductance {phi} exceeds neighbor ratio {ratio}")
+    return phi, ratio, at_most_half
 
 
 @dataclass(frozen=True)
@@ -513,7 +525,7 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
     count, at most _EIG_BATCH per eigvalsh call."""
     import numpy as np
 
-    facets, d = _as_facets(x)
+    facets, d = _as_facets(x, force)
     check_face_subsets(len(facets), d, force)
     _, rows = _element_positions(facets)
     gammas = []

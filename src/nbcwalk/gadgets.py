@@ -13,11 +13,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chains import check_eig_states, conductance, down_up_matrix, neighbor_ratio, spectral_gap
+from .chains import cheeger_chain, check_eig_states, down_up_matrix, spectral_gap
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import (
     MultiGraph,
     SizeCounts,
+    _integer,
     build_named_graph,
     count_independent_sets_by_size,
     disjoint_union,
@@ -63,16 +64,6 @@ class WeightVector:
 
     def __repr__(self):
         return f"WeightVector({[str(w) for w in self.weights]})"
-
-
-def _integer(value, name: str) -> int:
-    """value as an int, refused unless it equals one: int() alone truncates."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise PreconditionError(f"{name} must be an integer, got {value!r}")
 
 
 def _weight_vector(w, length: int, per: str) -> WeightVector:
@@ -138,11 +129,13 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     B is the long edge plus the upper path edges, B' the first edge plus the
     lower ones.  The long edge's weight is computed (not assumed) to equalize
     the two bases, then the full edge-witness condition is certified
-    exhaustively.
+    exhaustively.  The graph has n edges, so n is checked against
+    MAX_GADGET_GROUND before anything is built.
     """
     n = _integer(n, "n")
     if n < 3 or n % 2 == 0:
         raise PreconditionError("n must be an odd integer >= 3")
+    _check_ground(n, force)
     half = (n - 1) // 2
     edges = []
     for i in range(1, half + 1):
@@ -205,9 +198,7 @@ def build_link_gadget(
         raise PreconditionError(f"target_size must lie in 0..{nv} (the base vertex count)")
     if nv < 1:
         raise PreconditionError("the base graph needs at least one vertex")
-    ground = 1 + me + 2 * nv * l
-    if ground > MAX_GADGET_GROUND and not force:
-        raise SizeGuardError(f"ground size {ground} exceeds MAX_GADGET_GROUND={MAX_GADGET_GROUND}")
+    _check_ground(1 + me + 2 * nv * l, force)
     z = nv
     y = nv + 1
 
@@ -235,6 +226,12 @@ def build_link_gadget(
     if not is_nbc(inst.complex(), inst.tau):
         raise VerificationError("tau is not an NBC face of the constructed complex")
     return inst
+
+
+def _check_ground(ground: int, force: bool):
+    """Refuse a gadget of more than MAX_GADGET_GROUND elements unless forced."""
+    if ground > MAX_GADGET_GROUND and not force:
+        raise SizeGuardError(f"ground size {ground} exceeds MAX_GADGET_GROUND={MAX_GADGET_GROUND}")
 
 
 def _bipartition(g: MultiGraph):
@@ -343,9 +340,9 @@ def partition_link_facets(inst: GadgetInstance, facets) -> LinkPartition:
 
 def gap_certificate(inst: GadgetInstance, force: bool = False) -> dict:
     """Measure the link walk's gap and certify the bottleneck inequalities on
-    the A-side facet family; the paper_bound key carries the closed-form
-    bottleneck bound m^{2m}(1+l)/l^m, and the partition key the certified
-    LinkPartition of the link facets."""
+    the A-side facet family with cheeger_chain; the paper_bound key carries
+    the closed-form bottleneck bound m^{2m}(1+l)/l^m, and the partition key
+    the certified LinkPartition of the link facets."""
     l = inst.params["l"]
     m = inst.params["m"]
     x = inst.complex()
@@ -357,18 +354,7 @@ def gap_certificate(inst: GadgetInstance, force: bool = False) -> dict:
     s_a = part.s_a
     if not s_a or len(s_a) == len(facets):
         raise PreconditionError("the A-side family is empty or exhausts the facets")
-    phi = conductance(walk, s_a)
-    ratio = neighbor_ratio(walk, s_a)
-    at_most_half = 2 * len(s_a) <= len(facets)
-    if at_most_half:
-        if gap / 2 > float(phi) + 1e-7:
-            raise VerificationError(
-                f"Cheeger lower bound fails: gap/2 = {gap / 2} > conductance = {float(phi)}"
-            )
-        if phi > ratio:
-            raise VerificationError(
-                f"conductance {phi} exceeds neighbor ratio {ratio}"
-            )
+    phi, ratio, at_most_half = cheeger_chain(walk, s_a, gap)
     return {
         "measured_gap": gap,
         "conductance": phi,

@@ -33,13 +33,13 @@ class MultiGraph:
     __slots__ = ("vertex_count", "edges")
 
     def __init__(self, vertex_count: int, edges):
-        vertex_count = int(vertex_count)
+        vertex_count = _integer(vertex_count, "vertex_count")
         if vertex_count < 0:
             raise PreconditionError("vertex_count must be non-negative")
         normalized = []
         for k, pair in enumerate(edges):
             u, v = pair
-            u, v = int(u), int(v)
+            u, v = _integer(u, "an endpoint"), _integer(v, "an endpoint")
             if u == v:
                 raise PreconditionError(f"edge {k} is a self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
@@ -53,11 +53,7 @@ class MultiGraph:
         return len(self.edges)
 
     def validate_edge_ids(self, ids) -> frozenset:
-        out = frozenset(int(e) for e in ids)
-        for e in out:
-            if not 0 <= e < self.edge_count:
-                raise PreconditionError(f"edge id {e} out of range")
-        return out
+        return _ids_in_range(ids, self.edge_count, "edge id")
 
     def is_connected(self) -> bool:
         """True for the one-vertex and empty graph; otherwise true iff the
@@ -112,26 +108,55 @@ def build_named_graph(kind: str, *params) -> MultiGraph:
             raise PreconditionError("disjoint_union_of_copies: need inner kind and copy count")
         inner_kind = params[0]
         try:
-            copies = int(params[-1])
+            copies = _param(params[-1])
         except ValueError:
             raise PreconditionError(f"disjoint_union_of_copies: bad copy count {params[-1]!r}")
         if copies < 0:
             raise PreconditionError("disjoint_union_of_copies: copies must be non-negative")
         inner = build_named_graph(inner_kind, *params[1:-1])
-        g = MultiGraph(0, [])
-        for _ in range(copies):
-            g = disjoint_union(g, inner)
-        return g
+        # Copy c takes vertices c n .. c n + n - 1, as repeated disjoint_union
+        # would number them, in one pass.
+        n = inner.vertex_count
+        return MultiGraph(
+            n * copies, [(u + c * n, v + c * n) for c in range(copies) for u, v in inner.edges]
+        )
     raise PreconditionError(f"unknown graph kind {kind!r}")
+
+
+def _param(p) -> int:
+    """A graph parameter: a string, as the CLI passes it, is read by int();
+    any other value must equal an integer."""
+    return int(p) if isinstance(p, str) else _integer(p, "a graph parameter")
 
 
 def _int_params(params, want, kind):
     if len(params) != want:
         raise PreconditionError(f"{kind}: expected {want} parameter(s), got {len(params)}")
     try:
-        return [int(p) for p in params]
+        return [_param(p) for p in params]
     except ValueError:
         raise PreconditionError(f"{kind}: parameters must be integers, got {params!r}")
+
+
+def _integer(value, name: str) -> int:
+    """value as an int, refused unless it equals one: int() alone truncates."""
+    try:
+        out = int(value)
+        if out == value:
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise PreconditionError(f"{name} must be an integer, got {value!r}")
+
+
+def _ids_in_range(values, bound: int, what: str) -> frozenset:
+    """The distinct ids in values, each an integer in 0..bound-1; a value
+    outside is refused as "{what} {value} out of range"."""
+    out = frozenset(_integer(v, what) for v in values)
+    for v in out:
+        if not 0 <= v < bound:
+            raise PreconditionError(f"{what} {v} out of range")
+    return out
 
 
 def disjoint_union(g: MultiGraph, h: MultiGraph) -> MultiGraph:

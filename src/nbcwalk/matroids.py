@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionError, SizeGuardError
-from .graphs import MultiGraph, _joins, is_forest
+from .graphs import MultiGraph, _ids_in_range, _integer, _joins, is_forest
 
 BRUTE_MAX_GROUND = 14
 ENUM_MAX_SETS = 1_000_000
@@ -33,11 +33,7 @@ class Matroid:
         raise NotImplementedError
 
     def check_subset(self, subset) -> frozenset:
-        out = frozenset(int(x) for x in subset)
-        for x in out:
-            if not 0 <= x < self.ground_size:
-                raise PreconditionError(f"element {x} out of range")
-        return out
+        return _ids_in_range(subset, self.ground_size, "element")
 
     def rank_of(self, subset) -> int:
         """Greedy rank: scan in id order, keep what stays independent."""
@@ -79,9 +75,7 @@ class Matroid:
         element outside it; the circuit is e together with the f whose
         removal restores independence."""
         s = self.check_subset(indep)
-        e = int(e)
-        if not 0 <= e < self.ground_size:
-            raise PreconditionError(f"element {e} out of range")
+        (e,) = self.check_subset((e,))
         if e in s:
             raise PreconditionError("e already belongs to the set")
         if not self.is_independent(s):
@@ -93,7 +87,7 @@ class Matroid:
 
     def iter_independent_sets(self, max_size=None, force: bool = False):
         """Yield every independent set (size-capped if asked) exactly once."""
-        cap = self.ground_size if max_size is None else int(max_size)
+        cap = self.ground_size if max_size is None else _integer(max_size, "max_size")
         if cap < 0:
             raise PreconditionError("max_size must be non-negative")
         budget = [ENUM_MAX_SETS]
@@ -148,7 +142,7 @@ class TruncatedMatroid(Matroid):
 
     def __init__(self, inner: Matroid, target_rank: int):
         super().__init__()
-        target_rank = int(target_rank)
+        target_rank = _integer(target_rank, "target_rank")
         inner_rank = inner.rank
         if not 0 <= target_rank <= inner_rank:
             raise PreconditionError(

@@ -44,7 +44,7 @@ f plus the elements of F above f stay independent.
 from __future__ import annotations
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
-from .graphs import SizeCounts
+from .graphs import SizeCounts, _integer
 from .matroids import GraphicMatroid, Matroid, TruncatedMatroid
 
 MAX_NBC_BASES = 1_000_000
@@ -57,7 +57,7 @@ class ElementOrder:
     __slots__ = ("ranking", "_pos")
 
     def __init__(self, ranking):
-        ranking = tuple(int(x) for x in ranking)
+        ranking = tuple(_integer(x, "a ranking entry") for x in ranking)
         if sorted(ranking) != list(range(len(ranking))):
             raise PreconditionError("ranking must be a permutation of 0..m-1")
         self.ranking = ranking

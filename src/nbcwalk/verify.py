@@ -10,12 +10,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .chains import (
-    conductance,
+    cheeger_chain,
     down_up_matrix,
     local_spectral_profile,
     local_to_global_bound,
     local_walk_matrix,
-    neighbor_ratio,
     spectral_gap,
 )
 from .errors import PreconditionError
@@ -217,10 +216,7 @@ def run_spectral_suite() -> list:
         p = down_up_matrix(x)
         s = p.index[: p.size // 2]
         gap = spectral_gap(p)
-        phi = conductance(p, s)
-        ratio = neighbor_ratio(p, s)
-        if gap / 2 > float(phi) + 1e-7 or phi > ratio:
-            return False, f"chain fails: gap/2 {gap / 2}, phi {phi}, ratio {ratio}"
+        phi, ratio, _ = cheeger_chain(p, s, gap)
         return True, f"gap/2 {gap / 2:.6f} <= phi {phi} <= neighbor ratio {ratio}"
 
     _run(checks, "cheeger-chain", cheeger)

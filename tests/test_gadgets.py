@@ -87,6 +87,19 @@ class TestLongEdge:
         with pytest.raises(PreconditionError):
             build_long_edge_instance(1)
 
+    def test_ground_guard_refuses_before_building(self, monkeypatch):
+        # The theta graph has n edges; the budget is checked against n first.
+        monkeypatch.setattr(gadgets, "MAX_GADGET_GROUND", 5)
+        built = []
+        real = gadgets.MultiGraph
+        monkeypatch.setattr(gadgets, "MultiGraph", lambda *args: built.append(args) or real(*args))
+        with pytest.raises(SizeGuardError, match="ground size 7 exceeds MAX_GADGET_GROUND=5"):
+            build_long_edge_instance(7)
+        assert built == []
+        assert build_long_edge_instance(5).graph.edge_count == 5
+        assert build_long_edge_instance(7, force=True).graph.edge_count == 7
+        assert len(built) == 2
+
 
 class TestEdgeWitness:
     def test_detects_failed_tie(self):

@@ -1,26 +1,34 @@
 """Graph containers, named builders, and the exact counting oracles."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nbcwalk import (
+    ElementOrder,
     GraphicMatroid,
     IntPolynomial,
     MultiGraph,
+    NbcComplex,
     PreconditionError,
     SizeCounts,
     SizeGuardError,
+    TruncatedMatroid,
     build_named_graph,
     chromatic_polynomial,
     count_acyclic_orientations,
     count_g_parking_functions,
     count_independent_sets_by_size,
     disjoint_union,
+    graphs,
     hardcore_partition,
     is_forest,
+    is_nbc,
     iter_independent_sets,
+    local_walk_matrix,
 )
 from helpers import (
     component_count,
@@ -104,6 +112,75 @@ class TestNamedGraphs:
         g = disjoint_union(build_named_graph("complete", 3), build_named_graph("path", 2))
         assert g.vertex_count == 5
         assert g.edges[-1] == (3, 4)
+
+    @pytest.mark.parametrize(
+        "inner", [("complete", 4), ("cycle", 5), ("path", 1), ("complete_bipartite", 2, 3)]
+    )
+    @pytest.mark.parametrize("copies", [0, 1, 7])
+    def test_copies_match_repeated_disjoint_union(self, inner, copies):
+        g = build_named_graph("disjoint_union_of_copies", *inner, copies)
+        folded = MultiGraph(0, [])
+        for _ in range(copies):
+            folded = disjoint_union(folded, build_named_graph(*inner))
+        assert (g.vertex_count, g.edges) == (folded.vertex_count, folded.edges)
+
+    def test_copies_build_in_one_pass(self, monkeypatch):
+        calls = []
+        real = graphs.disjoint_union
+        monkeypatch.setattr(graphs, "disjoint_union", lambda g, h: calls.append(1) or real(g, h))
+        g = build_named_graph("disjoint_union_of_copies", "complete", 2, 20000)
+        assert calls == []
+        assert g.vertex_count == 40000 and g.edge_count == 20000
+        assert g.edges[-1] == (39998, 39999)
+
+
+def _k4():
+    return build_named_graph("complete", 4)
+
+
+def _k4_complex():
+    return NbcComplex(GraphicMatroid(_k4()))
+
+
+# Each call once truncated its non-integral value with int() into a valid
+# argument; the value must now be refused by name.
+NON_INTEGRAL = {
+    "MultiGraph vertex_count": (lambda: MultiGraph(2.5, [(0, 1)]), 2.5),
+    "MultiGraph endpoint": (lambda: MultiGraph(2, [(0, 1.5)]), 1.5),
+    "build_named_graph": (lambda: build_named_graph("complete", 3.9), 3.9),
+    "copy count": (lambda: build_named_graph("disjoint_union_of_copies", "path", 2, 2.5), 2.5),
+    "ElementOrder": (lambda: ElementOrder([0.2, 1.7, 2]), 0.2),
+    "TruncatedMatroid": (lambda: TruncatedMatroid(GraphicMatroid(_k4()), 2.9), 2.9),
+    "iter_independent_sets max_size": (
+        lambda: list(GraphicMatroid(_k4()).iter_independent_sets(max_size=1.5)),
+        1.5,
+    ),
+    "fundamental_circuit": (lambda: GraphicMatroid(_k4()).fundamental_circuit({0}, 1.2), 1.2),
+    "is_nbc": (lambda: is_nbc(_k4_complex(), [0.7]), 0.7),
+    "is_forest": (lambda: is_forest(_k4(), [0.5]), 0.5),
+    "local_walk_matrix": (lambda: local_walk_matrix(_k4_complex(), [0.5]), 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGRAL))
+def test_non_integral_value_is_refused_by_name(name):
+    call, value = NON_INTEGRAL[name]
+    with pytest.raises(PreconditionError, match=re.escape(repr(value))):
+        call()
+
+
+def test_integral_values_of_other_types_are_accepted():
+    k4 = _k4()
+    assert MultiGraph(np.int64(2), [(0.0, Fraction(1))]) == MultiGraph(2, [(0, 1)])
+    assert build_named_graph("complete", 4.0) == build_named_graph("complete", np.int32(4)) == k4
+    assert build_named_graph("disjoint_union_of_copies", "path", 2, 3.0).edge_count == 3
+    assert ElementOrder([np.int64(1), 0.0, 2]).ranking == (1, 0, 2)
+    assert TruncatedMatroid(GraphicMatroid(k4), 2.0).rank == 2
+    assert len(list(GraphicMatroid(k4).iter_independent_sets(max_size=np.int64(1)))) == 7
+    assert GraphicMatroid(k4).fundamental_circuit({0, 1}, 3.0) == frozenset({0, 1, 3})
+    assert is_nbc(_k4_complex(), [np.int64(0), 1.0])
+    assert is_forest(k4, [0.0, np.int64(1)])
+    assert local_walk_matrix(_k4_complex(), [0.0]).index == local_walk_matrix(_k4_complex(), [0]).index
 
 
 class TestForestsAndCycles:

@@ -5,7 +5,8 @@ importing the CLI loads, every example command in README's CLI section and
 its Python example must run, so the docs cannot drift from the code, no
 package module keeps an import it never uses or a private name nothing in the
 package references, the package exports exactly what it imports, and every
-export has a reader outside the tests."""
+export and every public method and property of a package class has a reader
+outside the tests."""
 
 import ast
 import importlib.util
@@ -158,13 +159,16 @@ def test_package_modules_use_every_import():
     assert not unused, unused
 
 
-def _mentions(tree):
-    """(name, line) for every name, attribute and import alias in tree."""
+def _mentions(tree, attributes_only=False):
+    """(name, line) for every name, attribute and import alias in tree, or
+    for every attribute alone."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
+        elif attributes_only:
+            continue
+        elif isinstance(node, ast.Name):
+            yield node.id, node.lineno
         elif isinstance(node, ast.alias):
             yield node.asname or node.name, node.lineno
 
@@ -226,22 +230,51 @@ def test_package_exports_exactly_its_imports():
     assert set(nbcwalk.__all__) == imported
 
 
+def _reader_sources():
+    """(path, tree) of every package module but __init__, every demo and
+    benchmark script, and README's Python example: the code outside the
+    tests that can read the package's names."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    yield ROOT / "README.md", ast.parse(readme.split("```python\n", 1)[1].split("```", 1)[0])
+    for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py")) + DEMOS + sorted(
+        (ROOT / "nbcbench").glob("*.py")
+    ):
+        if path.name != "__init__.py":
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_every_export_has_a_reader():
     # A name in __all__ that no package module, demo, benchmark script or
     # README's Python example reads, outside its own definition, is code
     # that only the tests keep.
     import nbcwalk
 
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    sources = [readme.split("```python\n", 1)[1].split("```", 1)[0]]
-    for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py")) + DEMOS + sorted(
-        (ROOT / "nbcbench").glob("*.py")
-    ):
-        if path.name != "__init__.py":
-            sources.append(path.read_text(encoding="utf-8"))
     read = set()
-    for text in sources:
-        tree = ast.parse(text)
+    for _, tree in _reader_sources():
         own = {(name, line) for name, lines in _definitions(tree) for line in lines}
         read.update(name for name, line in _mentions(tree) if (name, line) not in own)
     assert sorted(set(nbcwalk.__all__) - read) == []
+
+
+def test_every_public_class_member_has_a_reader():
+    # The same for the public methods and properties of the package's
+    # classes: each must be read as .name somewhere outside the tests and
+    # outside its own definition.
+    reads, members = [], []
+    for source, tree in _reader_sources():
+        reads += [(name, source, line) for name, line in _mentions(tree, attributes_only=True)]
+        if source.parent != ROOT / "src" / "nbcwalk":
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                members += [
+                    (f"{cls.name}.{node.name}", node.name, source, node.lineno, node.end_lineno)
+                    for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                ]
+    unread = [
+        label
+        for label, name, source, start, end in members
+        if not any(n == name and not (s == source and start <= l <= end) for n, s, l in reads)
+    ]
+    assert unread == []

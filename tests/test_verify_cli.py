@@ -438,6 +438,18 @@ class TestCliContract:
         assert "MAX_NBC_BASES=3" in err and "Traceback" not in err
         assert _report(capsys, "gadget", "long-edge", "--n", "7", "--force-size") == expected
 
+    def test_local_profile_force_size_lifts_the_base_guard(self, capsys, monkeypatch):
+        expected = _run(capsys, "local-profile", "--graph", "complete:4", "--force-size")
+        monkeypatch.setattr(nbc, "MAX_NBC_BASES", 3)
+        code, out, err = _run(capsys, "local-profile", "--graph", "complete:4")
+        assert (code, out, err) == (3, "", "error: more than MAX_NBC_BASES=3 NBC bases\n")
+        assert _run(capsys, "local-profile", "--graph", "complete:4", "--force-size") == expected
+
+    def test_long_edge_ground_guard_is_exit_three(self, capsys):
+        code, out, err = _run(capsys, "gadget", "long-edge", "--n", "5001")
+        assert (code, out) == (3, "")
+        assert err == "error: ground size 5001 exceeds MAX_GADGET_GROUND=5000\n"
+
 
 _RUN = {"--seed", "--out"}
 _SIZED = _RUN | {"--force-size"}
