@@ -1,13 +1,23 @@
 """Down-up and local walks: exact transition matrices, gaps, conductance.
 
-The down-up walk on same-size facets is kept as its integer facet-ridge
-incidence in two numpy arrays: each facet's d ridge ids, and each ridge's
-facet count |r|.  Ridge ids come from the face-id scheme the local profile
-uses, _face_ids.  Its exact entries are 1/(d |r|) summed over shared ridges
-r, so it is symmetric and doubly stochastic by construction.  One map from
-each ridge to its facets, DownUpWalk._owners, serves both the exact rows and
-the connectivity test.  One cut, _cut, counts a state set's facets per ridge
-and reads off both its conductance and its neighbor ratio as exact sums, and
+Every walk is solved on the reduced complex.  Let A be the elements in every
+facet (an NBC complex holds its order-smallest element in every base, and
+each coloop adds one more); _reduced strips A once and gives K = {F - A} as
+integer element positions.  The complex is the cone A * K, and both walks of
+a cone follow from those of K through exact identities, so |A| = 0 is the
+same route with nothing to compose.
+
+The down-up walk on same-size facets is kept as K's integer facet-ridge
+incidence in two numpy arrays: each facet's d - |A| ridge ids in K, and each
+ridge's facet count |r|, with the apex count |A| beside them.  A ridge that
+drops an apex element lies in its facet alone, so it adds |A|/d to the
+diagonal and nothing else: P = (|A|/d) I + ((d - |A|)/d) P_K.  Ridge ids come
+from the face-id scheme the local profile uses, _face_ids.  Its exact entries
+are |A|/d on the diagonal plus 1/(d |r|) summed over shared ridges r, so it
+is symmetric and doubly stochastic by construction.  One map from each ridge
+to its facets, DownUpWalk._owners, serves both the exact rows and the
+connectivity test.  One cut, _cut, counts a state set's facets per ridge and
+reads off both its conductance and its neighbor ratio as exact sums, and
 cheeger_chain is the one check of gap/2 <= conductance <= neighbor ratio.
 
 Local walks are read from integer pair counts: the walk of the link of tau
@@ -18,17 +28,18 @@ count(tau + a + b) / (denom sqrt(count(tau + a) count(tau + b))).  One numpy
 builder, _pair_count_stacks, cuts every facet into its size-k faces and their
 links and counts the pairs of each link in stacks, one per state count; one
 function, _symmetrized, turns such a stack into the symmetric matrices.  The
-local spectral profile solves each level's stacks in batched eigvalsh calls;
-LocalWalk keeps the pair counts of one link, built at its empty face, and
-reads its exact rational entries off them.
+local spectral profile solves each level of K's stacks in batched eigvalsh
+calls and cones the result once per apex element with _coned; LocalWalk
+keeps the pair counts of one link of the complex itself, built at its empty
+face, and reads its exact rational entries off them.
 
 Floating point enters only at the eigensolve.  A local walk is solved
-densely by eigvalsh.  A down-up walk is solved by Lanczos on the factored
-operator P = (1/d) A diag(1/|r|) A^T of the incidence A, restricted to the
-complement of the constant vector, with each product one bincount over the
-incidence; P is never formed.  numpy is imported inside the functions that
-build walks or solve, so a command that does no walk or spectral work never
-loads it.
+densely by eigvalsh.  A down-up walk is solved by Lanczos on K's factored
+operator P_K = (1/(d - |A|)) B diag(1/|r|) B^T of its incidence B,
+restricted to the complement of the constant vector, with each product one
+bincount over the incidence; P is never formed.  numpy is imported inside the
+functions that build walks or solve, so a command that does no walk or
+spectral work never loads it.
 """
 
 from __future__ import annotations
@@ -82,20 +93,24 @@ class DownUpWalk:
     A step drops a uniform element of the current facet, leaving a ridge r,
     then moves to a uniform one of the |r| facets containing r, so
     P(S, T) = sum of 1/(d |r|) over the ridges r in both S and T.  Distinct
-    facets share at most one ridge.  facet_ridges is the n x d integer array
-    of each facet's ridge ids, and ridge_sizes[r] = |r|, the facets containing
-    ridge r.  Build it with down_up_matrix.  entry and rows read P off the
-    incidence; rows are plain dicts built on each access, which no solve or
-    certificate needs.
+    facets share at most one ridge.  apex counts the elements in every
+    facet; a ridge that drops one of them lies in its facet alone and adds
+    1/d to its diagonal, so those ridges are kept as that count.
+    facet_ridges is the n x (d - apex) integer array of each facet's other
+    ridge ids, the ridges of the reduced complex, and ridge_sizes[r] = |r|,
+    the facets containing ridge r.  Build it with down_up_matrix.  entry and
+    rows read P off the incidence; rows are plain dicts built on each
+    access, which no solve or certificate needs.
     """
 
-    __slots__ = ("index", "d", "facet_ridges", "ridge_sizes")
+    __slots__ = ("index", "d", "facet_ridges", "ridge_sizes", "apex")
 
-    def __init__(self, index, d, facet_ridges, ridge_sizes):
+    def __init__(self, index, d, facet_ridges, ridge_sizes, apex):
         self.index = index
         self.d = d
         self.facet_ridges = facet_ridges
         self.ridge_sizes = ridge_sizes
+        self.apex = apex
 
     @property
     def size(self) -> int:
@@ -113,7 +128,8 @@ class DownUpWalk:
 
     def entry(self, i: int, j: int) -> Fraction:
         shared = set(self.facet_ridges[i].tolist()).intersection(self.facet_ridges[j].tolist())
-        return sum((Fraction(1, self.d * int(self.ridge_sizes[r])) for r in shared), Fraction(0))
+        own = Fraction(self.apex, self.d) if i == j else Fraction(0)
+        return sum((Fraction(1, self.d * int(self.ridge_sizes[r])) for r in shared), own)
 
     @property
     def rows(self) -> tuple:
@@ -139,7 +155,7 @@ class DownUpWalk:
         nonempty."""
         import numpy as np
 
-        owners = np.argsort(self.facet_ridges, axis=None) // self.d
+        owners = np.argsort(self.facet_ridges, axis=None) // self.facet_ridges.shape[1]
         return owners, np.cumsum(self.ridge_sizes) - self.ridge_sizes
 
     def _diagonal(self) -> list:
@@ -149,7 +165,8 @@ class DownUpWalk:
         keys, which = np.unique(
             np.sort(self.ridge_sizes[self.facet_ridges], axis=1), axis=0, return_inverse=True
         )
-        sums = [sum((Fraction(1, self.d * m) for m in key), Fraction(0)) for key in keys.tolist()]
+        own = Fraction(self.apex, self.d)
+        sums = [sum((Fraction(1, self.d * m) for m in key), own) for key in keys.tolist()]
         return [sums[k] for k in which.ravel().tolist()]
 
     def __repr__(self):
@@ -159,15 +176,14 @@ class DownUpWalk:
 def down_up_matrix(facets) -> DownUpWalk:
     """The down-up walk P(S,T) = (1/d) / #facets containing S∩T when
     |S∩T| = d-1, diagonal absorbing the remainder, as its facet-ridge
-    incidence; symmetric and doubly stochastic by construction.  Ridge ids
-    are the dense lexicographic ids of the facets' size-(d-1) position
-    rows, from the face-id scheme the local profile uses."""
+    incidence in the reduced complex and its apex count; symmetric and
+    doubly stochastic by construction."""
     import numpy as np
 
     facets, d = _as_facets(facets)
-    _, rows = _element_positions(facets)
-    _, ridges = _face_ids(rows, list(itertools.combinations(range(d), d - 1)))
-    return DownUpWalk(facets, d, ridges.reshape(len(facets), d), np.bincount(ridges))
+    rows, apex = _reduced(facets)
+    ridges = _ridge_ids(rows)
+    return DownUpWalk(facets, d, ridges.reshape(rows.shape), np.bincount(ridges), apex)
 
 
 class LocalWalk:
@@ -255,24 +271,27 @@ def spectral_gap(p: DownUpWalk | LocalWalk, force: bool = False) -> float:
 
 
 def _down_up_gap(walk: DownUpWalk) -> float:
-    """Gap of P = (1/d) A diag(1/|r|) A^T, A the n x R facet-ridge incidence,
-    by Lanczos with full reorthogonalization (Paige 1972; Parlett, The
-    Symmetric Eigenvalue Problem).  P is a sum of the positive semidefinite
-    terms 1_r 1_r^T / (d |r|) and its top eigenvector is the constant
+    """Gap of P = (|A|/d) I + ((d - |A|)/d) P_K, with |A| = walk.apex, as
+    ((d - |A|)/d) times the gap of the reduced walk P_K.
+
+    P_K = (1/(d - |A|)) B diag(1/|r|) B^T, B the facet-ridge incidence, is
+    solved by Lanczos with full reorthogonalization (Paige 1972; Parlett, The
+    Symmetric Eigenvalue Problem).  P_K is a sum of the positive semidefinite
+    terms 1_r 1_r^T / ((d - |A|) |r|) and its top eigenvector is the constant
     vector 1, so lambda_2 is the top of its spectrum on the complement of 1.
 
     Lanczos runs there from a seeded random start, so the result repeats
-    exactly.  Each product P v is one bincount of v over the incidence,
-    scaled by 1/(d |r|), and one gather back to the facets.  The three-term
-    recurrence removes a new vector's two large components, and one
-    classical Gram-Schmidt pass removes what rounding left along 1 and the
-    rest of the basis; a full pass on P v alone, without the recurrence,
-    loses orthogonality within a few steps.
+    exactly.  Each product P_K v is one bincount of v over the incidence,
+    scaled by 1/((d - |A|) |r|), and one gather back to the facets.  The
+    three-term recurrence removes a new vector's two large components, and
+    one classical Gram-Schmidt pass removes what rounding left along 1 and
+    the rest of the basis; a full pass on P_K v alone, without the
+    recurrence, loses orthogonality within a few steps.
 
     Every _RITZ_EVERY steps the tridiagonal T_k is solved.  Its top
     eigenvalue theta, with unit eigenvector y, is the Ritz value of a unit
-    vector x with ||P x - theta x|| = beta_k |y_k|, so some eigenvalue of P
-    lies within beta_k |y_k| of theta; in exact arithmetic theta never
+    vector x with ||P_K x - theta x|| = beta_k |y_k|, so some eigenvalue of
+    P_K lies within beta_k |y_k| of theta; in exact arithmetic theta never
     exceeds lambda_2.  The solve stops once that residual is at most
     _RITZ_RESIDUAL, or once the basis spans the whole complement of 1, where
     T_k holds every eigenvalue; past _LANCZOS_STEPS steps it raises
@@ -284,7 +303,7 @@ def _down_up_gap(walk: DownUpWalk) -> float:
 
     if not _connected(walk):
         return 0.0
-    n, d = walk.size, walk.d
+    n, d = walk.size, walk.facet_ridges.shape[1]
     # Each facet's ridge ids as d rows of n, so a product gathers whole rows.
     ridges = np.ascontiguousarray(walk.facet_ridges.T)
     flat = ridges.ravel()
@@ -306,7 +325,7 @@ def _down_up_gap(walk: DownUpWalk) -> float:
         if k % _RITZ_EVERY == 0 or k == steps or beta <= _RITZ_RESIDUAL:
             vals, vecs = np.linalg.eigh(tri[:k, :k])
             if beta * abs(vecs[-1, -1]) <= _RITZ_RESIDUAL or k == n - 1:
-                return float(1.0 - vals[-1])
+                return d / walk.d * float(1.0 - vals[-1])
         tri[k, k - 1] = tri[k - 1, k] = beta
         basis[k + 1] = w / beta
     raise VerificationError(f"the sparse eigensolve of the {n}-state down-up walk did not converge")
@@ -437,6 +456,29 @@ def _element_positions(facets):
     return elements, np.sort(flat.reshape(len(facets), -1), axis=1)
 
 
+def _reduced(facets):
+    """The reduced complex K = {F - A} of the same-size facets, A the
+    elements in every facet, as the N x (d - |A|) array of the positions of
+    K's elements among the facets' (_element_positions), row i from
+    facets[i]; and |A|.  Every walk is solved on K."""
+    import numpy as np
+
+    _, rows = _element_positions(facets)
+    keep = np.bincount(rows.ravel())[rows] < len(rows)
+    return rows[keep].reshape(len(rows), -1), rows.shape[1] - int(np.count_nonzero(keep[0]))
+
+
+def _ridge_ids(rows):
+    """Dense lexicographic ids of the size-(d-1) faces of the rows of an
+    N x d position array, d per row, facet by facet; none when d is 0."""
+    import numpy as np
+
+    d = rows.shape[1]
+    if not d:
+        return np.zeros(0, dtype=np.intp)
+    return _face_ids(rows, list(itertools.combinations(range(d), d - 1)))[1]
+
+
 def _face_ids(rows, tops):
     """Cut each row of rows, an N x d array of element positions with
     ascending rows, into its faces rows[:, top] for top in tops, all of one
@@ -520,25 +562,55 @@ def _symmetrized(c, denom: int):
 
 def local_spectral_profile(x, force: bool = False) -> LocalProfile:
     """gamma_k = max second eigenvalue of the local walk over all faces of
-    size k, computed for k = 0..d-2 level by level from integer pair-count
-    stacks.  Each level's local matrices are solved in stacks of one state
-    count, at most _EIG_BATCH per eigvalsh call."""
+    size k, for k = 0..d-2.  The profile of the reduced complex K is computed
+    level by level from integer pair-count stacks, each level's local
+    matrices solved in stacks of one state count, at most _EIG_BATCH per
+    eigvalsh call; _coned then adds the apex elements one at a time."""
     import numpy as np
 
     facets, d = _as_facets(x, force)
     check_face_subsets(len(facets), d, force)
-    _, rows = _element_positions(facets)
+    rows, apex = _reduced(facets)
+    dk = d - apex
     gammas = []
-    for k in range(d - 1):
-        # Every size-k face lies in a facet with d - k >= 2 elements outside it.
-        denom = d - k - 1
+    for k in range(dk - 1):
+        # Every size-k face of K lies in a facet with dk - k >= 2 elements outside it.
+        denom = dk - k - 1
         seconds = []
         for _, _, c in _pair_count_stacks(rows, k):
             for lo in range(0, len(c), _EIG_BATCH):
                 vals = np.linalg.eigvalsh(_symmetrized(c[lo : lo + _EIG_BATCH], denom))
                 seconds.append(float(vals[:, -2].max()))
         gammas.append(max(seconds))
+    # Whether some ridge of K lies in two facets; coning keeps the answer.
+    shared = bool((np.bincount(_ridge_ids(rows)) > 1).any())
+    for r in range(dk + 1, d + 1):
+        gammas = _coned(gammas, r, shared)
     return LocalProfile(tuple(gammas))
+
+
+def _coned(gammas, r: int, shared: bool) -> list:
+    """The profile of the rank-r cone e * K from the profile gammas of a
+    pure complex K of rank r - 1, where shared says whether some ridge of K
+    lies in two facets.
+
+    A face tau + e of the cone has K's link of tau as its link, the same
+    walk.  A face tau has the cone e * L over L = link_K(tau), of facet size
+    s = r - 1 - |tau|, whose walk steps from e to L's stationary law and
+    from a point of L to e with probability 1/s, else as L's walk; its
+    spectrum is 1, -1/s and (s - 1)/s times the rest of L's.  The walk of L
+    has a zero diagonal, so its second eigenvalue is at least the mean
+    -1/(N - 1) of the rest of its N >= s eigenvalues, and -1/s is never the
+    largest.  At s = 1 the cone over L is a star on L's points, whose second
+    eigenvalue is 0 when L has at least two points and -1 when it has one.
+    So gamma_k of the cone is the larger of gamma_(k-1)(K), where it exists,
+    and (s - 1)/s gamma_k(K), or the star's value at s = 1."""
+    out = []
+    for k in range(r - 1):
+        s = r - 1 - k
+        cone = (s - 1) / s * gammas[k] if s > 1 else 0.0 if shared else -1.0
+        out.append(max(gammas[k - 1], cone) if k else cone)
+    return out
 
 
 def local_to_global_bound(profile: LocalProfile) -> float:

@@ -195,7 +195,10 @@ class IntPolynomial:
     coefficients: tuple
 
     def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coefficients)
+        # Plain ints skip the call: this runs at every deletion-contraction step.
+        coeffs = tuple(
+            c if type(c) is int else _integer(c, "a coefficient") for c in self.coefficients
+        )
         while coeffs and coeffs[-1] == 0:
             coeffs = coeffs[:-1]
         object.__setattr__(self, "coefficients", coeffs)
@@ -303,7 +306,7 @@ class SizeCounts:
     counts: tuple
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(_integer(c, "a count") for c in self.counts)
         if not counts or any(c < 0 for c in counts):
             raise PreconditionError("counts must be a non-empty tuple of non-negative ints")
         object.__setattr__(self, "counts", counts)

@@ -11,6 +11,7 @@ import pytest
 from nbcwalk import (
     GraphicMatroid,
     LocalProfile,
+    MultiGraph,
     NbcComplex,
     PreconditionError,
     SizeGuardError,
@@ -29,7 +30,7 @@ from nbcwalk import (
     partition_link_facets,
     spectral_gap,
 )
-from helpers import random_graph_corpus
+from helpers import random_graph_corpus, random_orders
 
 F = Fraction
 
@@ -116,6 +117,44 @@ def _oracle_corpus():
         for r in range(2, matroid.rank):
             out.append(NbcComplex(TruncatedMatroid(matroid, r)).facets())
     return out
+
+
+def _cone_corpus():
+    """Facet lists with and without an apex A, the elements in every facet:
+    NBC complexes and truncations under random orders, whose apex is the
+    order-smallest edge; graphs with pendant edges, which are coloops and
+    lie in every base too; raw lists that are cones at a label that is not
+    the least, and lists with no apex; a single facet, rank 1 and rank 2;
+    and two facets that share only the apex, so that every ridge of the
+    reduced complex lies in one facet."""
+    out = []
+    for g in random_graph_corpus(count=3, max_edges=8):
+        m = GraphicMatroid(g)
+        for order in random_orders(m.ground_size, 2):
+            out.append(NbcComplex(m, order).facets())
+            out.append(NbcComplex(TruncatedMatroid(m, 3), order).facets())
+    for spec in (("complete", 5), ("complete_bipartite", 3, 3)):
+        m = GraphicMatroid(build_named_graph(*spec))
+        out.append(NbcComplex(m, random_orders(m.ground_size, 1)[0]).facets())
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+    for pendants in ([(0, 4)], [(0, 4), (4, 5)], [(1, 4), (2, 5), (3, 6)]):
+        m = GraphicMatroid(MultiGraph(7, cycle + pendants))
+        for order in random_orders(m.ground_size, 2):
+            out.append(NbcComplex(m, order).facets())
+    out += [
+        [{7, 1, 2}, {7, 1, 3}, {7, 2, 3}, {7, 3, 9}],
+        [{7, 2**40, 1, 2}, {7, 2**40, 1, 3}, {7, 2**40, 2, 3}, {7, 2**40, 4, 1}],
+        [{1, 2}, {2, 3}, {1, 3}],
+        [{1, 2, 3}, {1, 2, 4}, {1, 3, 4}, {2, 3, 4}, {2, 4, 5}],
+        [{0, 1, 2}],
+        [{5, 9}],
+        [{4}],
+        [{3}, {8}, {1}],
+        [{1, 2}, {1, 3}],
+        [{1, 2}, {3, 4}],
+        [{50, 1, 2, 3}, {50, 4, 5, 6}],
+    ]
+    return [[frozenset(f) for f in facets] for facets in out]
 
 
 class TestDownUpMatrix:
@@ -207,25 +246,31 @@ class TestDownUpAgainstOracle:
                 assert neighbor_ratio(p, s) == F(len(outside), len(s))
 
     def test_ridge_incidence_matches_the_facets(self):
-        """Ridge ids against the sets f - {e} themselves: the ridge sizes are
-        the multiplicities of those sets, and two facets share a ridge id
-        exactly when they share d - 1 elements."""
+        """Ridge ids against the sets f - {e} themselves, e outside the apex A,
+        the elements in every facet: the ridge sizes are the multiplicities
+        of those sets, and two facets share a ridge id exactly when they
+        share d - 1 elements."""
         rng = random.Random(19)
         labels = [2, 7, 10, 64, 999, 2**31, 2**40]
         raw = [
             [{10, 7, 2**40}, {10, 7, 3}, {7, 3, 2**40}, {10, 3, 2**40}, {10, 7, 99}],
             [set(c) for c in rng.sample(list(itertools.combinations(labels, 4)), 20)],
+            [{5, 9, 1}, {5, 9, 2}, {5, 9, 3}],
         ]
         for facets in _oracle_corpus() + raw:
             p = down_up_matrix(facets)
             d = p.d
-            held = Counter(f - {e} for f in p.index for e in f)
+            apex = frozenset.intersection(*p.index)
+            assert p.apex == len(apex)
+            held = Counter(f - {e} for f in p.index for e in f - apex)
             assert sorted(p.ridge_sizes.tolist()) == sorted(held.values())
-            assert p.facet_ridges.shape == (p.size, d)
+            assert p.facet_ridges.shape == (p.size, d - p.apex)
             for i, f in enumerate(p.index):
                 mine = p.facet_ridges[i].tolist()
-                assert len(set(mine)) == d
-                assert sorted(p.ridge_sizes[mine].tolist()) == sorted(held[f - {e}] for e in f)
+                assert len(set(mine)) == d - p.apex
+                assert sorted(p.ridge_sizes[mine].tolist()) == sorted(
+                    held[f - {e}] for e in f - apex
+                )
             for i, j in itertools.combinations(range(p.size), 2):
                 shares = bool(set(p.facet_ridges[i].tolist()) & set(p.facet_ridges[j].tolist()))
                 assert shares == (len(p.index[i] & p.index[j]) == d - 1)
@@ -244,6 +289,52 @@ class TestRowSupport:
         walk = down_up_matrix(NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank)))
         assert walk.size + sum(m * (m - 1) for m in walk.ridge_sizes.tolist()) == nnz
         assert sum(len(row) for row in walk.rows) == nnz
+
+
+class TestReducedComplex:
+    """Walks solved on the reduced complex K = {F - A} against oracles that
+    do not strip the apex A."""
+
+    def test_corpus_covers_every_apex_shape(self):
+        apexes = [frozenset.intersection(*facets) for facets in _cone_corpus()]
+        assert any(a and 0 not in a for a in apexes)
+        assert any(len(a) >= 2 for a in apexes)
+        assert any(not a for a in apexes)
+
+    def test_profile_against_the_walk_of_every_face(self):
+        for facets in _cone_corpus():
+            d = len(facets[0])
+            prof = local_spectral_profile(facets)
+            assert len(prof) == max(d - 1, 0)
+            faces = _small_faces(facets)
+            for k in range(d - 1):
+                worst = max(
+                    1.0 - spectral_gap(local_walk_matrix(facets, tau))
+                    for tau in faces
+                    if len(tau) == k
+                )
+                assert abs(prof[k] - worst) <= 1e-12, (sorted(map(sorted, facets)), k)
+
+    def test_gap_against_the_dense_oracle(self):
+        for facets in _cone_corpus():
+            p = down_up_matrix(facets)
+            assert p.apex == len(frozenset.intersection(*facets))
+            if p.size == 1:
+                assert spectral_gap(p) == 1.0
+                continue
+            assert abs(spectral_gap(p) - _oracle_gap(facets)) <= 1e-12
+
+    def test_entries_and_rows_equal_the_oracle(self):
+        for facets in _cone_corpus():
+            p = down_up_matrix(facets)
+            oracle = _oracle_down_up(facets)
+            rows = p.rows
+            for i, s in enumerate(p.index):
+                assert rows[i] == {
+                    j: oracle[s, t] for j, t in enumerate(p.index) if (s, t) in oracle
+                }
+                for j, t in enumerate(p.index):
+                    assert p.entry(i, j) == oracle.get((s, t), 0)
 
 
 class TestLocalWalk:
@@ -608,47 +699,71 @@ class TestLocalProfile:
         assert local_spectral_profile(sparse).gammas == local_spectral_profile(x).gammas
 
     def test_profile_bits_pinned(self):
-        """Every gamma bit for bit as the one-eigvalsh-per-face implementation
-        over a frozenset face table computed it."""
+        """Every gamma bit for bit as the reduced-complex route computes it,
+        and within 1e-15 of the bits the one-eigvalsh-per-face implementation
+        over a frozenset face table computed on the whole complex."""
         pins = {
-            ("complete", (8,), 4): [
-                "0x1.13ab933bca71cp-54", "0x1.c3fa0f8c22e7ap-53", "0x1.87d913ff0b642p-53",
-            ],
-            ("complete_bipartite", (4, 5), 5): [
-                "-0x1.497011fa5d8c3p-6", "0x1.928e240eeb446p-4", "0x1.2dea9b0b3073bp-3",
-                "0x1.a017072eb63fdp-3",
-            ],
-            ("complete_bipartite", (4, 4), None): [
-                "-0x1.3ea4b2433f3ddp-7", "0x1.53166c3ea2b68p-4", "0x1.20fd41866e188p-3",
-                "0x1.8151acb33d767p-3", "0x1.e3e86629d9399p-3", "0x1.8440a65c91479p-2",
-            ],
+            ("complete", (8,), 4): (
+                ["0x1.d88062d1521edp-56", "0x1.87d913ff0b642p-54", "0x1.87d913ff0b642p-53"],
+                ["0x1.13ab933bca71cp-54", "0x1.c3fa0f8c22e7ap-53", "0x1.87d913ff0b642p-53"],
+            ),
+            ("complete_bipartite", (4, 5), 5): (
+                [
+                    "-0x1.497011fa5d8d2p-6", "0x1.928e240eeb44ep-4", "0x1.2dea9b0b3073bp-3",
+                    "0x1.a017072eb63fdp-3",
+                ],
+                [
+                    "-0x1.497011fa5d8c3p-6", "0x1.928e240eeb446p-4", "0x1.2dea9b0b3073bp-3",
+                    "0x1.a017072eb63fdp-3",
+                ],
+            ),
+            ("complete_bipartite", (4, 4), None): (
+                [
+                    "-0x1.3ea4b2433f444p-7", "0x1.53166c3ea2b6fp-4", "0x1.20fd41866e18dp-3",
+                    "0x1.8151acb33d767p-3", "0x1.e3e86629d9399p-3", "0x1.8440a65c91479p-2",
+                ],
+                [
+                    "-0x1.3ea4b2433f3ddp-7", "0x1.53166c3ea2b68p-4", "0x1.20fd41866e188p-3",
+                    "0x1.8151acb33d767p-3", "0x1.e3e86629d9399p-3", "0x1.8440a65c91479p-2",
+                ],
+            ),
         }
-        for (kind, params, truncate), hexes in pins.items():
+        for (kind, params, truncate), (hexes, whole) in pins.items():
             m = GraphicMatroid(build_named_graph(kind, *params))
             if truncate is not None:
                 m = TruncatedMatroid(m, truncate)
             prof = local_spectral_profile(NbcComplex(m))
             assert [g.hex() for g in prof.gammas] == hexes, (kind, params, truncate)
+            for g, old in zip(prof.gammas, whole, strict=True):
+                assert abs(g - float.fromhex(old)) <= 1e-15, (kind, params, truncate)
 
     def test_profile_bits_pinned_past_64_elements(self):
         """K12 truncated to 3 has 66 elements, more than a 64-bit face mask
-        holds; its gammas bit for bit as the face-mask table computed them."""
+        holds; its gammas bit for bit as the reduced-complex route computes
+        them, and within 1e-15 of the face-mask table's bits."""
         m = TruncatedMatroid(GraphicMatroid(build_named_graph("complete", 12)), 3)
         x = NbcComplex(m)
         assert m.ground_size == 66 and len(x.facets()) == 1860
         prof = local_spectral_profile(x)
-        assert [g.hex() for g in prof.gammas] == ["0x1.4ed8474686678p-54", "0x1.994d7de0e49d4p-53"]
+        assert [g.hex() for g in prof.gammas] == ["0x1.994d7de0e49d4p-54", "0x1.994d7de0e49d4p-53"]
+        whole = ["0x1.4ed8474686678p-54", "0x1.994d7de0e49d4p-53"]
+        for g, old in zip(prof.gammas, whole, strict=True):
+            assert abs(g - float.fromhex(old)) <= 1e-15
 
     def test_one_eigvalsh_per_level_state_count_and_chunk(self, monkeypatch):
+        """The profile solves the local walks of the reduced complex K, the
+        bases less the cone apex 0, each once: fewer than the 4297 links of
+        the whole complex."""
         x = NbcComplex(GraphicMatroid(build_named_graph("complete_bipartite", 4, 4)))
         d = x.rank
-        # The state set of every face's local walk, straight from the facets.
+        # The state set of every face's local walk in K, straight from the facets.
         links = {}
         for f in enumerate_nbc_bases(x):
-            for k in range(d - 1):
+            f = f - {0}
+            for k in range(d - 2):
                 for tau in itertools.combinations(sorted(f), k):
                     links.setdefault(frozenset(tau), set()).update(f.difference(tau))
-        assert len(links) == 4297
+        assert len(links) < 4297
         groups = {}
         for tau, states in links.items():
             key = (len(tau), len(states))

@@ -208,6 +208,24 @@ class TestLinkGadget:
             assert part.by_a == direct.by_a and part.by_b == direct.by_b
             assert part.neutral == direct.neutral and part.count_a(2) == l**2
 
+    @pytest.mark.parametrize("side", ["empty", "every facet"])
+    def test_gap_certificate_refuses_an_improper_a_side(self, monkeypatch, side):
+        # cheeger_chain's cut is the one check that the A-side family is a
+        # nonempty proper subset of the link facets.
+        real = gadgets.partition_link_facets
+
+        def partition(inst, facets):
+            real(inst, facets)
+            if side == "empty":
+                return gadgets.LinkPartition({}, {}, tuple(facets))
+            return gadgets.LinkPartition({1: tuple(facets)}, {}, ())
+
+        monkeypatch.setattr(gadgets, "partition_link_facets", partition)
+        inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 2, 2)
+        match = "nonempty" if side == "empty" else "proper"
+        with pytest.raises(PreconditionError, match=f"the state subset must be {match}"):
+            gap_certificate(inst)
+
     def test_gap_shrinks_with_l(self):
         g = build_named_graph("complete_bipartite", 2, 2)
         gaps = {}

@@ -257,6 +257,15 @@ class TestIntPolynomial:
     def test_monomial(self):
         assert IntPolynomial.monomial(3, 2).coefficients == (0, 0, 0, 2)
 
+    def test_refuses_non_integral_coefficients(self):
+        with pytest.raises(PreconditionError, match="a coefficient must be an integer, got 2.7"):
+            IntPolynomial((1, 2.7))
+        with pytest.raises(PreconditionError, match="a coefficient must be an integer"):
+            IntPolynomial((1, "2"))
+        p = IntPolynomial((1, 2.0, Fraction(3), np.int64(4), True))
+        assert p.coefficients == (1, 2, 3, 4, 1)
+        assert all(type(c) is int for c in p.coefficients)
+
 
 class TestChromatic:
     def test_triangle(self):
@@ -329,6 +338,15 @@ class TestSizeCounts:
             SizeCounts((1, -1))
         with pytest.raises(PreconditionError):
             SizeCounts(())
+
+    def test_refuses_non_integral_counts(self):
+        with pytest.raises(PreconditionError, match="a count must be an integer, got 2.5"):
+            SizeCounts((1, 2.5))
+        with pytest.raises(PreconditionError, match="a count must be an integer"):
+            SizeCounts((1, "2"))
+        c = SizeCounts((1, 2.0, Fraction(3), np.int64(4)))
+        assert c.counts == (1, 2, 3, 4)
+        assert all(type(n) is int for n in c.counts)
 
 
 class TestIndependentSets:
