@@ -35,10 +35,15 @@ their closing edges by scanning the smaller component's incidences, kept in
 order position, up to the new edge's position, and re-roots the two trees at
 the new edge's endpoints, so each cycle's minimum takes two climbs to the
 roots, never a sweep of a component.  An inherited candidate whose components
-the last push left alone skips the cycles altogether.  Any other matroid gets
-an engine that asks only is_independent, through the closure form of the NBC
-condition (Björner 1992): an independent F is NBC iff, for every f outside F,
-f plus the elements of F above f stay independent.
+the last push left alone skips the cycles altogether; any other inherited
+candidate scans only the cycles through both itself and the pushed edge, since
+every other cycle through it closes the same forest path as before the push,
+where it was already checked.  A push stamps the vertices it relabels with a
+count that is never reused, so telling the pushed edge's two sides apart is
+one comparison.  Any other matroid gets an engine that asks only
+is_independent, through the closure form of the NBC condition (Björner 1992):
+an independent F is NBC iff, for every f outside F, f plus the elements of F
+above f stay independent.
 """
 
 from __future__ import annotations
@@ -153,12 +158,14 @@ class _GraphicEngine:
     _hang(s, p, pp) reverses the parent chain from s to its root, making s the
     root of its tree, then hangs s under p through an edge at position pp (or
     leaves it a root when p is -1).  push(e) relabels the smaller of the two
-    components e joins and hangs it from e's endpoint s under the other
-    endpoint, recording (big, small, old_len) only.  pop() relabels the small
-    side back and cuts e: of e's endpoints, it clears the parent of the one
-    that hangs from the other, which is unique because a forest holds at most
-    one edge between two vertices.  Each vertex's incidences are
-    (order position, neighbour) pairs in ascending position.
+    components e joins, stamps each relabelled vertex with the push count
+    tick, which grows and is never reused, and hangs the small tree from e's
+    endpoint s under the other endpoint, recording (big, small, old_len): the
+    two sides of e are comp[big][:old_len] and comp[big][old_len:].  pop()
+    relabels the small side back and cuts e: of e's endpoints, it clears the
+    parent of the one that hangs from the other, which is unique because a
+    forest holds at most one edge between two vertices.  Each vertex's
+    incidences are (order position, neighbour) pairs in ascending position.
 
     can_add(e) requires the current face to be NBC and to hold e0, the
     order-smallest element, unless e is e0; every face the walk reaches holds
@@ -187,8 +194,16 @@ class _GraphicEngine:
     unchanged: a cannot be one of those edges, since it joined two other
     components.  So rules 2 and 3 see the same cycles at F as at P, where
     P + e is NBC and so none of them has an absent minimum, and e is accepted
-    outright.  Every other candidate goes through can_add, unless its
-    endpoints now share a component (rule 1).
+    outright.  A candidate whose endpoints now share a component is rejected
+    (rule 1).  That leaves e with u in a's merged component M and v in
+    another component B.  A cycle through e closed by an absent f = xy, x in
+    M and y in B, whose forest path from x to u avoids a, is the cycle it was
+    at P; only the cycles through both a and e are new, those with x on the
+    side of a away from u.  Such an f is the cycle's minimum only if it lies
+    below both a and e.  So scan the incidences of the smaller of that side
+    and B, each up to min(pos[a], pos[e]), and climb as rule 3 does.  The
+    side test needs no set: right after the push, x lies on the relabelled
+    side iff stamp[x] == tick, and extensions runs only then.
     """
 
     def __init__(self, graph, order: ElementOrder, trunc_rank: int):
@@ -206,6 +221,8 @@ class _GraphicEngine:
         self.comp = [[x] for x in range(nv)]
         self.parent = [-1] * nv
         self.ppos = [-1] * nv
+        self.stamp = [0] * nv
+        self.tick = 0
         self.members = []
         self._merges = []
 
@@ -235,8 +252,12 @@ class _GraphicEngine:
                     break
                 if label[y] == big:
                     cand.append((pf, x, y))
-        if not cand:
-            return True
+        return not cand or self._no_absent_minimum(u, v, cand)
+
+    def _no_absent_minimum(self, u: int, v: int, cand) -> bool:
+        """Rule 3: root the trees at u and v; True iff every (pf, x, y) in
+        cand, an absent edge at position pf closing a cycle through uv, has
+        a forest edge at or below pf on the climb from x or from y."""
         self._hang(u, -1, -1)
         self._hang(v, -1, -1)
         parent, ppos = self.parent, self.ppos
@@ -253,15 +274,47 @@ class _GraphicEngine:
     def extensions(self, cand) -> list:
         """The elements of cand that can_add accepts, in cand's order.  The
         face before the last push accepted all of cand, so an e whose
-        components that push left alone is accepted without a cycle scan.
-        The walk calls it only on a face below full size."""
-        big = self._merges[-1][0]
-        label, ends, can_add = self.label, self.ends, self.can_add
+        components that push left alone is accepted without a cycle scan,
+        and any other e scans only the cycles through the pushed edge.  The
+        walk calls it only right after a push, on a face below full size."""
+        big, _, old_len = self._merges[-1]
+        pos_a = self.pos[self.members[-1]]
+        label, ends, pos, comp = self.label, self.ends, self.pos, self.comp
+        stamp, tick, incidences = self.stamp, self.tick, self.incidences
+        grown = comp[big]
+        moved = len(grown) - old_len
         out = []
         for e in cand:
             u, v = ends[e]
             lu, lv = label[u], label[v]
-            if lu != lv and (lu != big and lv != big or can_add(e)):
+            if lu == lv:
+                continue
+            if lu != big and lv != big:
+                out.append(e)
+                continue
+            if lv == big:
+                u, v, lv = v, u, lu
+            flip = stamp[u] == tick  # u was relabelled, so a's side away from u is the old part
+            far = comp[lv]
+            bound = pos[e]
+            if bound > pos_a:
+                bound = pos_a
+            found = []
+            if (old_len if flip else moved) <= len(far):
+                for x in grown[:old_len] if flip else grown[old_len:]:
+                    for pf, y in incidences[x]:
+                        if pf >= bound:
+                            break
+                        if label[y] == lv:
+                            found.append((pf, x, y))
+            else:
+                for y in far:
+                    for pf, x in incidences[y]:
+                        if pf >= bound:
+                            break
+                        if label[x] == big and (stamp[x] == tick) != flip:
+                            found.append((pf, x, y))
+            if not found or self._no_absent_minimum(u, v, found):
                 out.append(e)
         return out
 
@@ -273,8 +326,11 @@ class _GraphicEngine:
             big, small, s, t = small, big, u, v
         grown = comp[big]
         self._merges.append((big, small, len(grown)))
+        self.tick = tick = self.tick + 1
+        stamp = self.stamp
         for x in comp[small]:
             label[x] = big
+            stamp[x] = tick
         grown.extend(comp[small])
         self._hang(s, t, self.pos[e])
         self.members.append(e)
@@ -405,14 +461,18 @@ def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
 
 def _facets_through(x: NbcComplex, root: frozenset, force: bool, what: str):
     """sigma minus root for every NBC base sigma containing root, lexicographic:
-    the order in which the walk's preorder reaches them."""
+    the order in which the walk's preorder reaches them.  The member list
+    starts with e0 and the sorted root, so sigma minus root is its tail plus
+    e0 when root lacks it; the union leaves each facet a compact table."""
     rank = x.matroid.rank
+    apex = frozenset(x.order.ranking[:1])
+    skip, head = len(root | apex), apex - root
     out = []
     for face in _walk(x, root, force):
         if len(face) == rank:
             if len(out) >= MAX_NBC_BASES and not force:
                 raise SizeGuardError(f"more than MAX_NBC_BASES={MAX_NBC_BASES} {what}")
-            out.append(frozenset(face) - root)
+            out.append(frozenset(face[skip:]) | head)
     return tuple(out)
 
 

@@ -3,6 +3,7 @@ extension, and the equivalence of the incremental engine with brute force."""
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -581,6 +582,174 @@ class TestCandidateLists:
         assert face_numbers(x).counts == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
         # Trying every element above the last one pushed costs 177476 calls here.
         assert calls[0] <= 177476 // 2
+
+
+def _parallel_multigraphs(count=8, seed=SEED):
+    """Seeded random multigraphs on 4 to 7 vertices, each with parallel
+    edges: 7 to 11 edges drawn with replacement, connected or not."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        nv = rng.randint(4, 7)
+        pairs = list(itertools.combinations(range(nv), 2))
+        edges = [rng.choice(pairs) for _ in range(rng.randint(7, 11))]
+        if len(set(edges)) < len(edges):
+            out.append(MultiGraph(nv, edges))
+    return out
+
+
+def _fresh_engine(x, members):
+    """An engine built anew for the face members[:-1] and then pushed the
+    last member, so it shares no labels, stamps or rooting with a walk's."""
+    eng = nbc._root_engine(x, frozenset(members[:-1]))
+    eng.push(members[-1])
+    return eng
+
+
+class TestExtensionsAgainstAFreshEngine:
+    """extensions scans only the cycles through the last pushed edge and
+    tells the pushed edge's two sides apart by push stamps; a fresh engine's
+    can_add scans every cycle."""
+
+    def test_every_face_the_walk_reaches(self, monkeypatch):
+        original = nbc._GraphicEngine.extensions
+        current, calls, cut = [None], [0], [0]
+
+        def checking(self, cand):
+            got = original(self, cand)
+            fresh = _fresh_engine(current[0], self.members)
+            assert got == [e for e in cand if fresh.can_add(e)], (self.members, cand)
+            label, ends = self.label, self.ends
+            cut[0] += sum(1 for e in cand if e not in got and label[ends[e][0]] != label[ends[e][1]])
+            calls[0] += 1
+            return got
+
+        monkeypatch.setattr(nbc._GraphicEngine, "extensions", checking)
+        rng = random.Random(SEED)
+        for g in _parallel_multigraphs() + [_parallel_theta()]:
+            for rank in range(GraphicMatroid(g).rank + 1):
+                for ranking in random_orders(g.edge_count, 3, seed=SEED + rank):
+                    x = NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
+                    current[0] = x
+                    faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
+                    bases = _sorted_sets(f for f in faces if len(f) == rank)
+                    assert enumerate_nbc_bases(x) == bases
+                    face_numbers(x)
+                    e0 = ranking[0]
+                    for base in rng.sample(bases, min(3, len(bases))):
+                        tau = frozenset(rng.sample(sorted(base), rng.randint(0, len(base))))
+                        for root in (tau | {e0}, tau - {e0}):
+                            link = _sorted_sets(f - root for f in bases if root <= f)
+                            assert link_facets(x, root) == link
+        assert calls[0] > 2500
+        assert cut[0] > 200  # candidates rejected by a new cycle through the pushed edge
+
+    def test_a_push_after_a_pop_reads_only_its_own_stamps(self):
+        """Push a, pop it, push b: the stamps that read as this push's are
+        exactly the vertices b's push relabelled, and extensions still agrees
+        with a fresh engine."""
+        rng = random.Random(SEED)
+        checked = 0
+        for g in _parallel_multigraphs() + [build_named_graph("complete", 6)]:
+            rank = GraphicMatroid(g).rank
+            for ranking in random_orders(g.edge_count, 2):
+                x = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
+                eng = nbc._root_engine(x, frozenset())
+                for _ in range(40):
+                    accepted = [e for e in range(g.edge_count) if eng.can_add(e)]
+                    if len(eng.members) + 1 >= rank or len(accepted) < 2:
+                        if len(eng.members) == 1:
+                            break
+                        eng.pop()
+                        continue
+                    a, b = rng.sample(accepted, 2)
+                    eng.push(a)
+                    eng.pop()
+                    eng.push(b)
+                    big, _, old_len = eng._merges[-1]
+                    stamped = {y for y, t in enumerate(eng.stamp) if t == eng.tick}
+                    assert stamped == set(eng.comp[big][old_len:])
+                    rest = [e for e in accepted if e != b]
+                    fresh = _fresh_engine(x, eng.members)
+                    assert eng.extensions(rest) == [e for e in rest if fresh.can_add(e)]
+                    checked += 1
+        assert checked > 300
+
+
+class _CountingIncidences(list):
+    """An engine's incidence lists, counting every entry a scan reads."""
+
+    def __init__(self, lists, reads):
+        super().__init__(lists)
+        self.reads = reads
+
+    def __getitem__(self, x):
+        for entry in list.__getitem__(self, x):
+            self.reads[0] += 1
+            yield entry
+
+
+class TestScanWork:
+    def test_k8_face_numbers_read_fewer_incidence_entries(self, monkeypatch):
+        reads, real = [0], nbc._engine
+
+        def counting(x):
+            eng = real(x)
+            eng.incidences = _CountingIncidences(eng.incidences, reads)
+            return eng
+
+        monkeypatch.setattr(nbc, "_engine", counting)
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
+        assert face_numbers(x).counts == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
+        # Scanning a touched candidate's whole smaller component up to its own
+        # position reads 188574 entries here; the cycles through the pushed
+        # edge alone read 132070.
+        assert reads[0] < 188574
+
+
+class TestFacetExtraction:
+    """Facets are cut from the walk's member list, which starts with e0 and
+    the sorted root."""
+
+    def test_links_at_every_face_match_brute_force(self):
+        g = build_named_graph("complete", 5)
+        for ranking in random_orders(g.edge_count, 2):
+            x = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
+            faces = brute_nbc_faces(g.edge_count, graphic_indep(g), ranking)
+            bases = [f for f in faces if len(f) == x.rank]
+            e0 = ranking[0]
+            kinds = set()
+            for tau in faces:
+                link = _sorted_sets(f - tau for f in bases if tau <= f)
+                assert link_facets(x, tau) == link, tau
+                kinds.add((e0 in tau, len(tau) == x.rank))
+            assert kinds == {(True, True), (True, False), (False, False)}
+            base = min(bases, key=sorted)
+            assert link_facets(x, base) == (frozenset(),)
+            assert link_facets(x, base - {e0}) == (frozenset({e0}),)
+
+    def test_empty_ground_set(self):
+        g = MultiGraph(3, [])
+        x = NbcComplex(GraphicMatroid(g))
+        assert brute_nbc_faces(0, graphic_indep(g), ()) == {frozenset()}
+        assert link_facets(x, ()) == (frozenset(),)
+
+    def test_facets_take_compact_tables(self):
+        """Each facet's hash table is no larger than a compacted copy's, so
+        the many facets a walk keeps stay small."""
+        k45 = NbcComplex(TruncatedMatroid(GraphicMatroid(build_named_graph("complete_bipartite", 4, 5)), 5))
+        gadget = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 16, 2)
+        runs = (
+            enumerate_nbc_bases(k45),
+            link_facets(k45, {0}),
+            link_facets(k45, {1, 7}),
+            link_facets(gadget.complex(), gadget.tau),
+        )
+        assert len(runs[0]) == 3016
+        for facets in runs:
+            assert facets
+            for f in facets:
+                assert sys.getsizeof(f) <= sys.getsizeof(frozenset(sorted(f)) - frozenset()), f
 
 
 class TestFaceBudget:
