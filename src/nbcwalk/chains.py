@@ -2,10 +2,13 @@
 
 Every walk is solved on the reduced complex.  Let A be the elements in every
 facet (an NBC complex holds its order-smallest element in every base, and
-each coloop adds one more); _reduced strips A once and gives K = {F - A} as
-integer element positions.  The complex is the cone A * K, and both walks of
-a cone follow from those of K through exact identities, so |A| = 0 is the
-same route with nothing to compose.
+each coloop adds one more).  One builder, _down_up, is the only place that
+derives K = {F - A}: _reduced strips A and gives K as integer element
+positions, _down_up adds K's ridge ids, and the DownUpWalk it returns keeps
+both, so the local profile reads K off a walk it is given or builds.  The
+complex is the cone A * K, and both walks of a cone follow from those of K
+through exact identities, so |A| = 0 is the same route with nothing to
+compose.
 
 The down-up walk on same-size facets is kept as K's integer facet-ridge
 incidence in two numpy arrays: each facet's d - |A| ridge ids in K, and each
@@ -15,10 +18,11 @@ diagonal and nothing else: P = (|A|/d) I + ((d - |A|)/d) P_K.  Ridge ids come
 from the face-id scheme the local profile uses, _face_ids.  Its exact entries
 are |A|/d on the diagonal plus 1/(d |r|) summed over shared ridges r, so it
 is symmetric and doubly stochastic by construction.  One map from each ridge
-to its facets, DownUpWalk._owners, serves both the exact rows and the
-connectivity test.  One cut, _cut, counts a state set's facets per ridge and
-reads off both its conductance and its neighbor ratio as exact sums, and
-cheeger_chain is the one check of gap/2 <= conductance <= neighbor ratio.
+to its facets, DownUpWalk._owners, serves both the exact rows, diagonal
+included, and the connectivity test.  One cut, _cut, counts a state set's
+facets per ridge and reads off both its conductance and its neighbor ratio
+as exact sums, and cheeger_chain is the one check of gap/2 <= conductance <=
+neighbor ratio.
 
 Local walks are read from integer pair counts: the walk of the link of tau
 steps from a to b in proportion to count(tau + a + b), the facets containing
@@ -96,18 +100,21 @@ class DownUpWalk:
     facets share at most one ridge.  apex counts the elements in every
     facet; a ridge that drops one of them lies in its facet alone and adds
     1/d to its diagonal, so those ridges are kept as that count.
-    facet_ridges is the n x (d - apex) integer array of each facet's other
-    ridge ids, the ridges of the reduced complex, and ridge_sizes[r] = |r|,
-    the facets containing ridge r.  Build it with down_up_matrix.  entry and
-    rows read P off the incidence; rows are plain dicts built on each
-    access, which no solve or certificate needs.
+    positions is the reduced complex K itself, the n x (d - apex) array of
+    the positions of each facet's other elements, row i from index[i];
+    facet_ridges is the n x (d - apex) integer array of each facet's ridge
+    ids in K, and ridge_sizes[r] = |r|, the facets containing ridge r.
+    Build it with down_up_matrix.  entry and rows read P off the incidence;
+    rows are plain dicts built on each access, which no solve or
+    certificate needs.
     """
 
-    __slots__ = ("index", "d", "facet_ridges", "ridge_sizes", "apex")
+    __slots__ = ("index", "d", "positions", "facet_ridges", "ridge_sizes", "apex")
 
-    def __init__(self, index, d, facet_ridges, ridge_sizes, apex):
+    def __init__(self, index, d, positions, facet_ridges, ridge_sizes, apex):
         self.index = index
         self.d = d
+        self.positions = positions
         self.facet_ridges = facet_ridges
         self.ridge_sizes = ridge_sizes
         self.apex = apex
@@ -133,10 +140,12 @@ class DownUpWalk:
 
     @property
     def rows(self) -> tuple:
-        """Rows as dicts column -> exact entry over each row's support: the
-        diagonal, and 1/(d |r|) at each facet that shares a ridge r with the
-        row's own.  Built on every access."""
+        """Rows as dicts column -> exact entry over each row's support: 1/(d |r|)
+        at each facet that shares a ridge r with the row's own, and the
+        diagonal, |A|/d plus 1/(d |r|) over the row's ridges r in K.  Built on
+        every access."""
         out = [{} for _ in range(self.size)]
+        diagonal = [Fraction(self.apex, self.d)] * self.size
         owners, starts = self._owners()
         owners, sizes = owners.tolist(), self.ridge_sizes.tolist()
         shares = {m: Fraction(1, self.d * m) for m in set(sizes)}
@@ -145,7 +154,8 @@ class DownUpWalk:
             row = dict.fromkeys(ridge, shares[m])
             for i in ridge:
                 out[i].update(row)
-        for i, p in enumerate(self._diagonal()):
+                diagonal[i] += shares[m]
+        for i, p in enumerate(diagonal):
             out[i][i] = p
         return tuple(out)
 
@@ -158,17 +168,6 @@ class DownUpWalk:
         owners = np.argsort(self.facet_ridges, axis=None) // self.facet_ridges.shape[1]
         return owners, np.cumsum(self.ridge_sizes) - self.ridge_sizes
 
-    def _diagonal(self) -> list:
-        """Exact P(S, S) for every facet, summed once per multiset of ridge sizes."""
-        import numpy as np
-
-        keys, which = np.unique(
-            np.sort(self.ridge_sizes[self.facet_ridges], axis=1), axis=0, return_inverse=True
-        )
-        own = Fraction(self.apex, self.d)
-        sums = [sum((Fraction(1, self.d * m) for m in key), own) for key in keys.tolist()]
-        return [sums[k] for k in which.ravel().tolist()]
-
     def __repr__(self):
         return f"DownUpWalk({self.size} states, d={self.d})"
 
@@ -178,12 +177,22 @@ def down_up_matrix(facets) -> DownUpWalk:
     |S∩T| = d-1, diagonal absorbing the remainder, as its facet-ridge
     incidence in the reduced complex and its apex count; symmetric and
     doubly stochastic by construction."""
+    return _down_up(*_as_facets(facets))
+
+
+def _down_up(facets, d: int) -> DownUpWalk:
+    """The down-up walk of the canonical same-size facets, and the one place
+    the reduced complex K is derived: _reduced strips the apex, and K's
+    ridges, its faces of size d - |A| - 1, get dense lexicographic ids from
+    _face_ids, facet by facet (none when K's facets are empty)."""
     import numpy as np
 
-    facets, d = _as_facets(facets)
     rows, apex = _reduced(facets)
-    ridges = _ridge_ids(rows)
-    return DownUpWalk(facets, d, ridges.reshape(rows.shape), np.bincount(ridges), apex)
+    width = rows.shape[1]
+    ridges = np.zeros(0, dtype=np.intp)
+    if width:
+        ridges = _face_ids(rows, list(itertools.combinations(range(width), width - 1)))[1]
+    return DownUpWalk(facets, d, rows, ridges.reshape(rows.shape), np.bincount(ridges), apex)
 
 
 class LocalWalk:
@@ -460,23 +469,13 @@ def _reduced(facets):
     """The reduced complex K = {F - A} of the same-size facets, A the
     elements in every facet, as the N x (d - |A|) array of the positions of
     K's elements among the facets' (_element_positions), row i from
-    facets[i]; and |A|.  Every walk is solved on K."""
+    facets[i]; and |A|.  Every walk is solved on K; _down_up is its one
+    caller."""
     import numpy as np
 
     _, rows = _element_positions(facets)
     keep = np.bincount(rows.ravel())[rows] < len(rows)
     return rows[keep].reshape(len(rows), -1), rows.shape[1] - int(np.count_nonzero(keep[0]))
-
-
-def _ridge_ids(rows):
-    """Dense lexicographic ids of the size-(d-1) faces of the rows of an
-    N x d position array, d per row, facet by facet; none when d is 0."""
-    import numpy as np
-
-    d = rows.shape[1]
-    if not d:
-        return np.zeros(0, dtype=np.intp)
-    return _face_ids(rows, list(itertools.combinations(range(d), d - 1)))[1]
 
 
 def _face_ids(rows, tops):
@@ -562,15 +561,19 @@ def _symmetrized(c, denom: int):
 
 def local_spectral_profile(x, force: bool = False) -> LocalProfile:
     """gamma_k = max second eigenvalue of the local walk over all faces of
-    size k, for k = 0..d-2.  The profile of the reduced complex K is computed
-    level by level from integer pair-count stacks, each level's local
-    matrices solved in stacks of one state count, at most _EIG_BATCH per
-    eigvalsh call; _coned then adds the apex elements one at a time."""
+    size k, for k = 0..d-2.  x is a DownUpWalk, whose reduced complex K is
+    read as it stands, or anything down_up_matrix accepts, from which the
+    walk is built (enumerated under force); K is derived only in _down_up,
+    so a caller that also wants the gap passes one walk to both.  The
+    profile of K is computed level by level from integer pair-count stacks,
+    each level's local matrices solved in stacks of one state count, at
+    most _EIG_BATCH per eigvalsh call; _coned then adds the apex elements
+    one at a time."""
     import numpy as np
 
-    facets, d = _as_facets(x, force)
-    check_face_subsets(len(facets), d, force)
-    rows, apex = _reduced(facets)
+    walk = x if isinstance(x, DownUpWalk) else _down_up(*_as_facets(x, force))
+    check_face_subsets(walk.size, walk.d, force)
+    rows, apex, d = walk.positions, walk.apex, walk.d
     dk = d - apex
     gammas = []
     for k in range(dk - 1):
@@ -583,7 +586,7 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
                 seconds.append(float(vals[:, -2].max()))
         gammas.append(max(seconds))
     # Whether some ridge of K lies in two facets; coning keeps the answer.
-    shared = bool((np.bincount(_ridge_ids(rows)) > 1).any())
+    shared = bool((walk.ridge_sizes > 1).any())
     for r in range(dk + 1, d + 1):
         gammas = _coned(gammas, r, shared)
     return LocalProfile(tuple(gammas))

@@ -309,8 +309,9 @@ def _cmd_walk_gap(args):
     n_facets = len(x.facets(force=args.force_size))
     check_eig_states(n_facets, args.force_size)
     check_face_subsets(n_facets, x.rank, args.force_size)
-    gap = spectral_gap(down_up_matrix(x), force=args.force_size)
-    profile = local_spectral_profile(x, force=args.force_size)
+    walk = down_up_matrix(x)
+    gap = spectral_gap(walk, force=args.force_size)
+    profile = local_spectral_profile(walk, force=args.force_size)
     bound = local_to_global_bound(profile)
     return canonical, {"gap": _float12(gap), "ltg_bound": _float12(bound)}
 

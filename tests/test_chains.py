@@ -19,6 +19,7 @@ from nbcwalk import (
     build_link_gadget,
     build_named_graph,
     chains,
+    cli,
     conductance,
     down_up_matrix,
     enumerate_nbc_bases,
@@ -335,6 +336,42 @@ class TestReducedComplex:
                 }
                 for j, t in enumerate(p.index):
                     assert p.entry(i, j) == oracle.get((s, t), 0)
+
+
+class TestOneReducedComplex:
+    """The local profile reads the reduced complex off a DownUpWalk, so a
+    caller that wants both the gap and the profile derives K once."""
+
+    def test_profile_of_the_walk_equals_the_profile_of_the_facets(self):
+        corpus = _cone_corpus() + _oracle_corpus()
+        assert any(len(facets) == 1 for facets in corpus)
+        assert any(not frozenset.intersection(*facets) for facets in corpus)
+        for facets in corpus:
+            walk = down_up_matrix(facets)
+            assert (
+                local_spectral_profile(walk).gammas == local_spectral_profile(facets).gammas
+            ), sorted(map(sorted, facets))
+
+    def test_a_walk_passes_the_face_subset_guard(self, monkeypatch):
+        walk = down_up_matrix(NbcComplex(GraphicMatroid(build_named_graph("complete", 4))))
+        expected = local_spectral_profile(walk)
+        monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 40)
+        with pytest.raises(SizeGuardError, match="6 facets of size 3"):
+            local_spectral_profile(walk)
+        assert local_spectral_profile(walk, force=True) == expected
+
+    def test_walk_gap_strips_the_apex_once(self, capsys, monkeypatch):
+        original = chains._reduced
+        calls = []
+
+        def counted(facets):
+            calls.append(len(facets))
+            return original(facets)
+
+        monkeypatch.setattr(chains, "_reduced", counted)
+        argv = ["walk-gap", "--graph", "complete_bipartite:4:5", "--truncate", "5"]
+        assert cli.main(argv) == 0, capsys.readouterr().err
+        assert calls == [3016]
 
 
 class TestLocalWalk:

@@ -570,18 +570,25 @@ class TestCandidateLists:
         assert checked[0] > 10_000
 
     def test_k8_face_numbers_halve_the_cycle_scans(self, monkeypatch):
-        original = nbc._GraphicEngine.can_add
-        calls = [0]
+        # Every candidate the walk tries: each element of a list passed to
+        # extensions, and each root-level can_add call.
+        can_add, extensions = nbc._GraphicEngine.can_add, nbc._GraphicEngine.extensions
+        tried = [0]
 
-        def counted(self, e):
-            calls[0] += 1
-            return original(self, e)
+        def counted_can_add(self, e):
+            tried[0] += 1
+            return can_add(self, e)
 
-        monkeypatch.setattr(nbc._GraphicEngine, "can_add", counted)
+        def counted_extensions(self, cand):
+            tried[0] += len(cand)
+            return extensions(self, cand)
+
+        monkeypatch.setattr(nbc._GraphicEngine, "can_add", counted_can_add)
+        monkeypatch.setattr(nbc._GraphicEngine, "extensions", counted_extensions)
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
         assert face_numbers(x).counts == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
-        # Trying every element above the last one pushed costs 177476 calls here.
-        assert calls[0] <= 177476 // 2
+        # Trying every element above the last one pushed costs 177476 tries here.
+        assert tried[0] <= 177476 // 2
 
 
 def _parallel_multigraphs(count=8, seed=SEED):

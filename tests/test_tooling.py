@@ -1,6 +1,7 @@
 """The demos and the benchmark's self-test run as scripts, as a user would run
 them, so an API change that breaks either fails here; every benchmark command
-runs in process against its expected report; a fresh interpreter checks what
+runs in process against its expected report; every function the benchmark's
+tracer names is a public function of its layer; a fresh interpreter checks what
 importing the CLI loads, every example command in README's CLI section and
 its Python example must run, so the docs cannot drift from the code, no
 package module keeps an import it never uses or a private name nothing in the
@@ -10,6 +11,7 @@ outside the tests."""
 
 import ast
 import importlib.util
+import inspect
 import os
 import random
 import re
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from nbcwalk import cli
+from nbcwalk import GraphicMatroid, NbcComplex, build_named_graph, cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -56,9 +58,9 @@ def test_benchmark_selftest_passes():
     assert done.stdout.rstrip().endswith("0 failed")
 
 
-def _load_workloads():
-    """nbcbench/workloads.py as a module, without writing its bytecode cache."""
-    spec = importlib.util.spec_from_file_location("workloads", ROOT / "nbcbench" / "workloads.py")
+def _load_bench_module(name):
+    """nbcbench/<name>.py as a module, without writing its bytecode cache."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "nbcbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses looks its module up
     saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
@@ -69,7 +71,7 @@ def _load_workloads():
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_bench_module("workloads")
 BENCH_COMMANDS = [
     (name, i) for name, w in sorted(workloads.WORKLOADS.items()) for i in range(len(w.commands))
 ]
@@ -83,6 +85,37 @@ def test_benchmark_command_matches_its_expected_report(name, index, capsys):
     stdout = capsys.readouterr().out
     expected = workloads.load_expected(workload)[index]
     assert workloads.check(workload.commands[index], expected, code, stdout) == [], argv
+
+
+def _layer_function(name):
+    """The function a traced name such as "chains.down_up_matrix" names,
+    checked to be a public module-level function its layer defines."""
+    layer, attr = name.split(".")
+    module = importlib.import_module(f"nbcwalk.{layer}")
+    fn = getattr(module, attr, None)
+    assert not attr.startswith("_") and inspect.isfunction(fn), name
+    assert fn.__module__ == module.__name__, name
+    return fn
+
+
+def test_traced_names_are_public_layer_functions():
+    # The tracer wraps only public module-level functions and reads its
+    # per-layer metrics off them by name, so a rename or a move into a
+    # private helper would leave those metrics silently at zero.
+    tracing = _load_bench_module("tracing")
+    for name in (*tracing.TIMED, *tracing.NBC_ENUMERATORS, *tracing.WALK_BUILDERS):
+        _layer_function(name)
+    x = NbcComplex(GraphicMatroid(build_named_graph("complete", 4)))
+    for name in tracing.WALK_BUILDERS:
+        fn = _layer_function(name)
+        required = [
+            p for p in inspect.signature(fn).parameters.values() if p.default is p.empty
+        ]
+        result = fn(*(x, frozenset())[: len(required)])
+        assert result.size > 0 and len(result.rows) == result.size, name
+    for key, fn in verify.SUITES.items():
+        assert inspect.isfunction(fn) and not fn.__name__.startswith("_"), key
+        assert getattr(verify, fn.__name__) is fn, key
 
 
 def test_walks_leave_scipy_unloaded_and_undeclared():
