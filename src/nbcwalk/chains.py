@@ -49,6 +49,7 @@ spectral work never loads it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,21 +143,24 @@ class DownUpWalk:
     def rows(self) -> tuple:
         """Rows as dicts column -> exact entry over each row's support: 1/(d |r|)
         at each facet that shares a ridge r with the row's own, and the
-        diagonal, |A|/d plus 1/(d |r|) over the row's ridges r in K.  Built on
-        every access."""
+        diagonal, |A|/d plus 1/(d |r|) over the row's ridges r in K, summed
+        as integer numerators over d lcm(|r|).  Built on every access."""
         out = [{} for _ in range(self.size)]
-        diagonal = [Fraction(self.apex, self.d)] * self.size
         owners, starts = self._owners()
         owners, sizes = owners.tolist(), self.ridge_sizes.tolist()
+        lcm = math.lcm(*set(sizes))
+        diagonal = [self.apex * lcm] * self.size
         shares = {m: Fraction(1, self.d * m) for m in set(sizes)}
         for start, m in zip(starts.tolist(), sizes):
             ridge = owners[start : start + m]
             row = dict.fromkeys(ridge, shares[m])
+            step = lcm // m
             for i in ridge:
                 out[i].update(row)
-                diagonal[i] += shares[m]
+                diagonal[i] += step
+        values = {p: Fraction(p, self.d * lcm) for p in set(diagonal)}
         for i, p in enumerate(diagonal):
-            out[i][i] = p
+            out[i][i] = values[p]
         return tuple(out)
 
     def _owners(self):

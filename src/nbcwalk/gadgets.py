@@ -2,8 +2,10 @@
 the optimization / counting / external-field / hardcore reductions.
 
 Every builder returns one GadgetInstance, and every verifier re-derives the
-certified quantity by exhaustive enumeration in exact arithmetic.  A failed
-certificate raises VerificationError rather than returning a degraded report.
+certified quantity by exhaustive enumeration in exact arithmetic; the
+max-weight NBC base is found exactly, by branch and bound over the face walk.
+A failed certificate raises VerificationError rather than returning a
+degraded report.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .graphs import (
     iter_independent_sets,
 )
 from .matroids import GraphicMatroid, Matroid, TruncatedMatroid
-from .nbc import NbcComplex, enumerate_nbc_bases, is_nbc, link_facets
+from .nbc import NbcComplex, _walk, enumerate_nbc_bases, is_nbc, link_facets
 
 MAX_GADGET_GROUND = 5000
 HARDCORE_MAX_COPIES = 3
@@ -33,12 +35,18 @@ HARDCORE_MAX_BASE_VERTICES = 10
 
 
 class WeightVector:
-    """Exact rational weights indexed by element id."""
+    """Exact rational weights indexed by element id.  weights holds them as
+    Fractions, which item access, iteration, equality and repr read; nums
+    holds them as integer numerators over the one common denominator den, the
+    lcm of their denominators, so that sums and products are integer
+    arithmetic and only the reported values become Fractions."""
 
-    __slots__ = ("weights",)
+    __slots__ = ("weights", "nums", "den")
 
     def __init__(self, weights):
         self.weights = tuple(Fraction(w) for w in weights)
+        self.den = den = math.lcm(*(w.denominator for w in self.weights))
+        self.nums = tuple(w.numerator * (den // w.denominator) for w in self.weights)
 
     def __len__(self):
         return len(self.weights)
@@ -50,14 +58,14 @@ class WeightVector:
         return iter(self.weights)
 
     def weight_of(self, subset) -> Fraction:
-        """Inner product with the subset's indicator vector."""
-        return sum((self.weights[e] for e in subset), Fraction(0))
+        """Inner product with the subset's indicator vector: an integer sum
+        over den."""
+        return Fraction(sum(map(self.nums.__getitem__, subset)), self.den)
 
     def product_over(self, subset) -> Fraction:
-        out = Fraction(1)
-        for e in subset:
-            out *= self.weights[e]
-        return out
+        """Product of the subset's weights: an integer product over
+        den^|subset|."""
+        return Fraction(math.prod(map(self.nums.__getitem__, subset)), self.den ** len(subset))
 
     def __eq__(self, other):
         return isinstance(other, WeightVector) and self.weights == other.weights
@@ -390,13 +398,46 @@ def max_weight_independent_set(g: MultiGraph, vertex_weights: WeightVector, forc
 
 
 def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
-    """Exhaustive maximizer over NBC bases; ties keep the lexicographically
-    greatest base."""
+    """(base, weight) of an NBC base of greatest weight under w; ties keep the
+    lexicographically greatest base, as _heaviest over every base would.
+
+    Exact branch and bound over the NBC face walk, in integer numerators.
+    The walk reaches bases in lexicographic order, and a child F + e of a
+    face F is completed only from the extensions after e.  So its subtree
+    weighs at most w(F) + w(e) plus a max-weight set of r - |F| - 1 of those
+    extensions that is independent in the contraction by F + e, which the
+    engine's Edmonds greedy finds: it takes them in descending weight,
+    exactly that many, so the bound holds for negative weights too.  A child
+    is pruned when the greedy comes up short (no base lies below it) or its
+    bound is strictly below the best base so far; a tie is never pruned, so
+    the last tie reached is the lexicographically greatest.  No base list is
+    built, so MAX_NBC_BASES does not apply; MAX_NBC_FACES counts the faces
+    the walk visits, a subset of the faces of the complex."""
     w = _weight_vector(w, x.matroid.ground_size, "element")
-    bases = x.facets(force=force)
-    if not bases:
+    nums, rank = w.nums, x.matroid.rank
+    heaviest_first = [-n for n in nums].__getitem__
+    best = best_set = None
+
+    def prune(eng, accepted, i):
+        e = accepted[i]
+        members = eng.members
+        bound = sum(map(nums.__getitem__, members)) + nums[e]
+        need = rank - len(members) - 1
+        if need:
+            picked = eng.greedy(e, sorted(accepted[i + 1 :], key=heaviest_first), need)
+            if len(picked) < need:
+                return True
+            bound += sum(map(nums.__getitem__, picked))
+        return best is not None and bound < best
+
+    for face in _walk(x, force=force, prune=prune):
+        if len(face) == rank:
+            val = sum(map(nums.__getitem__, face))
+            if best is None or val >= best:
+                best, best_set = val, frozenset(face)
+    if best_set is None:
         raise PreconditionError("the complex has no bases")
-    return _heaviest(bases, w)
+    return best_set, Fraction(best, w.den)
 
 
 def build_field_reduction(

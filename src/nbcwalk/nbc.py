@@ -25,7 +25,9 @@ A(F) once, and its child F + A[i] tries only A[i+1:], which holds every
 e > A[i] with F + A[i] + e a face; the preorder is the one a walk trying every
 element id in turn would take.  Facets are appended to the member list and
 yielded without an engine push.  Extension to a base scans the ids once, along
-the walk's first path.
+the walk's first path.  A consumer may prune the walk: it is asked before each
+child is pushed, and the engines' greedy, Edmonds' algorithm in the
+contraction by that child, bounds what the child's subtree can add.
 
 Graphic and truncated graphic matroids get a pure-Python engine that keeps the
 face as a forest with component labels and parent pointers whose rooting is
@@ -347,6 +349,30 @@ class _GraphicEngine:
         x = u if self.parent[u] == v else v
         self.parent[x] = self.ppos[x] = -1
 
+    def greedy(self, e: int, ranked, need: int) -> list:
+        """Edmonds' greedy in the contraction by face + e: the first need
+        elements of ranked, in its order, that join two components of the
+        forest face + e plus the ones taken before; fewer when ranked runs
+        out.  Union-find runs over the component labels, with e's endpoints
+        merged first, so the forest itself is left alone."""
+        label, ends = self.label, self.ends
+        u, v = ends[e]
+        up = {label[u]: label[v]}
+        out = []
+        for f in ranked:
+            if len(out) == need:
+                break
+            a, b = ends[f]
+            a, b = label[a], label[b]
+            while a in up:
+                a = up[a]
+            while b in up:
+                b = up[b]
+            if a != b:
+                up[a] = b
+                out.append(f)
+        return out
+
 
 class _OracleEngine:
     """The engine protocol for any matroid, asking only is_independent."""
@@ -387,6 +413,20 @@ class _OracleEngine:
     def pop(self):
         self.members.pop()
 
+    def greedy(self, e: int, ranked, need: int) -> list:
+        """Edmonds' greedy in the contraction by face + e: the first need
+        elements of ranked, in its order, that stay independent together
+        with face + e and the ones taken before; fewer when ranked runs out."""
+        is_independent = self.matroid.is_independent
+        chosen = [*self.members, e]
+        start = len(chosen)
+        for f in ranked:
+            if len(chosen) - start == need:
+                break
+            if is_independent([*chosen, f]):
+                chosen.append(f)
+        return chosen[start:]
+
 
 def _engine(x: NbcComplex):
     matroid = x.matroid
@@ -409,13 +449,17 @@ def _root_engine(x: NbcComplex, root):
     return eng
 
 
-def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
+def _walk(x: NbcComplex, root=frozenset(), force: bool = False, prune=None):
     """Every NBC face containing root and e0, in preorder from root + e0: a
     face's children add its accepted extensions in ascending element id, each
     child trying only the extensions after its own.  Yields the engine's live
     member list (e0 and the root elements first); yields nothing when root is
     not an NBC face.  A facet is appended to that list and removed again, never
-    pushed.  MAX_NBC_FACES caps the faces containing root: when root lacks e0,
+    pushed.  prune, when given, is called as prune(eng, accepted, i) before the
+    face F = eng.members gets its child F + accepted[i], whose subtree holds
+    only faces F + accepted[i] + C with C drawn from accepted[i + 1:]; a
+    true result skips the child and its subtree, with no push, extensions
+    or pop.  MAX_NBC_FACES caps the faces containing root: when root lacks e0,
     each face yielded stands for two, itself and itself minus e0.  The cap
     refuses before the first yield when 2^(full - |root|) exceeds it, since
     the complex is pure and the subsets of one facet through root already
@@ -446,6 +490,8 @@ def _walk(x: NbcComplex, root=frozenset(), force: bool = False):
             if i < len(accepted):
                 e = accepted[i]
                 frame[1] = i + 1
+                if prune is not None and prune(eng, accepted, i):
+                    continue
                 if len(members) + 1 < full:
                     push(e)
                     accepted = extensions(accepted[i + 1 :])

@@ -1,13 +1,18 @@
 """Gadget builders, their exhaustive certificates, and the four reductions."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from nbcwalk import (
+    GraphicMatroid,
     MultiGraph,
+    NbcComplex,
     PreconditionError,
     SizeGuardError,
+    TruncatedMatroid,
     VerificationError,
     WeightVector,
     build_field_reduction,
@@ -27,6 +32,7 @@ from nbcwalk import (
     link_facets,
     max_weight_independent_set,
     max_weight_nbc_base,
+    nbc,
     nbc_partition_function,
     partition_link_facets,
     spectral_gap,
@@ -34,6 +40,8 @@ from nbcwalk import (
     verify_edge_witness,
     verify_hardcore_identities,
 )
+
+from helpers import SEED, OpaqueMatroid, random_multigraphs
 
 F = Fraction
 
@@ -293,6 +301,110 @@ class TestOptReduction:
         g = build_named_graph("complete", 3)
         with pytest.raises(PreconditionError):
             build_opt_reduction(g, WeightVector([1, 2]))
+
+
+def _weight_draws(rng, m):
+    """Weight vectors of length m: small non-negative integers, integers of
+    both signs, fractions of both signs, all equal (every base ties), and
+    0/1 (many ties)."""
+    return [
+        [rng.randint(0, 10) for _ in range(m)],
+        [rng.randint(-6, 6) for _ in range(m)],
+        [F(rng.randint(-12, 12), rng.randint(1, 5)) for _ in range(m)],
+        [F(3, 2)] * m,
+        [rng.randint(0, 1) for _ in range(m)],
+    ]
+
+
+def _differential_corpus():
+    """Complexes for the branch and bound against the exhaustive maximizer:
+    opt-reduction complexes of random graphs drawn as in acceptance
+    criterion 09, each under the identity order, a random order and a random
+    truncation; random multigraphs (parallel edges, disconnected); and
+    OpaqueMatroid complexes, plain and truncated, for the oracle engine."""
+    rng = random.Random(SEED + 26)
+    out = []
+    for _ in range(30):
+        nv = rng.randint(2, 7)
+        possible = list(itertools.combinations(range(nv), 2))
+        g = MultiGraph(nv, sorted(rng.sample(possible, rng.randint(1, min(len(possible), 10)))))
+        matroid = build_opt_reduction(g, [0] * nv).matroid
+        m = matroid.ground_size
+        out.append(NbcComplex(matroid))
+        out.append(NbcComplex(matroid, rng.sample(range(m), m)))
+        truncated = TruncatedMatroid(matroid, rng.randint(1, matroid.rank))
+        out.append(NbcComplex(truncated, rng.sample(range(m), m)))
+    for g in random_multigraphs(count=10, max_vertices=6, max_edges=9, seed=SEED + 26):
+        out.append(NbcComplex(GraphicMatroid(g), rng.sample(range(g.edge_count), g.edge_count)))
+    k4 = build_named_graph("complete", 4)
+    out.append(NbcComplex(OpaqueMatroid(k4), rng.sample(range(6), 6)))
+    out.append(NbcComplex(TruncatedMatroid(OpaqueMatroid(k4), 2)))
+    return out, rng
+
+
+class TestMaxWeightBranchAndBound:
+    def test_matches_the_exhaustive_maximizer(self):
+        # The identical (base, value) pair, not only the value: ties must go
+        # to the lexicographically greatest base as _heaviest sends them.
+        corpus, rng = _differential_corpus()
+        for x in corpus:
+            bases = enumerate_nbc_bases(x)
+            for weights in _weight_draws(rng, x.matroid.ground_size):
+                w = WeightVector(weights)
+                assert max_weight_nbc_base(x, w) == gadgets._heaviest(bases, w), (x, weights)
+
+    def test_oracle_engine_runs_the_same_bound(self, monkeypatch):
+        greedy_calls = []
+        real = nbc._OracleEngine.greedy
+
+        def counting(self, *args):
+            greedy_calls.append(args)
+            return real(self, *args)
+
+        monkeypatch.setattr(nbc._OracleEngine, "greedy", counting)
+        x = NbcComplex(OpaqueMatroid(build_named_graph("complete", 5)))
+        w = WeightVector([3, -1, 4, 1, -5, 9, 2, -6, 5, 3])
+        assert max_weight_nbc_base(x, w) == gadgets._heaviest(enumerate_nbc_bases(x), w)
+        assert greedy_calls
+
+    def test_tied_square_base_is_pinned(self):
+        # Both maximum-weight bases of the C4 reduction weigh 2; the
+        # lexicographically greater one is kept.
+        g = build_named_graph("cycle", 4)
+        inst = build_opt_reduction(g, WeightVector([1, 1, 1, 1]))
+        assert max_weight_nbc_base(inst.complex(), inst.weights) == (frozenset({0, 2, 5, 7}), 2)
+
+    def test_bench_instance_visits_under_a_quarter_of_the_faces(self, monkeypatch):
+        # The faces the walk yields to the maximizer on `reduce opt --graph
+        # complete_bipartite:3:4 --vertex-weights 1,...,7`, against the 5277
+        # faces of the whole walk.
+        inst = build_opt_reduction(
+            build_named_graph("complete_bipartite", 3, 4), WeightVector(range(1, 8))
+        )
+        x = inst.complex()
+        assert sum(1 for _ in nbc._walk(x)) == 5277
+        visited = []
+
+        def counting(*args, **kwargs):
+            for face in nbc._walk(*args, **kwargs):
+                visited.append(len(face))
+                yield face
+
+        monkeypatch.setattr(gadgets, "_walk", counting)
+        base, val = max_weight_nbc_base(x, inst.weights)
+        assert (sorted(base), val) == ([0, 4, 8, 15, 16, 17, 18], 22)
+        assert len(visited) <= 5277 // 4
+
+    def test_collects_no_bases(self, monkeypatch):
+        # MAX_NBC_BASES does not bound the maximizer, and the complex's facet
+        # cache stays empty.
+        k5 = GraphicMatroid(build_named_graph("complete", 5))
+        w = WeightVector(range(10))
+        expected = gadgets._heaviest(enumerate_nbc_bases(NbcComplex(k5)), w)
+        monkeypatch.setattr(nbc, "MAX_NBC_BASES", 1)
+        x = NbcComplex(k5)
+        assert max_weight_nbc_base(x, w) == expected
+        assert x._facet_cache is None
 
 
 class TestFieldReduction:

@@ -854,6 +854,79 @@ class TestFaceBudgetUpFront:
         assert face_numbers(path8, force=True).total() == 2**7
 
 
+class TestPrunedWalk:
+    """_walk's prune hook: prune(eng, accepted, i) is asked before the face
+    eng.members gets the child + accepted[i], and a true answer skips that
+    child's subtree without pushing it."""
+
+    @pytest.mark.parametrize("make", [GraphicMatroid, OpaqueMatroid], ids=["graphic", "oracle"])
+    def test_pruning_nothing_asks_once_per_face(self, make):
+        x = NbcComplex(make(build_named_graph("complete", 5)), random_orders(10, 1)[0])
+        asked = []
+
+        def keep(eng, accepted, i):
+            asked.append((*eng.members, accepted[i]))
+            return False
+
+        faces = [tuple(face) for face in nbc._walk(x, prune=keep)]
+        assert faces == [tuple(face) for face in nbc._walk(x)]
+        assert asked == faces[1:]
+
+    def test_a_pruned_child_is_never_pushed(self, monkeypatch):
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 5)))
+        without = [tuple(face) for face in nbc._walk(x) if 3 not in face]
+        pushes = _walk_pushes(monkeypatch)
+
+        def skip_3(eng, accepted, i):
+            return accepted[i] == 3
+
+        faces = [tuple(face) for face in nbc._walk(x, prune=skip_3)]
+        assert faces == without
+        assert pushes and 3 not in pushes
+
+
+class TestCompletionGreedy:
+    """engine.greedy(e, ranked, need), asked at every child F + e the walk
+    reaches, returns need elements of ranked independent with F + e of
+    greatest total weight, or fewer exactly when no need of them are: checked
+    against every need-subset of the tail under the DFS independence oracle."""
+
+    @pytest.mark.parametrize(
+        "make, rank",
+        [(GraphicMatroid, None), (GraphicMatroid, 3), (OpaqueMatroid, None), (OpaqueMatroid, 2)],
+        ids=["graphic", "graphic-truncated", "oracle", "oracle-truncated"],
+    )
+    def test_greedy_is_a_max_weight_completion(self, make, rank):
+        g = build_named_graph("complete", 5)
+        matroid = make(g) if rank is None else TruncatedMatroid(make(g), rank)
+        indep = graphic_indep(g)
+        rng = random.Random(SEED)
+        weight = [rng.randint(-4, 6) for _ in range(g.edge_count)]
+        ranking = random_orders(g.edge_count, 1)[0]
+        x = NbcComplex(matroid, ranking)
+        checked = 0
+
+        def check(eng, accepted, i):
+            nonlocal checked
+            e, tail = accepted[i], accepted[i + 1 :]
+            face = [*eng.members, e]
+            need = matroid.rank - len(face)
+            ranked = sorted(tail, key=lambda f: -weight[f])
+            picked = eng.greedy(e, ranked, need)
+            fits = [c for c in itertools.combinations(tail, need) if indep([*face, *c])]
+            if fits:
+                assert len(picked) == need and indep([*face, *picked])
+                best = max(sum(weight[f] for f in c) for c in fits)
+                assert sum(weight[f] for f in picked) == best
+            else:
+                assert len(picked) < need
+            assert eng.members == face[:-1]
+            checked += 1
+            return False
+
+        assert sum(1 for _ in nbc._walk(x, prune=check)) == checked + 1
+
+
 class _LoopedMatroid(Matroid):
     """Rank 2 on four elements, any two independent unless one is the loop."""
 

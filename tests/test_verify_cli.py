@@ -445,6 +445,21 @@ class TestCliContract:
         assert (code, out, err) == (3, "", "error: more than MAX_NBC_BASES=3 NBC bases\n")
         assert _run(capsys, "local-profile", "--graph", "complete:4", "--force-size") == expected
 
+    def test_reduce_opt_counts_only_the_faces_it_visits(self, capsys, monkeypatch):
+        # The maximizer collects no bases, so MAX_NBC_BASES does not bound
+        # it; MAX_NBC_FACES counts the faces its walk visits.
+        argv = ("reduce", "opt", "--graph", "complete_bipartite:3:4",
+                "--vertex-weights", "1,2,3,4,5,6,7")
+        expected = _run(capsys, *argv)
+        forced = _report(capsys, *argv, "--force-size")
+        monkeypatch.setattr(nbc, "MAX_NBC_BASES", 1)
+        assert _run(capsys, *argv) == expected
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", 300)
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (3, "") and "Traceback" not in err
+        assert err.splitlines() == ["error: more than MAX_NBC_FACES=300 NBC faces visited"]
+        assert _report(capsys, *argv, "--force-size") == forced
+
     def test_long_edge_ground_guard_is_exit_three(self, capsys):
         code, out, err = _run(capsys, "gadget", "long-edge", "--n", "5001")
         assert (code, out) == (3, "")
