@@ -406,7 +406,7 @@ def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     face F is completed only from the extensions after e.  So its subtree
     weighs at most w(F) + w(e) plus a max-weight set of r - |F| - 1 of those
     extensions that is independent in the contraction by F + e, which the
-    engine's Edmonds greedy finds: it takes them in descending weight,
+    forest engine's Edmonds greedy finds: it takes them in descending weight,
     exactly that many, so the bound holds for negative weights too.  A child
     is pruned when the greedy comes up short (no base lies below it) or its
     bound is strictly below the best base so far; a tie is never pruned, so

@@ -26,13 +26,13 @@ e > A[i] with F + A[i] + e a face; the preorder is the one a walk trying every
 element id in turn would take.  Facets are appended to the member list and
 yielded without an engine push.  Extension to a base scans the ids once, along
 the walk's first path.  A consumer may prune the walk: it is asked before each
-child is pushed, and the engines' greedy, Edmonds' algorithm in the
+child is pushed, and the engine's greedy, Edmonds' algorithm in the
 contraction by that child, bounds what the child's subtree can add.
 
-Graphic and truncated graphic matroids get a pure-Python engine that keeps the
-face as a forest with component labels and parent pointers whose rooting is
-free: push hangs the smaller tree under the larger, and pop cuts the edge
-again.  can_add re-examines only the cycles the new edge closes.  It finds
+A complex is built over a graphic matroid or a truncation of one, nested to
+any depth, and walked by one pure-Python engine that keeps the face as a
+forest with component labels and parent pointers whose rooting is free: push
+hangs the smaller tree under the larger, and pop cuts the edge again.  can_add re-examines only the cycles the new edge closes.  It finds
 their closing edges by scanning the smaller component's incidences, kept in
 order position, up to the new edge's position, and re-roots the two trees at
 the new edge's endpoints, so each cycle's minimum takes two climbs to the
@@ -42,17 +42,14 @@ candidate scans only the cycles through both itself and the pushed edge, since
 every other cycle through it closes the same forest path as before the push,
 where it was already checked.  A push stamps the vertices it relabels with a
 count that is never reused, so telling the pushed edge's two sides apart is
-one comparison.  Any other matroid gets an engine that asks only
-is_independent, through the closure form of the NBC condition (Björner 1992):
-an independent F is NBC iff, for every f outside F, f plus the elements of F
-above f stay independent.
+one comparison.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import SizeCounts, _integer
-from .matroids import GraphicMatroid, Matroid, TruncatedMatroid
+from .matroids import GraphicMatroid, TruncatedMatroid
 
 MAX_NBC_BASES = 1_000_000
 MAX_NBC_FACES = 2_000_000
@@ -101,11 +98,16 @@ class ElementOrder:
 
 
 class NbcComplex:
-    """A matroid plus an element order; faces are the NBC independent sets."""
+    """A graphic matroid, or a truncation of one at any depth, plus an element
+    order; faces are the NBC independent sets.  Any other matroid is refused
+    here, before a walk starts."""
 
-    def __init__(self, matroid: Matroid, order=None):
-        if not isinstance(matroid, Matroid):
-            raise PreconditionError("NbcComplex needs a Matroid")
+    def __init__(self, matroid: GraphicMatroid | TruncatedMatroid, order=None):
+        inner = matroid
+        while isinstance(inner, TruncatedMatroid):
+            inner = inner.inner
+        if not isinstance(inner, GraphicMatroid):
+            raise PreconditionError("NbcComplex needs a graphic matroid or a truncation of one")
         if order is None:
             order = ElementOrder.identity(matroid.ground_size)
         elif not isinstance(order, ElementOrder):
@@ -114,6 +116,7 @@ class NbcComplex:
             raise PreconditionError("order length must equal the matroid ground size")
         self.matroid = matroid
         self.order = order
+        self._graph = inner.graph
         self._facet_cache = None
         self._broken_cache = None
 
@@ -374,67 +377,10 @@ class _GraphicEngine:
         return out
 
 
-class _OracleEngine:
-    """The engine protocol for any matroid, asking only is_independent."""
-
-    def __init__(self, x: NbcComplex):
-        self.matroid = x.matroid
-        self.ranking = x.order.ranking
-        self.m = x.matroid.ground_size
-        self.full = x.matroid.rank
-        self.members = []
-
-    def can_add(self, e: int) -> bool:
-        """True iff face + e is NBC, by the closure form: it is independent,
-        and every f outside it, with the elements of it above f, is too.  The
-        scan runs down the order, so those elements are the ones passed."""
-        members = self.members
-        if len(members) >= self.full or e in members:
-            return False
-        is_independent = self.matroid.is_independent
-        grown = {*members, e}
-        if not is_independent(grown):
-            return False
-        above = []
-        for f in reversed(self.ranking):
-            if f in grown:
-                above.append(f)
-            elif not is_independent(above + [f]):
-                return False
-        return True
-
-    def extensions(self, cand) -> list:
-        can_add = self.can_add
-        return [e for e in cand if can_add(e)]
-
-    def push(self, e: int):
-        self.members.append(e)
-
-    def pop(self):
-        self.members.pop()
-
-    def greedy(self, e: int, ranked, need: int) -> list:
-        """Edmonds' greedy in the contraction by face + e: the first need
-        elements of ranked, in its order, that stay independent together
-        with face + e and the ones taken before; fewer when ranked runs out."""
-        is_independent = self.matroid.is_independent
-        chosen = [*self.members, e]
-        start = len(chosen)
-        for f in ranked:
-            if len(chosen) - start == need:
-                break
-            if is_independent([*chosen, f]):
-                chosen.append(f)
-        return chosen[start:]
-
-
 def _engine(x: NbcComplex):
-    matroid = x.matroid
-    if isinstance(matroid, GraphicMatroid):
-        return _GraphicEngine(matroid.graph, x.order, matroid.rank)
-    if isinstance(matroid, TruncatedMatroid) and isinstance(matroid.inner, GraphicMatroid):
-        return _GraphicEngine(matroid.inner.graph, x.order, matroid.target_rank)
-    return _OracleEngine(x)
+    """The graphic engine for x, at x's rank: a truncation's target rank is
+    at most the rank it wraps, so the outermost one is the complex's."""
+    return _GraphicEngine(x._graph, x.order, x.matroid.rank)
 
 
 def _root_engine(x: NbcComplex, root):

@@ -1,23 +1,25 @@
 """Shared test oracles, all deliberately independent of the package's own
 algorithms: acyclicity and components by depth-first search (not union-find),
 spanning trees by matrix-tree with exact rationals, colorings and broken
-circuits by direct brute force, NBC membership also by the closure form.
-Two exceptions: OpaqueMatroid drives the package's generic Matroid code with
-graphic independence, and contains_broken_circuit_bruteforce reads a
-complex's broken circuits from the matroid's brute-force circuit list."""
+circuits by direct brute force, NBC membership and NBC bases also by the
+closure form.  One exception: contains_broken_circuit_bruteforce reads a
+complex's broken circuits from the matroid's brute-force circuit list.
+OpaqueMatroid is no oracle: it drives the package's generic Matroid base
+methods with graphic independence in test_matroids.py, and NbcComplex
+refuses it."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from nbcwalk import GraphicMatroid, Matroid, MultiGraph
+from nbcwalk import GraphicMatroid, Matroid, MultiGraph, TruncatedMatroid
 
 SEED = 20260816
 
 
 class OpaqueMatroid(Matroid):
-    """Wraps a graphic matroid behind the generic interface only, forcing the
-    non-graphic enumeration path."""
+    """Wraps a graphic matroid behind the generic interface only, so only the
+    Matroid base methods serve it."""
 
     def __init__(self, graph):
         super().__init__()
@@ -150,6 +152,26 @@ def closure_is_nbc(indep, ranking, s):
     return True
 
 
+def closure_nbc_facets_through(m, indep, ranking, tau, rank):
+    """Every NBC base containing tau, by an explicit-stack walk from tau that
+    adds ids in ascending order and keeps a set only when closure_is_nbc
+    accepts it.  NBC sets are closed under subsets, so each base through tau
+    is reached once, along its own ascending path; empty when tau is not NBC."""
+    tau = frozenset(tau)
+    if not closure_is_nbc(indep, ranking, tau):
+        return set()
+    out, stack = set(), [(tau, 0)]
+    while stack:
+        face, start = stack.pop()
+        if len(face) == rank:
+            out.add(face)
+            continue
+        for e in range(start, m):
+            if e not in face and closure_is_nbc(indep, ranking, face | {e}):
+                stack.append((face | {e}, e + 1))
+    return out
+
+
 def contains_broken_circuit_bruteforce(x, s):
     """Whether s contains a broken circuit of the complex x, straight from the
     definition over x's full circuit enumeration; desk scale only."""
@@ -187,6 +209,14 @@ def brute_nbc_facets_through(m, indep, ranking, tau, rank):
         if indep(face) and not has_broken_circuit(face):
             out.add(face)
     return out
+
+
+def truncated_graphic(g, *ranks):
+    """The graphic matroid of g, truncated at each of ranks in turn."""
+    matroid = GraphicMatroid(g)
+    for rank in ranks:
+        matroid = TruncatedMatroid(matroid, rank)
+    return matroid
 
 
 def graphic_indep(g):

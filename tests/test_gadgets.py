@@ -41,7 +41,7 @@ from nbcwalk import (
     verify_hardcore_identities,
 )
 
-from helpers import SEED, OpaqueMatroid, random_multigraphs
+from helpers import SEED, random_multigraphs, truncated_graphic
 
 F = Fraction
 
@@ -321,7 +321,7 @@ def _differential_corpus():
     opt-reduction complexes of random graphs drawn as in acceptance
     criterion 09, each under the identity order, a random order and a random
     truncation; random multigraphs (parallel edges, disconnected); and
-    OpaqueMatroid complexes, plain and truncated, for the oracle engine."""
+    nested truncations of K4, at full rank and below it."""
     rng = random.Random(SEED + 26)
     out = []
     for _ in range(30):
@@ -337,8 +337,8 @@ def _differential_corpus():
     for g in random_multigraphs(count=10, max_vertices=6, max_edges=9, seed=SEED + 26):
         out.append(NbcComplex(GraphicMatroid(g), rng.sample(range(g.edge_count), g.edge_count)))
     k4 = build_named_graph("complete", 4)
-    out.append(NbcComplex(OpaqueMatroid(k4), rng.sample(range(6), 6)))
-    out.append(NbcComplex(TruncatedMatroid(OpaqueMatroid(k4), 2)))
+    out.append(NbcComplex(truncated_graphic(k4, 3, 3), rng.sample(range(6), 6)))
+    out.append(NbcComplex(truncated_graphic(k4, 3, 2)))
     return out, rng
 
 
@@ -352,20 +352,6 @@ class TestMaxWeightBranchAndBound:
             for weights in _weight_draws(rng, x.matroid.ground_size):
                 w = WeightVector(weights)
                 assert max_weight_nbc_base(x, w) == gadgets._heaviest(bases, w), (x, weights)
-
-    def test_oracle_engine_runs_the_same_bound(self, monkeypatch):
-        greedy_calls = []
-        real = nbc._OracleEngine.greedy
-
-        def counting(self, *args):
-            greedy_calls.append(args)
-            return real(self, *args)
-
-        monkeypatch.setattr(nbc._OracleEngine, "greedy", counting)
-        x = NbcComplex(OpaqueMatroid(build_named_graph("complete", 5)))
-        w = WeightVector([3, -1, 4, 1, -5, 9, 2, -6, 5, 3])
-        assert max_weight_nbc_base(x, w) == gadgets._heaviest(enumerate_nbc_bases(x), w)
-        assert greedy_calls
 
     def test_tied_square_base_is_pinned(self):
         # Both maximum-weight bases of the C4 reduction weigh 2; the

@@ -6,14 +6,17 @@ import pytest
 
 from nbcwalk import (
     GraphicMatroid,
+    Matroid,
     MultiGraph,
     NbcComplex,
     PreconditionError,
     SizeGuardError,
     TruncatedMatroid,
     build_named_graph,
+    cli,
     down_up_matrix,
     is_nbc,
+    nbc,
 )
 from helpers import (
     OpaqueMatroid,
@@ -23,6 +26,7 @@ from helpers import (
     random_graph_corpus,
     random_orders,
     theta_graph,
+    truncated_graphic,
     truncated_indep,
 )
 
@@ -272,14 +276,16 @@ class TestFundamentalCircuitOracle:
 class TestIsNbcOracle:
     @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
     def test_matches_brute_force_on_every_subset(self, name):
-        """is_nbc on the graphic and generic engines, plain and at every
-        truncation rank, against the brute broken-circuit faces."""
+        """is_nbc on the graphic matroid, plain and at every truncation rank,
+        each also as a truncation of a truncation, against the brute
+        broken-circuit faces."""
         g = SMALL_GRAPHS[name]
         m = g.edge_count
-        graphic, opaque = GraphicMatroid(g), OpaqueMatroid(g)
-        cases = [((graphic, opaque), graphic_indep(g))]
-        for rank in range(graphic.rank + 1):
-            views = (TruncatedMatroid(graphic, rank), TruncatedMatroid(opaque, rank))
+        graphic = GraphicMatroid(g)
+        top = graphic.rank
+        cases = [((graphic, truncated_graphic(g, top, top)), graphic_indep(g))]
+        for rank in range(top + 1):
+            views = (TruncatedMatroid(graphic, rank), truncated_graphic(g, min(rank + 1, top), rank))
             cases.append((views, truncated_indep(g, rank)))
         subsets = [frozenset(c) for size in range(m + 1) for c in itertools.combinations(range(m), size)]
         for ranking in random_orders(m, 3):
@@ -289,3 +295,37 @@ class TestIsNbcOracle:
                     x = NbcComplex(mat, ranking)
                     for s in subsets:
                         assert is_nbc(x, s) == (s in faces), (name, mat, ranking, sorted(s))
+
+
+class _LoopedMatroid(Matroid):
+    """Rank 2 on four elements, any two independent unless one is the loop."""
+
+    ground_size = 4
+
+    def __init__(self, loop):
+        super().__init__()
+        self.loop = loop
+
+    def is_independent(self, s) -> bool:
+        return self.loop not in s and len(s) <= 2
+
+
+class TestNbcComplexRefusal:
+    def test_refuses_every_other_matroid(self, monkeypatch):
+        """Only a graphic matroid or a truncation of one, at any depth, makes
+        a complex; anything else is refused before an engine is built, with
+        the one-line error the CLI maps to exit 2."""
+
+        def no_engine(x):
+            raise AssertionError("an engine was built")
+
+        monkeypatch.setattr(nbc, "_engine", no_engine)
+        k4 = build_named_graph("complete", 4)
+        refused = [_LoopedMatroid(0), _LoopedMatroid(2), OpaqueMatroid(k4)]
+        refused += [TruncatedMatroid(OpaqueMatroid(k4), 2), TruncatedMatroid(_LoopedMatroid(1), 1)]
+        refused += [k4, None]
+        for matroid in refused:
+            with pytest.raises(PreconditionError) as err:
+                NbcComplex(matroid)
+            assert str(err.value) == "NbcComplex needs a graphic matroid or a truncation of one"
+            assert cli._EXIT_CODES[type(err.value)] == 2

@@ -10,7 +10,6 @@ import pytest
 from nbcwalk import (
     ElementOrder,
     GraphicMatroid,
-    Matroid,
     MultiGraph,
     NbcComplex,
     PreconditionError,
@@ -27,19 +26,21 @@ from nbcwalk import (
     is_log_concave,
     is_nbc,
     link_facets,
+    max_weight_nbc_base,
     nbc,
 )
 from helpers import (
     SEED,
-    OpaqueMatroid,
     brute_nbc_faces,
     brute_nbc_facets_through,
     closure_is_nbc,
+    closure_nbc_facets_through,
     contains_broken_circuit_bruteforce,
     graphic_indep,
     random_graph_corpus,
     random_orders,
     theta_graph,
+    truncated_graphic,
     truncated_indep,
 )
 
@@ -118,12 +119,14 @@ class TestEnumeration:
                 assert enumerate_nbc_bases(x) == expected
 
     def test_engine_matches_generic_path(self):
+        """Against the closure form of the NBC condition, which asks only
+        independence, run by the DFS oracle."""
         for g in random_graph_corpus(count=4):
             for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 2):
                 fast = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
-                slow = NbcComplex(OpaqueMatroid(g), ElementOrder(ranking))
-                assert enumerate_nbc_bases(fast) == enumerate_nbc_bases(slow)
-                assert face_numbers(fast) == face_numbers(slow)
+                bases = _closure_link(g, fast.rank, ranking, ())
+                assert enumerate_nbc_bases(fast) == bases
+                assert face_numbers(fast).counts == _down_closure_counts(bases, fast.rank)
 
     def test_truncated_engine_matches_bruteforce(self):
         g = build_named_graph("cycle", 5)
@@ -252,9 +255,8 @@ class TestExtendToBase:
     def test_generic_path(self):
         g = build_named_graph("cycle", 4)
         fast = NbcComplex(GraphicMatroid(g))
-        slow = NbcComplex(OpaqueMatroid(g))
         for e in range(4):
-            assert extend_to_nbc_base(fast, {e}) == extend_to_nbc_base(slow, {e})
+            assert extend_to_nbc_base(fast, {e}) == {e} | _closure_link(g, fast.rank, range(4), {e})[0]
 
 
 class TestThetaGraph:
@@ -330,44 +332,57 @@ def _pruning_cases():
                 yield g, rank, ranking
 
 
-def _three_ways(g, rank, ranking):
-    """Brute-force faces, the graphic engine's complex and the oracle one's."""
+def _brute_and_engine(g, rank, ranking):
+    """Brute-force faces and the graphic engine's complex."""
     faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
-    fast = NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
-    slow = NbcComplex(TruncatedMatroid(OpaqueMatroid(g), rank), ElementOrder(ranking))
-    return faces, fast, slow
+    return faces, NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
+
+
+def _closure_link(g, rank, ranking, tau):
+    """sigma minus tau for every NBC base sigma holding tau, lexicographic, by
+    the closure-form oracle over g's graphic matroid truncated to rank."""
+    facets = closure_nbc_facets_through(g.edge_count, truncated_indep(g, rank), ranking, tau, rank)
+    return _sorted_sets(f - frozenset(tau) for f in facets)
+
+
+def _down_closure_counts(bases, rank):
+    """Faces by size, sizes 0..rank, of the pure complex with these facets."""
+    faces = {frozenset(c) for b in bases for k in range(rank + 1) for c in itertools.combinations(b, k)}
+    return tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
 
 
 class TestPruningRules:
     """The cone-apex walk and the candidate filter, against brute force and
-    the oracle engine, on every truncation under random orders."""
+    the closure-form oracle, on every truncation under random orders."""
 
     def test_face_numbers_and_bases_at_every_rank(self):
         for g, rank, ranking in _pruning_cases():
-            faces, fast, slow = _three_ways(g, rank, ranking)
+            faces, fast = _brute_and_engine(g, rank, ranking)
+            oracle = _closure_link(g, rank, ranking, ())
             counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
-            assert face_numbers(fast).counts == counts == face_numbers(slow).counts
+            assert face_numbers(fast).counts == counts == _down_closure_counts(oracle, rank)
             bases = tuple(sorted((f for f in faces if len(f) == rank), key=sorted))
-            assert enumerate_nbc_bases(fast) == bases == enumerate_nbc_bases(slow)
+            assert enumerate_nbc_bases(fast) == bases == oracle
 
     def test_rooted_links_and_extension_at_random_sets(self):
         rng = random.Random(SEED)
         for g, rank, ranking in _pruning_cases():
-            faces, fast, slow = _three_ways(g, rank, ranking)
+            faces, fast = _brute_and_engine(g, rank, ranking)
             taus = rng.sample(sorted(faces, key=sorted), min(4, len(faces)))
             taus += [frozenset(rng.sample(range(g.edge_count), rng.randint(0, rank))) for _ in range(4)]
             for tau in taus:
+                oracle = _closure_link(g, rank, ranking, tau)
                 if tau not in faces:
-                    for x in (fast, slow):
-                        with pytest.raises(PreconditionError):
-                            link_facets(x, tau)
-                        with pytest.raises(PreconditionError):
-                            extend_to_nbc_base(x, tau)
+                    with pytest.raises(PreconditionError):
+                        link_facets(fast, tau)
+                    with pytest.raises(PreconditionError):
+                        extend_to_nbc_base(fast, tau)
+                    assert oracle == ()
                     continue
                 above = sorted((f for f in faces if len(f) == rank and tau <= f), key=sorted)
                 link = tuple(sorted((f - tau for f in above), key=sorted))
-                assert link_facets(fast, tau) == link == link_facets(slow, tau)
-                assert extend_to_nbc_base(fast, tau) == above[0] == extend_to_nbc_base(slow, tau)
+                assert link_facets(fast, tau) == link == oracle
+                assert extend_to_nbc_base(fast, tau) == above[0] == tau | oracle[0]
 
 
 def _long_theta(arms, length):
@@ -395,7 +410,8 @@ def _sorted_sets(sets):
 
 class TestLongForestPaths:
     """Faces whose forest components have long paths, so a candidate's cycle
-    runs far up the rooted trees, against brute force and the oracle engine."""
+    runs far up the rooted trees, against brute force and the closure-form
+    oracle."""
 
     def test_faces_bases_and_links(self):
         rng = random.Random(SEED)
@@ -403,15 +419,15 @@ class TestLongForestPaths:
             top = GraphicMatroid(g).rank
             for rank in (top, top - 1, top // 2):
                 (ranking,) = random_orders(g.edge_count, 1, seed=SEED + rank)
-                faces, fast, slow = _three_ways(g, rank, ranking)
+                faces, fast = _brute_and_engine(g, rank, ranking)
                 counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
                 assert face_numbers(fast).counts == counts
                 bases = _sorted_sets(f for f in faces if len(f) == rank)
                 assert enumerate_nbc_bases(fast) == bases
-                # the oracle engine walks the whole complex slowly, so it checks links only
+                # the closure oracle walks from each tau slowly, so it checks links only
                 for tau in rng.sample(sorted(faces, key=sorted), 4):
                     link = _sorted_sets(f - tau for f in bases if tau <= f)
-                    assert link_facets(fast, tau) == link == link_facets(slow, tau)
+                    assert link_facets(fast, tau) == link == _closure_link(g, rank, ranking, tau)
 
     @pytest.mark.parametrize("base", ["complete_bipartite:2:2", "cycle:5"])
     def test_rooted_gadget_links(self, base):
@@ -424,9 +440,8 @@ class TestLongForestPaths:
             g, rank, tau = inst.graph, inst.matroid.rank, inst.tau
             for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 1):
                 fast = NbcComplex(inst.matroid, ElementOrder(ranking))
-                slow = NbcComplex(TruncatedMatroid(OpaqueMatroid(g), rank), ElementOrder(ranking))
                 link = link_facets(fast, tau)
-                assert link == link_facets(slow, tau)
+                assert link == _closure_link(g, rank, ranking, tau)
                 if l == 1:
                     indep = truncated_indep(g, rank)
                     facets = brute_nbc_facets_through(g.edge_count, indep, ranking, tau, rank)
@@ -438,7 +453,7 @@ class TestLongForestPaths:
                     extra = sorted(rng.choice(facets) - tau)
                     face = tau | frozenset(rng.sample(extra, rng.randint(1, len(extra))))
                     expected = _sorted_sets(f - face for f in facets if face <= f)
-                    assert link_facets(fast, face) == expected == link_facets(slow, face)
+                    assert link_facets(fast, face) == expected == _closure_link(g, rank, ranking, face)
 
 
 def _forest_state(eng):
@@ -859,9 +874,9 @@ class TestPrunedWalk:
     eng.members gets the child + accepted[i], and a true answer skips that
     child's subtree without pushing it."""
 
-    @pytest.mark.parametrize("make", [GraphicMatroid, OpaqueMatroid], ids=["graphic", "oracle"])
-    def test_pruning_nothing_asks_once_per_face(self, make):
-        x = NbcComplex(make(build_named_graph("complete", 5)), random_orders(10, 1)[0])
+    @pytest.mark.parametrize("ranks", [(), (4, 3)], ids=["graphic", "nested-truncated"])
+    def test_pruning_nothing_asks_once_per_face(self, ranks):
+        x = NbcComplex(truncated_graphic(build_named_graph("complete", 5), *ranks), random_orders(10, 1)[0])
         asked = []
 
         def keep(eng, accepted, i):
@@ -892,13 +907,13 @@ class TestCompletionGreedy:
     against every need-subset of the tail under the DFS independence oracle."""
 
     @pytest.mark.parametrize(
-        "make, rank",
-        [(GraphicMatroid, None), (GraphicMatroid, 3), (OpaqueMatroid, None), (OpaqueMatroid, 2)],
-        ids=["graphic", "graphic-truncated", "oracle", "oracle-truncated"],
+        "ranks",
+        [(), (3,), (2,), (3, 2)],
+        ids=["graphic", "graphic-truncated", "graphic-truncated-2", "nested-truncated"],
     )
-    def test_greedy_is_a_max_weight_completion(self, make, rank):
+    def test_greedy_is_a_max_weight_completion(self, ranks):
         g = build_named_graph("complete", 5)
-        matroid = make(g) if rank is None else TruncatedMatroid(make(g), rank)
+        matroid = truncated_graphic(g, *ranks)
         indep = graphic_indep(g)
         rng = random.Random(SEED)
         weight = [rng.randint(-4, 6) for _ in range(g.edge_count)]
@@ -927,19 +942,6 @@ class TestCompletionGreedy:
         assert sum(1 for _ in nbc._walk(x, prune=check)) == checked + 1
 
 
-class _LoopedMatroid(Matroid):
-    """Rank 2 on four elements, any two independent unless one is the loop."""
-
-    ground_size = 4
-
-    def __init__(self, loop):
-        super().__init__()
-        self.loop = loop
-
-    def is_independent(self, s) -> bool:
-        return self.loop not in s and len(s) <= 2
-
-
 class TestConeApex:
     """The NBC complex is a cone with apex e0, the order-smallest element, so
     every walk holds e0 from its root on."""
@@ -956,25 +958,24 @@ class TestConeApex:
 
     def test_every_pushed_face_holds_e0(self, monkeypatch):
         apex, pushes = [None], [0]
-        for engine in (nbc._GraphicEngine, nbc._OracleEngine):
+        push = nbc._GraphicEngine.push
 
-            def checking(self, e, push=engine.push):
-                push(self, e)
-                assert apex[0] in self.members, (self.members, e)
-                pushes[0] += 1
+        def checking(self, e):
+            push(self, e)
+            assert apex[0] in self.members, (self.members, e)
+            pushes[0] += 1
 
-            monkeypatch.setattr(engine, "push", checking)
+        monkeypatch.setattr(nbc._GraphicEngine, "push", checking)
         rng = random.Random(SEED)
         for g, rank, ranking in _pruning_cases():
-            faces, fast, slow = _three_ways(g, rank, ranking)
+            faces, x = _brute_and_engine(g, rank, ranking)
             apex[0] = ranking[0]
             taus = rng.sample(sorted(faces, key=sorted), min(4, len(faces)))
-            for x in (fast, slow):
-                face_numbers(x)
-                enumerate_nbc_bases(x)
-                for tau in taus:
-                    link_facets(x, tau)
-                    extend_to_nbc_base(x, tau)
+            face_numbers(x)
+            enumerate_nbc_bases(x)
+            for tau in taus:
+                link_facets(x, tau)
+                extend_to_nbc_base(x, tau)
         assert pushes[0] > 1000
 
     def test_k7_bases_push_only_faces_holding_e0(self, monkeypatch):
@@ -994,13 +995,47 @@ class TestConeApex:
 
     def test_edgeless_graph(self):
         g = MultiGraph(3, [])
-        for x in (NbcComplex(GraphicMatroid(g)), NbcComplex(OpaqueMatroid(g))):
+        for matroid in (GraphicMatroid(g), truncated_graphic(g, 0, 0)):
+            x = NbcComplex(matroid)
             assert face_numbers(x).counts == (1,)
             assert enumerate_nbc_bases(x) == (frozenset(),)
+        assert brute_nbc_faces(0, graphic_indep(g), ()) == {frozenset()}
+        assert closure_nbc_facets_through(0, graphic_indep(g), (), (), 0) == {frozenset()}
 
-    def test_a_loop_empties_the_complex(self):
-        for loop in (0, 2):
-            for ranking in ((0, 1, 2, 3), (3, 2, 1, 0)):
-                x = NbcComplex(_LoopedMatroid(loop), ElementOrder(ranking))
-                assert face_numbers(x).counts == (0, 0, 0)
-                assert enumerate_nbc_bases(x) == ()
+
+class TestNestedTruncation:
+    """A truncation of a truncation is the truncation at the outer rank, and
+    the graphic engine walks it."""
+
+    def test_walks_like_one_truncation(self, monkeypatch):
+        push, pushes = nbc._GraphicEngine.push, [0]
+
+        def counted(self, e):
+            pushes[0] += 1
+            push(self, e)
+
+        monkeypatch.setattr(nbc._GraphicEngine, "push", counted)
+        rng = random.Random(SEED)
+        for g in (build_named_graph("complete", 5), _parallel_theta()):
+            m, top = g.edge_count, GraphicMatroid(g).rank
+            weights = [rng.randint(-3, 5) for _ in range(m)]
+            for outer in range(1, top + 1):
+                inner = rng.randint(outer, top)
+                for ranking in [tuple(range(m))] + random_orders(m, 1, seed=SEED + outer):
+                    faces = brute_nbc_faces(m, truncated_indep(g, outer), ranking)
+                    bases = _sorted_sets(f for f in faces if len(f) == outer)
+                    nested = NbcComplex(truncated_graphic(g, inner, outer), ranking)
+                    flat = NbcComplex(truncated_graphic(g, outer), ranking)
+                    before = pushes[0]
+                    assert enumerate_nbc_bases(nested) == bases
+                    assert pushes[0] > before
+                    assert enumerate_nbc_bases(flat) == bases
+                    counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(outer + 1))
+                    assert face_numbers(nested).counts == face_numbers(flat).counts == counts
+                    for tau in rng.sample(sorted(faces, key=sorted), min(3, len(faces))):
+                        link = _sorted_sets(f - tau for f in bases if tau <= f)
+                        assert link_facets(nested, tau) == link_facets(flat, tau) == link
+                    # ties go to the lexicographically greatest base
+                    heaviest = max(bases, key=lambda b: (sum(weights[e] for e in b), sorted(b)))
+                    best = (heaviest, sum(weights[e] for e in heaviest))
+                    assert max_weight_nbc_base(nested, weights) == max_weight_nbc_base(flat, weights) == best

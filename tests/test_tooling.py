@@ -247,6 +247,19 @@ def test_package_modules_use_every_private_name():
     assert not dead, dead
 
 
+def test_nbc_defines_one_engine():
+    # One enumeration engine: a second class in nbc.py with any of the
+    # engine protocol's methods would be a second engine to keep in step.
+    protocol = {"can_add", "extensions", "push", "pop", "greedy"}
+    tree = ast.parse((ROOT / "src" / "nbcwalk" / "nbc.py").read_text(encoding="utf-8"))
+    engines = {
+        node.name: {n.name for n in node.body if isinstance(n, ast.FunctionDef)} & protocol
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    assert {name: methods for name, methods in engines.items() if methods} == {"_GraphicEngine": protocol}
+
+
 def test_package_exports_exactly_its_imports():
     # A name deleted from a module must leave __init__'s imports and __all__
     # together, so neither can keep re-exporting it.
