@@ -55,7 +55,7 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import _integer
-from .matroids import Matroid
+from .matroids import GraphicMatroid
 from .nbc import NbcComplex
 
 MAX_EIG_STATES = 5000
@@ -77,7 +77,7 @@ def _as_facets(x, force: bool = False):
     deduplicated and sorted."""
     if isinstance(x, NbcComplex):
         facets = x.facets(force=force)
-    elif isinstance(x, Matroid):
+    elif isinstance(x, GraphicMatroid):
         facets = x.enumerate_bases(force=force)
     else:
         facets = tuple(sorted({frozenset(f) for f in x}, key=lambda f: tuple(sorted(f))))

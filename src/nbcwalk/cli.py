@@ -47,7 +47,7 @@ from .graphs import (
     count_independent_sets_by_size,
     hardcore_partition,
 )
-from .matroids import GraphicMatroid, TruncatedMatroid
+from .matroids import GraphicMatroid
 from .nbc import (
     ElementOrder,
     NbcComplex,
@@ -196,10 +196,7 @@ def _digest(obj) -> str:
 def _complex(args):
     """(NBC complex, weights, canonical-dict) of the instance the flags name."""
     graph, order, truncate, weights, canonical = _resolve_instance(args)
-    matroid = GraphicMatroid(graph)
-    if truncate is not None:
-        matroid = TruncatedMatroid(matroid, truncate)
-    return NbcComplex(matroid, order), weights, canonical
+    return NbcComplex(GraphicMatroid(graph, truncate), order), weights, canonical
 
 
 class _Parser(argparse.ArgumentParser):
@@ -358,7 +355,7 @@ def _cmd_gadget(args):
     base = build_named_graph("complete_bipartite", args.n, args.n)
     inst = build_link_gadget(base, args.l, m, force=args.force_size)
     report = {
-        "ground_size": inst.graph.edge_count,
+        "ground_size": inst.matroid.ground_size,
         "trunc_rank": inst.matroid.rank,
         "tau_size": len(inst.tau),
     }

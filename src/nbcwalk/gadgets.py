@@ -26,7 +26,7 @@ from .graphs import (
     disjoint_union,
     iter_independent_sets,
 )
-from .matroids import GraphicMatroid, Matroid, TruncatedMatroid
+from .matroids import GraphicMatroid
 from .nbc import NbcComplex, _walk, enumerate_nbc_bases, is_nbc, link_facets
 
 MAX_GADGET_GROUND = 5000
@@ -95,13 +95,13 @@ def _heaviest(sets, w: WeightVector):
 
 @dataclass(eq=False)
 class GadgetInstance:
-    """A constructed graph with its matroid, and what its readers need of the
-    construction: a distinguished face, named element sets, parameters,
-    weights and the base graph.  Its complex uses the identity order, so each
-    builder lays out its edge ids in the block order its construction needs."""
+    """A constructed graphic matroid, whose graph is matroid.graph, and what
+    its readers need of the construction: a distinguished face, named element
+    sets, parameters, weights and the base graph.  Its complex uses the
+    identity order, so each builder lays out its edge ids in the block order
+    its construction needs."""
 
-    graph: MultiGraph
-    matroid: Matroid
+    matroid: GraphicMatroid
     tau: frozenset = frozenset()
     marked_sets: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
@@ -166,7 +166,6 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     if not verify_edge_witness(bases, w, b1, b2):
         raise VerificationError("computed weight vector fails the edge-witness conditions")
     return GadgetInstance(
-        graph=graph,
         matroid=matroid,
         marked_sets={"B": b1, "B_prime": b2},
         weights=w,
@@ -224,8 +223,7 @@ def build_link_gadget(
     graph = MultiGraph(nv + 2 + nv * l, edges)
     f_start = 1 + me + nv * l
     inst = GadgetInstance(
-        graph=graph,
-        matroid=TruncatedMatroid(GraphicMatroid(graph), l * nv + m + 1),
+        matroid=GraphicMatroid(graph, l * nv + m + 1),
         tau=frozenset(range(1 + me, f_start)),
         marked_sets={"f_edges": frozenset(range(f_start, graph.edge_count))},
         params={"l": l, "m": m},
@@ -384,7 +382,6 @@ def build_opt_reduction(g: MultiGraph, vertex_weights: WeightVector) -> GadgetIn
     edges = list(g.edges) + [(v, z) for v in range(g.vertex_count)]
     graph = MultiGraph(g.vertex_count + 1, edges)
     return GadgetInstance(
-        graph=graph,
         matroid=GraphicMatroid(graph),
         weights=WeightVector([Fraction(0)] * g.edge_count + list(vertex_weights)),
     )
@@ -469,8 +466,7 @@ def build_field_reduction(
     edges = [(y, z)] + list(g.edges) + [(v, z) for v in range(g.vertex_count)]
     graph = MultiGraph(g.vertex_count + 2, edges)
     return GadgetInstance(
-        graph=graph,
-        matroid=TruncatedMatroid(GraphicMatroid(graph), m + 1),
+        matroid=GraphicMatroid(graph, m + 1),
         weights=WeightVector([Fraction(1)] * (1 + g.edge_count) + [l] * g.vertex_count),
     )
 

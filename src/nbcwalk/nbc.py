@@ -29,27 +29,27 @@ the walk's first path.  A consumer may prune the walk: it is asked before each
 child is pushed, and the engine's greedy, Edmonds' algorithm in the
 contraction by that child, bounds what the child's subtree can add.
 
-A complex is built over a graphic matroid or a truncation of one, nested to
-any depth, and walked by one pure-Python engine that keeps the face as a
-forest with component labels and parent pointers whose rooting is free: push
-hangs the smaller tree under the larger, and pop cuts the edge again.  can_add re-examines only the cycles the new edge closes.  It finds
-their closing edges by scanning the smaller component's incidences, kept in
-order position, up to the new edge's position, and re-roots the two trees at
-the new edge's endpoints, so each cycle's minimum takes two climbs to the
-roots, never a sweep of a component.  An inherited candidate whose components
-the last push left alone skips the cycles altogether; any other inherited
-candidate scans only the cycles through both itself and the pushed edge, since
-every other cycle through it closes the same forest path as before the push,
-where it was already checked.  A push stamps the vertices it relabels with a
-count that is never reused, so telling the pushed edge's two sides apart is
-one comparison.
+A complex is built over a graphic matroid, truncated or not, and walked by one
+pure-Python engine that keeps the face as a forest with component labels and
+parent pointers whose rooting is free: push hangs the smaller tree under the
+larger, and pop cuts the edge again.  can_add re-examines only the cycles the
+new edge closes.  It finds their closing edges by scanning the smaller
+component's incidences, kept in order position, up to the new edge's position,
+and re-roots the two trees at the new edge's endpoints, so each cycle's
+minimum takes two climbs to the roots, never a sweep of a component.  An
+inherited candidate whose components the last push left alone skips the cycles
+altogether; any other inherited candidate scans only the cycles through both
+itself and the pushed edge, since every other cycle through it closes the same
+forest path as before the push, where it was already checked.  A push stamps
+the vertices it relabels with a count that is never reused, so telling the
+pushed edge's two sides apart is one comparison.
 """
 
 from __future__ import annotations
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import SizeCounts, _integer
-from .matroids import GraphicMatroid, TruncatedMatroid
+from .matroids import GraphicMatroid
 
 MAX_NBC_BASES = 1_000_000
 MAX_NBC_FACES = 2_000_000
@@ -98,15 +98,12 @@ class ElementOrder:
 
 
 class NbcComplex:
-    """A graphic matroid, or a truncation of one at any depth, plus an element
-    order; faces are the NBC independent sets.  Any other matroid is refused
-    here, before a walk starts."""
+    """A graphic matroid, truncated or not, plus an element order; faces are
+    the NBC independent sets.  Anything else is refused here, before a walk
+    starts."""
 
-    def __init__(self, matroid: GraphicMatroid | TruncatedMatroid, order=None):
-        inner = matroid
-        while isinstance(inner, TruncatedMatroid):
-            inner = inner.inner
-        if not isinstance(inner, GraphicMatroid):
+    def __init__(self, matroid: GraphicMatroid, order=None):
+        if not isinstance(matroid, GraphicMatroid):
             raise PreconditionError("NbcComplex needs a graphic matroid or a truncation of one")
         if order is None:
             order = ElementOrder.identity(matroid.ground_size)
@@ -116,7 +113,6 @@ class NbcComplex:
             raise PreconditionError("order length must equal the matroid ground size")
         self.matroid = matroid
         self.order = order
-        self._graph = inner.graph
         self._facet_cache = None
         self._broken_cache = None
 
@@ -378,9 +374,8 @@ class _GraphicEngine:
 
 
 def _engine(x: NbcComplex):
-    """The graphic engine for x, at x's rank: a truncation's target rank is
-    at most the rank it wraps, so the outermost one is the complex's."""
-    return _GraphicEngine(x._graph, x.order, x.matroid.rank)
+    """The graphic engine for x, at x's rank."""
+    return _GraphicEngine(x.matroid.graph, x.order, x.matroid.rank)
 
 
 def _root_engine(x: NbcComplex, root):

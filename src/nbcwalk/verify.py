@@ -36,7 +36,7 @@ from .graphs import (
     count_acyclic_orientations,
     count_g_parking_functions,
 )
-from .matroids import GraphicMatroid, TruncatedMatroid
+from .matroids import GraphicMatroid
 from .nbc import (
     ElementOrder,
     NbcComplex,
@@ -124,7 +124,7 @@ def run_core_suite() -> list:
 
     def truncation_purity():
         g = build_named_graph("cycle", 5)
-        mat = TruncatedMatroid(GraphicMatroid(g), 2)
+        mat = GraphicMatroid(g, 2)
         x = NbcComplex(mat)
         fn = face_numbers(x)
         if len(fn.counts) != 3:

@@ -2,32 +2,15 @@
 algorithms: acyclicity and components by depth-first search (not union-find),
 spanning trees by matrix-tree with exact rationals, colorings and broken
 circuits by direct brute force, NBC membership and NBC bases also by the
-closure form.  One exception: contains_broken_circuit_bruteforce reads a
-complex's broken circuits from the matroid's brute-force circuit list.
-OpaqueMatroid is no oracle: it drives the package's generic Matroid base
-methods with graphic independence in test_matroids.py, and NbcComplex
-refuses it."""
+closure form."""
 
 import itertools
 import random
 from fractions import Fraction
 
-from nbcwalk import GraphicMatroid, Matroid, MultiGraph, TruncatedMatroid
+from nbcwalk import MultiGraph
 
 SEED = 20260816
-
-
-class OpaqueMatroid(Matroid):
-    """Wraps a graphic matroid behind the generic interface only, so only the
-    Matroid base methods serve it."""
-
-    def __init__(self, graph):
-        super().__init__()
-        self.ground_size = graph.edge_count
-        self._inner = GraphicMatroid(graph)
-
-    def is_independent(self, s) -> bool:
-        return self._inner.is_independent(s)
 
 
 def random_graph_corpus(count=20, vertices=6, min_edges=6, max_edges=10, seed=SEED):
@@ -172,13 +155,6 @@ def closure_nbc_facets_through(m, indep, ranking, tau, rank):
     return out
 
 
-def contains_broken_circuit_bruteforce(x, s):
-    """Whether s contains a broken circuit of the complex x, straight from the
-    definition over x's full circuit enumeration; desk scale only."""
-    sub = x.matroid.check_subset(s)
-    return any(b <= sub for b in x.broken_circuits())
-
-
 def brute_nbc_facets_through(m, indep, ranking, tau, rank):
     """Every NBC base containing tau, straight from the definition without
     enumerating all circuits: a base F contains a broken circuit iff some
@@ -209,14 +185,6 @@ def brute_nbc_facets_through(m, indep, ranking, tau, rank):
         if indep(face) and not has_broken_circuit(face):
             out.add(face)
     return out
-
-
-def truncated_graphic(g, *ranks):
-    """The graphic matroid of g, truncated at each of ranks in turn."""
-    matroid = GraphicMatroid(g)
-    for rank in ranks:
-        matroid = TruncatedMatroid(matroid, rank)
-    return matroid
 
 
 def graphic_indep(g):

@@ -15,7 +15,6 @@ from nbcwalk import (
     NbcComplex,
     PreconditionError,
     SizeGuardError,
-    TruncatedMatroid,
     build_link_gadget,
     build_named_graph,
     chains,
@@ -116,7 +115,7 @@ def _oracle_corpus():
         out.append(NbcComplex(matroid).facets())
         out.append(matroid.enumerate_bases())
         for r in range(2, matroid.rank):
-            out.append(NbcComplex(TruncatedMatroid(matroid, r)).facets())
+            out.append(NbcComplex(GraphicMatroid(g, r)).facets())
     return out
 
 
@@ -133,7 +132,7 @@ def _cone_corpus():
         m = GraphicMatroid(g)
         for order in random_orders(m.ground_size, 2):
             out.append(NbcComplex(m, order).facets())
-            out.append(NbcComplex(TruncatedMatroid(m, 3), order).facets())
+            out.append(NbcComplex(GraphicMatroid(g, 3), order).facets())
     for spec in (("complete", 5), ("complete_bipartite", 3, 3)):
         m = GraphicMatroid(build_named_graph(*spec))
         out.append(NbcComplex(m, random_orders(m.ground_size, 1)[0]).facets())
@@ -287,7 +286,7 @@ class TestRowSupport:
     )
     def test_nonzeros(self, spec, rank, nnz):
         g = build_named_graph(*spec.split(":"))
-        walk = down_up_matrix(NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank)))
+        walk = down_up_matrix(NbcComplex(GraphicMatroid(g, rank)))
         assert walk.size + sum(m * (m - 1) for m in walk.ridge_sizes.tolist()) == nnz
         assert sum(len(row) for row in walk.rows) == nnz
 
@@ -553,8 +552,7 @@ class TestSpectralGap:
             assert spectral_gap(local_walk_matrix(x, tau)).hex() == hexed, (kind, params, tau)
 
     def test_sparse_matches_dense_above_desk_size(self):
-        k8 = GraphicMatroid(build_named_graph("complete", 8))
-        facets = NbcComplex(TruncatedMatroid(k8, 4)).facets()
+        facets = NbcComplex(GraphicMatroid(build_named_graph("complete", 8), 4)).facets()
         p = down_up_matrix(facets)
         assert p.size == 1665
         sparse = spectral_gap(p)
@@ -698,7 +696,7 @@ class TestLocalProfile:
         cases = []
         for g in random_graph_corpus(count=2, max_edges=8):
             m = GraphicMatroid(g)
-            for x in [NbcComplex(m)] + [NbcComplex(TruncatedMatroid(m, r)) for r in range(2, m.rank)]:
+            for x in [NbcComplex(m)] + [NbcComplex(GraphicMatroid(g, r)) for r in range(2, m.rank)]:
                 cases.append((x, enumerate_nbc_bases(x)))
             cases.append((m, m.enumerate_bases()))
         # Sparse labels, some far past 64, exercise the element-to-bit map.
@@ -766,9 +764,7 @@ class TestLocalProfile:
             ),
         }
         for (kind, params, truncate), (hexes, whole) in pins.items():
-            m = GraphicMatroid(build_named_graph(kind, *params))
-            if truncate is not None:
-                m = TruncatedMatroid(m, truncate)
+            m = GraphicMatroid(build_named_graph(kind, *params), truncate)
             prof = local_spectral_profile(NbcComplex(m))
             assert [g.hex() for g in prof.gammas] == hexes, (kind, params, truncate)
             for g, old in zip(prof.gammas, whole, strict=True):
@@ -778,7 +774,7 @@ class TestLocalProfile:
         """K12 truncated to 3 has 66 elements, more than a 64-bit face mask
         holds; its gammas bit for bit as the reduced-complex route computes
         them, and within 1e-15 of the face-mask table's bits."""
-        m = TruncatedMatroid(GraphicMatroid(build_named_graph("complete", 12)), 3)
+        m = GraphicMatroid(build_named_graph("complete", 12), 3)
         x = NbcComplex(m)
         assert m.ground_size == 66 and len(x.facets()) == 1860
         prof = local_spectral_profile(x)

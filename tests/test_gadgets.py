@@ -12,7 +12,6 @@ from nbcwalk import (
     NbcComplex,
     PreconditionError,
     SizeGuardError,
-    TruncatedMatroid,
     VerificationError,
     WeightVector,
     build_field_reduction,
@@ -41,7 +40,7 @@ from nbcwalk import (
     verify_hardcore_identities,
 )
 
-from helpers import SEED, random_multigraphs, truncated_graphic
+from helpers import SEED, random_multigraphs
 
 F = Fraction
 
@@ -104,8 +103,8 @@ class TestLongEdge:
         with pytest.raises(SizeGuardError, match="ground size 7 exceeds MAX_GADGET_GROUND=5"):
             build_long_edge_instance(7)
         assert built == []
-        assert build_long_edge_instance(5).graph.edge_count == 5
-        assert build_long_edge_instance(7, force=True).graph.edge_count == 7
+        assert build_long_edge_instance(5).matroid.graph.edge_count == 5
+        assert build_long_edge_instance(7, force=True).matroid.graph.edge_count == 7
         assert len(built) == 2
 
 
@@ -136,11 +135,11 @@ class TestLinkGadget:
     def test_layout(self):
         g = build_named_graph("complete_bipartite", 2, 2)
         inst = build_link_gadget(g, 2, 2)
-        assert inst.graph.vertex_count == 4 + 2 + 8
-        assert inst.graph.edge_count == 1 + 4 + 16
+        assert inst.matroid.graph.vertex_count == 4 + 2 + 8
+        assert inst.matroid.graph.edge_count == 1 + 4 + 16
         assert inst.matroid.rank == 11
         assert inst.tau == frozenset(range(5, 13))
-        assert inst.graph.edges[0] == (4, 5)
+        assert inst.matroid.graph.edges[0] == (4, 5)
 
     def test_partition_counts(self):
         g = build_named_graph("complete_bipartite", 2, 2)
@@ -321,7 +320,7 @@ def _differential_corpus():
     opt-reduction complexes of random graphs drawn as in acceptance
     criterion 09, each under the identity order, a random order and a random
     truncation; random multigraphs (parallel edges, disconnected); and
-    nested truncations of K4, at full rank and below it."""
+    K4 at full rank and truncated below it."""
     rng = random.Random(SEED + 26)
     out = []
     for _ in range(30):
@@ -332,13 +331,13 @@ def _differential_corpus():
         m = matroid.ground_size
         out.append(NbcComplex(matroid))
         out.append(NbcComplex(matroid, rng.sample(range(m), m)))
-        truncated = TruncatedMatroid(matroid, rng.randint(1, matroid.rank))
+        truncated = GraphicMatroid(matroid.graph, rng.randint(1, matroid.rank))
         out.append(NbcComplex(truncated, rng.sample(range(m), m)))
     for g in random_multigraphs(count=10, max_vertices=6, max_edges=9, seed=SEED + 26):
         out.append(NbcComplex(GraphicMatroid(g), rng.sample(range(g.edge_count), g.edge_count)))
     k4 = build_named_graph("complete", 4)
-    out.append(NbcComplex(truncated_graphic(k4, 3, 3), rng.sample(range(6), 6)))
-    out.append(NbcComplex(truncated_graphic(k4, 3, 2)))
+    out.append(NbcComplex(GraphicMatroid(k4, 3), rng.sample(range(6), 6)))
+    out.append(NbcComplex(GraphicMatroid(k4, 2)))
     return out, rng
 
 
@@ -580,7 +579,7 @@ class TestIntegerParameters:
     def test_long_edge_n(self):
         with pytest.raises(PreconditionError, match="n must be an integer"):
             build_long_edge_instance(5.9)
-        assert build_long_edge_instance(5.0).graph == build_long_edge_instance(5).graph
+        assert build_long_edge_instance(5.0).matroid.graph == build_long_edge_instance(5).matroid.graph
 
     def test_link_gadget_l_and_target_size(self):
         g = build_named_graph("complete_bipartite", 2, 2)

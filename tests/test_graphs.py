@@ -16,7 +16,6 @@ from nbcwalk import (
     PreconditionError,
     SizeCounts,
     SizeGuardError,
-    TruncatedMatroid,
     build_named_graph,
     chromatic_polynomial,
     count_acyclic_orientations,
@@ -150,11 +149,7 @@ NON_INTEGRAL = {
     "build_named_graph": (lambda: build_named_graph("complete", 3.9), 3.9),
     "copy count": (lambda: build_named_graph("disjoint_union_of_copies", "path", 2, 2.5), 2.5),
     "ElementOrder": (lambda: ElementOrder([0.2, 1.7, 2]), 0.2),
-    "TruncatedMatroid": (lambda: TruncatedMatroid(GraphicMatroid(_k4()), 2.9), 2.9),
-    "iter_independent_sets max_size": (
-        lambda: list(GraphicMatroid(_k4()).iter_independent_sets(max_size=1.5)),
-        1.5,
-    ),
+    "GraphicMatroid rank": (lambda: GraphicMatroid(_k4(), 2.9), 2.9),
     "fundamental_circuit": (lambda: GraphicMatroid(_k4()).fundamental_circuit({0}, 1.2), 1.2),
     "is_nbc": (lambda: is_nbc(_k4_complex(), [0.7]), 0.7),
     "is_forest": (lambda: is_forest(_k4(), [0.5]), 0.5),
@@ -175,8 +170,7 @@ def test_integral_values_of_other_types_are_accepted():
     assert build_named_graph("complete", 4.0) == build_named_graph("complete", np.int32(4)) == k4
     assert build_named_graph("disjoint_union_of_copies", "path", 2, 3.0).edge_count == 3
     assert ElementOrder([np.int64(1), 0.0, 2]).ranking == (1, 0, 2)
-    assert TruncatedMatroid(GraphicMatroid(k4), 2.0).rank == 2
-    assert len(list(GraphicMatroid(k4).iter_independent_sets(max_size=np.int64(1)))) == 7
+    assert GraphicMatroid(k4, 2.0).rank == 2
     assert GraphicMatroid(k4).fundamental_circuit({0, 1}, 3.0) == frozenset({0, 1, 3})
     assert is_nbc(_k4_complex(), [np.int64(0), 1.0])
     assert is_forest(k4, [0.0, np.int64(1)])
@@ -210,7 +204,7 @@ class TestForestsAndCycles:
 
 
 class TestUnionFindReaders:
-    """is_forest, GraphicMatroid.rank_of and MultiGraph.is_connected share
+    """is_forest, GraphicMatroid.rank and MultiGraph.is_connected share
     one union-find; each is checked against a depth-first component count."""
 
     def _graphs(self):
@@ -227,7 +221,7 @@ class TestUnionFindReaders:
             for _ in range(20):
                 s = [e for e in range(g.edge_count) if rng.random() < 0.5]
                 rank = g.vertex_count - component_count(g.vertex_count, [g.edges[e] for e in s])
-                assert matroid.rank_of(s) == rank
+                assert GraphicMatroid(MultiGraph(g.vertex_count, [g.edges[e] for e in s])).rank == rank
                 assert is_forest(g, s) == (len(s) == rank)
             assert matroid.rank == g.vertex_count - component_count(g.vertex_count, g.edges)
 

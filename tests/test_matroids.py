@@ -1,17 +1,16 @@
-"""Graphic matroids, truncations, and the generic matroid machinery."""
+"""Graphic matroids, truncated or not."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from nbcwalk import (
     GraphicMatroid,
-    Matroid,
     MultiGraph,
     NbcComplex,
     PreconditionError,
     SizeGuardError,
-    TruncatedMatroid,
     build_named_graph,
     cli,
     down_up_matrix,
@@ -19,32 +18,28 @@ from nbcwalk import (
     nbc,
 )
 from helpers import (
-    OpaqueMatroid,
     brute_circuits,
     brute_nbc_faces,
     graphic_indep,
     random_graph_corpus,
     random_orders,
     theta_graph,
-    truncated_graphic,
     truncated_indep,
 )
 
 
 def _checked_views(g):
-    """The graphic matroid of g, its full-rank truncation and the generic
-    oracle path; all three share one fundamental_circuit argument check."""
+    """The graphic matroid of g and its truncation one below full rank; both
+    share one fundamental_circuit argument check."""
     graphic = GraphicMatroid(g)
-    return graphic, TruncatedMatroid(graphic, graphic.rank), OpaqueMatroid(g)
+    return graphic, GraphicMatroid(g, graphic.rank - 1)
 
 
 class TestGraphicMatroid:
     def test_rank_of_triangle(self):
-        mat = GraphicMatroid(build_named_graph("complete", 3))
-        assert mat.rank == 2
-        assert mat.rank_of({0, 1, 2}) == 2
-        assert mat.rank_of({0}) == 1
-        assert mat.rank_of(()) == 0
+        assert GraphicMatroid(build_named_graph("complete", 3)).rank == 2
+        assert GraphicMatroid(MultiGraph(3, [(0, 1)])).rank == 1
+        assert GraphicMatroid(MultiGraph(3, [])).rank == 0
 
     def test_independence(self):
         mat = GraphicMatroid(build_named_graph("complete", 3))
@@ -71,8 +66,7 @@ class TestGraphicMatroid:
         # enumerate_bases relies on the enumeration preorder for this order.
         for g in random_graph_corpus(count=3):
             graphic = GraphicMatroid(g)
-            views = [graphic, OpaqueMatroid(g)]
-            views += [TruncatedMatroid(graphic, r) for r in range(graphic.rank + 1)]
+            views = [graphic] + [GraphicMatroid(g, r) for r in range(graphic.rank + 1)]
             for mat in views:
                 bases = mat.enumerate_bases()
                 assert list(bases) == sorted(bases, key=sorted), mat
@@ -118,7 +112,8 @@ class TestGraphicMatroid:
                     expected = max(
                         (len(t) for t in _subsets(combo) if indep(frozenset(t))), default=0
                     )
-                    assert mat.rank_of(combo) == expected
+                    sub = MultiGraph(g.vertex_count, [g.edges[e] for e in combo])
+                    assert GraphicMatroid(sub).rank == expected
 
     def test_check_subset(self):
         mat = GraphicMatroid(build_named_graph("complete", 3))
@@ -135,29 +130,34 @@ def _subsets(ids):
 
 
 class TestTruncatedMatroid:
+    """GraphicMatroid(graph, rank) with rank below the graph's rank."""
+
     def test_rank_clamps(self):
-        inner = GraphicMatroid(build_named_graph("cycle", 5))
-        mat = TruncatedMatroid(inner, 2)
-        assert mat.rank == 2
-        assert mat.rank_of(range(5)) == 2
-        assert mat.rank_of({0}) == 1
+        c5 = build_named_graph("cycle", 5)
+        assert GraphicMatroid(c5).rank == 4
+        assert GraphicMatroid(c5, 2).rank == 2
 
     def test_independence_caps_size(self):
-        inner = GraphicMatroid(build_named_graph("cycle", 5))
-        mat = TruncatedMatroid(inner, 2)
+        mat = GraphicMatroid(build_named_graph("cycle", 5), 2)
         assert mat.is_independent({0, 1})
         assert not mat.is_independent({0, 1, 2})
 
+    def test_independence_checks_range_before_size(self):
+        mat = GraphicMatroid(MultiGraph(3, [(0, 1), (0, 1), (1, 2)]), 1)
+        assert mat.is_independent({2}) and not mat.is_independent({0, 2})
+        assert not mat.is_independent({0, 1})
+        with pytest.raises(PreconditionError, match="element 9 out of range"):
+            mat.is_independent({0, 1, 9})
+
     def test_circuits_add_top_layer(self):
-        inner = GraphicMatroid(build_named_graph("cycle", 5))
-        mat = TruncatedMatroid(inner, 2)
+        mat = GraphicMatroid(build_named_graph("cycle", 5), 2)
         circuits = mat.circuits()
         assert len(circuits) == 10
         assert all(len(c) == 3 for c in circuits)
 
     def test_circuits_keep_small_inner(self):
         g = MultiGraph(3, [(0, 1), (0, 1), (0, 2), (1, 2)])
-        mat = TruncatedMatroid(GraphicMatroid(g), 2)
+        mat = GraphicMatroid(g, 2)
         circuits = set(mat.circuits())
         assert frozenset({0, 1}) in circuits
         assert all(len(c) <= 3 for c in circuits)
@@ -169,38 +169,37 @@ class TestTruncatedMatroid:
             cases.append((g, range(GraphicMatroid(g).rank + 1)))
         for g, ranks in cases:
             for rank in ranks:
-                mat = TruncatedMatroid(GraphicMatroid(g), rank)
+                mat = GraphicMatroid(g, rank)
                 assert sorted(mat.circuits(), key=sorted) == sorted(
                     brute_circuits(g.edge_count, truncated_indep(g, rank)), key=sorted
                 )
 
     def test_fundamental_circuit_cases(self):
-        square = TruncatedMatroid(GraphicMatroid(build_named_graph("cycle", 4)), 2)
+        square = GraphicMatroid(build_named_graph("cycle", 4), 2)
         assert square.fundamental_circuit({0}, 1) is None
         assert square.fundamental_circuit({0, 1}, 2) == frozenset({0, 1, 2})
-        triangle = TruncatedMatroid(GraphicMatroid(build_named_graph("complete", 3)), 2)
+        triangle = GraphicMatroid(build_named_graph("complete", 3), 2)
         assert triangle.fundamental_circuit({0, 1}, 2) == frozenset({0, 1, 2})
 
     def test_untruncated_is_identity(self):
         inner = GraphicMatroid(build_named_graph("cycle", 4))
-        mat = TruncatedMatroid(inner, inner.rank)
+        mat = GraphicMatroid(inner.graph, inner.rank)
         assert mat.enumerate_bases() == inner.enumerate_bases()
         assert mat.circuits() == inner.circuits()
 
     def test_rank_zero(self):
-        inner = GraphicMatroid(build_named_graph("complete", 3))
-        mat = TruncatedMatroid(inner, 0)
+        mat = GraphicMatroid(build_named_graph("complete", 3), 0)
         assert mat.rank == 0
         assert mat.is_independent(())
         assert not mat.is_independent({0})
         assert mat.circuits() == tuple(frozenset({e}) for e in range(3))
 
     def test_rejects_bad_rank(self):
-        inner = GraphicMatroid(build_named_graph("complete", 3))
-        with pytest.raises(PreconditionError):
-            TruncatedMatroid(inner, 3)
-        with pytest.raises(PreconditionError):
-            TruncatedMatroid(inner, -1)
+        k3 = build_named_graph("complete", 3)
+        for rank in (3, -1):
+            with pytest.raises(PreconditionError) as err:
+                GraphicMatroid(k3, rank)
+            assert str(err.value) == f"target_rank {rank} outside 0..2 (rank of the inner matroid)"
 
 
 class TestGuards:
@@ -254,11 +253,9 @@ class TestFundamentalCircuitOracle:
         g = SMALL_GRAPHS[name]
         m = g.edge_count
         graphic = GraphicMatroid(g)
-        # OpaqueMatroid and its truncations would take the same
-        # Matroid.fundamental_circuit path as these views.
         views = [(graphic, graphic_indep(g))]
         for rank in range(graphic.rank + 1):
-            views.append((TruncatedMatroid(graphic, rank), truncated_indep(g, rank)))
+            views.append((GraphicMatroid(g, rank), truncated_indep(g, rank)))
         for mat, indep in views:
             for size in range(m + 1):
                 for combo in itertools.combinations(range(m), size):
@@ -277,53 +274,37 @@ class TestIsNbcOracle:
     @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
     def test_matches_brute_force_on_every_subset(self, name):
         """is_nbc on the graphic matroid, plain and at every truncation rank,
-        each also as a truncation of a truncation, against the brute
-        broken-circuit faces."""
+        against the brute broken-circuit faces."""
         g = SMALL_GRAPHS[name]
         m = g.edge_count
         graphic = GraphicMatroid(g)
-        top = graphic.rank
-        cases = [((graphic, truncated_graphic(g, top, top)), graphic_indep(g))]
-        for rank in range(top + 1):
-            views = (TruncatedMatroid(graphic, rank), truncated_graphic(g, min(rank + 1, top), rank))
-            cases.append((views, truncated_indep(g, rank)))
+        cases = [(graphic, graphic_indep(g))]
+        cases += [(GraphicMatroid(g, rank), truncated_indep(g, rank)) for rank in range(graphic.rank + 1)]
         subsets = [frozenset(c) for size in range(m + 1) for c in itertools.combinations(range(m), size)]
         for ranking in random_orders(m, 3):
-            for views, indep in cases:
+            for mat, indep in cases:
                 faces = brute_nbc_faces(m, indep, ranking)
-                for mat in views:
-                    x = NbcComplex(mat, ranking)
-                    for s in subsets:
-                        assert is_nbc(x, s) == (s in faces), (name, mat, ranking, sorted(s))
-
-
-class _LoopedMatroid(Matroid):
-    """Rank 2 on four elements, any two independent unless one is the loop."""
-
-    ground_size = 4
-
-    def __init__(self, loop):
-        super().__init__()
-        self.loop = loop
-
-    def is_independent(self, s) -> bool:
-        return self.loop not in s and len(s) <= 2
+                x = NbcComplex(mat, ranking)
+                for s in subsets:
+                    assert is_nbc(x, s) == (s in faces), (name, mat, ranking, sorted(s))
 
 
 class TestNbcComplexRefusal:
     def test_refuses_every_other_matroid(self, monkeypatch):
-        """Only a graphic matroid or a truncation of one, at any depth, makes
-        a complex; anything else is refused before an engine is built, with
-        the one-line error the CLI maps to exit 2."""
+        """Only a GraphicMatroid, truncated or not, makes a complex; a bare
+        graph, None or a stand-in with the same attributes is refused before
+        an engine is built, with the one-line error the CLI maps to exit 2."""
 
         def no_engine(x):
             raise AssertionError("an engine was built")
 
         monkeypatch.setattr(nbc, "_engine", no_engine)
         k4 = build_named_graph("complete", 4)
-        refused = [_LoopedMatroid(0), _LoopedMatroid(2), OpaqueMatroid(k4)]
-        refused += [TruncatedMatroid(OpaqueMatroid(k4), 2), TruncatedMatroid(_LoopedMatroid(1), 1)]
-        refused += [k4, None]
+        graphic = GraphicMatroid(k4)
+        stand_in = SimpleNamespace(
+            graph=k4, ground_size=6, rank=3, is_independent=graphic.is_independent
+        )
+        refused = [k4, None, stand_in]
         for matroid in refused:
             with pytest.raises(PreconditionError) as err:
                 NbcComplex(matroid)

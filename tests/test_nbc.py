@@ -15,7 +15,6 @@ from nbcwalk import (
     PreconditionError,
     SizeCounts,
     SizeGuardError,
-    TruncatedMatroid,
     VerificationError,
     build_link_gadget,
     build_named_graph,
@@ -35,12 +34,10 @@ from helpers import (
     brute_nbc_facets_through,
     closure_is_nbc,
     closure_nbc_facets_through,
-    contains_broken_circuit_bruteforce,
     graphic_indep,
     random_graph_corpus,
     random_orders,
     theta_graph,
-    truncated_graphic,
     truncated_indep,
 )
 
@@ -91,12 +88,13 @@ class TestIsNbc:
 
     def test_matches_bruteforce_membership(self):
         for g in random_graph_corpus(count=3):
+            m = g.edge_count
             x = NbcComplex(GraphicMatroid(g))
+            faces = brute_nbc_faces(m, graphic_indep(g), range(m))
             for size in range(4):
-                for combo in itertools.combinations(range(g.edge_count), size):
+                for combo in itertools.combinations(range(m), size):
                     s = frozenset(combo)
-                    expected = x.matroid.is_independent(s) and not contains_broken_circuit_bruteforce(x, s)
-                    assert is_nbc(x, s) == expected
+                    assert is_nbc(x, s) == (s in faces)
 
     def test_rejects_bad_elements(self):
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)))
@@ -132,7 +130,7 @@ class TestEnumeration:
         g = build_named_graph("cycle", 5)
         for rank in (1, 2, 3, 4):
             for ranking in [tuple(range(5))] + random_orders(5, 3):
-                mat = TruncatedMatroid(GraphicMatroid(g), rank)
+                mat = GraphicMatroid(g, rank)
                 x = NbcComplex(mat, ElementOrder(ranking))
                 faces = brute_nbc_faces(5, truncated_indep(g, rank), ranking)
                 expected = tuple(sorted((f for f in faces if len(f) == rank), key=sorted))
@@ -152,7 +150,7 @@ class TestFaceNumbers:
             assert face_numbers(x).counts == expected
 
     def test_truncated_pentagon(self):
-        mat = TruncatedMatroid(GraphicMatroid(build_named_graph("cycle", 5)), 2)
+        mat = GraphicMatroid(build_named_graph("cycle", 5), 2)
         assert face_numbers(NbcComplex(mat)).counts == (1, 5, 4)
 
     def test_counts_match_bruteforce(self):
@@ -165,7 +163,7 @@ class TestFaceNumbers:
             assert fn.total() == len(faces)
 
     def test_empty_complex(self):
-        mat = TruncatedMatroid(GraphicMatroid(build_named_graph("complete", 3)), 0)
+        mat = GraphicMatroid(build_named_graph("complete", 3), 0)
         x = NbcComplex(mat)
         assert face_numbers(x).counts == (0,)
         assert enumerate_nbc_bases(x) == ()
@@ -335,7 +333,7 @@ def _pruning_cases():
 def _brute_and_engine(g, rank, ranking):
     """Brute-force faces and the graphic engine's complex."""
     faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
-    return faces, NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
+    return faces, NbcComplex(GraphicMatroid(g, rank), ElementOrder(ranking))
 
 
 def _closure_link(g, rank, ranking, tau):
@@ -437,7 +435,7 @@ class TestLongForestPaths:
         rng = random.Random(SEED)
         for l in (1, 2):
             inst = build_link_gadget(build_named_graph(kind, *map(int, params)), l, 2)
-            g, rank, tau = inst.graph, inst.matroid.rank, inst.tau
+            g, rank, tau = inst.matroid.graph, inst.matroid.rank, inst.tau
             for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 1):
                 fast = NbcComplex(inst.matroid, ElementOrder(ranking))
                 link = link_facets(fast, tau)
@@ -576,7 +574,7 @@ class TestCandidateLists:
         monkeypatch.setattr(nbc._GraphicEngine, "extensions", checking)
         rng = random.Random(SEED)
         for g, rank, ranking in _candidate_list_cases():
-            x = NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
+            x = NbcComplex(GraphicMatroid(g, rank), ElementOrder(ranking))
             face_numbers(x)
             bases = enumerate_nbc_bases(x)
             for base in rng.sample(bases, min(3, len(bases))):
@@ -651,7 +649,7 @@ class TestExtensionsAgainstAFreshEngine:
         for g in _parallel_multigraphs() + [_parallel_theta()]:
             for rank in range(GraphicMatroid(g).rank + 1):
                 for ranking in random_orders(g.edge_count, 3, seed=SEED + rank):
-                    x = NbcComplex(TruncatedMatroid(GraphicMatroid(g), rank), ElementOrder(ranking))
+                    x = NbcComplex(GraphicMatroid(g, rank), ElementOrder(ranking))
                     current[0] = x
                     faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
                     bases = _sorted_sets(f for f in faces if len(f) == rank)
@@ -759,7 +757,7 @@ class TestFacetExtraction:
     def test_facets_take_compact_tables(self):
         """Each facet's hash table is no larger than a compacted copy's, so
         the many facets a walk keeps stay small."""
-        k45 = NbcComplex(TruncatedMatroid(GraphicMatroid(build_named_graph("complete_bipartite", 4, 5)), 5))
+        k45 = NbcComplex(GraphicMatroid(build_named_graph("complete_bipartite", 4, 5), 5))
         gadget = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 16, 2)
         runs = (
             enumerate_nbc_bases(k45),
@@ -874,9 +872,9 @@ class TestPrunedWalk:
     eng.members gets the child + accepted[i], and a true answer skips that
     child's subtree without pushing it."""
 
-    @pytest.mark.parametrize("ranks", [(), (4, 3)], ids=["graphic", "nested-truncated"])
-    def test_pruning_nothing_asks_once_per_face(self, ranks):
-        x = NbcComplex(truncated_graphic(build_named_graph("complete", 5), *ranks), random_orders(10, 1)[0])
+    @pytest.mark.parametrize("rank", [None, 3], ids=["graphic", "truncated"])
+    def test_pruning_nothing_asks_once_per_face(self, rank):
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 5), rank), random_orders(10, 1)[0])
         asked = []
 
         def keep(eng, accepted, i):
@@ -907,13 +905,11 @@ class TestCompletionGreedy:
     against every need-subset of the tail under the DFS independence oracle."""
 
     @pytest.mark.parametrize(
-        "ranks",
-        [(), (3,), (2,), (3, 2)],
-        ids=["graphic", "graphic-truncated", "graphic-truncated-2", "nested-truncated"],
+        "rank", [None, 3, 2], ids=["graphic", "graphic-truncated", "graphic-truncated-2"]
     )
-    def test_greedy_is_a_max_weight_completion(self, ranks):
+    def test_greedy_is_a_max_weight_completion(self, rank):
         g = build_named_graph("complete", 5)
-        matroid = truncated_graphic(g, *ranks)
+        matroid = GraphicMatroid(g, rank)
         indep = graphic_indep(g)
         rng = random.Random(SEED)
         weight = [rng.randint(-4, 6) for _ in range(g.edge_count)]
@@ -995,7 +991,7 @@ class TestConeApex:
 
     def test_edgeless_graph(self):
         g = MultiGraph(3, [])
-        for matroid in (GraphicMatroid(g), truncated_graphic(g, 0, 0)):
+        for matroid in (GraphicMatroid(g), GraphicMatroid(g, 0)):
             x = NbcComplex(matroid)
             assert face_numbers(x).counts == (1,)
             assert enumerate_nbc_bases(x) == (frozenset(),)
@@ -1003,39 +999,26 @@ class TestConeApex:
         assert closure_nbc_facets_through(0, graphic_indep(g), (), (), 0) == {frozenset()}
 
 
-class TestNestedTruncation:
-    """A truncation of a truncation is the truncation at the outer rank, and
-    the graphic engine walks it."""
+class TestTruncatedWalk:
+    """Bases, face numbers, links and the max-weight base of a truncation at
+    every rank, under the identity order and a random one, against the brute
+    broken-circuit faces."""
 
-    def test_walks_like_one_truncation(self, monkeypatch):
-        push, pushes = nbc._GraphicEngine.push, [0]
-
-        def counted(self, e):
-            pushes[0] += 1
-            push(self, e)
-
-        monkeypatch.setattr(nbc._GraphicEngine, "push", counted)
+    def test_matches_brute_force(self):
         rng = random.Random(SEED)
         for g in (build_named_graph("complete", 5), _parallel_theta()):
             m, top = g.edge_count, GraphicMatroid(g).rank
             weights = [rng.randint(-3, 5) for _ in range(m)]
-            for outer in range(1, top + 1):
-                inner = rng.randint(outer, top)
-                for ranking in [tuple(range(m))] + random_orders(m, 1, seed=SEED + outer):
-                    faces = brute_nbc_faces(m, truncated_indep(g, outer), ranking)
-                    bases = _sorted_sets(f for f in faces if len(f) == outer)
-                    nested = NbcComplex(truncated_graphic(g, inner, outer), ranking)
-                    flat = NbcComplex(truncated_graphic(g, outer), ranking)
-                    before = pushes[0]
-                    assert enumerate_nbc_bases(nested) == bases
-                    assert pushes[0] > before
-                    assert enumerate_nbc_bases(flat) == bases
-                    counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(outer + 1))
-                    assert face_numbers(nested).counts == face_numbers(flat).counts == counts
+            for rank in range(1, top + 1):
+                for ranking in [tuple(range(m))] + random_orders(m, 1, seed=SEED + rank):
+                    faces = brute_nbc_faces(m, truncated_indep(g, rank), ranking)
+                    bases = _sorted_sets(f for f in faces if len(f) == rank)
+                    x = NbcComplex(GraphicMatroid(g, rank), ranking)
+                    assert enumerate_nbc_bases(x) == bases
+                    counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
+                    assert face_numbers(x).counts == counts
                     for tau in rng.sample(sorted(faces, key=sorted), min(3, len(faces))):
-                        link = _sorted_sets(f - tau for f in bases if tau <= f)
-                        assert link_facets(nested, tau) == link_facets(flat, tau) == link
+                        assert link_facets(x, tau) == _sorted_sets(f - tau for f in bases if tau <= f)
                     # ties go to the lexicographically greatest base
                     heaviest = max(bases, key=lambda b: (sum(weights[e] for e in b), sorted(b)))
-                    best = (heaviest, sum(weights[e] for e in heaviest))
-                    assert max_weight_nbc_base(nested, weights) == max_weight_nbc_base(flat, weights) == best
+                    assert max_weight_nbc_base(x, weights) == (heaviest, sum(weights[e] for e in heaviest))

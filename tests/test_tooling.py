@@ -260,6 +260,13 @@ def test_nbc_defines_one_engine():
     assert {name: methods for name, methods in engines.items() if methods} == {"_GraphicEngine": protocol}
 
 
+def test_matroids_defines_one_class():
+    # Every complex is a graphic matroid at some rank, so one class says it:
+    # no generic base for it to subclass and no truncation wrapper around it.
+    tree = ast.parse((ROOT / "src" / "nbcwalk" / "matroids.py").read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["GraphicMatroid"]
+
+
 def test_package_exports_exactly_its_imports():
     # A name deleted from a module must leave __init__'s imports and __all__
     # together, so neither can keep re-exporting it.
