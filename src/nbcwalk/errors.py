@@ -1,8 +1,10 @@
 """Shared exception types.
 
 PreconditionError marks a call outside an operation's contract, SizeGuardError a
-desk-scale enumeration guard (always overridable with force=True), and
-VerificationError a certified identity that failed an exact check.
+desk-scale enumeration guard, and VerificationError a certified identity that
+failed an exact check.  force=True overrides a size guard in every call that
+takes it; local_walk_matrix and down_up_matrix take none, and read an
+NbcComplex's facets unforced.
 """
 
 
@@ -11,7 +13,8 @@ class PreconditionError(ValueError):
 
 
 class SizeGuardError(RuntimeError):
-    """The requested enumeration exceeds a size guard; pass force=True to override."""
+    """The requested enumeration exceeds a size guard; where the call takes
+    force, force=True overrides it."""
 
 
 class VerificationError(RuntimeError):

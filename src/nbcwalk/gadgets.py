@@ -2,10 +2,12 @@
 the optimization / counting / external-field / hardcore reductions.
 
 Every builder returns one GadgetInstance, and every verifier re-derives the
-certified quantity by exhaustive enumeration in exact arithmetic; the
-max-weight NBC base is found exactly, by branch and bound over the face walk.
-A failed certificate raises VerificationError rather than returning a
-degraded report.
+certified quantity in exact arithmetic: the link partition, the counting
+sandwich and the hardcore identities by exhaustive enumeration, and the
+heaviest NBC bases, for max_weight_nbc_base and the long edge's witness, by
+branch and bound over the face walk.  A failed certificate raises
+VerificationError, except the counting sandwich: its ReductionReport carries
+the verdict, which may be False.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .graphs import (
     iter_independent_sets,
 )
 from .matroids import GraphicMatroid
-from .nbc import NbcComplex, _walk, enumerate_nbc_bases, is_nbc, link_facets
+from .nbc import NbcComplex, _walk, is_nbc, link_facets
 
 MAX_GADGET_GROUND = 5000
 HARDCORE_MAX_COPIES = 3
@@ -136,9 +138,11 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     (n-1)/2 two-edge paths join the rim vertices, edge n-1 joins them directly;
     B is the long edge plus the upper path edges, B' the first edge plus the
     lower ones.  The long edge's weight is computed (not assumed) to equalize
-    the two bases, then the full edge-witness condition is certified
-    exhaustively.  The graph has n edges, so n is checked against
-    MAX_GADGET_GROUND before anything is built.
+    the two bases, then the edge-witness condition is certified by the
+    branch and bound of max_weight_nbc_base: B and B' are NBC bases, both
+    reach the greatest weight, and exactly two NBC bases do.  The graph has
+    n edges, so n is checked against MAX_GADGET_GROUND before anything is
+    built.
     """
     n = _integer(n, "n")
     if n < 3 or n % 2 == 0:
@@ -160,30 +164,16 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     weights.append(long_weight)
     w = WeightVector(weights)
     x = NbcComplex(matroid)
-    bases = enumerate_nbc_bases(x, force=force)
-    if b1 not in bases or b2 not in bases:
+    if not all(len(b) == x.rank and is_nbc(x, b) for b in (b1, b2)):
         raise VerificationError("distinguished bases are not NBC bases")
-    if not verify_edge_witness(bases, w, b1, b2):
+    _, top, ties = _heaviest_nbc_bases(x, w, force)
+    if not w.weight_of(b1) == w.weight_of(b2) == top or ties != 2:
         raise VerificationError("computed weight vector fails the edge-witness conditions")
     return GadgetInstance(
         matroid=matroid,
         marked_sets={"B": b1, "B_prime": b2},
         weights=w,
     )
-
-
-def verify_edge_witness(bases, w: WeightVector, b1, b2) -> bool:
-    """True iff b1 and b2 tie for the strict maximum of <w, 1_base>."""
-    bases = [frozenset(b) for b in bases]
-    b1, b2 = frozenset(b1), frozenset(b2)
-    if b1 == b2:
-        raise PreconditionError("the two bases must be distinct")
-    if b1 not in bases or b2 not in bases:
-        raise PreconditionError("both bases must belong to the given facet list")
-    v1 = w.weight_of(b1)
-    if v1 != w.weight_of(b2):
-        return False
-    return all(w.weight_of(b) < v1 for b in bases if b != b1 and b != b2)
 
 
 def build_link_gadget(
@@ -397,6 +387,15 @@ def max_weight_independent_set(g: MultiGraph, vertex_weights: WeightVector, forc
 def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     """(base, weight) of an NBC base of greatest weight under w; ties keep the
     lexicographically greatest base, as _heaviest over every base would.
+    Exact, by the branch and bound of _heaviest_nbc_bases."""
+    w = _weight_vector(w, x.matroid.ground_size, "element")
+    base, weight, _ = _heaviest_nbc_bases(x, w, force)
+    return base, weight
+
+
+def _heaviest_nbc_bases(x: NbcComplex, w: WeightVector, force: bool):
+    """(base, weight, ties): the lexicographically greatest NBC base of
+    greatest weight under w, that weight, and how many NBC bases have it.
 
     Exact branch and bound over the NBC face walk, in integer numerators.
     The walk reaches bases in lexicographic order, and a child F + e of a
@@ -406,14 +405,16 @@ def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     forest engine's Edmonds greedy finds: it takes them in descending weight,
     exactly that many, so the bound holds for negative weights too.  A child
     is pruned when the greedy comes up short (no base lies below it) or its
-    bound is strictly below the best base so far; a tie is never pruned, so
-    the last tie reached is the lexicographically greatest.  No base list is
-    built, so MAX_NBC_BASES does not apply; MAX_NBC_FACES counts the faces
-    the walk visits, a subset of the faces of the complex."""
-    w = _weight_vector(w, x.matroid.ground_size, "element")
+    bound is strictly below the best base so far.  A tie is never pruned, so
+    every base of greatest weight is reached: ties counts them exactly, and
+    the last one reached is the lexicographically greatest.  No base list is
+    built, so MAX_NBC_BASES does not apply.  MAX_NBC_FACES counts the faces
+    the walk visits, but _walk also refuses up front, pruned or not, when
+    2^r exceeds it."""
     nums, rank = w.nums, x.matroid.rank
     heaviest_first = [-n for n in nums].__getitem__
     best = best_set = None
+    ties = 0
 
     def prune(eng, accepted, i):
         e = accepted[i]
@@ -431,10 +432,11 @@ def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
         if len(face) == rank:
             val = sum(map(nums.__getitem__, face))
             if best is None or val >= best:
+                ties = ties + 1 if val == best else 1
                 best, best_set = val, frozenset(face)
     if best_set is None:
         raise PreconditionError("the complex has no bases")
-    return best_set, Fraction(best, w.den)
+    return best_set, Fraction(best, w.den), ties
 
 
 def build_field_reduction(

@@ -52,9 +52,6 @@ class MultiGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def validate_edge_ids(self, ids) -> frozenset:
-        return _ids_in_range(ids, self.edge_count, "edge id")
-
     def is_connected(self) -> bool:
         """True for the one-vertex and empty graph; otherwise true iff the
         union-find over all edges joins n - 1 times."""
@@ -181,11 +178,6 @@ def _joins(n: int, pairs):
         ru, rv = find(u), find(v)
         parent[ru] = rv
         yield ru != rv
-
-
-def is_forest(g: MultiGraph, edge_ids) -> bool:
-    """True iff the edge set induces no cycle; a parallel pair already fails."""
-    return all(_joins(g.vertex_count, (g.edges[e] for e in g.validate_edge_ids(edge_ids))))
 
 
 @dataclass(frozen=True)
@@ -381,13 +373,7 @@ def count_independent_sets_by_size(g: MultiGraph, force: bool = False) -> SizeCo
 def hardcore_partition(g: MultiGraph, fugacity, force: bool = False) -> Fraction:
     """Independence polynomial evaluated exactly at the given fugacity."""
     lam = Fraction(fugacity)
-    counts = count_independent_sets_by_size(g, force=force)
-    acc = Fraction(0)
-    power = Fraction(1)
-    for c in counts:
-        acc += c * power
-        power *= lam
-    return acc
+    return IntPolynomial(count_independent_sets_by_size(g, force=force).counts)(lam)
 
 
 def count_g_parking_functions(g: MultiGraph, root: int, force: bool = False) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import PreconditionError, SizeGuardError
-from .graphs import MultiGraph, _ids_in_range, _integer, _joins, is_forest
+from .graphs import MultiGraph, _ids_in_range, _integer, _joins
 
 BRUTE_MAX_GROUND = 14
 ENUM_MAX_SETS = 1_000_000
@@ -41,7 +41,8 @@ class GraphicMatroid:
 
     def is_independent(self, subset) -> bool:
         s = self.check_subset(subset)
-        return len(s) <= self.rank and is_forest(self.graph, s)
+        edges = self.graph.edges
+        return len(s) <= self.rank and all(_joins(self.graph.vertex_count, (edges[e] for e in s)))
 
     def circuits(self, force: bool = False):
         """All circuits by brute force over subsets in increasing size; cached."""

@@ -247,3 +247,19 @@ def theta_graph(n):
         edges.append((1 + i, 1))
     edges.append((0, 1))
     return MultiGraph(2 + half, edges)
+
+
+def edge_witness(bases, weights, b1, b2):
+    """True iff the distinct listed bases b1 and b2 tie for the strict
+    maximum of the weight sum: every other listed base weighs strictly less.
+    Plain Fraction sums over the weights, a sequence indexed by element."""
+    bases = [frozenset(b) for b in bases]
+    b1, b2 = frozenset(b1), frozenset(b2)
+    if b1 == b2 or b1 not in bases or b2 not in bases:
+        raise ValueError("b1 and b2 must be distinct bases from the list")
+
+    def weight(b):
+        return sum((Fraction(weights[e]) for e in b), Fraction(0))
+
+    top = weight(b1)
+    return weight(b2) == top and all(weight(b) < top for b in bases if b not in (b1, b2))

@@ -40,12 +40,19 @@ from nbcwalk import (
     partition_link_facets,
     spectral_gap,
     verify_counting_sandwich,
-    verify_edge_witness,
     verify_hardcore_identities,
 )
 from nbcwalk.gadgets import WeightVector
 
-from helpers import SEED, brute_circuits, random_graph_corpus, random_orders, subset_acyclic, theta_graph
+from helpers import (
+    SEED,
+    brute_circuits,
+    edge_witness,
+    random_graph_corpus,
+    random_orders,
+    subset_acyclic,
+    theta_graph,
+)
 
 _BUDGETS = {1: 60.0, 2: 30.0, 6: 120.0, 8: 600.0, 10: 300.0}
 
@@ -302,5 +309,5 @@ def test_criterion_12_long_edge_witness():
             bases = inst.complex().facets()
             b = inst.marked_sets["B"]
             b_prime = inst.marked_sets["B_prime"]
-            assert verify_edge_witness(bases, inst.weights, b, b_prime)
+            assert edge_witness(bases, list(inst.weights), b, b_prime)
             assert len(b ^ b_prime) == n - 1, n

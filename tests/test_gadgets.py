@@ -36,11 +36,10 @@ from nbcwalk import (
     partition_link_facets,
     spectral_gap,
     verify_counting_sandwich,
-    verify_edge_witness,
     verify_hardcore_identities,
 )
 
-from helpers import SEED, random_multigraphs
+from helpers import SEED, edge_witness, random_multigraphs, theta_graph
 
 F = Fraction
 
@@ -107,28 +106,54 @@ class TestLongEdge:
         assert build_long_edge_instance(7, force=True).matroid.graph.edge_count == 7
         assert len(built) == 2
 
+    def test_certificate_matches_the_listing_scan(self, monkeypatch):
+        # Every odd n up to 21, on the built weights and on altered ones fed
+        # to the builder in their place: it certifies exactly when the
+        # strict-max-pair scan over every listed NBC base holds.  Raising the
+        # apex, which every base holds, keeps the witness; raising or
+        # lowering the long edge breaks the tie; flat weights tie every base,
+        # and the n = 3 theta, a triangle, has no NBC bases but B and B'.
+        alterations = (
+            lambda ws: ws,
+            lambda ws: [ws[0] + 1] + ws[1:],
+            lambda ws: ws[:-1] + [ws[-1] + 1],
+            lambda ws: ws[:-1] + [ws[-1] - 1],
+            lambda ws: [0] * len(ws),
+        )
+        real = gadgets.WeightVector
+        verdicts = []
+        for n in range(3, 22, 2):
+            bases = enumerate_nbc_bases(NbcComplex(GraphicMatroid(theta_graph(n))), force=True)
+            b1 = frozenset({n - 1} | set(range(0, n - 1, 2)))
+            b2 = frozenset({0} | set(range(1, n - 1, 2)))
+            for alter in alterations:
+                fed = []
 
-class TestEdgeWitness:
-    def test_detects_failed_tie(self):
-        bases = [frozenset({0, 1}), frozenset({0, 2})]
-        w = WeightVector([0, 1, 2])
-        assert not verify_edge_witness(bases, w, bases[0], bases[1])
+                def altered(ws, alter=alter, fed=fed):
+                    fed.append(alter(list(ws)))
+                    return real(fed[0])
 
-    def test_detects_third_maximizer(self):
-        bases = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
-        w = WeightVector([1, 1, 1])
-        assert not verify_edge_witness(bases, w, bases[0], bases[1])
+                monkeypatch.setattr(gadgets, "WeightVector", altered)
+                try:
+                    inst = build_long_edge_instance(n)
+                except VerificationError:
+                    certified = False
+                else:
+                    certified = True
+                    assert (inst.marked_sets["B"], inst.marked_sets["B_prime"]) == (b1, b2)
+                assert certified == edge_witness(bases, fed[0], b1, b2), (n, fed[0])
+                verdicts.append(certified)
+        assert verdicts == [v for n in range(3, 22, 2) for v in (True, True, False, False, n == 3)]
 
-    def test_accepts_clean_tie(self):
-        bases = [frozenset({0, 1}), frozenset({0, 2}), frozenset({1, 2})]
-        w = WeightVector([2, 1, 1])
-        assert verify_edge_witness(bases, w, bases[0], bases[1])
+    def test_builds_without_listing_a_base(self, monkeypatch):
+        # n = 27 exhausted MAX_NBC_FACES when the certificate listed every
+        # NBC base; the branch and bound lists none.
+        def refuse(*args, **kwargs):
+            raise AssertionError("an NBC base listing was requested")
 
-    def test_rejects_missing_base(self):
-        bases = [frozenset({0, 1})]
-        w = WeightVector([1, 1, 1])
-        with pytest.raises(PreconditionError):
-            verify_edge_witness(bases, w, bases[0], frozenset({5, 6}))
+        monkeypatch.setattr(nbc, "_facets_through", refuse)
+        inst = build_long_edge_instance(27)
+        assert inst.weights.weight_of(inst.marked_sets["B"]) == 13
 
 
 class TestLinkGadget:
@@ -345,12 +370,16 @@ class TestMaxWeightBranchAndBound:
     def test_matches_the_exhaustive_maximizer(self):
         # The identical (base, value) pair, not only the value: ties must go
         # to the lexicographically greatest base as _heaviest sends them.
+        # The tie count is every listed base of that value.
         corpus, rng = _differential_corpus()
         for x in corpus:
             bases = enumerate_nbc_bases(x)
             for weights in _weight_draws(rng, x.matroid.ground_size):
                 w = WeightVector(weights)
-                assert max_weight_nbc_base(x, w) == gadgets._heaviest(bases, w), (x, weights)
+                expected = gadgets._heaviest(bases, w)
+                assert max_weight_nbc_base(x, w) == expected, (x, weights)
+                ties = sum(1 for b in bases if w.weight_of(b) == expected[1])
+                assert gadgets._heaviest_nbc_bases(x, w, False) == (*expected, ties), (x, weights)
 
     def test_tied_square_base_is_pinned(self):
         # Both maximum-weight bases of the C4 reduction weigh 2; the

@@ -24,7 +24,6 @@ from nbcwalk import (
     disjoint_union,
     graphs,
     hardcore_partition,
-    is_forest,
     is_nbc,
     iter_independent_sets,
     local_walk_matrix,
@@ -152,7 +151,7 @@ NON_INTEGRAL = {
     "GraphicMatroid rank": (lambda: GraphicMatroid(_k4(), 2.9), 2.9),
     "fundamental_circuit": (lambda: GraphicMatroid(_k4()).fundamental_circuit({0}, 1.2), 1.2),
     "is_nbc": (lambda: is_nbc(_k4_complex(), [0.7]), 0.7),
-    "is_forest": (lambda: is_forest(_k4(), [0.5]), 0.5),
+    "is_independent": (lambda: GraphicMatroid(_k4()).is_independent([0.5]), 0.5),
     "local_walk_matrix": (lambda: local_walk_matrix(_k4_complex(), [0.5]), 0.5),
 }
 
@@ -173,24 +172,24 @@ def test_integral_values_of_other_types_are_accepted():
     assert GraphicMatroid(k4, 2.0).rank == 2
     assert GraphicMatroid(k4).fundamental_circuit({0, 1}, 3.0) == frozenset({0, 1, 3})
     assert is_nbc(_k4_complex(), [np.int64(0), 1.0])
-    assert is_forest(k4, [0.0, np.int64(1)])
+    assert GraphicMatroid(k4).is_independent([0.0, np.int64(1)])
     assert local_walk_matrix(_k4_complex(), [0.0]).index == local_walk_matrix(_k4_complex(), [0]).index
 
 
 class TestForestsAndCycles:
     def test_empty_set_is_forest(self):
-        assert is_forest(build_named_graph("complete", 3), ())
+        assert GraphicMatroid(build_named_graph("complete", 3)).is_independent(())
 
     def test_triangle_is_not(self):
-        assert not is_forest(build_named_graph("complete", 3), {0, 1, 2})
+        assert not GraphicMatroid(build_named_graph("complete", 3)).is_independent({0, 1, 2})
 
     def test_parallel_pair_is_not(self):
         g = MultiGraph(2, [(0, 1), (0, 1)])
-        assert not is_forest(g, {0, 1})
-        assert is_forest(g, {0})
+        assert not GraphicMatroid(g).is_independent({0, 1})
+        assert GraphicMatroid(g).is_independent({0})
 
     def test_spanning_tree_is(self):
-        assert is_forest(build_named_graph("cycle", 5), {0, 1, 2, 3})
+        assert GraphicMatroid(build_named_graph("cycle", 5)).is_independent({0, 1, 2, 3})
 
     def test_brute_force_agreement(self):
         import itertools
@@ -198,14 +197,16 @@ class TestForestsAndCycles:
         from helpers import subset_acyclic
 
         for g in random_graph_corpus(count=3):
+            matroid = GraphicMatroid(g)
             for size in range(g.edge_count + 1):
                 for combo in itertools.combinations(range(g.edge_count), size):
-                    assert is_forest(g, combo) == subset_acyclic(g, combo)
+                    assert matroid.is_independent(combo) == subset_acyclic(g, combo)
 
 
 class TestUnionFindReaders:
-    """is_forest, GraphicMatroid.rank and MultiGraph.is_connected share
-    one union-find; each is checked against a depth-first component count."""
+    """GraphicMatroid.is_independent, GraphicMatroid.rank and
+    MultiGraph.is_connected share one union-find; each is checked against a
+    depth-first component count."""
 
     def _graphs(self):
         return random_multigraphs() + [MultiGraph(0, []), MultiGraph(1, []), MultiGraph(4, [])]
@@ -222,7 +223,7 @@ class TestUnionFindReaders:
                 s = [e for e in range(g.edge_count) if rng.random() < 0.5]
                 rank = g.vertex_count - component_count(g.vertex_count, [g.edges[e] for e in s])
                 assert GraphicMatroid(MultiGraph(g.vertex_count, [g.edges[e] for e in s])).rank == rank
-                assert is_forest(g, s) == (len(s) == rank)
+                assert matroid.is_independent(s) == (len(s) == rank)
             assert matroid.rank == g.vertex_count - component_count(g.vertex_count, g.edges)
 
     def test_corpus_has_parallel_edges_and_isolated_vertices(self):

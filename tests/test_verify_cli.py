@@ -430,13 +430,29 @@ class TestCliContract:
         report = _report(capsys, "local-profile", "--graph", "complete:4", "--force-size")
         assert report["params"]["force_size"] is True and len(report["gammas"]) == 2
 
-    def test_long_edge_force_size_lifts_the_base_guard(self, capsys, monkeypatch):
-        expected = _report(capsys, "gadget", "long-edge", "--n", "7", "--force-size")
-        monkeypatch.setattr(nbc, "MAX_NBC_BASES", 3)
-        code, out, err = _run(capsys, "gadget", "long-edge", "--n", "7")
-        assert code == 3 and out == ""
-        assert "MAX_NBC_BASES=3" in err and "Traceback" not in err
-        assert _report(capsys, "gadget", "long-edge", "--n", "7", "--force-size") == expected
+    def test_long_edge_force_size_lifts_the_face_guard(self, capsys, monkeypatch):
+        # The certificate collects no bases, so MAX_NBC_BASES does not bound
+        # it; MAX_NBC_FACES bounds the walk of its branch and bound.
+        argv = ("gadget", "long-edge", "--n", "7")
+        expected = _run(capsys, *argv)
+        forced = _report(capsys, *argv, "--force-size")
+        monkeypatch.setattr(nbc, "MAX_NBC_BASES", 1)
+        assert _run(capsys, *argv) == expected
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", 5)
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (3, "") and "Traceback" not in err
+        assert err.splitlines() == ["error: more than MAX_NBC_FACES=5 NBC faces visited"]
+        assert _report(capsys, *argv, "--force-size") == forced
+
+    def test_long_edge_refuses_at_once_only_from_rank_21(self, capsys):
+        # The branch and bound visits 1197 faces at n = 39 (rank 20), but the
+        # walk refuses up front once 2^rank exceeds MAX_NBC_FACES.
+        for n in ("27", "39"):
+            assert _report(capsys, "gadget", "long-edge", "--n", n)["verified"] is True
+        message = "error: more than MAX_NBC_FACES=2000000 NBC faces visited\n"
+        assert _run(capsys, "gadget", "long-edge", "--n", "41") == (3, "", message)
+        report = _report(capsys, "gadget", "long-edge", "--n", "41", "--force-size")
+        assert report["verified"] is True and report["common_value"] == "20"
 
     def test_local_profile_force_size_lifts_the_base_guard(self, capsys, monkeypatch):
         expected = _run(capsys, "local-profile", "--graph", "complete:4", "--force-size")
