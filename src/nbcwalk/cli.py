@@ -55,7 +55,7 @@ from .nbc import (
     is_log_concave,
     link_facets,
 )
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 
 class MalformedInputError(Exception):
@@ -269,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fugacity", default="1", help="rational fugacity")
 
     p = sub.add_parser("verify", parents=[run], help="run a named self-check suite")
-    p.add_argument("suite", choices=["core", "spectral", "gadgets", "all"])
+    p.add_argument("suite", choices=[*SUITES, "all"])
     return parser
 
 
@@ -287,7 +287,8 @@ def _params_of(args) -> dict:
 def _cmd_face_numbers(args):
     x, _, canonical = _complex(args)
     fn = face_numbers(x, force=args.force_size)
-    return canonical, {"n": list(fn.counts), "log_concave": is_log_concave(fn)}
+    n = [fn[k] for k in range(x.rank + 1)]
+    return canonical, {"n": n, "log_concave": is_log_concave(n)}
 
 
 def _cmd_nbc_bases(args):
@@ -426,7 +427,7 @@ def _cmd_oracle(args):
         body = {"count": count_acyclic_orientations(graph, force=args.force_size)}
     elif args.kind == "indep":
         counts = count_independent_sets_by_size(graph, force=args.force_size)
-        body = {"counts": list(counts.counts), "total": counts.total()}
+        body = {"counts": list(counts.coefficients), "total": counts.total()}
     elif args.kind == "parking":
         body = {
             "count": count_g_parking_functions(graph, args.root, force=args.force_size),

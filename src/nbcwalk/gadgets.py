@@ -12,6 +12,7 @@ the verdict, which may be False.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -20,8 +21,8 @@ from fractions import Fraction
 from .chains import cheeger_chain, check_eig_states, down_up_matrix, spectral_gap
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import (
+    IntPolynomial,
     MultiGraph,
-    SizeCounts,
     _integer,
     build_named_graph,
     count_independent_sets_by_size,
@@ -38,7 +39,7 @@ HARDCORE_MAX_BASE_VERTICES = 10
 
 class WeightVector:
     """Exact rational weights indexed by element id.  weights holds them as
-    Fractions, which item access, iteration, equality and repr read; nums
+    Fractions, which item access, iteration and repr read; nums
     holds them as integer numerators over the one common denominator den, the
     lcm of their denominators, so that sums and products are integer
     arithmetic and only the reported values become Fractions."""
@@ -68,9 +69,6 @@ class WeightVector:
         """Product of the subset's weights: an integer product over
         den^|subset|."""
         return Fraction(math.prod(map(self.nums.__getitem__, subset)), self.den ** len(subset))
-
-    def __eq__(self, other):
-        return isinstance(other, WeightVector) and self.weights == other.weights
 
     def __repr__(self):
         return f"WeightVector({[str(w) for w in self.weights]})"
@@ -454,10 +452,8 @@ def build_field_reduction(
     l = Fraction(l)
     if l < 1:
         raise PreconditionError("the field value l must be at least 1")
-    if not 0 <= m < len(counts.counts):
-        raise PreconditionError(
-            f"m={m} exceeds the independence number {len(counts.counts) - 1}"
-        )
+    if not 0 <= m <= counts.degree:
+        raise PreconditionError(f"m={m} exceeds the independence number {counts.degree}")
     if l < 2 * g.edge_count:
         warnings.warn(
             f"l = {l} is below 2|E| = {2 * g.edge_count}; the sandwich bounds are not guaranteed",
@@ -489,8 +485,8 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
     if m < 1:
         raise PreconditionError("m must be at least 1")
     counts = count_independent_sets_by_size(g, force=force)
-    if m >= len(counts.counts):
-        raise PreconditionError(f"m={m} exceeds the independence number {len(counts.counts) - 1}")
+    if m > counts.degree:
+        raise PreconditionError(f"m={m} exceeds the independence number {counts.degree}")
     for k in range(m):
         if counts[k] > counts[m]:
             raise PreconditionError(
@@ -519,7 +515,7 @@ def build_hardcore_reduction(g: MultiGraph, r: int) -> MultiGraph:
     r = _integer(r, "r")
     if r < 0:
         raise PreconditionError("r must be non-negative")
-    return disjoint_union(g, build_named_graph("disjoint_union_of_copies", "complete", 8, r))
+    return disjoint_union(g, *itertools.repeat(build_named_graph("complete", 8), r))
 
 
 def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> dict:
@@ -541,7 +537,7 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
             f"(r <= {HARDCORE_MAX_COPIES}, |V| <= {HARDCORE_MAX_BASE_VERTICES})"
         )
     sets_g = tuple(iter_independent_sets(g, force=True))
-    counts_g = SizeCounts.tally(sets_g)
+    counts_g = IntPolynomial.tally(sets_g)
     union = build_hardcore_reduction(g, r)
     base_vertices = frozenset(range(g.vertex_count))
     levels = {}
@@ -552,13 +548,13 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
             levels[key] = levels.get(key, 0) + 1
             yield ind
 
-    counts_union = SizeCounts.tally(union_sets())
+    counts_union = IntPolynomial.tally(union_sets())
     top = max(k for part, k in levels if not part)
-    counts_copies = SizeCounts(tuple(levels.get((frozenset(), k), 0) for k in range(top + 1)))
-    if len(counts_copies.counts) != r + 1:
+    counts_copies = IntPolynomial(tuple(levels.get((frozenset(), k), 0) for k in range(top + 1)))
+    if counts_copies.degree != r:
         raise VerificationError("r K8 independence counts do not stop at size r")
-    conv = counts_g.convolve(counts_copies)
-    for k in range(len(counts_union.counts)):
+    conv = counts_g * counts_copies
+    for k in range(counts_union.degree + 1):
         if counts_union[k] != conv[k]:
             raise VerificationError(
                 f"convolution fails at size {k}: union has {counts_union[k]}, formula {conv[k]}"
@@ -590,9 +586,9 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
                         f"successor ratio fails for S={sorted(s)}, k={k}: {ratio} != {formula}"
                     )
     return {
-        "counts_g": tuple(counts_g),
-        "counts_copies": tuple(counts_copies),
-        "counts_union": tuple(counts_union),
+        "counts_g": counts_g.coefficients,
+        "counts_copies": counts_copies.coefficients,
+        "counts_union": counts_union.coefficients,
         "checked_levels": len(levels),
     }
 

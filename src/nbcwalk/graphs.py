@@ -111,12 +111,7 @@ def build_named_graph(kind: str, *params) -> MultiGraph:
         if copies < 0:
             raise PreconditionError("disjoint_union_of_copies: copies must be non-negative")
         inner = build_named_graph(inner_kind, *params[1:-1])
-        # Copy c takes vertices c n .. c n + n - 1, as repeated disjoint_union
-        # would number them, in one pass.
-        n = inner.vertex_count
-        return MultiGraph(
-            n * copies, [(u + c * n, v + c * n) for c in range(copies) for u, v in inner.edges]
-        )
+        return disjoint_union(*itertools.repeat(inner, copies))
     raise PreconditionError(f"unknown graph kind {kind!r}")
 
 
@@ -156,11 +151,14 @@ def _ids_in_range(values, bound: int, what: str) -> frozenset:
     return out
 
 
-def disjoint_union(g: MultiGraph, h: MultiGraph) -> MultiGraph:
-    """Disjoint union; g keeps its vertex and edge ids, h is shifted after it."""
-    off = g.vertex_count
-    edges = list(g.edges) + [(u + off, v + off) for u, v in h.edges]
-    return MultiGraph(g.vertex_count + h.vertex_count, edges)
+def disjoint_union(*graphs: MultiGraph) -> MultiGraph:
+    """Disjoint union in one pass: each graph's vertex and edge ids follow
+    those of the graphs before it."""
+    edges, off = [], 0
+    for g in graphs:
+        edges.extend((u + off, v + off) for u, v in g.edges)
+        off += g.vertex_count
+    return MultiGraph(off, edges)
 
 
 def _joins(n: int, pairs):
@@ -182,7 +180,10 @@ def _joins(n: int, pairs):
 
 @dataclass(frozen=True)
 class IntPolynomial:
-    """Integer polynomial; coefficients[i] multiplies x**i, highest entry nonzero."""
+    """Integer polynomial; coefficients[i] multiplies x**i, highest entry
+    nonzero.  Besides the chromatic polynomial it holds by-size counts, the
+    face polynomial of an NBC complex and the independence polynomial of a
+    graph: coefficient k counts the objects of size k."""
 
     coefficients: tuple
 
@@ -196,12 +197,33 @@ class IntPolynomial:
         object.__setattr__(self, "coefficients", coeffs)
 
     @classmethod
-    def monomial(cls, power: int, scale: int = 1) -> "IntPolynomial":
-        return cls((0,) * power + (scale,))
+    def monomial(cls, power: int) -> "IntPolynomial":
+        return cls((0,) * power + (1,))
+
+    @classmethod
+    def tally(cls, sets) -> "IntPolynomial":
+        """Coefficient k = how many of the given sets have size k."""
+        counts = []
+        for s in sets:
+            k = len(s)
+            while len(counts) <= k:
+                counts.append(0)
+            counts[k] += 1
+        return cls(tuple(counts))
 
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
+
+    def __getitem__(self, k):
+        """The coefficient of x**k, 0 past the degree."""
+        return self.coefficients[k] if 0 <= k < len(self.coefficients) else 0
+
+    # __getitem__ never runs out, so iterating over it would never stop.
+    __iter__ = None
+
+    def total(self) -> int:
+        return sum(self.coefficients)
 
     def __call__(self, x):
         acc = 0
@@ -217,6 +239,13 @@ class IntPolynomial:
 
     def __sub__(self, other):
         return self + IntPolynomial(tuple(-c for c in other.coefficients))
+
+    def __mul__(self, other):
+        out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
+        for i, a in enumerate(self.coefficients):
+            for j, b in enumerate(other.coefficients):
+                out[i + j] += a * b
+        return IntPolynomial(tuple(out))
 
     def __repr__(self):
         return f"IntPolynomial({self.coefficients})"
@@ -291,51 +320,6 @@ def count_acyclic_orientations(g: MultiGraph, force: bool = False) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class SizeCounts:
-    """counts[k] = number of objects of size k: independent sets, NBC faces."""
-
-    counts: tuple
-
-    def __post_init__(self):
-        counts = tuple(_integer(c, "a count") for c in self.counts)
-        if not counts or any(c < 0 for c in counts):
-            raise PreconditionError("counts must be a non-empty tuple of non-negative ints")
-        object.__setattr__(self, "counts", counts)
-
-    def __getitem__(self, k):
-        return self.counts[k] if 0 <= k < len(self.counts) else 0
-
-    def __len__(self):
-        return len(self.counts)
-
-    def __iter__(self):
-        return iter(self.counts)
-
-    @classmethod
-    def tally(cls, sets) -> "SizeCounts":
-        """counts[k] = how many of the given sets have size k."""
-        counts = []
-        for s in sets:
-            k = len(s)
-            while len(counts) <= k:
-                counts.append(0)
-            counts[k] += 1
-        return cls(tuple(counts))
-
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def convolve(self, other: "SizeCounts") -> "SizeCounts":
-        out = [0] * (len(self.counts) + len(other.counts) - 1)
-        for i, a in enumerate(self.counts):
-            for j, b in enumerate(other.counts):
-                out[i + j] += a * b
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return SizeCounts(tuple(out))
-
-
 def iter_independent_sets(g: MultiGraph, force: bool = False):
     """Yield every independent vertex set exactly once, in lexicographic order."""
     n = g.vertex_count
@@ -361,19 +345,21 @@ def iter_independent_sets(g: MultiGraph, force: bool = False):
         raise SizeGuardError(f"{n} vertices exceeds the independent-set recursion limit") from None
 
 
-def count_independent_sets_by_size(g: MultiGraph, force: bool = False) -> SizeCounts:
-    """Tally independent vertex sets by cardinality, one plain enumeration.
+def count_independent_sets_by_size(g: MultiGraph, force: bool = False) -> IntPolynomial:
+    """The independence polynomial: independent vertex sets tallied by
+    cardinality, one plain enumeration.  Its degree is the independence
+    number.
 
     Deliberately no component splitting or convolution here: disjoint-union
     identities are checked against this count, so it must stay independent.
     """
-    return SizeCounts.tally(iter_independent_sets(g, force=force))
+    return IntPolynomial.tally(iter_independent_sets(g, force=force))
 
 
 def hardcore_partition(g: MultiGraph, fugacity, force: bool = False) -> Fraction:
     """Independence polynomial evaluated exactly at the given fugacity."""
     lam = Fraction(fugacity)
-    return IntPolynomial(count_independent_sets_by_size(g, force=force).counts)(lam)
+    return count_independent_sets_by_size(g, force=force)(lam)
 
 
 def count_g_parking_functions(g: MultiGraph, root: int, force: bool = False) -> int:
@@ -385,6 +371,7 @@ def count_g_parking_functions(g: MultiGraph, root: int, force: bool = False) -> 
     once more than f(v) of its edges lead to burnt vertices.  f counts iff
     every vertex burns; otherwise the unburnt set is a subset S in which
     every v has f(v) at least its edges leaving S."""
+    root = _integer(root, "root")
     if not 0 <= root < g.vertex_count:
         raise PreconditionError(f"root {root} out of range")
     if not g.is_connected():

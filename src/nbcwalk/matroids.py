@@ -26,11 +26,9 @@ class GraphicMatroid:
         if not isinstance(graph, MultiGraph):
             raise PreconditionError("GraphicMatroid needs a MultiGraph")
         full = sum(_joins(graph.vertex_count, graph.edges))
-        rank = full if rank is None else _integer(rank, "target_rank")
-        # "The inner matroid" is the untruncated one: the CLI prints this text
-        # when --truncate is out of range.
+        rank = full if rank is None else _integer(rank, "rank")
         if not 0 <= rank <= full:
-            raise PreconditionError(f"target_rank {rank} outside 0..{full} (rank of the inner matroid)")
+            raise PreconditionError(f"rank {rank} outside 0..{full} (the graph's rank)")
         self.graph = graph
         self.ground_size = graph.edge_count
         self.rank = rank

@@ -6,11 +6,11 @@ one test: is_nbc asks the walker's engine to build the face from e0 up (see
 below for why e0 may be added).
 
 Face numbers, facets and links come from one explicit-stack walker, so face
-depth is bounded by memory, not by the recursion limit.  Face numbers are
-by-size counts, a graphs.SizeCounts.  The walker drives an engine with a
-can_add/extensions/push/pop protocol: can_add(e) decides exactly whether an NBC
-face holding e0 stays NBC with e added, and extensions(cand) filters, right
-after a push, a list that the face before it accepted in full.
+depth is bounded by memory, not by the recursion limit.  Face numbers come
+as the face polynomial, a graphs.IntPolynomial.  The walker drives an engine
+with a can_add/extensions/push/pop protocol: can_add(e) decides exactly
+whether an NBC face holding e0 stays NBC with e added, and extensions(cand)
+filters, right after a push, a list that the face before it accepted in full.
 
 Every walk holds e0, the order-smallest element, from its root on.  The NBC
 complex is a cone with apex e0 (Brylawski, "The broken-circuit complex",
@@ -48,7 +48,7 @@ pushed edge's two sides apart is one comparison.
 from __future__ import annotations
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
-from .graphs import SizeCounts, _integer
+from .graphs import IntPolynomial, _integer
 from .matroids import GraphicMatroid
 
 MAX_NBC_BASES = 1_000_000
@@ -86,12 +86,6 @@ class ElementOrder:
 
     def __len__(self):
         return len(self.ranking)
-
-    def __eq__(self, other):
-        return isinstance(other, ElementOrder) and self.ranking == other.ranking
-
-    def __hash__(self):
-        return hash(self.ranking)
 
     def __repr__(self):
         return f"ElementOrder({list(self.ranking)})"
@@ -468,16 +462,18 @@ def enumerate_nbc_bases(x: NbcComplex, force: bool = False):
     return _facets_through(x, frozenset(), force, "NBC bases")
 
 
-def face_numbers(x: NbcComplex, force: bool = False) -> SizeCounts:
-    """Exact Whitney numbers n_0..n_rank by pruned enumeration.  The walk
-    yields c_j faces of size j, all holding e0, and each face F without e0
-    pairs with F + e0, so n_j = c_j + c_{j+1}.  On an empty ground set the
-    walk yields the empty face alone, and n_0 = c_0 = 1."""
+def face_numbers(x: NbcComplex, force: bool = False) -> IntPolynomial:
+    """The face polynomial, sum of n_k t^k over the exact Whitney numbers
+    n_0..n_rank, by pruned enumeration.  The walk yields c_j faces of size j,
+    all holding e0, and each face F without e0 pairs with F + e0, so
+    n_j = c_j + c_{j+1}.  On an empty ground set the walk yields the empty
+    face alone, and n_0 = c_0 = 1.  A matroid with a loop has no faces, and
+    its face polynomial is zero."""
     rank = x.matroid.rank
     counts = [0] * (rank + 2)
     for face in _walk(x, force=force):
         counts[len(face)] += 1
-    return SizeCounts(tuple(counts[j] + counts[j + 1] for j in range(rank + 1)))
+    return IntPolynomial(tuple(counts[j] + counts[j + 1] for j in range(rank + 1)))
 
 
 def link_facets(x: NbcComplex, tau, force: bool = False):

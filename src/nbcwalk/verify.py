@@ -84,13 +84,13 @@ def run_core_suite() -> list:
             x = NbcComplex(GraphicMatroid(g))
             fn = face_numbers(x)
             chi = chromatic_polynomial(g)
-            coeffs = [abs(chi.coefficients[g.vertex_count - k]) for k in range(len(fn.counts))]
-            if list(fn.counts) != coeffs:
-                return False, f"{label}: face numbers {fn.counts} vs coefficients {coeffs}"
+            coeffs = [abs(chi.coefficients[g.vertex_count - k]) for k in range(fn.degree + 1)]
+            if list(fn.coefficients) != coeffs:
+                return False, f"{label}: face numbers {fn.coefficients} vs coefficients {coeffs}"
             ao = count_acyclic_orientations(g)
             if fn.total() != ao or ao != abs(chi(-1)):
                 return False, f"{label}: totals {fn.total()}, {ao}, {abs(chi(-1))} disagree"
-            details.append(f"{label}:{fn.counts}")
+            details.append(f"{label}:{fn.coefficients}")
         return True, "; ".join(details)
 
     _run(checks, "whitney-face-numbers", whitney)
@@ -103,7 +103,7 @@ def run_core_suite() -> list:
             seen = set()
             for perm in itertools.permutations(range(m)):
                 x = NbcComplex(GraphicMatroid(g), ElementOrder(perm))
-                seen.add(face_numbers(x).counts)
+                seen.add(face_numbers(x).coefficients)
             if len(seen) != 1:
                 return False, f"{label}: face numbers vary across orders: {sorted(seen)}"
         return True, "all element orders of K3 and C4 give identical face numbers"
@@ -127,13 +127,13 @@ def run_core_suite() -> list:
         mat = GraphicMatroid(g, 2)
         x = NbcComplex(mat)
         fn = face_numbers(x)
-        if len(fn.counts) != 3:
-            return False, f"truncated complex has face numbers {fn.counts}"
+        if fn.degree != 2:
+            return False, f"truncated complex has face numbers {fn.coefficients}"
         for e in range(g.edge_count):
             base = extend_to_nbc_base(x, frozenset({e}))
             if len(base) != 2:
                 return False, f"extension of {{{e}}} has size {len(base)}"
-        return True, f"rank-2 truncation of C5 is pure with face numbers {fn.counts}"
+        return True, f"rank-2 truncation of C5 is pure with face numbers {fn.coefficients}"
 
     _run(checks, "truncation-purity", truncation_purity)
 
@@ -150,8 +150,8 @@ def run_core_suite() -> list:
     def log_concave():
         for label, g in _named_corpus():
             fn = face_numbers(NbcComplex(GraphicMatroid(g)))
-            if not is_log_concave(fn):
-                return False, f"{label}: {fn.counts} is not log-concave"
+            if not is_log_concave(fn.coefficients):
+                return False, f"{label}: {fn.coefficients} is not log-concave"
         return True, "face numbers log-concave on the named corpus"
 
     _run(checks, "log-concavity", log_concave)
@@ -347,8 +347,8 @@ def run_suite(name: str) -> list:
     """Run one named suite, or all of them concatenated."""
     if name == "all":
         out = []
-        for key in ("core", "spectral", "gadgets"):
-            out.extend(SUITES[key]())
+        for suite in SUITES.values():
+            out.extend(suite())
         return out
     if name not in SUITES:
         raise PreconditionError(f"unknown suite {name!r}; choose core, spectral, gadgets, or all")

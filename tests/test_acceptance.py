@@ -91,7 +91,7 @@ _SEQUENCES = []
 
 def _face_numbers(x):
     f = face_numbers(x)
-    _SEQUENCES.append((tuple(f), x.matroid.ground_size))
+    _SEQUENCES.append((f.coefficients, x.matroid.ground_size))
     return f
 
 
@@ -123,9 +123,9 @@ def test_criterion_02_whitney_orientation_identities():
             f = _face_numbers(NbcComplex(GraphicMatroid(g)))
             chi = chromatic_polynomial(g)
             nv = g.vertex_count
-            for k, n_k in enumerate(f):
+            for k, n_k in enumerate(f.coefficients):
                 assert n_k == abs(chi.coefficients[nv - k]), (name, k)
-            total = sum(f)
+            total = f.total()
             ao = count_acyclic_orientations(g)
             assert total == ao == abs(chi(-1)), name
 
@@ -135,7 +135,7 @@ def test_criterion_03_order_invariance():
         for name, g in CORPUS:
             m = g.edge_count
             matroid = GraphicMatroid(g)
-            reference = tuple(_face_numbers(NbcComplex(matroid)))
+            reference = _face_numbers(NbcComplex(matroid))
             if m <= 5:
                 orders = list(itertools.permutations(range(m)))
             else:
@@ -143,7 +143,7 @@ def test_criterion_03_order_invariance():
                 orders = random_orders(m, 50)
             for order in orders:
                 f = face_numbers(NbcComplex(matroid, ElementOrder(order)))
-                assert tuple(f) == reference, (name, order)
+                assert f == reference, (name, order)
 
 
 def test_criterion_04_purity():

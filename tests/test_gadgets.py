@@ -557,7 +557,7 @@ class TestHardcore:
             monkeypatch.setattr(module, "iter_independent_sets", iterating)
         report = verify_hardcore_identities(g, 2)
         assert report["counts_union"] == (1, 19, 112, 192)
-        assert built == [("disjoint_union_of_copies", "complete", 8, 2)]
+        assert built == [("complete", 8)]
         assert len(enumerated) == 1
 
     def test_enumerates_the_union_once(self, monkeypatch):

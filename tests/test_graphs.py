@@ -14,7 +14,6 @@ from nbcwalk import (
     MultiGraph,
     NbcComplex,
     PreconditionError,
-    SizeCounts,
     SizeGuardError,
     build_named_graph,
     chromatic_polynomial,
@@ -110,6 +109,11 @@ class TestNamedGraphs:
         g = disjoint_union(build_named_graph("complete", 3), build_named_graph("path", 2))
         assert g.vertex_count == 5
         assert g.edges[-1] == (3, 4)
+        parts = [build_named_graph("cycle", 3), MultiGraph(2, []), build_named_graph("path", 3)]
+        g = disjoint_union(*parts)
+        assert g == disjoint_union(disjoint_union(*parts[:2]), parts[2])
+        assert g.vertex_count == 8 and g.edges[-1] == (6, 7)
+        assert disjoint_union() == MultiGraph(0, [])
 
     @pytest.mark.parametrize(
         "inner", [("complete", 4), ("cycle", 5), ("path", 1), ("complete_bipartite", 2, 3)]
@@ -123,11 +127,12 @@ class TestNamedGraphs:
         assert (g.vertex_count, g.edges) == (folded.vertex_count, folded.edges)
 
     def test_copies_build_in_one_pass(self, monkeypatch):
+        # One disjoint_union over all the copies, not a fold of pairwise ones.
         calls = []
         real = graphs.disjoint_union
-        monkeypatch.setattr(graphs, "disjoint_union", lambda g, h: calls.append(1) or real(g, h))
+        monkeypatch.setattr(graphs, "disjoint_union", lambda *gs: calls.append(len(gs)) or real(*gs))
         g = build_named_graph("disjoint_union_of_copies", "complete", 2, 20000)
-        assert calls == []
+        assert calls == [20000]
         assert g.vertex_count == 40000 and g.edge_count == 20000
         assert g.edges[-1] == (39998, 39999)
 
@@ -153,6 +158,10 @@ NON_INTEGRAL = {
     "is_nbc": (lambda: is_nbc(_k4_complex(), [0.7]), 0.7),
     "is_independent": (lambda: GraphicMatroid(_k4()).is_independent([0.5]), 0.5),
     "local_walk_matrix": (lambda: local_walk_matrix(_k4_complex(), [0.5]), 0.5),
+    "count_g_parking_functions root": (
+        lambda: count_g_parking_functions(build_named_graph("cycle", 4), 1.5),
+        1.5,
+    ),
 }
 
 
@@ -174,6 +183,8 @@ def test_integral_values_of_other_types_are_accepted():
     assert is_nbc(_k4_complex(), [np.int64(0), 1.0])
     assert GraphicMatroid(k4).is_independent([0.0, np.int64(1)])
     assert local_walk_matrix(_k4_complex(), [0.0]).index == local_walk_matrix(_k4_complex(), [0]).index
+    c4 = build_named_graph("cycle", 4)
+    assert count_g_parking_functions(c4, 1.0) == count_g_parking_functions(c4, np.int64(1)) == 4
 
 
 class TestForestsAndCycles:
@@ -250,7 +261,7 @@ class TestIntPolynomial:
         assert (a + b).coefficients == (1, 2)
 
     def test_monomial(self):
-        assert IntPolynomial.monomial(3, 2).coefficients == (0, 0, 0, 2)
+        assert IntPolynomial.monomial(3).coefficients == (0, 0, 0, 1)
 
     def test_refuses_non_integral_coefficients(self):
         with pytest.raises(PreconditionError, match="a coefficient must be an integer, got 2.7"):
@@ -315,44 +326,42 @@ class TestAcyclicOrientations:
 
 
 class TestSizeCounts:
+    """By-size counts are IntPolynomials: coefficient k counts the sets of size k."""
+
+    def test_tally(self):
+        sets = [frozenset(), {0}, {1}, {0, 1}, {2}]
+        assert IntPolynomial.tally(sets).coefficients == (1, 3, 1)
+        assert IntPolynomial.tally([]).coefficients == ()
+
     def test_out_of_range_is_zero(self):
-        c = SizeCounts((1, 3, 2))
+        c = IntPolynomial((1, 3, 2))
         assert c[5] == 0 and c[-1] == 0 and c[1] == 3
+        assert IntPolynomial(())[0] == 0
 
     def test_total_and_iter(self):
-        c = SizeCounts((1, 3, 2))
-        assert c.total() == 6 and list(c) == [1, 3, 2]
+        assert IntPolynomial((1, 3, 2)).total() == 6
+        assert IntPolynomial(()).total() == 0
+        # Indexing gives 0 past the degree, so iterating over it would not stop.
+        with pytest.raises(TypeError):
+            list(IntPolynomial((1, 3, 2)))
 
     def test_convolve(self):
-        a = SizeCounts((1, 2))
-        b = SizeCounts((1, 1))
-        assert a.convolve(b).counts == (1, 3, 2)
-
-    def test_rejects_negative(self):
-        with pytest.raises(PreconditionError):
-            SizeCounts((1, -1))
-        with pytest.raises(PreconditionError):
-            SizeCounts(())
-
-    def test_refuses_non_integral_counts(self):
-        with pytest.raises(PreconditionError, match="a count must be an integer, got 2.5"):
-            SizeCounts((1, 2.5))
-        with pytest.raises(PreconditionError, match="a count must be an integer"):
-            SizeCounts((1, "2"))
-        c = SizeCounts((1, 2.0, Fraction(3), np.int64(4)))
-        assert c.counts == (1, 2, 3, 4)
-        assert all(type(n) is int for n in c.counts)
+        a = IntPolynomial((1, 2))
+        b = IntPolynomial((1, 1))
+        assert (a * b).coefficients == (1, 3, 2)
+        assert (a * IntPolynomial(())).coefficients == ()
+        assert (IntPolynomial((2, -1)) * IntPolynomial((0, 3))).coefficients == (0, 6, -3)
 
 
 class TestIndependentSets:
     def test_square_counts(self):
-        assert count_independent_sets_by_size(build_named_graph("cycle", 4)).counts == (1, 4, 2)
+        assert count_independent_sets_by_size(build_named_graph("cycle", 4)).coefficients == (1, 4, 2)
 
     def test_pentagon_counts(self):
-        assert count_independent_sets_by_size(build_named_graph("cycle", 5)).counts == (1, 5, 5)
+        assert count_independent_sets_by_size(build_named_graph("cycle", 5)).coefficients == (1, 5, 5)
 
     def test_path_counts(self):
-        assert count_independent_sets_by_size(build_named_graph("path", 4)).counts == (1, 4, 3)
+        assert count_independent_sets_by_size(build_named_graph("path", 4)).coefficients == (1, 4, 3)
 
     def test_lexicographic_enumeration(self):
         sets = list(iter_independent_sets(build_named_graph("complete", 3)))
@@ -362,7 +371,7 @@ class TestIndependentSets:
         a = build_named_graph("cycle", 4)
         b = build_named_graph("complete", 3)
         direct = count_independent_sets_by_size(disjoint_union(a, b))
-        conv = count_independent_sets_by_size(a).convolve(count_independent_sets_by_size(b))
+        conv = count_independent_sets_by_size(a) * count_independent_sets_by_size(b)
         assert direct == conv
 
     def test_size_guard(self):

@@ -199,7 +199,7 @@ class TestTruncatedMatroid:
         for rank in (3, -1):
             with pytest.raises(PreconditionError) as err:
                 GraphicMatroid(k3, rank)
-            assert str(err.value) == f"target_rank {rank} outside 0..2 (rank of the inner matroid)"
+            assert str(err.value) == f"rank {rank} outside 0..2 (the graph's rank)"
 
 
 class TestGuards:

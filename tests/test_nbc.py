@@ -10,10 +10,10 @@ import pytest
 from nbcwalk import (
     ElementOrder,
     GraphicMatroid,
+    IntPolynomial,
     MultiGraph,
     NbcComplex,
     PreconditionError,
-    SizeCounts,
     SizeGuardError,
     VerificationError,
     build_link_gadget,
@@ -124,7 +124,7 @@ class TestEnumeration:
                 fast = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
                 bases = _closure_link(g, fast.rank, ranking, ())
                 assert enumerate_nbc_bases(fast) == bases
-                assert face_numbers(fast).counts == _down_closure_counts(bases, fast.rank)
+                assert face_numbers(fast).coefficients == _down_closure_counts(bases, fast.rank)
 
     def test_truncated_engine_matches_bruteforce(self):
         g = build_named_graph("cycle", 5)
@@ -147,46 +147,49 @@ class TestFaceNumbers:
         ]
         for kind, n, expected in cases:
             x = NbcComplex(GraphicMatroid(build_named_graph(kind, n)))
-            assert face_numbers(x).counts == expected
+            assert face_numbers(x).coefficients == expected
 
     def test_truncated_pentagon(self):
         mat = GraphicMatroid(build_named_graph("cycle", 5), 2)
-        assert face_numbers(NbcComplex(mat)).counts == (1, 5, 4)
+        assert face_numbers(NbcComplex(mat)).coefficients == (1, 5, 4)
 
     def test_counts_match_bruteforce(self):
         for g in random_graph_corpus(count=4):
             x = NbcComplex(GraphicMatroid(g))
             faces = brute_nbc_faces(g.edge_count, graphic_indep(g), tuple(range(g.edge_count)))
             fn = face_numbers(x)
-            for k in range(len(fn.counts)):
+            for k in range(fn.degree + 1):
                 assert fn[k] == sum(1 for f in faces if len(f) == k)
             assert fn.total() == len(faces)
 
     def test_empty_complex(self):
         mat = GraphicMatroid(build_named_graph("complete", 3), 0)
         x = NbcComplex(mat)
-        assert face_numbers(x).counts == (0,)
+        fn = face_numbers(x)
+        # Every edge is a loop at rank 0, so the complex has no faces at all.
+        assert fn.coefficients == () and fn.degree == -1
+        assert [fn[k] for k in range(x.rank + 1)] == [0]
         assert enumerate_nbc_bases(x) == ()
 
     def test_order_invariance_exhaustive(self):
         g = build_named_graph("cycle", 4)
         seen = {
-            face_numbers(NbcComplex(GraphicMatroid(g), ElementOrder(p))).counts
+            face_numbers(NbcComplex(GraphicMatroid(g), ElementOrder(p))).coefficients
             for p in itertools.permutations(range(4))
         }
         assert len(seen) == 1
 
     def test_face_numbers_type(self):
-        fn = SizeCounts((1, 3, 2))
+        fn = face_numbers(NbcComplex(GraphicMatroid(build_named_graph("complete", 3))))
+        assert isinstance(fn, IntPolynomial) and fn.coefficients == (1, 3, 2)
         assert fn[1] == 3 and fn[9] == 0
         assert fn.total() == 6
-        with pytest.raises(PreconditionError):
-            SizeCounts(())
 
 
 class TestLogConcavity:
     def test_accepts_face_numbers(self):
-        assert is_log_concave(SizeCounts((1, 3, 2)))
+        fn = face_numbers(NbcComplex(GraphicMatroid(build_named_graph("complete", 3))))
+        assert is_log_concave(fn.coefficients)
         assert is_log_concave((1, 5, 10, 10, 4))
 
     def test_detects_violation(self):
@@ -358,7 +361,8 @@ class TestPruningRules:
             faces, fast = _brute_and_engine(g, rank, ranking)
             oracle = _closure_link(g, rank, ranking, ())
             counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
-            assert face_numbers(fast).counts == counts == _down_closure_counts(oracle, rank)
+            fn = face_numbers(fast)
+            assert tuple(fn[k] for k in range(rank + 1)) == counts == _down_closure_counts(oracle, rank)
             bases = tuple(sorted((f for f in faces if len(f) == rank), key=sorted))
             assert enumerate_nbc_bases(fast) == bases == oracle
 
@@ -419,7 +423,7 @@ class TestLongForestPaths:
                 (ranking,) = random_orders(g.edge_count, 1, seed=SEED + rank)
                 faces, fast = _brute_and_engine(g, rank, ranking)
                 counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
-                assert face_numbers(fast).counts == counts
+                assert face_numbers(fast).coefficients == counts
                 bases = _sorted_sets(f for f in faces if len(f) == rank)
                 assert enumerate_nbc_bases(fast) == bases
                 # the closure oracle walks from each tau slowly, so it checks links only
@@ -599,7 +603,7 @@ class TestCandidateLists:
         monkeypatch.setattr(nbc._GraphicEngine, "can_add", counted_can_add)
         monkeypatch.setattr(nbc._GraphicEngine, "extensions", counted_extensions)
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
-        assert face_numbers(x).counts == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
+        assert face_numbers(x).coefficients == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
         # Trying every element above the last one pushed costs 177476 tries here.
         assert tried[0] <= 177476 // 2
 
@@ -720,7 +724,7 @@ class TestScanWork:
 
         monkeypatch.setattr(nbc, "_engine", counting)
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
-        assert face_numbers(x).counts == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
+        assert face_numbers(x).coefficients == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
         # Scanning a touched candidate's whole smaller component up to its own
         # position reads 188574 entries here; the cycles through the pushed
         # edge alone read 132070.
@@ -993,7 +997,7 @@ class TestConeApex:
         g = MultiGraph(3, [])
         for matroid in (GraphicMatroid(g), GraphicMatroid(g, 0)):
             x = NbcComplex(matroid)
-            assert face_numbers(x).counts == (1,)
+            assert face_numbers(x).coefficients == (1,)
             assert enumerate_nbc_bases(x) == (frozenset(),)
         assert brute_nbc_faces(0, graphic_indep(g), ()) == {frozenset()}
         assert closure_nbc_facets_through(0, graphic_indep(g), (), (), 0) == {frozenset()}
@@ -1016,7 +1020,7 @@ class TestTruncatedWalk:
                     x = NbcComplex(GraphicMatroid(g, rank), ranking)
                     assert enumerate_nbc_bases(x) == bases
                     counts = tuple(sum(1 for f in faces if len(f) == k) for k in range(rank + 1))
-                    assert face_numbers(x).counts == counts
+                    assert face_numbers(x).coefficients == counts
                     for tau in rng.sample(sorted(faces, key=sorted), min(3, len(faces))):
                         assert link_facets(x, tau) == _sorted_sets(f - tau for f in bases if tau <= f)
                     # ties go to the lexicographically greatest base

@@ -267,6 +267,14 @@ def test_matroids_defines_one_class():
     assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["GraphicMatroid"]
 
 
+def test_graphs_defines_one_polynomial_class():
+    # The chromatic polynomial and every by-size count (face numbers,
+    # independent sets) are one IntPolynomial: no second sequence class.
+    tree = ast.parse((ROOT / "src" / "nbcwalk" / "graphs.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    assert classes == ["MultiGraph", "IntPolynomial"]
+
+
 def test_package_exports_exactly_its_imports():
     # A name deleted from a module must leave __init__'s imports and __all__
     # together, so neither can keep re-exporting it.
