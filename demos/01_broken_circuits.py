@@ -21,8 +21,10 @@ g = build_named_graph("complete", 3)
 print(f"triangle: {g.vertex_count} vertices, edges {list(g.edges)}")
 
 x = NbcComplex(GraphicMatroid(g))
-print(f"circuits: {[sorted(c) for c in x.matroid.circuits()]}")
-print(f"broken circuits: {[sorted(b) for b in x.broken_circuits()]}")
+circuit = x.matroid.fundamental_circuit({0, 1}, 2)
+broken = circuit - {min(circuit, key=x.order.positions().__getitem__)}
+print(f"circuits: {[sorted(circuit)]}")
+print(f"broken circuits: {[sorted(broken)]}")
 
 # The only circuit is {0,1,2}; dropping its smallest edge leaves {1,2},
 # so exactly one of the three 2-subsets is forbidden.

@@ -56,7 +56,7 @@ from fractions import Fraction
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import _integer
 from .matroids import GraphicMatroid
-from .nbc import NbcComplex
+from .nbc import NbcComplex, _facets_through
 
 MAX_EIG_STATES = 5000
 MAX_FACE_SUBSETS = 2_000_000
@@ -72,13 +72,14 @@ _EIG_BATCH = 512
 
 
 def _as_facets(x, force: bool = False):
-    """Canonical facet tuple from a complex, a matroid (both already distinct
-    and lexicographic, enumerated under force), or a raw facet list, which is
-    deduplicated and sorted."""
+    """Canonical facet tuple from a complex, a matroid, or a raw facet list,
+    which is deduplicated and sorted.  A complex's NBC bases and a matroid's
+    bases both come from nbc's forest walk, already distinct and
+    lexicographic, under its face and base budgets unless force is given."""
     if isinstance(x, NbcComplex):
         facets = x.facets(force=force)
     elif isinstance(x, GraphicMatroid):
-        facets = x.enumerate_bases(force=force)
+        facets = _facets_through(x, frozenset(), force, "bases")
     else:
         facets = tuple(sorted({frozenset(f) for f in x}, key=lambda f: tuple(sorted(f))))
     if not facets:

@@ -43,6 +43,11 @@ itself and the pushed edge, since every other cycle through it closes the same
 forest path as before the push, where it was already checked.  A push stamps
 the vertices it relabels with a count that is never reused, so telling the
 pushed edge's two sides apart is one comparison.
+
+The same walk lists a bare graphic matroid's independent sets, and so its
+bases, the spanning-tree complex chains walks on.  Its engine has no cycle
+rule, since it keeps no incidences, and its walk has no apex: the
+independence complex is no cone, so the walk starts from the empty set.
 """
 
 from __future__ import annotations
@@ -78,12 +83,6 @@ class ElementOrder:
         """positions()[e] = rank of element e (0 = smallest)."""
         return self._pos
 
-    def smallest(self, subset) -> int:
-        items = list(subset)
-        if not items:
-            raise PreconditionError("smallest() needs a nonempty subset")
-        return min(items, key=self._pos.__getitem__)
-
     def __len__(self):
         return len(self.ranking)
 
@@ -108,7 +107,6 @@ class NbcComplex:
         self.matroid = matroid
         self.order = order
         self._facet_cache = None
-        self._broken_cache = None
 
     @property
     def rank(self) -> int:
@@ -118,14 +116,6 @@ class NbcComplex:
         if self._facet_cache is None:
             self._facet_cache = enumerate_nbc_bases(self, force=force)
         return self._facet_cache
-
-    def broken_circuits(self, force: bool = False):
-        """Every circuit minus its order-smallest element; cached."""
-        if self._broken_cache is None:
-            self._broken_cache = tuple(
-                c - {self.order.smallest(c)} for c in self.matroid.circuits(force=force)
-            )
-        return self._broken_cache
 
     def __repr__(self):
         return f"NbcComplex({self.matroid!r}, {self.order!r})"
@@ -161,6 +151,8 @@ class _GraphicEngine:
     parent of the one that hangs from the other, which is unique because a
     forest holds at most one edge between two vertices.  Each vertex's
     incidences are (order position, neighbour) pairs in ascending position.
+    An engine built with order None walks a bare matroid: positions are the
+    element ids, and no vertex has incidences.
 
     can_add(e) requires the current face to be NBC and to hold e0, the
     order-smallest element, unless e is e0; every face the walk reaches holds
@@ -201,14 +193,14 @@ class _GraphicEngine:
     side iff stamp[x] == tick, and extensions runs only then.
     """
 
-    def __init__(self, graph, order: ElementOrder, trunc_rank: int):
+    def __init__(self, graph, order, trunc_rank: int):
         nv = graph.vertex_count
         self.m = graph.edge_count
         self.full = trunc_rank
-        self.pos = pos = order.positions()
+        self.pos = pos = range(self.m) if order is None else order.positions()
         self.ends = graph.edges
         self.incidences = [[] for _ in range(nv)]
-        for f in order.ranking:
+        for f in () if order is None else order.ranking:
             u, v = graph.edges[f]
             self.incidences[u].append((pos[f], v))
             self.incidences[v].append((pos[f], u))
@@ -367,16 +359,27 @@ class _GraphicEngine:
         return out
 
 
-def _engine(x: NbcComplex):
-    """The graphic engine for x, at x's rank."""
-    return _GraphicEngine(x.matroid.graph, x.order, x.matroid.rank)
+def _engine(x):
+    """The graphic engine for x, an NbcComplex or a bare GraphicMatroid, at
+    x's rank.  A bare matroid's engine has no order and so no incidences:
+    rules 2 and 3 find no cycle, and it accepts exactly the edges that join
+    two components."""
+    if isinstance(x, NbcComplex):
+        return _GraphicEngine(x.matroid.graph, x.order, x.rank)
+    return _GraphicEngine(x.graph, None, x.rank)
 
 
-def _root_engine(x: NbcComplex, root):
-    """An engine holding the face root plus e0, the order-smallest element, or
-    None when root is not an NBC face (root + e0 is one exactly when root is)."""
+def _apex(x) -> tuple:
+    """Where every walk of x starts: e0, the order-smallest element, for an
+    NBC complex, and nothing for a bare matroid, which is no cone."""
+    return x.order.ranking[:1] if isinstance(x, NbcComplex) else ()
+
+
+def _root_engine(x, root):
+    """An engine holding the face root plus x's apex, or None when root is
+    not a face of x (root + e0 is an NBC face exactly when root is)."""
     eng = _engine(x)
-    apex = x.order.ranking[:1]
+    apex = _apex(x)
     for e in (*apex, *sorted(root.difference(apex))):
         if not eng.can_add(e):
             return None
@@ -384,13 +387,15 @@ def _root_engine(x: NbcComplex, root):
     return eng
 
 
-def _walk(x: NbcComplex, root=frozenset(), force: bool = False, prune=None):
-    """Every NBC face containing root and e0, in preorder from root + e0: a
-    face's children add its accepted extensions in ascending element id, each
-    child trying only the extensions after its own.  Yields the engine's live
-    member list (e0 and the root elements first); yields nothing when root is
-    not an NBC face.  A facet is appended to that list and removed again, never
-    pushed.  prune, when given, is called as prune(eng, accepted, i) before the
+def _walk(x, root=frozenset(), force: bool = False, prune=None):
+    """Every face of x containing root and x's apex, in preorder from their
+    union: a face's children add its accepted extensions in ascending element
+    id, each child trying only the extensions after its own.  The faces are
+    NBC faces holding e0 for an NbcComplex, and independent sets for a bare
+    GraphicMatroid.  Yields the engine's live member list (the apex and the
+    root elements first); yields nothing when root is not a face.  A facet is
+    appended to that list and removed again, never pushed.  prune, when
+    given, is called as prune(eng, accepted, i) before the
     face F = eng.members gets its child F + accepted[i], whose subtree holds
     only faces F + accepted[i] + C with C drawn from accepted[i + 1:]; a
     true result skips the child and its subtree, with no push, extensions
@@ -440,13 +445,14 @@ def _walk(x: NbcComplex, root=frozenset(), force: bool = False, prune=None):
             return
 
 
-def _facets_through(x: NbcComplex, root: frozenset, force: bool, what: str):
-    """sigma minus root for every NBC base sigma containing root, lexicographic:
-    the order in which the walk's preorder reaches them.  The member list
-    starts with e0 and the sorted root, so sigma minus root is its tail plus
-    e0 when root lacks it; the union leaves each facet a compact table."""
-    rank = x.matroid.rank
-    apex = frozenset(x.order.ranking[:1])
+def _facets_through(x, root: frozenset, force: bool, what: str):
+    """sigma minus root for every facet sigma of x containing root, an NBC
+    base or, for a bare GraphicMatroid, a base, lexicographic: the order in
+    which the walk's preorder reaches them.  The member list starts with the
+    apex and the sorted root, so sigma minus root is its tail plus the apex
+    when root lacks it; the union leaves each facet a compact table."""
+    rank = x.rank
+    apex = frozenset(_apex(x))
     skip, head = len(root | apex), apex - root
     out = []
     for face in _walk(x, root, force):

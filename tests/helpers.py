@@ -1,8 +1,8 @@
 """Shared test oracles, all deliberately independent of the package's own
 algorithms: acyclicity and components by depth-first search (not union-find),
-spanning trees by matrix-tree with exact rationals, colorings and broken
-circuits by direct brute force, NBC membership and NBC bases also by the
-closure form."""
+spanning trees by matrix-tree with exact rationals, colorings, bases and
+broken circuits by direct brute force, NBC membership and NBC bases also by
+the closure form."""
 
 import itertools
 import random
@@ -91,6 +91,12 @@ def random_multigraphs(count=30, max_vertices=7, max_edges=10, seed=SEED):
         pairs = list(itertools.combinations(range(n), 2))
         out.append(MultiGraph(n, [rng.choice(pairs) for _ in range(rng.randint(0, max_edges))]))
     return out
+
+
+def brute_bases(m, indep, rank):
+    """Every independent subset of 0..m-1 of size rank, by brute force over
+    all of them, in lexicographic order."""
+    return [s for s in map(frozenset, itertools.combinations(range(m), rank)) if indep(s)]
 
 
 def brute_circuits(m, indep):

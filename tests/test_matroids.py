@@ -18,11 +18,14 @@ from nbcwalk import (
     nbc,
 )
 from helpers import (
+    brute_bases,
     brute_circuits,
     brute_nbc_faces,
     graphic_indep,
     random_graph_corpus,
+    random_multigraphs,
     random_orders,
+    spanning_tree_count,
     theta_graph,
     truncated_indep,
 )
@@ -48,28 +51,39 @@ class TestGraphicMatroid:
 
     def test_parallel_pair_is_circuit(self):
         mat = GraphicMatroid(MultiGraph(2, [(0, 1), (0, 1)]))
-        assert mat.circuits() == (frozenset({0, 1}),)
+        assert mat.fundamental_circuit({0}, 1) == frozenset({0, 1})
 
     def test_triangle_circuit(self):
         mat = GraphicMatroid(build_named_graph("complete", 3))
-        assert mat.circuits() == (frozenset({0, 1, 2}),)
+        for e in range(3):
+            assert mat.fundamental_circuit({0, 1, 2} - {e}, e) == frozenset({0, 1, 2})
 
     def test_enumerate_bases_triangle(self):
         mat = GraphicMatroid(build_named_graph("complete", 3))
-        assert [sorted(b) for b in mat.enumerate_bases()] == [[0, 1], [0, 2], [1, 2]]
+        assert [sorted(b) for b in down_up_matrix(mat).index] == [[0, 1], [0, 2], [1, 2]]
 
     def test_enumerate_bases_square(self):
         mat = GraphicMatroid(build_named_graph("cycle", 4))
-        assert len(mat.enumerate_bases()) == 4
+        assert down_up_matrix(mat).size == 4
 
-    def test_enumerate_bases_lexicographic(self):
-        # enumerate_bases relies on the enumeration preorder for this order.
-        for g in random_graph_corpus(count=3):
-            graphic = GraphicMatroid(g)
-            views = [graphic] + [GraphicMatroid(g, r) for r in range(graphic.rank + 1)]
-            for mat in views:
-                bases = mat.enumerate_bases()
-                assert list(bases) == sorted(bases, key=sorted), mat
+    def test_walk_lists_the_bases_in_order(self):
+        """A bare matroid's bases come from nbc's forest walk: at every rank
+        r >= 1 they are the brute-force bases in lexicographic order, and at
+        full rank a connected graph has as many as Kirchhoff's determinant
+        counts.  Rank 0 has only the empty base, which makes no walk."""
+        for g in random_multigraphs(count=60) + random_graph_corpus(count=20):
+            indep = graphic_indep(g)
+            full = GraphicMatroid(g).rank
+            for r in range(1, full + 1):
+                index = down_up_matrix(GraphicMatroid(g, r)).index
+                assert list(index) == sorted(brute_bases(g.edge_count, indep, r), key=sorted), (g, r)
+                if r == full and g.is_connected():
+                    assert len(index) == spanning_tree_count(g), g
+            with pytest.raises(PreconditionError):
+                down_up_matrix(GraphicMatroid(g, 0))
+        for n in (5, 6, 7):
+            g = build_named_graph("complete", n)
+            assert down_up_matrix(GraphicMatroid(g)).size == spanning_tree_count(g) == n ** (n - 2)
 
     def test_fundamental_circuit_none_when_independent(self):
         mat = GraphicMatroid(build_named_graph("complete", 3))
@@ -98,10 +112,7 @@ class TestGraphicMatroid:
 
     def test_circuits_match_brute_force(self):
         for g in random_graph_corpus(count=3, max_edges=8):
-            mat = GraphicMatroid(g)
-            assert sorted(mat.circuits(), key=sorted) == sorted(
-                brute_circuits(g.edge_count, graphic_indep(g)), key=sorted
-            )
+            _assert_closes_every_circuit(GraphicMatroid(g), brute_circuits(g.edge_count, graphic_indep(g)))
 
     def test_rank_matches_brute(self):
         for g in random_graph_corpus(count=2, max_edges=7):
@@ -119,6 +130,14 @@ class TestGraphicMatroid:
         mat = GraphicMatroid(build_named_graph("complete", 3))
         with pytest.raises(PreconditionError):
             mat.is_independent({0, 9})
+
+
+def _assert_closes_every_circuit(mat, circuits):
+    """Each circuit c is the fundamental circuit that any of its elements
+    closes on the rest of c."""
+    for c in circuits:
+        for e in c:
+            assert mat.fundamental_circuit(c - {e}, e) == c, (mat, sorted(c), e)
 
 
 def _subsets(ids):
@@ -150,17 +169,19 @@ class TestTruncatedMatroid:
             mat.is_independent({0, 1, 9})
 
     def test_circuits_add_top_layer(self):
+        # C5 has no cycle below 5 edges, so at rank 2 its circuits are the
+        # ten 3-sets.
         mat = GraphicMatroid(build_named_graph("cycle", 5), 2)
-        circuits = mat.circuits()
-        assert len(circuits) == 10
-        assert all(len(c) == 3 for c in circuits)
+        _assert_closes_every_circuit(mat, map(frozenset, itertools.combinations(range(5), 3)))
 
     def test_circuits_keep_small_inner(self):
         g = MultiGraph(3, [(0, 1), (0, 1), (0, 2), (1, 2)])
         mat = GraphicMatroid(g, 2)
-        circuits = set(mat.circuits())
-        assert frozenset({0, 1}) in circuits
-        assert all(len(c) <= 3 for c in circuits)
+        assert mat.fundamental_circuit({0}, 1) == frozenset({0, 1})
+        for s in map(frozenset, itertools.combinations(range(4), 2)):
+            if mat.is_independent(s):
+                for e in set(range(4)) - s:
+                    assert len(mat.fundamental_circuit(s, e)) <= 3
 
     def test_circuits_match_brute_force(self):
         cases = [(build_named_graph("cycle", 5), (1, 2, 3))]
@@ -170,9 +191,7 @@ class TestTruncatedMatroid:
         for g, ranks in cases:
             for rank in ranks:
                 mat = GraphicMatroid(g, rank)
-                assert sorted(mat.circuits(), key=sorted) == sorted(
-                    brute_circuits(g.edge_count, truncated_indep(g, rank)), key=sorted
-                )
+                _assert_closes_every_circuit(mat, brute_circuits(g.edge_count, truncated_indep(g, rank)))
 
     def test_fundamental_circuit_cases(self):
         square = GraphicMatroid(build_named_graph("cycle", 4), 2)
@@ -184,15 +203,16 @@ class TestTruncatedMatroid:
     def test_untruncated_is_identity(self):
         inner = GraphicMatroid(build_named_graph("cycle", 4))
         mat = GraphicMatroid(inner.graph, inner.rank)
-        assert mat.enumerate_bases() == inner.enumerate_bases()
-        assert mat.circuits() == inner.circuits()
+        assert down_up_matrix(mat).index == down_up_matrix(inner).index
+        for s in map(frozenset, _subsets(range(4))):
+            assert mat.is_independent(s) == inner.is_independent(s)
 
     def test_rank_zero(self):
         mat = GraphicMatroid(build_named_graph("complete", 3), 0)
         assert mat.rank == 0
         assert mat.is_independent(())
         assert not mat.is_independent({0})
-        assert mat.circuits() == tuple(frozenset({e}) for e in range(3))
+        assert all(mat.fundamental_circuit((), e) == frozenset({e}) for e in range(3))
 
     def test_rejects_bad_rank(self):
         k3 = build_named_graph("complete", 3)
@@ -203,25 +223,9 @@ class TestTruncatedMatroid:
 
 
 class TestGuards:
-    def test_circuit_brute_guard(self):
-        g = MultiGraph(16, [(i, j) for i in range(6) for j in range(i + 1, 6)])
-        mat = GraphicMatroid(g)
-        with pytest.raises(SizeGuardError):
-            mat.circuits()
-        assert mat.circuits(force=True)
-
-    def test_enumeration_budget(self):
-        g = build_named_graph("complete", 6)
-        mat = GraphicMatroid(g)
-        assert sum(1 for _ in mat.iter_independent_sets()) > 100
-
     def test_deep_enumeration_is_size_guard(self):
-        # One recursion level per element added, so a 1199-edge path outruns
-        # the interpreter's recursion limit.
         mat = GraphicMatroid(build_named_graph("path", 1200))
-        with pytest.raises(SizeGuardError, match="ground size 1199"):
-            mat.enumerate_bases()
-        with pytest.raises(SizeGuardError, match="ground size 1199"):
+        with pytest.raises(SizeGuardError, match="MAX_NBC_FACES"):
             down_up_matrix(mat)
 
 

@@ -46,12 +46,9 @@ class TestElementOrder:
     def test_identity(self):
         order = ElementOrder.identity(3)
         assert order.ranking == (0, 1, 2)
-        assert order.smallest({1, 2}) == 1
 
     def test_custom_ranking(self):
         order = ElementOrder((2, 0, 1))
-        assert order.smallest({0, 1}) == 0
-        assert order.smallest({0, 1, 2}) == 2
         assert order.positions() == (1, 2, 0)
 
     def test_rejects_non_permutations(self):
@@ -59,10 +56,6 @@ class TestElementOrder:
             ElementOrder((0, 0, 1))
         with pytest.raises(PreconditionError):
             ElementOrder((0, 2))
-
-    def test_smallest_needs_elements(self):
-        with pytest.raises(PreconditionError):
-            ElementOrder.identity(3).smallest(())
 
 
 class TestIsNbc:
@@ -282,10 +275,6 @@ class TestComplexConstruction:
         mat = GraphicMatroid(build_named_graph("complete", 3))
         x = NbcComplex(mat, (2, 0, 1))
         assert x.order.ranking == (2, 0, 1)
-
-    def test_broken_circuits(self):
-        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)))
-        assert x.broken_circuits() == (frozenset({1, 2}),)
 
     def test_facets_cached(self):
         x = NbcComplex(GraphicMatroid(build_named_graph("cycle", 5)))

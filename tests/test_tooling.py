@@ -267,6 +267,21 @@ def test_matroids_defines_one_class():
     assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == ["GraphicMatroid"]
 
 
+def test_matroids_keeps_no_enumerator():
+    # A matroid's bases come from nbc's forest walk, so no second enumerator
+    # sits beside it: matroids.py has no module-level constant to budget one,
+    # and GraphicMatroid no public method past its independence oracle.
+    tree = ast.parse((ROOT / "src" / "nbcwalk" / "matroids.py").read_text(encoding="utf-8"))
+    assert [node for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))] == []
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+    methods = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name in methods if not name.startswith("_")} == {
+        "check_subset",
+        "is_independent",
+        "fundamental_circuit",
+    }
+
+
 def test_graphs_defines_one_polynomial_class():
     # The chromatic polynomial and every by-size count (face numbers,
     # independent sets) are one IntPolynomial: no second sequence class.
