@@ -7,7 +7,6 @@ over the order-smallest edge, so every NBC base contains it.
 """
 
 from nbcwalk import (
-    ElementOrder,
     GraphicMatroid,
     NbcComplex,
     build_named_graph,
@@ -22,7 +21,7 @@ print(f"triangle: {g.vertex_count} vertices, edges {list(g.edges)}")
 
 x = NbcComplex(GraphicMatroid(g))
 circuit = x.matroid.fundamental_circuit({0, 1}, 2)
-broken = circuit - {min(circuit, key=x.order.positions().__getitem__)}
+broken = circuit - {min(circuit, key=x.order.index)}
 print(f"circuits: {[sorted(circuit)]}")
 print(f"broken circuits: {[sorted(broken)]}")
 
@@ -55,9 +54,9 @@ assert f23.total() == count_acyclic_orientations(k23)
 # keeps it NBC: the complex is a cone over it, whichever order picks it.
 k4 = build_named_graph("complete", 4)
 for ranking in (range(6), range(5, -1, -1)):
-    order = ElementOrder(ranking)
-    bases = enumerate_nbc_bases(NbcComplex(GraphicMatroid(k4), order))
-    smallest = order.ranking[0]
-    print(f"K4 under order {list(order.ranking)}: {len(bases)} NBC bases, all holding edge {smallest}")
+    x = NbcComplex(GraphicMatroid(k4), ranking)
+    bases = enumerate_nbc_bases(x)
+    smallest = x.order[0]
+    print(f"K4 under order {list(x.order)}: {len(bases)} NBC bases, all holding edge {smallest}")
     assert len(bases) == 6 and all(smallest in b for b in bases)
 print("all identities check out")

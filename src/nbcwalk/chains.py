@@ -67,8 +67,6 @@ MAX_FACE_SUBSETS = 2_000_000
 _LANCZOS_STEPS = 400
 _RITZ_EVERY = 8
 _RITZ_RESIDUAL = 1e-15
-# Most local walk matrices of one state count solved per eigvalsh call.
-_EIG_BATCH = 512
 
 
 def _as_facets(x, force: bool = False):
@@ -126,13 +124,15 @@ class DownUpWalk:
         return len(self.index)
 
     def positions_of(self, states) -> list:
-        """Map facets to row/column positions, rejecting strangers."""
+        """Map facets, each given as any iterable of element ids, to row/column
+        positions, rejecting strangers and anything that names no facet."""
         where = {s: i for i, s in enumerate(self.index)}
         out = []
         for s in states:
-            if s not in where:
-                raise PreconditionError(f"state {s!r} is not in the matrix index")
-            out.append(where[s])
+            try:
+                out.append(where[frozenset(s)])
+            except (KeyError, TypeError):
+                raise PreconditionError(f"state {s!r} is not in the matrix index") from None
         return out
 
     def entry(self, i: int, j: int) -> Fraction:
@@ -571,9 +571,8 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
     walk is built (enumerated under force); K is derived only in _down_up,
     so a caller that also wants the gap passes one walk to both.  The
     profile of K is computed level by level from integer pair-count stacks,
-    each level's local matrices solved in stacks of one state count, at
-    most _EIG_BATCH per eigvalsh call; _coned then adds the apex elements
-    one at a time."""
+    each level's local matrices of one state count solved by one eigvalsh
+    call; _coned then adds the apex elements one at a time."""
     import numpy as np
 
     walk = x if isinstance(x, DownUpWalk) else _down_up(*_as_facets(x, force))
@@ -586,9 +585,8 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
         denom = dk - k - 1
         seconds = []
         for _, _, c in _pair_count_stacks(rows, k):
-            for lo in range(0, len(c), _EIG_BATCH):
-                vals = np.linalg.eigvalsh(_symmetrized(c[lo : lo + _EIG_BATCH], denom))
-                seconds.append(float(vals[:, -2].max()))
+            vals = np.linalg.eigvalsh(_symmetrized(c, denom))
+            seconds.append(float(vals[:, -2].max()))
         gammas.append(max(seconds))
     # Whether some ridge of K lies in two facets; coning keeps the answer.
     shared = bool((walk.ridge_sizes > 1).any())

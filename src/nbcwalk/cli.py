@@ -49,7 +49,6 @@ from .graphs import (
 )
 from .matroids import GraphicMatroid
 from .nbc import (
-    ElementOrder,
     NbcComplex,
     face_numbers,
     is_log_concave,
@@ -153,7 +152,9 @@ def _csv_ints(text: str, what: str):
 def _resolve_instance(args):
     """Build (graph, order, truncate, weights, canonical-dict) from the flags.
     Order, truncation and weights are read only by a command that takes the
-    flag of that name, from the flag or else the instance file; otherwise None."""
+    flag of that name, from the flag or else the instance file; otherwise None.
+    The order is the list of element ids as given, or None for the identity;
+    NbcComplex checks it."""
     if args.input is not None:
         data = _load_instance_file(args.input)
         graph = _instance_graph(args.input, data)
@@ -177,8 +178,7 @@ def _resolve_instance(args):
         "truncate": truncate,
         "weights": [str(Fraction(w)) for w in weights] if weights is not None else None,
     }
-    order = ElementOrder(order_list) if order_list is not None else ElementOrder.identity(graph.edge_count)
-    return graph, order, truncate, weights, canonical
+    return graph, order_list, truncate, weights, canonical
 
 
 def _instance_graph(path, data) -> MultiGraph:

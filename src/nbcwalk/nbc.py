@@ -60,48 +60,20 @@ MAX_NBC_BASES = 1_000_000
 MAX_NBC_FACES = 2_000_000
 
 
-class ElementOrder:
-    """Total order on ground elements: ranking[0] is the smallest element."""
-
-    __slots__ = ("ranking", "_pos")
-
-    def __init__(self, ranking):
-        ranking = tuple(_integer(x, "a ranking entry") for x in ranking)
-        if sorted(ranking) != list(range(len(ranking))):
-            raise PreconditionError("ranking must be a permutation of 0..m-1")
-        self.ranking = ranking
-        pos = [0] * len(ranking)
-        for i, e in enumerate(ranking):
-            pos[e] = i
-        self._pos = tuple(pos)
-
-    @classmethod
-    def identity(cls, m: int) -> "ElementOrder":
-        return cls(range(m))
-
-    def positions(self) -> tuple:
-        """positions()[e] = rank of element e (0 = smallest)."""
-        return self._pos
-
-    def __len__(self):
-        return len(self.ranking)
-
-    def __repr__(self):
-        return f"ElementOrder({list(self.ranking)})"
-
-
 class NbcComplex:
     """A graphic matroid, truncated or not, plus an element order; faces are
-    the NBC independent sets.  Anything else is refused here, before a walk
+    the NBC independent sets.  The order is any permutation of the element
+    ids, smallest first, kept as the tuple order (None means the identity),
+    so order[0] is e0.  Anything else is refused here, before a walk
     starts."""
 
     def __init__(self, matroid: GraphicMatroid, order=None):
         if not isinstance(matroid, GraphicMatroid):
             raise PreconditionError("NbcComplex needs a graphic matroid or a truncation of one")
-        if order is None:
-            order = ElementOrder.identity(matroid.ground_size)
-        elif not isinstance(order, ElementOrder):
-            order = ElementOrder(order)
+        ids = range(matroid.ground_size) if order is None else order
+        order = tuple(_integer(e, "a ranking entry") for e in ids)
+        if sorted(order) != list(range(len(order))):
+            raise PreconditionError("ranking must be a permutation of 0..m-1")
         if len(order) != matroid.ground_size:
             raise PreconditionError("order length must equal the matroid ground size")
         self.matroid = matroid
@@ -151,7 +123,9 @@ class _GraphicEngine:
     parent of the one that hangs from the other, which is unique because a
     forest holds at most one edge between two vertices.  Each vertex's
     incidences are (order position, neighbour) pairs in ascending position.
-    An engine built with order None walks a bare matroid: positions are the
+    order is the ranking, smallest first, and pos its inverse: positions
+    start as the element ids and the ranking overwrites them.  An engine
+    built with an empty ranking walks a bare matroid: positions are the
     element ids, and no vertex has incidences.
 
     can_add(e) requires the current face to be NBC and to hold e0, the
@@ -197,13 +171,14 @@ class _GraphicEngine:
         nv = graph.vertex_count
         self.m = graph.edge_count
         self.full = trunc_rank
-        self.pos = pos = range(self.m) if order is None else order.positions()
+        self.pos = pos = list(range(self.m))
         self.ends = graph.edges
         self.incidences = [[] for _ in range(nv)]
-        for f in () if order is None else order.ranking:
+        for i, f in enumerate(order):
+            pos[f] = i
             u, v = graph.edges[f]
-            self.incidences[u].append((pos[f], v))
-            self.incidences[v].append((pos[f], u))
+            self.incidences[u].append((i, v))
+            self.incidences[v].append((i, u))
         self.label = list(range(nv))
         self.comp = [[x] for x in range(nv)]
         self.parent = [-1] * nv
@@ -361,18 +336,18 @@ class _GraphicEngine:
 
 def _engine(x):
     """The graphic engine for x, an NbcComplex or a bare GraphicMatroid, at
-    x's rank.  A bare matroid's engine has no order and so no incidences:
-    rules 2 and 3 find no cycle, and it accepts exactly the edges that join
-    two components."""
+    x's rank.  A complex passes its order; a bare matroid passes an empty
+    ranking and so gets no incidences: rules 2 and 3 find no cycle, and it
+    accepts exactly the edges that join two components."""
     if isinstance(x, NbcComplex):
         return _GraphicEngine(x.matroid.graph, x.order, x.rank)
-    return _GraphicEngine(x.graph, None, x.rank)
+    return _GraphicEngine(x.graph, (), x.rank)
 
 
 def _apex(x) -> tuple:
     """Where every walk of x starts: e0, the order-smallest element, for an
     NBC complex, and nothing for a bare matroid, which is no cone."""
-    return x.order.ranking[:1] if isinstance(x, NbcComplex) else ()
+    return x.order[:1] if isinstance(x, NbcComplex) else ()
 
 
 def _root_engine(x, root):
@@ -409,15 +384,17 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
         return
     members, full = eng.members, eng.full
     budget = MAX_NBC_FACES
+    what = "NBC faces" if isinstance(x, NbcComplex) else "independent sets"
+    refusal = f"more than MAX_NBC_FACES={MAX_NBC_FACES} {what} visited"
     if 1 << (full - len(root)) > budget and not force:
-        raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
+        raise SizeGuardError(refusal)
     extensions, push, pop = eng.extensions, eng.push, eng.pop
     cost = 2 if len(members) > len(root) else 1  # e0 was added to root
     frames = []  # per non-full face on the path: [its accepted extensions, next child]
     accepted = [e for e in range(eng.m) if eng.can_add(e)]
     while True:
         if budget < cost and not force:
-            raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
+            raise SizeGuardError(refusal)
         budget -= cost
         yield members
         if len(members) < full:

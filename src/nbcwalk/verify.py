@@ -38,7 +38,6 @@ from .graphs import (
 )
 from .matroids import GraphicMatroid
 from .nbc import (
-    ElementOrder,
     NbcComplex,
     enumerate_nbc_bases,
     extend_to_nbc_base,
@@ -102,7 +101,7 @@ def run_core_suite() -> list:
             m = g.edge_count
             seen = set()
             for perm in itertools.permutations(range(m)):
-                x = NbcComplex(GraphicMatroid(g), ElementOrder(perm))
+                x = NbcComplex(GraphicMatroid(g), perm)
                 seen.add(face_numbers(x).coefficients)
             if len(seen) != 1:
                 return False, f"{label}: face numbers vary across orders: {sorted(seen)}"

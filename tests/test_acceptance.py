@@ -13,7 +13,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from nbcwalk import (
-    ElementOrder,
     GraphicMatroid,
     MultiGraph,
     NbcComplex,
@@ -110,7 +109,7 @@ def test_criterion_01_oracle_equivalence():
             for order in random_orders(m, 10):
                 pos = {e: i for i, e in enumerate(order)}
                 broken = [c - {min(c, key=pos.__getitem__)} for c in circuits]
-                x = NbcComplex(matroid, ElementOrder(order))
+                x = NbcComplex(matroid, order)
                 for s in subsets:
                     expected = indep_of[s] and not any(b <= s for b in broken)
                     assert is_nbc(x, s) == expected, (name, order, sorted(s))
@@ -142,7 +141,7 @@ def test_criterion_03_order_invariance():
                 assert m <= 12, name
                 orders = random_orders(m, 50)
             for order in orders:
-                f = face_numbers(NbcComplex(matroid, ElementOrder(order)))
+                f = face_numbers(NbcComplex(matroid, order))
                 assert f == reference, (name, order)
 
 

@@ -187,8 +187,9 @@ class TestDownUpMatrix:
     def test_positions_of_rejects_strangers(self):
         p = down_up_matrix([{0, 1}])
         assert p.positions_of([frozenset({0, 1})]) == [0]
-        with pytest.raises(PreconditionError):
-            p.positions_of([frozenset({0, 2})])
+        for stranger in (frozenset({0, 2}), 0, [[0], 1]):
+            with pytest.raises(PreconditionError, match="is not in the matrix index"):
+                p.positions_of([stranger])
 
     def test_rejects_mixed_sizes(self):
         with pytest.raises(PreconditionError):
@@ -643,6 +644,16 @@ class TestConductance:
         assert conductance(p, s) == F(1, 2)
         assert neighbor_ratio(p, s) == F(2)
 
+    def test_state_spellings_agree(self):
+        """A state is any iterable of element ids: a set, list or tuple names
+        the same facet as its frozenset."""
+        p = down_up_matrix(NbcComplex(GraphicMatroid(build_named_graph("complete", 3))))
+        gap = spectral_gap(p)
+        for s in (frozenset({0, 1}), {0, 1}, [0, 1], (0, 1)):
+            assert conductance(p, [s]) == F(1, 4)
+            assert neighbor_ratio(p, [s]) == F(1)
+            assert chains.cheeger_chain(p, [s], gap) == (F(1, 4), F(1), True)
+
     def test_requires_doubly_stochastic(self):
         p = local_walk_matrix(NbcComplex(GraphicMatroid(build_named_graph("complete", 3))), ())
         with pytest.raises(PreconditionError, match="conductance needs a doubly stochastic"):
@@ -783,7 +794,7 @@ class TestLocalProfile:
         for g, old in zip(prof.gammas, whole, strict=True):
             assert abs(g - float.fromhex(old)) <= 1e-15
 
-    def test_one_eigvalsh_per_level_state_count_and_chunk(self, monkeypatch):
+    def test_one_eigvalsh_per_level_state_count(self, monkeypatch):
         """The profile solves the local walks of the reduced complex K, the
         bases less the cone apex 0, each once: fewer than the 4297 links of
         the whole complex."""
@@ -801,7 +812,6 @@ class TestLocalProfile:
         for tau, states in links.items():
             key = (len(tau), len(states))
             groups[key] = groups.get(key, 0) + 1
-        chunks = sum(-(-m // chains._EIG_BATCH) for m in groups.values())
         shapes = []
         original = np.linalg.eigvalsh
 
@@ -811,9 +821,9 @@ class TestLocalProfile:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         local_spectral_profile(x)
-        assert len(shapes) <= chunks < len(links)
-        assert all(len(s) == 3 and s[0] <= chains._EIG_BATCH for s in shapes)
-        assert sum(s[0] for s in shapes) == len(links)
+        assert len(shapes) == len(groups) < len(links)
+        assert all(len(s) == 3 for s in shapes)
+        assert sorted(s[0] for s in shapes) == sorted(groups.values())
 
     def test_independence_complex_profiles_nonpositive(self):
         for g in random_graph_corpus(count=3):

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from nbcwalk import (
-    ElementOrder,
     GraphicMatroid,
     IntPolynomial,
     MultiGraph,
@@ -152,7 +151,7 @@ NON_INTEGRAL = {
     "MultiGraph endpoint": (lambda: MultiGraph(2, [(0, 1.5)]), 1.5),
     "build_named_graph": (lambda: build_named_graph("complete", 3.9), 3.9),
     "copy count": (lambda: build_named_graph("disjoint_union_of_copies", "path", 2, 2.5), 2.5),
-    "ElementOrder": (lambda: ElementOrder([0.2, 1.7, 2]), 0.2),
+    "NbcComplex order": (lambda: NbcComplex(GraphicMatroid(_k4()), [0.2, 1.7, 2, 3, 4, 5]), 0.2),
     "GraphicMatroid rank": (lambda: GraphicMatroid(_k4(), 2.9), 2.9),
     "fundamental_circuit": (lambda: GraphicMatroid(_k4()).fundamental_circuit({0}, 1.2), 1.2),
     "is_nbc": (lambda: is_nbc(_k4_complex(), [0.7]), 0.7),
@@ -177,7 +176,7 @@ def test_integral_values_of_other_types_are_accepted():
     assert MultiGraph(np.int64(2), [(0.0, Fraction(1))]) == MultiGraph(2, [(0, 1)])
     assert build_named_graph("complete", 4.0) == build_named_graph("complete", np.int32(4)) == k4
     assert build_named_graph("disjoint_union_of_copies", "path", 2, 3.0).edge_count == 3
-    assert ElementOrder([np.int64(1), 0.0, 2]).ranking == (1, 0, 2)
+    assert NbcComplex(GraphicMatroid(k4), [np.int64(1), 0.0, 2, 3, 4, 5]).order == (1, 0, 2, 3, 4, 5)
     assert GraphicMatroid(k4, 2.0).rank == 2
     assert GraphicMatroid(k4).fundamental_circuit({0, 1}, 3.0) == frozenset({0, 1, 3})
     assert is_nbc(_k4_complex(), [np.int64(0), 1.0])

@@ -225,7 +225,7 @@ class TestTruncatedMatroid:
 class TestGuards:
     def test_deep_enumeration_is_size_guard(self):
         mat = GraphicMatroid(build_named_graph("path", 1200))
-        with pytest.raises(SizeGuardError, match="MAX_NBC_FACES"):
+        with pytest.raises(SizeGuardError, match="MAX_NBC_FACES=2000000 independent sets visited"):
             down_up_matrix(mat)
 
 

@@ -8,7 +8,6 @@ import sys
 import pytest
 
 from nbcwalk import (
-    ElementOrder,
     GraphicMatroid,
     IntPolynomial,
     MultiGraph,
@@ -42,22 +41,6 @@ from helpers import (
 )
 
 
-class TestElementOrder:
-    def test_identity(self):
-        order = ElementOrder.identity(3)
-        assert order.ranking == (0, 1, 2)
-
-    def test_custom_ranking(self):
-        order = ElementOrder((2, 0, 1))
-        assert order.positions() == (1, 2, 0)
-
-    def test_rejects_non_permutations(self):
-        with pytest.raises(PreconditionError):
-            ElementOrder((0, 0, 1))
-        with pytest.raises(PreconditionError):
-            ElementOrder((0, 2))
-
-
 class TestIsNbc:
     def test_triangle_faces(self):
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)))
@@ -75,7 +58,7 @@ class TestIsNbc:
                 assert is_nbc(x, s) == (s in expected)
 
     def test_respects_order(self):
-        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)), ElementOrder((2, 0, 1)))
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)), (2, 0, 1))
         assert is_nbc(x, {1, 2})
         assert not is_nbc(x, {0, 1})
 
@@ -103,7 +86,7 @@ class TestEnumeration:
     def test_engine_matches_bruteforce(self):
         for g in random_graph_corpus(count=6):
             for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 3):
-                x = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
+                x = NbcComplex(GraphicMatroid(g), ranking)
                 faces = brute_nbc_faces(g.edge_count, graphic_indep(g), ranking)
                 rank = x.rank
                 expected = tuple(sorted((f for f in faces if len(f) == rank), key=sorted))
@@ -114,7 +97,7 @@ class TestEnumeration:
         independence, run by the DFS oracle."""
         for g in random_graph_corpus(count=4):
             for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 2):
-                fast = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
+                fast = NbcComplex(GraphicMatroid(g), ranking)
                 bases = _closure_link(g, fast.rank, ranking, ())
                 assert enumerate_nbc_bases(fast) == bases
                 assert face_numbers(fast).coefficients == _down_closure_counts(bases, fast.rank)
@@ -124,7 +107,7 @@ class TestEnumeration:
         for rank in (1, 2, 3, 4):
             for ranking in [tuple(range(5))] + random_orders(5, 3):
                 mat = GraphicMatroid(g, rank)
-                x = NbcComplex(mat, ElementOrder(ranking))
+                x = NbcComplex(mat, ranking)
                 faces = brute_nbc_faces(5, truncated_indep(g, rank), ranking)
                 expected = tuple(sorted((f for f in faces if len(f) == rank), key=sorted))
                 assert enumerate_nbc_bases(x) == expected
@@ -167,7 +150,7 @@ class TestFaceNumbers:
     def test_order_invariance_exhaustive(self):
         g = build_named_graph("cycle", 4)
         seen = {
-            face_numbers(NbcComplex(GraphicMatroid(g), ElementOrder(p))).coefficients
+            face_numbers(NbcComplex(GraphicMatroid(g), p)).coefficients
             for p in itertools.permutations(range(4))
         }
         assert len(seen) == 1
@@ -266,15 +249,34 @@ class TestThetaGraph:
 
 
 class TestComplexConstruction:
+    def test_default_order_is_identity(self):
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)))
+        assert x.order == (0, 1, 2)
+        assert nbc._engine(x).pos == [0, 1, 2]
+
+    def test_engine_inverts_the_ranking(self):
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)), (2, 0, 1))
+        assert nbc._engine(x).pos == [1, 2, 0]
+
+    def test_rejects_non_permutations(self):
+        mat = GraphicMatroid(build_named_graph("complete", 3))
+        with pytest.raises(PreconditionError, match="^ranking must be a permutation of 0..m-1$"):
+            NbcComplex(mat, (0, 0, 1))
+        with pytest.raises(PreconditionError, match="^ranking must be a permutation of 0..m-1$"):
+            NbcComplex(mat, (0, 2))
+        # The integer rule comes first, and the permutation before the length.
+        with pytest.raises(PreconditionError, match="^a ranking entry must be an integer"):
+            NbcComplex(mat, (0, 1.5))
+
     def test_order_length_must_match(self):
         mat = GraphicMatroid(build_named_graph("complete", 3))
-        with pytest.raises(PreconditionError):
-            NbcComplex(mat, ElementOrder((0, 1)))
+        with pytest.raises(PreconditionError, match="^order length must equal the matroid ground size$"):
+            NbcComplex(mat, (0, 1))
 
     def test_accepts_ranking_sequence(self):
         mat = GraphicMatroid(build_named_graph("complete", 3))
-        x = NbcComplex(mat, (2, 0, 1))
-        assert x.order.ranking == (2, 0, 1)
+        x = NbcComplex(mat, iter([2, 0, 1]))
+        assert x.order == (2, 0, 1)
 
     def test_facets_cached(self):
         x = NbcComplex(GraphicMatroid(build_named_graph("cycle", 5)))
@@ -325,7 +327,7 @@ def _pruning_cases():
 def _brute_and_engine(g, rank, ranking):
     """Brute-force faces and the graphic engine's complex."""
     faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
-    return faces, NbcComplex(GraphicMatroid(g, rank), ElementOrder(ranking))
+    return faces, NbcComplex(GraphicMatroid(g, rank), ranking)
 
 
 def _closure_link(g, rank, ranking, tau):
@@ -430,7 +432,7 @@ class TestLongForestPaths:
             inst = build_link_gadget(build_named_graph(kind, *map(int, params)), l, 2)
             g, rank, tau = inst.matroid.graph, inst.matroid.rank, inst.tau
             for ranking in [tuple(range(g.edge_count))] + random_orders(g.edge_count, 1):
-                fast = NbcComplex(inst.matroid, ElementOrder(ranking))
+                fast = NbcComplex(inst.matroid, ranking)
                 link = link_facets(fast, tau)
                 assert link == _closure_link(g, rank, ranking, tau)
                 if l == 1:
@@ -457,7 +459,7 @@ def _check_rooted_forest(eng, g, order):
     parent_edges = []
     for x, p in enumerate(eng.parent):
         if p >= 0:
-            e = order.ranking[eng.ppos[x]]
+            e = order[eng.ppos[x]]
             assert set(g.edges[e]) == {x, p}
             parent_edges.append(e)
     assert sorted(parent_edges) == sorted(eng.members)
@@ -485,8 +487,7 @@ class TestEngineUndo:
         indep = graphic_indep(g)
         longest_reroot = 0
         for ranking in random_orders(g.edge_count, 3):
-            order = ElementOrder(ranking)
-            eng = nbc._GraphicEngine(g, order, rank)
+            eng = nbc._GraphicEngine(g, ranking, rank)
             for _ in range(150):
                 label = eng.label
                 joins = [e for e, (u, v) in enumerate(g.edges) if label[u] != label[v]]
@@ -499,11 +500,11 @@ class TestEngineUndo:
                     eng.push(rng.choice(joins))
                     changed = sum(a != b for a, b in zip(before, eng.parent))
                     longest_reroot = max(longest_reroot, changed)
-                fresh = nbc._GraphicEngine(g, order, rank)
+                fresh = nbc._GraphicEngine(g, ranking, rank)
                 for e in eng.members:
                     fresh.push(e)
                 assert _forest_state(eng) == _forest_state(fresh)
-                _check_rooted_forest(eng, g, order)
+                _check_rooted_forest(eng, g, ranking)
                 face = frozenset(eng.members)
                 if closure_is_nbc(indep, ranking, face):
                     for e in range(g.edge_count):
@@ -522,8 +523,7 @@ class TestCanAddKeepsTheFace:
         rng = random.Random(SEED)
         rank = GraphicMatroid(g).rank
         for ranking in random_orders(g.edge_count, 3):
-            order = ElementOrder(ranking)
-            eng = nbc._GraphicEngine(g, order, rank)
+            eng = nbc._GraphicEngine(g, ranking, rank)
             for _ in range(40):
                 accepted = [e for e in range(g.edge_count) if eng.can_add(e)]
                 if eng.members and (not accepted or rng.random() < 0.3):
@@ -535,7 +535,7 @@ class TestCanAddKeepsTheFace:
                     eng.can_add(e)
                     after = ([list(c) for c in eng.comp], eng.label, eng.members)
                     assert after == before, e
-                    _check_rooted_forest(eng, g, order)
+                    _check_rooted_forest(eng, g, ranking)
 
 
 def _candidate_list_cases():
@@ -567,7 +567,7 @@ class TestCandidateLists:
         monkeypatch.setattr(nbc._GraphicEngine, "extensions", checking)
         rng = random.Random(SEED)
         for g, rank, ranking in _candidate_list_cases():
-            x = NbcComplex(GraphicMatroid(g, rank), ElementOrder(ranking))
+            x = NbcComplex(GraphicMatroid(g, rank), ranking)
             face_numbers(x)
             bases = enumerate_nbc_bases(x)
             for base in rng.sample(bases, min(3, len(bases))):
@@ -642,7 +642,7 @@ class TestExtensionsAgainstAFreshEngine:
         for g in _parallel_multigraphs() + [_parallel_theta()]:
             for rank in range(GraphicMatroid(g).rank + 1):
                 for ranking in random_orders(g.edge_count, 3, seed=SEED + rank):
-                    x = NbcComplex(GraphicMatroid(g, rank), ElementOrder(ranking))
+                    x = NbcComplex(GraphicMatroid(g, rank), ranking)
                     current[0] = x
                     faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
                     bases = _sorted_sets(f for f in faces if len(f) == rank)
@@ -666,7 +666,7 @@ class TestExtensionsAgainstAFreshEngine:
         for g in _parallel_multigraphs() + [build_named_graph("complete", 6)]:
             rank = GraphicMatroid(g).rank
             for ranking in random_orders(g.edge_count, 2):
-                x = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
+                x = NbcComplex(GraphicMatroid(g), ranking)
                 eng = nbc._root_engine(x, frozenset())
                 for _ in range(40):
                     accepted = [e for e in range(g.edge_count) if eng.can_add(e)]
@@ -727,7 +727,7 @@ class TestFacetExtraction:
     def test_links_at_every_face_match_brute_force(self):
         g = build_named_graph("complete", 5)
         for ranking in random_orders(g.edge_count, 2):
-            x = NbcComplex(GraphicMatroid(g), ElementOrder(ranking))
+            x = NbcComplex(GraphicMatroid(g), ranking)
             faces = brute_nbc_faces(g.edge_count, graphic_indep(g), ranking)
             bases = [f for f in faces if len(f) == x.rank]
             e0 = ranking[0]

@@ -260,6 +260,16 @@ def test_nbc_defines_one_engine():
     assert {name: methods for name, methods in engines.items() if methods} == {"_GraphicEngine": protocol}
 
 
+def test_nbc_defines_one_complex_and_one_engine():
+    # An element order is the ranking tuple NbcComplex keeps, so nbc.py has
+    # no order class beside the complex and its engine.
+    tree = ast.parse((ROOT / "src" / "nbcwalk" / "nbc.py").read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == [
+        "NbcComplex",
+        "_GraphicEngine",
+    ]
+
+
 def test_matroids_defines_one_class():
     # Every complex is a graphic matroid at some rank, so one class says it:
     # no generic base for it to subclass and no truncation wrapper around it.
