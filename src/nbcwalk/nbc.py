@@ -30,19 +30,23 @@ child is pushed, and the engine's greedy, Edmonds' algorithm in the
 contraction by that child, bounds what the child's subtree can add.
 
 A complex is built over a graphic matroid, truncated or not, and walked by one
-pure-Python engine that keeps the face as a forest with component labels and
-parent pointers whose rooting is free: push hangs the smaller tree under the
-larger, and pop cuts the edge again.  can_add re-examines only the cycles the
-new edge closes.  It finds their closing edges by scanning the smaller
-component's incidences, kept in order position, up to the new edge's position,
-and re-roots the two trees at the new edge's endpoints, so each cycle's
-minimum takes two climbs to the roots, never a sweep of a component.  An
-inherited candidate whose components the last push left alone skips the cycles
-altogether; any other inherited candidate scans only the cycles through both
-itself and the pushed edge, since every other cycle through it closes the same
-forest path as before the push, where it was already checked.  A push stamps
-the vertices it relabels with a count that is never reused, so telling the
-pushed edge's two sides apart is one comparison.
+pure-Python engine that keeps the face as a forest with component labels, and
+every edge set as an int bit mask indexed by order position: each component
+has the mask of its incidences, and each vertex the mask of its forest path to
+its tree's root, under whatever rooting its pushes left.  push merges the
+smaller tree into the larger with one OR and one XOR per relabelled vertex,
+and pop undoes both.  can_add re-examines only the cycles the new edge closes:
+their closing edges are the two components' shared incidences below the new
+edge, and such an edge is its cycle's minimum iff the XOR of path masks that
+is the cycle's forest part has no bit below its own, a few integer ANDs with
+no tree climb and no component scan.  An inherited candidate whose components
+the last push left alone skips the cycles altogether; any other inherited
+candidate tests only the cycles through both itself and the pushed edge,
+since every other cycle through it closes the same forest path as before the
+push, where it was already checked.  Those come from the incidences of the
+pushed edge's far side, and the pushed edge's bit in a vertex's path mask
+tells which side the vertex is on.  Refusals that need only the rank come
+before an engine is built, since its masks cost O((n + rank) * m) bits.
 
 The same walk lists a bare graphic matroid's independent sets, and so its
 bases, the spanning-tree complex chains walks on.  Its engine has no cycle
@@ -107,26 +111,26 @@ def is_log_concave(f) -> bool:
 class _GraphicEngine:
     """Incremental NBC-face state for (possibly truncated) graphic matroids.
 
-    The face is a forest.  Every vertex carries a component label and every
-    label a member list, and every vertex points at its parent in some rooting
-    of its tree: parent[x] is -1 at a root, and ppos[x] is the order position
-    of the edge from x to its parent, -1 at a root, so every climb stops
-    there.  The rooting carries no information, and any method may change it:
-    _hang(s, p, pp) reverses the parent chain from s to its root, making s the
-    root of its tree, then hangs s under p through an edge at position pp (or
-    leaves it a root when p is -1).  push(e) relabels the smaller of the two
-    components e joins, stamps each relabelled vertex with the push count
-    tick, which grows and is never reused, and hangs the small tree from e's
-    endpoint s under the other endpoint, recording (big, small, old_len): the
-    two sides of e are comp[big][:old_len] and comp[big][old_len:].  pop()
-    relabels the small side back and cuts e: of e's endpoints, it clears the
-    parent of the one that hangs from the other, which is unique because a
-    forest holds at most one edge between two vertices.  Each vertex's
-    incidences are (order position, neighbour) pairs in ascending position.
-    order is the ranking, smallest first, and pos its inverse: positions
-    start as the element ids and the ranking overwrites them.  An engine
-    built with an empty ranking walks a bare matroid: positions are the
-    element ids, and no vertex has incidences.
+    The face is a forest, and the engine keeps its edge sets as int bit
+    masks, element f at bit pos[f], its order position.  order is the
+    ranking, smallest first, pos its inverse (positions start as the element
+    ids and the ranking overwrites them), and ends_at[p] the endpoints of the
+    element at position p.  Every vertex carries a component label, and every
+    label a member list and inc[label], the mask of the elements with an
+    endpoint in that component.  path[x] is the mask of the forest edges from
+    x to the root of its tree under some rooting, so path[x] ^ path[y] is the
+    forest path between x and y whatever the rooting.  push(e = uv) relabels
+    the smaller of the two components e joins, ORs its incidences into the
+    larger one's, and re-roots it through e at the larger tree's root: every
+    relabelled x takes path[x] ^= k for the one constant
+    k = path[u] ^ path[v] ^ bit(e), since x's new path runs to its end of e,
+    over e, and from the other end to the root.  It records
+    (big, small, old inc[big], k); comp[small] still lists the relabelled
+    side, and pop() relabels it back, XORs k out of it, cuts it from
+    comp[big] and restores inc[big].  An engine built with an empty ranking
+    walks a bare matroid: positions are the element ids, and every inc is 0.
+    A mask holds at most m bits, so an engine costs O((n + full) * m) bits:
+    n incidence and path masks, and two masks per push on its record.
 
     can_add(e) requires the current face to be NBC and to hold e0, the
     order-smallest element, unless e is e0; every face the walk reaches holds
@@ -134,17 +138,17 @@ class _GraphicEngine:
     element are the cycles through e: a truncation's size circuits all hold
     e0, which face + e holds.  It applies, in order:
 
-    1. Reject a full face and an e inside one component; an e already in the
-       face has both endpoints in one component, so this rejects it too.
-    2. An absent edge f that closes a cycle through e joins e's two components,
-       and e lies on that cycle, so f can be its minimum only if
-       pos[f] < pos[e].  Scan the smaller component's incidences, each up to
-       pos[e], for such candidates; with none, accept.
-    3. Otherwise make e's endpoints u and v the roots of their trees.  A
-       candidate f = xy closes the cycle x ... u, e, v ... y, whose two forest
-       sides are the climbs from x and from y to their roots.  Climb each
-       side, stopping at the first edge at or below pos[f]; reject e if both
-       climbs reach their roots.
+    1. Reject a full face and an e = uv inside one component; an e already
+       in the face has both endpoints in one component, so this rejects it
+       too.
+    2. An absent edge f that closes a cycle through e joins e's two
+       components, and e lies on that cycle, so f can be its minimum only if
+       pos[f] < pos[e]: the candidates are inc[label u] & inc[label v] below
+       bit(e).  With none, accept.
+    3. A candidate f = xy, x on u's side, closes the cycle x ... u, e,
+       v ... y, whose forest edges are path[x] ^ path[u] and
+       path[y] ^ path[v].  f is the cycle's minimum iff neither mask has a
+       bit below bit(f); reject e if some candidate is.
 
     extensions(cand) is can_add over a list that the face P before the last
     push accepted in full, where F = P + a is the face now.  Take e = uv with
@@ -161,10 +165,10 @@ class _GraphicEngine:
     M and y in B, whose forest path from x to u avoids a, is the cycle it was
     at P; only the cycles through both a and e are new, those with x on the
     side of a away from u.  Such an f is the cycle's minimum only if it lies
-    below both a and e.  So scan the incidences of the smaller of that side
-    and B, each up to min(pos[a], pos[e]), and climb as rule 3 does.  The
-    side test needs no set: right after the push, x lies on the relabelled
-    side iff stamp[x] == tick, and extensions runs only then.
+    below both a and e.  The relabelled side's paths now run through a, so u
+    lies there iff path[u] holds bit(a), and the far side's incidences are
+    then the saved old inc[big], and otherwise inc[small]; rule 3 tests the
+    candidates that mask shares with inc[B] below both bits.
     """
 
     def __init__(self, graph, order, trunc_rank: int):
@@ -172,26 +176,19 @@ class _GraphicEngine:
         self.m = graph.edge_count
         self.full = trunc_rank
         self.pos = pos = list(range(self.m))
-        self.ends = graph.edges
-        self.incidences = [[] for _ in range(nv)]
+        self.ends = ends = graph.edges
+        self.ends_at = [ends[f] for f in order]
+        self.inc = inc = [0] * nv
         for i, f in enumerate(order):
             pos[f] = i
-            u, v = graph.edges[f]
-            self.incidences[u].append((i, v))
-            self.incidences[v].append((i, u))
+            u, v = ends[f]
+            inc[u] |= 1 << i
+            inc[v] |= 1 << i
         self.label = list(range(nv))
         self.comp = [[x] for x in range(nv)]
-        self.parent = [-1] * nv
-        self.ppos = [-1] * nv
-        self.stamp = [0] * nv
-        self.tick = 0
+        self.path = [0] * nv
         self.members = []
         self._merges = []
-
-    def _hang(self, s: int, p: int, pp: int):
-        parent, ppos = self.parent, self.ppos
-        while s >= 0:
-            parent[s], ppos[s], s, p, pp = p, pp, parent[s], s, ppos[s]
 
     def can_add(self, e: int) -> bool:
         """True iff the current face (assumed NBC, and holding e0 unless e is
@@ -200,51 +197,39 @@ class _GraphicEngine:
             return False
         u, v = self.ends[e]
         label = self.label
-        small, big = label[u], label[v]
-        if small == big:
+        lu, lv = label[u], label[v]
+        if lu == lv:
             return False
-        pos_e = self.pos[e]
-        if len(self.comp[small]) > len(self.comp[big]):
-            small, big = big, small
-        incidences = self.incidences
-        cand = []
-        for x in self.comp[small]:
-            for pf, y in incidences[x]:
-                if pf >= pos_e:
-                    break
-                if label[y] == big:
-                    cand.append((pf, x, y))
-        return not cand or self._no_absent_minimum(u, v, cand)
+        cand = self.inc[lu] & self.inc[lv] & ((1 << self.pos[e]) - 1)
+        return not cand or self._no_absent_minimum(u, v, lu, cand)
 
-    def _no_absent_minimum(self, u: int, v: int, cand) -> bool:
-        """Rule 3: root the trees at u and v; True iff every (pf, x, y) in
-        cand, an absent edge at position pf closing a cycle through uv, has
-        a forest edge at or below pf on the climb from x or from y."""
-        self._hang(u, -1, -1)
-        self._hang(v, -1, -1)
-        parent, ppos = self.parent, self.ppos
-        for pf, x, y in cand:
-            for z in (x, y):
-                while ppos[z] > pf:
-                    z = parent[z]
-                if ppos[z] >= 0:
-                    break  # this side's path has an edge at or below f
-            else:
+    def _no_absent_minimum(self, u: int, v: int, lu: int, cand: int) -> bool:
+        """Rule 3: True iff no absent edge in the mask cand, each joining u's
+        component (label lu) to v's, is the minimum of the cycle it closes
+        through uv: a forest edge below it lies on the path from its end to u
+        or from its other end to v."""
+        path, ends_at, label = self.path, self.ends_at, self.label
+        pu, pv = path[u], path[v]
+        while cand:
+            low = cand & -cand
+            x, y = ends_at[low.bit_length() - 1]
+            if label[x] != lu:
+                x, y = y, x
+            if not ((path[x] ^ pu) | (path[y] ^ pv)) & (low - 1):
                 return False
+            cand ^= low
         return True
 
     def extensions(self, cand) -> list:
         """The elements of cand that can_add accepts, in cand's order.  The
         face before the last push accepted all of cand, so an e whose
-        components that push left alone is accepted without a cycle scan,
-        and any other e scans only the cycles through the pushed edge.  The
+        components that push left alone is accepted without a cycle test,
+        and any other e tests only the cycles through the pushed edge.  The
         walk calls it only right after a push, on a face below full size."""
-        big, _, old_len = self._merges[-1]
-        pos_a = self.pos[self.members[-1]]
-        label, ends, pos, comp = self.label, self.ends, self.pos, self.comp
-        stamp, tick, incidences = self.stamp, self.tick, self.incidences
-        grown = comp[big]
-        moved = len(grown) - old_len
+        big, small, old_inc, _ = self._merges[-1]
+        bit_a = 1 << self.pos[self.members[-1]]
+        below_a = bit_a - 1
+        label, ends, pos, inc, path = self.label, self.ends, self.pos, self.inc, self.path
         out = []
         for e in cand:
             u, v = ends[e]
@@ -256,58 +241,36 @@ class _GraphicEngine:
                 continue
             if lv == big:
                 u, v, lv = v, u, lu
-            flip = stamp[u] == tick  # u was relabelled, so a's side away from u is the old part
-            far = comp[lv]
-            bound = pos[e]
-            if bound > pos_a:
-                bound = pos_a
-            found = []
-            if (old_len if flip else moved) <= len(far):
-                for x in grown[:old_len] if flip else grown[old_len:]:
-                    for pf, y in incidences[x]:
-                        if pf >= bound:
-                            break
-                        if label[y] == lv:
-                            found.append((pf, x, y))
-            else:
-                for y in far:
-                    for pf, x in incidences[y]:
-                        if pf >= bound:
-                            break
-                        if label[x] == big and (stamp[x] == tick) != flip:
-                            found.append((pf, x, y))
-            if not found or self._no_absent_minimum(u, v, found):
+            far = old_inc if path[u] & bit_a else inc[small]
+            found = far & inc[lv] & below_a & ((1 << pos[e]) - 1)
+            if not found or self._no_absent_minimum(u, v, big, found):
                 out.append(e)
         return out
 
     def push(self, e: int):
         u, v = self.ends[e]
-        label, comp = self.label, self.comp
-        big, small, s, t = label[u], label[v], v, u
+        label, comp, inc, path = self.label, self.comp, self.inc, self.path
+        big, small = label[u], label[v]
         if len(comp[big]) < len(comp[small]):
-            big, small, s, t = small, big, u, v
-        grown = comp[big]
-        self._merges.append((big, small, len(grown)))
-        self.tick = tick = self.tick + 1
-        stamp = self.stamp
+            big, small = small, big
+        k = path[u] ^ path[v] ^ (1 << self.pos[e])
+        self._merges.append((big, small, inc[big], k))
+        inc[big] |= inc[small]
         for x in comp[small]:
             label[x] = big
-            stamp[x] = tick
-        grown.extend(comp[small])
-        self._hang(s, t, self.pos[e])
+            path[x] ^= k
+        comp[big].extend(comp[small])
         self.members.append(e)
 
     def pop(self):
-        e = self.members.pop()
-        big, small, old_len = self._merges.pop()
-        grown = self.comp[big]
-        label = self.label
-        for x in grown[old_len:]:
+        self.members.pop()
+        big, small, old_inc, k = self._merges.pop()
+        self.inc[big] = old_inc
+        label, path, moved = self.label, self.path, self.comp[small]
+        for x in moved:
             label[x] = small
-        del grown[old_len:]
-        u, v = self.ends[e]
-        x = u if self.parent[u] == v else v
-        self.parent[x] = self.ppos[x] = -1
+            path[x] ^= k
+        del self.comp[big][-len(moved) :]
 
     def greedy(self, e: int, ranked, need: int) -> list:
         """Edmonds' greedy in the contraction by face + e: the first need
@@ -376,18 +339,18 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
     true result skips the child and its subtree, with no push, extensions
     or pop.  MAX_NBC_FACES caps the faces containing root: when root lacks e0,
     each face yielded stands for two, itself and itself minus e0.  The cap
-    refuses before the first yield when 2^(full - |root|) exceeds it, since
-    the complex is pure and the subsets of one facet through root already
-    number that many."""
+    refuses before an engine is built, and so before root is checked, when
+    2^(rank - |root|) exceeds it, since the complex is pure and the subsets
+    of one facet through root already number that many."""
+    budget = MAX_NBC_FACES
+    what = "NBC faces" if isinstance(x, NbcComplex) else "independent sets"
+    refusal = f"more than MAX_NBC_FACES={MAX_NBC_FACES} {what} visited"
+    if 1 << max(x.rank - len(root), 0) > budget and not force:
+        raise SizeGuardError(refusal)
     eng = _root_engine(x, root)
     if eng is None:
         return
     members, full = eng.members, eng.full
-    budget = MAX_NBC_FACES
-    what = "NBC faces" if isinstance(x, NbcComplex) else "independent sets"
-    refusal = f"more than MAX_NBC_FACES={MAX_NBC_FACES} {what} visited"
-    if 1 << (full - len(root)) > budget and not force:
-        raise SizeGuardError(refusal)
     extensions, push, pop = eng.extensions, eng.push, eng.pop
     cost = 2 if len(members) > len(root) else 1  # e0 was added to root
     frames = []  # per non-full face on the path: [its accepted extensions, next child]
@@ -473,14 +436,15 @@ def extend_to_nbc_base(x: NbcComplex, i, force: bool = False) -> frozenset:
     the face walk reaches from i.  The walk's first path adds, in ascending
     id, each element the face at hand accepts: an id rejected once stays
     rejected (the complex is closed under subsets), and the complex is pure,
-    so one ascending scan finds the base."""
+    so one ascending scan finds the base.  Its path of rank - |i| + 1 faces
+    is checked against MAX_NBC_FACES before an engine is built."""
     root = x.matroid.check_subset(i)
+    if x.rank - len(root) >= MAX_NBC_FACES and not force:
+        raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
     eng = _root_engine(x, root)
     if eng is None:
         raise PreconditionError("the given set is not an NBC face")
     members = eng.members
-    if eng.full - len(root) >= MAX_NBC_FACES and not force:
-        raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
     for e in range(eng.m):
         if eng.can_add(e):
             eng.push(e)

@@ -2,8 +2,11 @@
 extension, and the equivalence of the incremental engine with brute force."""
 
 import itertools
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from nbcwalk import (
     VerificationError,
     build_link_gadget,
     build_named_graph,
+    chromatic_polynomial,
     cli,
     enumerate_nbc_bases,
     extend_to_nbc_base,
@@ -453,23 +457,34 @@ def _forest_state(eng):
     return eng.label, eng.comp
 
 
-def _check_rooted_forest(eng, g, order):
-    """The parent edges are exactly the face, each with its order position,
-    and every vertex climbs to a root carrying its own component label."""
-    parent_edges = []
-    for x, p in enumerate(eng.parent):
-        if p >= 0:
-            e = order[eng.ppos[x]]
-            assert set(g.edges[e]) == {x, p}
-            parent_edges.append(e)
-    assert sorted(parent_edges) == sorted(eng.members)
+def _engine_state(eng):
+    """A copy of everything the engine keeps about its face."""
+    return [list(c) for c in eng.comp], list(eng.label), list(eng.members), list(eng.path), list(eng.inc)
+
+
+def _check_masks(eng, g, order):
+    """path[x] ^ path[y] is the position mask of the forest path between x
+    and y, found by a search over the face, and inc of every live label is
+    the mask of the elements with an endpoint in its component."""
+    bit = {e: 1 << i for i, e in enumerate(order)}
+    adjacent = [[] for _ in range(g.vertex_count)]
+    for e in eng.members:
+        u, v = g.edges[e]
+        adjacent[u].append((v, bit[e]))
+        adjacent[v].append((u, bit[e]))
     for x in range(g.vertex_count):
-        root = x
-        for _ in range(g.vertex_count):
-            if eng.parent[root] < 0:
-                break
-            root = eng.parent[root]
-        assert eng.parent[root] < 0 and eng.label[root] == eng.label[x]
+        found, queue = {x: 0}, [x]
+        for y in queue:
+            for z, b in adjacent[y]:
+                if z not in found:
+                    found[z] = found[y] | b
+                    queue.append(z)
+        assert set(found) == {y for y, lab in enumerate(eng.label) if lab == eng.label[x]}
+        for y, mask in found.items():
+            assert eng.path[x] ^ eng.path[y] == mask, (x, y)
+    for lab in set(eng.label):
+        touching = [e for e, (u, v) in enumerate(g.edges) if lab in (eng.label[u], eng.label[v])]
+        assert eng.inc[lab] == sum(bit[e] for e in touching)
 
 
 class TestEngineUndo:
@@ -479,13 +494,13 @@ class TestEngineUndo:
     def test_push_pop_matches_a_fresh_engine(self, g):
         """After any run of pushes and pops, the component labels and member
         lists are the ones a fresh engine reaches by pushing the same members,
-        the parent pointers root the face (their rooting depends on the
-        history), and can_add still agrees with the closure-form oracle on
-        every NBC face along the way."""
+        the path and incidence masks describe the face (the paths' rooting
+        depends on the history), and can_add still agrees with the
+        closure-form oracle on every NBC face along the way."""
         rng = random.Random(SEED)
         rank = GraphicMatroid(g).rank
         indep = graphic_indep(g)
-        longest_reroot = 0
+        rerooted = False
         for ranking in random_orders(g.edge_count, 3):
             eng = nbc._GraphicEngine(g, ranking, rank)
             for _ in range(150):
@@ -496,21 +511,21 @@ class TestEngineUndo:
                 if eng.members and (not joins or rng.random() < 0.35):
                     eng.pop()
                 else:
-                    before = list(eng.parent)
-                    eng.push(rng.choice(joins))
-                    changed = sum(a != b for a, b in zip(before, eng.parent))
-                    longest_reroot = max(longest_reroot, changed)
+                    e = rng.choice(joins)
+                    eng.push(e)
+                    # k holds more than e's own bit when an endpoint of e was no root
+                    rerooted |= eng._merges[-1][-1] != 1 << eng.pos[e]
                 fresh = nbc._GraphicEngine(g, ranking, rank)
                 for e in eng.members:
                     fresh.push(e)
                 assert _forest_state(eng) == _forest_state(fresh)
-                _check_rooted_forest(eng, g, ranking)
+                _check_masks(eng, g, ranking)
                 face = frozenset(eng.members)
                 if closure_is_nbc(indep, ranking, face):
                     for e in range(g.edge_count):
                         expected = e not in face and closure_is_nbc(indep, ranking, face | {e})
                         assert eng.can_add(e) == expected, (face, e)
-        assert longest_reroot >= 2  # some push re-rooted a component at a non-root vertex
+        assert rerooted
 
 
 class TestCanAddKeepsTheFace:
@@ -518,8 +533,9 @@ class TestCanAddKeepsTheFace:
         "g", LONG_PATH_GRAPHS + (build_named_graph("complete", 6),), ids=["theta", "chorded", "k6"]
     )
     def test_can_add_changes_only_the_rooting(self, g):
-        """can_add may re-root trees, but leaves the labels, member lists and
-        face as they were, and the parent pointers still root the face."""
+        """can_add reads the engine and changes nothing, not even the rooting
+        behind the path masks: labels, member lists, face and masks stay as
+        they were, and the masks still describe the face."""
         rng = random.Random(SEED)
         rank = GraphicMatroid(g).rank
         for ranking in random_orders(g.edge_count, 3):
@@ -530,12 +546,11 @@ class TestCanAddKeepsTheFace:
                     eng.pop()
                     continue
                 eng.push(rng.choice(accepted))
-                before = ([list(c) for c in eng.comp], list(eng.label), list(eng.members))
+                before = _engine_state(eng)
                 for e in rng.sample(range(g.edge_count), g.edge_count):
                     eng.can_add(e)
-                    after = ([list(c) for c in eng.comp], eng.label, eng.members)
-                    assert after == before, e
-                    _check_rooted_forest(eng, g, ranking)
+                    assert _engine_state(eng) == before, e
+                _check_masks(eng, g, ranking)
 
 
 def _candidate_list_cases():
@@ -613,16 +628,16 @@ def _parallel_multigraphs(count=8, seed=SEED):
 
 def _fresh_engine(x, members):
     """An engine built anew for the face members[:-1] and then pushed the
-    last member, so it shares no labels, stamps or rooting with a walk's."""
+    last member, so it shares no labels, masks or rooting with a walk's."""
     eng = nbc._root_engine(x, frozenset(members[:-1]))
     eng.push(members[-1])
     return eng
 
 
 class TestExtensionsAgainstAFreshEngine:
-    """extensions scans only the cycles through the last pushed edge and
-    tells the pushed edge's two sides apart by push stamps; a fresh engine's
-    can_add scans every cycle."""
+    """extensions tests only the cycles through the last pushed edge and
+    tells the pushed edge's two sides apart by that edge's bit in the path
+    masks; a fresh engine's can_add tests every cycle."""
 
     def test_every_face_the_walk_reaches(self, monkeypatch):
         original = nbc._GraphicEngine.extensions
@@ -657,10 +672,10 @@ class TestExtensionsAgainstAFreshEngine:
         assert calls[0] > 2500
         assert cut[0] > 200  # candidates rejected by a new cycle through the pushed edge
 
-    def test_a_push_after_a_pop_reads_only_its_own_stamps(self):
-        """Push a, pop it, push b: the stamps that read as this push's are
-        exactly the vertices b's push relabelled, and extensions still agrees
-        with a fresh engine."""
+    def test_a_push_after_a_pop_reads_only_its_own_side_bit(self):
+        """Push a, pop it, push b: the paths holding b's bit are exactly those
+        of the vertices b's push relabelled, no path holds a's bit, and
+        extensions still agrees with a fresh engine."""
         rng = random.Random(SEED)
         checked = 0
         for g in _parallel_multigraphs() + [build_named_graph("complete", 6)]:
@@ -676,12 +691,14 @@ class TestExtensionsAgainstAFreshEngine:
                         eng.pop()
                         continue
                     a, b = rng.sample(accepted, 2)
+                    labels = list(eng.label)
                     eng.push(a)
                     eng.pop()
                     eng.push(b)
-                    big, _, old_len = eng._merges[-1]
-                    stamped = {y for y, t in enumerate(eng.stamp) if t == eng.tick}
-                    assert stamped == set(eng.comp[big][old_len:])
+                    relabelled = {y for y, lab in enumerate(eng.label) if lab != labels[y]}
+                    bit_a, bit_b = (1 << eng.pos[e] for e in (a, b))
+                    assert not any(p & bit_a for p in eng.path)
+                    assert {y for y, p in enumerate(eng.path) if p & bit_b} == relabelled
                     rest = [e for e in accepted if e != b]
                     fresh = _fresh_engine(x, eng.members)
                     assert eng.extensions(rest) == [e for e in rest if fresh.can_add(e)]
@@ -689,35 +706,38 @@ class TestExtensionsAgainstAFreshEngine:
         assert checked > 300
 
 
-class _CountingIncidences(list):
-    """An engine's incidence lists, counting every entry a scan reads."""
-
-    def __init__(self, lists, reads):
-        super().__init__(lists)
-        self.reads = reads
-
-    def __getitem__(self, x):
-        for entry in list.__getitem__(self, x):
-            self.reads[0] += 1
-            yield entry
-
-
 class TestScanWork:
-    def test_k8_face_numbers_read_fewer_incidence_entries(self, monkeypatch):
-        reads, real = [0], nbc._engine
+    def test_k8_extensions_test_fewer_candidate_bits(self, monkeypatch):
+        """On K8's face numbers, the candidate bits extensions hands to rule 3
+        (the cycles through the pushed edge) are far fewer than the ones
+        can_add would hand it (every cycle through the candidate) for the
+        candidates whose components the push touched."""
+        extensions, rule3 = nbc._GraphicEngine.extensions, nbc._GraphicEngine._no_absent_minimum
+        tested, full, inside = [0], [0], [False]
 
-        def counting(x):
-            eng = real(x)
-            eng.incidences = _CountingIncidences(eng.incidences, reads)
-            return eng
+        def counted_rule3(self, u, v, lu, cand):
+            tested[0] += inside[0] * cand.bit_count()
+            return rule3(self, u, v, lu, cand)
 
-        monkeypatch.setattr(nbc, "_engine", counting)
+        def counted_extensions(self, cand):
+            big, label, inc = self._merges[-1][0], self.label, self.inc
+            for e in cand:
+                lu, lv = (label[x] for x in self.ends[e])
+                if lu != lv and big in (lu, lv):
+                    full[0] += (inc[lu] & inc[lv] & ((1 << self.pos[e]) - 1)).bit_count()
+            inside[0] = True
+            try:
+                return extensions(self, cand)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(nbc._GraphicEngine, "_no_absent_minimum", counted_rule3)
+        monkeypatch.setattr(nbc._GraphicEngine, "extensions", counted_extensions)
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
         assert face_numbers(x).coefficients == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
-        # Scanning a touched candidate's whole smaller component up to its own
-        # position reads 188574 entries here; the cycles through the pushed
-        # edge alone read 132070.
-        assert reads[0] < 188574
+        # can_add would hand rule 3 113699 candidate bits here; the cycles
+        # through the pushed edge alone take 54137.
+        assert tested[0] < full[0] // 2
 
 
 class TestFacetExtraction:
@@ -828,7 +848,11 @@ def _walk_pushes(monkeypatch):
 class TestFaceBudgetUpFront:
     """The complex is pure, so a root face with k levels below it lies under
     2^k faces; the walk refuses before its first step when that already
-    passes MAX_NBC_FACES."""
+    passes MAX_NBC_FACES.  That needs only the rank, so it comes before an
+    engine, whose masks cost O((n + rank) * m) bits, is built, and so before
+    the root is checked: a root that is no face exits 3 then, not 2."""
+
+    REFUSAL = f"error: more than MAX_NBC_FACES={nbc.MAX_NBC_FACES} NBC faces visited\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -836,14 +860,42 @@ class TestFaceBudgetUpFront:
             "face-numbers --graph path:1200",
             "face-numbers --graph path:22",
             "link --graph path:300 --tau 0",
+            "link --graph complete:25 --tau 0,1,24",  # a triangle tau, so no face
         ],
     )
     def test_refuses_without_a_push(self, argv, monkeypatch, capsys):
-        pushes = _walk_pushes(monkeypatch)
+        built = []  # no engine, so no push
+        monkeypatch.setattr(nbc, "_engine", built.append)
         assert cli.main(argv.split()) == 3
-        err = capsys.readouterr().err
-        assert err == f"error: more than MAX_NBC_FACES={nbc.MAX_NBC_FACES} NBC faces visited\n"
-        assert pushes == []
+        assert capsys.readouterr().err == self.REFUSAL
+        assert built == []
+
+    def test_extension_refuses_before_the_face_check(self, monkeypatch):
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 25)))
+        triangle = {0, 1, 24}  # edges 01, 02 and 12
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", x.rank - len(triangle))
+        with pytest.raises(SizeGuardError):
+            extend_to_nbc_base(x, triangle)
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", x.rank - len(triangle) + 1)
+        with pytest.raises(PreconditionError, match="not an NBC face"):
+            extend_to_nbc_base(x, triangle)
+
+    @pytest.mark.parametrize("argv", ["face-numbers --graph path:200000", "link --graph path:200000 --tau 0"])
+    def test_a_long_path_refuses_within_a_gigabyte(self, argv):
+        """A child interpreter under a 1 GiB address-space limit and a time
+        limit, one at a time: masks for path:200000 would need gigabytes."""
+        limit = 1 << 30
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from nbcwalk import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(nbc.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv.split()], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stderr, done.stdout) == (3, self.REFUSAL, "")
 
     def test_boundary(self, monkeypatch):
         pushes = _walk_pushes(monkeypatch)
@@ -1015,3 +1067,62 @@ class TestTruncatedWalk:
                     # ties go to the lexicographically greatest base
                     heaviest = max(bases, key=lambda b: (sum(weights[e] for e in b), sorted(b)))
                     assert max_weight_nbc_base(x, weights) == (heaviest, sum(weights[e] for e in heaviest))
+
+
+def _wide_multigraphs(count=8, seed=SEED):
+    """Seeded random multigraphs on 5 to 7 vertices with 65 to 200 edges,
+    drawn with replacement from a random set of vertex pairs, so an engine's
+    masks span several machine words; some are disconnected."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nv = rng.randint(5, 7)
+        pairs = list(itertools.combinations(range(nv), 2))
+        pairs = rng.sample(pairs, rng.randint(3, len(pairs)))
+        out.append(MultiGraph(nv, [rng.choice(pairs) for _ in range(rng.randint(65, 200))]))
+    return out
+
+
+class TestWideMasks:
+    """Multigraphs of 65 to 200 edges under random orders and truncations,
+    against oracles that share no code with the engine."""
+
+    def test_face_numbers_are_whitney_numbers(self):
+        """At full rank the face numbers are the absolute coefficients of the
+        chromatic polynomial (Whitney); truncated to rank k they keep
+        n_0..n_{k-1}, and n_k counts the faces of size k holding e0, which
+        the pairing F <-> F + e0 makes sum_{j<k} (-1)^(k-1-j) n_j."""
+        rng = random.Random(SEED)
+        for g in _wide_multigraphs():
+            top = GraphicMatroid(g).rank
+            chi = chromatic_polynomial(g, force=True)
+            whitney = tuple(abs(chi[g.vertex_count - k]) for k in range(top + 1))
+            for ranking in random_orders(g.edge_count, 2):
+                x = NbcComplex(GraphicMatroid(g), ranking)
+                assert face_numbers(x).coefficients == whitney
+                k = rng.randint(1, top - 1)
+                x = NbcComplex(GraphicMatroid(g, k), ranking)
+                apex = sum((-1) ** (k - 1 - j) * whitney[j] for j in range(k))
+                assert face_numbers(x).coefficients == (*whitney[:k], apex)
+
+    def test_is_nbc_matches_the_closure_form(self):
+        rng = random.Random(SEED)
+        seen = []
+        for g in _wide_multigraphs():
+            top = GraphicMatroid(g).rank
+            for ranking in random_orders(g.edge_count, 2):
+                # the order-smallest copy of each vertex pair, so that longer
+                # cycles, not parallel pairs, decide most verdicts
+                first = {}
+                for e in reversed(ranking):
+                    first[g.edges[e]] = e
+                for rank in (top, rng.randint(1, top - 1)):
+                    x = NbcComplex(GraphicMatroid(g, rank), ranking)
+                    indep = truncated_indep(g, rank)
+                    for _ in range(40):
+                        pool = sorted(first.values()) if rng.random() < 0.75 else range(g.edge_count)
+                        s = rng.sample(pool, min(len(pool), rng.randint(1, rank + 1)))
+                        verdict = is_nbc(x, s)
+                        assert verdict == closure_is_nbc(indep, ranking, s), (ranking, s)
+                        seen.append(verdict)
+        assert sum(seen) > len(seen) // 4 and not all(seen)  # 525 of 1280 are faces
