@@ -45,8 +45,13 @@ candidate tests only the cycles through both itself and the pushed edge,
 since every other cycle through it closes the same forest path as before the
 push, where it was already checked.  Those come from the incidences of the
 pushed edge's far side, and the pushed edge's bit in a vertex's path mask
-tells which side the vertex is on.  Refusals that need only the rank come
-before an engine is built, since its masks cost O((n + rank) * m) bits.
+tells which side the vertex is on.  On a large sparse graph the incidence
+masks of all n lone vertices would cost O(n * m) bits, so there a lone vertex
+keeps none, and its cycles are read off the ascending positions of its own
+elements.  An engine then holds O(p * m) bits of masks after p pushes, over
+O(m) words of lists, and a walk pushes its root, e0 and at most
+log2(MAX_NBC_FACES) more: refusals that need only the rank come before an
+engine is built.
 
 The same walk lists a bare graphic matroid's independent sets, and so its
 bases, the spanning-tree complex chains walks on.  Its engine has no cycle
@@ -129,8 +134,18 @@ class _GraphicEngine:
     side, and pop() relabels it back, XORs k out of it, cuts it from
     comp[big] and restores inc[big].  An engine built with an empty ranking
     walks a bare matroid: positions are the element ids, and every inc is 0.
-    A mask holds at most m bits, so an engine costs O((n + full) * m) bits:
-    n incidence and path masks, and two masks per push on its record.
+
+    A mask holds at most m bits, and at[x] lists the positions of vertex x's
+    elements in ascending order.  A lone vertex's incidence mask is its star,
+    built from at[x].  When all n stars together take no more bits than the
+    lists take words (64 bits an entry), every lone vertex keeps its star in
+    inc from the start.  Otherwise, as on a large sparse graph, where they
+    would cost O(n * m) bits, none does: its inc is None, push builds the
+    stars it merges, pop puts None back, and can_add and extensions read the
+    elements joining a lone vertex to a component off its list.  Then after
+    p pushes the masks take O(p * m) bits: at most p merged components keep
+    an inc, at most 2p vertices have a nonzero path, and each record holds
+    two masks.
 
     can_add(e) requires the current face to be NBC and to hold e0, the
     order-smallest element, unless e is e0; every face the walk reaches holds
@@ -144,7 +159,8 @@ class _GraphicEngine:
     2. An absent edge f that closes a cycle through e joins e's two
        components, and e lies on that cycle, so f can be its minimum only if
        pos[f] < pos[e]: the candidates are inc[label u] & inc[label v] below
-       bit(e).  With none, accept.
+       bit(e), or the elements below it that join a lone endpoint, read off
+       the shorter list, to the other component.  With none, accept.
     3. A candidate f = xy, x on u's side, closes the cycle x ... u, e,
        v ... y, whose forest edges are path[x] ^ path[u] and
        path[y] ^ path[v].  f is the cycle's minimum iff neither mask has a
@@ -168,7 +184,8 @@ class _GraphicEngine:
     below both a and e.  The relabelled side's paths now run through a, so u
     lies there iff path[u] holds bit(a), and the far side's incidences are
     then the saved old inc[big], and otherwise inc[small]; rule 3 tests the
-    candidates that mask shares with inc[B] below both bits.
+    candidates that mask shares with inc[B] below both bits, reading them off
+    at[v] when B is a lone v that keeps no mask.
     """
 
     def __init__(self, graph, order, trunc_rank: int):
@@ -178,12 +195,15 @@ class _GraphicEngine:
         self.pos = pos = list(range(self.m))
         self.ends = ends = graph.edges
         self.ends_at = [ends[f] for f in order]
-        self.inc = inc = [0] * nv
+        self.at = at = [[] for _ in range(nv)]
         for i, f in enumerate(order):
             pos[f] = i
             u, v = ends[f]
-            inc[u] |= 1 << i
-            inc[v] |= 1 << i
+            at[u].append(i)
+            if v != u:
+                at[v].append(i)
+        width = sum(a[-1] + 1 for a in at if a)
+        self.inc = [_mask(a) for a in at] if width <= 64 * sum(map(len, at)) else [None] * nv
         self.label = list(range(nv))
         self.comp = [[x] for x in range(nv)]
         self.path = [0] * nv
@@ -200,8 +220,34 @@ class _GraphicEngine:
         lu, lv = label[u], label[v]
         if lu == lv:
             return False
-        cand = self.inc[lu] & self.inc[lv] & ((1 << self.pos[e]) - 1)
+        pe, inc = self.pos[e], self.inc
+        if inc[lu] is not None and inc[lv] is not None:
+            cand = inc[lu] & inc[lv] & ((1 << pe) - 1)
+        else:
+            if inc[lu] is not None or (inc[lv] is None and len(self.at[v]) < len(self.at[u])):
+                u, v, lu, lv = v, u, lv, lu
+            cand = self._joins(u, lv, pe)
         return not cand or self._no_absent_minimum(u, v, lu, cand)
+
+    def _inc(self, label: int) -> int:
+        """The incidence mask of label's component: the one inc keeps, or for
+        a lone vertex that keeps none, one built from its position list."""
+        mask = self.inc[label]
+        return _mask(self.at[label]) if mask is None else mask
+
+    def _joins(self, x: int, lab: int, below: int) -> int:
+        """The mask of the elements below position below that join the lone
+        vertex x, which keeps no mask, to the component lab: read off x's
+        ascending position list."""
+        label, ends_at = self.label, self.ends_at
+        out = 0
+        for p in self.at[x]:
+            if p >= below:
+                break
+            y, z = ends_at[p]
+            if label[y] == lab or label[z] == lab:
+                out |= 1 << p
+        return out
 
     def _no_absent_minimum(self, u: int, v: int, lu: int, cand: int) -> bool:
         """Rule 3: True iff no absent edge in the mask cand, each joining u's
@@ -227,7 +273,10 @@ class _GraphicEngine:
         and any other e tests only the cycles through the pushed edge.  The
         walk calls it only right after a push, on a face below full size."""
         big, small, old_inc, _ = self._merges[-1]
-        bit_a = 1 << self.pos[self.members[-1]]
+        old_inc = _mask(self.at[big]) if old_inc is None else old_inc
+        side = self._inc(small)
+        pos_a = self.pos[self.members[-1]]
+        bit_a = 1 << pos_a
         below_a = bit_a - 1
         label, ends, pos, inc, path = self.label, self.ends, self.pos, self.inc, self.path
         out = []
@@ -241,8 +290,11 @@ class _GraphicEngine:
                 continue
             if lv == big:
                 u, v, lv = v, u, lu
-            far = old_inc if path[u] & bit_a else inc[small]
-            found = far & inc[lv] & below_a & ((1 << pos[e]) - 1)
+            far = old_inc if path[u] & bit_a else side
+            if inc[lv] is None:
+                found = far & self._joins(v, big, min(pos_a, pos[e]))
+            else:
+                found = far & inc[lv] & below_a & ((1 << pos[e]) - 1)
             if not found or self._no_absent_minimum(u, v, big, found):
                 out.append(e)
         return out
@@ -254,8 +306,12 @@ class _GraphicEngine:
         if len(comp[big]) < len(comp[small]):
             big, small = small, big
         k = path[u] ^ path[v] ^ (1 << self.pos[e])
-        self._merges.append((big, small, inc[big], k))
-        inc[big] |= inc[small]
+        old = inc[big]
+        self._merges.append((big, small, old, k))
+        if old is None or inc[small] is None:
+            inc[big] = self._inc(big) | self._inc(small)
+        else:
+            inc[big] = old | inc[small]
         for x in comp[small]:
             label[x] = big
             path[x] ^= k
@@ -295,6 +351,11 @@ class _GraphicEngine:
                 up[a] = b
                 out.append(f)
         return out
+
+
+def _mask(positions) -> int:
+    """The int with a bit at each of the distinct positions."""
+    return sum(map((1).__lshift__, positions))
 
 
 def _engine(x):
@@ -437,7 +498,8 @@ def extend_to_nbc_base(x: NbcComplex, i, force: bool = False) -> frozenset:
     id, each element the face at hand accepts: an id rejected once stays
     rejected (the complex is closed under subsets), and the complex is pure,
     so one ascending scan finds the base.  Its path of rank - |i| + 1 faces
-    is checked against MAX_NBC_FACES before an engine is built."""
+    is checked against MAX_NBC_FACES before an engine is built; the engine
+    then holds rank pushes, so O(rank * m) bits of masks."""
     root = x.matroid.check_subset(i)
     if x.rank - len(root) >= MAX_NBC_FACES and not force:
         raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")

@@ -464,8 +464,10 @@ def _engine_state(eng):
 
 def _check_masks(eng, g, order):
     """path[x] ^ path[y] is the position mask of the forest path between x
-    and y, found by a search over the face, and inc of every live label is
-    the mask of the elements with an endpoint in its component."""
+    and y, found by a search over the face, and the incidence mask of every
+    live label is the mask of the elements with an endpoint in its component.
+    A merged component keeps its mask; either every lone vertex keeps one or
+    none does, so a pop leaves no lone vertex's mask behind."""
     bit = {e: 1 << i for i, e in enumerate(order)}
     adjacent = [[] for _ in range(g.vertex_count)]
     for e in eng.members:
@@ -482,9 +484,12 @@ def _check_masks(eng, g, order):
         assert set(found) == {y for y, lab in enumerate(eng.label) if lab == eng.label[x]}
         for y, mask in found.items():
             assert eng.path[x] ^ eng.path[y] == mask, (x, y)
+    lone = {lab for lab in eng.label if eng.label.count(lab) == 1}
+    assert len({eng.inc[lab] is None for lab in lone}) <= 1
     for lab in set(eng.label):
         touching = [e for e, (u, v) in enumerate(g.edges) if lab in (eng.label[u], eng.label[v])]
-        assert eng.inc[lab] == sum(bit[e] for e in touching)
+        assert lab in lone or eng.inc[lab] is not None
+        assert eng._inc(lab) == sum(bit[e] for e in touching)
 
 
 class TestEngineUndo:
@@ -720,11 +725,11 @@ class TestScanWork:
             return rule3(self, u, v, lu, cand)
 
         def counted_extensions(self, cand):
-            big, label, inc = self._merges[-1][0], self.label, self.inc
+            big, label = self._merges[-1][0], self.label
             for e in cand:
                 lu, lv = (label[x] for x in self.ends[e])
                 if lu != lv and big in (lu, lv):
-                    full[0] += (inc[lu] & inc[lv] & ((1 << self.pos[e]) - 1)).bit_count()
+                    full[0] += (self._inc(lu) & self._inc(lv) & ((1 << self.pos[e]) - 1)).bit_count()
             inside[0] = True
             try:
                 return extensions(self, cand)
@@ -849,10 +854,11 @@ class TestFaceBudgetUpFront:
     """The complex is pure, so a root face with k levels below it lies under
     2^k faces; the walk refuses before its first step when that already
     passes MAX_NBC_FACES.  That needs only the rank, so it comes before an
-    engine, whose masks cost O((n + rank) * m) bits, is built, and so before
-    the root is checked: a root that is no face exits 3 then, not 2."""
+    engine is built, and so before the root is checked: a root that is no
+    face exits 3 then, not 2."""
 
     REFUSAL = f"error: more than MAX_NBC_FACES={nbc.MAX_NBC_FACES} NBC faces visited\n"
+    DEEP_TAU = ",".join(map(str, range(199798, 199998)))  # the last 200 edges but one
 
     @pytest.mark.parametrize(
         "argv",
@@ -880,10 +886,23 @@ class TestFaceBudgetUpFront:
         with pytest.raises(PreconditionError, match="not an NBC face"):
             extend_to_nbc_base(x, triangle)
 
-    @pytest.mark.parametrize("argv", ["face-numbers --graph path:200000", "link --graph path:200000 --tau 0"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "face-numbers --graph path:200000",
+            "link --graph path:200000 --tau 0",
+            "face-numbers --graph path:200000 --truncate 3",
+            f"link --graph path:200000 --truncate 203 --tau {DEEP_TAU}",
+        ],
+        ids=["full", "link", "truncated", "deep-tau"],
+    )
     def test_a_long_path_refuses_within_a_gigabyte(self, argv):
         """A child interpreter under a 1 GiB address-space limit and a time
-        limit, one at a time: masks for path:200000 would need gigabytes."""
+        limit, one at a time.  The first two refuse up front.  The truncated
+        walk and the walk below a 200-edge tau pass that check, build an
+        engine and walk until the face budget refuses: an incidence mask for
+        every vertex of path:200000 would take gigabytes there, so its lone
+        vertices keep none."""
         limit = 1 << 30
         code = (
             "import resource, sys\n"
@@ -1126,3 +1145,64 @@ class TestWideMasks:
                         assert verdict == closure_is_nbc(indep, ranking, s), (ranking, s)
                         seen.append(verdict)
         assert sum(seen) > len(seen) // 4 and not all(seen)  # 525 of 1280 are faces
+
+
+class TestLoneMasks:
+    """An engine keeps an incidence mask for every lone vertex from the start
+    only when together they take no more bits than the position lists take
+    words; on a large sparse graph they would cost O(n * m) bits, and there
+    a lone vertex keeps none and its cycles are read off its position list."""
+
+    def test_only_cheap_lone_masks_are_kept(self):
+        k8 = build_named_graph("complete", 8)
+        assert None not in nbc._GraphicEngine(k8, tuple(range(28)), 7).inc
+        g = build_named_graph("path", 1000)
+        eng = nbc._GraphicEngine(g, tuple(range(g.edge_count)), 3)
+        assert eng.inc == [None] * 1000
+        for e in (5, 7, 6):
+            eng.push(e)
+        assert sum(mask is not None for mask in eng.inc) == 2  # the merged label and one stale small one
+        for _ in range(3):
+            eng.pop()
+        assert eng.inc == [None] * 1000
+
+    def test_face_numbers_of_a_long_truncated_path(self):
+        """A truncation to rank 3 of a tree: every set of at most 3 edges is
+        independent, and the 3-faces are the 3-sets holding e0."""
+        g = build_named_graph("path", 300)
+        m = g.edge_count
+        for ranking in [tuple(range(m))] + random_orders(m, 2):
+            x = NbcComplex(GraphicMatroid(g, 3), ranking)
+            assert nbc._engine(x).inc == [None] * 300
+            assert face_numbers(x).coefficients == (1, m, m * (m - 1) // 2, (m - 1) * (m - 2) // 2)
+
+
+class _LoneVerticesKeepNoMask:
+    """Runs the inherited tests with engines whose lone vertices keep no
+    incidence mask, as on a large sparse graph."""
+
+    @pytest.fixture(autouse=True)
+    def _keep_no_lone_mask(self, monkeypatch):
+        init = nbc._GraphicEngine.__init__
+
+        def keeping_none(self, *args):
+            init(self, *args)
+            self.inc = [None] * len(self.inc)
+
+        monkeypatch.setattr(nbc._GraphicEngine, "__init__", keeping_none)
+
+
+class TestEngineUndoKeepingNoLoneMask(_LoneVerticesKeepNoMask, TestEngineUndo):
+    pass
+
+
+class TestCanAddKeepsTheFaceKeepingNoLoneMask(_LoneVerticesKeepNoMask, TestCanAddKeepsTheFace):
+    pass
+
+
+class TestExtensionsKeepingNoLoneMask(_LoneVerticesKeepNoMask, TestExtensionsAgainstAFreshEngine):
+    pass
+
+
+class TestWideMasksKeepingNoLoneMask(_LoneVerticesKeepNoMask, TestWideMasks):
+    pass
