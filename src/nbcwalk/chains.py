@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
@@ -424,31 +423,6 @@ def cheeger_chain(p: DownUpWalk, s, gap: float):
     return phi, ratio, at_most_half
 
 
-@dataclass(frozen=True)
-class LocalProfile:
-    """gammas[k] = worst local-walk second eigenvalue over faces of size k."""
-
-    gammas: tuple
-
-    def __post_init__(self):
-        vals = []
-        for g in self.gammas:
-            g = float(g)
-            if not -1.0 - 1e-9 <= g <= 1.0 + 1e-9:
-                raise PreconditionError(f"gamma {g} outside [-1, 1]")
-            vals.append(min(1.0, max(-1.0, g)))
-        object.__setattr__(self, "gammas", tuple(vals))
-
-    def __len__(self):
-        return len(self.gammas)
-
-    def __iter__(self):
-        return iter(self.gammas)
-
-    def __getitem__(self, k):
-        return self.gammas[k]
-
-
 def check_face_subsets(n_facets: int, d: int, force: bool = False):
     """Refuse a local profile over more than MAX_FACE_SUBSETS facet subsets
     unless forced; callers that know the facet count early check it before
@@ -564,15 +538,16 @@ def _symmetrized(c, denom: int):
     return c / (denom * np.sqrt(ca[..., :, None] * ca[..., None, :]))
 
 
-def local_spectral_profile(x, force: bool = False) -> LocalProfile:
-    """gamma_k = max second eigenvalue of the local walk over all faces of
-    size k, for k = 0..d-2.  x is a DownUpWalk, whose reduced complex K is
-    read as it stands, or anything down_up_matrix accepts, from which the
-    walk is built (enumerated under force); K is derived only in _down_up,
-    so a caller that also wants the gap passes one walk to both.  The
-    profile of K is computed level by level from integer pair-count stacks,
-    each level's local matrices of one state count solved by one eigvalsh
-    call; _coned then adds the apex elements one at a time."""
+def local_spectral_profile(x, force: bool = False) -> tuple:
+    """The tuple of floats gamma_k = max second eigenvalue of the local walk
+    over all faces of size k, for k = 0..d-2.  x is a DownUpWalk, whose
+    reduced complex K is read as it stands, or anything down_up_matrix
+    accepts, from which the walk is built (enumerated under force); K is
+    derived only in _down_up, so a caller that also wants the gap passes
+    one walk to both.  The profile of K is computed level by level from
+    integer pair-count stacks, each level's local matrices of one state
+    count solved by one eigvalsh call; _coned then adds the apex elements
+    one at a time."""
     import numpy as np
 
     walk = x if isinstance(x, DownUpWalk) else _down_up(*_as_facets(x, force))
@@ -592,7 +567,7 @@ def local_spectral_profile(x, force: bool = False) -> LocalProfile:
     shared = bool((walk.ridge_sizes > 1).any())
     for r in range(dk + 1, d + 1):
         gammas = _coned(gammas, r, shared)
-    return LocalProfile(tuple(gammas))
+    return tuple(gammas)
 
 
 def _coned(gammas, r: int, shared: bool) -> list:
@@ -619,7 +594,7 @@ def _coned(gammas, r: int, shared: bool) -> list:
     return out
 
 
-def local_to_global_bound(profile: LocalProfile) -> float:
+def local_to_global_bound(profile) -> float:
     """(1/d) * product of (1 - gamma_j) over the profile of a rank-d complex,
     which holds gamma_0..gamma_{d-2}, so d = len(profile) + 1."""
     out = 1.0 / (len(profile) + 1)

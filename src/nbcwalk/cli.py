@@ -140,13 +140,17 @@ def _parse_graph_spec(spec: str) -> MultiGraph:
     return build_named_graph(kind, *params)
 
 
-def _csv_ints(text: str, what: str):
+def _csv(text: str, flag: str, rational: bool = False) -> list:
+    """The comma-separated values of --flag, as ints or as rationals; blank
+    text is the empty list."""
     if text.strip() == "":
         return []
+    if rational:
+        return [_parse_fraction(p, f"--{flag}") for p in text.split(",")]
     try:
         return [int(p) for p in text.split(",")]
     except ValueError:
-        raise PreconditionError(f"--{what} must be a comma-separated list of integers")
+        raise PreconditionError(f"--{flag} must be a comma-separated list of integers")
 
 
 def _resolve_instance(args):
@@ -164,11 +168,11 @@ def _resolve_instance(args):
         data.get(key) if hasattr(args, key) else None for key in ("order", "truncate", "weights")
     )
     if getattr(args, "order", None) is not None:
-        order_list = _csv_ints(args.order, "order")
+        order_list = _csv(args.order, "order")
     if getattr(args, "truncate", None) is not None:
         truncate = args.truncate
     if getattr(args, "weights", None) is not None:
-        weights = [_parse_fraction(w, "--weights") for w in args.weights.split(",")]
+        weights = _csv(args.weights, "weights", rational=True)
         if len(weights) != graph.edge_count:
             raise PreconditionError("--weights must list one rational per edge")
     canonical = {
@@ -318,9 +322,9 @@ def _cmd_local_profile(args):
     x, _, canonical = _complex(args)
     profile = local_spectral_profile(x, force=args.force_size)
     d = x.rank
-    scaled = [g * (d - k) for k, g in enumerate(profile.gammas)]
+    scaled = [g * (d - k) for k, g in enumerate(profile)]
     return canonical, {
-        "gammas": [_float12(g) for g in profile.gammas],
+        "gammas": [_float12(g) for g in profile],
         "ltg_bound": _float12(local_to_global_bound(profile)),
         "gamma_scaled_max": _float12(max(scaled)) if scaled else None,
         "rank": d,
@@ -329,7 +333,7 @@ def _cmd_local_profile(args):
 
 def _cmd_link(args):
     x, _, canonical = _complex(args)
-    tau = frozenset(_csv_ints(args.tau, "tau"))
+    tau = frozenset(_csv(args.tau, "tau"))
     facets = link_facets(x, tau, force=args.force_size)
     return canonical, {
         "tau": sorted(tau),
@@ -350,8 +354,6 @@ def _cmd_gadget(args):
             "distance_squared": len(inst.marked_sets["B"] ^ inst.marked_sets["B_prime"]),
             "verified": True,
         }
-    if args.n < 1:
-        raise PreconditionError("gadget link needs --n >= 1")
     m = args.m if args.m is not None else args.n
     base = build_named_graph("complete_bipartite", args.n, args.n)
     inst = build_link_gadget(base, args.l, m, force=args.force_size)
@@ -383,7 +385,7 @@ def _cmd_gadget(args):
 def _cmd_reduce(args):
     graph, *_, canonical = _resolve_instance(args)
     if args.kind == "opt":
-        w = WeightVector([_parse_fraction(p, "--vertex-weights") for p in args.vertex_weights.split(",")])
+        w = WeightVector(_csv(args.vertex_weights, "vertex-weights", rational=True))
         inst = build_opt_reduction(graph, w)
         base, base_val = max_weight_nbc_base(inst.complex(), inst.weights, force=args.force_size)
         ind, ind_val = max_weight_independent_set(graph, w, force=args.force_size)

@@ -3,9 +3,10 @@ the optimization / counting / external-field / hardcore reductions.
 
 Every builder returns one GadgetInstance, and every verifier re-derives the
 certified quantity in exact arithmetic: the link partition, the counting
-sandwich and the hardcore identities by exhaustive enumeration, and the
-heaviest NBC bases, for max_weight_nbc_base and the long edge's witness, by
-branch and bound over the face walk.  A failed certificate raises
+sandwich and the hardcore identities by exhaustive enumeration.  For
+max_weight_nbc_base and the long edge's witness it asks nbc for the heaviest
+NBC bases, whose branch and bound prunes nbc's face walk in integer
+numerators; the rational weights stay here.  A failed certificate raises
 VerificationError, except the counting sandwich: its ReductionReport carries
 the verdict, which may be False.
 """
@@ -30,7 +31,7 @@ from .graphs import (
     iter_independent_sets,
 )
 from .matroids import GraphicMatroid
-from .nbc import NbcComplex, _walk, is_nbc, link_facets
+from .nbc import NbcComplex, heaviest_nbc_bases, is_nbc, link_facets
 
 MAX_GADGET_GROUND = 5000
 HARDCORE_MAX_COPIES = 3
@@ -136,8 +137,8 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     (n-1)/2 two-edge paths join the rim vertices, edge n-1 joins them directly;
     B is the long edge plus the upper path edges, B' the first edge plus the
     lower ones.  The long edge's weight is computed (not assumed) to equalize
-    the two bases, then the edge-witness condition is certified by the
-    branch and bound of max_weight_nbc_base: B and B' are NBC bases, both
+    the two bases, then the edge-witness condition is certified by nbc's
+    branch and bound for the heaviest NBC bases: B and B' are NBC bases, both
     reach the greatest weight, and exactly two NBC bases do.  The graph has
     n edges, so n is checked against MAX_GADGET_GROUND before anything is
     built.
@@ -164,8 +165,8 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     x = NbcComplex(matroid)
     if not all(len(b) == x.rank and is_nbc(x, b) for b in (b1, b2)):
         raise VerificationError("distinguished bases are not NBC bases")
-    _, top, ties = _heaviest_nbc_bases(x, w, force)
-    if not w.weight_of(b1) == w.weight_of(b2) == top or ties != 2:
+    _, best, ties = heaviest_nbc_bases(x, w.nums, force)
+    if not w.weight_of(b1) == w.weight_of(b2) == Fraction(best, w.den) or ties != 2:
         raise VerificationError("computed weight vector fails the edge-witness conditions")
     return GadgetInstance(
         matroid=matroid,
@@ -385,56 +386,10 @@ def max_weight_independent_set(g: MultiGraph, vertex_weights: WeightVector, forc
 def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     """(base, weight) of an NBC base of greatest weight under w; ties keep the
     lexicographically greatest base, as _heaviest over every base would.
-    Exact, by the branch and bound of _heaviest_nbc_bases."""
-    w = _weight_vector(w, x.matroid.ground_size, "element")
-    base, weight, _ = _heaviest_nbc_bases(x, w, force)
-    return base, weight
-
-
-def _heaviest_nbc_bases(x: NbcComplex, w: WeightVector, force: bool):
-    """(base, weight, ties): the lexicographically greatest NBC base of
-    greatest weight under w, that weight, and how many NBC bases have it.
-
-    Exact branch and bound over the NBC face walk, in integer numerators.
-    The walk reaches bases in lexicographic order, and a child F + e of a
-    face F is completed only from the extensions after e.  So its subtree
-    weighs at most w(F) + w(e) plus a max-weight set of r - |F| - 1 of those
-    extensions that is independent in the contraction by F + e, which the
-    forest engine's Edmonds greedy finds: it takes them in descending weight,
-    exactly that many, so the bound holds for negative weights too.  A child
-    is pruned when the greedy comes up short (no base lies below it) or its
-    bound is strictly below the best base so far.  A tie is never pruned, so
-    every base of greatest weight is reached: ties counts them exactly, and
-    the last one reached is the lexicographically greatest.  No base list is
-    built, so MAX_NBC_BASES does not apply.  MAX_NBC_FACES counts the faces
-    the walk visits, but _walk also refuses up front, pruned or not, when
-    2^r exceeds it."""
-    nums, rank = w.nums, x.matroid.rank
-    heaviest_first = [-n for n in nums].__getitem__
-    best = best_set = None
-    ties = 0
-
-    def prune(eng, accepted, i):
-        e = accepted[i]
-        members = eng.members
-        bound = sum(map(nums.__getitem__, members)) + nums[e]
-        need = rank - len(members) - 1
-        if need:
-            picked = eng.greedy(e, sorted(accepted[i + 1 :], key=heaviest_first), need)
-            if len(picked) < need:
-                return True
-            bound += sum(map(nums.__getitem__, picked))
-        return best is not None and bound < best
-
-    for face in _walk(x, force=force, prune=prune):
-        if len(face) == rank:
-            val = sum(map(nums.__getitem__, face))
-            if best is None or val >= best:
-                ties = ties + 1 if val == best else 1
-                best, best_set = val, frozenset(face)
-    if best_set is None:
-        raise PreconditionError("the complex has no bases")
-    return best_set, Fraction(best, w.den), ties
+    Exact, by nbc's branch and bound in w's integer numerators."""
+    w = WeightVector(w)
+    base, best, _ = heaviest_nbc_bases(x, w.nums, force)
+    return base, Fraction(best, w.den)
 
 
 def build_field_reduction(

@@ -25,9 +25,12 @@ A(F) once, and its child F + A[i] tries only A[i+1:], which holds every
 e > A[i] with F + A[i] + e a face; the preorder is the one a walk trying every
 element id in turn would take.  Facets are appended to the member list and
 yielded without an engine push.  Extension to a base scans the ids once, along
-the walk's first path.  A consumer may prune the walk: it is asked before each
-child is pushed, and the engine's greedy, Edmonds' algorithm in the
-contraction by that child, bounds what the child's subtree can add.
+the walk's first path.  The walk's one pruning consumer is heaviest_nbc_bases,
+the exact branch and bound for a max-weight NBC base: it is asked before
+each child is pushed, and the engine's greedy, Edmonds' algorithm in the
+contraction by that child, bounds what the child's subtree can add.  So the
+walk, its prune hook and the engine's protocol are named in this module
+alone.
 
 A complex is built over a graphic matroid, truncated or not, and walked by one
 pure-Python engine that keeps the face as a forest with component labels, and
@@ -481,6 +484,54 @@ def face_numbers(x: NbcComplex, force: bool = False) -> IntPolynomial:
     for face in _walk(x, force=force):
         counts[len(face)] += 1
     return IntPolynomial(tuple(counts[j] + counts[j + 1] for j in range(rank + 1)))
+
+
+def heaviest_nbc_bases(x: NbcComplex, nums, force: bool = False):
+    """(base, best, ties): the lexicographically greatest NBC base of
+    greatest weight under the integer weights nums, nums[e] being element
+    e's, that weight, and how many NBC bases have it.
+
+    Exact branch and bound over the face walk.  The walk reaches bases in
+    lexicographic order, and a child F + e of a face F is completed only from
+    the extensions after e.  So its subtree weighs at most w(F) + w(e) plus a
+    max-weight set of r - |F| - 1 of those extensions that is independent in
+    the contraction by F + e, which the engine's Edmonds greedy finds: it
+    takes them in descending weight, exactly that many, so the bound holds
+    for negative weights too.  A child is pruned when the greedy comes up
+    short (no base lies below it) or its bound is strictly below the best
+    base so far.  A tie is never pruned, so every base of greatest weight is
+    reached: ties counts them exactly, and the last one reached is the
+    lexicographically greatest.  No base list is built, so MAX_NBC_BASES
+    does not apply.  MAX_NBC_FACES counts the faces the walk visits, but
+    _walk also refuses up front, pruned or not, when 2^r exceeds it."""
+    if len(nums) != x.matroid.ground_size:
+        raise PreconditionError("need exactly one weight per element")
+    rank = x.rank
+    heaviest_first = [-n for n in nums].__getitem__
+    best = best_set = None
+    ties = 0
+
+    def prune(eng, accepted, i):
+        e = accepted[i]
+        members = eng.members
+        bound = sum(map(nums.__getitem__, members)) + nums[e]
+        need = rank - len(members) - 1
+        if need:
+            picked = eng.greedy(e, sorted(accepted[i + 1 :], key=heaviest_first), need)
+            if len(picked) < need:
+                return True
+            bound += sum(map(nums.__getitem__, picked))
+        return best is not None and bound < best
+
+    for face in _walk(x, force=force, prune=prune):
+        if len(face) == rank:
+            val = sum(map(nums.__getitem__, face))
+            if best is None or val >= best:
+                ties = ties + 1 if val == best else 1
+                best, best_set = val, frozenset(face)
+    if best_set is None:
+        raise PreconditionError("the complex has no bases")
+    return best_set, best, ties
 
 
 def link_facets(x: NbcComplex, tau, force: bool = False):

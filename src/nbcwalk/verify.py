@@ -187,12 +187,12 @@ def run_spectral_suite() -> list:
         if abs(gap - 1.0) > 1e-9:
             return False, f"local walk at the empty face has gap {gap} != 1.0"
         prof = local_spectral_profile(x)
-        if len(prof.gammas) != 1 or abs(prof.gammas[0]) > 1e-9:
-            return False, f"profile {prof.gammas} differs from (0.0,)"
+        if len(prof) != 1 or abs(prof[0]) > 1e-9:
+            return False, f"profile {prof} differs from (0.0,)"
         bound = local_to_global_bound(prof)
         if abs(bound - 0.5) > 1e-9:
             return False, f"local-to-global bound {bound} != 0.5"
-        return True, f"profile {prof.gammas}, bound {bound} (tight against gap 0.5)"
+        return True, f"profile {prof}, bound {bound} (tight against gap 0.5)"
 
     _run(checks, "k3-local-walk", k3_local)
 

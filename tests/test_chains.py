@@ -10,7 +10,6 @@ import pytest
 
 from nbcwalk import (
     GraphicMatroid,
-    LocalProfile,
     MultiGraph,
     NbcComplex,
     PreconditionError,
@@ -349,7 +348,7 @@ class TestOneReducedComplex:
         for facets in corpus:
             walk = down_up_matrix(facets)
             assert (
-                local_spectral_profile(walk).gammas == local_spectral_profile(facets).gammas
+                local_spectral_profile(walk) == local_spectral_profile(facets)
             ), sorted(map(sorted, facets))
 
     def test_a_walk_passes_the_face_subset_guard(self, monkeypatch):
@@ -401,6 +400,13 @@ class TestLocalWalk:
         x = NbcComplex(GraphicMatroid(build_named_graph("cycle", 4)))
         with pytest.raises(PreconditionError):
             local_walk_matrix(x, {0, 1, 2})
+
+    def test_rejects_a_broken_circuit(self):
+        # {1, 4} is small enough, but it is the broken circuit of K5's
+        # triangle {0, 1, 4}, so no facet holds it.
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 5)))
+        with pytest.raises(PreconditionError, match="^tau is not a face of the complex$"):
+            local_walk_matrix(x, {1, 4})
 
     def test_size_guard(self, monkeypatch):
         # The bound counts 2^(d - |tau|) per link facet; the builder holds
@@ -685,22 +691,17 @@ class TestConductance:
 
 
 class TestLocalProfile:
-    def test_validates_range(self):
-        with pytest.raises(PreconditionError):
-            LocalProfile((2.0,))
-        assert LocalProfile((1.0 + 1e-12,)).gammas == (1.0,)
-
     def test_triangle_profile(self):
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)))
         prof = local_spectral_profile(x)
-        assert len(prof.gammas) == 1
-        assert abs(prof.gammas[0]) <= 1e-9
+        assert type(prof) is tuple and len(prof) == 1
+        assert abs(prof[0]) <= 1e-9
 
     def test_single_facet_profile(self):
         prof = local_spectral_profile([{0, 1, 2}])
-        assert len(prof.gammas) == 2
-        assert abs(prof.gammas[0] + 0.5) <= 1e-9
-        assert abs(prof.gammas[1] + 1.0) <= 1e-9
+        assert len(prof) == 2
+        assert abs(prof[0] + 0.5) <= 1e-9
+        assert abs(prof[1] + 1.0) <= 1e-9
         assert abs(local_to_global_bound(prof) - 1.0) <= 1e-9
 
     def test_profile_matches_direct_walks(self):
@@ -719,7 +720,7 @@ class TestLocalProfile:
             facets = [frozenset(f) for f in facets]
             d = len(facets[0])
             prof = local_spectral_profile(x)
-            assert len(prof.gammas) == d - 1
+            assert len(prof) == d - 1
             faces = set()
             for facet in facets:
                 for size in range(d - 1):
@@ -732,7 +733,7 @@ class TestLocalProfile:
                         continue
                     second.append(1.0 - spectral_gap(p))
                 if second:
-                    assert abs(prof.gammas[k] - max(second)) <= 1e-9
+                    assert abs(prof[k] - max(second)) <= 1e-9
 
     def test_profile_bits_depend_only_on_label_order(self):
         # Elements enter each local matrix in label order, so any
@@ -742,7 +743,7 @@ class TestLocalProfile:
         rng = random.Random(5)
         labels = sorted(rng.sample(range(10**6), 11)) + [2**80]
         sparse = [{labels[e] for e in f} for f in facets]
-        assert local_spectral_profile(sparse).gammas == local_spectral_profile(x).gammas
+        assert local_spectral_profile(sparse) == local_spectral_profile(x)
 
     def test_profile_bits_pinned(self):
         """Every gamma bit for bit as the reduced-complex route computes it,
@@ -777,8 +778,8 @@ class TestLocalProfile:
         for (kind, params, truncate), (hexes, whole) in pins.items():
             m = GraphicMatroid(build_named_graph(kind, *params), truncate)
             prof = local_spectral_profile(NbcComplex(m))
-            assert [g.hex() for g in prof.gammas] == hexes, (kind, params, truncate)
-            for g, old in zip(prof.gammas, whole, strict=True):
+            assert [g.hex() for g in prof] == hexes, (kind, params, truncate)
+            for g, old in zip(prof, whole, strict=True):
                 assert abs(g - float.fromhex(old)) <= 1e-15, (kind, params, truncate)
 
     def test_profile_bits_pinned_past_64_elements(self):
@@ -789,9 +790,9 @@ class TestLocalProfile:
         x = NbcComplex(m)
         assert m.ground_size == 66 and len(x.facets()) == 1860
         prof = local_spectral_profile(x)
-        assert [g.hex() for g in prof.gammas] == ["0x1.994d7de0e49d4p-54", "0x1.994d7de0e49d4p-53"]
+        assert [g.hex() for g in prof] == ["0x1.994d7de0e49d4p-54", "0x1.994d7de0e49d4p-53"]
         whole = ["0x1.4ed8474686678p-54", "0x1.994d7de0e49d4p-53"]
-        for g, old in zip(prof.gammas, whole, strict=True):
+        for g, old in zip(prof, whole, strict=True):
             assert abs(g - float.fromhex(old)) <= 1e-15
 
     def test_one_eigvalsh_per_level_state_count(self, monkeypatch):
@@ -828,10 +829,10 @@ class TestLocalProfile:
     def test_independence_complex_profiles_nonpositive(self):
         for g in random_graph_corpus(count=3):
             prof = local_spectral_profile(GraphicMatroid(g))
-            assert all(gamma <= 1e-9 for gamma in prof.gammas)
+            assert all(gamma <= 1e-9 for gamma in prof)
 
     def test_rank_one_bound(self):
-        assert local_to_global_bound(LocalProfile(())) == 1.0
+        assert local_to_global_bound(()) == 1.0
 
     def test_bound_below_gap(self):
         for g in random_graph_corpus(count=4):

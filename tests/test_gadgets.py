@@ -281,6 +281,20 @@ class TestLinkGadget:
         with pytest.raises(PreconditionError):
             partition_link_facets(inst, facets)
 
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_the_m_sized_side_may_be_the_second_colour_class(self, l):
+        # K2,3's canonical classes are {0, 1} and {2, 3, 4}; at m = 3 the
+        # A side is the second, so the facets counted there meet only the
+        # f-edges of vertices 2, 3 and 4.
+        inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 3), l, 3)
+        facets = link_facets(inst.complex(), inst.tau)
+        assert len(facets) == {1: 108, 2: 235}[l]
+        part = partition_link_facets(inst, facets)
+        assert part.count_a(3) == l**3
+        f_start = min(inst.marked_sets["f_edges"])
+        owners = {(e - f_start) // l for f in part.s_a for e in f & inst.marked_sets["f_edges"]}
+        assert owners == {2, 3, 4}
+
     def test_size_guard(self):
         g = build_named_graph("complete_bipartite", 5, 5)
         with pytest.raises(SizeGuardError):
@@ -379,7 +393,9 @@ class TestMaxWeightBranchAndBound:
                 expected = gadgets._heaviest(bases, w)
                 assert max_weight_nbc_base(x, w) == expected, (x, weights)
                 ties = sum(1 for b in bases if w.weight_of(b) == expected[1])
-                assert gadgets._heaviest_nbc_bases(x, w, False) == (*expected, ties), (x, weights)
+                base, best, count = nbc.heaviest_nbc_bases(x, w.nums)
+                assert type(best) is int, (x, weights)
+                assert (base, Fraction(best, w.den), count) == (*expected, ties), (x, weights)
 
     def test_tied_square_base_is_pinned(self):
         # Both maximum-weight bases of the C4 reduction weigh 2; the
@@ -396,15 +412,16 @@ class TestMaxWeightBranchAndBound:
             build_named_graph("complete_bipartite", 3, 4), WeightVector(range(1, 8))
         )
         x = inst.complex()
-        assert sum(1 for _ in nbc._walk(x)) == 5277
+        walk = nbc._walk
+        assert sum(1 for _ in walk(x)) == 5277
         visited = []
 
         def counting(*args, **kwargs):
-            for face in nbc._walk(*args, **kwargs):
+            for face in walk(*args, **kwargs):
                 visited.append(len(face))
                 yield face
 
-        monkeypatch.setattr(gadgets, "_walk", counting)
+        monkeypatch.setattr(nbc, "_walk", counting)
         base, val = max_weight_nbc_base(x, inst.weights)
         assert (sorted(base), val) == ([0, 4, 8, 15, 16, 17, 18], 22)
         assert len(visited) <= 5277 // 4
@@ -419,6 +436,21 @@ class TestMaxWeightBranchAndBound:
         x = NbcComplex(k5)
         assert max_weight_nbc_base(x, w) == expected
         assert x._facet_cache is None
+
+    def test_needs_one_weight_per_element(self):
+        # One length check, in nbc, for both the rational and the integer
+        # entry point.
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3)))
+        with pytest.raises(PreconditionError, match="^need exactly one weight per element$"):
+            max_weight_nbc_base(x, WeightVector([1, 2]))
+        with pytest.raises(PreconditionError, match="^need exactly one weight per element$"):
+            nbc.heaviest_nbc_bases(x, (1, 2, 3, 4))
+
+    def test_a_rank_zero_truncation_has_no_bases(self):
+        # Its walk has no face at all, since even e0 overfills rank 0.
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 3), 0))
+        with pytest.raises(PreconditionError, match="^the complex has no bases$"):
+            max_weight_nbc_base(x, WeightVector([1, 2, 3]))
 
 
 class TestFieldReduction:
@@ -504,6 +536,47 @@ class TestCountingSandwich:
         g = build_named_graph("cycle", 5)
         report = verify_counting_sandwich(g, 2, 20, "facet-count")
         assert report.source_quantity == count_independent_sets_by_size(g)[2] == 5
+
+
+_C5 = build_named_graph("cycle", 5)
+
+
+class TestRefusalsByMessage:
+    """Each builder and verifier refuses a bad argument with its own message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: build_link_gadget("K2,2", 2, 2), "base_graph must be a MultiGraph"),
+            (lambda: build_link_gadget(_C5, 0, 2), "l must be at least 1"),
+            (
+                lambda: build_link_gadget(MultiGraph(0, []), 2, 0),
+                "the base graph needs at least one vertex",
+            ),
+            (lambda: build_opt_reduction("C5", [1] * 5), "g must be a MultiGraph"),
+            (lambda: build_field_reduction("C5", 2, 20), "g must be a MultiGraph"),
+            (lambda: verify_counting_sandwich(_C5, 0, 20, "facet-count"), "m must be at least 1"),
+            (
+                lambda: verify_counting_sandwich(_C5, 3, 20, "facet-count"),
+                "m=3 exceeds the independence number 2",
+            ),
+            (lambda: build_hardcore_reduction(_C5, -1), "r must be non-negative"),
+        ],
+        ids=[
+            "link-non-graph",
+            "link-l-0",
+            "link-no-vertex",
+            "opt-non-graph",
+            "field-non-graph",
+            "sandwich-m-0",
+            "sandwich-m-above-alpha",
+            "hardcore-negative-r",
+        ],
+    )
+    def test_refusal(self, call, message):
+        with pytest.raises(PreconditionError) as err:
+            call()
+        assert str(err.value) == message
 
 
 class TestHardcore:

@@ -53,6 +53,10 @@ class TestMultiGraph:
         with pytest.raises(PreconditionError):
             MultiGraph(2, [(0, 2)])
 
+    def test_rejects_a_negative_vertex_count(self):
+        with pytest.raises(PreconditionError, match="^vertex_count must be non-negative$"):
+            MultiGraph(-1, [])
+
     def test_connectivity(self):
         assert build_named_graph("cycle", 5).is_connected()
         assert MultiGraph(1, []).is_connected()
@@ -103,6 +107,28 @@ class TestNamedGraphs:
             build_named_graph("complete")
         with pytest.raises(PreconditionError):
             build_named_graph("complete", "x")
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (("complete", -1), "complete: n must be non-negative"),
+            (("complete_bipartite", 0, 2), "complete_bipartite: both part sizes must be at least 1"),
+            (("path", 0), "path: need at least one vertex"),
+            (
+                ("disjoint_union_of_copies", "complete"),
+                "disjoint_union_of_copies: need inner kind and copy count",
+            ),
+            (
+                ("disjoint_union_of_copies", "complete", 3, -1),
+                "disjoint_union_of_copies: copies must be non-negative",
+            ),
+        ],
+        ids=["complete", "complete_bipartite", "path", "copies-without-count", "negative-copies"],
+    )
+    def test_refuses_out_of_range_parameters_by_name(self, params, message):
+        with pytest.raises(PreconditionError) as err:
+            build_named_graph(*params)
+        assert str(err.value) == message
 
     def test_disjoint_union_shifts(self):
         g = disjoint_union(build_named_graph("complete", 3), build_named_graph("path", 2))
@@ -258,6 +284,11 @@ class TestIntPolynomial:
         b = IntPolynomial((0, 1))
         assert (a - b).coefficients == (1,)
         assert (a + b).coefficients == (1, 2)
+
+    def test_sum_of_a_shorter_and_a_longer_polynomial(self):
+        # __add__ walks the longer operand whichever side it is on.
+        a, b = IntPolynomial((1,)), IntPolynomial((0, 1))
+        assert (a + b).coefficients == (b + a).coefficients == (1, 1)
 
     def test_monomial(self):
         assert IntPolynomial.monomial(3).coefficients == (0, 0, 0, 1)

@@ -214,6 +214,10 @@ class TestTruncatedMatroid:
         assert not mat.is_independent({0})
         assert all(mat.fundamental_circuit((), e) == frozenset({e}) for e in range(3))
 
+    def test_rejects_a_non_graph(self):
+        with pytest.raises(PreconditionError, match="^GraphicMatroid needs a MultiGraph$"):
+            GraphicMatroid([(0, 1), (1, 2)])
+
     def test_rejects_bad_rank(self):
         k3 = build_named_graph("complete", 3)
         for rank in (3, -1):

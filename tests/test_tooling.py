@@ -270,6 +270,30 @@ def test_nbc_defines_one_complex_and_one_engine():
     ]
 
 
+def test_only_nbc_drives_the_engine():
+    # The walk, the engine's greedy and its live member list are one
+    # module's protocol: the branch and bound that prunes the walk sits in
+    # nbc.py beside it, and no other package module names any of them.
+    protocol = {"_walk", "greedy", "members"}
+    named = {
+        path.name
+        for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py"))
+        for name, _ in _mentions(ast.parse(path.read_text(encoding="utf-8")))
+        if name in protocol
+    }
+    assert named == {"nbc.py"}
+
+
+def test_chains_defines_the_two_walks():
+    # A local profile is a plain tuple of floats, so chains.py has no class
+    # beside the down-up walk and the local walk.
+    tree = ast.parse((ROOT / "src" / "nbcwalk" / "chains.py").read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == [
+        "DownUpWalk",
+        "LocalWalk",
+    ]
+
+
 def test_matroids_defines_one_class():
     # Every complex is a graphic matroid at some rank, so one class says it:
     # no generic base for it to subclass and no truncation wrapper around it.

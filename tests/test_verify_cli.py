@@ -172,6 +172,23 @@ class TestCliReports:
         assert report["ltg_bound"] == 0.5
         assert report["rank"] == 2
 
+    def test_blank_weight_lists_are_empty(self, capsys, tmp_path):
+        # A blank --weights is the empty list, as "weights": [] in a file is,
+        # and an edgeless graph takes it: the two reports are the same.
+        flag = _report(capsys, "nbc-bases", "--graph", "complete:1", "--weights", "")
+        path = tmp_path / "one-vertex.json"
+        path.write_text('{"vertices": 1, "edges": [], "weights": []}', encoding="utf-8")
+        assert _report(capsys, "nbc-bases", "--input", str(path)) == flag
+        assert (flag["count"], flag["bases"], flag["weighted_count"]) == (1, [[]], "1")
+        report = _report(capsys, "reduce", "opt", "--graph", "complete:0", "--vertex-weights", "")
+        assert report["max_independent_weight"] == report["max_nbc_weight"] == "0"
+        assert report["equal"] is True and report["nbc_base"] == report["independent_set"] == []
+
+    def test_link_without_tau_lists_the_whole_complex(self, capsys):
+        report = _report(capsys, "link", "--graph", "complete:4")
+        bases = _report(capsys, "nbc-bases", "--graph", "complete:4")["bases"]
+        assert (report["tau"], report["facets"], report["facet_count"]) == ([], bases, 6)
+
     def test_link_command(self, capsys):
         report = _report(capsys, "link", "--graph", "complete:4", "--tau", "0")
         assert report["tau"] == [0]
@@ -249,6 +266,22 @@ ERROR_CASES = {
     "deep-chromatic": (3, None, ["oracle", "chromatic", "--graph", "path:1200", "--force-size"]),
     "deep-indep": (3, None, ["oracle", "indep", "--graph", "path:2500", "--force-size"]),
     "deep-hardcore": (3, None, ["oracle", "hardcore", "--graph", "path:2500", "--force-size"]),
+    "top-level-list": (1, b"[3, []]", ["face-numbers", "--input", "{file}"]),
+    "edges-not-a-list": (1, b'{"vertices": 3, "edges": 5}', ["face-numbers", "--input", "{file}"]),
+    "truncate-string": (
+        1,
+        b'{"vertices": 3, "edges": [[0, 1]], "truncate": "2"}',
+        ["face-numbers", "--input", "{file}"],
+    ),
+    "weights-wrong-length": (
+        1,
+        b'{"vertices": 3, "edges": [[0, 1], [1, 2]], "weights": ["1"]}',
+        ["nbc-bases", "--input", "{file}"],
+    ),
+    "graph-spec-not-integer": (2, None, ["face-numbers", "--graph", "complete:x"]),
+    "order-not-integer": (2, None, ["face-numbers", "--graph", "complete:3", "--order", "0,a"]),
+    "weights-flag-wrong-length": (2, None, ["nbc-bases", "--graph", "cycle:3", "--weights", "1,2"]),
+    "gadget-link-n-0": (2, None, ["gadget", "link", "--n", "0", "--l", "2"]),
 }
 
 
