@@ -9,8 +9,12 @@ Face numbers, facets and links come from one explicit-stack walker, so face
 depth is bounded by memory, not by the recursion limit.  Face numbers come
 as the face polynomial, a graphs.IntPolynomial.  The walker drives an engine
 with a can_add/extensions/push/pop protocol: can_add(e) decides exactly
-whether an NBC face holding e0 stays NBC with e added, and extensions(cand)
-filters, right after a push, a list that the face before it accepted in full.
+whether an NBC face holding e0 stays NBC with e added, and extensions(a, cand)
+reads, before a is pushed, which elements of cand the child face + a keeps,
+cand being a list that the face at hand accepted in full.  So besides its
+root the walk pushes only the faces that have children below full size: a
+face one short of a base is appended to the member list and yielded with its
+facets, and neither is pushed.
 
 Every walk holds e0, the order-smallest element, from its root on.  The NBC
 complex is a cone with apex e0 (Brylawski, "The broken-circuit complex",
@@ -23,14 +27,13 @@ and shellability of matroids and geometric lattices", 1992): if F + e is not a
 face, no F + f + e is one either.  So a face F works out its accepted list
 A(F) once, and its child F + A[i] tries only A[i+1:], which holds every
 e > A[i] with F + A[i] + e a face; the preorder is the one a walk trying every
-element id in turn would take.  Facets are appended to the member list and
-yielded without an engine push.  Extension to a base scans the ids once, along
-the walk's first path.  The walk's one pruning consumer is heaviest_nbc_bases,
-the exact branch and bound for a max-weight NBC base: it is asked before
-each child is pushed, and the engine's greedy, Edmonds' algorithm in the
-contraction by that child, bounds what the child's subtree can add.  So the
-walk, its prune hook and the engine's protocol are named in this module
-alone.
+element id in turn would take.  Extension to a base scans the ids once,
+along the walk's first path.  The walk's one pruning consumer is
+heaviest_nbc_bases, the exact branch and bound for a max-weight NBC base: it
+is asked before each child is reached, and the engine's greedy, Edmonds'
+algorithm in the contraction by that child, bounds what the child's subtree
+can add.  So the walk, its prune hook and the engine's protocol are named in
+this module alone.
 
 A complex is built over a graphic matroid, truncated or not, and walked by one
 pure-Python engine that keeps the face as a forest with component labels, and
@@ -42,17 +45,17 @@ and pop undoes both.  can_add re-examines only the cycles the new edge closes:
 their closing edges are the two components' shared incidences below the new
 edge, and such an edge is its cycle's minimum iff the XOR of path masks that
 is the cycle's forest part has no bit below its own, a few integer ANDs with
-no tree climb and no component scan.  An inherited candidate whose components
-the last push left alone skips the cycles altogether; any other inherited
-candidate tests only the cycles through both itself and the pushed edge,
-since every other cycle through it closes the same forest path as before the
-push, where it was already checked.  Those come from the incidences of the
-pushed edge's far side, and the pushed edge's bit in a vertex's path mask
-tells which side the vertex is on.  On a large sparse graph the incidence
-masks of all n lone vertices would cost O(n * m) bits, so there a lone vertex
-keeps none, and its cycles are read off the ascending positions of its own
-elements.  An engine then holds O(p * m) bits of masks after p pushes, over
-O(m) words of lists, and a walk pushes its root, e0 and at most
+no tree climb and no component scan.  A candidate of the child face + a
+whose components a leaves alone skips the cycles altogether; any other one
+tests only the cycles through both itself and a, since every other cycle
+through it closes the same forest path as in the face without a, where it
+was already checked.  Those come from the incidences of a's far side, and
+their forest paths through a differ from the ones before a's push by the one
+constant that push XORs into the side it moves.  On a large sparse graph the
+incidence masks of all n lone vertices would cost O(n * m) bits, so there a
+lone vertex keeps none, and its cycles are read off the ascending positions
+of its own elements.  An engine then holds O(p * m) bits of masks after p
+pushes, over O(m) words of lists, and a walk pushes its root, e0 and at most
 log2(MAX_NBC_FACES) more: refusals that need only the rank come before an
 engine is built.
 
@@ -169,26 +172,29 @@ class _GraphicEngine:
        path[y] ^ path[v].  f is the cycle's minimum iff neither mask has a
        bit below bit(f); reject e if some candidate is.
 
-    extensions(cand) is can_add over a list that the face P before the last
-    push accepted in full, where F = P + a is the face now.  Take e = uv with
-    neither endpoint in a's merged component (both differ from its label, one
-    O(1) test each).  Then u's and v's components are the same trees in F as
-    in P, so e still joins two components (rule 1), and the absent edges
-    joining them, and the forest paths that close their cycles through e, are
-    unchanged: a cannot be one of those edges, since it joined two other
-    components.  So rules 2 and 3 see the same cycles at F as at P, where
-    P + e is NBC and so none of them has an absent minimum, and e is accepted
-    outright.  A candidate whose endpoints now share a component is rejected
-    (rule 1).  That leaves e with u in a's merged component M and v in
-    another component B.  A cycle through e closed by an absent f = xy, x in
-    M and y in B, whose forest path from x to u avoids a, is the cycle it was
-    at P; only the cycles through both a and e are new, those with x on the
-    side of a away from u.  Such an f is the cycle's minimum only if it lies
-    below both a and e.  The relabelled side's paths now run through a, so u
-    lies there iff path[u] holds bit(a), and the far side's incidences are
-    then the saved old inc[big], and otherwise inc[small]; rule 3 tests the
-    candidates that mask shares with inc[B] below both bits, reading them off
-    at[v] when B is a lone v that keeps no mask.
+    extensions(a, cand) is can_add at the child F + a, over a list that the
+    face F at hand accepted in full, read off F's state before a = st is
+    pushed, with s in component S and t in T.  The walk calls it only for a
+    child below full size.  Take e = uv with neither endpoint in S or T (four
+    O(1) label tests).  Then u's and v's components are the same trees in
+    F + a as in F, so e still joins two components (rule 1), and the absent
+    edges joining them, and the forest paths that close their cycles through
+    e, are unchanged: a cannot be one of those edges, since it joins two other
+    components.  So rules 2 and 3 see the same cycles at F + a as at F, where
+    F + e is NBC and so none of them has an absent minimum, and e is accepted
+    outright.  An e with one end in S and the other in T would lie inside
+    S + a + T, and is rejected (rule 1).  That leaves e with u in S, say, and
+    v in another component B.  A cycle through e closed by an absent f = xy,
+    x in S and y in B, is a cycle at F too, where it was checked; only the
+    cycles through both a and e are new, those with x in T.  Such an f is the
+    cycle's minimum only if it lies below both a and e, so the candidates are
+    inc[T] below bit(a), taken once a call for each side, AND inc[B] below
+    bit(e); when T or B is a lone vertex that keeps no mask, they are read
+    off its position list instead, and no mask is built.  Once a is pushed,
+    x's forest path to u runs x ... t, a, s ... u, whose mask is
+    path[x] ^ k ^ path[u] for the constant k = path[s] ^ path[t] ^ bit(a)
+    that push XORs into the side it moves, so rule 3 runs with k ^ path[u]
+    in place of path[u].
     """
 
     def __init__(self, graph, order, trunc_rank: int):
@@ -230,7 +236,7 @@ class _GraphicEngine:
             if inc[lu] is not None or (inc[lv] is None and len(self.at[v]) < len(self.at[u])):
                 u, v, lu, lv = v, u, lv, lu
             cand = self._joins(u, lv, pe)
-        return not cand or self._no_absent_minimum(u, v, lu, cand)
+        return not cand or self._no_absent_minimum(self.path[u], self.path[v], lu, cand)
 
     def _inc(self, label: int) -> int:
         """The incidence mask of label's component: the one inc keeps, or for
@@ -252,13 +258,13 @@ class _GraphicEngine:
                 out |= 1 << p
         return out
 
-    def _no_absent_minimum(self, u: int, v: int, lu: int, cand: int) -> bool:
-        """Rule 3: True iff no absent edge in the mask cand, each joining u's
-        component (label lu) to v's, is the minimum of the cycle it closes
-        through uv: a forest edge below it lies on the path from its end to u
-        or from its other end to v."""
+    def _no_absent_minimum(self, pu: int, pv: int, lu: int, cand: int) -> bool:
+        """Rule 3: True iff no absent edge in the mask cand, each joining the
+        component labelled lu to another, is the minimum of the cycle it
+        closes through uv.  pu ^ path[x] is the forest path from an end x in
+        lu to u, and pv ^ path[y] the one from the other end y to v; the edge
+        is the minimum unless one of them has a bit below its own."""
         path, ends_at, label = self.path, self.ends_at, self.label
-        pu, pv = path[u], path[v]
         while cand:
             low = cand & -cand
             x, y = ends_at[low.bit_length() - 1]
@@ -269,36 +275,45 @@ class _GraphicEngine:
             cand ^= low
         return True
 
-    def extensions(self, cand) -> list:
-        """The elements of cand that can_add accepts, in cand's order.  The
-        face before the last push accepted all of cand, so an e whose
-        components that push left alone is accepted without a cycle test,
-        and any other e tests only the cycles through the pushed edge.  The
-        walk calls it only right after a push, on a face below full size."""
-        big, small, old_inc, _ = self._merges[-1]
-        old_inc = _mask(self.at[big]) if old_inc is None else old_inc
-        side = self._inc(small)
-        pos_a = self.pos[self.members[-1]]
-        bit_a = 1 << pos_a
-        below_a = bit_a - 1
+    def extensions(self, a: int, cand) -> list:
+        """The accepted list of the child face + a: the elements of cand that
+        can_add would accept once a is pushed, in cand's order, read before
+        the push.  The face accepted a and all of cand, so an e whose
+        components a leaves alone is accepted without a cycle test, an e
+        joining a's two components is rejected, and any other e tests only
+        the cycles through both a and e.  The walk calls it only for a child
+        below full size."""
+        s, t = self.ends[a]
         label, ends, pos, inc, path = self.label, self.ends, self.pos, self.inc, self.path
+        ls, lt = label[s], label[t]
+        pos_a = pos[a]
+        below_a = (1 << pos_a) - 1
+        k = path[s] ^ path[t] ^ (below_a + 1)  # what push(a) XORs into a side
+        # each side's incidences below a, or None for a lone vertex keeping no mask
+        side_s = None if inc[ls] is None else inc[ls] & below_a
+        side_t = None if inc[lt] is None else inc[lt] & below_a
         out = []
         for e in cand:
             u, v = ends[e]
             lu, lv = label[u], label[v]
-            if lu == lv:
-                continue
-            if lu != big and lv != big:
+            if lv == ls or lv == lt:
+                if lu == ls or lu == lt:
+                    continue
+                u, v, lu, lv = v, u, lv, lu
+            elif lu != ls and lu != lt:
                 out.append(e)
                 continue
-            if lv == big:
-                u, v, lv = v, u, lu
-            far = old_inc if path[u] & bit_a else side
-            if inc[lv] is None:
-                found = far & self._joins(v, big, min(pos_a, pos[e]))
+            if lu == ls:
+                far, side = lt, side_t
             else:
-                found = far & inc[lv] & below_a & ((1 << pos[e]) - 1)
-            if not found or self._no_absent_minimum(u, v, big, found):
+                far, side = ls, side_s
+            if side is None:
+                found = self._joins(far, lv, min(pos_a, pos[e]))
+            elif inc[lv] is None:
+                found = self._joins(v, far, min(pos_a, pos[e]))
+            else:
+                found = side & inc[lv] & ((1 << pos[e]) - 1)
+            if not found or self._no_absent_minimum(k ^ path[u], path[v], far, found):
                 out.append(e)
         return out
 
@@ -395,17 +410,23 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
     id, each child trying only the extensions after its own.  The faces are
     NBC faces holding e0 for an NbcComplex, and independent sets for a bare
     GraphicMatroid.  Yields the engine's live member list (the apex and the
-    root elements first); yields nothing when root is not a face.  A facet is
-    appended to that list and removed again, never pushed.  prune, when
-    given, is called as prune(eng, accepted, i) before the
-    face F = eng.members gets its child F + accepted[i], whose subtree holds
-    only faces F + accepted[i] + C with C drawn from accepted[i + 1:]; a
-    true result skips the child and its subtree, with no push, extensions
-    or pop.  MAX_NBC_FACES caps the faces containing root: when root lacks e0,
-    each face yielded stands for two, itself and itself minus e0.  The cap
-    refuses before an engine is built, and so before root is checked, when
-    2^(rank - |root|) exceeds it, since the complex is pure and the subsets
-    of one facet through root already number that many."""
+    root elements first); yields nothing when root is not a face.  A child's
+    accepted list is read before its push, and besides the root only a face
+    with children below full size is pushed: a face one short of full size
+    is appended to that list, its facets are appended, yielded and removed
+    one by one, and then it is removed, with no frame, push or pop; a facet
+    under a pushed face is appended and removed alike.  prune, when given,
+    is called as prune(eng, accepted, i) before the face F = eng.members
+    gets its child F + accepted[i], whose subtree holds only faces
+    F + accepted[i] + C with C drawn from accepted[i + 1:]; a true result
+    skips the child and its subtree, with no push, extensions or pop.  Under
+    a face that is not pushed, eng.members is that face but the engine's
+    forest is its parent's, so a prune may read the forest only for a child
+    short of full size.  MAX_NBC_FACES caps the faces containing root: when
+    root lacks e0, each face yielded stands for two, itself and itself minus
+    e0.  The cap refuses before an engine is built, and so before root is
+    checked, when 2^(rank - |root|) exceeds it, since the complex is pure and
+    the subsets of one facet through root already number that many."""
     budget = MAX_NBC_FACES
     what = "NBC faces" if isinstance(x, NbcComplex) else "independent sets"
     refusal = f"more than MAX_NBC_FACES={MAX_NBC_FACES} {what} visited"
@@ -416,18 +437,31 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
         return
     members, full = eng.members, eng.full
     extensions, push, pop = eng.extensions, eng.push, eng.pop
+    append, remove = members.append, members.pop
     cost = 2 if len(members) > len(root) else 1  # e0 was added to root
-    frames = []  # per non-full face on the path: [its accepted extensions, next child]
+    frames = []  # per pushed face on the path: [its accepted extensions, next child]
     accepted = [e for e in range(eng.m) if eng.can_add(e)]
+    pushed = True  # the root is
     while True:
-        if budget < cost and not force:
-            raise SizeGuardError(refusal)
         budget -= cost
+        if budget < 0 and not force:
+            raise SizeGuardError(refusal)
         yield members
-        if len(members) < full:
-            frames.append([accepted, 0])
-        elif frames:
-            members.pop()  # a facet below the root was appended, not pushed
+        if pushed:
+            if len(members) < full:
+                frames.append([accepted, 0])
+        else:
+            if len(members) < full:  # one short of full size, so its children are facets
+                for j, f in enumerate(accepted):
+                    if prune is not None and prune(eng, accepted, j):
+                        continue
+                    append(f)
+                    budget -= cost
+                    if budget < 0 and not force:
+                        raise SizeGuardError(refusal)
+                    yield members
+                    remove()
+            remove()
         while frames:
             frame = frames[-1]
             accepted, i = frame
@@ -436,11 +470,14 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
                 frame[1] = i + 1
                 if prune is not None and prune(eng, accepted, i):
                     continue
-                if len(members) + 1 < full:
+                below = full - len(members) - 1  # levels under the child F + e
+                if below:
+                    accepted = extensions(e, accepted[i + 1 :])
+                pushed = below > 1
+                if pushed:
                     push(e)
-                    accepted = extensions(accepted[i + 1 :])
                 else:
-                    members.append(e)
+                    append(e)
                 break
             frames.pop()
             if frames:
@@ -454,7 +491,9 @@ def _facets_through(x, root: frozenset, force: bool, what: str):
     base or, for a bare GraphicMatroid, a base, lexicographic: the order in
     which the walk's preorder reaches them.  The member list starts with the
     apex and the sorted root, so sigma minus root is its tail plus the apex
-    when root lacks it; the union leaves each facet a compact table."""
+    when root lacks it.  The union, with an empty head too, copies each facet
+    into a table sized for it: a frozenset built from a list keeps the table
+    it grew to, 728 bytes against 472 for 5 to 7 elements on CPython 3.11."""
     rank = x.rank
     apex = frozenset(_apex(x))
     skip, head = len(root | apex), apex - root
@@ -472,24 +511,29 @@ def enumerate_nbc_bases(x: NbcComplex, force: bool = False):
     return _facets_through(x, frozenset(), force, "NBC bases")
 
 
-def face_numbers(x: NbcComplex, force: bool = False) -> IntPolynomial:
-    """The face polynomial, sum of n_k t^k over the exact Whitney numbers
-    n_0..n_rank, by pruned enumeration.  The walk yields c_j faces of size j,
-    all holding e0, and each face F without e0 pairs with F + e0, so
-    n_j = c_j + c_{j+1}.  On an empty ground set the walk yields the empty
-    face alone, and n_0 = c_0 = 1.  A matroid with a loop has no faces, and
-    its face polynomial is zero."""
-    rank = x.matroid.rank
+def face_numbers(x, force: bool = False) -> IntPolynomial:
+    """The face polynomial, sum of n_k t^k over the exact face numbers
+    n_0..n_rank of x, an NbcComplex or a bare GraphicMatroid, whose faces are
+    its independent sets, by pruned enumeration.  A bare matroid's walk has no
+    apex, and n_j is the count c_j of faces of size j it yields.  A complex's
+    walk yields only faces holding e0, and each face F without e0 pairs with
+    F + e0, so n_j = c_j + c_{j+1} (Whitney numbers).  On an empty ground set
+    the walk yields the empty face alone, and n_0 = c_0 = 1.  A complex over
+    a matroid with a loop has no faces, and its face polynomial is zero."""
+    rank = x.rank
     counts = [0] * (rank + 2)
     for face in _walk(x, force=force):
         counts[len(face)] += 1
-    return IntPolynomial(tuple(counts[j] + counts[j + 1] for j in range(rank + 1)))
+    if isinstance(x, NbcComplex):
+        counts = [counts[j] + counts[j + 1] for j in range(rank + 1)]
+    return IntPolynomial(tuple(counts[: rank + 1]))
 
 
-def heaviest_nbc_bases(x: NbcComplex, nums, force: bool = False):
-    """(base, best, ties): the lexicographically greatest NBC base of
-    greatest weight under the integer weights nums, nums[e] being element
-    e's, that weight, and how many NBC bases have it.
+def heaviest_nbc_bases(x, nums, force: bool = False):
+    """(base, best, ties): the lexicographically greatest facet of x, an NBC
+    base of an NbcComplex or a base of a bare GraphicMatroid, of greatest
+    weight under the integer weights nums, nums[e] being element e's, that
+    weight, and how many facets have it.
 
     Exact branch and bound over the face walk.  The walk reaches bases in
     lexicographic order, and a child F + e of a face F is completed only from
@@ -504,7 +548,7 @@ def heaviest_nbc_bases(x: NbcComplex, nums, force: bool = False):
     lexicographically greatest.  No base list is built, so MAX_NBC_BASES
     does not apply.  MAX_NBC_FACES counts the faces the walk visits, but
     _walk also refuses up front, pruned or not, when 2^r exceeds it."""
-    if len(nums) != x.matroid.ground_size:
+    if len(nums) != (x.matroid if isinstance(x, NbcComplex) else x).ground_size:
         raise PreconditionError("need exactly one weight per element")
     rank = x.rank
     heaviest_first = [-n for n in nums].__getitem__

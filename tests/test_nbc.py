@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from nbcwalk import (
     PreconditionError,
     SizeGuardError,
     VerificationError,
+    WeightVector,
     build_link_gadget,
     build_named_graph,
     chromatic_polynomial,
@@ -39,7 +41,9 @@ from helpers import (
     closure_nbc_facets_through,
     graphic_indep,
     random_graph_corpus,
+    random_multigraphs,
     random_orders,
+    subset_acyclic,
     theta_graph,
     truncated_indep,
 )
@@ -303,9 +307,9 @@ class TestDeepFaces:
             examined[0] += 1
             return can_add(self, e)
 
-        def counted_extensions(self, cand):
+        def counted_extensions(self, a, cand):
             examined[0] += len(cand)
-            return extensions(self, cand)
+            return extensions(self, a, cand)
 
         monkeypatch.setattr(nbc._GraphicEngine, "can_add", counted_can_add)
         monkeypatch.setattr(nbc._GraphicEngine, "extensions", counted_extensions)
@@ -571,16 +575,18 @@ def _candidate_list_cases():
 
 class TestCandidateLists:
     """A face's extensions come from its parent's accepted list; at every
-    face the walk reaches, that list filtered by the engine must be exactly
-    what can_add accepts there."""
+    child the walk reaches, that list filtered by the engine before the
+    child's push must be exactly what can_add accepts once it is pushed."""
 
     def test_inherited_extensions_match_can_add(self, monkeypatch):
         original = nbc._GraphicEngine.extensions
         checked = [0]
 
-        def checking(self, cand):
-            got = original(self, cand)
+        def checking(self, a, cand):
+            got = original(self, a, cand)
+            self.push(a)
             assert got == [e for e in cand if self.can_add(e)], (self.members, cand)
+            self.pop()
             checked[0] += 1
             return got
 
@@ -605,9 +611,9 @@ class TestCandidateLists:
             tried[0] += 1
             return can_add(self, e)
 
-        def counted_extensions(self, cand):
+        def counted_extensions(self, a, cand):
             tried[0] += len(cand)
-            return extensions(self, cand)
+            return extensions(self, a, cand)
 
         monkeypatch.setattr(nbc._GraphicEngine, "can_add", counted_can_add)
         monkeypatch.setattr(nbc._GraphicEngine, "extensions", counted_extensions)
@@ -639,20 +645,30 @@ def _fresh_engine(x, members):
     return eng
 
 
+def _checked_extensions(x, eng, a, cand, extensions=nbc._GraphicEngine.extensions):
+    """extensions(eng, a, cand), asserted equal to what a fresh engine holding
+    the face eng.members + a accepts of cand, and to leave eng as it was."""
+    before = _engine_state(eng)
+    got = extensions(eng, a, cand)
+    assert _engine_state(eng) == before
+    fresh = _fresh_engine(x, [*eng.members, a])
+    assert got == [e for e in cand if fresh.can_add(e)], (eng.members, a, cand)
+    return got, fresh
+
+
 class TestExtensionsAgainstAFreshEngine:
-    """extensions tests only the cycles through the last pushed edge and
-    tells the pushed edge's two sides apart by that edge's bit in the path
-    masks; a fresh engine's can_add tests every cycle."""
+    """extensions(a, cand) reads the child's list before a is pushed: it
+    tests only the cycles through both a and the candidate, and tells a's
+    two sides apart by their labels; a fresh engine that pushed a tests
+    every cycle with can_add."""
 
     def test_every_face_the_walk_reaches(self, monkeypatch):
         original = nbc._GraphicEngine.extensions
         current, calls, cut = [None], [0], [0]
 
-        def checking(self, cand):
-            got = original(self, cand)
-            fresh = _fresh_engine(current[0], self.members)
-            assert got == [e for e in cand if fresh.can_add(e)], (self.members, cand)
-            label, ends = self.label, self.ends
+        def checking(self, a, cand):
+            got, fresh = _checked_extensions(current[0], self, a, cand, original)
+            label, ends = fresh.label, fresh.ends
             cut[0] += sum(1 for e in cand if e not in got and label[ends[e][0]] != label[ends[e][1]])
             calls[0] += 1
             return got
@@ -678,9 +694,10 @@ class TestExtensionsAgainstAFreshEngine:
         assert cut[0] > 200  # candidates rejected by a new cycle through the pushed edge
 
     def test_a_push_after_a_pop_reads_only_its_own_side_bit(self):
-        """Push a, pop it, push b: the paths holding b's bit are exactly those
-        of the vertices b's push relabelled, no path holds a's bit, and
-        extensions still agrees with a fresh engine."""
+        """Push a and pop it: extensions of b still agrees with a fresh
+        engine.  Push b: the paths holding b's bit are exactly those of the
+        vertices b's push relabelled, no path holds a's bit, and extensions
+        of a child of the face with b agrees with a fresh engine too."""
         rng = random.Random(SEED)
         checked = 0
         for g in _parallel_multigraphs() + [build_named_graph("complete", 6)]:
@@ -699,40 +716,44 @@ class TestExtensionsAgainstAFreshEngine:
                     labels = list(eng.label)
                     eng.push(a)
                     eng.pop()
+                    rest, _ = _checked_extensions(x, eng, b, [e for e in accepted if e != b])
                     eng.push(b)
                     relabelled = {y for y, lab in enumerate(eng.label) if lab != labels[y]}
                     bit_a, bit_b = (1 << eng.pos[e] for e in (a, b))
                     assert not any(p & bit_a for p in eng.path)
                     assert {y for y, p in enumerate(eng.path) if p & bit_b} == relabelled
-                    rest = [e for e in accepted if e != b]
-                    fresh = _fresh_engine(x, eng.members)
-                    assert eng.extensions(rest) == [e for e in rest if fresh.can_add(e)]
+                    if rest and len(eng.members) + 1 < rank:
+                        c = rng.choice(rest)
+                        _checked_extensions(x, eng, c, [e for e in rest if e != c])
                     checked += 1
         assert checked > 300
 
 
 class TestScanWork:
     def test_k8_extensions_test_fewer_candidate_bits(self, monkeypatch):
-        """On K8's face numbers, the candidate bits extensions hands to rule 3
-        (the cycles through the pushed edge) are far fewer than the ones
-        can_add would hand it (every cycle through the candidate) for the
-        candidates whose components the push touched."""
+        """On K8's face numbers, the candidate bits extensions(a, cand) hands
+        to rule 3 (the cycles through a) are far fewer than the ones can_add
+        would hand it once a is pushed (every cycle through the candidate)
+        for the candidates with one end in a's two components."""
         extensions, rule3 = nbc._GraphicEngine.extensions, nbc._GraphicEngine._no_absent_minimum
         tested, full, inside = [0], [0], [False]
 
-        def counted_rule3(self, u, v, lu, cand):
+        def counted_rule3(self, pu, pv, lu, cand):
             tested[0] += inside[0] * cand.bit_count()
-            return rule3(self, u, v, lu, cand)
+            return rule3(self, pu, pv, lu, cand)
 
-        def counted_extensions(self, cand):
-            big, label = self._merges[-1][0], self.label
+        def counted_extensions(self, a, cand):
+            label, inc = self.label, self._inc
+            sides = [label[x] for x in self.ends[a]]
+            merged = inc(sides[0]) | inc(sides[1])
             for e in cand:
                 lu, lv = (label[x] for x in self.ends[e])
-                if lu != lv and big in (lu, lv):
-                    full[0] += (self._inc(lu) & self._inc(lv) & ((1 << self.pos[e]) - 1)).bit_count()
+                if (lu in sides) != (lv in sides):
+                    other = lv if lu in sides else lu
+                    full[0] += (merged & inc(other) & ((1 << self.pos[e]) - 1)).bit_count()
             inside[0] = True
             try:
-                return extensions(self, cand)
+                return extensions(self, a, cand)
             finally:
                 inside[0] = False
 
@@ -741,7 +762,7 @@ class TestScanWork:
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
         assert face_numbers(x).coefficients == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
         # can_add would hand rule 3 113699 candidate bits here; the cycles
-        # through the pushed edge alone take 54137.
+        # through a alone take 54137.
         assert tested[0] < full[0] // 2
 
 
@@ -1049,9 +1070,15 @@ class TestConeApex:
         monkeypatch.setattr(nbc._GraphicEngine, "push", counted)
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 7)))
         assert len(enumerate_nbc_bases(x)) == 720
-        # 2520 of K7's 5040 faces hold e0; the 720 facets are appended, not
-        # pushed.  A walk from the bare root pushes 4319.
-        assert pushes[0] == 2520 - 720
+        # 2520 of K7's 5040 faces hold e0; the 720 facets and the 1044 faces
+        # one short of them are appended, not pushed.  A walk from the bare
+        # root pushes 4319.
+        assert pushes[0] == 2520 - 720 - 1044 == 756
+        pushes[0] = 0
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
+        assert face_numbers(x).coefficients == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
+        # 20160 faces hold e0: 5040 facets and 8028 faces one short of them.
+        assert pushes[0] == 20160 - 5040 - 8028 == 7092
 
     def test_edgeless_graph(self):
         g = MultiGraph(3, [])
@@ -1205,4 +1232,117 @@ class TestExtensionsKeepingNoLoneMask(_LoneVerticesKeepNoMask, TestExtensionsAga
 
 
 class TestWideMasksKeepingNoLoneMask(_LoneVerticesKeepNoMask, TestWideMasks):
+    pass
+
+
+def _subsets(m):
+    return itertools.chain.from_iterable(itertools.combinations(range(m), k) for k in range(m + 1))
+
+
+def _preorder(faces, start, m):
+    """The member lists of a walk from the face start over the set faces, by
+    recursion over that set alone: a face's children add, in ascending id,
+    each element that keeps it a face, and each child tries only the
+    elements after its own."""
+    out = []
+
+    def visit(members, cands):
+        out.append(members)
+        kids = [e for e in cands if frozenset(members) | {e} in faces]
+        for i, e in enumerate(kids):
+            visit([*members, e], kids[i + 1 :])
+
+    if frozenset(start) in faces:
+        visit(list(start), [e for e in range(m) if e not in start])
+    return out
+
+
+class TestWalkPreorder:
+    """_walk's face sequence, as the member lists it yields, against a
+    preorder over brute-force faces, for complexes and bare matroids on
+    random multigraphs at random ranks and orders, from the empty root and
+    from faces and non-faces."""
+
+    def test_face_sequence_matches_a_brute_force_preorder(self):
+        rng = random.Random(SEED)
+        walked = 0
+        for g in random_multigraphs(count=80, max_vertices=7, max_edges=12, seed=SEED + 36):
+            m = g.edge_count
+            rank = rng.randint(0, GraphicMatroid(g).rank)
+            (ranking,) = random_orders(m, 1, seed=SEED + m + rank)
+            indep = truncated_indep(g, rank)
+            complexes = (
+                (NbcComplex(GraphicMatroid(g, rank), ranking), brute_nbc_faces(m, indep, ranking), ranking[:1]),
+                (GraphicMatroid(g, rank), {f for f in map(frozenset, _subsets(m)) if indep(f)}, ()),
+            )
+            for x, faces, apex in complexes:
+                roots = [frozenset()] + rng.sample(sorted(faces, key=sorted), min(3, len(faces)))
+                roots.append(frozenset(rng.sample(range(m), rng.randint(0, min(m, rank + 1)))))
+                for root in roots:
+                    start = [*apex, *sorted(root.difference(apex))]
+                    got = [list(face) for face in nbc._walk(x, root)]
+                    assert got == _preorder(faces, start, m), (g.edges, rank, ranking, root)
+                    walked += len(got)
+        assert walked > 4000
+
+
+def _kruskal(g, rank, weights):
+    """A max-weight base of g's graphic matroid truncated to rank: the edges
+    in descending weight, each kept when it joins two components of those
+    kept before, until rank are kept."""
+    comp = list(range(g.vertex_count))
+
+    def find(x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    kept = []
+    for e in sorted(range(g.edge_count), key=lambda e: -weights[e]):
+        u, v = map(find, g.edges[e])
+        if len(kept) < rank and u != v:
+            comp[u] = v
+            kept.append(e)
+    return frozenset(kept)
+
+
+class TestBareMatroid:
+    """face_numbers and heaviest_nbc_bases take a bare GraphicMatroid too:
+    its faces are the independent sets, and its walk has no apex."""
+
+    def _cases(self):
+        rng = random.Random(SEED)
+        for g in random_multigraphs(count=25, max_vertices=7, max_edges=10, seed=SEED + 37):
+            for rank in range(GraphicMatroid(g).rank + 1):
+                yield rng, g, rank
+
+    def test_face_numbers_tally_the_acyclic_subsets(self):
+        for _, g, rank in self._cases():
+            counts = [0] * (rank + 1)
+            for s in _subsets(g.edge_count):
+                if len(s) <= rank and subset_acyclic(g, s):
+                    counts[len(s)] += 1
+            assert face_numbers(GraphicMatroid(g, rank)) == IntPolynomial(tuple(counts))
+
+    def test_heaviest_base_is_kruskals(self):
+        for rng, g, rank in self._cases():
+            m = g.edge_count
+            distinct = rng.sample(range(-m, 2 * m), m)
+            base, best, ties = nbc.heaviest_nbc_bases(GraphicMatroid(g, rank), distinct)
+            assert (base, best, ties) == (_kruskal(g, rank, distinct), sum(distinct[e] for e in base), 1)
+            tied = [rng.randint(-2, 2) for _ in range(m)]
+            base, best, ties = nbc.heaviest_nbc_bases(GraphicMatroid(g, rank), tied)
+            assert best == sum(tied[e] for e in _kruskal(g, rank, tied)) == sum(tied[e] for e in base)
+            bases = [frozenset(s) for s in itertools.combinations(range(m), rank) if subset_acyclic(g, s)]
+            assert ties == sum(1 for b in bases if sum(tied[e] for e in b) == best)
+            assert base == max((b for b in bases if sum(tied[e] for e in b) == best), key=sorted)
+
+    def test_max_weight_base_of_a_triangle(self):
+        k3 = GraphicMatroid(build_named_graph("complete", 3))
+        assert max_weight_nbc_base(k3, WeightVector([1, 2, 3])) == (frozenset({1, 2}), Fraction(5))
+        with pytest.raises(PreconditionError, match="one weight per element"):
+            nbc.heaviest_nbc_bases(k3, [1, 2])
+
+
+class TestWalkPreorderKeepingNoLoneMask(_LoneVerticesKeepNoMask, TestWalkPreorder):
     pass
