@@ -386,9 +386,12 @@ def max_weight_independent_set(g: MultiGraph, vertex_weights: WeightVector, forc
 def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     """(base, weight) of an NBC base of greatest weight under w; ties keep the
     lexicographically greatest base, as _heaviest over every base would.
-    Exact, by nbc's branch and bound in w's integer numerators."""
+    Exact, by nbc's branch and bound in w's integer numerators, without the
+    tie count: its walk reaches the bases in descending lexicographic order,
+    keeps the first heaviest one and prunes every child that can at most
+    tie it."""
     w = WeightVector(w)
-    base, best, _ = heaviest_nbc_bases(x, w.nums, force)
+    base, best, _ = heaviest_nbc_bases(x, w.nums, force, ties=False)
     return base, Fraction(best, w.den)
 
 

@@ -30,10 +30,14 @@ e > A[i] with F + A[i] + e a face; the preorder is the one a walk trying every
 element id in turn would take.  Extension to a base scans the ids once,
 along the walk's first path.  The walk's one pruning consumer is
 heaviest_nbc_bases, the exact branch and bound for a max-weight NBC base: it
-is asked before each child is reached, and the engine's greedy, Edmonds'
-algorithm in the contraction by that child, bounds what the child's subtree
-can add.  So the walk, its prune hook and the engine's protocol are named in
-this module alone.
+picks each face's children, and the engine's bound pass, one per face with
+one exchange per child, keeps a max-weight forest of the growing tail in
+the contraction by the face (Edmonds: greedy is exact on matroid bases), so
+it bounds what each child's subtree can add.  Counting ties, it visits the
+children in ascending id; for the heaviest base alone, in descending id, so
+the first heaviest base reached is the lexicographically greatest and a
+child that can at most tie is pruned.  So the walk, its children hook and
+the engine's protocol are named in this module alone.
 
 A complex is built over a graphic matroid, truncated or not, and walked by one
 pure-Python engine that keeps the face as a forest with component labels, and
@@ -66,6 +70,8 @@ independence complex is no cone, so the walk starts from the empty set.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, insort
 
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import IntPolynomial, _integer
@@ -346,28 +352,78 @@ class _GraphicEngine:
             path[x] ^= k
         del self.comp[big][-len(moved) :]
 
-    def greedy(self, e: int, ranked, need: int) -> list:
-        """Edmonds' greedy in the contraction by face + e: the first need
-        elements of ranked, in its order, that join two components of the
-        forest face + e plus the ones taken before; fewer when ranked runs
-        out.  Union-find runs over the component labels, with e's endpoints
-        merged first, so the forest itself is left alone."""
+    def completions(self, accepted, nums, need: int) -> list:
+        """The bound pass over the accepted list of the face F at hand: at
+        index i, the greatest weight under nums of need elements of
+        accepted[i + 1:] that form a forest with F + accepted[i], or None
+        when no need of them do.  At need 0 every entry is 0 and the forest
+        is not read, so F need not be pushed.
+
+        One pass, from the last index down, keeps T, a max-weight spanning
+        forest of the suffix accepted[i + 1:] in the contraction by F: its
+        vertices are F's component labels, up maps a label to its parent in
+        T and the element joining them, and kept holds the weights of T's
+        elements, ascending.  Forcing e = accepted[i] in drops the lightest
+        element g on the path e closes in T, if there is one, and T - g is
+        then a max-weight spanning forest of the suffix in the contraction
+        by F + e.  Greedy is exact on matroid bases (Edmonds, "Matroids and
+        the greedy algorithm", 1971), so the need heaviest elements of T - g
+        are a heaviest completion, for weights of either sign, and there is
+        none when T - g has fewer.  Then e joins the suffix with one
+        exchange: T takes it, and when it closes a cycle drops that cycle's
+        lightest element, e itself when none is lighter."""
+        out = [0] * len(accepted)
+        if not need:
+            return out
         label, ends = self.label, self.ends
-        u, v = ends[e]
-        up = {label[u]: label[v]}
-        out = []
-        for f in ranked:
-            if len(out) == need:
-                break
-            a, b = ends[f]
-            a, b = label[a], label[b]
-            while a in up:
-                a = up[a]
-            while b in up:
-                b = up[b]
-            if a != b:
-                up[a] = b
-                out.append(f)
+        up = {}
+        kept = []
+        for i in range(len(accepted) - 1, -1, -1):
+            e = accepted[i]
+            u, v = ends[e]
+            a, b = label[u], label[v]
+            depth = {a: 0}  # a and its ancestors in T, each at its distance from a
+            x = a
+            while x in up:
+                x = up[x][0]
+                depth[x] = len(depth)
+            low = None  # the label whose parent element is the lightest on the path so far
+            y = b
+            while y not in depth and y in up:
+                above, f = up[y]
+                if low is None or nums[f] < lightest:
+                    low, lightest = y, nums[f]
+                y = above
+            if y in depth:  # e closes a cycle: b's ancestors up to y, then a's
+                x = a
+                for _ in range(depth[y]):
+                    above, f = up[x]
+                    if low is None or nums[f] < lightest:
+                        low, lightest = x, nums[f]
+                    x = above
+                if len(kept) > need:
+                    top = kept[-need - 1 :]
+                    out[i] = sum(top) - max(top[0], lightest)
+                else:
+                    out[i] = None
+                if nums[e] <= lightest:
+                    continue
+                del kept[bisect_left(kept, lightest)]
+                del up[low]
+                if low not in depth:
+                    a, b = b, a
+            else:
+                out[i] = sum(kept[-need:]) if len(kept) >= need else None
+            insort(kept, nums[e])
+            # hang a's piece of T from b through e, re-rooted at a
+            x, parent, f = a, b, e
+            while True:
+                above = up.get(x)
+                up[x] = (parent, f)
+                if above is None:
+                    break
+                parent, f = x, above[1]
+                x = above[0]
         return out
 
 
@@ -404,7 +460,7 @@ def _root_engine(x, root):
     return eng
 
 
-def _walk(x, root=frozenset(), force: bool = False, prune=None):
+def _walk(x, root=frozenset(), force: bool = False, children=None):
     """Every face of x containing root and x's apex, in preorder from their
     union: a face's children add its accepted extensions in ascending element
     id, each child trying only the extensions after its own.  The faces are
@@ -415,18 +471,25 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
     with children below full size is pushed: a face one short of full size
     is appended to that list, its facets are appended, yielded and removed
     one by one, and then it is removed, with no frame, push or pop; a facet
-    under a pushed face is appended and removed alike.  prune, when given,
-    is called as prune(eng, accepted, i) before the face F = eng.members
-    gets its child F + accepted[i], whose subtree holds only faces
-    F + accepted[i] + C with C drawn from accepted[i + 1:]; a true result
-    skips the child and its subtree, with no push, extensions or pop.  Under
-    a face that is not pushed, eng.members is that face but the engine's
-    forest is its parent's, so a prune may read the forest only for a child
-    short of full size.  MAX_NBC_FACES caps the faces containing root: when
-    root lacks e0, each face yielded stands for two, itself and itself minus
-    e0.  The cap refuses before an engine is built, and so before root is
-    checked, when 2^(rank - |root|) exceeds it, since the complex is pure and
-    the subsets of one facet through root already number that many."""
+    under a pushed face is appended and removed alike.
+
+    children, when given, picks and orders the children instead: it is
+    called as children(eng, accepted) at each face F = eng.members below
+    full size, and gives an iterator over indices of accepted, advanced once
+    before each child is reached; the walk reaches F + accepted[i] for each
+    i it gives, in that order, and the subtree of that child holds only
+    faces F + accepted[i] + C with C drawn from accepted[i + 1:].  A child
+    left out is skipped with its subtree, with no push, extensions or pop.
+    Under a face that is not pushed, eng.members is that face but the
+    engine's forest is its parent's, so the iterator may read the forest
+    only at a face whose children are below full size.
+
+    MAX_NBC_FACES caps the faces containing root: when root lacks e0, each
+    face yielded stands for two, itself and itself minus e0.  The cap
+    refuses before an engine is built, and so before root is checked, when
+    2^(rank - |root|) exceeds it, since the complex is pure and the subsets
+    of one facet through root already number that many: a walk whose
+    children are picked refuses there too, though it may visit far fewer."""
     budget = MAX_NBC_FACES
     what = "NBC faces" if isinstance(x, NbcComplex) else "independent sets"
     refusal = f"more than MAX_NBC_FACES={MAX_NBC_FACES} {what} visited"
@@ -439,7 +502,7 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
     extensions, push, pop = eng.extensions, eng.push, eng.pop
     append, remove = members.append, members.pop
     cost = 2 if len(members) > len(root) else 1  # e0 was added to root
-    frames = []  # per pushed face on the path: [its accepted extensions, next child]
+    frames = []  # per pushed face on the path: (its accepted extensions, its children's indices)
     accepted = [e for e in range(eng.m) if eng.can_add(e)]
     pushed = True  # the root is
     while True:
@@ -449,12 +512,12 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
         yield members
         if pushed:
             if len(members) < full:
-                frames.append([accepted, 0])
+                order = iter(range(len(accepted))) if children is None else children(eng, accepted)
+                frames.append((accepted, order))
         else:
             if len(members) < full:  # one short of full size, so its children are facets
-                for j, f in enumerate(accepted):
-                    if prune is not None and prune(eng, accepted, j):
-                        continue
+                facets = accepted if children is None else map(accepted.__getitem__, children(eng, accepted))
+                for f in facets:
                     append(f)
                     budget -= cost
                     if budget < 0 and not force:
@@ -463,13 +526,10 @@ def _walk(x, root=frozenset(), force: bool = False, prune=None):
                     remove()
             remove()
         while frames:
-            frame = frames[-1]
-            accepted, i = frame
-            if i < len(accepted):
+            accepted, order = frames[-1]
+            i = next(order, None)
+            if i is not None:
                 e = accepted[i]
-                frame[1] = i + 1
-                if prune is not None and prune(eng, accepted, i):
-                    continue
                 below = full - len(members) - 1  # levels under the child F + e
                 if below:
                     accepted = extensions(e, accepted[i + 1 :])
@@ -529,53 +589,54 @@ def face_numbers(x, force: bool = False) -> IntPolynomial:
     return IntPolynomial(tuple(counts[: rank + 1]))
 
 
-def heaviest_nbc_bases(x, nums, force: bool = False):
+def heaviest_nbc_bases(x, nums, force: bool = False, ties: bool = True):
     """(base, best, ties): the lexicographically greatest facet of x, an NBC
     base of an NbcComplex or a base of a bare GraphicMatroid, of greatest
     weight under the integer weights nums, nums[e] being element e's, that
-    weight, and how many facets have it.
+    weight, and how many facets have it; with ties false, (base, best, None).
 
-    Exact branch and bound over the face walk.  The walk reaches bases in
-    lexicographic order, and a child F + e of a face F is completed only from
-    the extensions after e.  So its subtree weighs at most w(F) + w(e) plus a
-    max-weight set of r - |F| - 1 of those extensions that is independent in
-    the contraction by F + e, which the engine's Edmonds greedy finds: it
-    takes them in descending weight, exactly that many, so the bound holds
-    for negative weights too.  A child is pruned when the greedy comes up
-    short (no base lies below it) or its bound is strictly below the best
-    base so far.  A tie is never pruned, so every base of greatest weight is
-    reached: ties counts them exactly, and the last one reached is the
-    lexicographically greatest.  No base list is built, so MAX_NBC_BASES
-    does not apply.  MAX_NBC_FACES counts the faces the walk visits, but
-    _walk also refuses up front, pruned or not, when 2^r exceeds it."""
+    Exact branch and bound over the face walk.  A child F + e of a face F is
+    completed only from the extensions after e, so its subtree weighs at
+    most w(F) + w(e) plus the heaviest completion that the engine's bound
+    pass finds for it at F, one pass per face.  A child is pruned when no
+    completion exists (no base lies below it) or its bound is below the
+    best base so far.  Counting ties, the walk visits children in ascending
+    id, so it reaches the bases in lexicographic order and every base of
+    greatest weight: the count is exact, and the last such base reached is
+    the greatest.  With ties false it visits them in descending id, so the
+    first base of greatest weight reached is the greatest, and a child whose
+    bound only equals the best so far is pruned too: any base below it is a
+    tie and lexicographically smaller.  The weights are integers, so that
+    prune is bound < best + 1.  No base list is built, so MAX_NBC_BASES does
+    not apply; MAX_NBC_FACES counts the faces the walk visits, but _walk
+    also refuses up front, pruned or not, when 2^r exceeds it."""
     if len(nums) != (x.matroid if isinstance(x, NbcComplex) else x).ground_size:
         raise PreconditionError("need exactly one weight per element")
     rank = x.rank
-    heaviest_first = [-n for n in nums].__getitem__
+    slack = 0 if ties else 1  # a child is visited when its bound reaches best + slack
     best = best_set = None
-    ties = 0
+    count = 0
 
-    def prune(eng, accepted, i):
-        e = accepted[i]
+    def children(eng, accepted):
         members = eng.members
-        bound = sum(map(nums.__getitem__, members)) + nums[e]
-        need = rank - len(members) - 1
-        if need:
-            picked = eng.greedy(e, sorted(accepted[i + 1 :], key=heaviest_first), need)
-            if len(picked) < need:
-                return True
-            bound += sum(map(nums.__getitem__, picked))
-        return best is not None and bound < best
+        held = sum(map(nums.__getitem__, members))
+        extras = eng.completions(accepted, nums, rank - len(members) - 1)
+        for i in range(len(accepted)) if ties else range(len(accepted) - 1, -1, -1):
+            extra = extras[i]
+            if extra is not None and (best is None or held + nums[accepted[i]] + extra >= best + slack):
+                yield i
 
-    for face in _walk(x, force=force, prune=prune):
+    for face in _walk(x, force=force, children=children):
         if len(face) == rank:
             val = sum(map(nums.__getitem__, face))
-            if best is None or val >= best:
-                ties = ties + 1 if val == best else 1
-                best, best_set = val, frozenset(face)
+            if best is None or val > best:
+                best, best_set, count = val, frozenset(face), 1
+            elif ties and val == best:  # reached later, so lexicographically greater
+                best_set = frozenset(face)
+                count += 1
     if best_set is None:
         raise PreconditionError("the complex has no bases")
-    return best_set, best, ties
+    return best_set, best, count if ties else None
 
 
 def link_facets(x: NbcComplex, tau, force: bool = False):

@@ -426,6 +426,28 @@ class TestMaxWeightBranchAndBound:
         assert (sorted(base), val) == ([0, 4, 8, 15, 16, 17, 18], 22)
         assert len(visited) <= 5277 // 4
 
+    def test_bench_instance_faces_are_pinned(self, monkeypatch):
+        # The same instance.  Counting ties, the ascending walk visits 489
+        # faces; the maximizer's descending walk also prunes a child that can
+        # at most tie the best base so far, and visits 393.
+        inst = build_opt_reduction(
+            build_named_graph("complete_bipartite", 3, 4), WeightVector(range(1, 8))
+        )
+        x = inst.complex()
+        walk, visited = nbc._walk, []
+
+        def counting(*args, **kwargs):
+            for face in walk(*args, **kwargs):
+                visited.append(len(face))
+                yield face
+
+        monkeypatch.setattr(nbc, "_walk", counting)
+        base, best, ties = nbc.heaviest_nbc_bases(x, inst.weights.nums)
+        assert (sorted(base), best, ties, len(visited)) == ([0, 4, 8, 15, 16, 17, 18], 22, 1, 489)
+        visited.clear()
+        base, val = max_weight_nbc_base(x, inst.weights)
+        assert (sorted(base), val, len(visited)) == ([0, 4, 8, 15, 16, 17, 18], 22, 393)
+
     def test_collects_no_bases(self, monkeypatch):
         # MAX_NBC_BASES does not bound the maximizer, and the complex's facet
         # cache stays empty.

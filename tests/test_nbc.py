@@ -798,9 +798,11 @@ class TestFacetExtraction:
         the many facets a walk keeps stay small."""
         k45 = NbcComplex(GraphicMatroid(build_named_graph("complete_bipartite", 4, 5), 5))
         gadget = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 16, 2)
+        k8 = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
         runs = (
             enumerate_nbc_bases(k45),
             link_facets(k45, {0}),
+            link_facets(k8, {0}),  # e0 in the root: 6 elements cut from the member list
             link_facets(k45, {1, 7}),
             link_facets(gadget.complex(), gadget.tau),
         )
@@ -953,20 +955,21 @@ class TestFaceBudgetUpFront:
 
 
 class TestPrunedWalk:
-    """_walk's prune hook: prune(eng, accepted, i) is asked before the face
-    eng.members gets the child + accepted[i], and a true answer skips that
-    child's subtree without pushing it."""
+    """_walk's children hook: children(eng, accepted) gives the indices of
+    accepted whose children the face eng.members gets, in the order reached,
+    and a child it leaves out is skipped with its subtree, without a push."""
 
     @pytest.mark.parametrize("rank", [None, 3], ids=["graphic", "truncated"])
     def test_pruning_nothing_asks_once_per_face(self, rank):
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 5), rank), random_orders(10, 1)[0])
         asked = []
 
-        def keep(eng, accepted, i):
-            asked.append((*eng.members, accepted[i]))
-            return False
+        def keep(eng, accepted):
+            for i, e in enumerate(accepted):
+                asked.append((*eng.members, e))
+                yield i
 
-        faces = [tuple(face) for face in nbc._walk(x, prune=keep)]
+        faces = [tuple(face) for face in nbc._walk(x, children=keep)]
         assert faces == [tuple(face) for face in nbc._walk(x)]
         assert asked == faces[1:]
 
@@ -975,19 +978,31 @@ class TestPrunedWalk:
         without = [tuple(face) for face in nbc._walk(x) if 3 not in face]
         pushes = _walk_pushes(monkeypatch)
 
-        def skip_3(eng, accepted, i):
-            return accepted[i] == 3
+        def skip_3(eng, accepted):
+            return (i for i, e in enumerate(accepted) if e != 3)
 
-        faces = [tuple(face) for face in nbc._walk(x, prune=skip_3)]
+        faces = [tuple(face) for face in nbc._walk(x, children=skip_3)]
         assert faces == without
         assert pushes and 3 not in pushes
 
+    def test_children_reached_in_descending_id(self):
+        # Reversing every face's children reverses the order of the facets.
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete", 5), 3), random_orders(10, 1)[0])
+
+        def descending(eng, accepted):
+            return reversed(range(len(accepted)))
+
+        facets = [frozenset(face) for face in nbc._walk(x, children=descending) if len(face) == x.rank]
+        assert facets == list(reversed(enumerate_nbc_bases(x)))
+
 
 class TestCompletionGreedy:
-    """engine.greedy(e, ranked, need), asked at every child F + e the walk
-    reaches, returns need elements of ranked independent with F + e of
-    greatest total weight, or fewer exactly when no need of them are: checked
-    against every need-subset of the tail under the DFS independence oracle."""
+    """engine.completions(accepted, nums, need), the bound pass at a face F
+    the walk reaches, gives at index i the greatest weight of need elements
+    of the tail accepted[i + 1:] independent with F + accepted[i], or None
+    exactly when no need of them are: checked at every child against every
+    need-subset of the tail under the DFS independence oracle, with weights
+    of both signs."""
 
     @pytest.mark.parametrize(
         "rank", [None, 3, 2], ids=["graphic", "graphic-truncated", "graphic-truncated-2"]
@@ -1000,27 +1015,51 @@ class TestCompletionGreedy:
         weight = [rng.randint(-4, 6) for _ in range(g.edge_count)]
         ranking = random_orders(g.edge_count, 1)[0]
         x = NbcComplex(matroid, ranking)
-        checked = 0
+        checked = []
 
-        def check(eng, accepted, i):
-            nonlocal checked
-            e, tail = accepted[i], accepted[i + 1 :]
-            face = [*eng.members, e]
-            need = matroid.rank - len(face)
-            ranked = sorted(tail, key=lambda f: -weight[f])
-            picked = eng.greedy(e, ranked, need)
-            fits = [c for c in itertools.combinations(tail, need) if indep([*face, *c])]
-            if fits:
-                assert len(picked) == need and indep([*face, *picked])
-                best = max(sum(weight[f] for f in c) for c in fits)
-                assert sum(weight[f] for f in picked) == best
-            else:
-                assert len(picked) < need
-            assert eng.members == face[:-1]
-            checked += 1
-            return False
+        def check(eng, accepted):
+            need = matroid.rank - len(eng.members) - 1
+            extras = eng.completions(accepted, weight, need)
+            for i, e in enumerate(accepted):
+                face, tail = [*eng.members, e], accepted[i + 1 :]
+                fits = [c for c in itertools.combinations(tail, need) if indep([*face, *c])]
+                if fits:
+                    assert extras[i] == max(sum(weight[f] for f in c) for c in fits), (face, tail)
+                else:
+                    assert extras[i] is None, (face, tail)
+                checked.append(need)
+                yield i
 
-        assert sum(1 for _ in nbc._walk(x, prune=check)) == checked + 1
+        assert sum(1 for _ in nbc._walk(x, children=check)) == len(checked) + 1
+        assert 0 in checked and max(checked) == matroid.rank - 2  # at the root's children
+
+    def test_completions_on_random_multigraphs(self):
+        # Parallel edges close two-element cycles in the forest the pass
+        # keeps, and small weights tie, at every rank and under random orders.
+        rng = random.Random(SEED + 37)
+        needs = set()
+        for g in random_multigraphs(count=20, max_vertices=6, max_edges=11, seed=SEED + 37):
+            m, indep = g.edge_count, graphic_indep(g)
+            weight = [rng.randint(-2, 2) for _ in range(m)]
+            for rank in range(1, GraphicMatroid(g).rank + 1):
+                x = NbcComplex(GraphicMatroid(g, rank), random_orders(m, 1, seed=SEED + rank)[0])
+
+                def check(eng, accepted):
+                    need = rank - len(eng.members) - 1
+                    extras = eng.completions(accepted, weight, need)
+                    face = eng.members
+                    for i, e in enumerate(accepted):
+                        fits = [
+                            sum(weight[f] for f in c)
+                            for c in itertools.combinations(accepted[i + 1 :], need)
+                            if indep([*face, e, *c])
+                        ]
+                        assert extras[i] == (max(fits) if fits else None), (g, face, e)
+                        needs.add(need)
+                        yield i
+
+                assert sum(1 for _ in nbc._walk(x, children=check)) == sum(1 for _ in nbc._walk(x))
+        assert needs >= {0, 1, 2, 3}
 
 
 class TestConeApex:
@@ -1336,6 +1375,28 @@ class TestBareMatroid:
             bases = [frozenset(s) for s in itertools.combinations(range(m), rank) if subset_acyclic(g, s)]
             assert ties == sum(1 for b in bases if sum(tied[e] for e in b) == best)
             assert base == max((b for b in bases if sum(tied[e] for e in b) == best), key=sorted)
+
+    def test_k6_visits_few_faces(self, monkeypatch):
+        # The bound is exact on a bare matroid, since its walk below a face
+        # holds every independent completion from the tail: with distinct
+        # weights the walk visits a few dozen of K6's 2932 forests.
+        k6 = GraphicMatroid(build_named_graph("complete", 6))
+        assert face_numbers(k6).total() == 2932
+        weights = random.Random(SEED).sample(range(-15, 15), 15)
+        walk, visited = nbc._walk, []
+
+        def counting(*args, **kwargs):
+            for face in walk(*args, **kwargs):
+                visited.append(len(face))
+                yield face
+
+        monkeypatch.setattr(nbc, "_walk", counting)
+        base, best, ties = nbc.heaviest_nbc_bases(k6, weights)
+        assert (base, best, ties) == (_kruskal(k6.graph, 5, weights), sum(weights[e] for e in base), 1)
+        assert len(visited) == 25
+        visited.clear()
+        assert nbc.heaviest_nbc_bases(k6, weights, ties=False) == (base, best, None)
+        assert len(visited) == 13
 
     def test_max_weight_base_of_a_triangle(self):
         k3 = GraphicMatroid(build_named_graph("complete", 3))

@@ -250,7 +250,7 @@ def test_package_modules_use_every_private_name():
 def test_nbc_defines_one_engine():
     # One enumeration engine: a second class in nbc.py with any of the
     # engine protocol's methods would be a second engine to keep in step.
-    protocol = {"can_add", "extensions", "push", "pop", "greedy"}
+    protocol = {"can_add", "extensions", "push", "pop", "completions"}
     tree = ast.parse((ROOT / "src" / "nbcwalk" / "nbc.py").read_text(encoding="utf-8"))
     engines = {
         node.name: {n.name for n in node.body if isinstance(n, ast.FunctionDef)} & protocol
@@ -271,10 +271,10 @@ def test_nbc_defines_one_complex_and_one_engine():
 
 
 def test_only_nbc_drives_the_engine():
-    # The walk, the engine's greedy and its live member list are one
+    # The walk, the engine's bound pass and its live member list are one
     # module's protocol: the branch and bound that prunes the walk sits in
     # nbc.py beside it, and no other package module names any of them.
-    protocol = {"_walk", "greedy", "members"}
+    protocol = {"_walk", "completions", "members"}
     named = {
         path.name
         for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py"))
