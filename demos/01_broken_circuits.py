@@ -14,6 +14,7 @@ from nbcwalk import (
     count_acyclic_orientations,
     enumerate_nbc_bases,
     face_numbers,
+    tutte_polynomial,
 )
 
 g = build_named_graph("complete", 3)
@@ -38,6 +39,8 @@ assert [abs(chi.coefficients[g.vertex_count - k]) for k in range(f.degree + 1)] 
 total = f.total()
 print(f"total faces {total} = acyclic orientations {count_acyclic_orientations(g)}")
 assert total == count_acyclic_orientations(g) == abs(chi(-1))
+# Both counts are Tutte evaluations: faces T(2, 0), NBC bases T(1, 0).
+assert tutte_polynomial(g)[0](1) == f.coefficients[-1] == len(enumerate_nbc_bases(x))
 
 # The same identities on a graph with more structure.
 k23 = build_named_graph("complete_bipartite", 2, 3)
@@ -48,6 +51,7 @@ assert all(
     n == abs(chi23.coefficients[k23.vertex_count - k]) for k, n in enumerate(f23.coefficients)
 )
 assert f23.total() == count_acyclic_orientations(k23)
+assert tutte_polynomial(k23)[0](1) == f23.coefficients[-1]
 
 # No broken circuit contains the order-smallest edge, and a cycle through it
 # would leave a broken circuit behind, so adding that edge to an NBC face

@@ -1,9 +1,10 @@
 """Labeled multigraphs and the exact counting oracles built on them.
 
-Everything here is deterministic and exact: chromatic polynomials come from
-deletion-contraction over integers, orientation and independent-set counts
-from bounded brute force, and parking counts from Dhar's burning test on every
-candidate function.  Edge indices double as the element ids of the graphic
+Everything here is deterministic and exact.  One Tutte polynomial, by
+memoised deletion-contraction over integers under the one budget
+TUTTE_MAX_MINORS, gives the chromatic polynomial, the acyclic orientations
+T(2, 0) and the parking functions T(1, 1); independent-set counts come from
+bounded brute force.  Edge indices double as the element ids of the graphic
 matroid layered on top, so edge order matters and is part of the data.
 """
 
@@ -15,11 +16,8 @@ from fractions import Fraction
 
 from .errors import PreconditionError, SizeGuardError
 
-CHROMATIC_MAX_EDGES = 20
-ORIENTATION_MAX_EDGES = 16
+TUTTE_MAX_MINORS = 20_000
 INDEP_COUNT_MAX_VERTICES = 26
-PARKING_MAX_NONROOT = 8
-PARKING_MAX_FUNCTIONS = 2_000_000
 
 
 class MultiGraph:
@@ -44,7 +42,7 @@ class MultiGraph:
                 raise PreconditionError(f"edge {k} is a self-loop at vertex {u}")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise PreconditionError(f"edge {k} has endpoint out of range: ({u}, {v})")
-            normalized.append((u, v) if u < v else (v, u))
+            normalized.append(_pair(u, v))
         self.vertex_count = vertex_count
         self.edges = tuple(normalized)
 
@@ -181,14 +179,15 @@ def _joins(n: int, pairs):
 @dataclass(frozen=True)
 class IntPolynomial:
     """Integer polynomial; coefficients[i] multiplies x**i, highest entry
-    nonzero.  Besides the chromatic polynomial it holds by-size counts, the
-    face polynomial of an NBC complex and the independence polynomial of a
-    graph: coefficient k counts the objects of size k."""
+    nonzero.  Besides the chromatic polynomial and the rows of the Tutte
+    polynomial it holds by-size counts, the face polynomial of an NBC complex
+    and the independence polynomial of a graph: coefficient k counts the
+    objects of size k."""
 
     coefficients: tuple
 
     def __post_init__(self):
-        # Plain ints skip the call: this runs at every deletion-contraction step.
+        # Plain ints skip the call: this runs on every arithmetic result.
         coeffs = tuple(
             c if type(c) is int else _integer(c, "a coefficient") for c in self.coefficients
         )
@@ -251,73 +250,119 @@ class IntPolynomial:
         return f"IntPolynomial({self.coefficients})"
 
 
-def chromatic_polynomial(g: MultiGraph, force: bool = False) -> IntPolynomial:
-    """Exact chromatic polynomial by deletion-contraction.
+def tutte_polynomial(g: MultiGraph, force: bool = False) -> tuple:
+    """The Tutte polynomial T(x, y) of g, exact, as a tuple of IntPolynomial
+    rows: row j holds the coefficients of y**j as a polynomial in x.
 
-    Parallel edges collapse first (they do not change proper colorings), and
-    contraction drops the loops it creates for the same reason.
+    Memoised deletion-contraction on the classes of parallel edges, each a
+    vertex pair and its multiplicity k, removed whole: T = T(G - class) +
+    (1 + y + ... + y**(k-1)) T(G / class), since contracting one edge of the
+    class leaves the other k - 1 as loops, a factor y each.  A bridge class
+    gives T = (x + y + ... + y**(k-1)) T(G / class), since there G - class
+    and G / class have the same T.  The branch class joins a vertex of fewest
+    neighbours to its busiest neighbour.  Measured, that uses up one component
+    before it starts the next, so a disconnected graph costs the sum of its
+    components' minors without being split.  A minor is memoised under its
+    classes, vertices renamed in order of first appearance.
+
+    A coefficient of a minor's T is at most its number of bases, T(1, 1), so
+    at most the product of k + 1 over g's classes, and its power of x is at
+    most g's rank r.  So each T in the recursion is one integer, with x and y the
+    powers of two 2**(8 width) and 2**(8 width (r + 1)): coefficient (i, j)
+    fills the `width` bytes at byte width (i + (r + 1) j), no sum or product
+    carries from one into the next, and integer arithmetic is polynomial
+    arithmetic.  A graph of one class is its own bridge, x + y + ... + y**(k-1).
+
+    The budget TUTTE_MAX_MINORS counts each distinct minor once, and once more
+    per KiB of its packed T: on large sparse graphs a few hundred minors hold
+    megabytes each.  Past it the call refuses unless forced.  The recursion
+    goes one level deeper per class on its first path, so a graph with about
+    as many classes as the recursion limit refuses too, forced or not.
     """
-    if g.edge_count > CHROMATIC_MAX_EDGES and not force:
-        raise SizeGuardError(
-            f"{g.edge_count} edges exceeds CHROMATIC_MAX_EDGES={CHROMATIC_MAX_EDGES}"
-        )
-    memo = {}
+    rank = sum(_joins(g.vertex_count, g.edges))
+    classes = {}
+    for e in g.edges:
+        classes[e] = classes.get(e, 0) + 1
+    width = 1 + sum(k.bit_length() for k in classes.values()) // 8
+    x, y = 1 << 8 * width, 1 << 8 * width * (rank + 1)
+    memo, spent = {}, 0
 
-    def rec(nv, edges):
-        if not edges:
-            return IntPolynomial.monomial(nv)
-        key = (nv, edges)
+    def loops(k):
+        """1 + y + ... + y**(k-1), packed."""
+        return (y**k - 1) // (y - 1)
+
+    def rec(pairs):
+        nonlocal spent
+        if not pairs:
+            return 1
+        if len(pairs) == 1:
+            (k,) = pairs.values()
+            return x + loops(k) - 1
+        label = {}
+        for a, b in sorted(pairs):
+            label.setdefault(a, len(label))
+            label.setdefault(b, len(label))
+        pairs = {_pair(label[a], label[b]): k for (a, b), k in pairs.items()}
+        key = tuple(sorted(pairs.items()))
         hit = memo.get(key)
         if hit is not None:
             return hit
-        u, v = min(edges)
-        deleted = edges - {(u, v)}
-        contracted = set()
-        for a, b in deleted:
-            a2 = u if a == v else a
-            b2 = u if b == v else b
-            if a2 != b2:
-                contracted.add((a2, b2) if a2 < b2 else (b2, a2))
-        res = rec(nv, deleted) - rec(nv - 1, frozenset(contracted))
-        memo[key] = res
-        return res
+        degree = [0] * len(label)
+        for a, b in pairs:
+            degree[a] += 1
+            degree[b] += 1
+        w = min(range(len(degree)), key=degree.__getitem__)
+        u, v = max((c for c in pairs if w in c), key=lambda c: degree[c[0] if c[1] == w else c[1]])
+        k = pairs.pop((u, v))
+        *_, bridge = _joins(len(degree), [*pairs, (u, v)])
+        merged = {}
+        for (a, b), n in pairs.items():
+            c = _pair(u if a == v else a, u if b == v else b)
+            merged[c] = merged.get(c, 0) + n
+        if bridge:
+            t = (x + loops(k) - 1) * rec(merged)
+        else:
+            t = rec(pairs) + loops(k) * rec(merged)
+        memo[key] = t
+        spent += 1 + (t.bit_length() >> 13)
+        if spent > TUTTE_MAX_MINORS and not force:
+            raise SizeGuardError(
+                f"more than TUTTE_MAX_MINORS={TUTTE_MAX_MINORS} distinct minors, "
+                "counting one more per KiB of each one's polynomial"
+            )
+        return t
 
     try:
-        return rec(g.vertex_count, frozenset(g.edges))
+        t = rec(classes)
     except RecursionError:
         m = g.edge_count
         raise SizeGuardError(f"{m} edges exceeds the recursion limit of deletion-contraction") from None
+    packed = t.to_bytes(-(-t.bit_length() // 8), "little")
+    coefficients = [int.from_bytes(packed[i : i + width], "little") for i in range(0, len(packed), width)]
+    return tuple(
+        IntPolynomial(tuple(coefficients[j : j + rank + 1]))
+        for j in range(0, len(coefficients), rank + 1)
+    )
+
+
+def _pair(a: int, b: int) -> tuple:
+    """The endpoints a, b in ascending order, as a multigraph stores them."""
+    return (a, b) if a < b else (b, a)
+
+
+def chromatic_polynomial(g: MultiGraph, force: bool = False) -> IntPolynomial:
+    """Exact chromatic polynomial chi(t) = (-1)**r t**c T(1 - t, 0), with r
+    the rank and c the number of components, isolated vertices included."""
+    rank = sum(_joins(g.vertex_count, g.edges))
+    chi = IntPolynomial(())
+    for a in reversed(tutte_polynomial(g, force)[0].coefficients):
+        chi = chi * IntPolynomial((1, -1)) + IntPolynomial((a,))
+    return chi * IntPolynomial(((-1) ** rank,)) * IntPolynomial.monomial(g.vertex_count - rank)
 
 
 def count_acyclic_orientations(g: MultiGraph, force: bool = False) -> int:
-    """Exhaustive count of orientations whose digraph has no directed cycle."""
-    m = g.edge_count
-    if m > ORIENTATION_MAX_EDGES and not force:
-        raise SizeGuardError(f"{m} edges exceeds ORIENTATION_MAX_EDGES={ORIENTATION_MAX_EDGES}")
-    n = g.vertex_count
-    edges = g.edges
-    count = 0
-    for mask in range(1 << m):
-        out = [[] for _ in range(n)]
-        indeg = [0] * n
-        for k in range(m):
-            u, v = edges[k]
-            if mask >> k & 1:
-                u, v = v, u
-            out[u].append(v)
-            indeg[v] += 1
-        queue = [x for x in range(n) if indeg[x] == 0]
-        done = 0
-        while queue:
-            x = queue.pop()
-            done += 1
-            for y in out[x]:
-                indeg[y] -= 1
-                if indeg[y] == 0:
-                    queue.append(y)
-        if done == n:
-            count += 1
-    return count
+    """Orientations whose digraph has no directed cycle: T(2, 0) (Stanley 1973)."""
+    return tutte_polynomial(g, force)[0](2)
 
 
 def iter_independent_sets(g: MultiGraph, force: bool = False):
@@ -366,45 +411,12 @@ def count_g_parking_functions(g: MultiGraph, root: int, force: bool = False) -> 
     """Count maps f on the non-root vertices where every nonempty subset S of them
     has some v in S with f(v) strictly below the number of edges from v leaving S.
 
-    Each candidate f, with 0 <= f(v) < deg(v), goes through Dhar's burning
-    test (Dhar, PRL 64, 1990): fire starts at the root, and a vertex catches
-    once more than f(v) of its edges lead to burnt vertices.  f counts iff
-    every vertex burns; otherwise the unburnt set is a subset S in which
-    every v has f(v) at least its edges leaving S."""
+    On a connected graph these are as many as its spanning trees
+    (Postnikov-Shapiro, Trans. AMS 2004), T(1, 1): Dhar's burning test maps
+    one to the other."""
     root = _integer(root, "root")
     if not 0 <= root < g.vertex_count:
         raise PreconditionError(f"root {root} out of range")
     if not g.is_connected():
         raise PreconditionError("parking functions need a connected graph")
-    n = g.vertex_count
-    if n - 1 > PARKING_MAX_NONROOT and not force:
-        raise SizeGuardError(
-            f"{n - 1} non-root vertices exceeds PARKING_MAX_NONROOT={PARKING_MAX_NONROOT}"
-        )
-    adj = [[] for _ in range(n)]
-    for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    limits = [len(a) for a in adj]
-    limits[root] = 1
-    space = 1
-    for d in limits:
-        space *= d
-    if space > PARKING_MAX_FUNCTIONS and not force:
-        raise SizeGuardError(
-            f"{space} candidate functions exceeds PARKING_MAX_FUNCTIONS={PARKING_MAX_FUNCTIONS}"
-        )
-    count = 0
-    for f in itertools.product(*map(range, limits)):
-        # Each edge to a burnt vertex takes one from fuel[v], and v catches
-        # as its fuel drops below zero; the root is alight from the start.
-        fuel = list(f)
-        fuel[root] = -1
-        fire = [root]
-        for x in fire:
-            for y in adj[x]:
-                if fuel[y] == 0:
-                    fire.append(y)
-                fuel[y] -= 1
-        count += len(fire) == n
-    return count
+    return sum(row.total() for row in tutte_polynomial(g, force))

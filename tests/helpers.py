@@ -1,8 +1,9 @@
 """Shared test oracles, all deliberately independent of the package's own
 algorithms: acyclicity and components by depth-first search (not union-find),
-spanning trees by matrix-tree with exact rationals, colorings, bases and
-broken circuits by direct brute force, NBC membership and NBC bases also by
-the closure form."""
+spanning trees by matrix-tree with exact rationals, colorings, orientations,
+bases and broken circuits by direct brute force, parking functions by Dhar's
+burning test on every candidate, NBC membership and NBC bases also by the
+closure form.  None of them reads the Tutte polynomial."""
 
 import itertools
 import random
@@ -241,6 +242,61 @@ def proper_colorings(g, q):
     for coloring in itertools.product(range(q), repeat=g.vertex_count):
         if all(coloring[u] != coloring[v] for u, v in g.edges):
             count += 1
+    return count
+
+
+def acyclic_orientations(g):
+    """Orientations with no directed cycle, by trying all 2^m of them and
+    peeling sources (Kahn's algorithm) off each."""
+    n, m = g.vertex_count, g.edge_count
+    count = 0
+    for mask in range(1 << m):
+        out = [[] for _ in range(n)]
+        indeg = [0] * n
+        for k, (u, v) in enumerate(g.edges):
+            if mask >> k & 1:
+                u, v = v, u
+            out[u].append(v)
+            indeg[v] += 1
+        queue = [x for x in range(n) if indeg[x] == 0]
+        done = 0
+        while queue:
+            x = queue.pop()
+            done += 1
+            for y in out[x]:
+                indeg[y] -= 1
+                if indeg[y] == 0:
+                    queue.append(y)
+        count += done == n
+    return count
+
+
+def dhar_parking_functions(g, root):
+    """G-parking functions of a connected graph by Dhar's burning test (Dhar,
+    PRL 64, 1990) on every candidate f with 0 <= f(v) < deg(v): fire starts at
+    the root, and a vertex catches once more than f(v) of its edges lead to
+    burnt vertices.  f counts iff every vertex burns; otherwise the unburnt
+    set is a subset S in which every v has f(v) at least its edges leaving S."""
+    n = g.vertex_count
+    adj = [[] for _ in range(n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    limits = [len(a) for a in adj]
+    limits[root] = 1
+    count = 0
+    for f in itertools.product(*map(range, limits)):
+        # Each edge to a burnt vertex takes one from fuel[v], and v catches
+        # as its fuel drops below zero; the root is alight from the start.
+        fuel = list(f)
+        fuel[root] = -1
+        fire = [root]
+        for x in fire:
+            for y in adj[x]:
+                if fuel[y] == 0:
+                    fire.append(y)
+                fuel[y] -= 1
+        count += len(fire) == n
     return count
 
 

@@ -20,14 +20,20 @@ from nbcwalk import (
     count_g_parking_functions,
     count_independent_sets_by_size,
     disjoint_union,
+    enumerate_nbc_bases,
+    face_numbers,
     graphs,
     hardcore_partition,
     is_nbc,
     iter_independent_sets,
     local_walk_matrix,
+    tutte_polynomial,
 )
 from helpers import (
+    SEED,
+    acyclic_orientations,
     component_count,
+    dhar_parking_functions,
     proper_colorings,
     random_graph_corpus,
     random_multigraphs,
@@ -328,10 +334,13 @@ class TestChromatic:
         chi = chromatic_polynomial(g)
         assert chi(3) == 6 * 3
 
-    def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            chromatic_polynomial(build_named_graph("complete", 8))
-        chromatic_polynomial(build_named_graph("complete", 8), force=True)
+    def test_size_guard(self, monkeypatch):
+        k8 = build_named_graph("complete", 8)
+        expected = chromatic_polynomial(k8)
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 50)
+        with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=50"):
+            chromatic_polynomial(k8)
+        assert chromatic_polynomial(k8, force=True) == expected
 
 
 class TestAcyclicOrientations:
@@ -346,13 +355,18 @@ class TestAcyclicOrientations:
         assert count_acyclic_orientations(build_named_graph("cycle", 4)) == 14
 
     def test_matches_chromatic_at_minus_one(self):
+        # Both counts come from one Tutte polynomial, so each is checked
+        # against the brute-force count over all 2^m orientations.
         for g in random_graph_corpus(count=4):
-            chi = chromatic_polynomial(g)
-            assert count_acyclic_orientations(g) == abs(chi(-1))
+            brute = acyclic_orientations(g)
+            assert count_acyclic_orientations(g) == abs(chromatic_polynomial(g)(-1)) == brute
 
-    def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            count_acyclic_orientations(build_named_graph("complete", 7))
+    def test_size_guard(self, monkeypatch):
+        k7 = build_named_graph("complete", 7)
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 20)
+        with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=20"):
+            count_acyclic_orientations(k7)
+        assert count_acyclic_orientations(k7, force=True) == 5040
 
 
 class TestSizeCounts:
@@ -457,6 +471,100 @@ class TestParkingFunctions:
         with pytest.raises(PreconditionError):
             count_g_parking_functions(build_named_graph("complete", 3), 5)
 
-    def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            count_g_parking_functions(build_named_graph("complete", 10), 0)
+    def test_size_guard(self, monkeypatch):
+        k10 = build_named_graph("complete", 10)
+        assert count_g_parking_functions(k10, 0) == 10**8
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 100)
+        with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=100"):
+            count_g_parking_functions(k10, 0)
+        assert count_g_parking_functions(k10, 0, force=True) == 10**8
+
+
+def _evaluate(t, x, y):
+    """T(x, y) from its rows, row j the coefficients of y**j."""
+    return sum(row(x) * y**j for j, row in enumerate(t))
+
+
+def _tutte_corpus():
+    """Seeded random multigraphs, with K0, K1 and a few edgeless and
+    disconnected graphs beside them."""
+    extra = [MultiGraph(0, []), MultiGraph(1, []), MultiGraph(3, [])]
+    extra.append(MultiGraph(5, [(0, 1), (0, 1), (3, 4)]))
+    return extra + random_multigraphs(count=70, max_vertices=7, max_edges=11, seed=SEED + 38)
+
+
+class TestTuttePolynomial:
+    def test_small_graphs(self):
+        assert tutte_polynomial(MultiGraph(0, [])) == (IntPolynomial((1,)),)
+        # K3: x^2 + x + y
+        k3 = build_named_graph("complete", 3)
+        assert tutte_polynomial(k3) == (IntPolynomial((0, 1, 1)), IntPolynomial((1,)))
+        # a triple edge: x + y + y^2
+        assert tutte_polynomial(MultiGraph(2, [(0, 1)] * 3)) == (
+            IntPolynomial((0, 1)),
+            IntPolynomial((1,)),
+            IntPolynomial((1,)),
+        )
+        # K4: x^3 + 3x^2 + 2x + 4xy + 2y + 3y^2 + y^3
+        assert tutte_polynomial(build_named_graph("complete", 4)) == (
+            IntPolynomial((0, 2, 3, 1)),
+            IntPolynomial((2, 4)),
+            IntPolynomial((3,)),
+            IntPolynomial((1,)),
+        )
+
+    def test_against_brute_force_and_the_engine(self):
+        """On random multigraphs: T(2, 0) counts acyclic orientations,
+        (-1)^r q^c T(1 - q, 0) proper q-colourings, T(1, 1) spanning trees
+        and parking functions of a connected graph, T(1, 0) the NBC bases,
+        and t^r T(1 + 1/t, 1) the forests by size, the face numbers of the
+        bare matroid."""
+        corpus = _tutte_corpus()
+        assert any(len(set(g.edges)) < g.edge_count for g in corpus)
+        assert any(component_count(g.vertex_count, g.edges) > 1 for g in corpus if g.edge_count)
+        assert any(g.vertex_count > len({v for e in g.edges for v in e}) for g in corpus if g.edge_count)
+        for g in corpus:
+            t = tutte_polynomial(g)
+            n = g.vertex_count
+            c = component_count(n, g.edges)
+            rank = n - c
+            assert _evaluate(t, 2, 0) == acyclic_orientations(g), g
+            for q in range(4):
+                assert (-1) ** rank * q**c * _evaluate(t, 1 - q, 0) == proper_colorings(g, q), (g, q)
+            if c == 1:
+                trees = spanning_tree_count(g)
+                assert _evaluate(t, 1, 1) == trees == dhar_parking_functions(g, 0)
+                assert dhar_parking_functions(g, n - 1) == trees
+            matroid = GraphicMatroid(g)
+            assert _evaluate(t, 1, 0) == len(enumerate_nbc_bases(NbcComplex(matroid))), g
+            forests = IntPolynomial(())
+            for i in range(rank + 1):
+                a = sum(row[i] for row in t)
+                term = IntPolynomial.monomial(rank - i)
+                for _ in range(i):
+                    term = term * IntPolynomial((1, 1))
+                forests = forests + term * IntPolynomial((a,))
+            assert forests == face_numbers(matroid), g
+
+
+class TestTutteBudget:
+    def test_refuses_past_the_budget_and_force_lifts_it(self, monkeypatch):
+        k6 = build_named_graph("complete", 6)
+        expected = tutte_polynomial(k6)
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 10)
+        with pytest.raises(SizeGuardError, match=r"^more than TUTTE_MAX_MINORS=10 distinct minors"):
+            tutte_polynomial(k6)
+        assert tutte_polynomial(k6, force=True) == expected
+
+    def test_a_minor_weighs_its_polynomial(self, monkeypatch):
+        """A minor counts once more per KiB of its packed polynomial, so a
+        graph whose few minors hold large polynomials refuses too."""
+        path = build_named_graph("path", 400)
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 2000)
+        with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=2000"):
+            tutte_polynomial(path)
+        assert tutte_polynomial(path, force=True) == (IntPolynomial.monomial(399),)
+
+    def test_too_deep_is_a_size_guard(self):
+        with pytest.raises(SizeGuardError, match="recursion limit"):
+            tutte_polynomial(build_named_graph("cycle", 1200), force=True)

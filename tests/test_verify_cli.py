@@ -3,10 +3,25 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nbcwalk import PreconditionError, build_named_graph, chains, cli, gadgets, nbc, run_suite, verify
+from nbcwalk import (
+    PreconditionError,
+    build_named_graph,
+    chains,
+    cli,
+    gadgets,
+    graphs,
+    nbc,
+    run_suite,
+    verify,
+)
 from nbcwalk.cli import main
 from nbcwalk.verify import run_spectral_suite
 
@@ -71,6 +86,14 @@ class TestSuites:
         assert all(c.passed for c in checks)
         assert sorted(len(key) for key in calls) == [46, 2510]
         assert set(calls.values()) == {1}
+
+    def test_local_walk_reversible_fails_on_an_asymmetric_walk(self, monkeypatch):
+        # Element 0 of C4 lies in 3 facets and element 1 in 2, so a walk whose
+        # entry is 1/3 everywhere off the diagonal breaks detailed balance.
+        monkeypatch.setattr(chains.LocalWalk, "entry", lambda self, i, j: Fraction(int(i != j), 3))
+        (check,) = [c for c in run_spectral_suite() if c.name == "local-walk-reversible"]
+        assert not check.passed
+        assert check.detail == "detailed balance fails between elements 0 and 1"
 
     def test_spectral_suite_enumerates_each_complex_once(self, monkeypatch):
         calls = _count_enumerations(monkeypatch)
@@ -374,12 +397,59 @@ class TestCliContract:
         assert _run(capsys, "face-numbers", "--graph", "cycle:5", "--truncate", "9")[0] == 2
         assert _run(capsys, "link", "--graph", "complete:3", "--tau", "1,2")[0] == 2
 
-    def test_size_guard_is_exit_three(self, capsys):
-        assert _run(capsys, "oracle", "chromatic", "--graph", "complete:8")[0] == 3
+    def test_size_guard_is_exit_three(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 50)
+        code, out, err = _run(capsys, "oracle", "chromatic", "--graph", "complete:8")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: more than TUTTE_MAX_MINORS=50 distinct minors, "
+            "counting one more per KiB of each one's polynomial\n"
+        )
 
-    def test_force_size_overrides(self, capsys):
+    def test_force_size_overrides(self, capsys, monkeypatch):
+        expected = _report(capsys, "oracle", "chromatic", "--graph", "complete:8")
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 50)
         report = _report(capsys, "oracle", "chromatic", "--graph", "complete:8", "--force-size")
         assert report["degree"] == 8
+        assert report["coefficients"] == expected["coefficients"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "oracle chromatic --input {file}",
+            "oracle parking --input {file} --root 0",
+            "oracle acyclic --graph complete_bipartite:20:20",
+        ],
+        ids=["gadget-l8-chromatic", "gadget-l8-parking", "k20-20-acyclic"],
+    )
+    def test_the_tutte_budget_refuses_within_a_gigabyte(self, tmp_path, argv):
+        """A child interpreter under a 1 GiB address-space limit and a time
+        limit.  The graph of the K2,2 link gadget at l = 8 (69 edges) meets
+        tens of thousands of minors; K20,20's few minors hold polynomials of
+        many KiB.  Each must refuse on the budget, not run out of memory."""
+        g = gadgets.build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 8, 2).matroid.graph
+        path = tmp_path / "gadget.json"
+        path.write_text(json.dumps({"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}))
+        limit = 1 << 30
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from nbcwalk import cli\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", code, *argv.format(file=path).split()],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        refusal = (
+            "error: more than TUTTE_MAX_MINORS=20000 distinct minors, "
+            "counting one more per KiB of each one's polynomial\n"
+        )
+        assert (done.returncode, done.stderr, done.stdout) == (3, refusal, "")
 
     def test_bad_flags_are_exit_two(self, capsys):
         assert main(["face-numbers", "--no-such-flag"]) == 2
