@@ -274,8 +274,11 @@ def tutte_polynomial(g: MultiGraph, force: bool = False) -> tuple:
     arithmetic.  A graph of one class is its own bridge, x + y + ... + y**(k-1).
 
     The budget TUTTE_MAX_MINORS counts each distinct minor once, and once more
-    per KiB of its packed T: on large sparse graphs a few hundred minors hold
-    megabytes each.  Past it the call refuses unless forced.  The recursion
+    per KiB it holds: per eight classes of its memo key, charged before its
+    recursion so that a first descent through large minors counts too (on K100
+    it is 4950 classes wide and hundreds deep), and per KiB of its packed T
+    once that is known (on large sparse graphs a few hundred minors hold
+    megabytes each).  Past it the call refuses unless forced.  The recursion
     goes one level deeper per class on its first path, so a graph with about
     as many classes as the recursion limit refuses too, forced or not.
     """
@@ -284,15 +287,24 @@ def tutte_polynomial(g: MultiGraph, force: bool = False) -> tuple:
     for e in g.edges:
         classes[e] = classes.get(e, 0) + 1
     width = 1 + sum(k.bit_length() for k in classes.values()) // 8
-    x, y = 1 << 8 * width, 1 << 8 * width * (rank + 1)
+    x, row = 1 << 8 * width, width * (rank + 1)
     memo, spent = {}, 0
 
     def loops(k):
-        """1 + y + ... + y**(k-1), packed."""
-        return (y**k - 1) // (y - 1)
+        """1 + y + ... + y**(k-1), packed: a 1 in the first byte of each of k
+        rows of `row` bytes."""
+        return int.from_bytes((b"\1" + bytes(row - 1)) * k, "little")
+
+    def charge(units):
+        nonlocal spent
+        spent += units
+        if spent > TUTTE_MAX_MINORS and not force:
+            raise SizeGuardError(
+                f"more than TUTTE_MAX_MINORS={TUTTE_MAX_MINORS} distinct minors, "
+                "counting one more per KiB of each one's classes and polynomial"
+            )
 
     def rec(pairs):
-        nonlocal spent
         if not pairs:
             return 1
         if len(pairs) == 1:
@@ -307,6 +319,7 @@ def tutte_polynomial(g: MultiGraph, force: bool = False) -> tuple:
         hit = memo.get(key)
         if hit is not None:
             return hit
+        charge(1 + (len(key) >> 3))
         degree = [0] * len(label)
         for a, b in pairs:
             degree[a] += 1
@@ -324,12 +337,7 @@ def tutte_polynomial(g: MultiGraph, force: bool = False) -> tuple:
         else:
             t = rec(pairs) + loops(k) * rec(merged)
         memo[key] = t
-        spent += 1 + (t.bit_length() >> 13)
-        if spent > TUTTE_MAX_MINORS and not force:
-            raise SizeGuardError(
-                f"more than TUTTE_MAX_MINORS={TUTTE_MAX_MINORS} distinct minors, "
-                "counting one more per KiB of each one's polynomial"
-            )
+        charge(t.bit_length() >> 13)
         return t
 
     try:

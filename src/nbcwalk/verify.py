@@ -233,6 +233,8 @@ def run_spectral_suite() -> list:
                 if p.entry(i, j) * through[i] != p.entry(j, i) * through[j]:
                     return False, f"detailed balance fails between elements {p.index[i]} and {p.index[j]}"
         gap = spectral_gap(p)
+        if not 0.0 <= gap <= 2.0:
+            return False, f"local walk gap {gap} out of range"
         return True, f"C4 local walk reversible with gap {gap:.6f}"
 
     _run(checks, "local-walk-reversible", stationary)

@@ -556,14 +556,23 @@ class TestTutteBudget:
             tutte_polynomial(k6)
         assert tutte_polynomial(k6, force=True) == expected
 
+    def test_a_minor_weighs_its_classes(self, monkeypatch):
+        """A minor counts once more per eight classes as soon as it is missed,
+        so K100's first minor, 4950 classes, refuses before any recursion."""
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 600)
+        with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=600"):
+            tutte_polynomial(build_named_graph("complete", 100))
+
     def test_a_minor_weighs_its_polynomial(self, monkeypatch):
-        """A minor counts once more per KiB of its packed polynomial, so a
-        graph whose few minors hold large polynomials refuses too."""
-        path = build_named_graph("path", 400)
-        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 2000)
-        with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=2000"):
-            tutte_polynomial(path)
-        assert tutte_polynomial(path, force=True) == (IntPolynomial.monomial(399),)
+        """A minor counts once more per KiB of its packed polynomial: a
+        triangle of three classes of 1000 parallel edges meets two minors,
+        but the second's polynomial, y-degree 1998, fills 23 KiB."""
+        g = MultiGraph(3, [(0, 1), (0, 2), (1, 2)] * 1000)
+        monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 20)
+        with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=20"):
+            tutte_polynomial(g)
+        t = tutte_polynomial(g, force=True)
+        assert (sum(row.total() for row in t), t[0](2)) == (3 * 1000**2, 6)
 
     def test_too_deep_is_a_size_guard(self):
         with pytest.raises(SizeGuardError, match="recursion limit"):

@@ -95,6 +95,12 @@ class TestSuites:
         assert not check.passed
         assert check.detail == "detailed balance fails between elements 0 and 1"
 
+    def test_local_walk_reversible_fails_on_a_gap_out_of_range(self, monkeypatch):
+        monkeypatch.setattr(verify, "spectral_gap", lambda walk: float("nan"))
+        (check,) = [c for c in run_spectral_suite() if c.name == "local-walk-reversible"]
+        assert not check.passed
+        assert check.detail == "local walk gap nan out of range"
+
     def test_spectral_suite_enumerates_each_complex_once(self, monkeypatch):
         calls = _count_enumerations(monkeypatch)
         checks = run_spectral_suite()
@@ -403,7 +409,7 @@ class TestCliContract:
         assert (code, out) == (3, "")
         assert err == (
             "error: more than TUTTE_MAX_MINORS=50 distinct minors, "
-            "counting one more per KiB of each one's polynomial\n"
+            "counting one more per KiB of each one's classes and polynomial\n"
         )
 
     def test_force_size_overrides(self, capsys, monkeypatch):
@@ -419,14 +425,18 @@ class TestCliContract:
             "oracle chromatic --input {file}",
             "oracle parking --input {file} --root 0",
             "oracle acyclic --graph complete_bipartite:20:20",
+            "oracle chromatic --graph complete:100",
+            "oracle chromatic --graph complete:200",
         ],
-        ids=["gadget-l8-chromatic", "gadget-l8-parking", "k20-20-acyclic"],
+        ids=["gadget-l8-chromatic", "gadget-l8-parking", "k20-20-acyclic", "k100-chromatic", "k200-chromatic"],
     )
     def test_the_tutte_budget_refuses_within_a_gigabyte(self, tmp_path, argv):
         """A child interpreter under a 1 GiB address-space limit and a time
         limit.  The graph of the K2,2 link gadget at l = 8 (69 edges) meets
         tens of thousands of minors; K20,20's few minors hold polynomials of
-        many KiB.  Each must refuse on the budget, not run out of memory."""
+        many KiB; the first descent on K100 or K200 passes through hundreds of
+        minors of thousands of classes each before any of them is finished.
+        Each must refuse on the budget, not run out of memory."""
         g = gadgets.build_link_gadget(build_named_graph("complete_bipartite", 2, 2), 8, 2).matroid.graph
         path = tmp_path / "gadget.json"
         path.write_text(json.dumps({"vertices": g.vertex_count, "edges": [list(e) for e in g.edges]}))
@@ -447,7 +457,7 @@ class TestCliContract:
         )
         refusal = (
             "error: more than TUTTE_MAX_MINORS=20000 distinct minors, "
-            "counting one more per KiB of each one's polynomial\n"
+            "counting one more per KiB of each one's classes and polynomial\n"
         )
         assert (done.returncode, done.stderr, done.stdout) == (3, refusal, "")
 
