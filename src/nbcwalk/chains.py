@@ -14,28 +14,39 @@ The down-up walk on same-size facets is kept as K's integer facet-ridge
 incidence in two numpy arrays: each facet's d - |A| ridge ids in K, and each
 ridge's facet count |r|, with the apex count |A| beside them.  A ridge that
 drops an apex element lies in its facet alone, so it adds |A|/d to the
-diagonal and nothing else: P = (|A|/d) I + ((d - |A|)/d) P_K.  Ridge ids come
-from the face-id scheme the local profile uses, _face_ids.  Its exact entries
-are |A|/d on the diagonal plus 1/(d |r|) summed over shared ridges r, so it
-is symmetric and doubly stochastic by construction.  One map from each ridge
-to its facets, DownUpWalk._owners, serves both the exact rows, diagonal
+diagonal and nothing else: P = (|A|/d) I + ((d - |A|)/d) P_K.  Its exact
+entries are |A|/d on the diagonal plus 1/(d |r|) summed over shared ridges r,
+so it is symmetric and doubly stochastic by construction.  One map from each
+ridge to its facets, DownUpWalk._owners, serves both the exact rows, diagonal
 included, and the connectivity test.  One cut, _cut, counts a state set's
 facets per ridge and reads off both its conductance and its neighbor ratio
 as exact sums, and cheeger_chain is the one check of gap/2 <= conductance <=
 neighbor ratio.
+
+Faces have one id scheme.  A face's id is its rank in lexicographic order
+among the faces of its size, found from the id of the face less its greatest
+element and that element's position: _face_ids ranks those keys with one
+argsort.  _down_up keys K's ridges this way one column at a time.
+_face_lattice keys every level of K's faces from the level below, one sort
+per level, and keeps each face's facet count, its faces one level down and
+its elements; level d - |A| - 1 is the walk's own ridges and level d - |A|
+the facets, so neither is sorted again.
 
 Local walks are read from integer pair counts: the walk of the link of tau
 steps from a to b in proportion to count(tau + a + b), the facets containing
 tau, a and b, so count(tau + a) is its reversing measure and its
 symmetrization D^(1/2) P D^(-1/2) has entries
 count(tau + a + b) / (denom sqrt(count(tau + a) count(tau + b))).  One numpy
-builder, _pair_count_stacks, cuts every facet into its size-k faces and their
-links and counts the pairs of each link in stacks, one per state count; one
-function, _symmetrized, turns such a stack into the symmetric matrices.  The
-local spectral profile solves each level of K's stacks in batched eigvalsh
-calls and cones the result once per apex element with _coned; LocalWalk
-keeps the pair counts of one link of the complex itself, built at its empty
-face, and reads its exact rational entries off them.
+builder, _pair_count_stacks, reads level k's counts off distinct faces of
+the lattice, never off facets: the states of a size-k face tau are the faces
+tau + a above it, slotted by one argsort, and each (k + 2)-face adds its
+facet count once per pair of its elements, into stacks, one per state count,
+cut from one array; one function, _symmetrized, turns such a stack into
+the symmetric matrices.  The local spectral profile builds K's lattice once,
+solves each level's stacks in batched eigvalsh calls and cones the result
+once per apex element with _coned; LocalWalk keeps the pair counts of one
+link of the complex itself, read off levels 0 to 2 of the link's lattice at
+its empty face, and reads its exact rational entries off them.
 
 Floating point enters only at the eigensolve.  A local walk is solved
 densely by eigvalsh.  A down-up walk is solved by Lanczos on K's factored
@@ -48,6 +59,7 @@ spectral work never loads it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -188,15 +200,22 @@ def _down_up(facets, d: int) -> DownUpWalk:
     """The down-up walk of the canonical same-size facets, and the one place
     the reduced complex K is derived: _reduced strips the apex, and K's
     ridges, its faces of size d - |A| - 1, get dense lexicographic ids from
-    _face_ids, facet by facet (none when K's facets are empty)."""
+    _face_ids one column at a time, each column's ids from the last's, so the
+    ids are those of level d - |A| - 1 of K's face lattice (_face_lattice),
+    which takes them as they are.  When K's facets are empty, every facet's
+    one ridge is the empty face."""
     import numpy as np
 
     rows, apex = _reduced(facets)
-    width = rows.shape[1]
-    ridges = np.zeros(0, dtype=np.intp)
-    if width:
-        ridges = _face_ids(rows, list(itertools.combinations(range(width), width - 1)))[1]
-    return DownUpWalk(facets, d, rows, ridges.reshape(rows.shape), np.bincount(ridges), apex)
+    n, dk = rows.shape
+    ridges = np.zeros((n, dk), dtype=np.int32)
+    if dk:
+        width = int(rows.max()) + 1
+        sub = rows[:, _subsets(dk, dk - 1)[0]]
+        bound = 1
+        for j in range(dk - 1):
+            ridges, bound = _face_ids(ridges, bound, sub[:, :, j], width)
+    return DownUpWalk(facets, d, rows, ridges, np.bincount(ridges.ravel()), apex)
 
 
 class LocalWalk:
@@ -241,9 +260,11 @@ def local_walk_matrix(x, tau) -> LocalWalk:
     """Element walk of the link of tau: step from x to y with probability
     proportional to the number of facets containing tau + {x, y}.  Its pair
     counts come from the builder the local spectral profile uses, at the empty
-    face of the link, which holds C(d - k, 2) pair indices per link facet for
+    face of the link, read off levels 0 to 2 of the link's face lattice,
+    which holds 1 + (d - k) + C(d - k, 2) face ids per link facet for
     |tau| = k.  It is refused when the link's facet count times 2^(d - k),
-    the bound check_face_subsets applies, exceeds MAX_FACE_SUBSETS."""
+    the ids of the link's whole lattice and the bound check_face_subsets
+    applies, exceeds MAX_FACE_SUBSETS."""
     facets, d = _as_facets(x)
     tau = frozenset(_integer(e, "a tau element") for e in tau)
     k = len(tau)
@@ -254,7 +275,7 @@ def local_walk_matrix(x, tau) -> LocalWalk:
         raise PreconditionError("tau is not a face of the complex")
     check_face_subsets(len(link), d - k)
     elements, rows = _element_positions(link)
-    _, _, pairs = next(_pair_count_stacks(rows, 0))
+    _, _, pairs = next(_pair_count_stacks(_face_lattice(rows, 2), 0))
     return LocalWalk(tuple(elements), pairs[0], d - k - 1)
 
 
@@ -330,7 +351,7 @@ def _down_up_gap(walk: DownUpWalk) -> float:
     basis[1] = w / np.linalg.norm(w)
     beta = 0.0
     for k in range(1, steps + 1):
-        w = (np.bincount(flat, weights=np.tile(basis[k], d)) * scale)[ridges].sum(axis=0)
+        w = (np.bincount(flat, weights=np.tile(basis[k], d)) * scale).take(ridges).sum(axis=0)
         alpha = tri[k - 1, k - 1] = basis[k] @ w
         w -= alpha * basis[k] + beta * basis[k - 1]
         w -= (basis[: k + 1] @ w) @ basis[: k + 1]
@@ -425,8 +446,10 @@ def cheeger_chain(p: DownUpWalk, s, gap: float):
 
 def check_face_subsets(n_facets: int, d: int, force: bool = False):
     """Refuse a local profile over more than MAX_FACE_SUBSETS facet subsets
-    unless forced; callers that know the facet count early check it before
-    any other work."""
+    unless forced.  The face lattice the profile builds holds one face id per
+    facet and subset of it, n_facets 2^d for facets of size d, or fewer when
+    the reduced complex drops an apex; callers that know the facet count early
+    check it before any other work."""
     if n_facets << d > MAX_FACE_SUBSETS and not force:
         raise SizeGuardError(
             f"{n_facets} facets of size {d} exceed MAX_FACE_SUBSETS={MAX_FACE_SUBSETS}"
@@ -457,75 +480,156 @@ def _reduced(facets):
     return rows[keep].reshape(len(rows), -1), rows.shape[1] - int(np.count_nonzero(keep[0]))
 
 
-def _face_ids(rows, tops):
-    """Cut each row of rows, an N x d array of element positions with
-    ascending rows, into its faces rows[:, top] for top in tops, all of one
-    size k, facet by facet.  Returns the N len(tops) x k array of faces and
-    their dense ids in lexicographic face order, found one column at a time;
-    the ids are int32 when every key, below N len(tops) times the position
-    range, fits, since int32 keys halve what the sorts inside np.unique move."""
+def _face_ids(prefix, bound: int, last, width: int):
+    """Dense lexicographic ids of faces, each given as the id of the face
+    less its greatest element, prefix (below bound), and that element's
+    position, last (below width): the ranks of the keys prefix * width +
+    last, read off one argsort, which costs less than np.unique's own
+    bookkeeping on the few keys of a small complex.  The ids are int32 when
+    every key, below bound * width, fits, since int32 keys halve what the
+    sort moves.  Returns the ids, shaped as prefix, and how many there are."""
     import numpy as np
 
+    ids = np.int32 if bound * width < 2**31 else np.int64
+    keys = (prefix.astype(ids) * width + last).ravel()
+    order = np.argsort(keys)
+    keys = keys.take(order)
+    rank = np.empty(len(keys), dtype=ids)
+    rank[0] = 0
+    np.not_equal(keys[1:], keys[:-1], out=rank[1:])
+    rank = rank.cumsum(dtype=ids)
+    out = np.empty_like(rank)
+    out[order] = rank
+    return out.reshape(prefix.shape), int(rank[-1]) + 1
+
+
+@functools.cache
+def _subsets(d: int, j: int):
+    """The j-subsets of range(d) in lexicographic order, as a C(d, j) x j
+    array; for each, the index among the (j - 1)-subsets of the subset less
+    its p-th element, p < j; and the last columns of both.  They depend on
+    (d, j) alone."""
+    import numpy as np
+
+    tops = list(itertools.combinations(range(d), j))
+    where = {top: i for i, top in enumerate(itertools.combinations(range(d), max(j - 1, 0)))}
+    drop = [[where[top[:p] + top[p + 1 :]] for p in range(j)] for top in tops]
+    tops = np.array(tops, dtype=np.intp).reshape(len(tops), j)
+    drop = np.array(drop, dtype=np.intp).reshape(tops.shape)
+    return tops, drop, tops[:, j - 1 :].ravel(), drop[:, j - 1 :].ravel()
+
+
+@functools.cache
+def _pairs(j: int):
+    """The pairs p < q of range(j) in lexicographic order, as the arrays of
+    p, of q and of q - 1."""
+    import numpy as np
+
+    lo, hi = np.array(list(itertools.combinations(range(j), 2)), dtype=np.intp).reshape(-1, 2).T
+    return lo, hi, hi - 1
+
+
+def _face_lattice(rows, top: int, ridges=None):
+    """Levels 0..top of the faces of the complex whose N facets are the rows
+    of rows, an N x d array of element positions with ascending rows.
+
+    Level j is (ids, counts, below, faces): ids, the N x C(d, j) dense
+    lexicographic ids of each facet's j-subsets in combinations order, each
+    level's from the last's and one more column by _face_ids; counts[f], the
+    facets containing face f; below[f, p], the id at level j - 1 of f less
+    its p-th element; and faces[f], the elements of f, ascending.  Level
+    d - 1 is ridges where given, the facets' ridge ids in the same scheme,
+    and level d is the facets themselves, which are distinct, so neither is
+    sorted.  The levels hold N 2^d ids when top = d."""
+    import numpy as np
+
+    n, d = rows.shape
     width = int(rows.max()) + 1
-    count = len(rows) * len(tops)
-    ids = np.int32 if count * width < 2**31 else np.int64
-    k = len(tops[0])
-    sub = rows[:, np.array(tops, dtype=np.intp).reshape(len(tops), k)].reshape(count, k)
-    face = np.zeros(count, dtype=ids)
-    for j in range(k):
-        face = np.unique(face * width + sub[:, j], return_inverse=True)[1].astype(ids)
-    return sub, face
+    ids = np.zeros((n, 1), dtype=np.int32)
+    counts = np.array([n])
+    lattice = [(ids, counts, ids[:1, :0], rows[:1, :0])]
+    for j in range(1, top + 1):
+        tops, drop, last, prefix = _subsets(d, j)
+        prev = ids
+        if j == d:
+            ids = np.arange(n).reshape(n, 1)
+        elif j == d - 1 and ridges is not None:
+            ids = ridges
+        else:
+            prefixes = prev.take(prefix, axis=1)
+            ids = _face_ids(prefixes, len(counts), rows.take(last, axis=1), width)[0]
+        flat = ids.ravel()
+        counts = np.bincount(flat)
+        # One (facet, subset) of each face, the last in flat order.
+        at = np.empty(len(counts), dtype=np.intp)
+        at[flat] = np.arange(len(flat))
+        row, sub = np.divmod(at, len(tops))
+        row = row[:, None]
+        below = prev[row, drop.take(sub, axis=0)]
+        lattice.append((ids, counts, below, rows[row, tops.take(sub, axis=0)]))
+    return lattice
 
 
-def _pair_count_stacks(rows, k):
-    """Integer pair counts of the local walks at the size-k faces of the
-    facets in rows, an N x d array of element positions with ascending rows.
+def _pair_count_stacks(lattice, k: int):
+    """Integer pair counts of the local walks at the size-k faces of a
+    complex, read off levels k, k + 1 and k + 2 of its face lattice
+    (_face_lattice), one entry per distinct face.
 
     Yields (faces, states, c) for each state count n, ascending: faces (m x k)
     and states (m x n) hold element positions, each row ascending, and the
     m x n x n stack c holds c[t, a, b] = count(faces[t] + a + b), the facets
-    containing faces[t] and the states a != b, with a zero diagonal.  A facet
-    containing faces[t] + a has d - k - 1 elements besides, so a row of c[t]
-    sums to d - k - 1 times count(faces[t] + a)."""
+    containing faces[t] and the states a != b, with a zero diagonal.
+
+    A face tau's states are the faces tau + a above it, in id order, which is
+    a's order.  One stable argsort of the faces below level k + 1's faces, by
+    state count and then id, lists every face's states in a run, the runs in
+    the order of the blocks; a state's rank in its run is its slot.  Each
+    face rho of level k + 2 and pair a < b of its elements adds count(rho)
+    to c[rho - a - b, a, b], all in one np.add.at over the blocks laid end
+    to end, and c[t, b, a] is the transpose.  A facet containing faces[t] + a
+    has d - k - 1 elements besides, so a row of c[t] sums to d - k - 1 times
+    count(faces[t] + a)."""
     import numpy as np
 
-    d = rows.shape[1]
-    width = int(rows.max()) + 1
-    tops = list(itertools.combinations(range(d), k))
-    sub, face = _face_ids(rows, tops)
-    count = len(face)
-    # Each face's states in ascending order, and the slot of each link
-    # element among the states of its face.  Link keys stay below the face
-    # keys' bound, so they keep the face ids' type.
-    outside = [[j for j in range(d) if j not in top] for top in tops]
-    link = face[:, None] * width + rows[:, outside].reshape(count, d - k)
-    keys, slot = np.unique(link, return_inverse=True)
-    owner = keys // width
-    sizes = np.bincount(owner)
-    first = np.cumsum(sizes) - sizes
-    # int32 halves the one array that lives through every state count.
-    slot = (np.arange(len(keys)) - first[owner]).astype(np.int32)[slot.reshape(link.shape)]
-    del link
-    sample = np.empty(len(sizes), dtype=np.intp)
-    sample[face] = np.arange(count)
-    faces = sub[sample]
-    del sub, sample
-    lo, hi = np.array(list(itertools.combinations(range(d - k), 2)), dtype=np.intp).T
-    row_size = sizes[face]
-    for n in np.unique(sizes).tolist():
-        mine = sizes == n
-        rank = np.cumsum(mine) - 1
-        size = int(np.count_nonzero(mine)) * n * n
-        picked = np.flatnonzero(row_size == n)
-        pairs = slot[picked]
-        base = rank[face[picked], None] * (n * n) + pairs * n
-        c = np.bincount((base[:, lo] + pairs[:, hi]).ravel(), minlength=size)
-        c += np.bincount((base[:, hi] + pairs[:, lo]).ravel(), minlength=size)
-        # Let the index arrays go before the caller solves this stack.
-        del picked, pairs, base
-        mine = np.flatnonzero(mine)
-        states = keys[first[mine][:, None] + np.arange(n)] % width
-        yield faces[mine], states, c.reshape(-1, n, n)
+    # The states are level k + 1's faces: sigma is a state of each face
+    # below[sigma, p], sigma less its p-th element.
+    _, _, below, states = lattice[k + 1]
+    _, counts, above, _ = lattice[k + 2]
+    flat = below.ravel()
+    sizes = np.bincount(flat)
+    n = sizes.take(flat)
+    order = np.argsort(n * len(sizes) + flat, kind="stable")
+    # many[s] faces have s states; their runs start at run[s] in the sorted
+    # order, and their s x s blocks at block[s] in c.
+    many = np.bincount(sizes)
+    area = many * np.arange(len(many))
+    run = area.cumsum() - area
+    area *= np.arange(len(many))
+    block = area.cumsum() - area
+    # Each state's rank in its face's run, where its row of the face's block
+    # starts, and its column.
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    rank -= run.take(n)
+    row = (block.take(n) + rank * n).reshape(below.shape)
+    slot = (rank % n).reshape(below.shape)
+    lo, hi, left = _pairs(k + 2)
+    key = row[above.take(hi, axis=1), lo] + slot[above.take(lo, axis=1), left]
+    c = np.zeros(int(block[-1] + area[-1]), dtype=np.int64)
+    np.add.at(c, key.ravel(), counts.repeat(len(lo)))
+    # Let the index arrays go before the caller solves the first stack.
+    del key, row, slot
+    owner = flat.take(order)
+    states = states.ravel().take(order)
+    faces = lattice[k][3]
+    for size in np.flatnonzero(many).tolist():
+        first, last = int(run[size]), int(run[size] + many[size] * size)
+        half = c[block[size] : block[size] + many[size] * size * size].reshape(-1, size, size)
+        yield (
+            faces.take(owner[first:last:size], axis=0),
+            states[first:last].reshape(-1, size),
+            half + half.transpose(0, 2, 1),
+        )
 
 
 def _symmetrized(c, denom: int):
@@ -554,12 +658,14 @@ def local_spectral_profile(x, force: bool = False) -> tuple:
     check_face_subsets(walk.size, walk.d, force)
     rows, apex, d = walk.positions, walk.apex, walk.d
     dk = d - apex
+    if dk > 1:
+        lattice = _face_lattice(rows, dk, walk.facet_ridges)
     gammas = []
     for k in range(dk - 1):
         # Every size-k face of K lies in a facet with dk - k >= 2 elements outside it.
         denom = dk - k - 1
         seconds = []
-        for _, _, c in _pair_count_stacks(rows, k):
+        for _, _, c in _pair_count_stacks(lattice, k):
             vals = np.linalg.eigvalsh(_symmetrized(c, denom))
             seconds.append(float(vals[:, -2].max()))
         gammas.append(max(seconds))

@@ -409,9 +409,9 @@ class TestLocalWalk:
             local_walk_matrix(x, {1, 4})
 
     def test_size_guard(self, monkeypatch):
-        # The bound counts 2^(d - |tau|) per link facet; the builder holds
-        # C(d - |tau|, 2) pair indices per link facet.  K4 at the empty face
-        # has 6 link facets of size 3, so the bound reads 48.
+        # The bound counts 2^(d - |tau|) per link facet, the ids of the link's
+        # whole face lattice; the walk builds only levels 0 to 2 of it.  K4
+        # at the empty face has 6 link facets of size 3, so the bound reads 48.
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 4)))
         monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 47)
         with pytest.raises(SizeGuardError, match="MAX_FACE_SUBSETS"):
@@ -465,56 +465,156 @@ class TestLocalWalkAgainstOracle:
                 assert abs(gap - (1.0 - second)) <= 1e-9
 
 
+def _check_stacks(facets, elements, lattice, k):
+    """The stacks of level k of a face lattice against the oracle, in
+    integers: each face of size k comes out once, with its states
+    ascending, c[t, a, b] = count(tau + a + b), and row sums
+    denom * count(tau + a).  elements maps the lattice's positions back to
+    the facets' labels."""
+    denom = len(facets[0]) - k - 1
+    seen = []
+    for faces, states, c in chains._pair_count_stacks(lattice, k):
+        assert c.dtype.kind == "i"
+        for t in range(len(c)):
+            tau = frozenset(elements[i] for i in faces[t])
+            seen.append(tau)
+            mine = [elements[i] for i in states[t]]
+            assert mine == sorted(mine)
+            oracle_states, oracle = _oracle_local_walk(facets, tau)
+            assert mine == oracle_states
+            count = [sum(1 for f in facets if tau | {a} <= f) for a in mine]
+            for i, a in enumerate(mine):
+                for j, b in enumerate(mine):
+                    pair = oracle.get((a, b), 0) * denom * count[i]
+                    assert pair.denominator == 1
+                    assert c[t, i, j] == pair
+            sums = c[t].sum(axis=1)
+            assert list(sums % denom) == [0] * len(mine)
+            assert list(sums // denom) == count
+    assert len(seen) == len(set(seen))
+    assert set(seen) == {tau for tau in _small_faces(facets) if len(tau) == k}
+
+
+def _raw_facet_lists(count, seed):
+    """Seeded random same-size facet lists over sparse labels, some far past
+    2^64, with and without elements common to every facet."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        size = rng.randint(4, 9)
+        labels = sorted({rng.randrange(1, 2 ** rng.choice((8, 40, 70))) for _ in range(size)})
+        d = rng.randint(2, min(5, len(labels)))
+        combos = list(itertools.combinations(labels, d))
+        facets = rng.sample(combos, rng.randint(1, min(12, len(combos))))
+        if rng.random() < 0.3:
+            facets = [f + (0,) for f in facets]
+        out.append([frozenset(f) for f in facets])
+    return out
+
+
 class TestPairCountStacks:
     def test_stacks_match_the_oracle_at_every_face(self):
-        """The profile's builder, at every level of the corpus, in integers:
-        each face of size k comes out once, with its states ascending,
-        c[t, a, b] = count(tau + a + b), and row sums denom * count(tau + a)."""
+        """The profile's builder, at every level of the corpus."""
         for facets in _oracle_corpus():
             d = len(facets[0])
             elements, rows = chains._element_positions(facets)
+            lattice = chains._face_lattice(rows, d)
             for k in range(d - 1):
-                denom = d - k - 1
-                seen = []
-                for faces, states, c in chains._pair_count_stacks(rows, k):
-                    assert c.dtype.kind == "i"
-                    for t in range(len(c)):
-                        tau = frozenset(elements[i] for i in faces[t])
-                        seen.append(tau)
-                        mine = [elements[i] for i in states[t]]
-                        assert mine == sorted(mine)
-                        oracle_states, oracle = _oracle_local_walk(facets, tau)
-                        assert mine == oracle_states
-                        count = [sum(1 for f in facets if tau | {a} <= f) for a in mine]
-                        for i, a in enumerate(mine):
-                            for j, b in enumerate(mine):
-                                pair = oracle.get((a, b), 0) * denom * count[i]
-                                assert pair.denominator == 1
-                                assert c[t, i, j] == pair
-                        sums = c[t].sum(axis=1)
-                        assert list(sums % denom) == [0] * len(mine)
-                        assert list(sums // denom) == count
-                assert len(seen) == len(set(seen))
-                assert set(seen) == {tau for tau in _small_faces(facets) if len(tau) == k}
+                _check_stacks(facets, elements, lattice, k)
 
     def test_wide_keys_give_the_same_stacks(self):
-        # Spread positions push count * width past 2^31 at every level, so
-        # the builder keys faces in 64 bits instead of 32.
+        # Spread positions push the face keys past 2^31 from level 1 on, so
+        # the lattice keys faces in 64 bits instead of 32; levels 0 and d are
+        # not keyed.
         for facets in _oracle_corpus()[:3]:
             d = len(facets[0])
             _, rows = chains._element_positions(facets)
-            wide = rows.astype(np.int64) << 26
+            wide = rows.astype(np.int64) << 30
             assert len(rows) * (int(wide.max()) + 1) >= 2**31
+            lattice = chains._face_lattice(rows, d)
+            wide_lattice = chains._face_lattice(wide, d)
+            assert all(level[0].dtype == np.int32 for level in lattice[1:d])
+            assert any(level[0].dtype == np.int64 for level in wide_lattice[1:d])
             for k in range(d - 1):
-                narrow_stacks = list(chains._pair_count_stacks(rows, k))
-                wide_stacks = list(chains._pair_count_stacks(wide, k))
+                narrow_stacks = list(chains._pair_count_stacks(lattice, k))
+                wide_stacks = list(chains._pair_count_stacks(wide_lattice, k))
                 assert len(narrow_stacks) == len(wide_stacks)
                 for (faces, states, c), (wide_faces, wide_states, wide_c) in zip(
                     narrow_stacks, wide_stacks
                 ):
-                    assert np.array_equal(wide_faces, faces.astype(np.int64) << 26)
-                    assert np.array_equal(wide_states, states.astype(np.int64) << 26)
+                    assert np.array_equal(wide_faces, faces.astype(np.int64) << 30)
+                    assert np.array_equal(wide_states, states.astype(np.int64) << 30)
                     assert np.array_equal(wide_c, c)
+
+
+class TestFaceLattice:
+    """The one face lattice of the reduced complex K that the profile builds,
+    with K's ridges from its DownUpWalk, against the oracle at every level."""
+
+    def _cases(self):
+        out = _raw_facet_lists(12, seed=7)
+        for g in random_graph_corpus(count=3, max_edges=8):
+            m = GraphicMatroid(g)
+            for order in random_orders(m.ground_size, 2):
+                out.append(NbcComplex(m, order).facets())
+                for r in range(2, m.rank):
+                    out.append(NbcComplex(GraphicMatroid(g, r), order).facets())
+            out.append(m)
+        return out
+
+    def test_every_level_against_the_oracle(self):
+        cases = self._cases()
+        assert any(isinstance(x, GraphicMatroid) for x in cases)
+        for x in cases:
+            walk = down_up_matrix(x)
+            elements = sorted(set().union(*walk.index))
+            apex = frozenset.intersection(*walk.index)
+            reduced = [f - apex for f in walk.index]
+            dk = walk.d - walk.apex
+            if dk < 2:
+                continue
+            lattice = chains._face_lattice(walk.positions, dk, walk.facet_ridges)
+            for j, (ids, counts, below, faces) in enumerate(lattice):
+                # Dense lexicographic ids, each face's facet count, and the
+                # faces one level down.
+                named = [tuple(elements[i] for i in face) for face in faces.tolist()]
+                assert named == sorted(named) and len(set(named)) == len(named)
+                subsets = {t for f in reduced for t in itertools.combinations(sorted(f), j)}
+                assert set(named) == subsets
+                lower = [tuple(elements[i] for i in f) for f in lattice[j - 1][3].tolist()] if j else []
+                for face, count, down in zip(named, counts.tolist(), below.tolist()):
+                    assert count == sum(1 for f in reduced if set(face) <= f)
+                    assert [lower[i] for i in down] == [face[:p] + face[p + 1 :] for p in range(j)]
+                for row, facet_ids in zip(walk.positions.tolist(), ids.tolist()):
+                    subsets = itertools.combinations(row, j)
+                    assert [faces[i].tolist() for i in facet_ids] == [list(t) for t in subsets]
+            for k in range(dk - 1):
+                _check_stacks(reduced, elements, lattice, k)
+
+    def test_one_sort_per_level(self, monkeypatch):
+        """The profile of K4,4's reduced complex (dk = 6) sorts at most once
+        per lattice level and once per profile level: ids at each lattice
+        level come from the level below, and each profile level reads its
+        slots off one argsort.  Of the lattice's levels 0..dk, the empty
+        face, the walk's ridges and the facets need no sort.  Keying every
+        level's faces column by column sorts k + 2 times at level k."""
+        x = NbcComplex(GraphicMatroid(build_named_graph("complete_bipartite", 4, 4)))
+        walk = down_up_matrix(x)
+        dk = walk.d - walk.apex
+        assert dk == 6
+        calls = []
+        for name in ("unique", "argsort", "sort"):
+            original = getattr(np, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        profile = local_spectral_profile(walk)
+        monkeypatch.undo()
+        assert profile == local_spectral_profile(walk)
+        assert len(calls) <= (dk - 2) + (dk - 1), Counter(calls)
 
 
 class TestSpectralGap:
