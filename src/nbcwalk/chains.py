@@ -67,7 +67,7 @@ from fractions import Fraction
 from .errors import PreconditionError, SizeGuardError, VerificationError
 from .graphs import _integer
 from .matroids import GraphicMatroid
-from .nbc import NbcComplex, _facets_through
+from .nbc import NbcComplex, enumerate_nbc_bases
 
 MAX_EIG_STATES = 5000
 MAX_FACE_SUBSETS = 2_000_000
@@ -82,15 +82,19 @@ _RITZ_RESIDUAL = 1e-15
 
 def _as_facets(x, force: bool = False):
     """Canonical facet tuple from a complex, a matroid, or a raw facet list,
-    which is deduplicated and sorted.  A complex's NBC bases and a matroid's
-    bases both come from nbc's forest walk, already distinct and
-    lexicographic, under its face and base budgets unless force is given."""
+    which is deduplicated and sorted; anything else is refused.  A complex's
+    NBC bases, kept by the complex, and a matroid's bases both come from
+    nbc's forest walk, already distinct and lexicographic, under its face and
+    base budgets unless force is given."""
     if isinstance(x, NbcComplex):
         facets = x.facets(force=force)
     elif isinstance(x, GraphicMatroid):
-        facets = _facets_through(x, frozenset(), force, "bases")
+        facets = enumerate_nbc_bases(x, force)
     else:
-        facets = tuple(sorted({frozenset(f) for f in x}, key=lambda f: tuple(sorted(f))))
+        try:
+            facets = tuple(sorted({frozenset(f) for f in x}, key=lambda f: tuple(sorted(f))))
+        except TypeError:
+            raise PreconditionError("need an NbcComplex, a GraphicMatroid or a list of facets") from None
     if not facets:
         raise PreconditionError("the complex has no facets")
     sizes = {len(f) for f in facets}

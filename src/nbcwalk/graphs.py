@@ -236,9 +236,6 @@ class IntPolynomial:
             a, b = b, a
         return IntPolynomial(tuple(c + (b[i] if i < len(b) else 0) for i, c in enumerate(a)))
 
-    def __sub__(self, other):
-        return self + IntPolynomial(tuple(-c for c in other.coefficients))
-
     def __mul__(self, other):
         out = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
         for i, a in enumerate(self.coefficients):

@@ -66,7 +66,14 @@ engine is built.
 The same walk lists a bare graphic matroid's independent sets, and so its
 bases, the spanning-tree complex chains walks on.  Its engine has no cycle
 rule, since it keeps no incidences, and its walk has no apex: the
-independence complex is no cone, so the walk starts from the empty set.
+independence complex is no cone, so the walk starts from the empty set.  One
+switch, _kind, tells the two kinds apart: a complex gives its matroid and
+order, a bare matroid itself and the empty ranking, and anything else is
+refused.  So every entry point takes either kind, and on a bare matroid
+is_nbc tests independence, enumerate_nbc_bases lists the bases, link_facets
+the bases through tau less tau, extend_to_nbc_base the least base holding i,
+face_numbers counts the independent sets by size and heaviest_nbc_bases
+finds a heaviest base; its refusals name bases and independent sets.
 """
 
 from __future__ import annotations
@@ -114,9 +121,11 @@ class NbcComplex:
         return f"NbcComplex({self.matroid!r}, {self.order!r})"
 
 
-def is_nbc(x: NbcComplex, s) -> bool:
-    """True iff s is an NBC face: the engine builds it from e0 up."""
-    return _root_engine(x, x.matroid.check_subset(s)) is not None
+def is_nbc(x, s) -> bool:
+    """True iff s is a face of x: an NBC face of an NbcComplex, which the
+    engine builds from e0 up, or an independent set of a bare
+    GraphicMatroid."""
+    return _root_engine(x, _kind(x)[0].check_subset(s)) is not None
 
 
 def is_log_concave(f) -> bool:
@@ -432,20 +441,30 @@ def _mask(positions) -> int:
     return sum(map((1).__lshift__, positions))
 
 
+def _kind(x) -> tuple:
+    """(matroid, ranking) of x, the one place that tells the two kinds
+    apart: an NbcComplex's matroid and order, or a bare GraphicMatroid and
+    the empty ranking, whose walk lists its independent sets.  Anything else
+    is refused before any attribute of it is read."""
+    if not isinstance(x, (NbcComplex, GraphicMatroid)):
+        raise PreconditionError("need an NbcComplex or a GraphicMatroid")
+    return (x, ()) if isinstance(x, GraphicMatroid) else (x.matroid, x.order)
+
+
 def _engine(x):
-    """The graphic engine for x, an NbcComplex or a bare GraphicMatroid, at
-    x's rank.  A complex passes its order; a bare matroid passes an empty
-    ranking and so gets no incidences: rules 2 and 3 find no cycle, and it
-    accepts exactly the edges that join two components."""
-    if isinstance(x, NbcComplex):
-        return _GraphicEngine(x.matroid.graph, x.order, x.rank)
-    return _GraphicEngine(x.graph, (), x.rank)
+    """The graphic engine for x at its rank, over its ranking.  A bare
+    matroid's empty ranking gives no incidences: rules 2 and 3 find no
+    cycle, and it accepts exactly the edges that join two components."""
+    matroid, ranking = _kind(x)
+    return _GraphicEngine(matroid.graph, ranking, matroid.rank)
 
 
 def _apex(x) -> tuple:
     """Where every walk of x starts: e0, the order-smallest element, for an
-    NBC complex, and nothing for a bare matroid, which is no cone."""
-    return x.order[:1] if isinstance(x, NbcComplex) else ()
+    NBC complex, and nothing for a bare matroid, which is no cone.  So a
+    walk with an apex lists NBC faces, and one without independent sets,
+    which over an empty ground set are the NBC faces too."""
+    return _kind(x)[1][:1]
 
 
 def _root_engine(x, root):
@@ -491,7 +510,7 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
     of one facet through root already number that many: a walk whose
     children are picked refuses there too, though it may visit far fewer."""
     budget = MAX_NBC_FACES
-    what = "NBC faces" if isinstance(x, NbcComplex) else "independent sets"
+    what = "NBC faces" if _apex(x) else "independent sets"
     refusal = f"more than MAX_NBC_FACES={MAX_NBC_FACES} {what} visited"
     if 1 << max(x.rank - len(root), 0) > budget and not force:
         raise SizeGuardError(refusal)
@@ -566,9 +585,10 @@ def _facets_through(x, root: frozenset, force: bool, what: str):
     return tuple(out)
 
 
-def enumerate_nbc_bases(x: NbcComplex, force: bool = False):
-    """All NBC bases (facets), in lexicographic order of sorted element tuples."""
-    return _facets_through(x, frozenset(), force, "NBC bases")
+def enumerate_nbc_bases(x, force: bool = False):
+    """All facets of x, in lexicographic order of sorted element tuples: the
+    NBC bases of an NbcComplex, or the bases of a bare GraphicMatroid."""
+    return _facets_through(x, frozenset(), force, "NBC bases" if _apex(x) else "bases")
 
 
 def face_numbers(x, force: bool = False) -> IntPolynomial:
@@ -580,11 +600,11 @@ def face_numbers(x, force: bool = False) -> IntPolynomial:
     F + e0, so n_j = c_j + c_{j+1} (Whitney numbers).  On an empty ground set
     the walk yields the empty face alone, and n_0 = c_0 = 1.  A complex over
     a matroid with a loop has no faces, and its face polynomial is zero."""
-    rank = x.rank
+    rank = _kind(x)[0].rank
     counts = [0] * (rank + 2)
     for face in _walk(x, force=force):
         counts[len(face)] += 1
-    if isinstance(x, NbcComplex):
+    if _apex(x):
         counts = [counts[j] + counts[j + 1] for j in range(rank + 1)]
     return IntPolynomial(tuple(counts[: rank + 1]))
 
@@ -610,7 +630,7 @@ def heaviest_nbc_bases(x, nums, force: bool = False, ties: bool = True):
     prune is bound < best + 1.  No base list is built, so MAX_NBC_BASES does
     not apply; MAX_NBC_FACES counts the faces the walk visits, but _walk
     also refuses up front, pruned or not, when 2^r exceeds it."""
-    if len(nums) != (x.matroid if isinstance(x, NbcComplex) else x).ground_size:
+    if len(nums) != _kind(x)[0].ground_size:
         raise PreconditionError("need exactly one weight per element")
     rank = x.rank
     slack = 0 if ties else 1  # a child is visited when its bound reaches best + slack
@@ -639,33 +659,36 @@ def heaviest_nbc_bases(x, nums, force: bool = False, ties: bool = True):
     return best_set, best, count if ties else None
 
 
-def link_facets(x: NbcComplex, tau, force: bool = False):
-    """sigma minus tau for every NBC base sigma containing tau, lexicographic."""
-    facets = _facets_through(x, x.matroid.check_subset(tau), force, "link facets")
+def link_facets(x, tau, force: bool = False):
+    """sigma minus tau for every facet sigma of x containing tau, an NBC base
+    of an NbcComplex or a base of a bare GraphicMatroid, lexicographic."""
+    facets = _facets_through(x, _kind(x)[0].check_subset(tau), force, "link facets")
     if not facets:
-        # NBC complexes are pure, so every face lies in some facet.
-        raise PreconditionError("tau is not an NBC face")
+        # Both complexes are pure, so every face lies in some facet.
+        raise PreconditionError(f"tau is not {'an NBC face' if _apex(x) else 'an independent set'}")
     return facets
 
 
-def extend_to_nbc_base(x: NbcComplex, i, force: bool = False) -> frozenset:
-    """The lexicographically smallest NBC base containing i, the first base
-    the face walk reaches from i.  The walk's first path adds, in ascending
-    id, each element the face at hand accepts: an id rejected once stays
+def extend_to_nbc_base(x, i, force: bool = False) -> frozenset:
+    """The lexicographically smallest facet of x containing i, an NBC base of
+    an NbcComplex or a base of a bare GraphicMatroid: the first facet the
+    face walk reaches from i.  The walk's first path adds, in ascending id,
+    each element the face at hand accepts: an id rejected once stays
     rejected (the complex is closed under subsets), and the complex is pure,
-    so one ascending scan finds the base.  Its path of rank - |i| + 1 faces
+    so one ascending scan finds the facet.  Its path of rank - |i| + 1 faces
     is checked against MAX_NBC_FACES before an engine is built; the engine
     then holds rank pushes, so O(rank * m) bits of masks."""
-    root = x.matroid.check_subset(i)
+    face = "NBC face" if _apex(x) else "independent set"
+    root = _kind(x)[0].check_subset(i)
     if x.rank - len(root) >= MAX_NBC_FACES and not force:
-        raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} NBC faces visited")
+        raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} {face}s visited")
     eng = _root_engine(x, root)
     if eng is None:
-        raise PreconditionError("the given set is not an NBC face")
+        raise PreconditionError(f"the given set is not an {face}")
     members = eng.members
     for e in range(eng.m):
         if eng.can_add(e):
             eng.push(e)
     if len(members) < eng.full:
-        raise VerificationError("purity violated: the NBC face does not extend to a base")
+        raise VerificationError(f"purity violated: the {face} does not extend to a base")
     return frozenset(members)

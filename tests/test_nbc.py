@@ -24,17 +24,21 @@ from nbcwalk import (
     build_named_graph,
     chromatic_polynomial,
     cli,
+    down_up_matrix,
     enumerate_nbc_bases,
     extend_to_nbc_base,
     face_numbers,
     is_log_concave,
     is_nbc,
     link_facets,
+    local_spectral_profile,
+    local_walk_matrix,
     max_weight_nbc_base,
     nbc,
 )
 from helpers import (
     SEED,
+    brute_bases,
     brute_nbc_faces,
     brute_nbc_facets_through,
     closure_is_nbc,
@@ -1346,8 +1350,9 @@ def _kruskal(g, rank, weights):
 
 
 class TestBareMatroid:
-    """face_numbers and heaviest_nbc_bases take a bare GraphicMatroid too:
-    its faces are the independent sets, and its walk has no apex."""
+    """Every nbc entry point takes a bare GraphicMatroid too: its faces are
+    the independent sets, and its walk has no apex.  The oracles are the
+    depth-first acyclicity test and brute-force bases, at every rank."""
 
     def _cases(self):
         rng = random.Random(SEED)
@@ -1398,11 +1403,82 @@ class TestBareMatroid:
         assert nbc.heaviest_nbc_bases(k6, weights, ties=False) == (base, best, None)
         assert len(visited) == 13
 
+    def test_is_nbc_tests_independence(self):
+        for rng, g, rank in self._cases():
+            m = GraphicMatroid(g, rank)
+            subsets = list(_subsets(g.edge_count))
+            for s in rng.sample(subsets, min(40, len(subsets))):
+                assert is_nbc(m, s) == (len(s) <= rank and subset_acyclic(g, s)), (g.edges, rank, s)
+
+    def test_enumeration_lists_the_brute_bases(self):
+        for _, g, rank in self._cases():
+            bases = brute_bases(g.edge_count, truncated_indep(g, rank), rank)
+            assert list(enumerate_nbc_bases(GraphicMatroid(g, rank))) == bases, (g.edges, rank)
+
+    def test_links_and_extensions_against_the_brute_bases(self):
+        for rng, g, rank in self._cases():
+            m = GraphicMatroid(g, rank)
+            indep = truncated_indep(g, rank)
+            bases = brute_bases(g.edge_count, indep, rank)
+            subsets = list(map(frozenset, _subsets(g.edge_count)))
+            for tau in rng.sample(subsets, min(12, len(subsets))):
+                if indep(tau):
+                    assert list(link_facets(m, tau)) == [b - tau for b in bases if tau <= b]
+                    assert extend_to_nbc_base(m, tau) == next(b for b in bases if tau <= b)
+                    continue
+                with pytest.raises(PreconditionError, match="^tau is not an independent set$"):
+                    link_facets(m, tau)
+                with pytest.raises(PreconditionError, match="^the given set is not an independent set$"):
+                    extend_to_nbc_base(m, tau)
+
+    def test_refusals_name_bases_and_independent_sets(self, monkeypatch):
+        g = build_named_graph("complete", 4)
+        monkeypatch.setattr(nbc, "MAX_NBC_BASES", 2)
+        with pytest.raises(SizeGuardError, match="^more than MAX_NBC_BASES=2 bases$"):
+            enumerate_nbc_bases(GraphicMatroid(g))
+        with pytest.raises(SizeGuardError, match="^more than MAX_NBC_BASES=2 NBC bases$"):
+            enumerate_nbc_bases(NbcComplex(GraphicMatroid(g)))
+        for x in (GraphicMatroid(g), NbcComplex(GraphicMatroid(g))):
+            with pytest.raises(SizeGuardError, match="^more than MAX_NBC_BASES=2 link facets$"):
+                link_facets(x, {0})
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", 4)
+        with pytest.raises(SizeGuardError, match="^more than MAX_NBC_FACES=4 independent sets visited$"):
+            face_numbers(GraphicMatroid(g, 2))
+        with pytest.raises(SizeGuardError, match="^more than MAX_NBC_FACES=4 NBC faces visited$"):
+            face_numbers(NbcComplex(GraphicMatroid(g, 2)))
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", 1)
+        with pytest.raises(SizeGuardError, match="^more than MAX_NBC_FACES=1 independent sets visited$"):
+            extend_to_nbc_base(GraphicMatroid(g), {0})
+        with pytest.raises(SizeGuardError, match="^more than MAX_NBC_FACES=1 NBC faces visited$"):
+            extend_to_nbc_base(NbcComplex(GraphicMatroid(g)), {0})
+
     def test_max_weight_base_of_a_triangle(self):
         k3 = GraphicMatroid(build_named_graph("complete", 3))
         assert max_weight_nbc_base(k3, WeightVector([1, 2, 3])) == (frozenset({1, 2}), Fraction(5))
         with pytest.raises(PreconditionError, match="one weight per element"):
             nbc.heaviest_nbc_bases(k3, [1, 2])
+
+
+_ENTRY_POINTS = {
+    "is_nbc": lambda x: is_nbc(x, ()),
+    "enumerate_nbc_bases": enumerate_nbc_bases,
+    "face_numbers": face_numbers,
+    "heaviest_nbc_bases": lambda x: nbc.heaviest_nbc_bases(x, []),
+    "link_facets": lambda x: link_facets(x, ()),
+    "extend_to_nbc_base": lambda x: extend_to_nbc_base(x, ()),
+    "down_up_matrix": down_up_matrix,
+    "local_walk_matrix": lambda x: local_walk_matrix(x, ()),
+    "local_spectral_profile": local_spectral_profile,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRY_POINTS))
+def test_entry_points_refuse_what_is_no_complex(name):
+    # A graph, a number, None or a list of numbers is no complex, matroid or
+    # facet list: each entry point refuses it before reading an attribute.
+    for x in (build_named_graph("complete", 3), 3, None, [0, 1]):
+        with pytest.raises(PreconditionError, match="^need an NbcComplex"):
+            _ENTRY_POINTS[name](x)
 
 
 class TestWalkPreorderKeepingNoLoneMask(_LoneVerticesKeepNoMask, TestWalkPreorder):

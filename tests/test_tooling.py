@@ -271,10 +271,11 @@ def test_nbc_defines_one_complex_and_one_engine():
 
 
 def test_only_nbc_drives_the_engine():
-    # The walk, the engine's bound pass and its live member list are one
-    # module's protocol: the branch and bound that prunes the walk sits in
-    # nbc.py beside it, and no other package module names any of them.
-    protocol = {"_walk", "completions", "members"}
+    # The walk, its facet lister, the engine's bound pass and its live member
+    # list are one module's protocol: the branch and bound that prunes the
+    # walk sits in nbc.py beside it, and no other package module names any
+    # of them; chains lists a matroid's bases through enumerate_nbc_bases.
+    protocol = {"_walk", "_facets_through", "completions", "members"}
     named = {
         path.name
         for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py"))
@@ -282,6 +283,21 @@ def test_only_nbc_drives_the_engine():
         if name in protocol
     }
     assert named == {"nbc.py"}
+
+
+def test_nbc_tells_the_kinds_apart_once():
+    # One switch in nbc.py decides whether an entry point holds an NbcComplex
+    # or a bare GraphicMatroid; every other function reads it.
+    tree = ast.parse((ROOT / "src" / "nbcwalk" / "nbc.py").read_text(encoding="utf-8"))
+    tests = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and "NbcComplex" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+    ]
+    assert len(tests) == 1
 
 
 def test_chains_defines_the_two_walks():
