@@ -31,7 +31,7 @@ from .graphs import (
     iter_independent_sets,
 )
 from .matroids import GraphicMatroid
-from .nbc import NbcComplex, heaviest_nbc_bases, is_nbc, link_facets
+from .nbc import NbcComplex, enumerate_nbc_bases, heaviest_nbc_bases, is_nbc, link_facets
 
 MAX_GADGET_GROUND = 5000
 HARDCORE_MAX_COPIES = 3
@@ -427,10 +427,15 @@ def build_field_reduction(
     )
 
 
-def nbc_partition_function(x: NbcComplex, lam: WeightVector, force: bool = False) -> Fraction:
-    """Sum over NBC bases of the product of element weights."""
-    lam = _weight_vector(lam, x.matroid.ground_size, "element")
-    return sum((lam.product_over(b) for b in x.facets(force=force)), Fraction(0))
+def nbc_partition_function(x, lam: WeightVector, force: bool = False) -> Fraction:
+    """Sum over the facets of x of the product of their element weights: the
+    NBC bases of an NbcComplex, which keeps them, or the bases of a bare
+    GraphicMatroid, where it is the weighted spanning-tree sum of a
+    connected graph at full rank."""
+    bare = isinstance(x, GraphicMatroid)
+    lam = _weight_vector(lam, (x if bare else x.matroid).ground_size, "element")
+    facets = enumerate_nbc_bases(x, force) if bare else x.facets(force=force)
+    return sum((lam.product_over(b) for b in facets), Fraction(0))
 
 
 def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bool = False) -> ReductionReport:

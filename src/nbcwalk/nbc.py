@@ -11,10 +11,14 @@ as the face polynomial, a graphs.IntPolynomial.  The walker drives an engine
 with a can_add/extensions/push/pop protocol: can_add(e) decides exactly
 whether an NBC face holding e0 stays NBC with e added, and extensions(a, cand)
 reads, before a is pushed, which elements of cand the child face + a keeps,
-cand being a list that the face at hand accepted in full.  So besides its
-root the walk pushes only the faces that have children below full size: a
-face one short of a base is appended to the member list and yielded with its
-facets, and neither is pushed.
+cand being a list that the face at hand accepted in full.  So a child with
+nothing after it in its parent's list takes the empty list with no
+extensions call, and besides its root the walk pushes only the faces whose
+children read their forest: those with at least two levels below them and
+at least two accepted elements.  Any other face's children are leaves: the
+facets under a face one short of a base, or else at most one child, with
+nothing after it.  Such a face is appended to the member list and yielded
+with its children, and none of them is pushed.
 
 Every walk holds e0, the order-smallest element, from its root on.  The NBC
 complex is a cone with apex e0 (Brylawski, "The broken-circuit complex",
@@ -297,7 +301,7 @@ class _GraphicEngine:
         components a leaves alone is accepted without a cycle test, an e
         joining a's two components is rejected, and any other e tests only
         the cycles through both a and e.  The walk calls it only for a child
-        below full size."""
+        below full size, with a nonempty cand."""
         s, t = self.ends[a]
         label, ends, pos, inc, path = self.label, self.ends, self.pos, self.inc, self.path
         ls, lt = label[s], label[t]
@@ -366,7 +370,8 @@ class _GraphicEngine:
         index i, the greatest weight under nums of need elements of
         accepted[i + 1:] that form a forest with F + accepted[i], or None
         when no need of them do.  At need 0 every entry is 0 and the forest
-        is not read, so F need not be pushed.
+        is not read, and a lone entry at need >= 1 is None, its tail being
+        empty, so in neither case need F be pushed.
 
         One pass, from the last index down, keeps T, a max-weight spanning
         forest of the suffix accepted[i + 1:] in the contraction by F: its
@@ -486,11 +491,16 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
     NBC faces holding e0 for an NbcComplex, and independent sets for a bare
     GraphicMatroid.  Yields the engine's live member list (the apex and the
     root elements first); yields nothing when root is not a face.  A child's
-    accepted list is read before its push, and besides the root only a face
-    with children below full size is pushed: a face one short of full size
-    is appended to that list, its facets are appended, yielded and removed
-    one by one, and then it is removed, with no frame, push or pop; a facet
-    under a pushed face is appended and removed alike.
+    accepted list is read before its push, and is empty with no extensions
+    call when no extension comes after the child's own.  Besides the root,
+    only a face with at least two levels and at least two accepted
+    extensions below it is pushed, since only then does a child read its
+    forest.  Any other face below full size has leaves for children: facets
+    when it is one short of full size, and otherwise at most one child,
+    which has no extension after its own.  It is appended to that list, its
+    children are appended, yielded and removed one by one, and then it is
+    removed, with no frame, push or pop; a leaf under a pushed face is
+    appended and removed alike.
 
     children, when given, picks and orders the children instead: it is
     called as children(eng, accepted) at each face F = eng.members below
@@ -501,7 +511,12 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
     left out is skipped with its subtree, with no push, extensions or pop.
     Under a face that is not pushed, eng.members is that face but the
     engine's forest is its parent's, so the iterator may read the forest
-    only at a face whose children are below full size.
+    only at a pushed face: the root, or a face with at least two levels
+    below it and at least two accepted extensions.  So a face with one
+    extension and more levels below it shows its parent's forest too.
+    heaviest_nbc_bases reads the forest through completions, which at a
+    face one short of full size needs none of it, and at a lone extension
+    with need >= 1 gives None whatever the forest, its tail being empty.
 
     MAX_NBC_FACES caps the faces containing root: when root lacks e0, each
     face yielded stands for two, itself and itself minus e0.  The cap
@@ -534,9 +549,9 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
                 order = iter(range(len(accepted))) if children is None else children(eng, accepted)
                 frames.append((accepted, order))
         else:
-            if len(members) < full:  # one short of full size, so its children are facets
-                facets = accepted if children is None else map(accepted.__getitem__, children(eng, accepted))
-                for f in facets:
+            if len(members) < full:  # its children are leaves: facets, or one with no extensions
+                leaves = accepted if children is None else map(accepted.__getitem__, children(eng, accepted))
+                for f in leaves:
                     append(f)
                     budget -= cost
                     if budget < 0 and not force:
@@ -550,9 +565,8 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
             if i is not None:
                 e = accepted[i]
                 below = full - len(members) - 1  # levels under the child F + e
-                if below:
-                    accepted = extensions(e, accepted[i + 1 :])
-                pushed = below > 1
+                accepted = extensions(e, accepted[i + 1 :]) if below and i + 1 < len(accepted) else []
+                pushed = below > 1 and len(accepted) > 1
                 if pushed:
                     push(e)
                 else:

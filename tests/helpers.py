@@ -1,9 +1,10 @@
 """Shared test oracles, all deliberately independent of the package's own
 algorithms: acyclicity and components by depth-first search (not union-find),
-spanning trees by matrix-tree with exact rationals, colorings, orientations,
-bases and broken circuits by direct brute force, parking functions by Dhar's
-burning test on every candidate, NBC membership and NBC bases also by the
-closure form.  None of them reads the Tutte polynomial."""
+spanning trees, counted or weighted, by matrix-tree with exact rationals,
+colorings, orientations, bases and broken circuits by direct brute force,
+parking functions by Dhar's burning test on every candidate, NBC membership
+and NBC bases also by the closure form.  None of them reads the Tutte
+polynomial."""
 
 import itertools
 import random
@@ -202,26 +203,27 @@ def truncated_indep(g, rank):
     return lambda s: len(s) <= rank and subset_acyclic(g, s)
 
 
-def spanning_tree_count(g):
-    """Matrix-tree determinant with exact rational elimination."""
+def kirchhoff_tree_sum(g, weights):
+    """Sum over the spanning trees of g of the product of their edge weights,
+    weights[e] being edge e's, by the weighted matrix-tree theorem: the
+    cofactor of the weighted Laplacian at its first vertex, by exact
+    Fraction elimination.  0 on a graph with no vertex."""
     n = g.vertex_count
     if n == 0:
-        return 0
-    if n == 1:
-        return 1
+        return Fraction(0)
     lap = [[Fraction(0)] * n for _ in range(n)]
-    for u, v in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
+    for (u, v), w in zip(g.edges, weights):
+        lap[u][u] += w
+        lap[v][v] += w
+        lap[u][v] -= w
+        lap[v][u] -= w
     mat = [row[1:] for row in lap[1:]]
     size = n - 1
     det = Fraction(1)
     for col in range(size):
         pivot = next((r for r in range(col, size) if mat[r][col] != 0), None)
         if pivot is None:
-            return 0
+            return Fraction(0)
         if pivot != col:
             mat[col], mat[pivot] = mat[pivot], mat[col]
             det = -det
@@ -232,6 +234,12 @@ def spanning_tree_count(g):
             if factor:
                 for c in range(col, size):
                     mat[r][c] -= factor * mat[col][c]
+    return det
+
+
+def spanning_tree_count(g):
+    """Matrix-tree determinant with exact rational elimination."""
+    det = kirchhoff_tree_sum(g, [1] * g.edge_count)
     assert det.denominator == 1
     return int(det)
 

@@ -39,7 +39,15 @@ from nbcwalk import (
     verify_hardcore_identities,
 )
 
-from helpers import SEED, edge_witness, random_multigraphs, theta_graph
+from helpers import (
+    SEED,
+    component_count,
+    edge_witness,
+    kirchhoff_tree_sum,
+    random_graph_corpus,
+    random_multigraphs,
+    theta_graph,
+)
 
 F = Fraction
 
@@ -499,6 +507,33 @@ class TestFieldReduction:
         assert all(w >= 1 for w in inst.weights)
         with pytest.raises(PreconditionError):
             build_field_reduction(g, 2, F(1, 2))
+
+
+class TestPartitionFunctionOfBases:
+    """nbc_partition_function takes a bare GraphicMatroid too: it sums the
+    weight products over its bases, which for a connected graph at full rank
+    are its spanning trees, so the weighted matrix-tree cofactor is an
+    oracle."""
+
+    def test_k3_trees_against_its_nbc_bases(self):
+        k3 = GraphicMatroid(build_named_graph("complete", 3))
+        # Trees {0,1}, {0,2}, {1,2}; the broken circuit {1,2} leaves two NBC bases.
+        assert nbc_partition_function(k3, WeightVector([1, 2, 3])) == 2 + 3 + 6
+        assert nbc_partition_function(NbcComplex(k3), WeightVector([1, 2, 3])) == 2 + 3
+        with pytest.raises(PreconditionError, match="one weight per element"):
+            nbc_partition_function(k3, [1, 2])
+
+    def test_connected_graphs_at_full_rank_give_the_weighted_tree_sum(self):
+        rng = random.Random(SEED + 41)
+        graphs = random_graph_corpus(count=8, seed=SEED + 41)
+        multigraphs = random_multigraphs(count=60, max_vertices=6, seed=SEED + 41)
+        graphs += [g for g in multigraphs if component_count(g.vertex_count, g.edges) == 1]
+        for g in graphs:
+            weights = [F(rng.randint(-4, 9), rng.randint(1, 5)) for _ in range(g.edge_count)]
+            got = nbc_partition_function(GraphicMatroid(g), weights)
+            assert got == kirchhoff_tree_sum(g, weights), g.edges
+        assert len(graphs) > 20
+        assert sum(len(set(g.edges)) < g.edge_count for g in graphs) > 5  # with parallel edges
 
 
 class TestCountingSandwich:

@@ -681,7 +681,7 @@ class TestExtensionsAgainstAFreshEngine:
         rng = random.Random(SEED)
         for g in _parallel_multigraphs() + [_parallel_theta()]:
             for rank in range(GraphicMatroid(g).rank + 1):
-                for ranking in random_orders(g.edge_count, 3, seed=SEED + rank):
+                for ranking in random_orders(g.edge_count, 4, seed=SEED + rank):
                     x = NbcComplex(GraphicMatroid(g, rank), ranking)
                     current[0] = x
                     faces = brute_nbc_faces(g.edge_count, truncated_indep(g, rank), ranking)
@@ -1000,6 +1000,35 @@ class TestPrunedWalk:
         assert facets == list(reversed(enumerate_nbc_bases(x)))
 
 
+class TestHeaviestAgainstBruteForce:
+    """heaviest_nbc_bases, counting ties or not, against the heaviest of the
+    brute-force NBC bases on seeded multigraphs at every rank and under
+    random orders: the walk's children hook sees its parent's forest at a
+    face that is not pushed, and the branch and bound must still reach the
+    lexicographically greatest heaviest base."""
+
+    def test_both_tie_modes_match_a_brute_force_maximum(self):
+        rng = random.Random(SEED + 41)
+        checked, tied = 0, 0
+        for g in random_multigraphs(count=30, max_vertices=7, max_edges=10, seed=SEED + 41):
+            m = g.edge_count
+            for rank in range(1, GraphicMatroid(g).rank + 1):
+                for ranking in random_orders(m, 2, seed=SEED + 41 + rank):
+                    spread = rng.choice((1, 3))
+                    weights = [rng.randint(-spread, spread) for _ in range(m)]
+                    faces = brute_nbc_faces(m, truncated_indep(g, rank), ranking)
+                    bases = {f: sum(weights[e] for e in f) for f in faces if len(f) == rank}
+                    best = max(bases.values())
+                    top = [f for f, w in bases.items() if w == best]
+                    greatest = max(top, key=sorted)
+                    x = NbcComplex(GraphicMatroid(g, rank), ranking)
+                    assert nbc.heaviest_nbc_bases(x, weights) == (greatest, best, len(top)), (g.edges, rank)
+                    assert nbc.heaviest_nbc_bases(x, weights, ties=False) == (greatest, best, None)
+                    checked += 1
+                    tied += len(top) > 1
+        assert checked > 150 and tied > 30
+
+
 class TestCompletionGreedy:
     """engine.completions(accepted, nums, need), the bound pass at a face F
     the walk reaches, gives at index i the greatest weight of need elements
@@ -1113,15 +1142,19 @@ class TestConeApex:
         monkeypatch.setattr(nbc._GraphicEngine, "push", counted)
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 7)))
         assert len(enumerate_nbc_bases(x)) == 720
-        # 2520 of K7's 5040 faces hold e0; the 720 facets and the 1044 faces
-        # one short of them are appended, not pushed.  A walk from the bare
-        # root pushes 4319.
-        assert pushes[0] == 2520 - 720 - 1044 == 756
+        # 2520 of K7's 5040 faces hold e0.  Only those with two levels and two
+        # accepted elements below them are pushed, the root {e0} among them:
+        # not the 720 facets, the 1044 faces one short of them, or the faces
+        # further down that accept no element (310) or one (73).  A walk from
+        # the bare root pushes 964.
+        assert pushes[0] == 2520 - 720 - 1044 - 310 - 73 == 373
         pushes[0] = 0
         x = NbcComplex(GraphicMatroid(build_named_graph("complete", 8)))
         assert face_numbers(x).coefficients == (1, 28, 322, 1960, 6769, 13132, 13068, 5040)
-        # 20160 faces hold e0: 5040 facets and 8028 faces one short of them.
-        assert pushes[0] == 20160 - 5040 - 8028 == 7092
+        # 20160 faces hold e0: 5040 facets, 8028 faces one short of them, and
+        # further down 3338 faces that accept no element and 621 that accept
+        # one.
+        assert pushes[0] == 20160 - 5040 - 8028 - 3338 - 621 == 3133
 
     def test_edgeless_graph(self):
         g = MultiGraph(3, [])
@@ -1131,6 +1164,62 @@ class TestConeApex:
             assert enumerate_nbc_bases(x) == (frozenset(),)
         assert brute_nbc_faces(0, graphic_indep(g), ()) == {frozenset()}
         assert closure_nbc_facets_through(0, graphic_indep(g), (), (), 0) == {frozenset()}
+
+
+class TestWalkSkipsUnreadWork:
+    """A child with nothing after it in its parent's accepted list takes the
+    empty list with no extensions call, and besides the root the walk pushes
+    only a face with at least two levels below it and at least two accepted
+    elements, the only faces whose children read the forest."""
+
+    def test_no_empty_extensions_and_no_push_without_two_children_below(self, monkeypatch):
+        extensions, last = nbc._GraphicEngine.extensions, [None]
+        calls, pushes = [0], [0]
+
+        def checking_extensions(self, a, cand):
+            assert cand, (self.members, a)
+            got = extensions(self, a, cand)
+            last[0] = (a, len(self.members), got)
+            calls[0] += 1
+            return got
+
+        real = nbc._root_engine
+
+        def rooted(x, root):
+            eng = real(x, root)
+            if eng is not None:
+                push = eng.push
+
+                def checking_push(e):
+                    # a push follows the extensions call of its own child
+                    a, size, got = last[0]
+                    last[0] = None
+                    assert a == e and size == len(eng.members), (eng.members, e)
+                    assert len(got) >= 2 and eng.full - size - 1 >= 2, (eng.members, e, got)
+                    pushes[0] += 1
+                    push(e)
+
+                eng.push = checking_push
+            return eng
+
+        monkeypatch.setattr(nbc._GraphicEngine, "extensions", checking_extensions)
+        monkeypatch.setattr(nbc, "_root_engine", rooted)
+        rng = random.Random(SEED + 41)
+        faces = 0
+        for g in random_multigraphs(count=30, max_vertices=7, max_edges=11, seed=SEED + 41):
+            m = g.edge_count
+            for rank in range(GraphicMatroid(g).rank + 1):
+                weights = [rng.randint(-2, 2) for _ in range(m)]
+                kinds = [NbcComplex(GraphicMatroid(g, rank), r) for r in random_orders(m, 2, seed=SEED + rank)]
+                for x in [GraphicMatroid(g, rank), *kinds]:
+                    walked = [frozenset(face) for face in nbc._walk(x)]
+                    faces += len(walked)
+                    for root in rng.sample(walked, min(2, len(walked))):
+                        assert sum(1 for _ in nbc._walk(x, root)) >= 1
+                    if rank and walked:
+                        for ties in (True, False):
+                            nbc.heaviest_nbc_bases(x, weights, ties=ties)
+        assert faces > 8000 and calls[0] > 4500 and pushes[0] > 1500
 
 
 class TestTruncatedWalk:
