@@ -64,7 +64,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .errors import PreconditionError, SizeGuardError, VerificationError
+from .errors import FORCED, PreconditionError, SizeGuardError, VerificationError
 from .graphs import _integer
 from .matroids import GraphicMatroid
 from .nbc import NbcComplex, enumerate_nbc_bases
@@ -80,16 +80,16 @@ _RITZ_EVERY = 8
 _RITZ_RESIDUAL = 1e-15
 
 
-def _as_facets(x, force: bool = False):
+def _as_facets(x):
     """Canonical facet tuple from a complex, a matroid, or a raw facet list,
     which is deduplicated and sorted; anything else is refused.  A complex's
     NBC bases, kept by the complex, and a matroid's bases both come from
     nbc's forest walk, already distinct and lexicographic, under its face and
-    base budgets unless force is given."""
+    base budgets unless forced."""
     if isinstance(x, NbcComplex):
-        facets = x.facets(force=force)
+        facets = x.facets()
     elif isinstance(x, GraphicMatroid):
-        facets = enumerate_nbc_bases(x, force)
+        facets = enumerate_nbc_bases(x)
     else:
         try:
             facets = tuple(sorted({frozenset(f) for f in x}, key=lambda f: tuple(sorted(f))))
@@ -283,14 +283,14 @@ def local_walk_matrix(x, tau) -> LocalWalk:
     return LocalWalk(tuple(elements), pairs[0], d - k - 1)
 
 
-def check_eig_states(n: int, force: bool = False):
+def check_eig_states(n: int):
     """Refuse an eigensolve on more than MAX_EIG_STATES states unless forced;
     callers that know the state count early check it before building P."""
-    if n > MAX_EIG_STATES and not force:
+    if n > MAX_EIG_STATES and not FORCED.get():
         raise SizeGuardError(f"{n} states exceeds MAX_EIG_STATES={MAX_EIG_STATES}")
 
 
-def spectral_gap(p: DownUpWalk | LocalWalk, force: bool = False) -> float:
+def spectral_gap(p: DownUpWalk | LocalWalk) -> float:
     """1 - second-largest eigenvalue of a down-up or local walk; a single-state
     walk reports 1.0 (it mixes in zero steps).  A down-up walk is solved by
     _down_up_gap; a local walk is reversible and is solved densely as
@@ -301,7 +301,7 @@ def spectral_gap(p: DownUpWalk | LocalWalk, force: bool = False) -> float:
     n = p.size
     if n == 1:
         return 1.0
-    check_eig_states(n, force)
+    check_eig_states(n)
     if isinstance(p, DownUpWalk):
         return _down_up_gap(p)
     vals = np.linalg.eigvalsh(_symmetrized(p.pairs, p.denom))
@@ -448,13 +448,13 @@ def cheeger_chain(p: DownUpWalk, s, gap: float):
     return phi, ratio, at_most_half
 
 
-def check_face_subsets(n_facets: int, d: int, force: bool = False):
+def check_face_subsets(n_facets: int, d: int):
     """Refuse a local profile over more than MAX_FACE_SUBSETS facet subsets
     unless forced.  The face lattice the profile builds holds one face id per
     facet and subset of it, n_facets 2^d for facets of size d, or fewer when
     the reduced complex drops an apex; callers that know the facet count early
     check it before any other work."""
-    if n_facets << d > MAX_FACE_SUBSETS and not force:
+    if n_facets << d > MAX_FACE_SUBSETS and not FORCED.get():
         raise SizeGuardError(
             f"{n_facets} facets of size {d} exceed MAX_FACE_SUBSETS={MAX_FACE_SUBSETS}"
         )
@@ -646,20 +646,21 @@ def _symmetrized(c, denom: int):
     return c / (denom * np.sqrt(ca[..., :, None] * ca[..., None, :]))
 
 
-def local_spectral_profile(x, force: bool = False) -> tuple:
+def local_spectral_profile(x) -> tuple:
     """The tuple of floats gamma_k = max second eigenvalue of the local walk
     over all faces of size k, for k = 0..d-2.  x is a DownUpWalk, whose
     reduced complex K is read as it stands, or anything down_up_matrix
-    accepts, from which the walk is built (enumerated under force); K is
-    derived only in _down_up, so a caller that also wants the gap passes
-    one walk to both.  The profile of K is computed level by level from
-    integer pair-count stacks, each level's local matrices of one state
-    count solved by one eigvalsh call; _coned then adds the apex elements
-    one at a time."""
+    accepts, from which the walk is built once its facet count passes
+    check_face_subsets; K is derived only in _down_up, so a caller that
+    also wants the gap passes one walk to both.  The profile of K is
+    computed level by level from integer pair-count stacks, each level's
+    local matrices of one state count solved by one eigvalsh call; _coned
+    then adds the apex elements one at a time."""
     import numpy as np
 
-    walk = x if isinstance(x, DownUpWalk) else _down_up(*_as_facets(x, force))
-    check_face_subsets(walk.size, walk.d, force)
+    facets, d = (x.index, x.d) if isinstance(x, DownUpWalk) else _as_facets(x)
+    check_face_subsets(len(facets), d)
+    walk = x if isinstance(x, DownUpWalk) else _down_up(facets, d)
     rows, apex, d = walk.positions, walk.apex, walk.d
     dk = d - apex
     if dk > 1:

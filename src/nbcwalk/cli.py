@@ -25,7 +25,7 @@ from .chains import (
     local_to_global_bound,
     spectral_gap,
 )
-from .errors import PreconditionError, SizeGuardError, VerificationError
+from .errors import PreconditionError, SizeGuardError, VerificationError, forced
 from .gadgets import (
     WeightVector,
     build_link_gadget,
@@ -282,45 +282,37 @@ def _build_parser() -> argparse.ArgumentParser:
 _NOT_PARAMS = frozenset({"input", "graph", "order", "weights", "out", "report"})
 
 
-def _params_of(args) -> dict:
-    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMS}
-    params.setdefault("force_size", False)
-    return params
-
-
 def _cmd_face_numbers(args):
     x, _, canonical = _complex(args)
-    fn = face_numbers(x, force=args.force_size)
+    fn = face_numbers(x)
     n = [fn[k] for k in range(x.rank + 1)]
     return canonical, {"n": n, "log_concave": is_log_concave(n)}
 
 
 def _cmd_nbc_bases(args):
     x, weights, canonical = _complex(args)
-    bases = x.facets(force=args.force_size)
+    bases = x.facets()
     report = {"count": len(bases), "bases": [sorted(b) for b in bases]}
     if weights is not None:
-        report["weighted_count"] = _rational(
-            nbc_partition_function(x, WeightVector(weights), force=args.force_size)
-        )
+        report["weighted_count"] = _rational(nbc_partition_function(x, WeightVector(weights)))
     return canonical, report
 
 
 def _cmd_walk_gap(args):
     x, _, canonical = _complex(args)
-    n_facets = len(x.facets(force=args.force_size))
-    check_eig_states(n_facets, args.force_size)
-    check_face_subsets(n_facets, x.rank, args.force_size)
+    n_facets = len(x.facets())
+    check_eig_states(n_facets)
+    check_face_subsets(n_facets, x.rank)
     walk = down_up_matrix(x)
-    gap = spectral_gap(walk, force=args.force_size)
-    profile = local_spectral_profile(walk, force=args.force_size)
+    gap = spectral_gap(walk)
+    profile = local_spectral_profile(walk)
     bound = local_to_global_bound(profile)
     return canonical, {"gap": _float12(gap), "ltg_bound": _float12(bound)}
 
 
 def _cmd_local_profile(args):
     x, _, canonical = _complex(args)
-    profile = local_spectral_profile(x, force=args.force_size)
+    profile = local_spectral_profile(x)
     d = x.rank
     scaled = [g * (d - k) for k, g in enumerate(profile)]
     return canonical, {
@@ -334,7 +326,7 @@ def _cmd_local_profile(args):
 def _cmd_link(args):
     x, _, canonical = _complex(args)
     tau = frozenset(_csv(args.tau, "tau"))
-    facets = link_facets(x, tau, force=args.force_size)
+    facets = link_facets(x, tau)
     return canonical, {
         "tau": sorted(tau),
         "facet_count": len(facets),
@@ -344,7 +336,7 @@ def _cmd_link(args):
 
 def _cmd_gadget(args):
     if args.kind == "long-edge":
-        inst = build_long_edge_instance(args.n, force=args.force_size)
+        inst = build_long_edge_instance(args.n)
         return {"gadget": "long-edge", "n": args.n}, {
             "n": args.n,
             "B": sorted(inst.marked_sets["B"]),
@@ -356,14 +348,14 @@ def _cmd_gadget(args):
         }
     m = args.m if args.m is not None else args.n
     base = build_named_graph("complete_bipartite", args.n, args.n)
-    inst = build_link_gadget(base, args.l, m, force=args.force_size)
+    inst = build_link_gadget(base, args.l, m)
     report = {
         "ground_size": inst.matroid.ground_size,
         "trunc_rank": inst.matroid.rank,
         "tau_size": len(inst.tau),
     }
     if args.report:
-        cert = gap_certificate(inst, force=args.force_size)
+        cert = gap_certificate(inst)
         part = cert["partition"]
         report.update(
             {
@@ -387,8 +379,8 @@ def _cmd_reduce(args):
     if args.kind == "opt":
         w = WeightVector(_csv(args.vertex_weights, "vertex-weights", rational=True))
         inst = build_opt_reduction(graph, w)
-        base, base_val = max_weight_nbc_base(inst.complex(), inst.weights, force=args.force_size)
-        ind, ind_val = max_weight_independent_set(graph, w, force=args.force_size)
+        base, base_val = max_weight_nbc_base(inst.complex(), inst.weights)
+        ind, ind_val = max_weight_independent_set(graph, w)
         recovered = sorted(e - graph.edge_count for e in base if e >= graph.edge_count)
         return canonical, {
             "max_independent_weight": _rational(ind_val),
@@ -400,7 +392,7 @@ def _cmd_reduce(args):
         }
     if args.kind in ("count", "field"):
         mode = "facet-count" if args.kind == "count" else "partition-function"
-        report = verify_counting_sandwich(graph, args.m, args.l, mode, force=args.force_size)
+        report = verify_counting_sandwich(graph, args.m, args.l, mode)
         return canonical, {
             "mode": mode,
             "source_i_m": _rational(report.source_quantity),
@@ -409,7 +401,7 @@ def _cmd_reduce(args):
             "upper": _rational(report.upper_bound),
             "verdict": report.verdict,
         }
-    result = verify_hardcore_identities(graph, args.r, force=args.force_size)
+    result = verify_hardcore_identities(graph, args.r)
     return canonical, {
         "r": args.r,
         "counts_g": list(result["counts_g"]),
@@ -423,22 +415,22 @@ def _cmd_reduce(args):
 def _cmd_oracle(args):
     graph, *_, canonical = _resolve_instance(args)
     if args.kind == "chromatic":
-        chi = chromatic_polynomial(graph, force=args.force_size)
+        chi = chromatic_polynomial(graph)
         body = {"coefficients": list(chi.coefficients), "degree": chi.degree, "at_minus_one": chi(-1)}
     elif args.kind == "acyclic":
-        body = {"count": count_acyclic_orientations(graph, force=args.force_size)}
+        body = {"count": count_acyclic_orientations(graph)}
     elif args.kind == "indep":
-        counts = count_independent_sets_by_size(graph, force=args.force_size)
+        counts = count_independent_sets_by_size(graph)
         body = {"counts": list(counts.coefficients), "total": counts.total()}
     elif args.kind == "parking":
         body = {
-            "count": count_g_parking_functions(graph, args.root, force=args.force_size),
+            "count": count_g_parking_functions(graph, args.root),
             "root": args.root,
         }
     else:
         lam = _parse_fraction(args.fugacity, "--fugacity")
         body = {
-            "partition_function": _rational(hardcore_partition(graph, lam, force=args.force_size)),
+            "partition_function": _rational(hardcore_partition(graph, lam)),
             "fugacity": _rational(lam),
         }
     return canonical, body
@@ -476,13 +468,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    params = {"force_size": False} | {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
     try:
-        canonical, report = _DISPATCH[args.command](args)
+        # Every size guard reads the switch, so --force-size lifts them all.
+        with forced(params["force_size"]):
+            canonical, report = _DISPATCH[args.command](args)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for error, code in _EXIT_CODES.items() if isinstance(exc, error))
     report["input_digest"] = _digest(canonical)
-    report["params"] = _params_of(args)
+    report["params"] = params
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         try:

@@ -20,10 +20,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chains import cheeger_chain, check_eig_states, down_up_matrix, spectral_gap
-from .errors import PreconditionError, SizeGuardError, VerificationError
+from .errors import FORCED, PreconditionError, SizeGuardError, VerificationError
 from .graphs import (
     IntPolynomial,
     MultiGraph,
+    _independent_sets,
     _integer,
     build_named_graph,
     count_independent_sets_by_size,
@@ -131,7 +132,7 @@ class ReductionReport:
         return self.lower_bound <= self.target_quantity <= self.upper_bound
 
 
-def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
+def build_long_edge_instance(n: int) -> GadgetInstance:
     """Theta graph whose NBC base polytope has the certified long edge {B, B'}.
 
     (n-1)/2 two-edge paths join the rim vertices, edge n-1 joins them directly;
@@ -146,7 +147,7 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     n = _integer(n, "n")
     if n < 3 or n % 2 == 0:
         raise PreconditionError("n must be an odd integer >= 3")
-    _check_ground(n, force)
+    _check_ground(n)
     half = (n - 1) // 2
     edges = []
     for i in range(1, half + 1):
@@ -165,7 +166,7 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     x = NbcComplex(matroid)
     if not all(len(b) == x.rank and is_nbc(x, b) for b in (b1, b2)):
         raise VerificationError("distinguished bases are not NBC bases")
-    _, best, ties = heaviest_nbc_bases(x, w.nums, force)
+    _, best, ties = heaviest_nbc_bases(x, w.nums)
     if not w.weight_of(b1) == w.weight_of(b2) == Fraction(best, w.den) or ties != 2:
         raise VerificationError("computed weight vector fails the edge-witness conditions")
     return GadgetInstance(
@@ -175,9 +176,7 @@ def build_long_edge_instance(n: int, force: bool = False) -> GadgetInstance:
     )
 
 
-def build_link_gadget(
-    base_graph: MultiGraph, l: int, target_size: int, force: bool = False
-) -> GadgetInstance:
+def build_link_gadget(base_graph: MultiGraph, l: int, target_size: int) -> GadgetInstance:
     """Apex-and-subdivision gadget: pendant y via e0, apex z, and l two-edge
     chains z - z_{v,i} - v per base vertex; truncated to rank l*|V| + m + 1
     with order blocks e0 < E < e-chain edges < f-chain edges and tau = the
@@ -194,7 +193,7 @@ def build_link_gadget(
         raise PreconditionError(f"target_size must lie in 0..{nv} (the base vertex count)")
     if nv < 1:
         raise PreconditionError("the base graph needs at least one vertex")
-    _check_ground(1 + me + 2 * nv * l, force)
+    _check_ground(1 + me + 2 * nv * l)
     z = nv
     y = nv + 1
 
@@ -223,9 +222,9 @@ def build_link_gadget(
     return inst
 
 
-def _check_ground(ground: int, force: bool):
+def _check_ground(ground: int):
     """Refuse a gadget of more than MAX_GADGET_GROUND elements unless forced."""
-    if ground > MAX_GADGET_GROUND and not force:
+    if ground > MAX_GADGET_GROUND and not FORCED.get():
         raise SizeGuardError(f"ground size {ground} exceeds MAX_GADGET_GROUND={MAX_GADGET_GROUND}")
 
 
@@ -333,7 +332,7 @@ def partition_link_facets(inst: GadgetInstance, facets) -> LinkPartition:
     return part
 
 
-def gap_certificate(inst: GadgetInstance, force: bool = False) -> dict:
+def gap_certificate(inst: GadgetInstance) -> dict:
     """Measure the link walk's gap and certify the bottleneck inequalities on
     the A-side facet family with cheeger_chain, which refuses a family that
     is empty or holds every facet; the paper_bound key carries the
@@ -342,11 +341,11 @@ def gap_certificate(inst: GadgetInstance, force: bool = False) -> dict:
     l = inst.params["l"]
     m = inst.params["m"]
     x = inst.complex()
-    facets = link_facets(x, inst.tau, force=force)
-    check_eig_states(len(facets), force)
+    facets = link_facets(x, inst.tau)
+    check_eig_states(len(facets))
     part = partition_link_facets(inst, facets)
     walk = down_up_matrix(facets)
-    gap = spectral_gap(walk, force=force)
+    gap = spectral_gap(walk)
     phi, ratio, at_most_half = cheeger_chain(walk, part.s_a, gap)
     return {
         "measured_gap": gap,
@@ -376,14 +375,14 @@ def build_opt_reduction(g: MultiGraph, vertex_weights: WeightVector) -> GadgetIn
     )
 
 
-def max_weight_independent_set(g: MultiGraph, vertex_weights: WeightVector, force: bool = False):
+def max_weight_independent_set(g: MultiGraph, vertex_weights: WeightVector):
     """Exhaustive maximizer over vertex independent sets; ties keep the
     lexicographically greatest set."""
     vertex_weights = _weight_vector(vertex_weights, g.vertex_count, "vertex")
-    return _heaviest(iter_independent_sets(g, force=force), vertex_weights)
+    return _heaviest(iter_independent_sets(g), vertex_weights)
 
 
-def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
+def max_weight_nbc_base(x: NbcComplex, w: WeightVector):
     """(base, weight) of an NBC base of greatest weight under w; ties keep the
     lexicographically greatest base, as _heaviest over every base would.
     Exact, by nbc's branch and bound in w's integer numerators, without the
@@ -391,13 +390,11 @@ def max_weight_nbc_base(x: NbcComplex, w: WeightVector, force: bool = False):
     keeps the first heaviest one and prunes every child that can at most
     tie it."""
     w = WeightVector(w)
-    base, best, _ = heaviest_nbc_bases(x, w.nums, force, ties=False)
+    base, best, _ = heaviest_nbc_bases(x, w.nums, ties=False)
     return base, Fraction(best, w.den)
 
 
-def build_field_reduction(
-    g: MultiGraph, m: int, l, force: bool = False, counts=None
-) -> GadgetInstance:
+def build_field_reduction(g: MultiGraph, m: int, l, counts=None) -> GadgetInstance:
     """Apex-plus-pendant gadget truncated to rank m+1 with field weight l on
     the apex edges; its weighted NBC base count sandwiches i_m(g).  counts
     are g's independent-set counts when the caller has them already, as
@@ -405,7 +402,7 @@ def build_field_reduction(
     if not isinstance(g, MultiGraph):
         raise PreconditionError("g must be a MultiGraph")
     if counts is None:
-        counts = count_independent_sets_by_size(g, force=force)
+        counts = count_independent_sets_by_size(g)
     m = _integer(m, "m")
     l = Fraction(l)
     if l < 1:
@@ -427,18 +424,18 @@ def build_field_reduction(
     )
 
 
-def nbc_partition_function(x, lam: WeightVector, force: bool = False) -> Fraction:
+def nbc_partition_function(x, lam: WeightVector) -> Fraction:
     """Sum over the facets of x of the product of their element weights: the
     NBC bases of an NbcComplex, which keeps them, or the bases of a bare
     GraphicMatroid, where it is the weighted spanning-tree sum of a
     connected graph at full rank."""
     bare = isinstance(x, GraphicMatroid)
     lam = _weight_vector(lam, (x if bare else x.matroid).ground_size, "element")
-    facets = enumerate_nbc_bases(x, force) if bare else x.facets(force=force)
+    facets = enumerate_nbc_bases(x) if bare else x.facets()
     return sum((lam.product_over(b) for b in facets), Fraction(0))
 
 
-def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bool = False) -> ReductionReport:
+def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str) -> ReductionReport:
     """Certify l^m * i_m(g) <= target <= 2 l^m * i_m(g), the target being the
     link-gadget facet count or the field-gadget partition function."""
     if mode not in ("facet-count", "partition-function"):
@@ -447,7 +444,7 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
     l = _integer(l, "l")
     if m < 1:
         raise PreconditionError("m must be at least 1")
-    counts = count_independent_sets_by_size(g, force=force)
+    counts = count_independent_sets_by_size(g)
     if m > counts.degree:
         raise PreconditionError(f"m={m} exceeds the independence number {counts.degree}")
     for k in range(m):
@@ -459,11 +456,11 @@ def verify_counting_sandwich(g: MultiGraph, m: int, l: int, mode: str, force: bo
         raise PreconditionError(f"l must be at least 2|E| = {2 * g.edge_count}")
     n_source = counts[m]
     if mode == "facet-count":
-        inst = build_link_gadget(g, l, m, force=force)
-        target = Fraction(len(link_facets(inst.complex(), inst.tau, force=force)))
+        inst = build_link_gadget(g, l, m)
+        target = Fraction(len(link_facets(inst.complex(), inst.tau)))
     else:
         inst = build_field_reduction(g, m, l, counts=counts)
-        target = nbc_partition_function(inst.complex(), inst.weights, force=force)
+        target = nbc_partition_function(inst.complex(), inst.weights)
     lower = Fraction(l**m * n_source)
     return ReductionReport(
         source_quantity=Fraction(n_source),
@@ -481,7 +478,7 @@ def build_hardcore_reduction(g: MultiGraph, r: int) -> MultiGraph:
     return disjoint_union(g, *itertools.repeat(build_named_graph("complete", 8), r))
 
 
-def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> dict:
+def verify_hardcore_identities(g: MultiGraph, r: int) -> dict:
     """Exhaustively certify the disjoint-union counting identities: the
     convolution for the union, the count-ratio closed form, and the T_{S,k}
     levels with their successor ratio.  g's independent sets are listed once,
@@ -489,24 +486,25 @@ def verify_hardcore_identities(g: MultiGraph, r: int, force: bool = False) -> di
     tallies them by size, for the convolution, and by their part in g, for
     the levels.  The union's sets that miss g are the independent sets of the
     copies, so i_k(r K8) is the level T_{empty,k}, whose check is the closed
-    form i_k(r K8) = C(r,k) 8^k.  Any exact mismatch raises with the failing
-    identity."""
+    form i_k(r K8) = C(r,k) 8^k.  The desk-scale check, which only forcing
+    lifts, bounds both listings, so they skip iter_independent_sets' own
+    cap.  Any exact mismatch raises with the failing identity."""
     r = _integer(r, "r")
     if r < 0:
         raise PreconditionError("r must be non-negative")
-    if (r > HARDCORE_MAX_COPIES or g.vertex_count > HARDCORE_MAX_BASE_VERTICES) and not force:
+    if (r > HARDCORE_MAX_COPIES or g.vertex_count > HARDCORE_MAX_BASE_VERTICES) and not FORCED.get():
         raise SizeGuardError(
             f"r={r}, |V|={g.vertex_count} exceeds desk scale "
             f"(r <= {HARDCORE_MAX_COPIES}, |V| <= {HARDCORE_MAX_BASE_VERTICES})"
         )
-    sets_g = tuple(iter_independent_sets(g, force=True))
+    sets_g = tuple(_independent_sets(g))
     counts_g = IntPolynomial.tally(sets_g)
     union = build_hardcore_reduction(g, r)
     base_vertices = frozenset(range(g.vertex_count))
     levels = {}
 
     def union_sets():
-        for ind in iter_independent_sets(union, force=True):
+        for ind in _independent_sets(union):
             key = (ind & base_vertices, len(ind))
             levels[key] = levels.get(key, 0) + 1
             yield ind

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError, SizeGuardError
+from .errors import FORCED, PreconditionError, SizeGuardError
 
 TUTTE_MAX_MINORS = 20_000
 INDEP_COUNT_MAX_VERTICES = 26
@@ -247,7 +247,7 @@ class IntPolynomial:
         return f"IntPolynomial({self.coefficients})"
 
 
-def tutte_polynomial(g: MultiGraph, force: bool = False) -> tuple:
+def tutte_polynomial(g: MultiGraph) -> tuple:
     """The Tutte polynomial T(x, y) of g, exact, as a tuple of IntPolynomial
     rows: row j holds the coefficients of y**j as a polynomial in x.
 
@@ -275,9 +275,10 @@ def tutte_polynomial(g: MultiGraph, force: bool = False) -> tuple:
     recursion so that a first descent through large minors counts too (on K100
     it is 4950 classes wide and hundreds deep), and per KiB of its packed T
     once that is known (on large sparse graphs a few hundred minors hold
-    megabytes each).  Past it the call refuses unless forced.  The recursion
-    goes one level deeper per class on its first path, so a graph with about
-    as many classes as the recursion limit refuses too, forced or not.
+    megabytes each).  Past it the call refuses unless forced (errors.forced).
+    The recursion goes one level deeper per class on its first path, so a
+    graph with about as many classes as the recursion limit refuses too,
+    forced or not.
     """
     rank = sum(_joins(g.vertex_count, g.edges))
     classes = {}
@@ -295,7 +296,7 @@ def tutte_polynomial(g: MultiGraph, force: bool = False) -> tuple:
     def charge(units):
         nonlocal spent
         spent += units
-        if spent > TUTTE_MAX_MINORS and not force:
+        if spent > TUTTE_MAX_MINORS and not FORCED.get():
             raise SizeGuardError(
                 f"more than TUTTE_MAX_MINORS={TUTTE_MAX_MINORS} distinct minors, "
                 "counting one more per KiB of each one's classes and polynomial"
@@ -355,26 +356,35 @@ def _pair(a: int, b: int) -> tuple:
     return (a, b) if a < b else (b, a)
 
 
-def chromatic_polynomial(g: MultiGraph, force: bool = False) -> IntPolynomial:
+def chromatic_polynomial(g: MultiGraph) -> IntPolynomial:
     """Exact chromatic polynomial chi(t) = (-1)**r t**c T(1 - t, 0), with r
     the rank and c the number of components, isolated vertices included."""
     rank = sum(_joins(g.vertex_count, g.edges))
     chi = IntPolynomial(())
-    for a in reversed(tutte_polynomial(g, force)[0].coefficients):
+    for a in reversed(tutte_polynomial(g)[0].coefficients):
         chi = chi * IntPolynomial((1, -1)) + IntPolynomial((a,))
     return chi * IntPolynomial(((-1) ** rank,)) * IntPolynomial.monomial(g.vertex_count - rank)
 
 
-def count_acyclic_orientations(g: MultiGraph, force: bool = False) -> int:
+def count_acyclic_orientations(g: MultiGraph) -> int:
     """Orientations whose digraph has no directed cycle: T(2, 0) (Stanley 1973)."""
-    return tutte_polynomial(g, force)[0](2)
+    return tutte_polynomial(g)[0](2)
 
 
-def iter_independent_sets(g: MultiGraph, force: bool = False):
-    """Yield every independent vertex set exactly once, in lexicographic order."""
+def iter_independent_sets(g: MultiGraph):
+    """Yield every independent vertex set exactly once, in lexicographic
+    order, refusing more than INDEP_COUNT_MAX_VERTICES vertices unless
+    forced."""
     n = g.vertex_count
-    if n > INDEP_COUNT_MAX_VERTICES and not force:
+    if n > INDEP_COUNT_MAX_VERTICES and not FORCED.get():
         raise SizeGuardError(f"{n} vertices exceeds INDEP_COUNT_MAX_VERTICES={INDEP_COUNT_MAX_VERTICES}")
+    yield from _independent_sets(g)
+
+
+def _independent_sets(g: MultiGraph):
+    """iter_independent_sets without its vertex cap, for a caller whose own
+    check bounds the graph; only the recursion limit refuses."""
+    n = g.vertex_count
     nbr = [0] * n
     for u, v in g.edges:
         nbr[u] |= 1 << v
@@ -395,7 +405,7 @@ def iter_independent_sets(g: MultiGraph, force: bool = False):
         raise SizeGuardError(f"{n} vertices exceeds the independent-set recursion limit") from None
 
 
-def count_independent_sets_by_size(g: MultiGraph, force: bool = False) -> IntPolynomial:
+def count_independent_sets_by_size(g: MultiGraph) -> IntPolynomial:
     """The independence polynomial: independent vertex sets tallied by
     cardinality, one plain enumeration.  Its degree is the independence
     number.
@@ -403,16 +413,16 @@ def count_independent_sets_by_size(g: MultiGraph, force: bool = False) -> IntPol
     Deliberately no component splitting or convolution here: disjoint-union
     identities are checked against this count, so it must stay independent.
     """
-    return IntPolynomial.tally(iter_independent_sets(g, force=force))
+    return IntPolynomial.tally(iter_independent_sets(g))
 
 
-def hardcore_partition(g: MultiGraph, fugacity, force: bool = False) -> Fraction:
+def hardcore_partition(g: MultiGraph, fugacity) -> Fraction:
     """Independence polynomial evaluated exactly at the given fugacity."""
     lam = Fraction(fugacity)
-    return count_independent_sets_by_size(g, force=force)(lam)
+    return count_independent_sets_by_size(g)(lam)
 
 
-def count_g_parking_functions(g: MultiGraph, root: int, force: bool = False) -> int:
+def count_g_parking_functions(g: MultiGraph, root: int) -> int:
     """Count maps f on the non-root vertices where every nonempty subset S of them
     has some v in S with f(v) strictly below the number of edges from v leaving S.
 
@@ -424,4 +434,4 @@ def count_g_parking_functions(g: MultiGraph, root: int, force: bool = False) -> 
         raise PreconditionError(f"root {root} out of range")
     if not g.is_connected():
         raise PreconditionError("parking functions need a connected graph")
-    return sum(row.total() for row in tutte_polynomial(g, force))
+    return sum(row.total() for row in tutte_polynomial(g))

@@ -84,7 +84,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 
-from .errors import PreconditionError, SizeGuardError, VerificationError
+from .errors import FORCED, PreconditionError, SizeGuardError, VerificationError
 from .graphs import IntPolynomial, _integer
 from .matroids import GraphicMatroid
 
@@ -116,9 +116,9 @@ class NbcComplex:
     def rank(self) -> int:
         return self.matroid.rank
 
-    def facets(self, force: bool = False):
+    def facets(self):
         if self._facet_cache is None:
-            self._facet_cache = enumerate_nbc_bases(self, force=force)
+            self._facet_cache = enumerate_nbc_bases(self)
         return self._facet_cache
 
     def __repr__(self):
@@ -484,7 +484,7 @@ def _root_engine(x, root):
     return eng
 
 
-def _walk(x, root=frozenset(), force: bool = False, children=None):
+def _walk(x, root=frozenset(), children=None):
     """Every face of x containing root and x's apex, in preorder from their
     union: a face's children add its accepted extensions in ascending element
     id, each child trying only the extensions after its own.  The faces are
@@ -527,7 +527,7 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
     budget = MAX_NBC_FACES
     what = "NBC faces" if _apex(x) else "independent sets"
     refusal = f"more than MAX_NBC_FACES={MAX_NBC_FACES} {what} visited"
-    if 1 << max(x.rank - len(root), 0) > budget and not force:
+    if 1 << max(x.rank - len(root), 0) > budget and not FORCED.get():
         raise SizeGuardError(refusal)
     eng = _root_engine(x, root)
     if eng is None:
@@ -541,7 +541,7 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
     pushed = True  # the root is
     while True:
         budget -= cost
-        if budget < 0 and not force:
+        if budget < 0 and not FORCED.get():
             raise SizeGuardError(refusal)
         yield members
         if pushed:
@@ -554,7 +554,7 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
                 for f in leaves:
                     append(f)
                     budget -= cost
-                    if budget < 0 and not force:
+                    if budget < 0 and not FORCED.get():
                         raise SizeGuardError(refusal)
                     yield members
                     remove()
@@ -579,7 +579,7 @@ def _walk(x, root=frozenset(), force: bool = False, children=None):
             return
 
 
-def _facets_through(x, root: frozenset, force: bool, what: str):
+def _facets_through(x, root: frozenset, what: str):
     """sigma minus root for every facet sigma of x containing root, an NBC
     base or, for a bare GraphicMatroid, a base, lexicographic: the order in
     which the walk's preorder reaches them.  The member list starts with the
@@ -591,21 +591,21 @@ def _facets_through(x, root: frozenset, force: bool, what: str):
     apex = frozenset(_apex(x))
     skip, head = len(root | apex), apex - root
     out = []
-    for face in _walk(x, root, force):
+    for face in _walk(x, root):
         if len(face) == rank:
-            if len(out) >= MAX_NBC_BASES and not force:
+            if len(out) >= MAX_NBC_BASES and not FORCED.get():
                 raise SizeGuardError(f"more than MAX_NBC_BASES={MAX_NBC_BASES} {what}")
             out.append(frozenset(face[skip:]) | head)
     return tuple(out)
 
 
-def enumerate_nbc_bases(x, force: bool = False):
+def enumerate_nbc_bases(x):
     """All facets of x, in lexicographic order of sorted element tuples: the
     NBC bases of an NbcComplex, or the bases of a bare GraphicMatroid."""
-    return _facets_through(x, frozenset(), force, "NBC bases" if _apex(x) else "bases")
+    return _facets_through(x, frozenset(), "NBC bases" if _apex(x) else "bases")
 
 
-def face_numbers(x, force: bool = False) -> IntPolynomial:
+def face_numbers(x) -> IntPolynomial:
     """The face polynomial, sum of n_k t^k over the exact face numbers
     n_0..n_rank of x, an NbcComplex or a bare GraphicMatroid, whose faces are
     its independent sets, by pruned enumeration.  A bare matroid's walk has no
@@ -616,14 +616,14 @@ def face_numbers(x, force: bool = False) -> IntPolynomial:
     a matroid with a loop has no faces, and its face polynomial is zero."""
     rank = _kind(x)[0].rank
     counts = [0] * (rank + 2)
-    for face in _walk(x, force=force):
+    for face in _walk(x):
         counts[len(face)] += 1
     if _apex(x):
         counts = [counts[j] + counts[j + 1] for j in range(rank + 1)]
     return IntPolynomial(tuple(counts[: rank + 1]))
 
 
-def heaviest_nbc_bases(x, nums, force: bool = False, ties: bool = True):
+def heaviest_nbc_bases(x, nums, ties: bool = True):
     """(base, best, ties): the lexicographically greatest facet of x, an NBC
     base of an NbcComplex or a base of a bare GraphicMatroid, of greatest
     weight under the integer weights nums, nums[e] being element e's, that
@@ -660,7 +660,7 @@ def heaviest_nbc_bases(x, nums, force: bool = False, ties: bool = True):
             if extra is not None and (best is None or held + nums[accepted[i]] + extra >= best + slack):
                 yield i
 
-    for face in _walk(x, force=force, children=children):
+    for face in _walk(x, children=children):
         if len(face) == rank:
             val = sum(map(nums.__getitem__, face))
             if best is None or val > best:
@@ -673,17 +673,17 @@ def heaviest_nbc_bases(x, nums, force: bool = False, ties: bool = True):
     return best_set, best, count if ties else None
 
 
-def link_facets(x, tau, force: bool = False):
+def link_facets(x, tau):
     """sigma minus tau for every facet sigma of x containing tau, an NBC base
     of an NbcComplex or a base of a bare GraphicMatroid, lexicographic."""
-    facets = _facets_through(x, _kind(x)[0].check_subset(tau), force, "link facets")
+    facets = _facets_through(x, _kind(x)[0].check_subset(tau), "link facets")
     if not facets:
         # Both complexes are pure, so every face lies in some facet.
         raise PreconditionError(f"tau is not {'an NBC face' if _apex(x) else 'an independent set'}")
     return facets
 
 
-def extend_to_nbc_base(x, i, force: bool = False) -> frozenset:
+def extend_to_nbc_base(x, i) -> frozenset:
     """The lexicographically smallest facet of x containing i, an NBC base of
     an NbcComplex or a base of a bare GraphicMatroid: the first facet the
     face walk reaches from i.  The walk's first path adds, in ascending id,
@@ -694,7 +694,7 @@ def extend_to_nbc_base(x, i, force: bool = False) -> frozenset:
     then holds rank pushes, so O(rank * m) bits of masks."""
     face = "NBC face" if _apex(x) else "independent set"
     root = _kind(x)[0].check_subset(i)
-    if x.rank - len(root) >= MAX_NBC_FACES and not force:
+    if x.rank - len(root) >= MAX_NBC_FACES and not FORCED.get():
         raise SizeGuardError(f"more than MAX_NBC_FACES={MAX_NBC_FACES} {face}s visited")
     eng = _root_engine(x, root)
     if eng is None:

@@ -21,6 +21,7 @@ from nbcwalk import (
     conductance,
     down_up_matrix,
     enumerate_nbc_bases,
+    forced,
     link_facets,
     local_spectral_profile,
     local_to_global_bound,
@@ -357,7 +358,22 @@ class TestOneReducedComplex:
         monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 40)
         with pytest.raises(SizeGuardError, match="6 facets of size 3"):
             local_spectral_profile(walk)
-        assert local_spectral_profile(walk, force=True) == expected
+        with forced():
+            assert local_spectral_profile(walk) == expected
+
+    def test_the_face_subset_guard_refuses_before_a_walk_is_built(self, monkeypatch):
+        # Handed a complex, the profile checks its facet count first and
+        # builds no walk it would then refuse.
+        real, built = chains._down_up, []
+        monkeypatch.setattr(chains, "_down_up", lambda *args: built.append(args) or real(*args))
+        monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 40)
+        k4 = NbcComplex(GraphicMatroid(build_named_graph("complete", 4)))
+        with pytest.raises(SizeGuardError, match=r"^6 facets of size 3 exceed MAX_FACE_SUBSETS=40$"):
+            local_spectral_profile(k4)
+        assert built == []
+        monkeypatch.setattr(chains, "MAX_FACE_SUBSETS", 48)
+        local_spectral_profile(k4)
+        assert len(built) == 1
 
     def test_walk_gap_strips_the_apex_once(self, capsys, monkeypatch):
         original = chains._reduced
@@ -728,7 +744,8 @@ class TestSpectralGap:
         engine; K8 has 5040 states."""
         blocks = [[(u, v) for u in range(v)] for v in range(1, n)]
         facets = [frozenset(pick) for pick in itertools.product(*blocks)]
-        assert abs(spectral_gap(down_up_matrix(facets), force=True) - 1 / (n - 1)) <= 1e-12
+        with forced():
+            assert abs(spectral_gap(down_up_matrix(facets)) - 1 / (n - 1)) <= 1e-12
         if n <= 6:
             g = build_named_graph("complete", n)
             bases = enumerate_nbc_bases(NbcComplex(GraphicMatroid(g)))
@@ -739,8 +756,9 @@ class TestSpectralGap:
         """The K2,2 link gadget's walk has gap 4/(3(l + 4)), a pin measured
         at l = 1..64; l = 64 has 9222 states, past MAX_EIG_STATES."""
         inst = build_link_gadget(build_named_graph("complete_bipartite", 2, 2), l, 2)
-        p = down_up_matrix(link_facets(inst.complex(), inst.tau, force=True))
-        assert abs(spectral_gap(p, force=True) - 4 / (3 * (l + 4))) <= 1e-12
+        with forced():
+            p = down_up_matrix(link_facets(inst.complex(), inst.tau))
+            assert abs(spectral_gap(p) - 4 / (3 * (l + 4))) <= 1e-12
 
 
 class TestConductance:

@@ -25,6 +25,7 @@ from nbcwalk import (
     disjoint_union,
     down_up_matrix,
     enumerate_nbc_bases,
+    forced,
     gadgets,
     gap_certificate,
     graphs,
@@ -111,7 +112,8 @@ class TestLongEdge:
             build_long_edge_instance(7)
         assert built == []
         assert build_long_edge_instance(5).matroid.graph.edge_count == 5
-        assert build_long_edge_instance(7, force=True).matroid.graph.edge_count == 7
+        with forced():
+            assert build_long_edge_instance(7).matroid.graph.edge_count == 7
         assert len(built) == 2
 
     def test_certificate_matches_the_listing_scan(self, monkeypatch):
@@ -131,7 +133,8 @@ class TestLongEdge:
         real = gadgets.WeightVector
         verdicts = []
         for n in range(3, 22, 2):
-            bases = enumerate_nbc_bases(NbcComplex(GraphicMatroid(theta_graph(n))), force=True)
+            with forced():
+                bases = enumerate_nbc_bases(NbcComplex(GraphicMatroid(theta_graph(n))))
             b1 = frozenset({n - 1} | set(range(0, n - 1, 2)))
             b2 = frozenset({0} | set(range(1, n - 1, 2)))
             for alter in alterations:
@@ -556,7 +559,8 @@ class TestCountingSandwich:
         g = build_named_graph("cycle", 5)
         with pytest.raises(SizeGuardError):
             verify_counting_sandwich(g, 2, 10, "partition-function")
-        report = verify_counting_sandwich(g, 2, 10, "partition-function", force=True)
+        with forced():
+            report = verify_counting_sandwich(g, 2, 10, "partition-function")
         assert report.target_quantity == 760
 
     def test_field_mode_counts_independent_sets_once(self, monkeypatch):
@@ -671,7 +675,7 @@ class TestHardcore:
     def test_builds_the_copies_once_and_enumerates_g_once(self, monkeypatch):
         g = build_named_graph("complete", 3)
         built, enumerated = [], []
-        real_build, real_iter = gadgets.build_named_graph, graphs.iter_independent_sets
+        real_build, real_iter = gadgets.build_named_graph, graphs._independent_sets
 
         def building(*args):
             built.append(args)
@@ -684,7 +688,7 @@ class TestHardcore:
 
         monkeypatch.setattr(gadgets, "build_named_graph", building)
         for module in (gadgets, graphs):
-            monkeypatch.setattr(module, "iter_independent_sets", iterating)
+            monkeypatch.setattr(module, "_independent_sets", iterating)
         report = verify_hardcore_identities(g, 2)
         assert report["counts_union"] == (1, 19, 112, 192)
         assert built == [("complete", 8)]
@@ -695,7 +699,7 @@ class TestHardcore:
         # size and the T_{S,k} levels.
         g = build_named_graph("cycle", 5)
         enumerated = []
-        real_iter = graphs.iter_independent_sets
+        real_iter = graphs._independent_sets
 
         def iterating(h, *args, **kwargs):
             if h.vertex_count == g.vertex_count + 16:
@@ -703,7 +707,7 @@ class TestHardcore:
             return real_iter(h, *args, **kwargs)
 
         for module in (gadgets, graphs):
-            monkeypatch.setattr(module, "iter_independent_sets", iterating)
+            monkeypatch.setattr(module, "_independent_sets", iterating)
         report = verify_hardcore_identities(g, 2)
         assert report["counts_union"] == (1, 21, 149, 400, 320)
         assert len(enumerated) == 1

@@ -22,6 +22,7 @@ from nbcwalk import (
     disjoint_union,
     enumerate_nbc_bases,
     face_numbers,
+    forced,
     graphs,
     hardcore_partition,
     is_nbc,
@@ -339,7 +340,8 @@ class TestChromatic:
         monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 50)
         with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=50"):
             chromatic_polynomial(k8)
-        assert chromatic_polynomial(k8, force=True) == expected
+        with forced():
+            assert chromatic_polynomial(k8) == expected
 
 
 class TestAcyclicOrientations:
@@ -365,7 +367,8 @@ class TestAcyclicOrientations:
         monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 20)
         with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=20"):
             count_acyclic_orientations(k7)
-        assert count_acyclic_orientations(k7, force=True) == 5040
+        with forced():
+            assert count_acyclic_orientations(k7) == 5040
 
 
 class TestSizeCounts:
@@ -476,7 +479,8 @@ class TestParkingFunctions:
         monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 100)
         with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=100"):
             count_g_parking_functions(k10, 0)
-        assert count_g_parking_functions(k10, 0, force=True) == 10**8
+        with forced():
+            assert count_g_parking_functions(k10, 0) == 10**8
 
 
 def _evaluate(t, x, y):
@@ -553,7 +557,8 @@ class TestTutteBudget:
         monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 10)
         with pytest.raises(SizeGuardError, match=r"^more than TUTTE_MAX_MINORS=10 distinct minors"):
             tutte_polynomial(k6)
-        assert tutte_polynomial(k6, force=True) == expected
+        with forced():
+            assert tutte_polynomial(k6) == expected
 
     def test_a_minor_weighs_its_classes(self, monkeypatch):
         """A minor counts once more per eight classes as soon as it is missed,
@@ -570,9 +575,10 @@ class TestTutteBudget:
         monkeypatch.setattr(graphs, "TUTTE_MAX_MINORS", 20)
         with pytest.raises(SizeGuardError, match="TUTTE_MAX_MINORS=20"):
             tutte_polynomial(g)
-        t = tutte_polynomial(g, force=True)
+        with forced():
+            t = tutte_polynomial(g)
         assert (sum(row.total() for row in t), t[0](2)) == (3 * 1000**2, 6)
 
     def test_too_deep_is_a_size_guard(self):
-        with pytest.raises(SizeGuardError, match="recursion limit"):
-            tutte_polynomial(build_named_graph("cycle", 1200), force=True)
+        with forced(), pytest.raises(SizeGuardError, match="recursion limit"):
+            tutte_polynomial(build_named_graph("cycle", 1200))

@@ -28,6 +28,7 @@ from nbcwalk import (
     enumerate_nbc_bases,
     extend_to_nbc_base,
     face_numbers,
+    forced,
     is_log_concave,
     is_nbc,
     link_facets,
@@ -833,7 +834,8 @@ class TestFaceBudget:
         monkeypatch.setattr(nbc, "MAX_NBC_FACES", len(faces) - 1)
         with pytest.raises(SizeGuardError):
             face_numbers(x)
-        assert face_numbers(x, force=True).total() == len(faces)
+        with forced():
+            assert face_numbers(x).total() == len(faces)
 
     def test_link_facets(self, monkeypatch):
         x, faces = self._k5()
@@ -955,7 +957,8 @@ class TestFaceBudgetUpFront:
         with pytest.raises(SizeGuardError):
             face_numbers(path8)
         assert len(pushes) == walked
-        assert face_numbers(path8, force=True).total() == 2**7
+        with forced():
+            assert face_numbers(path8).total() == 2**7
 
 
 class TestPrunedWalk:
@@ -1273,7 +1276,8 @@ class TestWideMasks:
         rng = random.Random(SEED)
         for g in _wide_multigraphs():
             top = GraphicMatroid(g).rank
-            chi = chromatic_polynomial(g, force=True)
+            with forced():
+                chi = chromatic_polynomial(g)
             whitney = tuple(abs(chi[g.vertex_count - k]) for k in range(top + 1))
             for ranking in random_orders(g.edge_count, 2):
                 x = NbcComplex(GraphicMatroid(g), ranking)

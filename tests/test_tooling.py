@@ -7,7 +7,8 @@ its Python example must run, so the docs cannot drift from the code, no
 package module keeps an import it never uses or a private name nothing in the
 package references, the package exports exactly what it imports, and every
 export and every public method and property of a package class has a reader
-outside the tests."""
+outside the tests.  Every size guard reads the one override switch, which no
+function takes as an argument and only the CLI turns on."""
 
 import ast
 import importlib.util
@@ -404,3 +405,51 @@ def test_every_public_class_member_has_a_reader():
         if not any(n == name and not (s == source and start <= l <= end) for n, s, l in reads)
     ]
     assert unread == []
+
+
+def _enclosing_function(node, parents):
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, ast.FunctionDef):
+            return node.name
+    return None
+
+
+def test_every_size_guard_reads_the_one_override():
+    # One switch, errors.FORCED, lifts every size guard: no function takes a
+    # force argument, every SizeGuardError is raised under a test that
+    # compares its cap first and then reads `not FORCED.get()`, except the two
+    # refusals at the recursion limit, which nothing lifts, and only cli.main
+    # turns the switch on, through errors.forced.
+    params, guarded, unguarded, deep, setters = [], [], [], [], []
+    for path in sorted((ROOT / "src" / "nbcwalk").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                names = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+                params += [where] * ("force" in names)
+            elif isinstance(node, ast.Call) and ast.unparse(node.func) in ("forced", "FORCED.set"):
+                setters.append((path.name, _enclosing_function(node, parents)))
+            elif isinstance(node, ast.Raise) and node.exc is not None and "SizeGuardError" in ast.unparse(node.exc):
+                up = parents[node]
+                if isinstance(up, ast.ExceptHandler) and ast.unparse(up.type) == "RecursionError":
+                    deep.append(_enclosing_function(node, parents))
+                elif (
+                    isinstance(up, ast.If)
+                    and isinstance(up.test, ast.BoolOp)
+                    and isinstance(up.test.op, ast.And)
+                    and ast.unparse(up.test.values[-1]) == "not FORCED.get()"
+                    and "FORCED" not in ast.unparse(up.test.values[0])
+                ):
+                    guarded.append(where)
+                else:
+                    unguarded.append(where)
+    assert params == []
+    assert unguarded == []
+    # Eleven refusals of nine named caps, so the scan does find the guards.
+    assert len(guarded) == 11
+    assert sorted(deep) == ["_independent_sets", "tutte_polynomial"]
+    assert sorted(setters) == [("cli.py", "main"), ("errors.py", "forced")]

@@ -16,6 +16,8 @@ from nbcwalk import (
     build_named_graph,
     chains,
     cli,
+    errors,
+    forced,
     gadgets,
     graphs,
     nbc,
@@ -418,6 +420,30 @@ class TestCliContract:
         report = _report(capsys, "oracle", "chromatic", "--graph", "complete:8", "--force-size")
         assert report["degree"] == 8
         assert report["coefficients"] == expected["coefficients"]
+
+    @pytest.mark.parametrize("path", ["report", "size-guard", "verification", "out-write"])
+    def test_force_size_ends_with_its_command(self, capsys, monkeypatch, tmp_path, path):
+        # --force-size lifts the guards for its own command alone: whatever
+        # way the forced command ends, the same command unforced is refused
+        # after it in the same process, and also inside an outer forced().
+        faces = "error: more than MAX_NBC_FACES=16 NBC faces visited\n"
+        argv, code, refusal = ["face-numbers", "--graph", "complete:5"], 0, faces
+        monkeypatch.setattr(nbc, "MAX_NBC_FACES", 16)
+        if path == "size-guard":
+            argv, code = ["oracle", "indep", "--graph", "path:2500"], 3
+            refusal = "error: 2500 vertices exceeds INDEP_COUNT_MAX_VERTICES=26\n"
+        elif path == "verification":
+            argv, code = ["gadget", "long-edge", "--n", "7"], 2
+            refusal = "error: ground size 7 exceeds MAX_GADGET_GROUND=5\n"
+            monkeypatch.setattr(gadgets, "MAX_GADGET_GROUND", 5)
+            monkeypatch.setattr(gadgets, "heaviest_nbc_bases", lambda x, nums: (None, 0, 0))
+        elif path == "out-write":
+            argv, code = [*argv, "--out", str(tmp_path / "missing" / "report.json")], 2
+        assert _run(capsys, *argv, "--force-size")[0] == code
+        assert errors.FORCED.get() is False
+        assert _run(capsys, *argv) == (3, "", refusal)
+        with forced():
+            assert _run(capsys, *argv) == (3, "", refusal)
 
     @pytest.mark.parametrize(
         "argv",
